@@ -30,7 +30,7 @@ from .characteristics import (
     trace_interior,
 )
 from .config import RunConfig, parse_config, resolved_config_text
-from .errors import ConfigError, HorizonFVError
+from .errors import ConfigError, HorizonFVError, UnsupportedModelError
 from .geometry import Background, build_uniform_mesh, max_timestep
 from .harness import (
     exact_solution_by_shooting,
@@ -70,8 +70,17 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _cmd_run(cfg: RunConfig, out: Path) -> int:
+def _admissible_model(cfg: RunConfig):
+    """Build the configured model, refusing it if a structural check fails."""
     model = cfg.build_model()
+    failed = [flag for flag, ok in vars(check_structure(model)).items() if ok is False]
+    if failed:
+        raise UnsupportedModelError(f"model '{model.name}' is inadmissible: {', '.join(failed)} false")
+    return model
+
+
+def _cmd_run(cfg: RunConfig, out: Path) -> int:
+    model = _admissible_model(cfg)
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     nf = numerical_flux(cfg.flux, model)
     outer = cfg.build_outer_boundary()
@@ -177,7 +186,7 @@ def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> int:
-    model = cfg.build_model()
+    model = _admissible_model(cfg)
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     table = build_fhat_table(model).freeze()
     profile = steady_profile(table, cfg.mass, cfg.steady_r0, cfg.steady_u0, mesh.centers)
@@ -186,6 +195,7 @@ def _cmd_steady(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_converge(cfg: RunConfig, out: Path) -> int:
+    _admissible_model(cfg)  # the config is refused as a whole, though converge evolves a preset
     preset = presets()[cfg.converge_preset]
     result = self_convergence(preset, cfg.converge_levels)
     threshold = _CONVERGE_THRESHOLDS[cfg.converge_preset]
@@ -224,7 +234,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_steady_drift(cfg: RunConfig, out: Path) -> int:
-    model = cfg.build_model()
+    model = _admissible_model(cfg)
     drift, mesh, profile, final = steady_drift_detail(
         model, cfg.mass, cfg.steady_r0, cfg.steady_u0, cfg.cells, cfg.t_end,
         r_max=cfg.r_max, flux_kind=cfg.flux, cfl_fraction=cfg.cfl_fraction)

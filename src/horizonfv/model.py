@@ -13,7 +13,6 @@ failing report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -206,11 +205,6 @@ def check_structure(m: FluxModel, samples: int = 1001) -> StructureReport:
         worst_violation=worst,
         samples=samples,
     )
-
-
-@lru_cache(maxsize=None)
-def _structure_ok(m: FluxModel) -> bool:
-    return check_structure(m).all_ok
 
 
 def kruzhkov_pair(m: FluxModel, k: float) -> EntropyPair:

@@ -302,6 +302,23 @@ def test_cli_fuzz_tau_override_is_config_error(tmp_path):
     assert _run_cli(tmp_path, body, "fuzz") == 2
 
 
+def test_cli_refuses_inadmissible_model_before_stepping(tmp_path):
+    out = tmp_path / "refused"
+    # f = s^2/2, h = 0: f + h vanishes at 0 and is positive elsewhere
+    body = MINIMAL.replace("model = burgers", "model = custom\nf_coeffs = 0, 0, 0.5\nh_coeffs = 0") \
+        .replace("t_end = 1.0", "t_end = 3\nflux = rusanov") + f"\n[run]\noutput_dir = {out}\n"
+    for command in ("run", "converge", "steady-drift", "steady"):
+        assert _run_cli(tmp_path, body, command) == 1
+        report = json.loads((out / "failure_report.json").read_text())
+        assert report["error"] == "UnsupportedModelError"
+        assert "boundary_roots_ok" in report["detail"]
+        assert "interior_negative_ok" in report["detail"]
+        (out / "failure_report.json").unlink()
+    assert not (out / "snapshots.csv").exists()
+    assert _run_cli(tmp_path, body, "check-model") == 1
+    assert not (out / "failure_report.json").exists()
+
+
 def test_cli_writes_only_inside_output_dir(tmp_path):
     out = tmp_path / "only"
     body = MINIMAL.replace("t_end = 1.0", "t_end = 0.05").replace("cells = 200", "cells = 40") + f"""

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from horizonfv import (
     self_convergence,
     steady_drift,
 )
-from horizonfv.harness import presets, restrict_halving, run_preset
+from horizonfv import harness
+from horizonfv.harness import COEFFICIENT_TOL, presets, restrict_halving, run_preset
+from horizonfv.scheme import NumericalFlux, flux_rusanov
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +113,58 @@ def test_shooting_rejects_crossed_characteristics():
         exact_solution_by_shooting(m, 1.0, steep, 4.0, np.linspace(4.0, 8.0, 16))
 
 
+def _bisection_reference(m, mass, v0, t_end, targets, dt_target=0.002):
+    """The oracle's former root-finder: 48 bisection passes over the whole
+    reachable interval, then one more integration from the midpoints."""
+    n_steps = max(64, int(math.ceil(t_end / dt_target)))
+    lo = np.full_like(targets, 2.0 * mass * (1.0 + 1e-10) if mass > 0.0
+                      else max(1e-9, float(targets[0]) - (t_end + 1.0)))
+    hi = np.full_like(targets, float(targets[-1]) + 1.05 * t_end + 0.5)
+
+    def shoot(r0):
+        u0 = np.clip(np.asarray(v0(r0), dtype=float), -1.0, 1.0)
+        return harness._integrate_chars(m, mass, r0, u0, t_end, n_steps)
+
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        below = shoot(mid)[0] < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return shoot(0.5 * (lo + hi))[1]
+
+
+@pytest.mark.parametrize("cells", [100, 400])
+def test_shooting_matches_bisection_reference(smooth, cells):
+    mesh, _ = run_preset(smooth, cells)
+    args = (smooth.model, smooth.mass, smooth.v0, smooth.t_end, mesh.centers)
+    exact = exact_solution_by_shooting(*args)
+    assert np.max(np.abs(exact - _bisection_reference(*args))) <= 1e-12
+
+
+def test_shooting_linear_arrival_map_stops_early(monkeypatch):
+    calls = []
+    integrate = harness._integrate_chars
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(harness, "_integrate_chars", counted)
+    targets = (np.arange(64) + 0.5) * (10.0 / 64)
+    u = exact_solution_by_shooting(burgers_model(), 0.0, lambda r: np.full_like(r, -0.3), 0.5, targets)
+    assert np.all(u == -0.3)
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("mass, level, targets", [
+    (1.0, 0.5, np.linspace(1.5, 8.0, 16)),   # inside the horizon
+    (0.0, 0.7, np.linspace(0.05, 8.0, 16)),  # upstream of every right-moving characteristic
+])
+def test_shooting_rejects_unreachable_targets(mass, level, targets):
+    with pytest.raises(PresetError, match="reachable range"):
+        exact_solution_by_shooting(burgers_model(), mass, lambda r: np.full_like(r, level), 0.5, targets)
+
+
 def test_steady_drift_small_and_first_order():
     m = burgers_model()
     d200 = steady_drift(m, 1.0, 4.0, 0.9, 200, 1.0)
@@ -147,6 +202,29 @@ def test_fuzz_reports_reproduction_configs():
         assert set(cfg) >= {"mass", "flux", "cfl_fraction", "breaks", "values", "t_end"}
         assert 0.0 <= cfg["mass"] <= 2.0
         assert 0.0 < cfg["cfl_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize("seed, trials", [(921988858, 5), (416866623, 25), (431328546, 21)])
+def test_fuzz_coefficient_rounding_is_not_a_violation(seed, trials):
+    # the last trial of each is an eo-flux run whose neighbouring cells come
+    # within ~1e-10, where rounding pushes coefficients below COEFFICIENT_TOL
+    rep = fuzz_invariants(trials, seed, tau_scale=0.9)
+    assert rep.min_convex_coeff < COEFFICIENT_TOL
+    assert rep.ok, rep.violations
+
+
+def test_fuzz_flags_non_monotone_flux(monkeypatch):
+    def anti_diffusive(m, u, v):  # Rusanov with its dissipation sign flipped
+        return m.f(u) + m.f(v) - flux_rusanov(m, u, v)
+
+    monotone = harness.numerical_flux
+
+    def numerical_flux(kind, m):
+        return NumericalFlux("anti", monotone(kind, m).lipschitz_bound, anti_diffusive)
+
+    monkeypatch.setattr(harness, "numerical_flux", numerical_flux)
+    rep = fuzz_invariants(3, 7)
+    assert "convex_coefficient" in {v["kind"] for v in rep.violations}
 
 
 def test_fuzz_cfl_injection_meta_test():
