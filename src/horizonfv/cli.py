@@ -12,7 +12,6 @@ seeds reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,7 +30,7 @@ from .characteristics import (
 )
 from .config import RunConfig, parse_config, resolved_config_text
 from .errors import ConfigError, HorizonFVError, UnsupportedModelError
-from .geometry import Background, build_uniform_mesh, max_timestep
+from .geometry import Background, build_uniform_mesh
 from .harness import (
     exact_solution_by_shooting,
     fuzz_invariants,
@@ -41,9 +40,10 @@ from .harness import (
     steady_drift_detail,
 )
 from .model import check_structure, validate_derivatives
-from .scheme import StateVector, numerical_flux, project_initial, step
+from .scheme import numerical_flux, run
 
 _FMT = "%.17g"
+_CSV_BLOCK_ROWS = 4096
 
 _CONVERGE_THRESHOLDS = {"smooth": 0.8, "riemann": 0.5, "flat": None}
 
@@ -57,10 +57,18 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_FMT % x for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write rows (an iterable of equal-length numeric rows, or a 2-D array)
+    as "%.17g" fields under header.  One % call formats a block of
+    _CSV_BLOCK_ROWS rows, which keeps the temporaries, and so the peak
+    memory, small on long tables."""
+    table = np.array(rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.float64)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        if table.size:
+            line = ",".join([_FMT] * table.shape[1]) + "\n"
+            for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+                block = table[start:start + _CSV_BLOCK_ROWS]
+                fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
@@ -85,54 +93,36 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
     nf = numerical_flux(cfg.flux, model)
     outer = cfg.build_outer_boundary()
 
-    values, clamped = project_initial(mesh, cfg.build_v0())
-    state = StateVector(values=values, time=0.0, step_index=0)
-    tau_bound = max_timestep(mesh, model, nf.lipschitz_bound)
-    tau_base = cfg.cfl_fraction * tau_bound
-
-    snapshots = [state]
     ledger_rows = []
-    worst_residual = -np.inf
-    steps = 0
-    while state.time < cfg.t_end:
-        remaining = cfg.t_end - state.time
-        tau = min(tau_base, remaining)
-        new_state, report = step(state, mesh, model, nf, tau, outer=outer, tau_bound=tau_bound)
-        steps += 1
-        if cfg.entropy_diagnostics:
-            for k in cfg.kruzhkov_levels:
-                ledger = entropy_mod.cell_entropy_residuals(state, report, mesh, model, nf, k, tau,
-                                                            outer=outer)
-                ledger_rows.append((steps, k, ledger.worst_residual, ledger.global_balance_gap,
-                                    ledger.dissipation_sum))
-                worst_residual = max(worst_residual, ledger.worst_residual)
-        state = new_state
-        if remaining <= tau_base:
-            state = dataclasses.replace(state, time=cfg.t_end)
-            break
-        if steps % cfg.snapshot_every == 0:
-            snapshots.append(state)
-    if snapshots[-1] is not state:
-        snapshots.append(state)
 
-    rows = []
-    for snap in snapshots:
-        for r, v in zip(mesh.centers, snap.values):
-            rows.append((snap.time, r, v))
-    _write_csv(out / "snapshots.csv", "t,r,v", rows)
+    def ledger(steps, state_before, report, tau):
+        for k in cfg.kruzhkov_levels:
+            entry = entropy_mod.cell_entropy_residuals(state_before, report, mesh, model, nf, k, tau,
+                                                       outer=outer)
+            ledger_rows.append((steps, k, entry.worst_residual, entry.global_balance_gap,
+                                entry.dissipation_sum))
+
+    result = run(mesh, model, nf, v0=cfg.build_v0(), t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction,
+                 snapshot_every=cfg.snapshot_every, outer=outer,
+                 on_step=ledger if cfg.entropy_diagnostics else None)
+
+    times = np.repeat([snap.time for snap in result.snapshots], mesh.n_cells)
+    radii = np.tile(mesh.centers, len(result.snapshots))
+    values = np.concatenate([snap.values for snap in result.snapshots])
+    _write_csv(out / "snapshots.csv", "t,r,v", np.column_stack((times, radii, values)))
     if cfg.entropy_diagnostics:
         _write_csv(out / "entropy_ledger.csv", "step,k,worst_residual,balance_gap,dissipation_sum",
                    ledger_rows)
 
     summary = {
         "t_end": cfg.t_end,
-        "steps": steps,
-        "tau_base": tau_base,
-        "clamped_cells": clamped,
-        "snapshots": len(snapshots),
+        "steps": result.steps,
+        "tau_base": result.tau_base,
+        "clamped_cells": result.clamped_cells,
+        "snapshots": len(result.snapshots),
     }
     if cfg.entropy_diagnostics:
-        summary["worst_entropy_residual"] = worst_residual
+        summary["worst_entropy_residual"] = max([-np.inf] + [row[2] for row in ledger_rows])
     _write_json(out / "summary.json", summary)
     return 0
 

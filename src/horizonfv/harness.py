@@ -357,11 +357,12 @@ _ROUNDING_ULPS = 8.0
 
 
 def _coefficient_below_rounding(state: StateVector, report: StepReport, mesh: RadialMesh,
-                                m: FluxModel) -> bool:
+                                m: FluxModel, triples) -> bool:
     """Per-cell recheck of a step whose smallest coefficient is below
-    COEFFICIENT_TOL; max |f| on [-1, 1] is taken at -1, 0 and 1, as holds for
-    the unimodal flux shape the campaign's fluxes require."""
-    a_center, a_left, a_right = convex_coefficients(state, report, mesh, m)
+    COEFFICIENT_TOL, given that step's (A_center, A_left, A_right) from
+    convex_coefficients; max |f| on [-1, 1] is taken at -1, 0 and 1, as holds
+    for the unimodal flux shape the campaign's fluxes require."""
+    a_center, a_left, a_right = triples
     left, right = face_states(state.values, COPY_BOUNDARY, None)
     f_max = float(np.max(np.abs(m.f(np.array([-1.0, 0.0, 1.0])))))
     unit = _ROUNDING_ULPS * np.finfo(float).eps * f_max * report.tau_used / mesh.widths
@@ -449,11 +450,13 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
             report.total_steps += 1
             report.worst_abs_state = max(report.worst_abs_state, float(np.max(np.abs(new_state.values))))
 
-            report.min_convex_coeff = min(report.min_convex_coeff, step_report.convex_coeffs_min)
-            if step_report.convex_coeffs_min < COEFFICIENT_TOL and \
-                    _coefficient_below_rounding(state, step_report, mesh, model):
+            triples = convex_coefficients(state, step_report, mesh, model)
+            coeff_min = float(min(a.min() for a in triples))
+            report.min_convex_coeff = min(report.min_convex_coeff, coeff_min)
+            if coeff_min < COEFFICIENT_TOL and \
+                    _coefficient_below_rounding(state, step_report, mesh, model, triples):
                 report.violations.append({"config": config, "kind": "convex_coefficient",
-                                          "detail": step_report.convex_coeffs_min})
+                                          "detail": coeff_min})
 
             defect = entropy_mod.convex_decomposition_check(state, new_state, step_report, mesh, model)
             report.worst_decomposition_defect = max(report.worst_decomposition_defect, defect)

@@ -175,11 +175,11 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class StepReport:
-    """Diagnostics of one update: the face fluxes actually used, the time
-    step, and the extremes of the convex-decomposition coefficients."""
+    """What one update used: the face fluxes (read-only) and the time step.
 
-    convex_coeffs_min: float
-    source_coeff: float
+    Everything a diagnostic needs is rebuilt from these and the pre-step
+    state, e.g. the convex coefficients by convex_coefficients."""
+
     fluxes: np.ndarray
     tau_used: float
 
@@ -226,7 +226,7 @@ def convex_coefficients(state: StateVector, report: StepReport, mesh: RadialMesh
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
          outer: OuterBoundary = COPY_BOUNDARY, inner_ghost: Optional[float] = None,
          tau_bound: Optional[float] = None) -> tuple[StateVector, StepReport]:
-    """One explicit update.
+    """One explicit update, with no diagnostics on the path.
 
     Args:
         tau: time step; must not exceed the stability bound.
@@ -236,7 +236,9 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
         tau_bound: optional precomputed max_timestep, to avoid re-deriving
             it every step inside time loops.
 
-    Returns the advanced state and a StepReport.
+    Returns the advanced state and a StepReport holding only the face
+    fluxes and the time step.  A NaN in the update raises NumericsError
+    ("NaN in state values") when the new StateVector is built.
     """
     v = state.values
     if v.size != mesh.n_cells:
@@ -256,19 +258,9 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     flux_term = a_r * fluxes[1:] - a_l * fluxes[:-1] - fc * (a_r - a_l)
     v_new = v - (tau / mesh.widths) * flux_term + tau * mesh.cell_thetas * (fc + hc)
 
-    if np.any(np.isnan(v_new)):
-        raise NumericsError("NaN produced by the finite volume update")
-
-    a_center, a_left, a_right = _coefficient_triples(v, fluxes, mesh, m, tau, outer, inner_ghost)
-    fluxes.setflags(write=False)
-    report = StepReport(
-        convex_coeffs_min=float(min(a_center.min(), a_left.min(), a_right.min())),
-        source_coeff=float(tau * np.max(mesh.cell_thetas)),
-        fluxes=fluxes,
-        tau_used=float(tau),
-    )
     new_state = StateVector(values=v_new, time=state.time + tau, step_index=state.step_index + 1)
-    return new_state, report
+    fluxes.setflags(write=False)
+    return new_state, StepReport(fluxes=fluxes, tau_used=float(tau))
 
 
 def project_initial(mesh: RadialMesh, v0: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, int]:
@@ -302,11 +294,18 @@ class RunResult:
 def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         v0: Optional[Callable] = None, t_end: float = 1.0, cfl_fraction: float = 0.9,
         snapshot_every: int = 10, outer: OuterBoundary = COPY_BOUNDARY,
-        initial_values: Optional[np.ndarray] = None, max_steps: Optional[int] = None) -> RunResult:
+        initial_values: Optional[np.ndarray] = None, max_steps: Optional[int] = None,
+        on_step: Optional[Callable[[int, StateVector, StepReport, float], None]] = None) -> RunResult:
     """Evolve initial data to t_end with tau = cfl_fraction * max_timestep.
 
     The last step is shortened to land exactly on t_end.  Snapshots are the
     initial state, every snapshot_every-th step, and the final state.
+
+    on_step, if given, is called once per step as
+    on_step(steps, state_before, report, tau): steps counts this step from
+    1, state_before is the state the step started from and tau the step
+    actually taken (the shortened one included).  It runs after the step
+    and before the snapshot and t_end bookkeeping.
     """
     if not 0.0 < cfl_fraction <= 1.0:
         raise DomainError(f"cfl_fraction must lie in (0, 1], got {cfl_fraction}")
@@ -332,8 +331,11 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     while state.time < t_end:
         remaining = t_end - state.time
         tau = min(tau_base, remaining)
-        state, _ = step(state, mesh, m, nf, tau, outer=outer, tau_bound=tau_bound)
+        new_state, report = step(state, mesh, m, nf, tau, outer=outer, tau_bound=tau_bound)
         steps += 1
+        if on_step is not None:
+            on_step(steps, state, report, tau)
+        state = new_state
         if max_steps is not None and steps > max_steps:
             raise NumericsError(f"time loop exceeded {max_steps} steps before reaching t_end")
         if remaining <= tau_base:

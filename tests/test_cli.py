@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horizonfv import ConfigError
-from horizonfv.cli import main
+from horizonfv import Background, ConfigError, build_uniform_mesh, numerical_flux, run
+from horizonfv.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from horizonfv.config import parse_config, resolved_config_text
 
 MINIMAL = """
@@ -162,6 +162,60 @@ output_dir = {out}
     # final snapshot lands exactly on t_end
     last_t = float(snapshots[-1].split(",")[0])
     assert last_t == 0.2
+
+
+def test_cli_run_goes_through_scheme_run(tmp_path):
+    out = tmp_path / "through_run"
+    body = MINIMAL.replace("cells = 200", "cells = 40\nouter_boundary = fixed:-0.3") \
+        .replace("t_end = 1.0", "t_end = 0.3\nsnapshot_every = 4") + f"""
+[diagnostics]
+entropy_diagnostics = true
+kruzhkov_levels = -0.5, 0.1, 0.6
+
+[run]
+output_dir = {out}
+"""
+    assert _run_cli(tmp_path, body, "run") == 0
+    cfg = parse_config(write_config(tmp_path, body))
+    mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
+    model = cfg.build_model()
+    result = run(mesh, model, numerical_flux(cfg.flux, model), v0=cfg.build_v0(), t_end=cfg.t_end,
+                 cfl_fraction=cfg.cfl_fraction, snapshot_every=cfg.snapshot_every,
+                 outer=cfg.build_outer_boundary())
+    rows = [(snap.time, r, v) for snap in result.snapshots for r, v in zip(mesh.centers, snap.values)]
+    assert (out / "snapshots.csv").read_text() == reference_csv("t,r,v", rows)
+    ledger = (out / "entropy_ledger.csv").read_text().splitlines()
+    assert len(ledger) - 1 == result.steps * 3
+    assert [int(line.split(",")[0]) for line in ledger[1:]] == \
+        [n for n in range(1, result.steps + 1) for _ in range(3)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["steps"] == result.steps and summary["snapshots"] == len(result.snapshots)
+    assert summary["tau_base"] == result.tau_base
+
+
+def reference_csv(header, rows):
+    """The per-value writer that _write_csv must reproduce byte for byte."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join("%.17g" % x for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [(-0.0, 5e-324, 1.7976931348623157e308), (1.0 / 3.0, float("nan"), float("inf")),
+     (-float("inf"), -1.7976931348623157e308, -5e-324)],
+    [(1, -0.75, 1e-17, -0.0, 2.5), (2, 0.0, float("nan"), 1e300, 12), (1186, 0.75, -3.0, 7.0, 0.1)],
+    [(0.1 * i, np.float64(i) / 7.0) for i in range(2 * _CSV_BLOCK_ROWS + 3)],
+    [],
+])
+def test_write_csv_matches_per_value_writer(tmp_path, rows):
+    header = "h"
+    path = tmp_path / "table.csv"
+    _write_csv(path, header, rows)
+    assert path.read_text() == reference_csv(header, rows)
+    if rows:
+        _write_csv(path, header, np.array(rows, dtype=float))
+        assert path.read_text() == reference_csv(header, rows)
 
 
 def test_cli_run_determinism(tmp_path):

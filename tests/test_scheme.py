@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from horizonfv import scheme
 from horizonfv import (
     Background,
     CflError,
@@ -164,7 +165,6 @@ def test_convex_coefficients_reconstruction(mesh_m1, burgers, rng):
     state = StateVector(values=values, time=0.0, step_index=0)
     _, report = step(state, mesh_m1, burgers, nf, tau)
     a_center, a_left, a_right = convex_coefficients(state, report, mesh_m1, burgers)
-    assert report.convex_coeffs_min == min(a_center.min(), a_left.min(), a_right.min())
     assert np.max(np.abs(a_center + a_left + a_right - 1.0)) <= 1e-12
     assert min(a_left.min(), a_right.min()) >= -1e-10
     assert a_center.min() >= 0.5 - 1e-12  # CFL puts at least half the weight on the cell
@@ -198,6 +198,49 @@ def test_run_fixed_point(mesh_m1, burgers):
     nf = numerical_flux("eo", burgers)
     result = run(mesh_m1, burgers, nf, v0=lambda r: np.ones_like(r), t_end=1.0)
     assert np.array_equal(result.final.values, np.ones(mesh_m1.n_cells))
+
+
+def test_step_and_run_build_no_convex_coefficients(mesh_m1, burgers, rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the hot path rebuilt the convex coefficients")
+
+    monkeypatch.setattr(scheme, "_coefficient_triples", forbidden)
+    nf = numerical_flux("godunov", burgers)
+    tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
+    state = StateVector(values=rng.uniform(-1.0, 1.0, mesh_m1.n_cells), time=0.0, step_index=0)
+    new_state, report = step(state, mesh_m1, burgers, nf, tau)
+    assert new_state.step_index == 1
+    assert report.tau_used == tau and report.fluxes.size == mesh_m1.n_cells + 1
+    result = scheme.run(mesh_m1, burgers, nf, v0=lambda r: np.sin(r), t_end=0.3,
+                        outer=fixed_boundary(-0.2))
+    assert result.final.time == 0.3
+
+
+def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
+    nf = numerical_flux("eo", burgers)
+    seen = []
+
+    def observe(steps, state_before, report, tau):
+        seen.append((steps, state_before, report, tau))
+
+    t_end = 0.37
+    result = run(mesh_m1, burgers, nf, v0=lambda r: 0.6 * np.cos(r), t_end=t_end,
+                 snapshot_every=4, on_step=observe)
+    assert [entry[0] for entry in seen] == list(range(1, result.steps + 1))
+    assert seen[0][1] is result.snapshots[0]
+    assert all(entry[2].tau_used == entry[3] for entry in seen)
+    assert all(entry[3] == result.tau_base for entry in seen[:-1])
+    last_tau = seen[-1][3]
+    assert 0.0 < last_tau < result.tau_base  # the shortened last step is observed
+    assert seen[-1][1].time + last_tau == pytest.approx(t_end, abs=1e-15)
+    # each observed pre-step state, stepped again by hand, gives the next one
+    for (_, before, report, tau), (_, after, _, _) in zip(seen, seen[1:]):
+        replay, replay_report = step(before, mesh_m1, burgers, nf, tau)
+        assert np.array_equal(replay.values, after.values)
+        assert np.array_equal(replay_report.fluxes, report.fluxes)
+        assert after.step_index == before.step_index + 1
+    final_replay, _ = step(seen[-1][1], mesh_m1, burgers, nf, last_tau)
+    assert np.array_equal(final_replay.values, result.final.values)
 
 
 def test_run_snapshot_cadence(mesh_m1, burgers):
