@@ -11,7 +11,6 @@ from .characteristics import (
     classify_fate,
     escape_velocity,
     exterior_invariant,
-    fhat,
     fhat_inverse,
     h_prime_interior,
     interior_invariant,
@@ -50,7 +49,7 @@ from .harness import (
     oracle_convergence,
     presets,
     self_convergence,
-    steady_drift,
+    steady_drift_detail,
 )
 from .model import (
     DEFAULT_KRUZHKOV_LEVELS,
@@ -62,7 +61,6 @@ from .model import (
     kruzhkov_pair,
     polynomial_model,
     quadratic_pair,
-    validate_derivatives,
 )
 from .scheme import (
     COPY_BOUNDARY,

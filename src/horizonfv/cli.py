@@ -39,7 +39,6 @@ from .harness import (
     self_convergence,
     steady_drift_detail,
 )
-from .model import check_structure, validate_derivatives
 from .scheme import numerical_flux, run
 
 _FMT = "%.17g"
@@ -81,7 +80,7 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
 def _admissible_model(cfg: RunConfig):
     """Build the configured model, refusing it if a structural check fails."""
     model = cfg.build_model()
-    failed = [flag for flag, ok in vars(check_structure(model)).items() if ok is False]
+    failed = [flag for flag, ok in vars(model.structure).items() if not ok]
     if failed:
         raise UnsupportedModelError(f"model '{model.name}' is inadmissible: {', '.join(failed)} false")
     return model
@@ -129,34 +128,23 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_check_model(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model()
-    deviation = validate_derivatives(model)
-    report = check_structure(model)
-    payload = {
-        "model": model.name,
-        "boundary_roots_ok": report.boundary_roots_ok,
-        "boundary_nondegenerate_ok": report.boundary_nondegenerate_ok,
-        "interior_negative_ok": report.interior_negative_ok,
-        "flux_monotone_shape_ok": report.flux_monotone_shape_ok,
-        "worst_violation": report.worst_violation,
-        "samples": report.samples,
-        "derivative_deviation": deviation,
-        "ok": report.all_ok,
-    }
+    report = model.structure
+    payload = {"model": model.name, **vars(report), "ok": report.all_ok}
     _write_json(out / "structure_report.json", payload)
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if report.all_ok else 1
 
 
 def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
-    model = cfg.build_model()
     if cfg.coordinates == "exterior":
+        model = _admissible_model(cfg)
         start = CharState(s=0.0, t=0.0, r=cfg.char_r0, u=cfg.char_u0)
         path = trace_exterior(model, cfg.mass, start, cfg.char_ds, cfg.char_s_max,
                               r_stop=cfg.char_r_stop)
         table = build_fhat_table(model).freeze()
         inv = exterior_invariant(table, cfg.mass, path)
     else:
-        if model.name != "burgers":
+        if cfg.model != "burgers":
             raise ConfigError("characteristics.coordinates=interior supports only the burgers model")
         if not 0.0 < cfg.interior_shift <= cfg.mass:
             raise ConfigError(

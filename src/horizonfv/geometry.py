@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import FluxModel, structure_grid
+from .model import FluxModel
 
 #: enforced strictness margin for the source stability bound
 SOURCE_STRICTNESS = 1e-6
@@ -101,15 +101,15 @@ def build_uniform_mesh(bg: Background, r_max: float, cells: int) -> RadialMesh:
     )
 
 
-def max_timestep(mesh: RadialMesh, m: FluxModel, nf_lipschitz: float, samples: int = 1001) -> float:
+def max_timestep(mesh: RadialMesh, m: FluxModel, nf_lipschitz: float) -> float:
     """Largest stable time step for the explicit update.
 
     Two constraints: the transport bound tau1 = |K| / (2 p_K L w_max) with
     p_K = 2 faces per cell, L the numerical-flux Lipschitz bound and w_max
     the largest face weight; and the source bound tau2 = 1 / (2 theta_max S)
-    with S = max |f' + h'| over [-1, 1], shrunk by SOURCE_STRICTNESS because
-    the source condition is strict.  Sup norms use the sampled structure
-    grid plus the endpoints.
+    with S = max |f' + h'| over [-1, 1] (the model's certified
+    ``source_slope``), shrunk by SOURCE_STRICTNESS because the source
+    condition is strict.
     """
     if mesh.n_cells == 0:
         raise DomainError("empty mesh")
@@ -118,10 +118,8 @@ def max_timestep(mesh: RadialMesh, m: FluxModel, nf_lipschitz: float, samples: i
     w_max = float(np.max(mesh.face_weights))
     tau1 = float(np.min(mesh.widths)) / (2.0 * 2.0 * nf_lipschitz * w_max)
 
-    grid = np.concatenate(([-1.0], structure_grid(samples), [1.0]))
-    slope = float(np.max(np.abs(np.asarray(m.df(grid), dtype=float) + np.asarray(m.dh(grid), dtype=float))))
     theta_max = float(np.max(mesh.cell_thetas))
-    if theta_max > 0.0 and slope > 0.0:
-        tau2 = (1.0 - SOURCE_STRICTNESS) / (2.0 * theta_max * slope)
+    if theta_max > 0.0 and m.source_slope > 0.0:
+        tau2 = (1.0 - SOURCE_STRICTNESS) / (2.0 * theta_max * m.source_slope)
         return min(tau1, tau2)
     return tau1

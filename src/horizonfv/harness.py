@@ -275,7 +275,12 @@ def oracle_convergence(preset: Preset, cell_list: Sequence[int]) -> OracleConver
 def steady_drift_detail(m: FluxModel, mass: float, r0: float, u0: float, cells: int,
                         t_end: float, r_max: float = 12.0, flux_kind: str = "godunov",
                         cfl_fraction: float = 0.9, table: Optional[FhatTable] = None):
-    """Evolve a steady profile and return (drift, mesh, profile, final values)."""
+    """Evolve a steady profile exactly t_end in time; return (L1 drift, mesh,
+    profile, final values).
+
+    The scheme is not well balanced, so the drift is a first-order
+    truncation diagnostic: it should shrink like the cell width.
+    """
     mesh = build_uniform_mesh(Background(mass), r_max, cells)
     if table is None:
         table = build_fhat_table(m)
@@ -288,20 +293,6 @@ def steady_drift_detail(m: FluxModel, mass: float, r0: float, u0: float, cells: 
                  initial_values=profile, snapshot_every=10 ** 9)
     drift = float(np.sum(mesh.widths * np.abs(result.final.values - profile)))
     return drift, mesh, profile, result.final.values
-
-
-def steady_drift(m: FluxModel, mass: float, r0: float, u0: float, cells: int, t_end: float,
-                 r_max: float = 12.0, flux_kind: str = "godunov", cfl_fraction: float = 0.9,
-                 table: Optional[FhatTable] = None) -> float:
-    """L1 drift after evolving a steady profile exactly t_end in time.
-
-    The scheme is not well balanced, so the drift is a first-order
-    truncation diagnostic: it should shrink like the cell width.
-    """
-    drift, _, _, _ = steady_drift_detail(m, mass, r0, u0, cells, t_end, r_max=r_max,
-                                         flux_kind=flux_kind, cfl_fraction=cfl_fraction,
-                                         table=table)
-    return drift
 
 
 @dataclass(eq=False)

@@ -1,24 +1,28 @@
-"""Balance-law instances: the flux/source pair, structural checks, and
-entropy pairs.
+"""Balance-law instances: the polynomial flux/source pair, its exact
+structural certificate, and entropy pairs.
 
-A model is the pair of functions (f, h) on [-1, 1] together with their
-derivatives.  The admissible class is pinned down by two structural
+A model is a pair of polynomials (f, h) on [-1, 1], given by ascending
+coefficients.  The admissible class is pinned down by structural
 requirements: f + h vanishes at both ends of the state interval with
 nondegenerate slope, f + h is negative inside, and f decreases on (-1, 0)
-and increases on (0, 1).  ``check_structure`` samples those conditions;
-the solver refuses nothing by itself, callers decide what to do with a
+and increases on (0, 1).  ``polynomial_model`` decides those conditions
+exactly, once, through ``check_structure``, and stores the verdict on the
+model next to the two constants the stability bounds use: the flux
+Lipschitz bound sup |f'| and the source slope sup |f' + h'| over [-1, 1].
+The solver refuses nothing by itself; callers decide what to do with a
 failing report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import fixed_simpson
 
 ArrayLike = Callable[[np.ndarray], np.ndarray]
 
@@ -26,17 +30,44 @@ ArrayLike = Callable[[np.ndarray], np.ndarray]
 DEFAULT_KRUZHKOV_LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
 
 
-def _polyval(coeffs: Sequence[float], x):
-    """Horner evaluation of ascending coefficients c0 + c1 x + ..."""
-    acc = np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
+    """Horner evaluation of trimmed ascending coefficients c0 + c1 s + ...
+
+    It starts from the leading coefficient and adds a lower one only when
+    it is nonzero, so s**2/2 - 1/2 costs what 0.5 * s * s - 0.5 costs and
+    rounds the same way, sign of zero included.  A constant c is computed
+    as s * 0.0 + c, so it takes the shape of s.
+    """
+    if len(coeffs) == 1:
+        (c0,) = coeffs
+
+        def constant(s):
+            zero = np.multiply(s, 0.0)
+            return zero + c0 if c0 else zero
+
+        return constant
+    c0, *middle, lead = coeffs
+    middle.reverse()
+
+    def poly(s):
+        acc = s * lead
+        for c in middle:
+            acc = (acc + c if c else acc) * s
+        return acc + c0 if c0 else acc
+
+    return poly
+
+
+def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
+    out = [float(c) for c in coeffs]
+    if not all(math.isfinite(c) for c in out):
+        raise DomainError(f"polynomial coefficients must be finite, got {tuple(out)}")
+    while len(out) > 1 and out[-1] == 0.0:
+        out.pop()
+    return tuple(out) or (0.0,)
 
 
 def _polyder(coeffs: Sequence[float]) -> tuple[float, ...]:
-    if len(coeffs) <= 1:
-        return (0.0,)
     return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
 
 
@@ -45,47 +76,46 @@ def _polyint(coeffs: Sequence[float]) -> tuple[float, ...]:
     return (0.0,) + tuple(c / (i + 1) for i, c in enumerate(coeffs))
 
 
-@dataclass(frozen=True, eq=False)
-class FluxModel:
-    """A balance-law instance: flux f, source profile h, and derivatives.
-
-    Derivatives are required inputs rather than auto-differenced so the
-    stability constants stay sharp; ``validate_derivatives`` cross-checks
-    them numerically.  ``f_poly`` / ``h_poly`` optionally carry ascending
-    polynomial coefficients when the callables are polynomials, which lets
-    downstream code use exact antiderivatives.
-
-    Immutable after construction and safe to share across threads.
-    """
-
-    name: str
-    f: ArrayLike
-    df: ArrayLike
-    h: ArrayLike
-    dh: ArrayLike
-    f_poly: Optional[tuple[float, ...]] = None
-    h_poly: Optional[tuple[float, ...]] = None
-
-
 @dataclass(frozen=True)
 class StructureReport:
-    """Sampled verdict on the structural conditions for one model."""
+    """Exact verdict on the structural conditions for one model."""
 
     boundary_roots_ok: bool
     boundary_nondegenerate_ok: bool
     interior_negative_ok: bool
     flux_monotone_shape_ok: bool
-    worst_violation: float
-    samples: int
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.boundary_roots_ok
-            and self.boundary_nondegenerate_ok
-            and self.interior_negative_ok
-            and self.flux_monotone_shape_ok
-        )
+        return all(vars(self).values())
+
+
+@dataclass(frozen=True, eq=False)
+class FluxModel:
+    """A polynomial balance-law instance with its certificate.
+
+    ``f_poly`` and ``h_poly`` are the ascending coefficients of the flux f
+    and the source profile h, trailing zeros trimmed; ``f``, ``df``, ``h``
+    and ``dh`` evaluate f, f', h and h'.  ``structure`` is the exact
+    verdict of ``check_structure``, ``flux_lipschitz`` is sup |f'| and
+    ``source_slope`` is sup |f' + h'|, both over [-1, 1].  Build models
+    with ``polynomial_model``, which computes all of these once; consumers
+    read them and never re-derive them, so ``dataclasses.replace`` may swap
+    in instrumented evaluators and keep the certificate.
+
+    Immutable after construction and safe to share across threads.
+    """
+
+    name: str
+    f_poly: tuple[float, ...]
+    h_poly: tuple[float, ...]
+    f: ArrayLike
+    df: ArrayLike
+    h: ArrayLike
+    dh: ArrayLike
+    structure: StructureReport
+    flux_lipschitz: float
+    source_slope: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,108 +133,151 @@ class EntropyPair:
     k: Optional[float] = None
 
 
-def burgers_model() -> FluxModel:
-    """The built-in model f(s) = s**2/2 - 1/2, h = 0."""
-    return FluxModel(
-        name="burgers",
-        f=lambda s: 0.5 * s * s - 0.5,
-        df=lambda s: np.multiply(s, 1.0),
-        h=lambda s: np.multiply(s, 0.0),
-        dh=lambda s: np.multiply(s, 0.0),
-        f_poly=(-0.5, 0.0, 0.5),
-        h_poly=(0.0,),
-    )
+# Exact arithmetic on polynomials with integer coefficients, ascending,
+# no trailing zeros; [] is the zero polynomial.
+
+_SCALE = 2 ** 1074  # every finite double is an integer multiple of 2**-1074
 
 
-def polynomial_model(name: str, f_coeffs: Sequence[float], h_coeffs: Sequence[float]) -> FluxModel:
-    """Build a model from ascending polynomial coefficients (degree <= 8)."""
-    if len(f_coeffs) > 9 or len(h_coeffs) > 9:
-        raise DomainError("polynomial models support degree <= 8")
-    fc = tuple(float(c) for c in f_coeffs) or (0.0,)
-    hc = tuple(float(c) for c in h_coeffs) or (0.0,)
-    dfc = _polyder(fc)
-    dhc = _polyder(hc)
-    return FluxModel(
-        name=name,
-        f=lambda s: _polyval(fc, s),
-        df=lambda s: _polyval(dfc, s),
-        h=lambda s: _polyval(hc, s),
-        dh=lambda s: _polyval(dhc, s),
-        f_poly=fc,
-        h_poly=hc,
-    )
+def _integers(*polys: Sequence[float]) -> list[int]:
+    """_SCALE times the exact sum of the float polynomials."""
+    out = [sum(n * (_SCALE // d) for n, d in (float(c).as_integer_ratio() for c in cs))
+           for cs in zip_longest(*polys, fillvalue=0.0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def validate_derivatives(m: FluxModel, rtol: float = 1e-6, points: int = 1001) -> float:
-    """Cross-check df, dh against centered differences of f, h.
+def _at(p: list[int], s: int) -> int:
+    return sum(c * s ** i for i, c in enumerate(p))
 
-    Compares on an equispaced grid over [-0.999, 0.999] and returns the worst
-    relative deviation; raises DomainError if it exceeds ``rtol``.
+
+def _derivative(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _deflate(p: list[int], t: int) -> list[int]:
+    """The quotient of p by s - t, remainder dropped."""
+    out, acc = [], 0
+    for c in reversed(p[1:]):
+        acc = c + t * acc
+        out.append(acc)
+    return out[::-1]
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a / b, b nonzero."""
+    a = list(a)
+    while len(a) >= len(b):
+        top, shift = a[-1], len(a) - len(b)
+        a = [abs(b[-1]) * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= (top if b[-1] > 0 else -top) * c
+        while a and a[-1] == 0:
+            a.pop()
+    content = math.gcd(*a)
+    return [c // content for c in a]
+
+
+def _roots_inside(p: list[int]) -> int:
+    """Distinct real roots in (-1, 1) of a polynomial with p(-1), p(1) != 0.
+
+    Sturm's theorem; the sequence members are positive multiples of the
+    textbook ones, which leaves every sign unchanged.
     """
-    grid = np.linspace(-0.999, 0.999, points)
-    step = 1e-6
-    worst = 0.0
-    for fn, dfn in ((m.f, m.df), (m.h, m.dh)):
-        approx = (np.asarray(fn(grid + step)) - np.asarray(fn(grid - step))) / (2 * step)
-        exact = np.asarray(dfn(grid), dtype=float)
-        scale = 1.0 + np.abs(exact)
-        worst = max(worst, float(np.max(np.abs(approx - exact) / scale)))
-    if worst > rtol:
-        raise DomainError(
-            f"model '{m.name}': supplied derivatives disagree with finite differences "
-            f"(worst relative deviation {worst:.3e} > {rtol:.1e})"
-        )
-    return worst
+    seq = [p, _derivative(p)]
+    while seq[-1]:
+        seq.append([-c for c in _remainder(seq[-2], seq[-1])])
+
+    def sign_changes(s):
+        signs = [v > 0 for v in (_at(q, s) for q in seq) if v]
+        return sum(u != w for u, w in zip(signs, signs[1:]))
+
+    return sign_changes(-1) - sign_changes(1)
 
 
-def structure_grid(samples: int) -> np.ndarray:
-    """Equispaced interior sample points of (-1, 1); samples=3 gives {-0.5, 0, 0.5}."""
-    if samples < 3:
-        raise DomainError("structure checks need samples >= 3")
-    return np.linspace(-1.0, 1.0, samples + 2)[1:-1]
+def check_structure(f_poly: Sequence[float], h_poly: Sequence[float]) -> StructureReport:
+    """Decide the structural conditions exactly from the coefficients.
 
-
-def check_structure(m: FluxModel, samples: int = 1001) -> StructureReport:
-    """Sample the structural conditions and report flags.
-
-    The two boundary conditions are checked at +/-1 (root tolerance 1e-12,
-    nondegeneracy threshold 1e-12 on |f'+h'|).  The interior conditions
-    (f + h < 0, and the sign pattern of f' away from 0) are sampled on the
-    ``structure_grid``; ``worst_violation`` is the largest sampled violation
-    of the interior conditions, so it is <= 0 exactly when both interior
-    flags hold.
+    The two boundary conditions are input checks on the coefficients:
+    |f + h| <= 1e-12 and |f' + h'| > 1e-12 at +/-1.  Inside, write
+    f + h = (s**2 - 1) q + r with r linear: f + h < 0 on (-1, 1) holds when
+    q > 0 on [-1, 1] and r <= 0 at +/-1, and f + h at +/-1 (which is r
+    there) up to 1e-12 is forgiven as the rounding of decimal coefficients,
+    as in the root check.  For the flux shape write f' = s**m g with
+    g(0) != 0: f' < 0 on (-1, 0) and f' > 0 on (0, 1) exactly when m is
+    odd, g(0) > 0 and g has no root in (-1, 1).  Roots are counted by
+    Sturm's theorem in integer arithmetic on the exact values of the float
+    coefficients, so none can hide between samples, and a multiple root
+    such as that of f' = 2 s**3 at 0 is no harder than a simple one.
     """
-    grid = structure_grid(samples)
-    ends = np.array([-1.0, 1.0])
+    fh = _integers(f_poly, h_poly)
+    at_ends = [_at(fh, s) / _SCALE for s in (-1, 1)]  # int / int rounds correctly
+    boundary_roots_ok = all(abs(v) <= 1e-12 for v in at_ends)
+    boundary_nondegenerate_ok = all(abs(_at(_derivative(fh), s)) / _SCALE > 1e-12 for s in (-1, 1))
+    q = _deflate(_deflate(fh, 1), -1)
+    interior_negative_ok = all(v <= 1e-12 for v in at_ends) \
+        and _at(q, -1) > 0 < _at(q, 1) and _roots_inside(q) == 0
 
-    roots = np.asarray(m.f(ends), dtype=float) + np.asarray(m.h(ends), dtype=float)
-    boundary_roots_ok = bool(np.all(np.abs(roots) <= 1e-12))
-    slopes = np.asarray(m.df(ends), dtype=float) + np.asarray(m.dh(ends), dtype=float)
-    boundary_nondegenerate_ok = bool(np.all(np.abs(slopes) > 1e-12))
-
-    fh = np.asarray(m.f(grid), dtype=float) + np.asarray(m.h(grid), dtype=float)
-    interior_negative_ok = bool(np.all(fh < 0.0))
-
-    dfg = np.asarray(m.df(grid), dtype=float)
-    neg_side = grid < 0.0
-    pos_side = grid > 0.0
-    shape_ok = bool(np.all(dfg[neg_side] < 0.0)) and bool(np.all(dfg[pos_side] > 0.0))
-
-    violations = [np.max(fh)]
-    if np.any(neg_side):
-        violations.append(np.max(dfg[neg_side]))
-    if np.any(pos_side):
-        violations.append(np.max(-dfg[pos_side]))
-    worst = float(max(violations))
-
+    df = _derivative(_integers(f_poly))
+    m = next((i for i, c in enumerate(df) if c), 0)
+    g = df[m:]
+    shape_ok = m % 2 == 1 and g[0] > 0
+    for t in (1, -1):  # roots at the ends do not count; take them out
+        while shape_ok and _at(g, t) == 0:
+            g = _deflate(g, t)
+    shape_ok = shape_ok and _roots_inside(g) == 0
     return StructureReport(
         boundary_roots_ok=boundary_roots_ok,
         boundary_nondegenerate_ok=boundary_nondegenerate_ok,
         interior_negative_ok=interior_negative_ok,
         flux_monotone_shape_ok=shape_ok,
-        worst_violation=worst,
-        samples=samples,
     )
+
+
+def _peak_candidates(slope_poly: Sequence[float]) -> np.ndarray:
+    """-1, 1 and the real parts of the roots of slope_poly inside [-1, 1].
+
+    slope_poly is the derivative of a polynomial g, so |g| peaks on [-1, 1]
+    at one of these points.  Complex roots contribute their real parts
+    too: a multiple real root may come back from rounding as a conjugate
+    pair, and an extra point of [-1, 1] cannot lift the max above the sup.
+    """
+    centers = np.roots(slope_poly[::-1]).real
+    return np.concatenate(([-1.0, 1.0], centers[np.abs(centers) <= 1.0]))
+
+
+def polynomial_model(name: str, f_coeffs: Sequence[float], h_coeffs: Sequence[float]) -> FluxModel:
+    """Build and certify a model from ascending polynomial coefficients (degree <= 8)."""
+    if len(f_coeffs) > 9 or len(h_coeffs) > 9:
+        raise DomainError("polynomial models support degree <= 8")
+    fc = _trimmed(f_coeffs)
+    hc = _trimmed(h_coeffs)
+    dfc = _polyder(fc)
+    dhc = _polyder(hc)
+    df = _evaluator(dfc)
+    dh = _evaluator(dhc)
+    at = _peak_candidates(_polyder(dfc))
+    flux_lipschitz = float(np.max(np.abs(df(at))))
+    at = _peak_candidates(_polyder([a + b for a, b in zip_longest(dfc, dhc, fillvalue=0.0)]))
+    source_slope = float(np.max(np.abs(df(at) + dh(at))))
+    return FluxModel(
+        name=name,
+        f_poly=fc,
+        h_poly=hc,
+        f=_evaluator(fc),
+        df=df,
+        h=_evaluator(hc),
+        dh=dh,
+        structure=check_structure(fc, hc),
+        flux_lipschitz=flux_lipschitz,
+        source_slope=source_slope,
+    )
+
+
+def burgers_model() -> FluxModel:
+    """The built-in model f(s) = s**2/2 - 1/2, h = 0."""
+    return polynomial_model("burgers", (-0.5, 0.0, 0.5), (0.0,))
 
 
 def kruzhkov_pair(m: FluxModel, k: float) -> EntropyPair:
@@ -226,35 +299,11 @@ def kruzhkov_pair(m: FluxModel, k: float) -> EntropyPair:
 
 
 def quadratic_pair(m: FluxModel) -> EntropyPair:
-    """Smooth strictly convex entropy U(v) = v**2/2 with F(v) = int_0^v w f'(w) dw.
-
-    For polynomial-backed models F is the exact antiderivative; otherwise it
-    falls back to fixed 2048-panel composite Simpson per evaluation point
-    (the two agree to quadrature tolerance on the models used here).
-    """
-    if m.f_poly is not None:
-        # coefficients of w * f'(w), then its antiderivative
-        wdf = (0.0,) + _polyder(m.f_poly)
-        anti = _polyint(wdf)
-
-        def F(v):
-            return _polyval(anti, v)
-
-    else:
-
-        def integrand(w: float) -> float:
-            return w * float(m.df(w))
-
-        def F(v):
-            if np.ndim(v):
-                flat = np.asarray(v, dtype=float)
-                vals = [fixed_simpson(integrand, 0.0, float(x)) for x in flat.ravel()]
-                return np.array(vals).reshape(flat.shape)
-            return fixed_simpson(integrand, 0.0, float(v))
-
+    """Smooth strictly convex entropy U(v) = v**2/2 with F(v) = int_0^v w f'(w) dw,
+    the exact antiderivative of the polynomial w f'(w)."""
     return EntropyPair(
         U=lambda v: 0.5 * np.square(v),
         dU=lambda v: np.multiply(v, 1.0),
-        F=F,
+        F=_evaluator(_polyint((0.0,) + _polyder(m.f_poly))),
         kind="quadratic",
     )

@@ -1,10 +1,9 @@
-"""Composite and adaptive Simpson quadrature used by the entropy and
-characteristic machinery.
+"""Adaptive Simpson quadrature used by the characteristic machinery.
 
-Both routines integrate a scalar callable on a finite interval.  The adaptive
-variant refines until the classic Richardson estimate meets an absolute
-tolerance; it is the workhorse behind the singular integrals that blow up
-logarithmically near the ends of the state interval.
+It integrates a scalar callable on a finite interval and refines until the
+classic Richardson estimate meets an absolute tolerance; it is the
+workhorse behind the singular integrals that blow up logarithmically near
+the ends of the state interval.
 """
 
 from __future__ import annotations
@@ -14,20 +13,6 @@ from typing import Callable
 from .errors import NumericsError
 
 _MAX_DEPTH = 60
-
-
-def fixed_simpson(g: Callable[[float], float], a: float, b: float, panels: int = 2048) -> float:
-    """Composite Simpson rule with a fixed, even number of panels."""
-    if a == b:
-        return 0.0
-    if panels % 2:
-        panels += 1
-    h = (b - a) / panels
-    total = g(a) + g(b)
-    for i in range(1, panels):
-        w = 4.0 if i % 2 else 2.0
-        total += w * g(a + i * h)
-    return total * h / 3.0
 
 
 def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:

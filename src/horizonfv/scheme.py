@@ -28,14 +28,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import CflError, ContractError, DomainError, NumericsError, UnsupportedModelError
 from .geometry import RadialMesh, max_timestep
-from .model import FluxModel, check_structure, structure_grid
+from .model import FluxModel
 
 # difference quotients below this state separation are treated as zero
 _QUOTIENT_FLOOR = 1e-13
@@ -64,20 +63,8 @@ def fixed_boundary(value: float) -> OuterBoundary:
     return OuterBoundary("fixed", float(value))
 
 
-@lru_cache(maxsize=None)
-def _flux_scale(m: FluxModel, samples: int = 1001) -> float:
-    """max |f'| over [-1, 1], sampled; the Rusanov dissipation coefficient."""
-    grid = np.concatenate(([-1.0], structure_grid(samples), [1.0]))
-    return float(np.max(np.abs(np.asarray(m.df(grid), dtype=float))))
-
-
-@lru_cache(maxsize=None)
-def _shape_ok(m: FluxModel) -> bool:
-    return check_structure(m).flux_monotone_shape_ok
-
-
 def _require_shape(m: FluxModel, kind: str) -> None:
-    if not _shape_ok(m):
+    if not m.structure.flux_monotone_shape_ok:
         raise UnsupportedModelError(
             f"{kind} flux needs f' < 0 on (-1, 0) and f' > 0 on (0, 1); model '{m.name}' fails that shape"
         )
@@ -89,7 +76,7 @@ def _scalarize(x, *args):
 
 def flux_rusanov(m: FluxModel, u, v):
     """(f(u) + f(v))/2 - (lam/2)(v - u) with the global bound lam = max |f'|."""
-    lam = _flux_scale(m)
+    lam = m.flux_lipschitz
     out = 0.5 * (m.f(u) + m.f(v)) - 0.5 * lam * (np.asarray(v, dtype=float) - u)
     return _scalarize(out, u, v)
 
@@ -132,11 +119,12 @@ _FLUX_FUNCTIONS = {
 }
 
 
-def numerical_flux(kind: str, m: FluxModel, samples: int = 1001) -> NumericalFlux:
-    """Bind a named flux to a model, computing its Lipschitz bound.
+def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
+    """Bind a named flux to a model with its Lipschitz bound.
 
-    For all three bundled fluxes the bound in either argument is max |f'|
-    (for Rusanov that equals the dissipation coefficient lam).
+    For all three bundled fluxes the bound in either argument is max |f'|,
+    the model's certified ``flux_lipschitz`` (for Rusanov that equals the
+    dissipation coefficient lam).
     """
     key = kind.lower()
     if key not in _FLUX_FUNCTIONS:
@@ -146,7 +134,7 @@ def numerical_flux(kind: str, m: FluxModel, samples: int = 1001) -> NumericalFlu
     canonical = "eo" if key == "engquist_osher" else key
     return NumericalFlux(
         kind=canonical,
-        lipschitz_bound=_flux_scale(m, samples),
+        lipschitz_bound=m.flux_lipschitz,
         evaluate=_FLUX_FUNCTIONS[key],
     )
 

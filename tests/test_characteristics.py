@@ -11,7 +11,6 @@ from horizonfv import (
     classify_fate,
     escape_velocity,
     exterior_invariant,
-    fhat,
     fhat_inverse,
     h_prime_interior,
     interior_invariant,
@@ -52,21 +51,21 @@ def test_rhs_exterior_domain(burgers):
 
 def test_fhat_matches_burgers_closed_form(fhat_table):
     us = np.linspace(-0.999, 0.999, 201)
-    worst = max(abs(fhat(fhat_table, u) - math.log(1.0 - u * u)) for u in us)
+    worst = max(abs(fhat_table.value(u) - math.log(1.0 - u * u)) for u in us)
     assert worst <= 1e-10
 
 
 def test_fhat_worked_values(fhat_table):
-    assert fhat(fhat_table, 0.0) == 0.0
-    assert fhat(fhat_table, 0.6) == pytest.approx(math.log(0.64), abs=1e-11)
-    assert fhat(fhat_table, -0.6) == pytest.approx(math.log(0.64), abs=1e-11)
+    assert fhat_table.value(0.0) == 0.0
+    assert fhat_table.value(0.6) == pytest.approx(math.log(0.64), abs=1e-11)
+    assert fhat_table.value(-0.6) == pytest.approx(math.log(0.64), abs=1e-11)
 
 
 def test_fhat_domain_clamp(fhat_table):
     with pytest.raises(DomainError):
-        fhat(fhat_table, 1.0)
+        fhat_table.value(1.0)
     with pytest.raises(DomainError):
-        fhat(fhat_table, -(1.0 - 1e-12))
+        fhat_table.value(-(1.0 - 1e-12))
 
 
 def test_fhat_branch_shapes(fhat_table):
@@ -94,8 +93,8 @@ def test_fhat_inverse_range_errors(fhat_table):
 
 def test_fhat_inverse_roundtrip(fhat_table):
     for u in (0.1, 0.35, 0.8, 0.97):
-        assert fhat_inverse(fhat_table, "plus", fhat(fhat_table, u)) == pytest.approx(u, abs=1e-11)
-        assert fhat_inverse(fhat_table, "minus", fhat(fhat_table, -u)) == pytest.approx(-u, abs=1e-11)
+        assert fhat_inverse(fhat_table, "plus", fhat_table.value(u)) == pytest.approx(u, abs=1e-11)
+        assert fhat_inverse(fhat_table, "minus", fhat_table.value(-u)) == pytest.approx(-u, abs=1e-11)
 
 
 # --- escape velocity and fate ---------------------------------------------------

@@ -373,6 +373,27 @@ def test_cli_refuses_inadmissible_model_before_stepping(tmp_path):
     assert not (out / "failure_report.json").exists()
 
 
+def test_cli_characteristics_refuses_inadmissible_model(tmp_path):
+    out = tmp_path / "refused_chars"
+    # f = s: f + h vanishes at 0 and nowhere near +/-1
+    body = MINIMAL.replace("model = burgers", "model = custom\nf_coeffs = 0.0, 1.0\nh_coeffs = 0.0") + f"""
+[characteristics]
+r0 = 8.0
+u0 = 0.6
+ds = 0.001
+s_max = 1.0
+
+[run]
+output_dir = {out}
+"""
+    assert _run_cli(tmp_path, body, "characteristics") == 1
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "UnsupportedModelError"
+    for flag in ("boundary_roots_ok", "interior_negative_ok", "flux_monotone_shape_ok"):
+        assert flag in report["detail"]
+    assert not (out / "characteristic.csv").exists()
+
+
 def test_cli_writes_only_inside_output_dir(tmp_path):
     out = tmp_path / "only"
     body = MINIMAL.replace("t_end = 1.0", "t_end = 0.05").replace("cells = 200", "cells = 40") + f"""

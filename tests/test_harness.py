@@ -15,7 +15,7 @@ from horizonfv import (
     fuzz_invariants,
     oracle_compare,
     self_convergence,
-    steady_drift,
+    steady_drift_detail,
 )
 from horizonfv import harness
 from horizonfv.harness import COEFFICIENT_TOL, presets, restrict_halving, run_preset
@@ -167,15 +167,15 @@ def test_shooting_rejects_unreachable_targets(mass, level, targets):
 
 def test_steady_drift_small_and_first_order():
     m = burgers_model()
-    d200 = steady_drift(m, 1.0, 4.0, 0.9, 200, 1.0)
+    d200 = steady_drift_detail(m, 1.0, 4.0, 0.9, 200, 1.0)[0]
     assert 0.0 < d200 < 0.1
-    d400 = steady_drift(m, 1.0, 4.0, 0.9, 400, 1.0)
+    d400 = steady_drift_detail(m, 1.0, 4.0, 0.9, 400, 1.0)[0]
     assert d200 / d400 >= 1.7
 
 
 def test_steady_drift_flat_constant_exact():
     m = burgers_model()
-    assert steady_drift(m, 0.0, 4.0, 0.9, 64, 1.0, r_max=10.0) == 0.0
+    assert steady_drift_detail(m, 0.0, 4.0, 0.9, 64, 1.0, r_max=10.0)[0] == 0.0
 
 
 def test_fuzz_clean_and_deterministic():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,10 +145,8 @@ def test_cfl_guard(mesh_m1, burgers):
 
 
 def test_nan_detection(mesh_m1, burgers):
-    poisoned = type(burgers)(
-        name="poisoned",
-        f=lambda s: np.where(np.abs(s) < 0.05, np.nan, 0.5 * s * s - 0.5),
-        df=burgers.df, h=burgers.h, dh=burgers.dh)
+    poisoned = dataclasses.replace(
+        burgers, name="poisoned", f=lambda s: np.where(np.abs(s) < 0.05, np.nan, 0.5 * s * s - 0.5))
     nf = numerical_flux("rusanov", poisoned)
     state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
     with pytest.raises(NumericsError):
