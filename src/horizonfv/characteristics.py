@@ -82,7 +82,9 @@ class FhatTable:
     [0, u].  Against the closed forms log(1 - u**2) (Burgers) and
     log(1 - u**4) (quartic) it is within 1e-12 for |u| < 1 - 1e-6 and off
     by up to about 5e-9 within 1e-8 of +/-1, where f + h cancels.
-    Arbitrary arguments reuse the nearest cached prefix.  The monotonicity
+    Arbitrary arguments reuse the nearest cached prefix.  A model that
+    fails a structural flag is refused first (UnsupportedModelError naming
+    the flags), since f + h may then vanish inside.  The monotonicity
     pattern (decreasing and negative on the plus branch, increasing and
     negative on the minus branch) is asserted at construction.  After
     ``freeze`` the value cache stops growing and the table is safe to share
@@ -97,7 +99,7 @@ class FhatTable:
     def __init__(self, model: FluxModel, epsilon: float = 1e-9, branch_samples: int = 512):
         if not 0.0 < epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
-        self.model = model
+        self.model = model.require_admissible()
         self.epsilon = float(epsilon)
         self._memo: dict[float, float] = {0.0: 0.0}
         self._frozen = False

@@ -29,7 +29,7 @@ from .characteristics import (
     trace_interior,
 )
 from .config import RunConfig, parse_config, resolved_config_text
-from .errors import ConfigError, HorizonFVError, UnsupportedModelError
+from .errors import ConfigError, HorizonFVError
 from .geometry import Background, build_uniform_mesh
 from .harness import (
     exact_solution_by_shooting,
@@ -77,28 +77,19 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _admissible_model(cfg: RunConfig):
-    """Build the configured model, refusing it if a structural check fails."""
-    model = cfg.build_model()
-    failed = [flag for flag, ok in vars(model.structure).items() if not ok]
-    if failed:
-        raise UnsupportedModelError(f"model '{model.name}' is inadmissible: {', '.join(failed)} false")
-    return model
-
-
 def _cmd_run(cfg: RunConfig, out: Path) -> int:
-    model = _admissible_model(cfg)
+    model = cfg.build_model().require_admissible()
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     nf = numerical_flux(cfg.flux, model)
     outer = cfg.build_outer_boundary()
 
     ledger_rows = []
 
-    def ledger(steps, state_before, report, tau):
-        for k in cfg.kruzhkov_levels:
-            entry = entropy_mod.cell_entropy_residuals(state_before, report, mesh, model, nf, k, tau,
-                                                       outer=outer)
-            ledger_rows.append((steps, k, entry.worst_residual, entry.global_balance_gap,
+    def ledger(state_before, state_after, report):
+        entry = entropy_mod.cell_entropy_residuals(state_before, report, mesh, model, nf,
+                                                   cfg.kruzhkov_levels, report.tau_used, outer=outer)
+        for k, worst in zip(cfg.kruzhkov_levels, entry.worst_residuals.tolist()):
+            ledger_rows.append((state_after.step_index, k, worst, entry.global_balance_gap,
                                 entry.dissipation_sum))
 
     result = run(mesh, model, nf, v0=cfg.build_v0(), t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction,
@@ -137,7 +128,7 @@ def _cmd_check_model(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
     if cfg.coordinates == "exterior":
-        model = _admissible_model(cfg)
+        model = cfg.build_model().require_admissible()
         start = CharState(s=0.0, t=0.0, r=cfg.char_r0, u=cfg.char_u0)
         path = trace_exterior(model, cfg.mass, start, cfg.char_ds, cfg.char_s_max,
                               r_stop=cfg.char_r_stop)
@@ -164,7 +155,7 @@ def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> int:
-    model = _admissible_model(cfg)
+    model = cfg.build_model().require_admissible()
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     table = build_fhat_table(model).freeze()
     profile = steady_profile(table, cfg.mass, cfg.steady_r0, cfg.steady_u0, mesh.centers)
@@ -173,7 +164,7 @@ def _cmd_steady(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_converge(cfg: RunConfig, out: Path) -> int:
-    _admissible_model(cfg)  # the config is refused as a whole, though converge evolves a preset
+    cfg.build_model().require_admissible()  # the config is refused as a whole, though converge evolves a preset
     preset = presets()[cfg.converge_preset]
     result = self_convergence(preset, cfg.converge_levels)
     threshold = _CONVERGE_THRESHOLDS[cfg.converge_preset]
@@ -212,7 +203,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_steady_drift(cfg: RunConfig, out: Path) -> int:
-    model = _admissible_model(cfg)
+    model = cfg.build_model().require_admissible()
     drift, mesh, profile, final = steady_drift_detail(
         model, cfg.mass, cfg.steady_r0, cfg.steady_u0, cfg.cells, cfg.t_end,
         r_max=cfg.r_max, flux_kind=cfg.flux, cfl_fraction=cfg.cfl_fraction)

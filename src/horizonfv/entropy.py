@@ -12,10 +12,11 @@ the transport part of the update satisfies, per cell K and face e,
     U(vtilde_{K,e}) - U(v_K) + (tau p_K w_e / |K|) (Phi_e - Phi(v_K, v_K)) <= 0,
 
 exactly in real arithmetic.  That quantity is what ``per_cell_residuals``
-holds and what the test suite asserts at round-off tolerance.
+holds, one row per level (broadcast as a column, so each row is bitwise
+a one-level evaluation), and what the tests and the campaign assert.
 
 A second, source-weighted variant subtracts tau theta (f + h)(v_K) U'(v_K)
-from the same left side.  It is reported (``worst_residual_with_source``)
+from the same left side.  It is reported (``worst_residuals_with_source``)
 but never asserted: the subtracted term has the sign of -U'(v_K), so the
 variant is provably sign-indefinite; for instance any constant state
 c in (0, 1) with M > 0 and k < c makes it positive.  The same applies to
@@ -37,39 +38,40 @@ reported as NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .geometry import RadialMesh
-from .model import FluxModel, kruzhkov_pair, quadratic_pair
+from .model import FluxModel, quadratic_pair
 from .scheme import COPY_BOUNDARY, NumericalFlux, OuterBoundary, StateVector, StepReport, face_states
 
 
 @dataclass(frozen=True, eq=False)
 class EntropyLedger:
-    """Per-step entropy bookkeeping for one Kruzhkov level.
+    """Per-step entropy bookkeeping for a set of Kruzhkov levels.
 
-    per_cell_residuals holds, per cell, the larger of its two face
-    residuals of the transport entropy inequality (must be <= 0 up to
-    round-off).  dissipation_sum is the alpha-weighted squared-jump term of
-    the quadratic balance, nonnegative by construction.
+    Row j of per_cell_residuals holds, per cell, the larger of its two face
+    residuals of the transport entropy inequality at levels[j] (must be
+    <= 0 up to round-off), and worst_residuals[j] its maximum.  The balance
+    fields belong to the quadratic entropy and do not depend on the level;
+    dissipation_sum is its squared-jump term, nonnegative by construction.
     """
 
-    k: float
+    levels: np.ndarray
     per_cell_residuals: np.ndarray
-    worst_residual: float
+    worst_residuals: np.ndarray
+    worst_residuals_with_source: np.ndarray
     global_balance_gap: float
     dissipation_sum: float
-    alpha: float
     balance_scale: float
-    worst_residual_with_source: float
     balance_gap_with_source: float
 
 
 def numerical_entropy_flux(nf: NumericalFlux, m: FluxModel, k: float, u, v):
-    """Crandall-Majda discrete entropy flux for the Kruzhkov entropy at k."""
+    """Crandall-Majda discrete entropy flux for the Kruzhkov entropy at k;
+    a column of levels k broadcasts against the face states u, v."""
     upper = nf.evaluate(m, np.maximum(u, k), np.maximum(v, k))
     lower = nf.evaluate(m, np.minimum(u, k), np.minimum(v, k))
     return upper - lower
@@ -118,63 +120,49 @@ def convex_decomposition_check(state_before: StateVector, state_after: StateVect
 
 
 def cell_entropy_residuals(state_before: StateVector, report: StepReport, mesh: RadialMesh,
-                           m: FluxModel, nf: NumericalFlux, k: float, tau: float,
+                           m: FluxModel, nf: NumericalFlux, levels: Sequence[float], tau: float,
                            outer: OuterBoundary = COPY_BOUNDARY,
-                           inner_ghost: Optional[float] = None,
-                           include_balance: bool = True) -> EntropyLedger:
-    """Evaluate the per-face entropy residuals and the quadratic balance.
+                           inner_ghost: Optional[float] = None) -> EntropyLedger:
+    """Evaluate the per-face entropy residuals at every Kruzhkov level in
+    levels, and the quadratic balance once, from one face reconstruction.
 
     The residual asserted downstream is the transport form (see module
     docstring); the source-weighted variant is carried alongside for
-    reporting.  The quadratic balance uses alpha = 1; it does not depend on
-    the Kruzhkov level, so campaigns sweeping several levels per step may
-    pass include_balance=False after the first (the balance fields then
-    read NaN).
+    reporting.  The quadratic balance uses alpha = inf U'' = 1.
     """
+    ks = np.asarray(levels, dtype=float).reshape(-1, 1)
+    if not np.all(np.abs(ks) <= 1.0):
+        raise DomainError(f"Kruzhkov levels must lie in [-1, 1], got {levels}")
     v = state_before.values
-    if v.size != mesh.n_cells:
-        raise ContractError("state length does not match mesh cell count")
-    if report.fluxes.size != mesh.faces.size:
-        raise ContractError("report fluxes do not match mesh faces")
-
-    pair = kruzhkov_pair(m, k)
     tilde_l, tilde_r, full_l, full_r = face_reconstruction(state_before, report, mesh, m, tau)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
     gamma_l = 2.0 * tau * a_l / mesh.widths
     gamma_r = 2.0 * tau * a_r / mesh.widths
 
+    # Kruzhkov entropies U = |w - k| - |k|, one row per level
     left, right = face_states(v, outer, inner_ghost)
-    phi_faces = numerical_entropy_flux(nf, m, k, left, right)
-    phi_cons = numerical_entropy_flux(nf, m, k, v, v)  # consistent value F(v_K)
+    phi_faces = numerical_entropy_flux(nf, m, ks, left, right)
+    phi_cons = numerical_entropy_flux(nf, m, ks, v, v)  # consistent value F(v_K)
 
-    u_before = pair.U(v)
-    res_r = pair.U(tilde_r) - u_before + gamma_r * (phi_faces[1:] - phi_cons)
-    res_l = pair.U(tilde_l) - u_before - gamma_l * (phi_faces[:-1] - phi_cons)
+    abs_k = np.abs(ks)
+    u_before = np.abs(v - ks) - abs_k
+    res_r = (np.abs(tilde_r - ks) - abs_k) - u_before + gamma_r * (phi_faces[:, 1:] - phi_cons)
+    res_l = (np.abs(tilde_l - ks) - abs_k) - u_before - gamma_l * (phi_faces[:, :-1] - phi_cons)
     per_cell = np.maximum(res_l, res_r)
-    worst = float(np.max(per_cell))
 
     fc = np.asarray(m.f(v), dtype=float)
     hc = np.asarray(m.h(v), dtype=float)
-    src = tau * mesh.cell_thetas * (fc + hc) * pair.dU(v)
-    worst_with_source = float(np.max(np.maximum(res_l - src, res_r - src)))
-
-    if not include_balance:
-        nan = float("nan")
-        return EntropyLedger(
-            k=float(k), per_cell_residuals=per_cell, worst_residual=worst,
-            global_balance_gap=nan, dissipation_sum=nan, alpha=1.0, balance_scale=nan,
-            worst_residual_with_source=worst_with_source, balance_gap_with_source=nan,
-        )
+    src = tau * mesh.cell_thetas * (fc + hc) * np.sign(v - ks)
+    worst_with_source = np.maximum(res_l - src, res_r - src).max(axis=1)
 
     # quadratic balance, alpha = inf U'' = 1
     quad = quadratic_pair(m)
-    alpha = 1.0
     w_face = 0.5 * mesh.widths
     uq_before = np.asarray(quad.U(v), dtype=float)
     v_next = 0.5 * (full_r + full_l)
     dev_sq = np.square(full_r - v_next) + np.square(full_l - v_next)
-    dissipation = float(0.5 * alpha * np.sum(w_face * dev_sq))
+    dissipation = float(0.5 * np.sum(w_face * dev_sq))
     r_terms = np.asarray(quad.U(full_r), dtype=float) - np.asarray(quad.U(tilde_r), dtype=float) \
         + np.asarray(quad.U(full_l), dtype=float) - np.asarray(quad.U(tilde_l), dtype=float)
     fq = np.asarray(quad.F(v), dtype=float)
@@ -200,13 +188,12 @@ def cell_entropy_residuals(state_before: StateVector, report: StepReport, mesh: 
     gap_with_source = balance_core - source_sum
 
     return EntropyLedger(
-        k=float(k),
+        levels=ks[:, 0],
         per_cell_residuals=per_cell,
-        worst_residual=worst,
+        worst_residuals=per_cell.max(axis=1),
+        worst_residuals_with_source=worst_with_source,
         global_balance_gap=gap,
         dissipation_sum=dissipation,
-        alpha=alpha,
         balance_scale=scale,
-        worst_residual_with_source=worst_with_source,
         balance_gap_with_source=gap_with_source,
     )

@@ -17,7 +17,7 @@ class UnsupportedModelError(HorizonFVError, ValueError):
     """The flux model does not have the shape required by an operation."""
 
 
-class CflError(HorizonFVError, ValueError):
+class CflError(DomainError):
     """Requested time step violates the stability bound."""
 
 

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from .characteristics import FhatTable, build_fhat_table, steady_profile
-from .errors import CflError, DomainError, NumericsError, PresetError
+from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model
-from .scheme import (_QUOTIENT_FLOOR, COPY_BOUNDARY, StateVector, StepReport, convex_coefficients,
-                     face_states, numerical_flux, project_initial, run, step)
+from .scheme import (_QUOTIENT_FLOOR, COPY_BOUNDARY, NumericalFlux, StateVector, StepReport,
+                     convex_coefficients, face_states, numerical_flux, run)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,19 +372,61 @@ def _piecewise_from_breaks(breaks: np.ndarray, values: np.ndarray) -> Callable:
     return v0
 
 
+def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: FluxModel,
+                 nf: NumericalFlux, kruzhkov_levels: Sequence[float]) -> Callable:
+    """The campaign's per-step checks, as an on_step observer for run."""
+
+    def check(before: StateVector, after: StateVector, step_report: StepReport) -> None:
+        report.total_steps += 1
+        report.worst_abs_state = max(report.worst_abs_state, float(np.max(np.abs(after.values))))
+
+        triples = convex_coefficients(before, step_report, mesh, model)
+        coeff_min = float(min(a.min() for a in triples))
+        report.min_convex_coeff = min(report.min_convex_coeff, coeff_min)
+        if coeff_min < COEFFICIENT_TOL and \
+                _coefficient_below_rounding(before, step_report, mesh, model, triples):
+            report.violations.append({"config": config, "kind": "convex_coefficient",
+                                      "detail": coeff_min})
+
+        defect = entropy_mod.convex_decomposition_check(before, after, step_report, mesh, model)
+        report.worst_decomposition_defect = max(report.worst_decomposition_defect, defect)
+        if defect > DECOMPOSITION_TOL:
+            report.violations.append({"config": config, "kind": "convex_decomposition",
+                                      "detail": defect})
+
+        ledger = entropy_mod.cell_entropy_residuals(before, step_report, mesh, model, nf,
+                                                    kruzhkov_levels, step_report.tau_used)
+        worst_per_level = ledger.worst_residuals.tolist()
+        report.worst_entropy_residual = max([report.worst_entropy_residual, *worst_per_level])
+        report.worst_entropy_residual_with_source = max(
+            [report.worst_entropy_residual_with_source, *ledger.worst_residuals_with_source.tolist()])
+        for k, worst in zip(kruzhkov_levels, worst_per_level):
+            if worst > ENTROPY_RESIDUAL_TOL:
+                report.violations.append({"config": config, "kind": "entropy_residual",
+                                          "k": k, "detail": worst})
+        gap_rel = ledger.global_balance_gap / ledger.balance_scale
+        report.worst_balance_gap_rel = max(report.worst_balance_gap_rel, gap_rel)
+        if gap_rel > BALANCE_REL_TOL:
+            report.violations.append({"config": config, "kind": "balance_gap", "detail": gap_rel})
+
+    return check
+
+
 def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4,
                     max_steps: int = 2000, kruzhkov_levels: Sequence[float] = DEFAULT_KRUZHKOV_LEVELS,
                     tau_scale: float = 1.0, span: float = 10.0) -> FuzzReport:
     """Seeded random campaign over data, mass, flux, and CFL fraction.
 
     Each trial draws piecewise-constant data in [-1, 1], a mass in [0, 2],
-    one of the three fluxes, and a CFL fraction in (0, 1]; it then checks,
-    every step: the exact maximum principle, the transport entropy residual
-    for every requested Kruzhkov level, the convex-decomposition identity,
-    the quadratic balance gap, and nonnegativity of the convex
-    coefficients.  Any violation is recorded with the trial's full
-    reproduction data.  ``tau_scale`` > 1 deliberately breaks the CFL
-    precondition and propagates the resulting error (a meta-test hook).
+    one of the three fluxes, and a CFL fraction in (0, 1], evolves it with
+    ``run`` and checks every step: the convex coefficients' nonnegativity,
+    the convex-decomposition identity, and one ledger for the transport
+    entropy residual at every requested Kruzhkov level and the quadratic
+    balance gap.  A NumericsError out of ``run`` (a NaN or a breach of the
+    maximum principle) ends the trial as a ``state_invariant`` violation.
+    Any violation is recorded with the trial's full reproduction data.
+    ``tau_scale`` != 1 replaces the drawn fraction; above 1 it deliberately
+    breaks the CFL precondition and the CflError propagates (a meta-test hook).
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -405,12 +447,8 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
 
         mesh = build_uniform_mesh(Background(mass), r_max, cells)
         nf = numerical_flux(flux_kind, model)
-        tau_bound = max_timestep(mesh, model, nf.lipschitz_bound)
-        # tau_scale != 1 overrides the drawn fraction with a deliberate
-        # multiple of the bound (the CFL-guard meta-test)
-        tau = cfl * tau_bound if tau_scale == 1.0 else tau_scale * tau_bound
-        initial, _ = project_initial(mesh, _piecewise_from_breaks(breaks, values))
-        t_this = min(t_end, 0.8 * max_steps * tau)
+        fraction = cfl if tau_scale == 1.0 else tau_scale
+        t_this = min(t_end, 0.8 * max_steps * (fraction * max_timestep(mesh, model, nf.lipschitz_bound)))
 
         config = {
             "trial": trial,
@@ -424,52 +462,10 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
             "t_end": t_this,
         }
         report.trial_configs.append(config)
-
-        state = StateVector(values=initial, time=0.0, step_index=0)
-        while state.time < t_this:
-            tau_step = min(tau, t_this - state.time)
-            try:
-                new_state, step_report = step(state, mesh, model, nf, tau_step, tau_bound=tau_bound)
-            except CflError:
-                raise  # deliberate tau_scale > 1 must surface, not corrupt silently
-            except NumericsError as exc:
-                # covers NaN faults and any maximum-principle breach (the state
-                # type enforces |v| <= 1 on construction)
-                report.violations.append({"config": config, "kind": "state_invariant",
-                                          "detail": str(exc)})
-                break
-            report.total_steps += 1
-            report.worst_abs_state = max(report.worst_abs_state, float(np.max(np.abs(new_state.values))))
-
-            triples = convex_coefficients(state, step_report, mesh, model)
-            coeff_min = float(min(a.min() for a in triples))
-            report.min_convex_coeff = min(report.min_convex_coeff, coeff_min)
-            if coeff_min < COEFFICIENT_TOL and \
-                    _coefficient_below_rounding(state, step_report, mesh, model, triples):
-                report.violations.append({"config": config, "kind": "convex_coefficient",
-                                          "detail": coeff_min})
-
-            defect = entropy_mod.convex_decomposition_check(state, new_state, step_report, mesh, model)
-            report.worst_decomposition_defect = max(report.worst_decomposition_defect, defect)
-            if defect > DECOMPOSITION_TOL:
-                report.violations.append({"config": config, "kind": "convex_decomposition",
-                                          "detail": defect})
-
-            for j, k in enumerate(kruzhkov_levels):
-                ledger = entropy_mod.cell_entropy_residuals(state, step_report, mesh, model, nf,
-                                                            k, tau_step, include_balance=(j == 0))
-                report.worst_entropy_residual = max(report.worst_entropy_residual, ledger.worst_residual)
-                report.worst_entropy_residual_with_source = max(
-                    report.worst_entropy_residual_with_source, ledger.worst_residual_with_source)
-                if ledger.worst_residual > ENTROPY_RESIDUAL_TOL:
-                    report.violations.append({"config": config, "kind": "entropy_residual",
-                                              "k": k, "detail": ledger.worst_residual})
-                if j == 0:  # the quadratic balance does not depend on k
-                    gap_rel = ledger.global_balance_gap / ledger.balance_scale
-                    report.worst_balance_gap_rel = max(report.worst_balance_gap_rel, gap_rel)
-                    if gap_rel > BALANCE_REL_TOL:
-                        report.violations.append({"config": config, "kind": "balance_gap",
-                                                  "detail": gap_rel})
-
-            state = new_state
+        try:
+            run(mesh, model, nf, v0=_piecewise_from_breaks(breaks, values), t_end=t_this,
+                cfl_fraction=fraction, snapshot_every=10 ** 9,
+                on_step=_step_checks(report, config, mesh, model, nf, kruzhkov_levels))
+        except NumericsError as exc:
+            report.violations.append({"config": config, "kind": "state_invariant", "detail": str(exc)})
     return report

@@ -9,8 +9,8 @@ and increases on (0, 1).  ``polynomial_model`` decides those conditions
 exactly, once, through ``check_structure``, and stores the verdict on the
 model next to the two constants the stability bounds use: the flux
 Lipschitz bound sup |f'| and the source slope sup |f' + h'| over [-1, 1].
-The solver refuses nothing by itself; callers decide what to do with a
-failing report.
+The solver refuses nothing by itself; callers that need the whole class
+(the CLI, the Fhat table) call ``FluxModel.require_admissible``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedModelError
 
 ArrayLike = Callable[[np.ndarray], np.ndarray]
 
@@ -116,6 +116,13 @@ class FluxModel:
     structure: StructureReport
     flux_lipschitz: float
     source_slope: float
+
+    def require_admissible(self) -> "FluxModel":
+        """This model, or UnsupportedModelError naming every failed structural flag."""
+        failed = [flag for flag, ok in vars(self.structure).items() if not ok]
+        if failed:
+            raise UnsupportedModelError(f"model '{self.name}' is inadmissible: {', '.join(failed)} false")
+        return self
 
 
 @dataclass(frozen=True, eq=False)

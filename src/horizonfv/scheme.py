@@ -141,14 +141,18 @@ def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Cell averages at one time level; values must lie in [-1, 1]."""
+    """Cell averages at one time level; values must lie in [-1, 1].  They are
+    copied and frozen unless already a read-only float array owning its data."""
 
     values: np.ndarray
     time: float
     step_index: int
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)  # own copy, frozen below
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                and vals.flags.owndata and not vals.flags.writeable):
+            vals = np.array(vals, dtype=float)  # own copy, frozen below
         if vals.ndim != 1 or vals.size == 0:
             raise ContractError("state values must be a nonempty 1D array")
         if np.any(np.isnan(vals)):
@@ -166,7 +170,8 @@ class StepReport:
     """What one update used: the face fluxes (read-only) and the time step.
 
     Everything a diagnostic needs is rebuilt from these and the pre-step
-    state, e.g. the convex coefficients by convex_coefficients."""
+    state: the convex coefficients by convex_coefficients, the entropy
+    ledger by entropy.cell_entropy_residuals."""
 
     fluxes: np.ndarray
     tau_used: float
@@ -181,8 +186,14 @@ def face_states(values: np.ndarray, outer: OuterBoundary, inner_ghost: Optional[
     return left, right
 
 
-def _coefficient_triples(values, fluxes, mesh, m, tau, outer, inner_ghost):
-    """Convex-decomposition coefficients (A_center, A_left, A_right) per cell."""
+def convex_coefficients(state: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel,
+                        outer: OuterBoundary = COPY_BOUNDARY,
+                        inner_ghost: Optional[float] = None):
+    """Convex-decomposition coefficients (A_center, A_left, A_right) per cell,
+    reconstructed for a finished step."""
+    values, fluxes, tau = state.values, report.fluxes, report.tau_used
+    if values.size != mesh.n_cells:
+        raise ContractError("state length does not match mesh cell count")
     fc = np.asarray(m.f(values), dtype=float)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
@@ -200,15 +211,6 @@ def _coefficient_triples(values, fluxes, mesh, m, tau, outer, inner_ghost):
     a_right = -scale * a_r * q_right
     a_center = 1.0 - a_left - a_right
     return a_center, a_left, a_right
-
-
-def convex_coefficients(state: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel,
-                        outer: OuterBoundary = COPY_BOUNDARY,
-                        inner_ghost: Optional[float] = None):
-    """Reconstruct the convex-decomposition coefficients for a finished step."""
-    if state.values.size != mesh.n_cells:
-        raise ContractError("state length does not match mesh cell count")
-    return _coefficient_triples(state.values, report.fluxes, mesh, m, report.tau_used, outer, inner_ghost)
 
 
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
@@ -245,6 +247,7 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     a_r = mesh.face_weights[1:]
     flux_term = a_r * fluxes[1:] - a_l * fluxes[:-1] - fc * (a_r - a_l)
     v_new = v - (tau / mesh.widths) * flux_term + tau * mesh.cell_thetas * (fc + hc)
+    v_new.setflags(write=False)  # handed over to StateVector without a copy
 
     new_state = StateVector(values=v_new, time=state.time + tau, step_index=state.step_index + 1)
     fluxes.setflags(write=False)
@@ -283,20 +286,20 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         v0: Optional[Callable] = None, t_end: float = 1.0, cfl_fraction: float = 0.9,
         snapshot_every: int = 10, outer: OuterBoundary = COPY_BOUNDARY,
         initial_values: Optional[np.ndarray] = None, max_steps: Optional[int] = None,
-        on_step: Optional[Callable[[int, StateVector, StepReport, float], None]] = None) -> RunResult:
+        on_step: Optional[Callable[[StateVector, StateVector, StepReport], None]] = None) -> RunResult:
     """Evolve initial data to t_end with tau = cfl_fraction * max_timestep.
 
-    The last step is shortened to land exactly on t_end.  Snapshots are the
-    initial state, every snapshot_every-th step, and the final state.
+    The package's one time loop.  The last step is shortened to land exactly
+    on t_end.  Snapshots are the initial state, every snapshot_every-th
+    step, and the final state.  A cfl_fraction outside (0, 1] meets step's
+    CflError (a DomainError) at the first step longer than the bound; a
+    NaN or a state leaving [-1, 1] raises NumericsError.
 
-    on_step, if given, is called once per step as
-    on_step(steps, state_before, report, tau): steps counts this step from
-    1, state_before is the state the step started from and tau the step
-    actually taken (the shortened one included).  It runs after the step
-    and before the snapshot and t_end bookkeeping.
+    on_step(state_before, state_after, report), if given, sees every
+    completed step before the snapshot and t_end bookkeeping;
+    state_after.step_index counts it from 1 and report.tau_used is the
+    step taken, the shortened last one included.
     """
-    if not 0.0 < cfl_fraction <= 1.0:
-        raise DomainError(f"cfl_fraction must lie in (0, 1], got {cfl_fraction}")
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
     if snapshot_every < 1:
@@ -315,22 +318,21 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     tau_base = cfl_fraction * tau_bound
 
     snapshots = [state]
-    steps = 0
     while state.time < t_end:
         remaining = t_end - state.time
-        tau = min(tau_base, remaining)
-        new_state, report = step(state, mesh, m, nf, tau, outer=outer, tau_bound=tau_bound)
-        steps += 1
+        new_state, report = step(state, mesh, m, nf, min(tau_base, remaining), outer=outer,
+                                 tau_bound=tau_bound)
         if on_step is not None:
-            on_step(steps, state, report, tau)
+            on_step(state, new_state, report)
         state = new_state
-        if max_steps is not None and steps > max_steps:
+        if max_steps is not None and state.step_index > max_steps:
             raise NumericsError(f"time loop exceeded {max_steps} steps before reaching t_end")
         if remaining <= tau_base:
             state = dataclasses.replace(state, time=t_end)
             break
-        if steps % snapshot_every == 0:
+        if state.step_index % snapshot_every == 0:
             snapshots.append(state)
     if snapshots[-1] is not state:
         snapshots.append(state)
-    return RunResult(snapshots=snapshots, final=state, clamped_cells=clamped, steps=steps, tau_base=tau_base)
+    return RunResult(snapshots=snapshots, final=state, clamped_cells=clamped, steps=state.step_index,
+                     tau_base=tau_base)

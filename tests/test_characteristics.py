@@ -8,12 +8,15 @@ from horizonfv import (
     DomainError,
     RangeError,
     StepSizeError,
+    UnsupportedModelError,
+    build_fhat_table,
     classify_fate,
     escape_velocity,
     exterior_invariant,
     fhat_inverse,
     h_prime_interior,
     interior_invariant,
+    polynomial_model,
     rhs_exterior,
     steady_profile,
     trace_exterior,
@@ -59,6 +62,12 @@ def test_fhat_worked_values(fhat_table):
     assert fhat_table.value(0.0) == 0.0
     assert fhat_table.value(0.6) == pytest.approx(math.log(0.64), abs=1e-11)
     assert fhat_table.value(-0.6) == pytest.approx(math.log(0.64), abs=1e-11)
+
+
+def test_fhat_table_refuses_inadmissible_model():
+    # f + h = s vanishes at 0, so the integrand f'/(f + h) has a pole there
+    with pytest.raises(UnsupportedModelError, match="boundary_roots_ok, interior_negative_ok"):
+        build_fhat_table(polynomial_model("linear", (0.0, 1.0), (0.0,)))
 
 
 def test_fhat_domain_clamp(fhat_table):

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from horizonfv import (
+    DEFAULT_KRUZHKOV_LEVELS,
     Background,
     ContractError,
+    DomainError,
     StateVector,
     build_uniform_mesh,
     cell_entropy_residuals,
     convex_decomposition_check,
+    fixed_boundary,
     kruzhkov_pair,
     max_timestep,
     numerical_entropy_flux,
@@ -15,6 +18,8 @@ from horizonfv import (
     quadratic_pair,
     step,
 )
+from horizonfv.entropy import face_reconstruction
+from horizonfv.scheme import COPY_BOUNDARY, face_states
 
 LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
 
@@ -84,23 +89,97 @@ def brute_force_transport_residuals(values, mesh, m, nf, fluxes, tau, k):
     return out.max(axis=1)
 
 
+def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUNDARY, inner_ghost=None):
+    """One Kruzhkov level at a time, written out with the entropy pairs: the
+    reference the all-levels ledger must reproduce bit for bit.  Returns
+    (per-cell residuals, worst, worst with source, balance gap,
+    dissipation, balance scale, balance gap with source)."""
+    v = state_before.values
+    pair = kruzhkov_pair(m, k)
+    tilde_l, tilde_r, full_l, full_r = face_reconstruction(state_before, report, mesh, m, tau)
+    a_l = mesh.face_weights[:-1]
+    a_r = mesh.face_weights[1:]
+    gamma_l = 2.0 * tau * a_l / mesh.widths
+    gamma_r = 2.0 * tau * a_r / mesh.widths
+    left, right = face_states(v, outer, inner_ghost)
+    phi_faces = numerical_entropy_flux(nf, m, k, left, right)
+    phi_cons = numerical_entropy_flux(nf, m, k, v, v)
+    u_before = pair.U(v)
+    res_r = pair.U(tilde_r) - u_before + gamma_r * (phi_faces[1:] - phi_cons)
+    res_l = pair.U(tilde_l) - u_before - gamma_l * (phi_faces[:-1] - phi_cons)
+    per_cell = np.maximum(res_l, res_r)
+    fc = np.asarray(m.f(v), dtype=float)
+    hc = np.asarray(m.h(v), dtype=float)
+    src = tau * mesh.cell_thetas * (fc + hc) * pair.dU(v)
+    worst_with_source = float(np.max(np.maximum(res_l - src, res_r - src)))
+
+    quad = quadratic_pair(m)
+    w_face = 0.5 * mesh.widths
+    uq_before = np.asarray(quad.U(v), dtype=float)
+    v_next = 0.5 * (full_r + full_l)
+    dev_sq = np.square(full_r - v_next) + np.square(full_l - v_next)
+    dissipation = float(0.5 * 1.0 * np.sum(w_face * dev_sq))
+    r_terms = np.asarray(quad.U(full_r)) - np.asarray(quad.U(tilde_r)) \
+        + np.asarray(quad.U(full_l)) - np.asarray(quad.U(tilde_l))
+    fq = np.asarray(quad.F(v), dtype=float)
+    core = (float(np.sum(mesh.widths * (np.asarray(quad.U(v_next)) - uq_before))) + dissipation
+            - float(np.sum(w_face * r_terms)) - tau * float(np.sum((a_r - a_l) * fq)))
+    scale = 1.0 + float(np.sum(mesh.widths * np.abs(uq_before))) + dissipation \
+        + float(np.sum(w_face * np.abs(r_terms)))
+    gap = core + (tau * float(mesh.face_weights[-1]) * float(fq[-1])
+                  - tau * float(mesh.face_weights[0]) * float(fq[0])) if outer.kind == "copy" else float("nan")
+    gap_with_source = core - tau * float(np.sum(mesh.widths * mesh.cell_thetas * (fc + hc)
+                                                * np.asarray(quad.dU(v))))
+    return per_cell, float(np.max(per_cell)), worst_with_source, gap, dissipation, scale, gap_with_source
+
+
+@pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
+@pytest.mark.parametrize("outer", (COPY_BOUNDARY, fixed_boundary(-0.3)), ids=("copy", "fixed"))
+@pytest.mark.parametrize("mass", (0.0, 1.0))
+def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer, mass):
+    mesh = build_uniform_mesh(Background(mass), 2 * mass + 10.0, 60)
+    nf = numerical_flux(kind, burgers)
+    tau = 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
+    state = StateVector(values=rng.uniform(-1, 1, mesh.n_cells), time=0.0, step_index=0)
+    _, report = step(state, mesh, burgers, nf, tau, outer=outer)
+    ledger = cell_entropy_residuals(state, report, mesh, burgers, nf, DEFAULT_KRUZHKOV_LEVELS, tau,
+                                    outer=outer)
+    assert ledger.levels.tolist() == list(DEFAULT_KRUZHKOV_LEVELS)
+    for j, k in enumerate(DEFAULT_KRUZHKOV_LEVELS):
+        per_cell, worst, worst_src, gap, dissipation, scale, gap_src = reference_ledger(
+            state, report, mesh, burgers, nf, k, tau, outer=outer)
+        assert np.array_equal(ledger.per_cell_residuals[j], per_cell)
+        assert ledger.worst_residuals[j] == worst
+        assert ledger.worst_residuals_with_source[j] == worst_src
+        assert np.array_equal([ledger.global_balance_gap, ledger.dissipation_sum, ledger.balance_scale,
+                               ledger.balance_gap_with_source],
+                              [gap, dissipation, scale, gap_src], equal_nan=True)
+
+
+def test_ledger_rejects_levels_outside_the_state_interval(mesh_m1, burgers):
+    state, _, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", np.zeros(mesh_m1.n_cells))
+    with pytest.raises(DomainError):
+        cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0, 1.5), tau)
+
+
 @pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
 def test_residuals_match_brute_force(mesh_m1, burgers, rng, kind):
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
     state, _, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
-    for k in (-0.25, 0.0, 0.75):
-        ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, k, tau)
+    levels = (-0.25, 0.0, 0.75)
+    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, levels, tau)
+    for j, k in enumerate(levels):
         expected = brute_force_transport_residuals(values, mesh_m1, burgers, nf,
                                                    report.fluxes, tau, k)
-        assert np.max(np.abs(ledger.per_cell_residuals - expected)) <= 1e-15
-        assert ledger.worst_residual == np.max(ledger.per_cell_residuals)
+        assert np.max(np.abs(ledger.per_cell_residuals[j] - expected)) <= 1e-15
+        assert ledger.worst_residuals[j] == np.max(ledger.per_cell_residuals[j])
 
 
 def test_constant_state_flat_residuals_exact_zero(burgers):
     mesh = build_uniform_mesh(Background(0.0), 10.0, 30)
     state, _, report, nf, tau = _one_step(mesh, burgers, "godunov", np.full(30, 0.6))
-    ledger = cell_entropy_residuals(state, report, mesh, burgers, nf, 0.25, tau)
-    assert np.array_equal(ledger.per_cell_residuals, np.zeros(30))
+    ledger = cell_entropy_residuals(state, report, mesh, burgers, nf, (0.25,), tau)
+    assert np.array_equal(ledger.per_cell_residuals, np.zeros((1, 30)))
     # dissipation and the R bookkeeping cancel exactly in real arithmetic
     assert abs(ledger.global_balance_gap) <= 1e-15 * ledger.balance_scale
     assert ledger.dissipation_sum >= 0.0
@@ -109,9 +188,9 @@ def test_constant_state_flat_residuals_exact_zero(burgers):
 def test_plus_one_state_curved_residuals(mesh_m1, burgers):
     state, _, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                           np.ones(mesh_m1.n_cells))
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, 0.0, tau)
+    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau)
     assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-14
-    assert abs(ledger.worst_residual_with_source) <= 1e-14  # source vanishes at the root
+    assert abs(ledger.worst_residuals_with_source[0]) <= 1e-14  # source vanishes at the root
     assert abs(ledger.global_balance_gap) <= 1e-14
 
 
@@ -121,8 +200,8 @@ def test_riemann_one_step_residuals(burgers, mass):
     mid = 2 * mass + 5.0
     values = np.where(mesh.centers < mid, 0.8, -0.8)
     state, _, report, nf, tau = _one_step(mesh, burgers, "godunov", values)
-    ledger = cell_entropy_residuals(state, report, mesh, burgers, nf, 0.0, tau)
-    assert ledger.worst_residual <= 1e-14
+    ledger = cell_entropy_residuals(state, report, mesh, burgers, nf, (0.0,), tau)
+    assert ledger.worst_residuals[0] <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
@@ -132,8 +211,8 @@ def test_transport_residuals_nonpositive_randomized(mesh_m1, burgers, rng, kind,
         values = rng.uniform(-1, 1, mesh_m1.n_cells)
         state, _, report, nf, tau = _one_step(mesh_m1, burgers, kind, values,
                                               cfl=float(rng.uniform(0.2, 1.0)))
-        ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, k, tau)
-        assert ledger.worst_residual <= 1e-13
+        ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (k,), tau)
+        assert ledger.worst_residuals[0] <= 1e-13
         assert ledger.dissipation_sum >= 0.0
 
 
@@ -143,9 +222,9 @@ def test_source_weighted_variant_is_sign_indefinite(mesh_m1, burgers):
     # the transport left side vanishes, so this variant cannot be a bound
     state, _, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                           np.full(mesh_m1.n_cells, 0.5))
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, 0.0, tau)
+    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau)
     assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-15
-    assert ledger.worst_residual_with_source > 1e-4
+    assert ledger.worst_residuals_with_source[0] > 1e-4
     assert ledger.balance_gap_with_source > 0.0
 
 
@@ -154,9 +233,8 @@ def test_global_balance_nonpositive_randomized(mesh_m1, burgers, rng):
         for _ in range(5):
             values = rng.uniform(-1, 1, mesh_m1.n_cells)
             state, _, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
-            ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, 0.0, tau)
+            ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau)
             assert ledger.global_balance_gap <= 1e-12 * ledger.balance_scale
-            assert ledger.alpha == 1.0
 
 
 def test_balance_tracks_quadratic_entropy_decay(mesh_m1, burgers, rng):
@@ -164,7 +242,7 @@ def test_balance_tracks_quadratic_entropy_decay(mesh_m1, burgers, rng):
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
     quad = quadratic_pair(burgers)
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", values)
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, 0.0, tau)
+    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau)
     direct = float(np.sum(mesh_m1.widths * (np.asarray(quad.U(new_state.values))
                                             - np.asarray(quad.U(values)))))
     # entropy change decomposes into flux transport, R terms, and dissipation;
@@ -174,7 +252,6 @@ def test_balance_tracks_quadratic_entropy_decay(mesh_m1, burgers, rng):
     flux_sum = tau * float(np.sum((a[1:] - a[:-1]) * fq))
     boundary = tau * float(a[-1] * fq[-1] - a[0] * fq[0])
     w_face = 0.5 * mesh_m1.widths
-    from horizonfv.entropy import face_reconstruction
     tilde_l, tilde_r, full_l, full_r = face_reconstruction(state, report, mesh_m1, burgers, tau)
     r_terms = (np.asarray(quad.U(full_r)) - np.asarray(quad.U(tilde_r))
                + np.asarray(quad.U(full_l)) - np.asarray(quad.U(tilde_l)))
@@ -201,18 +278,17 @@ def test_dimension_mismatch_rejected(mesh_m1, burgers):
                                                   np.zeros(mesh_m1.n_cells))
     short = StateVector(values=np.zeros(mesh_m1.n_cells - 1), time=0.0, step_index=0)
     with pytest.raises(ContractError):
-        cell_entropy_residuals(short, report, mesh_m1, burgers, nf, 0.0, tau)
+        cell_entropy_residuals(short, report, mesh_m1, burgers, nf, (0.0,), tau)
     with pytest.raises(ContractError):
         convex_decomposition_check(state, short, report, mesh_m1, burgers)
 
 
 def test_fixed_boundary_balance_reported_nan(mesh_m1, burgers, rng):
-    from horizonfv import fixed_boundary
     nf = numerical_flux("godunov", burgers)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     outer = fixed_boundary(0.1)
     state = StateVector(values=rng.uniform(-1, 1, mesh_m1.n_cells), time=0.0, step_index=0)
     _, report = step(state, mesh_m1, burgers, nf, tau, outer=outer)
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, 0.0, tau, outer=outer)
+    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau, outer=outer)
     assert np.isnan(ledger.global_balance_gap)
-    assert ledger.worst_residual <= 1e-13
+    assert ledger.worst_residuals[0] <= 1e-13

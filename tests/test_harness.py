@@ -7,15 +7,20 @@ import pytest
 from horizonfv import (
     CflError,
     DomainError,
+    NumericsError,
     Preset,
     PresetError,
+    UnsupportedModelError,
     burgers_model,
     crossing_time_guard,
     exact_solution_by_shooting,
     fuzz_invariants,
+    max_timestep,
     oracle_compare,
+    polynomial_model,
     self_convergence,
     steady_drift_detail,
+    step,
 )
 from horizonfv import harness
 from horizonfv.harness import COEFFICIENT_TOL, presets, restrict_halving, run_preset
@@ -173,6 +178,12 @@ def test_steady_drift_small_and_first_order():
     assert d200 / d400 >= 1.7
 
 
+def test_steady_drift_refuses_inadmissible_model():
+    linear = polynomial_model("linear", (0.0, 1.0), (0.0,))
+    with pytest.raises(UnsupportedModelError, match="inadmissible: boundary_roots_ok"):
+        steady_drift_detail(linear, 1.0, 4.0, 0.5, 40, 0.1)
+
+
 def test_steady_drift_flat_constant_exact():
     m = burgers_model()
     assert steady_drift_detail(m, 0.0, 4.0, 0.9, 64, 1.0, r_max=10.0)[0] == 0.0
@@ -213,10 +224,11 @@ def test_fuzz_coefficient_rounding_is_not_a_violation(seed, trials):
     assert rep.ok, rep.violations
 
 
-def test_fuzz_flags_non_monotone_flux(monkeypatch):
-    def anti_diffusive(m, u, v):  # Rusanov with its dissipation sign flipped
-        return m.f(u) + m.f(v) - flux_rusanov(m, u, v)
+def anti_diffusive(m, u, v):  # Rusanov with its dissipation sign flipped
+    return m.f(u) + m.f(v) - flux_rusanov(m, u, v)
 
+
+def test_fuzz_flags_non_monotone_flux(monkeypatch):
     monotone = harness.numerical_flux
 
     def numerical_flux(kind, m):
@@ -225,6 +237,45 @@ def test_fuzz_flags_non_monotone_flux(monkeypatch):
     monkeypatch.setattr(harness, "numerical_flux", numerical_flux)
     rep = fuzz_invariants(3, 7)
     assert "convex_coefficient" in {v["kind"] for v in rep.violations}
+
+
+def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
+    # with the anti-diffusive flux, trial 0 of seed 6 leaves [-1, 1] in its
+    # third step; trials 1 and 2 stay inside and reach their t_end
+    monotone = harness.numerical_flux
+
+    def numerical_flux(kind, m):
+        return NumericalFlux("anti", monotone(kind, m).lipschitz_bound, anti_diffusive)
+
+    real_run = harness.run
+    trials = []  # per trial: (mesh, model, nf, fraction, observed states after each step)
+
+    def recording_run(mesh, m, nf, *, on_step, cfl_fraction, **kwargs):
+        afters = []
+        trials.append((mesh, m, nf, cfl_fraction, afters))
+
+        def observe(before, after, report):
+            afters.append(after)
+            on_step(before, after, report)
+
+        return real_run(mesh, m, nf, on_step=observe, cfl_fraction=cfl_fraction, **kwargs)
+
+    monkeypatch.setattr(harness, "numerical_flux", numerical_flux)
+    monkeypatch.setattr(harness, "run", recording_run)
+    rep = fuzz_invariants(3, 6, cells=50)
+    breaches = [v for v in rep.violations if v["kind"] == "state_invariant"]
+    assert len(breaches) == 1 and breaches[0]["config"]["trial"] == 0
+    assert "maximum principle" in breaches[0]["detail"]
+    assert len(rep.trial_configs) == 3 and len(trials) == 3
+    assert [after.step_index for after in trials[0][4]] == [1, 2]
+    assert rep.total_steps == sum(len(afters) for *_, afters in trials)
+    # the breaching step is the next one, and it is not counted
+    mesh, m, nf, fraction, afters = trials[0]
+    tau = fraction * max_timestep(mesh, m, nf.lipschitz_bound)
+    with pytest.raises(NumericsError):
+        step(afters[-1], mesh, m, nf, tau)
+    for config, (*_, afters) in zip(rep.trial_configs[1:], trials[1:]):
+        assert afters[-1].time == pytest.approx(config["t_end"], abs=1e-15)
 
 
 def test_fuzz_cfl_injection_meta_test():

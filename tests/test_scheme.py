@@ -158,6 +158,22 @@ def test_state_vector_rejects_out_of_range():
         StateVector(values=np.array([0.0, 1.0 + 1e-12]), time=0.0, step_index=0)
 
 
+def test_state_vector_owns_its_values(mesh_m1, burgers):
+    arr = np.linspace(-0.5, 0.5, 8)
+    state = StateVector(values=arr, time=0.0, step_index=0)
+    arr[0] = 0.9
+    assert state.values[0] == -0.5
+    assert not state.values.flags.writeable
+    view = np.linspace(-0.5, 0.5, 8)[::2]  # a view owns no data, so it is copied too
+    view.setflags(write=False)
+    assert StateVector(values=view, time=0.0, step_index=0).values is not view
+    # step hands over its fresh read-only array as is
+    nf = numerical_flux("godunov", burgers)
+    new_state, _ = step(StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0),
+                        mesh_m1, burgers, nf, 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound))
+    assert StateVector(values=new_state.values, time=0.0, step_index=0).values is new_state.values
+
+
 def test_convex_coefficients_reconstruction(mesh_m1, burgers, rng):
     nf = numerical_flux("godunov", burgers)
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
@@ -204,7 +220,7 @@ def test_step_and_run_build_no_convex_coefficients(mesh_m1, burgers, rng, monkey
     def forbidden(*args, **kwargs):
         raise AssertionError("the hot path rebuilt the convex coefficients")
 
-    monkeypatch.setattr(scheme, "_coefficient_triples", forbidden)
+    monkeypatch.setattr(scheme, "convex_coefficients", forbidden)
     nf = numerical_flux("godunov", burgers)
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     state = StateVector(values=rng.uniform(-1.0, 1.0, mesh_m1.n_cells), time=0.0, step_index=0)
@@ -220,8 +236,8 @@ def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
     nf = numerical_flux("eo", burgers)
     seen = []
 
-    def observe(steps, state_before, report, tau):
-        seen.append((steps, state_before, report, tau))
+    def observe(state_before, state_after, report):
+        seen.append((state_after.step_index, state_before, report, report.tau_used, state_after))
 
     t_end = 0.37
     result = run(mesh_m1, burgers, nf, v0=lambda r: 0.6 * np.cos(r), t_end=t_end,
@@ -234,13 +250,15 @@ def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
     assert 0.0 < last_tau < result.tau_base  # the shortened last step is observed
     assert seen[-1][1].time + last_tau == pytest.approx(t_end, abs=1e-15)
     # each observed pre-step state, stepped again by hand, gives the next one
-    for (_, before, report, tau), (_, after, _, _) in zip(seen, seen[1:]):
+    for (_, before, report, tau, observed_after), (_, after, _, _, _) in zip(seen, seen[1:]):
         replay, replay_report = step(before, mesh_m1, burgers, nf, tau)
         assert np.array_equal(replay.values, after.values)
         assert np.array_equal(replay_report.fluxes, report.fluxes)
         assert after.step_index == before.step_index + 1
+        assert observed_after is after  # the state handed over is the next step's start
     final_replay, _ = step(seen[-1][1], mesh_m1, burgers, nf, last_tau)
     assert np.array_equal(final_replay.values, result.final.values)
+    assert np.array_equal(seen[-1][4].values, result.final.values)
 
 
 def test_run_snapshot_cadence(mesh_m1, burgers):
