@@ -294,15 +294,14 @@ def _admissible_interval(mass: float, r0: float, u0: float, f0: float, f_min: fl
     return r_lo, r_hi
 
 
-def rhs_exterior(m: FluxModel, mass: float, state: CharState):
+def rhs_exterior(m: FluxModel, mass: float, r: float, u: float):
     """Characteristic system in the static slicing: (dt/ds, dr/ds, du/ds)."""
-    r = state.r
     if not r > 2.0 * mass:
         raise DomainError(f"characteristic left the exterior domain: r={r} <= 2M={2 * mass}")
     a = 1.0 - 2.0 * mass / r
     dt = 1.0 / (a * a)
-    dr = float(m.df(state.u)) / a
-    du = (2.0 * mass / (r - 2.0 * mass) ** 2) * (float(m.f(state.u)) + float(m.h(state.u)))
+    dr = float(m.df(u)) / a
+    du = (2.0 * mass / (r - 2.0 * mass) ** 2) * (float(m.f(u)) + float(m.h(u)))
     return dt, dr, du
 
 
@@ -335,9 +334,7 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
     def rhs(t, r, u):
         if not r > guard_r:
             raise _StageHalt
-        a = 1.0 - 2.0 * mass / r
-        fu = float(m.f(u)) + float(m.h(u))
-        return 1.0 / (a * a), float(m.df(u)) / a, (2.0 * mass / (r - 2.0 * mass) ** 2) * fu
+        return rhs_exterior(m, mass, r, u)
 
     return _rk4_trace(rhs, start, ds, s_max, guard_r, r_stop)
 

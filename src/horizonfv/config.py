@@ -2,81 +2,79 @@
 
 Everything a run needs lives in one INI-style file; no environment
 variables and no positional tuning flags, so a config plus a seed pins an
-experiment exactly.  Unknown sections or keys are rejected by name (with
-the line number when it can be located), type errors and constraint
-violations name the offending key, and the fully resolved configuration
-(defaults applied) is echoed into the output directory for provenance.
+experiment exactly.  Each key is declared once, as a ``RunConfig`` field
+that names its section (and its key, where that differs from the field
+name); the field's annotation picks the parser and its default fills a
+key left out.  Unknown sections or keys are rejected by name, with the
+line number inside their own section when it can be located; type errors
+and constraint violations name the offending key, and the fully resolved
+configuration (defaults applied, in field order) is echoed into the
+output directory for provenance.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass, field, fields
+from itertools import groupby
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model, polynomial_model
-from .scheme import COPY_BOUNDARY, OuterBoundary, fixed_boundary
+from .scheme import COPY_BOUNDARY, OuterBoundary, bump_data, constant_data, fixed_boundary, step_data
 
 _FLUXES = ("godunov", "eo", "rusanov")
 _PRESET_NAMES = ("smooth", "riemann", "flat")
+
+
+def _ini(section: str, default, key: str | None = None):
+    """A field read from ``key`` (default: the field name) in ``[section]``."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass
 class RunConfig:
     """Typed, validated run configuration with defaults applied."""
 
-    # [model]
-    model: str = "burgers"
-    f_coeffs: tuple = (-0.5, 0.0, 0.5)
-    h_coeffs: tuple = (0.0,)
-    # [geometry]
-    mass: float = 1.0
-    r_max: float = 12.0
-    cells: int = 200
-    outer_boundary: str = "copy"
-    # [evolution]
-    flux: str = "godunov"
-    cfl_fraction: float = 0.9
-    t_end: float = 1.0
-    snapshot_every: int = 10
-    # [initial]
-    initial_kind: str = "bump"
-    initial_constant: float = 0.5
-    initial_left: float = 0.8
-    initial_right: float = -0.4
-    initial_jump_r: float = 7.0
-    initial_amplitude: float = 0.5
-    initial_center: float = 6.0
-    initial_width: float = 1.0
-    # [diagnostics]
-    entropy_diagnostics: bool = False
-    kruzhkov_levels: tuple = DEFAULT_KRUZHKOV_LEVELS
-    # [run]
-    seed: int = 0
-    output_dir: str = "out"
-    # [characteristics]
-    char_r0: float = 8.0
-    char_u0: float = 0.6
-    char_ds: float = 1e-3
-    char_s_max: float = 5.0
-    char_r_stop: float = 120.0
-    coordinates: str = "exterior"
-    interior_shift: float = 0.5
-    # [steady]
-    steady_r0: float = 4.0
-    steady_u0: float = 0.9
-    # [converge]
-    converge_preset: str = "smooth"
-    converge_levels: int = 4
-    # [oracle]
-    oracle_preset: str = "smooth"
-    oracle_cells: int = 400
-    # [fuzz]
-    fuzz_trials: int = 100
-    fuzz_tau_scale: float = 1.0
+    model: str = _ini("model", "burgers")
+    f_coeffs: tuple = _ini("model", (-0.5, 0.0, 0.5))
+    h_coeffs: tuple = _ini("model", (0.0,))
+    mass: float = _ini("geometry", 1.0)
+    r_max: float = _ini("geometry", 12.0)
+    cells: int = _ini("geometry", 200)
+    outer_boundary: str = _ini("geometry", "copy")
+    flux: str = _ini("evolution", "godunov")
+    cfl_fraction: float = _ini("evolution", 0.9)
+    t_end: float = _ini("evolution", 1.0)
+    snapshot_every: int = _ini("evolution", 10)
+    initial_kind: str = _ini("initial", "bump", "kind")
+    initial_constant: float = _ini("initial", 0.5, "constant")
+    initial_left: float = _ini("initial", 0.8, "left")
+    initial_right: float = _ini("initial", -0.4, "right")
+    initial_jump_r: float = _ini("initial", 7.0, "jump_r")
+    initial_amplitude: float = _ini("initial", 0.5, "amplitude")
+    initial_center: float = _ini("initial", 6.0, "center")
+    initial_width: float = _ini("initial", 1.0, "width")
+    entropy_diagnostics: bool = _ini("diagnostics", False)
+    kruzhkov_levels: tuple = _ini("diagnostics", DEFAULT_KRUZHKOV_LEVELS)
+    seed: int = _ini("run", 0)
+    output_dir: str = _ini("run", "out")
+    char_r0: float = _ini("characteristics", 8.0, "r0")
+    char_u0: float = _ini("characteristics", 0.6, "u0")
+    char_ds: float = _ini("characteristics", 1e-3, "ds")
+    char_s_max: float = _ini("characteristics", 5.0, "s_max")
+    char_r_stop: float = _ini("characteristics", 120.0, "r_stop")
+    coordinates: str = _ini("characteristics", "exterior")
+    interior_shift: float = _ini("characteristics", 0.5)
+    steady_r0: float = _ini("steady", 4.0, "r0")
+    steady_u0: float = _ini("steady", 0.9, "u0")
+    converge_preset: str = _ini("converge", "smooth", "preset")
+    converge_levels: int = _ini("converge", 4, "levels")
+    oracle_preset: str = _ini("oracle", "smooth", "preset")
+    oracle_cells: int = _ini("oracle", 400, "cells")
+    fuzz_trials: int = _ini("fuzz", 100, "trials")
+    fuzz_tau_scale: float = _ini("fuzz", 1.0, "tau_scale")
 
     def build_model(self) -> FluxModel:
         if self.model == "burgers":
@@ -90,87 +88,35 @@ class RunConfig:
 
     def build_v0(self):
         if self.initial_kind == "constant":
-            c = self.initial_constant
-            return lambda r: np.full_like(np.asarray(r, dtype=float), c)
+            return constant_data(self.initial_constant)
         if self.initial_kind == "riemann":
-            left, right, jump = self.initial_left, self.initial_right, self.initial_jump_r
-            return lambda r: np.where(np.asarray(r, dtype=float) < jump, left, right)
-        amp, center, width = self.initial_amplitude, self.initial_center, self.initial_width
-        return lambda r: amp * np.exp(-np.square((np.asarray(r, dtype=float) - center) / width))
+            return step_data(self.initial_left, self.initial_right, self.initial_jump_r)
+        return bump_data(self.initial_amplitude, self.initial_center, self.initial_width)
 
 
-# section -> key -> (attribute, parser)
-_SCHEMA = {
-    "model": {
-        "model": ("model", "str"),
-        "f_coeffs": ("f_coeffs", "floats"),
-        "h_coeffs": ("h_coeffs", "floats"),
-    },
-    "geometry": {
-        "mass": ("mass", "float"),
-        "r_max": ("r_max", "float"),
-        "cells": ("cells", "int"),
-        "outer_boundary": ("outer_boundary", "str"),
-    },
-    "evolution": {
-        "flux": ("flux", "str"),
-        "cfl_fraction": ("cfl_fraction", "float"),
-        "t_end": ("t_end", "float"),
-        "snapshot_every": ("snapshot_every", "int"),
-    },
-    "initial": {
-        "kind": ("initial_kind", "str"),
-        "constant": ("initial_constant", "float"),
-        "left": ("initial_left", "float"),
-        "right": ("initial_right", "float"),
-        "jump_r": ("initial_jump_r", "float"),
-        "amplitude": ("initial_amplitude", "float"),
-        "center": ("initial_center", "float"),
-        "width": ("initial_width", "float"),
-    },
-    "diagnostics": {
-        "entropy_diagnostics": ("entropy_diagnostics", "bool"),
-        "kruzhkov_levels": ("kruzhkov_levels", "floats"),
-    },
-    "run": {
-        "seed": ("seed", "int"),
-        "output_dir": ("output_dir", "str"),
-    },
-    "characteristics": {
-        "r0": ("char_r0", "float"),
-        "u0": ("char_u0", "float"),
-        "ds": ("char_ds", "float"),
-        "s_max": ("char_s_max", "float"),
-        "r_stop": ("char_r_stop", "float"),
-        "coordinates": ("coordinates", "str"),
-        "interior_shift": ("interior_shift", "float"),
-    },
-    "steady": {
-        "r0": ("steady_r0", "float"),
-        "u0": ("steady_u0", "float"),
-    },
-    "converge": {
-        "preset": ("converge_preset", "str"),
-        "levels": ("converge_levels", "int"),
-    },
-    "oracle": {
-        "preset": ("oracle_preset", "str"),
-        "cells": ("oracle_cells", "int"),
-    },
-    "fuzz": {
-        "trials": ("fuzz_trials", "int"),
-        "tau_scale": ("fuzz_tau_scale", "float"),
-    },
-}
+# (section, key) -> (attribute, parser kind), in declaration order; the
+# annotations are strings here, and a tuple is a list of floats
+_KEYS = {(f.metadata["section"], f.metadata["key"] or f.name):
+         (f.name, "floats" if f.type == "tuple" else f.type) for f in fields(RunConfig)}
+_SECTIONS = {section for section, _ in _KEYS}
 
 _REQUIRED = (("geometry", "mass"), ("geometry", "r_max"), ("geometry", "cells"),
              ("evolution", "t_end"))
 
 
-def _find_line(text: str, token: str) -> int | None:
+def _find_line(text: str, section: str, key: str | None = None) -> int | None:
+    """Line of the header of [section], or of ``key`` inside that section.
+
+    Keys match whole and case-insensitively, as configparser reads them.
+    """
+    inside = False
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if stripped.startswith(token):
+        if stripped.startswith("["):
+            inside = stripped.startswith(f"[{section}]")
+            if inside and key is None:
+                return i
+        elif inside and key is not None and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
             return i
     return None
 
@@ -286,16 +232,16 @@ def parse_config(path) -> RunConfig:
     cfg = RunConfig()
     seen = set()
     for section in parser.sections():
-        if section not in _SCHEMA:
-            line = _find_line(text, f"[{section}]")
+        if section not in _SECTIONS:
+            line = _find_line(text, section)
             at = f" (line {line})" if line else ""
             raise ConfigError(f"unknown section [{section}]{at}")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                line = _find_line(text, key)
+            if (section, key) not in _KEYS:
+                line = _find_line(text, section, key)
                 at = f" (line {line})" if line else ""
                 raise ConfigError(f"unknown key '{key}' in section [{section}]{at}")
-            attr, kind = _SCHEMA[section][key]
+            attr, kind = _KEYS[section, key]
             setattr(cfg, attr, _convert(raw, kind, f"{section}.{key}"))
             seen.add((section, key))
 
@@ -318,13 +264,9 @@ def _format_value(value) -> str:
 
 def resolved_config_text(cfg: RunConfig) -> str:
     """Canonical dump of the fully resolved configuration."""
-    attr_of = {attr: (section, key) for section, keys in _SCHEMA.items()
-               for key, (attr, _) in keys.items()}
     lines = []
-    for section in _SCHEMA:
+    for section, entries in groupby(_KEYS.items(), key=lambda entry: entry[0][0]):
         lines.append(f"[{section}]")
-        for key, (attr, _) in _SCHEMA[section].items():
-            lines.append(f"{key} = {_format_value(getattr(cfg, attr))}")
+        lines += [f"{key} = {_format_value(getattr(cfg, attr))}" for (_, key), (attr, _) in entries]
         lines.append("")
-    assert all(f.name in attr_of for f in fields(cfg)), "schema drifted from RunConfig"
     return "\n".join(lines)

@@ -23,8 +23,8 @@ from .characteristics import FhatTable, build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model
-from .scheme import (_QUOTIENT_FLOOR, COPY_BOUNDARY, NumericalFlux, StateVector, StepReport,
-                     convex_coefficients, face_states, numerical_flux, run)
+from .scheme import (_QUOTIENT_FLOOR, COPY_BOUNDARY, NumericalFlux, StateVector, StepReport, bump_data,
+                     constant_data, convex_coefficients, face_states, numerical_flux, run, step_data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,36 +43,24 @@ class Preset:
     description: str = ""
 
 
-def _smooth_bump(r):
-    return 0.5 * np.exp(-np.square(r - 6.0))
-
-
-def _riemann_step(r):
-    return np.where(np.asarray(r, dtype=float) < 7.0, 0.8, -0.4)
-
-
-def _flat_constant(r):
-    return np.full_like(np.asarray(r, dtype=float), -0.3)
-
-
 def presets() -> dict[str, Preset]:
     """The bundled experiment presets."""
     b = burgers_model()
     return {
         "smooth": Preset(
             name="smooth", model=b, mass=1.0, r_max=12.0, cells=100, t_end=1.2,
-            flux_kind="godunov", cfl_fraction=0.9, v0=_smooth_bump,
+            flux_kind="godunov", cfl_fraction=0.9, v0=bump_data(0.5, 6.0, 1.0),
             description="pre-shock Gaussian bump on a mass-1 background; "
                         "t_end sits below the crossing guard with >10% margin",
         ),
         "riemann": Preset(
             name="riemann", model=b, mass=1.0, r_max=12.0, cells=100, t_end=0.8,
-            flux_kind="godunov", cfl_fraction=0.9, v0=_riemann_step,
+            flux_kind="godunov", cfl_fraction=0.9, v0=step_data(0.8, -0.4, 7.0),
             description="single right-moving shock from step data (0.8, -0.4) at r = 7",
         ),
         "flat": Preset(
             name="flat", model=b, mass=0.0, r_max=10.0, cells=100, t_end=0.5,
-            flux_kind="godunov", cfl_fraction=0.9, v0=_flat_constant,
+            flux_kind="godunov", cfl_fraction=0.9, v0=constant_data(-0.3),
             description="flat-space constant state; exact fixed point of the scheme",
         ),
     }
@@ -316,20 +304,7 @@ class FuzzReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "total_steps": self.total_steps,
-            "worst_abs_state": self.worst_abs_state,
-            "worst_entropy_residual": self.worst_entropy_residual,
-            "worst_entropy_residual_with_source": self.worst_entropy_residual_with_source,
-            "worst_balance_gap_rel": self.worst_balance_gap_rel,
-            "worst_decomposition_defect": self.worst_decomposition_defect,
-            "min_convex_coeff": self.min_convex_coeff,
-            "violations": self.violations,
-            "trial_configs": self.trial_configs,
-            "ok": self.ok,
-        }
+        return {**vars(self), "ok": self.ok}
 
 
 _FUZZ_FLUXES = ("godunov", "eo", "rusanov")

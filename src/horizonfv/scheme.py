@@ -254,6 +254,21 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     return new_state, StepReport(fluxes=fluxes, tau_used=float(tau))
 
 
+def constant_data(value: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Initial data v(r) = value."""
+    return lambda r: np.full_like(np.asarray(r, dtype=float), value)
+
+
+def step_data(left: float, right: float, jump_r: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Riemann initial data: left below r = jump_r, right from there on."""
+    return lambda r: np.where(np.asarray(r, dtype=float) < jump_r, left, right)
+
+
+def bump_data(amplitude: float, center: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Gaussian initial data amplitude * exp(-((r - center) / width)^2)."""
+    return lambda r: amplitude * np.exp(-np.square((np.asarray(r, dtype=float) - center) / width))
+
+
 def project_initial(mesh: RadialMesh, v0: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, int]:
     """Cell averages of v0 by 3-point Gauss quadrature, clamped to [-1, 1].
 

@@ -28,7 +28,7 @@ from horizonfv.characteristics import _guard_u
 # --- right-hand sides --------------------------------------------------------
 
 def test_rhs_exterior_worked_example(burgers):
-    dt, dr, du = rhs_exterior(burgers, 1.0, CharState(s=0.0, t=0.0, r=4.0, u=0.5))
+    dt, dr, du = rhs_exterior(burgers, 1.0, r=4.0, u=0.5)
     assert dt == 4.0                       # a = 1/2
     assert dr == 1.0                       # f'(0.5)/a
     assert du == pytest.approx((2.0 / 4.0) * (0.125 - 0.5), abs=1e-15)
@@ -36,18 +36,18 @@ def test_rhs_exterior_worked_example(burgers):
 
 def test_rhs_exterior_roots_are_stationary_in_u(burgers):
     for u in (1.0, -1.0):
-        _, _, du = rhs_exterior(burgers, 1.0, CharState(0.0, 0.0, 5.0, u))
+        _, _, du = rhs_exterior(burgers, 1.0, 5.0, u)
         assert du == 0.0
 
 
 def test_rhs_exterior_flat_space(burgers):
-    dt, dr, du = rhs_exterior(burgers, 0.0, CharState(0.0, 0.0, 5.0, 0.3))
+    dt, dr, du = rhs_exterior(burgers, 0.0, 5.0, 0.3)
     assert (dt, dr, du) == (1.0, 0.3, 0.0)
 
 
 def test_rhs_exterior_domain(burgers):
     with pytest.raises(DomainError):
-        rhs_exterior(burgers, 1.0, CharState(0.0, 0.0, 2.0, 0.1))
+        rhs_exterior(burgers, 1.0, 2.0, 0.1)
 
 
 # --- Fhat and its inverses ----------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from horizonfv import Background, ConfigError, build_uniform_mesh, numerical_flux, run
 from horizonfv.cli import _CSV_BLOCK_ROWS, _write_csv, main
-from horizonfv.config import parse_config, resolved_config_text
+from horizonfv.config import RunConfig, parse_config, resolved_config_text
 
 MINIMAL = """
 [model]
@@ -45,6 +47,83 @@ def test_resolved_config_roundtrip(tmp_path):
     assert resolved_config_text(reparsed) == text
 
 
+DEFAULT_RESOLVED = """\
+[model]
+model = burgers
+f_coeffs = -0.5, 0, 0.5
+h_coeffs = 0
+
+[geometry]
+mass = 1
+r_max = 12
+cells = 200
+outer_boundary = copy
+
+[evolution]
+flux = godunov
+cfl_fraction = 0.90000000000000002
+t_end = 1
+snapshot_every = 10
+
+[initial]
+kind = bump
+constant = 0.5
+left = 0.80000000000000004
+right = -0.40000000000000002
+jump_r = 7
+amplitude = 0.5
+center = 6
+width = 1
+
+[diagnostics]
+entropy_diagnostics = false
+kruzhkov_levels = -0.75, -0.25, 0, 0.25, 0.75
+
+[run]
+seed = 0
+output_dir = out
+
+[characteristics]
+r0 = 8
+u0 = 0.59999999999999998
+ds = 0.001
+s_max = 5
+r_stop = 120
+coordinates = exterior
+interior_shift = 0.5
+
+[steady]
+r0 = 4
+u0 = 0.90000000000000002
+
+[converge]
+preset = smooth
+levels = 4
+
+[oracle]
+preset = smooth
+cells = 400
+
+[fuzz]
+trials = 100
+tau_scale = 1
+"""
+
+
+def test_resolved_config_of_defaults_is_pinned():
+    # any reordered section or key, or a changed value format, shows here
+    assert resolved_config_text(RunConfig()) == DEFAULT_RESOLVED
+
+
+def test_every_field_is_one_distinct_key():
+    declared = [(f.metadata.get("section"), f.metadata.get("key") or f.name) for f in fields(RunConfig)]
+    assert all(section for section, _ in declared)
+    assert len(set(declared)) == len(declared)
+    # each section's keys are declared together, so the dump names a section once
+    runs = [section for section, _ in groupby(section for section, _ in declared)]
+    assert len(runs) == len(set(runs))
+
+
 def test_cells_constraint_names_key(tmp_path):
     body = MINIMAL.replace("cells = 200", "cells = 1")
     with pytest.raises(ConfigError) as err:
@@ -59,6 +138,34 @@ def test_unknown_key_named_with_line(tmp_path):
         parse_config(write_config(tmp_path, body))
     assert "fluxx" in str(err.value)
     assert "line" in str(err.value)
+
+
+def test_unknown_key_line_is_found_in_its_own_section(tmp_path):
+    body = """[geometry]
+mass = 1.0
+r_max = 12.0
+cells = 200
+
+[evolution]
+t_end = 1.0
+
+[steady]
+r0 = 4.0
+
+[characteristics]
+r = 8.0
+"""
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, body))
+    assert str(err.value) == "unknown key 'r' in section [characteristics] (line 13)"
+    # keys are read case-insensitively, so the lookup is too
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, body.replace("r = 8.0", "R : 8.0")))
+    assert str(err.value) == "unknown key 'r' in section [characteristics] (line 13)"
+    # a key valid in another section is looked up in its own one
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, body.replace("r = 8.0", "cells = 8")))
+    assert str(err.value) == "unknown key 'cells' in section [characteristics] (line 13)"
 
 
 def test_unknown_section_rejected(tmp_path):
