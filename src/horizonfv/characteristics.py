@@ -13,6 +13,16 @@ strictly decreasing branch on [0, 1) and a strictly increasing branch on
 threshold at a given radius, the terminal state of an escaping
 characteristic, and the radial profile of a steady solution.
 
+Fhat is a closed form.  With f + h = (s**2 - 1) q, the factors s -+ 1
+divided out exactly, partial fractions over the roots rho of q give
+Fhat(u) = c+ log1p(-u) + c- log1p(u) + sum Re[c_rho log1p(-u/rho)] + P(u),
+with residue c = f'(z) / (f + h)'(z) at each root z and P the integral of
+the polynomial part; a q with a repeated root is refused.  The remainder
+of that division, which admission forgives up to 1e-12 as the rounding of
+decimal coefficients, is dropped.  One adaptive-Simpson segment per
+branch cross-checks the residues, and the branches are inverted by a
+safeguarded Newton iteration over all targets at once.
+
 An alternative time slicing, regular across r = 2M when its shift
 parameter R0 lies in (0, M], yields a second tracer for the built-in
 quadratic model; both tracers conserve (1 - u^2) / a and describe the same
@@ -26,17 +36,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .errors import DomainError, RangeError, StepSizeError
-from .model import FluxModel
+from .errors import DomainError, NumericsError, RangeError, StepSizeError, UnsupportedModelError
+from .model import (_SCALE, FluxModel, _deflate, _evaluator, _has_repeated_root, _integers, _polyder,
+                    _polyint, _trimmed)
 from .quadrature import adaptive_simpson
 
 _HORIZON_GUARD = 1e-6  # halt tracing once r < 2M (1 + guard)
 _U_OVERSHOOT_TOL = 1e-9
 
-INVERSE_TOL = 1e-12
+_NEWTON_TOL = 1e-14  # |du| at which an inverse counts as converged
+_NEWTON_MAX_ITER = 100
+_SERIES_TERMS = 30
 
 
 @dataclass(frozen=True)
@@ -73,106 +87,85 @@ class Fate:
 
 
 class FhatTable:
-    """Memoized evaluator of Fhat with monotone branch sample tables.
+    """Fhat of one admissible model in closed form, with monotone branch samples.
 
-    Construction samples both branches on [0, 1 - epsilon] and
-    [-1 + epsilon, 0] (log-clustered toward the singular ends) and builds
-    the integral cumulatively: each node adds one adaptive-Simpson segment
-    to its predecessor, so the evaluation is a composite Simpson rule over
-    [0, u].  Against the closed forms log(1 - u**2) (Burgers) and
-    log(1 - u**4) (quartic) it is within 1e-12 for |u| < 1 - 1e-6 and off
-    by up to about 5e-9 within 1e-8 of +/-1, where f + h cancels.
-    Arbitrary arguments reuse the nearest cached prefix.  A model that
-    fails a structural flag is refused first (UnsupportedModelError naming
-    the flags), since f + h may then vanish inside.  The monotonicity
-    pattern (decreasing and negative on the plus branch, increasing and
-    negative on the minus branch) is asserted at construction.  After
-    ``freeze`` the value cache stops growing and the table is safe to share
-    across threads.
+    Near 0, for |u| below a quarter of the distance to the nearest pole of
+    f' / (f + h), the residue logarithms cancel and ``value`` sums the
+    Taylor series of Fhat at 0 instead.  Against log1p(-u) + log1p(u)
+    (Burgers) and that plus log1p(u**2) (quartic) it is within 1e-13 for
+    every |u| <= 1 - epsilon, the clamp.  Construction refuses an
+    inadmissible model (UnsupportedModelError naming the flags) and checks
+    the branch samples: decreasing and negative on the plus branch,
+    increasing and negative on the minus branch, and deep enough for every
+    escape threshold to exist.  Immutable and thread-safe.
     """
 
-    # per-segment quadrature goals; the relative part accommodates the
-    # cancellation noise of f + h evaluated within ~1e-9 of its roots
-    _SEGMENT_TOL = 1e-14
-    _SEGMENT_REL = 3e-11
+    epsilon = 1e-9  # Fhat is evaluated for |u| <= 1 - epsilon only
 
-    def __init__(self, model: FluxModel, epsilon: float = 1e-9, branch_samples: int = 512):
-        if not 0.0 < epsilon < 1.0:
-            raise DomainError("epsilon must lie in (0, 1)")
-        self.model = model.require_admissible()
-        self.epsilon = float(epsilon)
-        self._memo: dict[float, float] = {0.0: 0.0}
-        self._frozen = False
+    def __init__(self, model: FluxModel):
+        self.model = m = model.require_admissible()
+        q = _deflate(_deflate(_integers(m.f_poly, m.h_poly), 1), -1)
+        if _has_repeated_root(q):
+            raise UnsupportedModelError(f"model '{m.name}': q = (f + h) / (s**2 - 1) has a repeated root; "
+                                        "the closed-form Fhat needs simple roots")
+        qc = tuple(c / _SCALE for c in q)
+        self._q = _evaluator(qc)
+        self._roots = roots = np.roots(qc[::-1]).astype(complex)
+        self._c_ends = (float(m.df(1.0) / self._q(1.0)) / 2.0, -float(m.df(-1.0) / self._q(-1.0)) / 2.0)
+        self._c_roots = m.df(roots) / ((roots * roots - 1.0) * _evaluator(_polyder(qc))(roots))
+        d = [(a - b) / _SCALE for a, b in zip_longest([0, 0, *q], q, fillvalue=0)]  # (s**2 - 1) q
+        dfc = _polyder(m.f_poly)
+        self._poly = _evaluator(_trimmed(_polyint(np.polydiv(dfc[::-1], d[::-1])[0][::-1])))
+        # Taylor coefficients of f' / (f + h) at 0 by series division; each
+        # is exactly zero where those of f' are
+        fp, series = list(dfc) + [0.0] * _SERIES_TERMS, []
+        for k in range(_SERIES_TERMS):
+            series.append((fp[k] - sum(dj * series[k - j] for j, dj in enumerate(d[1:k + 1], 1))) / d[0])
+        self._series = _evaluator(_trimmed(_polyint(series)))
+        self._series_radius = 0.25 * float(np.min(np.abs(roots), initial=1.0))
 
-        # linear samples over [0, 0.5], then log-clustered toward the pole:
-        # u = 1 - delta with delta shrinking geometrically from 0.5 to epsilon,
-        # so every segment sees only a few percent of integrand variation
-        head = np.linspace(0.0, 0.5, branch_samples // 2 + 1)
-        n_tail = max(2 * branch_samples, int(math.ceil(math.log(0.5 / epsilon) / math.log(1.02))))
-        tail = 1.0 - 0.5 * np.power(2.0 * epsilon, np.linspace(0.0, 1.0, n_tail))
-        plus_u = np.unique(np.concatenate((head, tail)))
-        self.plus_u = plus_u
-        self.plus_f = self._cumulative(plus_u)
-        self.minus_u = -plus_u[::-1]
-        self.minus_f = self._cumulative(self.minus_u[::-1])[::-1].copy()
+        def integrand(w):
+            return float(m.df(w)) / (float(m.f(w)) + float(m.h(w)))
+
+        for u in (0.5, -0.5):
+            # the relative goal absorbs the cancellation noise of f + h
+            closed, quad = self.value(u), adaptive_simpson(integrand, 0.0, u, 1e-14, 3e-11)
+            if not abs(closed - quad) <= 1e-9:
+                raise DomainError(f"model '{m.name}': closed-form Fhat({u}) = {closed!r} disagrees with "
+                                  f"quadrature {quad!r}")
+
+        # 257 linear samples over [0, 0.5], then 1023 more at u = 1 - delta
+        # with delta shrinking geometrically, by under 2 % a step, to epsilon
+        tail = 1.0 - 0.5 * np.power(2.0 * self.epsilon, np.linspace(0.0, 1.0, 1024))
+        self.plus_u = np.concatenate((np.linspace(0.0, 0.5, 257), tail[1:]))
+        self.minus_u = -self.plus_u[::-1]
+        self.minus_f, self.plus_f = np.split(self.value(np.concatenate((self.minus_u, self.plus_u))), 2)
 
         if not (np.all(np.diff(self.plus_f) < 0.0) and np.all(self.plus_f[1:] < 0.0)):
-            raise DomainError(f"model '{model.name}': Fhat is not decreasing and negative on (0, 1)")
+            raise DomainError(f"model '{m.name}': Fhat is not decreasing and negative on (0, 1)")
         if not (np.all(np.diff(self.minus_f) > 0.0) and np.all(self.minus_f[:-1] < 0.0)):
-            raise DomainError(f"model '{model.name}': Fhat is not increasing and negative on (-1, 0)")
+            raise DomainError(f"model '{m.name}': Fhat is not increasing and negative on (-1, 0)")
         # the plus branch must dive deep enough that an escape threshold
         # exists for every radius the clamp allows us to speak about
-        if self.plus_f[-1] > 0.5 * math.log(2.0 * epsilon):
-            raise DomainError(
-                f"model '{model.name}': Fhat plus branch too shallow "
-                f"({self.plus_f[-1]:.3g} at u = 1 - epsilon); escape thresholds would not exist"
-            )
+        if self.plus_f[-1] > 0.5 * math.log(2.0 * self.epsilon):
+            raise DomainError(f"model '{m.name}': Fhat plus branch too shallow ({self.plus_f[-1]:.3g} at "
+                              "u = 1 - epsilon); escape thresholds would not exist")
 
-    def _integrand(self, w: float) -> float:
-        return float(self.model.df(w)) / (float(self.model.f(w)) + float(self.model.h(w)))
+    def value(self, u):
+        """Fhat(u) for a scalar (returned as a float) or an array of states."""
+        w = np.asarray(u, dtype=float)
+        if np.any(np.abs(w) > 1.0 - self.epsilon):
+            raise DomainError(f"Fhat argument {w.flat[np.argmax(np.abs(w))]} outside the clamped domain "
+                              f"[-1 + {self.epsilon}, 1 - {self.epsilon}]")
+        out = (self._c_ends[0] * np.log1p(-w) + self._c_ends[1] * np.log1p(w) + self._poly(w)
+               + np.sum((self._c_roots * np.log1p(-w[..., None] / self._roots)).real, axis=-1))
+        near = np.abs(w) <= self._series_radius
+        out = np.where(near, self._series(np.where(near, w, 0.0)), out)
+        return float(out) if out.ndim == 0 else out
 
-    def _cumulative(self, nodes: np.ndarray) -> np.ndarray:
-        """Prefix integrals along nodes ordered outward from 0."""
-        out = np.empty(nodes.size)
-        acc = 0.0
-        prev = 0.0
-        for i, u in enumerate(nodes):
-            if u != prev:
-                acc += adaptive_simpson(self._integrand, prev, float(u), self._SEGMENT_TOL,
-                                        self._SEGMENT_REL)
-            out[i] = acc
-            prev = float(u)
-        return out
-
-    def value(self, u: float) -> float:
-        """Fhat(u) as the cached prefix integral plus one closing segment."""
-        u = float(u)
-        if abs(u) > 1.0 - self.epsilon:
-            raise DomainError(
-                f"Fhat argument {u} outside the clamped domain [-1 + {self.epsilon}, 1 - {self.epsilon}]"
-            )
-        got = self._memo.get(u)
-        if got is not None:
-            return got
-        if u > 0.0:
-            idx = int(np.searchsorted(self.plus_u, u, side="right")) - 1
-            base_u = float(self.plus_u[idx])
-            base_f = float(self.plus_f[idx])
-        else:
-            idx = int(np.searchsorted(self.minus_u, u, side="left"))
-            base_u = float(self.minus_u[idx])
-            base_f = float(self.minus_f[idx])
-        val = base_f
-        if u != base_u:
-            val += adaptive_simpson(self._integrand, base_u, u, self._SEGMENT_TOL,
-                                    self._SEGMENT_REL)
-        if not self._frozen:
-            self._memo[u] = val
-        return val
-
-    def freeze(self) -> "FhatTable":
-        self._frozen = True
-        return self
+    def slope(self, u: np.ndarray) -> np.ndarray:
+        """dFhat/du = f'(u) / ((u - 1)(u + 1) q(u)), free of the cancellation in f + h."""
+        return self.model.df(u) / ((u - 1.0) * (u + 1.0) * self._q(u))
 
     def branch(self, name: str):
         if name == "plus":
@@ -182,48 +175,59 @@ class FhatTable:
         raise DomainError(f"branch must be 'plus' or 'minus', got {name!r}")
 
 
-def build_fhat_table(m: FluxModel, epsilon: float = 1e-9, branch_samples: int = 512) -> FhatTable:
-    return FhatTable(m, epsilon, branch_samples)
+def build_fhat_table(m: FluxModel) -> FhatTable:
+    return FhatTable(m)
 
 
-def fhat_inverse(table: FhatTable, branch: str, y: float) -> float:
-    """Invert one monotone branch of Fhat by bisection to |du| <= 1e-12."""
-    if y > 0.0:
-        raise RangeError(f"Fhat only takes values <= 0, got target {y}")
+def fhat_inverse(table: FhatTable, branch: str, y):
+    """Invert one monotone branch of Fhat at a scalar or an array of targets.
+
+    Each target is bracketed between two branch samples and solved by
+    Newton's method from the secant guess, falling back to bisection
+    whenever a step leaves the bracket or fails to halve, until the step or
+    the bracket is below 1e-14.  A scalar target returns a float.
+    """
+    target = np.asarray(y, dtype=float)
+    if np.any(target > 0.0):
+        raise RangeError(f"Fhat only takes values <= 0, got target {float(np.max(target))}")
     us, fs = table.branch(branch)
-    if y == 0.0:
-        return 0.0
     f_min = float(np.min(fs))
-    if y < f_min:
-        raise RangeError(
-            f"target {y} below the achievable range of the {branch} branch (min {f_min:.6g})"
-        )
+    if np.any(target < f_min):
+        raise RangeError(f"target {float(np.min(target))} below the achievable range of the {branch} "
+                         f"branch (min {f_min:.6g})")
 
-    # bracket on the sample table, then bisect with true quadrature values
-    if branch == "plus":
-        idx = int(np.searchsorted(-fs, -y))  # fs decreasing
+    # sign * Fhat increases along the branch samples, which ascend in u
+    sign = -1.0 if branch == "plus" else 1.0
+    idx = np.clip(np.searchsorted(sign * fs, sign * target), 1, us.size - 1)
+    lo, hi = us[idx - 1], us[idx]
+    u = np.clip(lo + (hi - lo) * ((target - fs[idx - 1]) / (fs[idx] - fs[idx - 1])), lo, hi)
+    last_step = hi - lo
+    active = np.ones(target.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        g = sign * (table.value(u) - target)
+        lo = np.where(g <= 0.0, u, lo)
+        hi = np.where(g >= 0.0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = np.where(g == 0.0, u, u - g / (sign * table.slope(u)))
+        newton = (lo <= new) & (new <= hi) & (np.abs(new - u) <= 0.5 * last_step)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        last_step = np.abs(new - u)
+        u = np.where(active, new, u)
+        active &= (last_step > _NEWTON_TOL) & (hi - lo > _NEWTON_TOL)
+        if not np.any(active):
+            break
     else:
-        idx = int(np.searchsorted(fs, y))
-    lo = us[max(idx - 1, 0)]
-    hi = us[min(idx, us.size - 1)]
-    a, b = (lo, hi) if lo <= hi else (hi, lo)
-    while b - a > INVERSE_TOL:
-        mid = 0.5 * (a + b)
-        fm = table.value(mid)
-        same_side = (fm >= y) if branch == "plus" else (fm <= y)
-        if same_side:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+        raise NumericsError(f"Fhat inverse on the {branch} branch did not converge")
+    u = np.where(target == 0.0, 0.0, u)
+    return float(u) if u.ndim == 0 else u
 
 
-def escape_velocity(table: FhatTable, mass: float, r0: float) -> float:
-    """Threshold state at radius r0 separating infall from escape."""
-    if not r0 > 2.0 * mass:
+def escape_velocity(table: FhatTable, mass: float, r0):
+    """Threshold state at radius r0 (scalar or array) separating infall from escape."""
+    r0 = np.asarray(r0, dtype=float)
+    if not np.all(r0 > 2.0 * mass):
         raise DomainError(f"r0={r0} must exceed the horizon radius {2 * mass}")
-    a0 = 1.0 - 2.0 * mass / r0
-    return fhat_inverse(table, "plus", math.log(a0))
+    return fhat_inverse(table, "plus", np.log(1.0 - 2.0 * mass / r0))
 
 
 def classify_fate(table: FhatTable, mass: float, r0: float, u0: float) -> Fate:
@@ -234,18 +238,18 @@ def classify_fate(table: FhatTable, mass: float, r0: float, u0: float) -> Fate:
     if abs(u0 - u_escape) <= 1e-12:
         return Fate(kind="marginal", u_limit=0.0, r_limit_finite=False)
     if u0 > u_escape:
-        target = table.value(u0) - table.value(u_escape)
-        return Fate(kind="escapes", u_limit=fhat_inverse(table, "plus", target), r_limit_finite=False)
+        f_u0, f_escape = table.value(np.array([u0, u_escape]))
+        return Fate(kind="escapes", u_limit=fhat_inverse(table, "plus", f_u0 - f_escape), r_limit_finite=False)
     return Fate(kind="falls_in", u_limit=-1.0, r_limit_finite=True)
 
 
 def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) -> np.ndarray:
     """Steady-state profile through (r0, u0) on its Fhat branch.
 
-    Solves Fhat(u(r)) = Fhat(u0) + log(a(r)/a(r0)) pointwise.  u0 = 0 is
-    rejected (the profile ODE is singular at the sonic value); radii whose
-    implicit value leaves the branch range raise RangeError with the
-    admissible interval in the message.
+    Solves Fhat(u(r)) = Fhat(u0) + log(a(r)/a(r0)) at every radius with
+    one inverse.  u0 = 0 is rejected (the profile ODE is singular at the
+    sonic value); radii whose implicit value leaves the branch range raise
+    RangeError with the admissible interval in the message.
     """
     if u0 == 0.0:
         raise DomainError("steady profiles need u0 != 0 (f'(0) = 0 makes the profile ODE singular)")
@@ -258,40 +262,23 @@ def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) 
         raise DomainError("steady profile radii must exceed the horizon radius")
 
     branch = "plus" if u0 > 0.0 else "minus"
-    _, fs = table.branch(branch)
-    f_min = float(np.min(fs))
+    f_min = float(np.min(table.branch(branch)[1]))
     f0 = table.value(u0)
     a0 = 1.0 - 2.0 * mass / r0
-
-    out = np.empty_like(grid)
-    for i, r in enumerate(grid.ravel()):
-        a_r = 1.0 - 2.0 * mass / r
-        y = f0 + math.log(a_r / a0)
-        if y > 0.0 or y < f_min:
-            lo, hi = _admissible_interval(mass, r0, u0, f0, f_min)
-            raise RangeError(
-                f"steady profile leaves the {branch} branch at r={r}; admissible radii: [{lo:.9g}, {hi}]"
-            )
-        out.ravel()[i] = fhat_inverse(table, branch, y)
-
-    order = np.argsort(grid.ravel())
-    sorted_u = out.ravel()[order]
-    tol = 1e-9
-    if u0 > 0.0 and np.any(np.diff(sorted_u) > tol):
-        raise RangeError("steady profile failed its monotonicity check (expected decreasing in r)")
-    if u0 < 0.0 and np.any(np.diff(sorted_u) < -tol):
-        raise RangeError("steady profile failed its monotonicity check (expected increasing in r)")
+    y = f0 + np.log((1.0 - 2.0 * mass / grid) / a0)
+    outside = (y > 0.0) | (y < f_min)
+    if np.any(outside):
+        # the profile stays on its branch for a0 e^(f_min - f0) <= a(r) <= a0 e^(-f0)
+        lo, hi = (2.0 * mass / (1.0 - a) if a < 1.0 else math.inf
+                  for a in (a0 * math.exp(f_min - f0), a0 * math.exp(-f0)))
+        raise RangeError(f"steady profile leaves the {branch} branch at r={grid[outside].flat[0]}; "
+                         f"admissible radii: [{lo:.9g}, {hi:.9g}]")
+    out = fhat_inverse(table, branch, y)
+    # decreasing in r for u0 > 0, increasing for u0 < 0
+    if np.any(math.copysign(1.0, u0) * np.diff(np.ravel(out)[np.argsort(grid.ravel())]) > 1e-9):
+        raise RangeError("steady profile failed its monotonicity check "
+                         f"(expected {'decreasing' if u0 > 0.0 else 'increasing'} in r)")
     return out
-
-
-def _admissible_interval(mass: float, r0: float, u0: float, f0: float, f_min: float):
-    """Radii where the steady profile stays on its branch."""
-    a0 = 1.0 - 2.0 * mass / r0
-    a_hi = a0 * math.exp(-f0)  # a(r) <= a_hi keeps y <= 0
-    a_lo = a0 * math.exp(f_min - f0)
-    r_lo = 2.0 * mass / (1.0 - a_lo) if a_lo < 1.0 else math.inf
-    r_hi = 2.0 * mass / (1.0 - a_hi) if a_hi < 1.0 else math.inf
-    return r_lo, r_hi
 
 
 def rhs_exterior(m: FluxModel, mass: float, r: float, u: float):
@@ -439,8 +426,8 @@ def _rk4_trace(rhs, start: CharState, ds: float, s_max: float, guard_r: float,
 
 def exterior_invariant(table: FhatTable, mass: float, path: CharPath) -> np.ndarray:
     """Fhat(u) - log a(r) along a path; constant on exact characteristics."""
-    vals = np.array([table.value(min(max(u, -1.0 + table.epsilon), 1.0 - table.epsilon)) for u in path.u])
-    return vals - np.log(1.0 - 2.0 * mass / path.r)
+    u = np.clip(path.u, -1.0 + table.epsilon, 1.0 - table.epsilon)
+    return table.value(u) - np.log(1.0 - 2.0 * mass / path.r)
 
 
 def interior_invariant(mass: float, path: CharPath) -> np.ndarray:

@@ -132,7 +132,7 @@ def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
         start = CharState(s=0.0, t=0.0, r=cfg.char_r0, u=cfg.char_u0)
         path = trace_exterior(model, cfg.mass, start, cfg.char_ds, cfg.char_s_max,
                               r_stop=cfg.char_r_stop)
-        table = build_fhat_table(model).freeze()
+        table = build_fhat_table(model)
         inv = exterior_invariant(table, cfg.mass, path)
     else:
         if cfg.model != "burgers":
@@ -157,7 +157,7 @@ def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
 def _cmd_steady(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model().require_admissible()
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
-    table = build_fhat_table(model).freeze()
+    table = build_fhat_table(model)
     profile = steady_profile(table, cfg.mass, cfg.steady_r0, cfg.steady_u0, mesh.centers)
     _write_csv(out / "steady.csv", "r,u", zip(mesh.centers, profile))
     return 0

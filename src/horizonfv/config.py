@@ -223,7 +223,10 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    # no header can name the empty section, so [DEFAULT] is an ordinary
+    # section here: refused as unknown, its keys not copied into the others
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None,
+                                       default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:

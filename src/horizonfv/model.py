@@ -186,6 +186,14 @@ def _remainder(a: list[int], b: list[int]) -> list[int]:
     return [c // content for c in a]
 
 
+def _has_repeated_root(p: list[int]) -> bool:
+    """Whether p has a repeated real or complex root: gcd(p, p') is not constant."""
+    a, b = p, _derivative(p)
+    while b:
+        a, b = b, _remainder(a, b)
+    return len(a) > 1
+
+
 def _roots_inside(p: list[int]) -> int:
     """Distinct real roots in (-1, 1) of a polynomial with p(-1), p(1) != 0.
 

@@ -1,9 +1,9 @@
-"""Adaptive Simpson quadrature used by the characteristic machinery.
+"""Adaptive Simpson quadrature, the independent check of the closed-form Fhat.
 
 It integrates a scalar callable on a finite interval and refines until the
-classic Richardson estimate meets an absolute tolerance; it is the
-workhorse behind the singular integrals that blow up logarithmically near
-the ends of the state interval.
+classic Richardson estimate meets an absolute tolerance.  Each Fhat table
+integrates f' / (f + h) with it once per branch, away from the poles at
+the ends of the state interval, and compares with its closed form.
 """
 
 from __future__ import annotations

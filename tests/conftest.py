@@ -17,7 +17,7 @@ def burgers():
 
 @pytest.fixture(scope="session")
 def fhat_table(burgers):
-    return build_fhat_table(burgers).freeze()
+    return build_fhat_table(burgers)
 
 
 @pytest.fixture(scope="session")

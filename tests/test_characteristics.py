@@ -1,15 +1,19 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from horizonfv import characteristics
 from horizonfv import (
+    Background,
     CharState,
     DomainError,
     RangeError,
     StepSizeError,
     UnsupportedModelError,
     build_fhat_table,
+    build_uniform_mesh,
     classify_fate,
     escape_velocity,
     exterior_invariant,
@@ -62,6 +66,44 @@ def test_fhat_worked_values(fhat_table):
     assert fhat_table.value(0.0) == 0.0
     assert fhat_table.value(0.6) == pytest.approx(math.log(0.64), abs=1e-11)
     assert fhat_table.value(-0.6) == pytest.approx(math.log(0.64), abs=1e-11)
+
+
+def test_fhat_near_clamp_matches_cancellation_free_forms(fhat_table, quartic):
+    eps = 1e-9
+    tail = np.logspace(-9, -1, 300)
+    u = np.concatenate((np.linspace(-1.0 + eps, 1.0 - eps, 4001), 1.0 - tail, tail - 1.0))
+    burgers_form = np.log1p(-u) + np.log1p(u)
+    assert np.max(np.abs(fhat_table.value(u) - burgers_form)) <= 1e-13
+    quartic_form = burgers_form + np.log1p(u * u)
+    assert np.max(np.abs(build_fhat_table(quartic).value(u) - quartic_form)) <= 1e-13
+
+
+def test_fhat_of_a_flat_flux_keeps_relative_accuracy_near_zero():
+    # f = (s^8 - 1)/2, h = 0: Fhat = log1p(-u^8), far below the rounding of
+    # the residue logarithms near 0, so the branch samples there are only
+    # monotone because the Taylor series takes over
+    table = build_fhat_table(polynomial_model("octic", (-0.5,) + (0.0,) * 7 + (0.5,), (0.0,)))
+    u = np.linspace(-0.999, 0.999, 2001)
+    assert np.max(np.abs(table.value(u) - np.log1p(-u ** 8))) <= 1e-13
+    small = np.array([1e-3, 1 / 512, -0.05, 0.2])
+    assert np.max(np.abs(table.value(small) / np.log1p(-small ** 8) - 1.0)) <= 1e-14
+
+
+def test_fhat_value_takes_scalars_and_arrays(fhat_table):
+    us = np.array([[-0.7, -1e-3], [0.0, 0.999]])
+    got = fhat_table.value(us)
+    assert got.shape == us.shape
+    assert got.ravel().tolist() == [fhat_table.value(float(u)) for u in us.ravel()]
+    assert isinstance(fhat_table.value(0.3), float)
+
+
+def test_fhat_refuses_repeated_root_of_q():
+    # f + h = (s^2 - 1)(s^2 + 1)^2 / 2, so q = (s^2 + 1)^2 / 2 has double
+    # roots at +/-i; the model itself is admissible
+    m = polynomial_model("double", (-0.5, 0.0, 0.5), (0.0, 0.0, -1.0, 0.0, 0.5, 0.0, 0.5))
+    assert m.structure.all_ok
+    with pytest.raises(UnsupportedModelError, match="repeated root"):
+        build_fhat_table(m)
 
 
 def test_fhat_table_refuses_inadmissible_model():
@@ -182,6 +224,31 @@ def test_steady_profile_range_error_reports_interval(fhat_table):
     # right at the edge it still works
     edge = steady_profile(fhat_table, 1.0, 4.0, -0.5, np.array([5.9]))
     assert edge[0] < 0.0
+
+
+def test_steady_profile_work_is_one_vectorised_inverse(monkeypatch, burgers):
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(characteristics, "adaptive_simpson",
+                        counting("simpson", characteristics.adaptive_simpson))
+    table = build_fhat_table(burgers)
+    assert calls["simpson"] <= 2
+    monkeypatch.setattr(characteristics, "fhat_inverse",
+                        counting("inverse", characteristics.fhat_inverse))
+    monkeypatch.setattr(characteristics.FhatTable, "value",
+                        counting("value", characteristics.FhatTable.value))
+    radii = build_uniform_mesh(Background(1.0), 12.0, 400).centers
+    profile = steady_profile(table, 1.0, 4.0, 0.9, radii)
+    assert profile.shape == (400,)
+    assert calls["inverse"] == 1
+    # the anchor value plus a few Newton sweeps over all radii at once
+    assert calls["value"] <= 8
 
 
 def test_steady_profile_sonic_anchor_rejected(fhat_table):

@@ -168,6 +168,17 @@ r = 8.0
     assert str(err.value) == "unknown key 'cells' in section [characteristics] (line 13)"
 
 
+def test_default_section_rejected_by_name(tmp_path):
+    # configparser would copy [DEFAULT] keys into every other section
+    body = "[DEFAULT]\nr0 = 3.0\n" + MINIMAL
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, body))
+    assert str(err.value) == "unknown section [DEFAULT] (line 1)"
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, "[DEFAULT]\nseed = 3\n"))
+    assert str(err.value) == "unknown section [DEFAULT] (line 1)"
+
+
 def test_unknown_section_rejected(tmp_path):
     body = MINIMAL + "\n[vibes]\nlevel = 11\n"
     with pytest.raises(ConfigError) as err:

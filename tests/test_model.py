@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from horizonfv import (
     DEFAULT_KRUZHKOV_LEVELS,
     Background,
     DomainError,
+    build_fhat_table,
     build_uniform_mesh,
     check_structure,
     kruzhkov_pair,
@@ -154,6 +157,42 @@ def test_sextic_flux_lipschitz_is_the_sup():
     fine = np.abs(m.df(np.linspace(peak - 2e-5, peak + 2e-5, 4001)))
     assert abs(m.flux_lipschitz - fine.max()) <= 1e-14 * fine.max()
     assert m.source_slope == m.flux_lipschitz  # h = 0
+
+
+def test_sextic_fhat_is_the_log_of_the_flux():
+    # h = 0, so Fhat(u) = log(f(u) / f(0)); f is taken in its factored form
+    # (s^2 - 1)((5/3)(s^2 - 1)^2 + 1/2), because Horner's sum of the
+    # coefficients loses about 1e-12 relative within 1e-3 of +/-1
+    table = build_fhat_table(polynomial_model("sextic", SEXTIC_F, [0.0]))
+    u = np.linspace(-0.999, 0.999, 2001)
+    w = (1.0 - u) * (1.0 + u)
+    expected = np.log(w) + np.log(5.0 / 3.0 * w * w + 0.5) - math.log(13.0 / 6.0)
+    assert np.max(np.abs(table.value(u) - expected)) <= 1e-13
+
+
+def test_cli_sextic_steady_drift_and_characteristics(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "sextic.ini"
+    cfg.write_text(f"""[model]
+model = custom
+f_coeffs = {", ".join(repr(c) for c in SEXTIC_F)}
+h_coeffs = 0.0
+[geometry]
+mass = 1.0
+r_max = 12.0
+cells = 50
+[evolution]
+t_end = 0.1
+[characteristics]
+s_max = 1.0
+[run]
+output_dir = {out}
+""")
+    for command in ("steady", "steady-drift", "characteristics"):
+        assert main([command, str(cfg)]) == 0, command
+    assert len((out / "steady.csv").read_text().splitlines()) == 51
+    assert math.isfinite(json.loads((out / "steady_drift.json").read_text())["l1_drift"])
+    assert json.loads((out / "summary.json").read_text())["invariant_drift"] <= 1e-8
 
 
 # max_timestep as the sampled sup |f' + h'| gave it; every sup here sits at
