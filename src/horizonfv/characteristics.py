@@ -96,8 +96,7 @@ class FhatTable:
     every |u| <= 1 - epsilon, the clamp.  Construction refuses an
     inadmissible model (UnsupportedModelError naming the flags) and checks
     the branch samples: decreasing and negative on the plus branch,
-    increasing and negative on the minus branch, and deep enough for every
-    escape threshold to exist.  Immutable and thread-safe.
+    increasing and negative on the minus branch.  Immutable and thread-safe.
     """
 
     epsilon = 1e-9  # Fhat is evaluated for |u| <= 1 - epsilon only
@@ -145,11 +144,6 @@ class FhatTable:
             raise DomainError(f"model '{m.name}': Fhat is not decreasing and negative on (0, 1)")
         if not (np.all(np.diff(self.minus_f) > 0.0) and np.all(self.minus_f[:-1] < 0.0)):
             raise DomainError(f"model '{m.name}': Fhat is not increasing and negative on (-1, 0)")
-        # the plus branch must dive deep enough that an escape threshold
-        # exists for every radius the clamp allows us to speak about
-        if self.plus_f[-1] > 0.5 * math.log(2.0 * self.epsilon):
-            raise DomainError(f"model '{m.name}': Fhat plus branch too shallow ({self.plus_f[-1]:.3g} at "
-                              "u = 1 - epsilon); escape thresholds would not exist")
 
     def value(self, u):
         """Fhat(u) for a scalar (returned as a float) or an array of states."""

@@ -47,10 +47,6 @@ _CSV_BLOCK_ROWS = 4096
 _CONVERGE_THRESHOLDS = {"smooth": 0.8, "riemann": 0.5, "flat": None}
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -73,7 +69,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def _prepare_outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "resolved_config.ini", resolved_config_text(cfg))
+    (out / "resolved_config.ini").write_text(resolved_config_text(cfg))
     return out
 
 

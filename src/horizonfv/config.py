@@ -22,9 +22,9 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model, polynomial_model
-from .scheme import COPY_BOUNDARY, OuterBoundary, bump_data, constant_data, fixed_boundary, step_data
+from .scheme import (COPY_BOUNDARY, FLUX_KINDS, OuterBoundary, bump_data, constant_data, fixed_boundary,
+                     step_data)
 
-_FLUXES = ("godunov", "eo", "rusanov")
 _PRESET_NAMES = ("smooth", "riemann", "flat")
 
 
@@ -172,8 +172,8 @@ def _validate(cfg: RunConfig) -> None:
             fail("geometry.outer_boundary", f"fixed value {parts[1]!r} is not a number")
         if not -1.0 <= value <= 1.0:
             fail("geometry.outer_boundary", f"fixed value {value} outside [-1, 1]")
-    if cfg.flux not in _FLUXES:
-        fail("evolution.flux", f"must be one of {_FLUXES}, got {cfg.flux!r}")
+    if cfg.flux not in FLUX_KINDS:
+        fail("evolution.flux", f"must be one of {FLUX_KINDS}, got {cfg.flux!r}")
     if not 0.0 < cfg.cfl_fraction <= 1.0:
         fail("evolution.cfl_fraction", f"must lie in (0, 1], got {cfg.cfl_fraction}")
     if not cfg.t_end > 0.0:

@@ -23,8 +23,8 @@ from .characteristics import FhatTable, build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model
-from .scheme import (_QUOTIENT_FLOOR, COPY_BOUNDARY, NumericalFlux, StateVector, StepReport, bump_data,
-                     constant_data, convex_coefficients, face_states, numerical_flux, run, step_data)
+from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
+                     convex_coefficients, numerical_flux, run, step_data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,36 +307,9 @@ class FuzzReport:
         return {**vars(self), "ok": self.ok}
 
 
-_FUZZ_FLUXES = ("godunov", "eo", "rusanov")
-
 ENTROPY_RESIDUAL_TOL = 1e-13
 DECOMPOSITION_TOL = 1e-13
 BALANCE_REL_TOL = 1e-12
-# The convex coefficients are nonnegative in exact arithmetic; recovering
-# them divides a rounded flux difference by the state jump, so the measured
-# minimum carries noise of order eps / |jump| as neighboring cells converge.
-# A step below COEFFICIENT_TOL is a violation only if some coefficient is
-# also below minus its own rounding bound: _ROUNDING_ULPS ulps of max |f|
-# on the flux difference, scaled like the coefficient by tau a / (|K| |jump|).
-COEFFICIENT_TOL = -1e-8
-_ROUNDING_ULPS = 8.0
-
-
-def _coefficient_below_rounding(state: StateVector, report: StepReport, mesh: RadialMesh,
-                                m: FluxModel, triples) -> bool:
-    """Per-cell recheck of a step whose smallest coefficient is below
-    COEFFICIENT_TOL, given that step's (A_center, A_left, A_right) from
-    convex_coefficients; max |f| on [-1, 1] is taken at -1, 0 and 1, as holds
-    for the unimodal flux shape the campaign's fluxes require."""
-    a_center, a_left, a_right = triples
-    left, right = face_states(state.values, COPY_BOUNDARY, None)
-    f_max = float(np.max(np.abs(m.f(np.array([-1.0, 0.0, 1.0])))))
-    unit = _ROUNDING_ULPS * np.finfo(float).eps * f_max * report.tau_used / mesh.widths
-    b_left = unit * mesh.face_weights[:-1] / np.maximum(np.abs(left[:-1] - state.values), _QUOTIENT_FLOOR)
-    b_right = unit * mesh.face_weights[1:] / np.maximum(np.abs(right[1:] - state.values), _QUOTIENT_FLOOR)
-    coeffs = np.concatenate((a_center, a_left, a_right))
-    bounds = np.concatenate((b_left + b_right, b_left, b_right))
-    return bool(np.any(coeffs < -np.maximum(bounds, -COEFFICIENT_TOL)))
 
 
 def _piecewise_from_breaks(breaks: np.ndarray, values: np.ndarray) -> Callable:
@@ -355,11 +328,9 @@ def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: Flux
         report.total_steps += 1
         report.worst_abs_state = max(report.worst_abs_state, float(np.max(np.abs(after.values))))
 
-        triples = convex_coefficients(before, step_report, mesh, model)
-        coeff_min = float(min(a.min() for a in triples))
+        coeff_min = float(min(a.min() for a in convex_coefficients(before, step_report, mesh, model, nf)))
         report.min_convex_coeff = min(report.min_convex_coeff, coeff_min)
-        if coeff_min < COEFFICIENT_TOL and \
-                _coefficient_below_rounding(before, step_report, mesh, model, triples):
+        if coeff_min < 0.0:
             report.violations.append({"config": config, "kind": "convex_coefficient",
                                       "detail": coeff_min})
 
@@ -394,8 +365,10 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
 
     Each trial draws piecewise-constant data in [-1, 1], a mass in [0, 2],
     one of the three fluxes, and a CFL fraction in (0, 1], evolves it with
-    ``run`` and checks every step: the convex coefficients' nonnegativity,
-    the convex-decomposition identity, and one ledger for the transport
+    ``run`` and checks every step: the convex coefficients, exact from the
+    flux's increments, against 0.0 with no tolerance (``min_convex_coeff``
+    records the smallest, a zero as 0.0), the convex-decomposition
+    identity, and one ledger for the transport
     entropy residual at every requested Kruzhkov level and the quadratic
     balance gap.  A NumericsError out of ``run`` (a NaN or a breach of the
     maximum principle) ends the trial as a ``state_invariant`` violation.
@@ -417,7 +390,7 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
         values = rng.uniform(-1.0, 1.0, size=n_pieces)
         pin = rng.random(size=n_pieces) < 0.15
         values[pin] = rng.choice([-1.0, 1.0], size=int(np.count_nonzero(pin)))
-        flux_kind = str(rng.choice(_FUZZ_FLUXES))
+        flux_kind = str(rng.choice(FLUX_KINDS))
         cfl = float(1.0 - rng.uniform(0.0, 1.0) * (1.0 - 1e-6))  # in (0, 1]
 
         mesh = build_uniform_mesh(Background(mass), r_max, cells)

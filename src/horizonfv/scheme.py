@@ -36,9 +36,6 @@ from .errors import CflError, ContractError, DomainError, NumericsError, Unsuppo
 from .geometry import RadialMesh, max_timestep
 from .model import FluxModel
 
-# difference quotients below this state separation are treated as zero
-_QUOTIENT_FLOOR = 1e-13
-
 _GAUSS3_OFFSET = math.sqrt(0.6)  # 3-point Gauss-Legendre nodes at center +/- offset*dr/2
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
@@ -96,47 +93,88 @@ def flux_godunov(m: FluxModel, u, v):
 def flux_engquist_osher(m: FluxModel, u, v):
     """f(max(u, 0)) + f(min(v, 0)) - f(0): the split-derivative flux in
     closed form for the unimodal shape."""
-    _require_shape(m, "engquist_osher")
+    _require_shape(m, "eo")
     f0 = float(m.f(0.0))
     out = m.f(np.maximum(u, 0.0)) + m.f(np.minimum(v, 0.0)) - f0
     return _scalarize(out, u, v)
 
 
+def _divided_difference(m: FluxModel, x, y):
+    """(f(x) - f(y)) / (x - y), and f'(x) where x == y, in O(degree):
+    synthetic division of f by s - y, summed by Horner at x in one loop."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    b = acc = np.zeros(np.broadcast(x, y).shape)
+    for c in reversed(m.f_poly[1:]):
+        b = c + y * b  # the quotient's coefficients, highest first
+        acc = acc * x + b
+    return acc
+
+
+def _rusanov_increments(m: FluxModel, u, v):
+    dd = _divided_difference(m, u, v)
+    return 0.5 * (m.flux_lipschitz + dd), 0.5 * (m.flux_lipschitz - dd)
+
+
+def _selected_increments(m: FluxModel, u, v, c_states, d_states):
+    """Increments of a flux that is f at selected states, with
+    nf(u, v) - f(v) = f(a) - f(b) for (a, b) = c_states and likewise
+    nf(u, v) - f(u) for d_states: each is dd(a, b) (a - b) / (u - v).  At
+    u == v, where a == b, they take their limits, the positive part of
+    dd(a, a) = f'(a) for C and the negative part for D."""
+    flat = u == v
+    jump = np.where(flat, np.inf, u - v)
+    (a, b), (p, q) = c_states, d_states
+    c, d = _divided_difference(m, a, b), _divided_difference(m, p, q)
+    return (np.where(flat, np.maximum(c, 0.0), c * ((a - b) / jump)),
+            np.where(flat, np.maximum(-d, 0.0), d * ((p - q) / jump)))
+
+
+def _godunov_increments(m: FluxModel, u, v):
+    # the state the flux selects; for u > v the end where f is larger, told
+    # by the sign of dd(u, v) rather than by comparing rounded values of f
+    chosen = np.where(u <= v, np.minimum(np.maximum(u, 0.0), v),
+                      np.where(_divided_difference(m, u, v) >= 0.0, u, v))
+    return _selected_increments(m, u, v, (chosen, v), (chosen, u))
+
+
+def _engquist_osher_increments(m: FluxModel, u, v):
+    return _selected_increments(m, u, v, (np.maximum(u, 0.0), np.maximum(v, 0.0)),
+                                (np.minimum(v, 0.0), np.minimum(u, 0.0)))
+
+
 @dataclass(frozen=True, eq=False)
 class NumericalFlux:
-    """A two-point monotone flux with its Lipschitz bound for the CFL rule."""
+    """A two-point monotone flux with its Lipschitz bound for the CFL rule
+    and, optionally, ``increments(m, u, v)``: Harten's coefficients (C, D)
+    >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) = -D (v - u)."""
 
     kind: str
     lipschitz_bound: float
     evaluate: Callable
+    increments: Optional[Callable] = None
 
 
-_FLUX_FUNCTIONS = {
-    "godunov": flux_godunov,
-    "eo": flux_engquist_osher,
-    "engquist_osher": flux_engquist_osher,
-    "rusanov": flux_rusanov,
+_FLUXES = {
+    "godunov": (flux_godunov, _godunov_increments),
+    "eo": (flux_engquist_osher, _engquist_osher_increments),
+    "rusanov": (flux_rusanov, _rusanov_increments),
 }
+FLUX_KINDS = tuple(_FLUXES)
 
 
 def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
-    """Bind a named flux to a model with its Lipschitz bound.
+    """Bind a named flux to a model with its Lipschitz bound and increments.
 
     For all three bundled fluxes the bound in either argument is max |f'|,
     the model's certified ``flux_lipschitz`` (for Rusanov that equals the
     dissipation coefficient lam).
     """
-    key = kind.lower()
-    if key not in _FLUX_FUNCTIONS:
+    if kind not in _FLUXES:
         raise DomainError(f"unknown flux kind '{kind}' (godunov | eo | rusanov)")
-    if key in ("godunov", "eo", "engquist_osher"):
-        _require_shape(m, key)
-    canonical = "eo" if key == "engquist_osher" else key
-    return NumericalFlux(
-        kind=canonical,
-        lipschitz_bound=m.flux_lipschitz,
-        evaluate=_FLUX_FUNCTIONS[key],
-    )
+    if kind != "rusanov":
+        _require_shape(m, kind)
+    return NumericalFlux(kind, m.flux_lipschitz, *_FLUXES[kind])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +208,9 @@ class StepReport:
     """What one update used: the face fluxes (read-only) and the time step.
 
     Everything a diagnostic needs is rebuilt from these and the pre-step
-    state: the convex coefficients by convex_coefficients, the entropy
-    ledger by entropy.cell_entropy_residuals."""
+    state: the convex coefficients by convex_coefficients (from the time
+    step and the flux's increments; the face fluxes only for a flux without
+    them), the entropy ledger by entropy.cell_entropy_residuals."""
 
     fluxes: np.ndarray
     tau_used: float
@@ -187,30 +226,26 @@ def face_states(values: np.ndarray, outer: OuterBoundary, inner_ghost: Optional[
 
 
 def convex_coefficients(state: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel,
-                        outer: OuterBoundary = COPY_BOUNDARY,
+                        nf: NumericalFlux, outer: OuterBoundary = COPY_BOUNDARY,
                         inner_ghost: Optional[float] = None):
-    """Convex-decomposition coefficients (A_center, A_left, A_right) per cell,
-    reconstructed for a finished step."""
-    values, fluxes, tau = state.values, report.fluxes, report.tau_used
-    if values.size != mesh.n_cells:
+    """Convex-decomposition coefficients (A_center, A_left, A_right) per cell
+    of a finished step: tau a_L C / |K| across the left face, tau a_R D / |K|
+    across the right face, and 1 minus both, with nf's increments C and D.
+    A flux without increments gets the quotients of the recorded flux
+    differences by the state jumps instead, 0 across a zero jump."""
+    if state.values.size != mesh.n_cells:
         raise ContractError("state length does not match mesh cell count")
-    fc = np.asarray(m.f(values), dtype=float)
-    a_l = mesh.face_weights[:-1]
-    a_r = mesh.face_weights[1:]
-    left, right = face_states(values, outer, inner_ghost)
-    dv_left = left[:-1] - values  # neighbor across the left face, minus own value
-    dv_right = right[1:] - values
-
-    mask_left = np.abs(dv_left) > _QUOTIENT_FLOOR
-    mask_right = np.abs(dv_right) > _QUOTIENT_FLOOR
-    q_left = np.where(mask_left, (fluxes[:-1] - fc) / np.where(mask_left, dv_left, 1.0), 0.0)
-    q_right = np.where(mask_right, (fluxes[1:] - fc) / np.where(mask_right, dv_right, 1.0), 0.0)
-
-    scale = tau / mesh.widths
-    a_left = scale * a_l * q_left
-    a_right = -scale * a_r * q_right
-    a_center = 1.0 - a_left - a_right
-    return a_center, a_left, a_right
+    left, right = face_states(state.values, outer, inner_ghost)
+    if nf.increments is not None:
+        c, d = nf.increments(m, left, right)
+    else:
+        jump = np.where(left == right, np.inf, left - right)
+        c, d = (report.fluxes - m.f(right)) / jump, (report.fluxes - m.f(left)) / jump
+    scale = report.tau_used / mesh.widths
+    # adding 0.0 clears the sign of a zero, so a zero coefficient reads 0.0
+    a_left = scale * mesh.face_weights[:-1] * c[:-1] + 0.0
+    a_right = scale * mesh.face_weights[1:] * d[1:] + 0.0
+    return 1.0 - a_left - a_right, a_left, a_right
 
 
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,

@@ -28,6 +28,13 @@ def quartic():
 
 
 @pytest.fixture(scope="session")
+def sextic():
+    # f = -(5/3)(1 - s**2)**3 + s**2/2 - 1/2, h = 0: admissible, with a flat
+    # stretch of f' around s = 0.5
+    return polynomial_model("sextic", (-13 / 6, 0.0, 5.5, 0.0, -5.0, 0.0, 5 / 3), [0.0])
+
+
+@pytest.fixture(scope="session")
 def shifted():
     # f = s**2/2, h = -1/2: nonzero boundary flux; f + h matches burgers
     return polynomial_model("shifted", [0.0, 0.0, 0.5], [-0.5])

@@ -62,7 +62,8 @@ def _runs() -> dict[str, tuple[str, str]]:
     runs["converge-smooth"] = ("converge", _config("converge-smooth",
                                                    converge={"preset": "smooth", "levels": "3"}))
     runs["fuzz-seed42"] = ("fuzz", _config("fuzz-seed42", fuzz={"trials": "8"}, run={"seed": "42"}))
-    runs["check-model-inadmissible"] = ("check-model", _config("check-model-inadmissible", model=_INADMISSIBLE))
+    runs["check-model-inadmissible"] = ("check-model",
+                                        _config("check-model-inadmissible", model=_INADMISSIBLE))
     return runs
 
 

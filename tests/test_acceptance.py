@@ -42,14 +42,17 @@ def campaign():
 
 def test_acceptance_01_discrete_maximum_principle(campaign):
     report, elapsed = campaign
-    state_violations = [v for v in report.violations if v["kind"] == "state_invariant"]
+    state_violations = [v for v in report.violations
+                        if v["kind"] in ("state_invariant", "convex_coefficient")]
     assert not state_violations
     assert report.worst_abs_state <= 1.0  # zero tolerance
+    assert report.min_convex_coeff >= 0.0  # zero tolerance
     assert report.total_steps > 0
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 1 (discrete maximum principle): PASS "
           f"[{FUZZ_TRIALS} trials, {report.total_steps} steps, max |v| = "
-          f"{report.worst_abs_state:.17g}, {elapsed:.1f}s]")
+          f"{report.worst_abs_state:.17g}, min convex coefficient = {report.min_convex_coeff!r}, "
+          f"{elapsed:.1f}s]")
 
 
 def test_acceptance_02_discrete_entropy_inequality(campaign):

@@ -27,6 +27,18 @@ from horizonfv import (
     trace_interior,
 )
 from horizonfv.characteristics import _guard_u
+from horizonfv.cli import main
+
+# f = (s^2 - 1)/4, h = 7(s^2 - 1)/4: admissible, with Fhat(u) = log(1 - u^2)/8,
+# so (1 - u^2) / a^8 is conserved and the plus branch bottoms out near -2.5
+# at the clamp, far shallower than the log of the clamp distance
+SHALLOW_F = (-0.25, 0.0, 0.25)
+SHALLOW_H = (-1.75, 0.0, 1.75)
+
+
+@pytest.fixture(scope="module")
+def shallow_table():
+    return build_fhat_table(polynomial_model("shallow", SHALLOW_F, SHALLOW_H))
 
 
 # --- right-hand sides --------------------------------------------------------
@@ -192,6 +204,13 @@ def test_fate_trichotomy_against_closed_form(fhat_table):
             assert fate.u_limit == -1.0
 
 
+def test_escape_velocity_of_a_shallow_model(shallow_table):
+    # u_esc = sqrt(1 - a^8); at r = 2.1 that needs Fhat = log(a) < -3, below the branch
+    assert escape_velocity(shallow_table, 1.0, 4.0) == math.sqrt(1.0 - 2.0 ** -8)
+    with pytest.raises(RangeError):
+        escape_velocity(shallow_table, 1.0, 2.1)
+
+
 # --- steady profiles -------------------------------------------------------------
 
 def test_steady_profile_anchor_identity(fhat_table):
@@ -224,6 +243,40 @@ def test_steady_profile_range_error_reports_interval(fhat_table):
     # right at the edge it still works
     edge = steady_profile(fhat_table, 1.0, 4.0, -0.5, np.array([5.9]))
     assert edge[0] < 0.0
+
+
+def test_steady_profile_of_a_shallow_model(shallow_table):
+    grid = np.linspace(2.3, 4.1, 50)
+    got = steady_profile(shallow_table, 1.0, 4.0, 0.5, grid)
+    expected = np.sqrt(1.0 - (1.0 - 0.25) * ((1.0 - 2.0 / grid) / 0.5) ** 8)
+    assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+def test_cli_runs_a_shallow_model(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "shallow.ini"
+    cfg.write_text(f"""[model]
+model = custom
+f_coeffs = {", ".join(map(repr, SHALLOW_F))}
+h_coeffs = {", ".join(map(repr, SHALLOW_H))}
+[geometry]
+mass = 1.0
+r_max = 4.1
+cells = 10
+[evolution]
+t_end = 0.1
+[steady]
+r0 = 4.0
+u0 = 0.5
+[characteristics]
+r0 = 3.0
+s_max = 1.0
+[run]
+output_dir = {out}
+""")
+    for command in ("steady", "steady-drift", "characteristics"):
+        assert main([command, str(cfg)]) == 0, command
+    assert not (out / "failure_report.json").exists()
 
 
 def test_steady_profile_work_is_one_vectorised_inverse(monkeypatch, burgers):
