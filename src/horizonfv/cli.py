@@ -66,6 +66,28 @@ def _write_csv(path: Path, header: str, rows) -> None:
                 fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
+def _write_snapshots(path: Path, snapshots, centers: np.ndarray) -> None:
+    """snapshots.csv: a (t, r, v) row per snapshot and cell, as _write_csv
+    writes them.  The radii are formatted once and each time once per
+    snapshot, so a row formats only v; a block of _CSV_BLOCK_ROWS rows is
+    formatted and written at a time."""
+    radii = centers.tolist()
+    blocks = []  # (first row, template of its rows with the time and v left open)
+    for start in range(0, len(radii), _CSV_BLOCK_ROWS):
+        rows = ["%s," + _FMT % r + "," + _FMT + "\n" for r in radii[start:start + _CSV_BLOCK_ROWS]]
+        blocks.append((start, "".join(rows)))
+    with open(path, "w") as fh:
+        fh.write("t,r,v\n")
+        for snap in snapshots:
+            time_text = _FMT % snap.time
+            values = snap.values.tolist()
+            for start, template in blocks:
+                block = values[start:start + _CSV_BLOCK_ROWS]
+                fields = [time_text] * (2 * len(block))
+                fields[1::2] = block
+                fh.write(template % tuple(fields))
+
+
 def _prepare_outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,10 +114,7 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
                  snapshot_every=cfg.snapshot_every, outer=outer,
                  on_step=ledger if cfg.entropy_diagnostics else None)
 
-    times = np.repeat([snap.time for snap in result.snapshots], mesh.n_cells)
-    radii = np.tile(mesh.centers, len(result.snapshots))
-    values = np.concatenate([snap.values for snap in result.snapshots])
-    _write_csv(out / "snapshots.csv", "t,r,v", np.column_stack((times, radii, values)))
+    _write_snapshots(out / "snapshots.csv", result.snapshots, mesh.centers)
     if cfg.entropy_diagnostics:
         _write_csv(out / "entropy_ledger.csv", "step,k,worst_residual,balance_gap,dissipation_sum",
                    ledger_rows)

@@ -71,22 +71,28 @@ def _scalarize(x, *args):
     return float(x) if all(np.ndim(a) == 0 for a in args) else x
 
 
-def flux_rusanov(m: FluxModel, u, v):
-    """(f(u) + f(v))/2 - (lam/2)(v - u) with the global bound lam = max |f'|."""
+def flux_rusanov(m: FluxModel, u, v, fu=None, fv=None):
+    """(f(u) + f(v))/2 - (lam/2)(v - u) with the global bound lam = max |f'|.
+    fu and fv, if given, are f(u) and f(v), which are then not evaluated again."""
     lam = m.flux_lipschitz
-    out = 0.5 * (m.f(u) + m.f(v)) - 0.5 * lam * (np.asarray(v, dtype=float) - u)
+    fu = m.f(u) if fu is None else fu
+    fv = m.f(v) if fv is None else fv
+    out = 0.5 * (fu + fv) - 0.5 * lam * (np.asarray(v, dtype=float) - u)
     return _scalarize(out, u, v)
 
 
-def flux_godunov(m: FluxModel, u, v):
+def flux_godunov(m: FluxModel, u, v, fu=None, fv=None):
     """Exact Riemann flux for the unimodal shape: min of f over [u, v] if
     u <= v (attained at the interval point closest to the minimum at 0),
-    else max of f over [v, u] (attained at an endpoint)."""
+    else max of f over [v, u] (attained at an endpoint).  fu and fv, if
+    given, are f(u) and f(v), which are then not evaluated again."""
     _require_shape(m, "godunov")
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
+    fu = m.f(u_arr) if fu is None else fu
+    fv = m.f(v_arr) if fv is None else fv
     inside = np.minimum(np.maximum(u_arr, 0.0), v_arr)
-    out = np.where(u_arr <= v_arr, m.f(inside), np.maximum(m.f(u_arr), m.f(v_arr)))
+    out = np.where(u_arr <= v_arr, m.f(inside), np.maximum(fu, fv))
     return _scalarize(out, u, v)
 
 
@@ -145,20 +151,24 @@ def _engquist_osher_increments(m: FluxModel, u, v):
 
 @dataclass(frozen=True, eq=False)
 class NumericalFlux:
-    """A two-point monotone flux with its Lipschitz bound for the CFL rule
-    and, optionally, ``increments(m, u, v)``: Harten's coefficients (C, D)
-    >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) = -D (v - u)."""
+    """A two-point monotone flux ``evaluate(m, u, v)`` with its Lipschitz
+    bound for the CFL rule and, optionally, ``increments(m, u, v)``:
+    Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and
+    nf(u, v) - f(u) = -D (v - u).  If ``takes_f_values``, evaluate also
+    takes f(u) and f(v) as two further arguments, which step passes from
+    its one evaluation of f per step."""
 
     kind: str
     lipschitz_bound: float
     evaluate: Callable
     increments: Optional[Callable] = None
+    takes_f_values: bool = False
 
 
 _FLUXES = {
-    "godunov": (flux_godunov, _godunov_increments),
-    "eo": (flux_engquist_osher, _engquist_osher_increments),
-    "rusanov": (flux_rusanov, _rusanov_increments),
+    "godunov": (flux_godunov, _godunov_increments, True),
+    "eo": (flux_engquist_osher, _engquist_osher_increments, False),
+    "rusanov": (flux_rusanov, _rusanov_increments, True),
 }
 FLUX_KINDS = tuple(_FLUXES)
 
@@ -193,11 +203,12 @@ class StateVector:
             vals = np.array(vals, dtype=float)  # own copy, frozen below
         if vals.ndim != 1 or vals.size == 0:
             raise ContractError("state values must be a nonempty 1D array")
-        if np.any(np.isnan(vals)):
-            raise NumericsError("NaN in state values")
-        if np.max(np.abs(vals)) > 1.0:
+        peak = float(np.max(np.abs(vals)))  # NaN if any value is NaN
+        if not peak <= 1.0:
+            if math.isnan(peak):
+                raise NumericsError("NaN in state values")
             raise NumericsError(
-                f"state leaves [-1, 1]: max |v| = {np.max(np.abs(vals)):.17g} (discrete maximum principle violated)"
+                f"state leaves [-1, 1]: max |v| = {peak:.17g} (discrete maximum principle violated)"
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -216,13 +227,19 @@ class StepReport:
     tau_used: float
 
 
+def _ghosted(values: np.ndarray, outer: OuterBoundary, inner_ghost: Optional[float]) -> np.ndarray:
+    """[inner ghost, values, outer ghost]: face i has left state [i], right [i + 1]."""
+    out = np.empty(values.size + 2)
+    out[0] = values[0] if inner_ghost is None else float(inner_ghost)
+    out[1:-1] = values
+    out[-1] = outer.ghost(float(values[-1]))
+    return out
+
+
 def face_states(values: np.ndarray, outer: OuterBoundary, inner_ghost: Optional[float]):
-    """Left/right states for every face, ghosts included."""
-    inner = values[0] if inner_ghost is None else float(inner_ghost)
-    ghost = outer.ghost(float(values[-1]))
-    left = np.concatenate(([inner], values))
-    right = np.concatenate((values, [ghost]))
-    return left, right
+    """Left/right states for every face, ghosts included (two views of one array)."""
+    ghosted = _ghosted(values, outer, inner_ghost)
+    return ghosted[:-1], ghosted[1:]
 
 
 def convex_coefficients(state: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel,
@@ -248,9 +265,26 @@ def convex_coefficients(state: StateVector, report: StepReport, mesh: RadialMesh
     return 1.0 - a_left - a_right, a_left, a_right
 
 
+@dataclass(frozen=True, eq=False)
+class _StepFactors:
+    """The update's per-cell factors fixed by the mesh and tau: a_R - a_L,
+    tau/|K| and tau theta."""
+
+    tau: float
+    weight_jump: np.ndarray
+    tau_per_width: np.ndarray
+    tau_theta: np.ndarray
+
+
+def _step_factors(mesh: RadialMesh, tau: float) -> _StepFactors:
+    return _StepFactors(tau, mesh.face_weights[1:] - mesh.face_weights[:-1], tau / mesh.widths,
+                        tau * mesh.cell_thetas)
+
+
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
          outer: OuterBoundary = COPY_BOUNDARY, inner_ghost: Optional[float] = None,
-         tau_bound: Optional[float] = None) -> tuple[StateVector, StepReport]:
+         tau_bound: Optional[float] = None,
+         factors: Optional[_StepFactors] = None) -> tuple[StateVector, StepReport]:
     """One explicit update, with no diagnostics on the path.
 
     Args:
@@ -260,10 +294,15 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
             M > 0; exposed to let tests demonstrate exactly that).
         tau_bound: optional precomputed max_timestep, to avoid re-deriving
             it every step inside time loops.
+        factors: the per-cell factors for this mesh and tau, which run
+            computes once for its base step; built here when not given.
 
-    Returns the advanced state and a StepReport holding only the face
-    fluxes and the time step.  A NaN in the update raises NumericsError
-    ("NaN in state values") when the new StateVector is built.
+    f is evaluated once, on the ghosted states [inner ghost, v, outer
+    ghost]: its middle feeds the cell term, and its face slices feed a
+    flux that ``takes_f_values``.  Returns the advanced state and a
+    StepReport holding only the face fluxes and the time step.  A NaN in
+    the update raises NumericsError ("NaN in state values") when the new
+    StateVector is built.
     """
     v = state.values
     if v.size != mesh.n_cells:
@@ -272,16 +311,30 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
         tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
     if not 0.0 < tau <= tau_bound:
         raise CflError(f"tau={tau:.17g} violates the stability bound {tau_bound:.17g}")
+    if factors is None:
+        factors = _step_factors(mesh, tau)
+    elif factors.tau != tau:
+        raise ContractError(f"step factors are for tau={factors.tau:.17g}, not {tau:.17g}")
 
-    left, right = face_states(v, outer, inner_ghost)
-    fluxes = np.asarray(nf.evaluate(m, left, right), dtype=float)
+    states = _ghosted(v, outer, inner_ghost)
+    f_states = np.asarray(m.f(states), dtype=float)
+    if nf.takes_f_values:
+        fluxes = nf.evaluate(m, states[:-1], states[1:], f_states[:-1], f_states[1:])
+    else:
+        fluxes = nf.evaluate(m, states[:-1], states[1:])
+    fluxes = np.asarray(fluxes, dtype=float)
 
-    fc = np.asarray(m.f(v), dtype=float)
+    fc = f_states[1:-1]
     hc = np.asarray(m.h(v), dtype=float)
-    a_l = mesh.face_weights[:-1]
-    a_r = mesh.face_weights[1:]
-    flux_term = a_r * fluxes[1:] - a_l * fluxes[:-1] - fc * (a_r - a_l)
-    v_new = v - (tau / mesh.widths) * flux_term + tau * mesh.cell_thetas * (fc + hc)
+    # a_R F_R - a_L F_L - f (a_R - a_L), then scaled, in place on fresh arrays
+    flux_term = mesh.face_weights[1:] * fluxes[1:]
+    flux_term -= mesh.face_weights[:-1] * fluxes[:-1]
+    flux_term -= fc * factors.weight_jump
+    flux_term *= factors.tau_per_width
+    source = fc + hc
+    source *= factors.tau_theta
+    v_new = v - flux_term
+    v_new += source
     v_new.setflags(write=False)  # handed over to StateVector without a copy
 
     new_state = StateVector(values=v_new, time=state.time + tau, step_index=state.step_index + 1)
@@ -336,7 +389,8 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         v0: Optional[Callable] = None, t_end: float = 1.0, cfl_fraction: float = 0.9,
         snapshot_every: int = 10, outer: OuterBoundary = COPY_BOUNDARY,
         initial_values: Optional[np.ndarray] = None, max_steps: Optional[int] = None,
-        on_step: Optional[Callable[[StateVector, StateVector, StepReport], None]] = None) -> RunResult:
+        on_step: Optional[Callable[[StateVector, StateVector, StepReport], None]] = None,
+        tau_bound: Optional[float] = None) -> RunResult:
     """Evolve initial data to t_end with tau = cfl_fraction * max_timestep.
 
     The package's one time loop.  The last step is shortened to land exactly
@@ -349,6 +403,10 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     completed step before the snapshot and t_end bookkeeping;
     state_after.step_index counts it from 1 and report.tau_used is the
     step taken, the shortened last one included.
+
+    tau_bound, if given, is max_timestep(mesh, m, nf.lipschitz_bound)
+    already computed by the caller.  The step factors for tau_base are
+    computed once; the shortened last step computes its own.
     """
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
@@ -364,14 +422,17 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         raise ContractError("either v0 or initial_values is required")
 
     state = StateVector(values=values, time=0.0, step_index=0)
-    tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
+    if tau_bound is None:
+        tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
     tau_base = cfl_fraction * tau_bound
+    base_factors = _step_factors(mesh, tau_base)
 
     snapshots = [state]
     while state.time < t_end:
         remaining = t_end - state.time
-        new_state, report = step(state, mesh, m, nf, min(tau_base, remaining), outer=outer,
-                                 tau_bound=tau_bound)
+        tau = min(tau_base, remaining)
+        new_state, report = step(state, mesh, m, nf, tau, outer=outer, tau_bound=tau_bound,
+                                 factors=base_factors if tau == tau_base else None)
         if on_step is not None:
             on_step(state, new_state, report)
         state = new_state

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horizonfv import Background, ConfigError, build_uniform_mesh, numerical_flux, run
-from horizonfv.cli import _CSV_BLOCK_ROWS, _write_csv, main
+from horizonfv import Background, ConfigError, StateVector, build_uniform_mesh, numerical_flux, run
+from horizonfv.cli import _CSV_BLOCK_ROWS, _write_csv, _write_snapshots, main
 from horizonfv.config import RunConfig, parse_config, resolved_config_text
 
 MINIMAL = """
@@ -317,6 +317,21 @@ def reference_csv(header, rows):
     for row in rows:
         lines.append(",".join("%.17g" % x for x in row))
     return "\n".join(lines) + "\n"
+
+
+def test_snapshot_writer_matches_per_value_writer(tmp_path):
+    # more cells than one row block, and states at -0.0, +-1 and subnormals
+    mesh = build_uniform_mesh(Background(1.0), 12.0, _CSV_BLOCK_ROWS + 5)
+    special = np.array([-0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0])
+    values = np.resize(special, mesh.n_cells)
+    values[_CSV_BLOCK_ROWS - 2:_CSV_BLOCK_ROWS + 2] = (-1.0, -0.0, 5e-324, 1.0)
+    snapshots = [StateVector(values=values, time=0.0, step_index=0),
+                 StateVector(values=-values, time=1.0 / 3.0, step_index=4),
+                 StateVector(values=np.full(mesh.n_cells, -0.0), time=0.5, step_index=7)]
+    path = tmp_path / "snapshots.csv"
+    _write_snapshots(path, snapshots, mesh.centers)
+    rows = [(snap.time, r, v) for snap in snapshots for r, v in zip(mesh.centers, snap.values)]
+    assert path.read_text() == reference_csv("t,r,v", rows)
 
 
 @pytest.mark.parametrize("rows", [

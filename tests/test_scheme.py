@@ -7,6 +7,7 @@ from horizonfv import scheme
 from horizonfv import (
     Background,
     CflError,
+    ContractError,
     DomainError,
     NumericsError,
     StateVector,
@@ -158,6 +159,24 @@ def test_state_vector_rejects_out_of_range():
         StateVector(values=np.array([0.0, 1.0 + 1e-12]), time=0.0, step_index=0)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([2.0, np.nan], "NaN in state values"),
+    ([np.nan], "NaN in state values"),
+    ([np.inf], "discrete maximum principle violated"),
+    ([-np.inf, 0.5], "discrete maximum principle violated"),
+    ([0.0, 1.0 + 1e-12], "discrete maximum principle violated"),
+])
+def test_state_vector_messages_under_one_reduction(values, message):
+    with pytest.raises(NumericsError, match=message):
+        StateVector(values=np.array(values), time=0.0, step_index=0)
+
+
+def test_state_vector_accepts_the_closed_interval():
+    edge = np.array([-1.0, 1.0, -0.0, 5e-324, -5e-324])
+    state = StateVector(values=edge, time=0.0, step_index=0)
+    assert state.values.tobytes() == edge.tobytes()  # -0.0 and subnormals kept as they are
+
+
 def test_state_vector_owns_its_values(mesh_m1, burgers):
     arr = np.linspace(-0.5, 0.5, 8)
     state = StateVector(values=arr, time=0.0, step_index=0)
@@ -256,6 +275,89 @@ def test_inner_ghost_is_inert(mesh_m1, burgers, rng):
     for ghost in (-1.0, 0.73, 1.0):
         altered, _ = step(state, mesh_m1, burgers, nf, tau, inner_ghost=ghost)
         assert np.array_equal(baseline.values, altered.values)
+
+
+# --- bitwise replay of the update -------------------------------------------
+
+def reference_update(values, mesh, m, nf, tau, outer, inner_ghost=None):
+    """The update as a plain transcription: face states by concatenation,
+    the flux's own 3-argument evaluate, and the grouped divergence
+    a_R F_R - a_L F_L - f(v)(a_R - a_L); returns (fluxes, new values)."""
+    inner = values[0] if inner_ghost is None else float(inner_ghost)
+    left = np.concatenate(([inner], values))
+    right = np.concatenate((values, [outer.ghost(float(values[-1]))]))
+    fluxes = np.asarray(nf.evaluate(m, left, right), dtype=float)
+    fc = np.asarray(m.f(values), dtype=float)
+    hc = np.asarray(m.h(values), dtype=float)
+    a_l, a_r = mesh.face_weights[:-1], mesh.face_weights[1:]
+    flux_term = a_r * fluxes[1:] - a_l * fluxes[:-1] - fc * (a_r - a_l)
+    return fluxes, values - (tau / mesh.widths) * flux_term + tau * mesh.cell_thetas * (fc + hc)
+
+
+def custom_rusanov(m, u, v):  # a 3-argument flux: no increments, no f values taken
+    return flux_rusanov(m, u, v)
+
+
+def replay_fluxes(m):
+    return [numerical_flux(kind, m) for kind in ALL_FLUXES] + \
+        [scheme.NumericalFlux("custom", m.flux_lipschitz, custom_rusanov)]
+
+
+@pytest.mark.parametrize("model_name", ["burgers", "quartic", "sextic"])
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
+    m = request.getfixturevalue(model_name)
+    mesh = build_uniform_mesh(Background(mass), 2.0 * mass + 10.0, 40)
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.n_cells)
+    values[[3, 11, 17]] = (1.0, -1.0, -0.0)
+    for nf in replay_fluxes(m):
+        for outer in (scheme.COPY_BOUNDARY, fixed_boundary(-0.3)):
+            seen = []
+            result = run(mesh, m, nf, initial_values=values, t_end=0.137, outer=outer,
+                         on_step=lambda before, after, report: seen.append((before, after, report)))
+            assert seen[-1][2].tau_used < result.tau_base  # the shortened last step is covered
+            for before, after, report in seen:
+                fluxes, expected = reference_update(before.values, mesh, m, nf, report.tau_used, outer)
+                assert after.values.tobytes() == expected.tobytes(), (nf.kind, after.step_index)
+                assert report.fluxes.tobytes() == fluxes.tobytes(), (nf.kind, after.step_index)
+            retained = [a for _, after, report in seen for a in (after.values, report.fluxes)]
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(retained)
+                           for b in retained[i + 1:])
+            state = seen[0][0]
+            tau = seen[0][2].tau_used
+            for ghost in (-1.0, 0.73):
+                stepped, report = step(state, mesh, m, nf, tau, outer=outer, inner_ghost=ghost)
+                fluxes, expected = reference_update(state.values, mesh, m, nf, tau, outer, ghost)
+                assert stepped.values.tobytes() == expected.tobytes()
+                assert report.fluxes.tobytes() == fluxes.tobytes()
+
+
+@pytest.mark.parametrize("kind, per_step", [("godunov", 2), ("rusanov", 1), ("eo", 4)])
+def test_step_evaluates_f_once_on_the_ghosted_states(mesh_m1, burgers, kind, per_step):
+    # f once on [inner ghost, v, outer ghost]; Godunov adds f at its interval
+    # points and EO its three closed-form terms (4, 3 and 4 calls before)
+    calls = []
+
+    def counted(s):
+        calls.append(np.size(s))
+        return burgers.f(s)
+
+    m = dataclasses.replace(burgers, f=counted)
+    nf = numerical_flux(kind, m)
+    state = StateVector(values=np.linspace(-0.9, 0.9, mesh_m1.n_cells), time=0.0, step_index=0)
+    step(state, mesh_m1, m, nf, 0.5 * max_timestep(mesh_m1, m, nf.lipschitz_bound))
+    assert len(calls) == per_step
+    calls.clear()
+    result = run(mesh_m1, m, nf, initial_values=state.values, t_end=0.2)
+    assert len(calls) == per_step * result.steps
+
+
+def test_step_refuses_factors_for_another_tau(mesh_m1, burgers):
+    nf = numerical_flux("godunov", burgers)
+    tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
+    state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
+    with pytest.raises(ContractError):
+        step(state, mesh_m1, burgers, nf, tau, factors=scheme._step_factors(mesh_m1, 0.5 * tau))
 
 
 # --- time loops --------------------------------------------------------------
