@@ -396,8 +396,7 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
         mesh = build_uniform_mesh(Background(mass), r_max, cells)
         nf = numerical_flux(flux_kind, model)
         fraction = cfl if tau_scale == 1.0 else tau_scale
-        bound = max_timestep(mesh, model, nf.lipschitz_bound)
-        t_this = min(t_end, 0.8 * max_steps * (fraction * bound))
+        t_this = min(t_end, 0.8 * max_steps * (fraction * max_timestep(mesh, model, nf.lipschitz_bound)))
 
         config = {
             "trial": trial,
@@ -413,7 +412,7 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
         report.trial_configs.append(config)
         try:
             run(mesh, model, nf, v0=_piecewise_from_breaks(breaks, values), t_end=t_this,
-                cfl_fraction=fraction, snapshot_every=10 ** 9, tau_bound=bound,
+                cfl_fraction=fraction, snapshot_every=10 ** 9,
                 on_step=_step_checks(report, config, mesh, model, nf, kruzhkov_levels))
         except NumericsError as exc:
             report.violations.append({"config": config, "kind": "state_invariant", "detail": str(exc)})

@@ -389,8 +389,7 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         v0: Optional[Callable] = None, t_end: float = 1.0, cfl_fraction: float = 0.9,
         snapshot_every: int = 10, outer: OuterBoundary = COPY_BOUNDARY,
         initial_values: Optional[np.ndarray] = None, max_steps: Optional[int] = None,
-        on_step: Optional[Callable[[StateVector, StateVector, StepReport], None]] = None,
-        tau_bound: Optional[float] = None) -> RunResult:
+        on_step: Optional[Callable[[StateVector, StateVector, StepReport], None]] = None) -> RunResult:
     """Evolve initial data to t_end with tau = cfl_fraction * max_timestep.
 
     The package's one time loop.  The last step is shortened to land exactly
@@ -404,9 +403,8 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     state_after.step_index counts it from 1 and report.tau_used is the
     step taken, the shortened last one included.
 
-    tau_bound, if given, is max_timestep(mesh, m, nf.lipschitz_bound)
-    already computed by the caller.  The step factors for tau_base are
-    computed once; the shortened last step computes its own.
+    The step factors for tau_base are computed once; the shortened last
+    step computes its own.
     """
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
@@ -422,8 +420,7 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         raise ContractError("either v0 or initial_values is required")
 
     state = StateVector(values=values, time=0.0, step_index=0)
-    if tau_bound is None:
-        tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
+    tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
     tau_base = cfl_fraction * tau_bound
     base_factors = _step_factors(mesh, tau_base)
 

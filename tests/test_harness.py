@@ -22,7 +22,7 @@ from horizonfv import (
     steady_drift_detail,
     step,
 )
-from horizonfv import harness, scheme
+from horizonfv import harness
 from horizonfv.harness import presets, restrict_halving, run_preset
 from horizonfv.scheme import NumericalFlux, flux_rusanov
 
@@ -223,20 +223,6 @@ def test_fuzz_coefficient_rounding_is_not_a_violation(seed, trials):
     rep = fuzz_invariants(trials, seed, tau_scale=0.9)
     assert rep.ok, rep.violations
     assert rep.min_convex_coeff == 0.0 and math.copysign(1.0, rep.min_convex_coeff) == 1.0  # not -0.0
-
-
-def test_fuzz_computes_the_step_bound_once_per_trial(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return max_timestep(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "max_timestep", counted)
-    monkeypatch.setattr(scheme, "max_timestep", counted)
-    rep = fuzz_invariants(3, 11, cells=40, t_end=0.05)
-    assert rep.total_steps > 3
-    assert len(calls) == 3
 
 
 def anti_diffusive(m, u, v):  # Rusanov with its dissipation sign flipped
