@@ -104,8 +104,8 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
     ledger_rows = []
 
     def ledger(state_before, state_after, report):
-        entry = entropy_mod.cell_entropy_residuals(state_before, report, mesh, model, nf,
-                                                   cfg.kruzhkov_levels, report.tau_used, outer=outer)
+        entry = entropy_mod.cell_entropy_residuals(state_before, state_after, report, mesh, model, nf,
+                                                   cfg.kruzhkov_levels, outer)
         for k, worst in zip(cfg.kruzhkov_levels, entry.worst_residuals.tolist()):
             ledger_rows.append((state_after.step_index, k, worst, entry.global_balance_gap,
                                 entry.dissipation_sum))

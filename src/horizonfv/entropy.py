@@ -19,9 +19,7 @@ A second, source-weighted variant subtracts tau theta (f + h)(v_K) U'(v_K)
 from the same left side.  It is reported (``worst_residuals_with_source``)
 but never asserted: the subtracted term has the sign of -U'(v_K), so the
 variant is provably sign-indefinite; for instance any constant state
-c in (0, 1) with M > 0 and k < c makes it positive.  The same applies to
-the source-weighted global balance, reported as
-``balance_gap_with_source``.
+c in (0, 1) with M > 0 and k < c makes it positive.
 
 The asserted global balance uses the quadratic entropy (alpha = inf U'' = 1):
 
@@ -33,6 +31,10 @@ with W_e = |K|/2 and R_{K,e} = U(v_{K,e}) - U(vtilde_{K,e}).  The boundary
 entropy-flux terms close only for the zero-gradient ghost (the consistent
 value F(v) at the boundary cell); with a fixed ghost the balance gap is
 reported as NaN.
+
+``cell_entropy_residuals`` is the one per-step certificate: from one face
+reconstruction at ``report.tau_used`` it also records the smallest convex
+coefficient and the defect max_K |v^{n+1}_K - (full_l + full_r)_K / 2|.
 """
 
 from __future__ import annotations
@@ -45,18 +47,20 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .geometry import RadialMesh
 from .model import FluxModel, quadratic_pair
-from .scheme import COPY_BOUNDARY, NumericalFlux, OuterBoundary, StateVector, StepReport, face_states
+from .scheme import NumericalFlux, OuterBoundary, StateVector, StepReport, convex_coefficients, face_states
 
 
 @dataclass(frozen=True, eq=False)
 class EntropyLedger:
-    """Per-step entropy bookkeeping for a set of Kruzhkov levels.
+    """The certificate of one step for a set of Kruzhkov levels.
 
     Row j of per_cell_residuals holds, per cell, the larger of its two face
     residuals of the transport entropy inequality at levels[j] (must be
     <= 0 up to round-off), and worst_residuals[j] its maximum.  The balance
     fields belong to the quadratic entropy and do not depend on the level;
     dissipation_sum is its squared-jump term, nonnegative by construction.
+    min_convex_coeff (must be >= 0.0) and decomposition_defect (must vanish
+    up to round-off) certify the step's convex decomposition.
     """
 
     levels: np.ndarray
@@ -66,7 +70,8 @@ class EntropyLedger:
     global_balance_gap: float
     dissipation_sum: float
     balance_scale: float
-    balance_gap_with_source: float
+    min_convex_coeff: float
+    decomposition_defect: float
 
 
 def numerical_entropy_flux(nf: NumericalFlux, m: FluxModel, k: float, u, v):
@@ -77,21 +82,22 @@ def numerical_entropy_flux(nf: NumericalFlux, m: FluxModel, k: float, u, v):
     return upper - lower
 
 
-def face_reconstruction(state_before: StateVector, report: StepReport, mesh: RadialMesh,
-                        m: FluxModel, tau: float):
-    """Intermediate per-face states of the convex decomposition.
+def face_reconstruction(state_before: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel):
+    """Intermediate per-face states of the convex decomposition at tau_used.
 
-    Returns (tilde_left, tilde_right, full_left, full_right) where the
-    tilde states carry only the face's own flux difference and the full
-    states add the weight-correction and source shifts, so that the cell
-    update equals the mean of its two full face states.  Ghost values enter
-    only through the face fluxes already recorded in the report.
+    Returns (tilde_left, tilde_right, full_left, full_right, source) where
+    the tilde states carry only the face's own flux difference and the full
+    states add the weight-correction shifts and the source shift
+    tau theta (f + h)(v), so that the cell update equals the mean of its
+    two full face states.  Ghost values enter only through the face fluxes
+    already recorded in the report.
     """
     v = state_before.values
     if v.size != mesh.n_cells:
         raise ContractError("state length does not match mesh cell count")
     if report.fluxes.size != mesh.faces.size:
         raise ContractError("report fluxes do not match mesh faces")
+    tau = report.tau_used
     fc = np.asarray(m.f(v), dtype=float)
     hc = np.asarray(m.h(v), dtype=float)
     a_l = mesh.face_weights[:-1]
@@ -106,25 +112,23 @@ def face_reconstruction(state_before: StateVector, report: StepReport, mesh: Rad
     source = tau * mesh.cell_thetas * (fc + hc)
     full_r = tilde_r + spread + source
     full_l = tilde_l - spread + source
-    return tilde_l, tilde_r, full_l, full_r
+    return tilde_l, tilde_r, full_l, full_r, source
 
 
-def convex_decomposition_check(state_before: StateVector, state_after: StateVector,
-                               report: StepReport, mesh: RadialMesh, m: FluxModel) -> float:
+def convex_decomposition_check(state_after: StateVector, full_l, full_r) -> float:
     """Largest cell defect of v^{n+1}_K = mean of the two full face states."""
-    if state_after.values.size != state_before.values.size:
-        raise ContractError("before/after states differ in length")
-    _, _, full_l, full_r = face_reconstruction(state_before, report, mesh, m, report.tau_used)
-    recon = 0.5 * (full_r + full_l)
-    return float(np.max(np.abs(state_after.values - recon)))
+    if state_after.values.size != full_l.size:
+        raise ContractError("state after the step does not match the face states")
+    return float(np.max(np.abs(state_after.values - 0.5 * (full_r + full_l))))
 
 
-def cell_entropy_residuals(state_before: StateVector, report: StepReport, mesh: RadialMesh,
-                           m: FluxModel, nf: NumericalFlux, levels: Sequence[float], tau: float,
-                           outer: OuterBoundary = COPY_BOUNDARY,
-                           inner_ghost: Optional[float] = None) -> EntropyLedger:
-    """Evaluate the per-face entropy residuals at every Kruzhkov level in
-    levels, and the quadratic balance once, from one face reconstruction.
+def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, report: StepReport,
+                           mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, levels: Sequence[float],
+                           outer: OuterBoundary, inner_ghost: Optional[float] = None) -> EntropyLedger:
+    """Certify one finished step from one face reconstruction at
+    report.tau_used: the per-face entropy residuals at every Kruzhkov level
+    in levels, the quadratic balance, the smallest convex coefficient and
+    the decomposition defect.  outer and inner_ghost must be the step's own.
 
     The residual asserted downstream is the transport form (see module
     docstring); the source-weighted variant is carried alongside for
@@ -134,7 +138,8 @@ def cell_entropy_residuals(state_before: StateVector, report: StepReport, mesh: 
     if not np.all(np.abs(ks) <= 1.0):
         raise DomainError(f"Kruzhkov levels must lie in [-1, 1], got {levels}")
     v = state_before.values
-    tilde_l, tilde_r, full_l, full_r = face_reconstruction(state_before, report, mesh, m, tau)
+    tau = report.tau_used
+    tilde_l, tilde_r, full_l, full_r, source = face_reconstruction(state_before, report, mesh, m)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
     gamma_l = 2.0 * tau * a_l / mesh.widths
@@ -151,9 +156,7 @@ def cell_entropy_residuals(state_before: StateVector, report: StepReport, mesh: 
     res_l = (np.abs(tilde_l - ks) - abs_k) - u_before - gamma_l * (phi_faces[:, :-1] - phi_cons)
     per_cell = np.maximum(res_l, res_r)
 
-    fc = np.asarray(m.f(v), dtype=float)
-    hc = np.asarray(m.h(v), dtype=float)
-    src = tau * mesh.cell_thetas * (fc + hc) * np.sign(v - ks)
+    src = source * np.sign(v - ks)
     worst_with_source = np.maximum(res_l - src, res_r - src).max(axis=1)
 
     # quadratic balance, alpha = inf U'' = 1
@@ -184,9 +187,7 @@ def cell_entropy_residuals(state_before: StateVector, report: StepReport, mesh: 
     else:
         gap = float("nan")
 
-    source_sum = tau * float(np.sum(mesh.widths * mesh.cell_thetas * (fc + hc) * np.asarray(quad.dU(v), dtype=float)))
-    gap_with_source = balance_core - source_sum
-
+    coefficients = convex_coefficients(state_before, report, mesh, m, nf, outer, inner_ghost)
     return EntropyLedger(
         levels=ks[:, 0],
         per_cell_residuals=per_cell,
@@ -195,5 +196,6 @@ def cell_entropy_residuals(state_before: StateVector, report: StepReport, mesh: 
         global_balance_gap=gap,
         dissipation_sum=dissipation,
         balance_scale=scale,
-        balance_gap_with_source=gap_with_source,
+        min_convex_coeff=float(min(a.min() for a in coefficients)),
+        decomposition_defect=convex_decomposition_check(state_after, full_l, full_r),
     )

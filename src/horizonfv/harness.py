@@ -23,8 +23,8 @@ from .characteristics import FhatTable, build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model
-from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
-                     convex_coefficients, numerical_flux, run, step_data)
+from .scheme import (COPY_BOUNDARY, FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data,
+                     constant_data, numerical_flux, run, step_data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,26 +322,25 @@ def _piecewise_from_breaks(breaks: np.ndarray, values: np.ndarray) -> Callable:
 
 def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: FluxModel,
                  nf: NumericalFlux, kruzhkov_levels: Sequence[float]) -> Callable:
-    """The campaign's per-step checks, as an on_step observer for run."""
+    """One certificate per step against the campaign's tolerances, as an on_step observer."""
 
     def check(before: StateVector, after: StateVector, step_report: StepReport) -> None:
         report.total_steps += 1
         report.worst_abs_state = max(report.worst_abs_state, float(np.max(np.abs(after.values))))
+        ledger = entropy_mod.cell_entropy_residuals(before, after, step_report, mesh, model, nf,
+                                                    kruzhkov_levels, COPY_BOUNDARY)
 
-        coeff_min = float(min(a.min() for a in convex_coefficients(before, step_report, mesh, model, nf)))
-        report.min_convex_coeff = min(report.min_convex_coeff, coeff_min)
-        if coeff_min < 0.0:
+        report.min_convex_coeff = min(report.min_convex_coeff, ledger.min_convex_coeff)
+        if ledger.min_convex_coeff < 0.0:
             report.violations.append({"config": config, "kind": "convex_coefficient",
-                                      "detail": coeff_min})
+                                      "detail": ledger.min_convex_coeff})
 
-        defect = entropy_mod.convex_decomposition_check(before, after, step_report, mesh, model)
+        defect = ledger.decomposition_defect
         report.worst_decomposition_defect = max(report.worst_decomposition_defect, defect)
         if defect > DECOMPOSITION_TOL:
             report.violations.append({"config": config, "kind": "convex_decomposition",
                                       "detail": defect})
 
-        ledger = entropy_mod.cell_entropy_residuals(before, step_report, mesh, model, nf,
-                                                    kruzhkov_levels, step_report.tau_used)
         worst_per_level = ledger.worst_residuals.tolist()
         report.worst_entropy_residual = max([report.worst_entropy_residual, *worst_per_level])
         report.worst_entropy_residual_with_source = max(
@@ -365,13 +364,14 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
 
     Each trial draws piecewise-constant data in [-1, 1], a mass in [0, 2],
     one of the three fluxes, and a CFL fraction in (0, 1], evolves it with
-    ``run`` and checks every step: the convex coefficients, exact from the
-    flux's increments, against 0.0 with no tolerance (``min_convex_coeff``
-    records the smallest, a zero as 0.0), the convex-decomposition
-    identity, and one ledger for the transport
-    entropy residual at every requested Kruzhkov level and the quadratic
-    balance gap.  A NumericsError out of ``run`` (a NaN or a breach of the
-    maximum principle) ends the trial as a ``state_invariant`` violation.
+    ``run`` and checks every step from one certificate
+    (``entropy.cell_entropy_residuals``): the convex coefficients, exact
+    from the flux's increments, against 0.0 with no tolerance
+    (``min_convex_coeff`` records the smallest, a zero as 0.0), the
+    convex-decomposition identity, the transport entropy residual at every
+    requested Kruzhkov level and the quadratic balance gap.  A
+    NumericsError out of ``run`` (a NaN or a breach of the maximum
+    principle) ends the trial as a ``state_invariant`` violation.
     Any violation is recorded with the trial's full reproduction data.
     ``tau_scale`` != 1 replaces the drawn fraction; above 1 it deliberately
     breaks the CFL precondition and the CflError propagates (a meta-test hook).

@@ -218,10 +218,11 @@ class StateVector:
 class StepReport:
     """What one update used: the face fluxes (read-only) and the time step.
 
-    Everything a diagnostic needs is rebuilt from these and the pre-step
-    state: the convex coefficients by convex_coefficients (from the time
-    step and the flux's increments; the face fluxes only for a flux without
-    them), the entropy ledger by entropy.cell_entropy_residuals."""
+    Every diagnostic is rebuilt from these and the states before and after
+    the step, at tau_used: the step's certificate by
+    entropy.cell_entropy_residuals, whose convex coefficients come from
+    convex_coefficients (from the flux's increments; the face fluxes only
+    for a flux without them)."""
 
     fluxes: np.ndarray
     tau_used: float
@@ -267,8 +268,8 @@ def convex_coefficients(state: StateVector, report: StepReport, mesh: RadialMesh
 
 @dataclass(frozen=True, eq=False)
 class _StepFactors:
-    """The update's per-cell factors fixed by the mesh and tau: a_R - a_L,
-    tau/|K| and tau theta."""
+    """The update's per-cell factors fixed by the mesh and a tau checked
+    against the stability bound: a_R - a_L, tau/|K| and tau theta."""
 
     tau: float
     weight_jump: np.ndarray
@@ -276,14 +277,15 @@ class _StepFactors:
     tau_theta: np.ndarray
 
 
-def _step_factors(mesh: RadialMesh, tau: float) -> _StepFactors:
+def _step_factors(mesh: RadialMesh, tau: float, tau_bound: float) -> _StepFactors:
+    if not 0.0 < tau <= tau_bound:
+        raise CflError(f"tau={tau:.17g} violates the stability bound {tau_bound:.17g}")
     return _StepFactors(tau, mesh.face_weights[1:] - mesh.face_weights[:-1], tau / mesh.widths,
                         tau * mesh.cell_thetas)
 
 
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
          outer: OuterBoundary = COPY_BOUNDARY, inner_ghost: Optional[float] = None,
-         tau_bound: Optional[float] = None,
          factors: Optional[_StepFactors] = None) -> tuple[StateVector, StepReport]:
     """One explicit update, with no diagnostics on the path.
 
@@ -292,10 +294,8 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
         inner_ghost: value read across the horizon face (multiplied by the
             exact-zero weight there, so it cannot influence the result for
             M > 0; exposed to let tests demonstrate exactly that).
-        tau_bound: optional precomputed max_timestep, to avoid re-deriving
-            it every step inside time loops.
-        factors: the per-cell factors for this mesh and tau, which run
-            computes once for its base step; built here when not given.
+        factors: the per-cell factors for this mesh and tau, as run builds
+            them; built here, tau checked against max_timestep, if not given.
 
     f is evaluated once, on the ghosted states [inner ghost, v, outer
     ghost]: its middle feeds the cell term, and its face slices feed a
@@ -307,12 +307,8 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     v = state.values
     if v.size != mesh.n_cells:
         raise ContractError(f"state has {v.size} cells, mesh has {mesh.n_cells}")
-    if tau_bound is None:
-        tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
-    if not 0.0 < tau <= tau_bound:
-        raise CflError(f"tau={tau:.17g} violates the stability bound {tau_bound:.17g}")
     if factors is None:
-        factors = _step_factors(mesh, tau)
+        factors = _step_factors(mesh, tau, max_timestep(mesh, m, nf.lipschitz_bound))
     elif factors.tau != tau:
         raise ContractError(f"step factors are for tau={factors.tau:.17g}, not {tau:.17g}")
 
@@ -394,17 +390,17 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
 
     The package's one time loop.  The last step is shortened to land exactly
     on t_end.  Snapshots are the initial state, every snapshot_every-th
-    step, and the final state.  A cfl_fraction outside (0, 1] meets step's
-    CflError (a DomainError) at the first step longer than the bound; a
-    NaN or a state leaving [-1, 1] raises NumericsError.
+    step, and the final state.  A cfl_fraction outside (0, 1] raises
+    CflError (a DomainError) before the first step; a NaN or a state
+    leaving [-1, 1] raises NumericsError.
 
     on_step(state_before, state_after, report), if given, sees every
     completed step before the snapshot and t_end bookkeeping;
     state_after.step_index counts it from 1 and report.tau_used is the
     step taken, the shortened last one included.
 
-    The step factors for tau_base are computed once; the shortened last
-    step computes its own.
+    max_timestep is computed once, and the step factors, which check tau
+    against it, once for tau_base; the shortened last step builds its own.
     """
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
@@ -422,14 +418,14 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     state = StateVector(values=values, time=0.0, step_index=0)
     tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
     tau_base = cfl_fraction * tau_bound
-    base_factors = _step_factors(mesh, tau_base)
+    base_factors = _step_factors(mesh, tau_base, tau_bound)
 
     snapshots = [state]
     while state.time < t_end:
         remaining = t_end - state.time
         tau = min(tau_base, remaining)
-        new_state, report = step(state, mesh, m, nf, tau, outer=outer, tau_bound=tau_bound,
-                                 factors=base_factors if tau == tau_base else None)
+        factors = base_factors if tau == tau_base else _step_factors(mesh, tau, tau_bound)
+        new_state, report = step(state, mesh, m, nf, tau, outer=outer, factors=factors)
         if on_step is not None:
             on_step(state, new_state, report)
         state = new_state

@@ -77,13 +77,12 @@ def test_acceptance_03_boundary_states_are_exact_fixed_points(structure_models):
     for m in structure_models:
         for kind in ("godunov", "eo", "rusanov"):
             nf = numerical_flux(kind, m)
-            tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
-            tau = 0.9 * tau_bound
+            tau = 0.9 * max_timestep(mesh, m, nf.lipschitz_bound)
             for value in (1.0, -1.0):
                 target = np.full(mesh.n_cells, value)
                 state = StateVector(values=target, time=0.0, step_index=0)
                 for _ in range(1000):
-                    state, _ = step(state, mesh, m, nf, tau, tau_bound=tau_bound)
+                    state, _ = step(state, mesh, m, nf, tau)
                 drift = float(np.max(np.abs(state.values - target)))
                 worst = max(worst, drift)
                 assert drift == 0.0
@@ -193,8 +192,7 @@ def test_acceptance_08_steady_drift_first_order(burgers, fhat_table):
 def test_acceptance_09_horizon_boundary_freedom(burgers, rng):
     mesh = build_uniform_mesh(Background(1.0), 12.0, 100)
     nf = numerical_flux("godunov", burgers)
-    tau_bound = max_timestep(mesh, burgers, nf.lipschitz_bound)
-    tau = 0.9 * tau_bound
+    tau = 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
     values = rng.uniform(-1.0, 1.0, mesh.n_cells)
 
     assert mesh.face_weights[0] == 0.0
@@ -203,8 +201,7 @@ def test_acceptance_09_horizon_boundary_freedom(burgers, rng):
         state = StateVector(values=values, time=0.0, step_index=0)
         states = []
         for _ in range(100):
-            state, _ = step(state, mesh, burgers, nf, tau, inner_ghost=ghost,
-                            tau_bound=tau_bound)
+            state, _ = step(state, mesh, burgers, nf, tau, inner_ghost=ghost)
             states.append(state.values)
         trajectories.append(np.vstack(states))
     for other in trajectories[1:]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from horizonfv import (
     step,
 )
 from horizonfv.entropy import face_reconstruction
-from horizonfv.scheme import COPY_BOUNDARY, face_states
+from horizonfv.scheme import COPY_BOUNDARY, convex_coefficients, face_states
 
 LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
 
@@ -93,10 +95,10 @@ def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUND
     """One Kruzhkov level at a time, written out with the entropy pairs: the
     reference the all-levels ledger must reproduce bit for bit.  Returns
     (per-cell residuals, worst, worst with source, balance gap,
-    dissipation, balance scale, balance gap with source)."""
+    dissipation, balance scale)."""
     v = state_before.values
     pair = kruzhkov_pair(m, k)
-    tilde_l, tilde_r, full_l, full_r = face_reconstruction(state_before, report, mesh, m, tau)
+    tilde_l, tilde_r, full_l, full_r, _ = face_reconstruction(state_before, report, mesh, m)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
     gamma_l = 2.0 * tau * a_l / mesh.widths
@@ -128,9 +130,7 @@ def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUND
         + float(np.sum(w_face * np.abs(r_terms)))
     gap = core + (tau * float(mesh.face_weights[-1]) * float(fq[-1])
                   - tau * float(mesh.face_weights[0]) * float(fq[0])) if outer.kind == "copy" else float("nan")
-    gap_with_source = core - tau * float(np.sum(mesh.widths * mesh.cell_thetas * (fc + hc)
-                                                * np.asarray(quad.dU(v))))
-    return per_cell, float(np.max(per_cell)), worst_with_source, gap, dissipation, scale, gap_with_source
+    return per_cell, float(np.max(per_cell)), worst_with_source, gap, dissipation, scale
 
 
 @pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
@@ -141,33 +141,41 @@ def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer
     nf = numerical_flux(kind, burgers)
     tau = 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
     state = StateVector(values=rng.uniform(-1, 1, mesh.n_cells), time=0.0, step_index=0)
-    _, report = step(state, mesh, burgers, nf, tau, outer=outer)
-    ledger = cell_entropy_residuals(state, report, mesh, burgers, nf, DEFAULT_KRUZHKOV_LEVELS, tau,
-                                    outer=outer)
+    new_state, report = step(state, mesh, burgers, nf, tau, outer=outer)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, DEFAULT_KRUZHKOV_LEVELS,
+                                    outer)
     assert ledger.levels.tolist() == list(DEFAULT_KRUZHKOV_LEVELS)
     for j, k in enumerate(DEFAULT_KRUZHKOV_LEVELS):
-        per_cell, worst, worst_src, gap, dissipation, scale, gap_src = reference_ledger(
+        per_cell, worst, worst_src, gap, dissipation, scale = reference_ledger(
             state, report, mesh, burgers, nf, k, tau, outer=outer)
         assert np.array_equal(ledger.per_cell_residuals[j], per_cell)
         assert ledger.worst_residuals[j] == worst
         assert ledger.worst_residuals_with_source[j] == worst_src
-        assert np.array_equal([ledger.global_balance_gap, ledger.dissipation_sum, ledger.balance_scale,
-                               ledger.balance_gap_with_source],
-                              [gap, dissipation, scale, gap_src], equal_nan=True)
+        assert np.array_equal([ledger.global_balance_gap, ledger.dissipation_sum, ledger.balance_scale],
+                              [gap, dissipation, scale], equal_nan=True)
+    # the certificate's convex decomposition: its coefficients, exact or
+    # from the flux quotients, and its defect, bit for bit
+    _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh, burgers)
+    defect = float(np.max(np.abs(new_state.values - (full_l + full_r) / 2)))
+    assert ledger.decomposition_defect.hex() == defect.hex()
+    for flux in (nf, dataclasses.replace(nf, increments=None)):
+        certified = cell_entropy_residuals(state, new_state, report, mesh, burgers, flux, (0.0,), outer)
+        coefficients = convex_coefficients(state, report, mesh, burgers, flux, outer)
+        assert certified.min_convex_coeff.hex() == float(min(a.min() for a in coefficients)).hex()
 
 
 def test_ledger_rejects_levels_outside_the_state_interval(mesh_m1, burgers):
-    state, _, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", np.zeros(mesh_m1.n_cells))
+    state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", np.zeros(mesh_m1.n_cells))
     with pytest.raises(DomainError):
-        cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0, 1.5), tau)
+        cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0, 1.5), COPY_BOUNDARY)
 
 
 @pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
 def test_residuals_match_brute_force(mesh_m1, burgers, rng, kind):
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
-    state, _, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
+    state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
     levels = (-0.25, 0.0, 0.75)
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, levels, tau)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, levels, COPY_BOUNDARY)
     for j, k in enumerate(levels):
         expected = brute_force_transport_residuals(values, mesh_m1, burgers, nf,
                                                    report.fluxes, tau, k)
@@ -177,8 +185,8 @@ def test_residuals_match_brute_force(mesh_m1, burgers, rng, kind):
 
 def test_constant_state_flat_residuals_exact_zero(burgers):
     mesh = build_uniform_mesh(Background(0.0), 10.0, 30)
-    state, _, report, nf, tau = _one_step(mesh, burgers, "godunov", np.full(30, 0.6))
-    ledger = cell_entropy_residuals(state, report, mesh, burgers, nf, (0.25,), tau)
+    state, new_state, report, nf, tau = _one_step(mesh, burgers, "godunov", np.full(30, 0.6))
+    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, (0.25,), COPY_BOUNDARY)
     assert np.array_equal(ledger.per_cell_residuals, np.zeros((1, 30)))
     # dissipation and the R bookkeeping cancel exactly in real arithmetic
     assert abs(ledger.global_balance_gap) <= 1e-15 * ledger.balance_scale
@@ -186,9 +194,9 @@ def test_constant_state_flat_residuals_exact_zero(burgers):
 
 
 def test_plus_one_state_curved_residuals(mesh_m1, burgers):
-    state, _, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
+    state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                           np.ones(mesh_m1.n_cells))
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,), COPY_BOUNDARY)
     assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-14
     assert abs(ledger.worst_residuals_with_source[0]) <= 1e-14  # source vanishes at the root
     assert abs(ledger.global_balance_gap) <= 1e-14
@@ -199,8 +207,8 @@ def test_riemann_one_step_residuals(burgers, mass):
     mesh = build_uniform_mesh(Background(mass), 2 * mass + 10.0, 40)
     mid = 2 * mass + 5.0
     values = np.where(mesh.centers < mid, 0.8, -0.8)
-    state, _, report, nf, tau = _one_step(mesh, burgers, "godunov", values)
-    ledger = cell_entropy_residuals(state, report, mesh, burgers, nf, (0.0,), tau)
+    state, new_state, report, nf, tau = _one_step(mesh, burgers, "godunov", values)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, (0.0,), COPY_BOUNDARY)
     assert ledger.worst_residuals[0] <= 1e-14
 
 
@@ -209,9 +217,9 @@ def test_riemann_one_step_residuals(burgers, mass):
 def test_transport_residuals_nonpositive_randomized(mesh_m1, burgers, rng, kind, k):
     for _ in range(5):
         values = rng.uniform(-1, 1, mesh_m1.n_cells)
-        state, _, report, nf, tau = _one_step(mesh_m1, burgers, kind, values,
+        state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values,
                                               cfl=float(rng.uniform(0.2, 1.0)))
-        ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (k,), tau)
+        ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (k,), COPY_BOUNDARY)
         assert ledger.worst_residuals[0] <= 1e-13
         assert ledger.dissipation_sum >= 0.0
 
@@ -220,20 +228,20 @@ def test_source_weighted_variant_is_sign_indefinite(mesh_m1, burgers):
     # reported for reference only: for a constant positive state on a curved
     # background the source-weighted right side is strictly negative while
     # the transport left side vanishes, so this variant cannot be a bound
-    state, _, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
+    state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                           np.full(mesh_m1.n_cells, 0.5))
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,), COPY_BOUNDARY)
     assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-15
     assert ledger.worst_residuals_with_source[0] > 1e-4
-    assert ledger.balance_gap_with_source > 0.0
 
 
 def test_global_balance_nonpositive_randomized(mesh_m1, burgers, rng):
     for kind in ("godunov", "eo", "rusanov"):
         for _ in range(5):
             values = rng.uniform(-1, 1, mesh_m1.n_cells)
-            state, _, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
-            ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau)
+            state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
+            ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,),
+                                            COPY_BOUNDARY)
             assert ledger.global_balance_gap <= 1e-12 * ledger.balance_scale
 
 
@@ -242,7 +250,7 @@ def test_balance_tracks_quadratic_entropy_decay(mesh_m1, burgers, rng):
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
     quad = quadratic_pair(burgers)
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", values)
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,), COPY_BOUNDARY)
     direct = float(np.sum(mesh_m1.widths * (np.asarray(quad.U(new_state.values))
                                             - np.asarray(quad.U(values)))))
     # entropy change decomposes into flux transport, R terms, and dissipation;
@@ -252,7 +260,7 @@ def test_balance_tracks_quadratic_entropy_decay(mesh_m1, burgers, rng):
     flux_sum = tau * float(np.sum((a[1:] - a[:-1]) * fq))
     boundary = tau * float(a[-1] * fq[-1] - a[0] * fq[0])
     w_face = 0.5 * mesh_m1.widths
-    tilde_l, tilde_r, full_l, full_r = face_reconstruction(state, report, mesh_m1, burgers, tau)
+    tilde_l, tilde_r, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
     r_terms = (np.asarray(quad.U(full_r)) - np.asarray(quad.U(tilde_r))
                + np.asarray(quad.U(full_l)) - np.asarray(quad.U(tilde_l)))
     gap_direct = direct + ledger.dissipation_sum - float(np.sum(w_face * r_terms)) - flux_sum + boundary
@@ -263,24 +271,28 @@ def test_decomposition_identity(mesh_m1, burgers, rng):
     for kind in ("godunov", "eo", "rusanov"):
         values = rng.uniform(-1, 1, mesh_m1.n_cells)
         state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
-        assert convex_decomposition_check(state, new_state, report, mesh_m1, burgers) <= 1e-13
+        _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
+        assert convex_decomposition_check(new_state, full_l, full_r) <= 1e-13
 
 
 def test_decomposition_exact_for_uniform_states(mesh_m1, burgers):
     for value in (1.0, -1.0, 0.2):
         state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                                       np.full(mesh_m1.n_cells, value))
-        assert convex_decomposition_check(state, new_state, report, mesh_m1, burgers) <= 1e-16
+        _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
+        assert convex_decomposition_check(new_state, full_l, full_r) <= 1e-16
 
 
 def test_dimension_mismatch_rejected(mesh_m1, burgers):
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                                   np.zeros(mesh_m1.n_cells))
     short = StateVector(values=np.zeros(mesh_m1.n_cells - 1), time=0.0, step_index=0)
+    for before, after in ((short, new_state), (state, short)):
+        with pytest.raises(ContractError):
+            cell_entropy_residuals(before, after, report, mesh_m1, burgers, nf, (0.0,), COPY_BOUNDARY)
+    _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
     with pytest.raises(ContractError):
-        cell_entropy_residuals(short, report, mesh_m1, burgers, nf, (0.0,), tau)
-    with pytest.raises(ContractError):
-        convex_decomposition_check(state, short, report, mesh_m1, burgers)
+        convex_decomposition_check(short, full_l, full_r)
 
 
 def test_fixed_boundary_balance_reported_nan(mesh_m1, burgers, rng):
@@ -288,7 +300,7 @@ def test_fixed_boundary_balance_reported_nan(mesh_m1, burgers, rng):
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     outer = fixed_boundary(0.1)
     state = StateVector(values=rng.uniform(-1, 1, mesh_m1.n_cells), time=0.0, step_index=0)
-    _, report = step(state, mesh_m1, burgers, nf, tau, outer=outer)
-    ledger = cell_entropy_residuals(state, report, mesh_m1, burgers, nf, (0.0,), tau, outer=outer)
+    new_state, report = step(state, mesh_m1, burgers, nf, tau, outer=outer)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,), outer)
     assert np.isnan(ledger.global_balance_gap)
     assert ledger.worst_residuals[0] <= 1e-13

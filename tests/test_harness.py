@@ -1,15 +1,19 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from horizonfv import (
+    DEFAULT_KRUZHKOV_LEVELS,
     CflError,
     DomainError,
     NumericsError,
     Preset,
     PresetError,
+    StateVector,
     UnsupportedModelError,
     burgers_model,
     crossing_time_guard,
@@ -22,7 +26,7 @@ from horizonfv import (
     steady_drift_detail,
     step,
 )
-from horizonfv import harness
+from horizonfv import entropy, harness
 from horizonfv.harness import presets, restrict_halving, run_preset
 from horizonfv.scheme import NumericalFlux, flux_rusanov
 
@@ -277,6 +281,48 @@ def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
         step(afters[-1], mesh, m, nf, tau)
     for config, (*_, afters) in zip(rep.trial_configs[1:], trials[1:]):
         assert afters[-1].time == pytest.approx(config["t_end"], abs=1e-15)
+
+
+def test_one_campaign_step_is_one_certificate_from_one_reconstruction(mesh_m1, burgers, rng,
+                                                                     monkeypatch):
+    # the campaign's per-step check makes one certificate call; it rebuilds
+    # the face states once and evaluates f(v) and h(v) once each outside the
+    # entropy fluxes
+    counts = Counter()
+    active = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapped
+
+    for name in ("cell_entropy_residuals", "face_reconstruction", "numerical_entropy_flux"):
+        monkeypatch.setattr(entropy, name, counting(name, getattr(entropy, name)))
+
+    def counted(name, fn):
+        def evaluate(x):
+            counts[name + (" in entropy flux" if "numerical_entropy_flux" in active else "")] += 1
+            return fn(x)
+        return evaluate
+
+    model = dataclasses.replace(burgers, f=counted("f", burgers.f), h=counted("h", burgers.h))
+    nf = harness.numerical_flux("godunov", model)
+    state = StateVector(values=rng.uniform(-1.0, 1.0, mesh_m1.n_cells), time=0.0, step_index=0)
+    tau = 0.9 * max_timestep(mesh_m1, model, nf.lipschitz_bound)
+    new_state, step_report = step(state, mesh_m1, model, nf, tau)
+    counts.clear()
+    report = harness.FuzzReport(trials=1, seed=0)
+    check = harness._step_checks(report, {}, mesh_m1, model, nf, DEFAULT_KRUZHKOV_LEVELS)
+    check(state, new_state, step_report)
+    assert report.total_steps == 1 and report.ok
+    assert counts["cell_entropy_residuals"] == 1 and counts["face_reconstruction"] == 1
+    assert counts["f"] == 1 and counts["h"] == 1
+    assert counts["numerical_entropy_flux"] == 2
 
 
 def test_fuzz_cfl_injection_meta_test():

@@ -357,10 +357,31 @@ def test_step_refuses_factors_for_another_tau(mesh_m1, burgers):
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
     with pytest.raises(ContractError):
-        step(state, mesh_m1, burgers, nf, tau, factors=scheme._step_factors(mesh_m1, 0.5 * tau))
+        step(state, mesh_m1, burgers, nf, tau,
+             factors=scheme._step_factors(mesh_m1, 0.5 * tau, 2.0 * tau))
 
 
 # --- time loops --------------------------------------------------------------
+
+def test_run_checks_every_tau_against_its_one_bound(mesh_m1, burgers, monkeypatch):
+    # the bound is derived once per run and every tau is checked where its
+    # step factors are built, so a fraction above 1 is refused before the
+    # first step even when t_end is shorter than that step
+    bound = scheme.max_timestep
+    calls = []
+    monkeypatch.setattr(scheme, "max_timestep", lambda *args: calls.append(args) or bound(*args))
+    nf = numerical_flux("godunov", burgers)
+    result = run(mesh_m1, burgers, nf, v0=lambda r: 0.5 * np.cos(r), t_end=0.37)
+    assert len(calls) == 1 and result.steps > 1 and result.final.time == 0.37
+    tau_bound = bound(mesh_m1, burgers, nf.lipschitz_bound)
+    observed = []
+    with pytest.raises(CflError):
+        run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=0.5 * tau_bound,
+            cfl_fraction=1.5, on_step=lambda *args: observed.append(args))
+    assert not observed
+    with pytest.raises(CflError):
+        scheme._step_factors(mesh_m1, 1.5 * tau_bound, tau_bound)
+
 
 def test_run_lands_exactly_and_bounds(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
