@@ -99,19 +99,18 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
     model = cfg.build_model().require_admissible()
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     nf = numerical_flux(cfg.flux, model)
-    outer = cfg.build_outer_boundary()
 
     ledger_rows = []
 
     def ledger(state_before, state_after, report):
         entry = entropy_mod.cell_entropy_residuals(state_before, state_after, report, mesh, model, nf,
-                                                   cfg.kruzhkov_levels, outer)
+                                                   cfg.kruzhkov_levels)
         for k, worst in zip(cfg.kruzhkov_levels, entry.worst_residuals.tolist()):
             ledger_rows.append((state_after.step_index, k, worst, entry.global_balance_gap,
                                 entry.dissipation_sum))
 
     result = run(mesh, model, nf, v0=cfg.build_v0(), t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction,
-                 snapshot_every=cfg.snapshot_every, outer=outer,
+                 snapshot_every=cfg.snapshot_every, outer=cfg.build_outer_boundary(),
                  on_step=ledger if cfg.entropy_diagnostics else None)
 
     _write_snapshots(out / "snapshots.csv", result.snapshots, mesh.centers)

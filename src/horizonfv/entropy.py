@@ -28,9 +28,11 @@ The asserted global balance uses the quadratic entropy (alpha = inf U'' = 1):
          + tau a_outer F_outer - tau a_inner F_inner + sum W_e R_{K,e}
 
 with W_e = |K|/2 and R_{K,e} = U(v_{K,e}) - U(vtilde_{K,e}).  The boundary
-entropy-flux terms close only for the zero-gradient ghost (the consistent
-value F(v) at the boundary cell); with a fixed ghost the balance gap is
-reported as NaN.
+term tau a F(v) is the face's entropy flux exactly when the face reads the
+boundary cell's own value on both sides, so the balance closes when the
+step's recorded outer ghost equals the outermost cell value and its inner
+ghost equals the innermost one or the horizon face weight is 0.  Otherwise
+the balance gap is reported as NaN.
 
 ``cell_entropy_residuals`` is the one per-step certificate: from one face
 reconstruction at ``report.tau_used`` it also records the smallest convex
@@ -40,14 +42,14 @@ coefficient and the defect max_K |v^{n+1}_K - (full_l + full_r)_K / 2|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, DomainError
 from .geometry import RadialMesh
 from .model import FluxModel, quadratic_pair
-from .scheme import NumericalFlux, OuterBoundary, StateVector, StepReport, convex_coefficients, face_states
+from .scheme import NumericalFlux, StateVector, StepReport, convex_coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +125,12 @@ def convex_decomposition_check(state_after: StateVector, full_l, full_r) -> floa
 
 
 def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, report: StepReport,
-                           mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, levels: Sequence[float],
-                           outer: OuterBoundary, inner_ghost: Optional[float] = None) -> EntropyLedger:
+                           mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
+                           levels: Sequence[float]) -> EntropyLedger:
     """Certify one finished step from one face reconstruction at
-    report.tau_used: the per-face entropy residuals at every Kruzhkov level
-    in levels, the quadratic balance, the smallest convex coefficient and
-    the decomposition defect.  outer and inner_ghost must be the step's own.
+    report.tau_used and the face states in report.states: the per-face
+    entropy residuals at every Kruzhkov level in levels, the quadratic
+    balance, the smallest convex coefficient and the decomposition defect.
 
     The residual asserted downstream is the transport form (see module
     docstring); the source-weighted variant is carried alongside for
@@ -140,14 +142,15 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
     v = state_before.values
     tau = report.tau_used
     tilde_l, tilde_r, full_l, full_r, source = face_reconstruction(state_before, report, mesh, m)
+    coefficients = convex_coefficients(report, mesh, m, nf)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
     gamma_l = 2.0 * tau * a_l / mesh.widths
     gamma_r = 2.0 * tau * a_r / mesh.widths
 
     # Kruzhkov entropies U = |w - k| - |k|, one row per level
-    left, right = face_states(v, outer, inner_ghost)
-    phi_faces = numerical_entropy_flux(nf, m, ks, left, right)
+    states = report.states
+    phi_faces = numerical_entropy_flux(nf, m, ks, states[:-1], states[1:])
     phi_cons = numerical_entropy_flux(nf, m, ks, v, v)  # consistent value F(v_K)
 
     abs_k = np.abs(ks)
@@ -180,14 +183,12 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
     scale = 1.0 + float(np.sum(mesh.widths * np.abs(uq_before))) + dissipation \
         + float(np.sum(w_face * np.abs(r_terms)))
 
-    if outer.kind == "copy":
+    if states[-1] == states[-2] and (states[0] == states[1] or mesh.face_weights[0] == 0.0):
         boundary = tau * float(mesh.face_weights[-1]) * float(fq[-1]) \
             - tau * float(mesh.face_weights[0]) * float(fq[0])
         gap = balance_core + boundary
     else:
         gap = float("nan")
-
-    coefficients = convex_coefficients(state_before, report, mesh, m, nf, outer, inner_ghost)
     return EntropyLedger(
         levels=ks[:, 0],
         per_cell_residuals=per_cell,

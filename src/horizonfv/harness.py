@@ -23,8 +23,8 @@ from .characteristics import FhatTable, build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model
-from .scheme import (COPY_BOUNDARY, FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data,
-                     constant_data, numerical_flux, run, step_data)
+from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
+                     numerical_flux, run, step_data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,7 +328,7 @@ def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: Flux
         report.total_steps += 1
         report.worst_abs_state = max(report.worst_abs_state, float(np.max(np.abs(after.values))))
         ledger = entropy_mod.cell_entropy_residuals(before, after, step_report, mesh, model, nf,
-                                                    kruzhkov_levels, COPY_BOUNDARY)
+                                                    kruzhkov_levels)
 
         report.min_convex_coeff = min(report.min_convex_coeff, ledger.min_convex_coeff)
         if ledger.min_convex_coeff < 0.0:

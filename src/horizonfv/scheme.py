@@ -216,44 +216,31 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class StepReport:
-    """What one update used: the face fluxes (read-only) and the time step.
+    """What one update used: the face fluxes, the face states and the time
+    step.  states is [inner ghost, v, outer ghost], so face i reads states[i]
+    and states[i + 1]; both arrays are read-only.
 
     Every diagnostic is rebuilt from these and the states before and after
-    the step, at tau_used: the step's certificate by
-    entropy.cell_entropy_residuals, whose convex coefficients come from
-    convex_coefficients (from the flux's increments; the face fluxes only
-    for a flux without them)."""
+    the step, at tau_used, with the step's own ghosts: the step's
+    certificate by entropy.cell_entropy_residuals, whose convex
+    coefficients come from convex_coefficients (from the flux's
+    increments; the face fluxes only for a flux without them)."""
 
     fluxes: np.ndarray
     tau_used: float
+    states: np.ndarray
 
 
-def _ghosted(values: np.ndarray, outer: OuterBoundary, inner_ghost: Optional[float]) -> np.ndarray:
-    """[inner ghost, values, outer ghost]: face i has left state [i], right [i + 1]."""
-    out = np.empty(values.size + 2)
-    out[0] = values[0] if inner_ghost is None else float(inner_ghost)
-    out[1:-1] = values
-    out[-1] = outer.ghost(float(values[-1]))
-    return out
-
-
-def face_states(values: np.ndarray, outer: OuterBoundary, inner_ghost: Optional[float]):
-    """Left/right states for every face, ghosts included (two views of one array)."""
-    ghosted = _ghosted(values, outer, inner_ghost)
-    return ghosted[:-1], ghosted[1:]
-
-
-def convex_coefficients(state: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel,
-                        nf: NumericalFlux, outer: OuterBoundary = COPY_BOUNDARY,
-                        inner_ghost: Optional[float] = None):
+def convex_coefficients(report: StepReport, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux):
     """Convex-decomposition coefficients (A_center, A_left, A_right) per cell
     of a finished step: tau a_L C / |K| across the left face, tau a_R D / |K|
-    across the right face, and 1 minus both, with nf's increments C and D.
-    A flux without increments gets the quotients of the recorded flux
-    differences by the state jumps instead, 0 across a zero jump."""
-    if state.values.size != mesh.n_cells:
-        raise ContractError("state length does not match mesh cell count")
-    left, right = face_states(state.values, outer, inner_ghost)
+    across the right face, and 1 minus both, with nf's increments C and D
+    at the report's face states.  A flux without increments gets the
+    quotients of the recorded flux differences by the state jumps instead,
+    0 across a zero jump."""
+    if report.states.size != mesh.n_cells + 2:
+        raise ContractError("report states do not match mesh cell count")
+    left, right = report.states[:-1], report.states[1:]
     if nf.increments is not None:
         c, d = nf.increments(m, left, right)
     else:
@@ -297,10 +284,10 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
         factors: the per-cell factors for this mesh and tau, as run builds
             them; built here, tau checked against max_timestep, if not given.
 
-    f is evaluated once, on the ghosted states [inner ghost, v, outer
-    ghost]: its middle feeds the cell term, and its face slices feed a
-    flux that ``takes_f_values``.  Returns the advanced state and a
-    StepReport holding only the face fluxes and the time step.  A NaN in
+    f is evaluated once, on the face states [inner ghost, v, outer ghost]:
+    its middle feeds the cell term, and its face slices feed a flux that
+    ``takes_f_values``.  Returns the advanced state and a StepReport
+    holding the face fluxes, those face states and the time step.  A NaN in
     the update raises NumericsError ("NaN in state values") when the new
     StateVector is built.
     """
@@ -312,7 +299,11 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     elif factors.tau != tau:
         raise ContractError(f"step factors are for tau={factors.tau:.17g}, not {tau:.17g}")
 
-    states = _ghosted(v, outer, inner_ghost)
+    states = np.empty(v.size + 2)
+    states[0] = v[0] if inner_ghost is None else float(inner_ghost)
+    states[1:-1] = v
+    states[-1] = outer.ghost(float(v[-1]))
+    states.setflags(write=False)
     f_states = np.asarray(m.f(states), dtype=float)
     if nf.takes_f_values:
         fluxes = nf.evaluate(m, states[:-1], states[1:], f_states[:-1], f_states[1:])
@@ -335,7 +326,7 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
 
     new_state = StateVector(values=v_new, time=state.time + tau, step_index=state.step_index + 1)
     fluxes.setflags(write=False)
-    return new_state, StepReport(fluxes=fluxes, tau_used=float(tau))
+    return new_state, StepReport(fluxes=fluxes, tau_used=float(tau), states=states)
 
 
 def constant_data(value: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -384,7 +375,7 @@ class RunResult:
 def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         v0: Optional[Callable] = None, t_end: float = 1.0, cfl_fraction: float = 0.9,
         snapshot_every: int = 10, outer: OuterBoundary = COPY_BOUNDARY,
-        initial_values: Optional[np.ndarray] = None, max_steps: Optional[int] = None,
+        initial_values: Optional[np.ndarray] = None,
         on_step: Optional[Callable[[StateVector, StateVector, StepReport], None]] = None) -> RunResult:
     """Evolve initial data to t_end with tau = cfl_fraction * max_timestep.
 
@@ -429,8 +420,6 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         if on_step is not None:
             on_step(state, new_state, report)
         state = new_state
-        if max_steps is not None and state.step_index > max_steps:
-            raise NumericsError(f"time loop exceeded {max_steps} steps before reaching t_end")
         if remaining <= tau_base:
             state = dataclasses.replace(state, time=t_end)
             break

@@ -21,7 +21,8 @@ from horizonfv import (
     step,
 )
 from horizonfv.entropy import face_reconstruction
-from horizonfv.scheme import COPY_BOUNDARY, convex_coefficients, face_states
+from horizonfv.harness import ENTROPY_RESIDUAL_TOL
+from horizonfv.scheme import COPY_BOUNDARY, convex_coefficients
 
 LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
 
@@ -97,13 +98,16 @@ def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUND
     (per-cell residuals, worst, worst with source, balance gap,
     dissipation, balance scale)."""
     v = state_before.values
+    inner = v[0] if inner_ghost is None else inner_ghost
+    outer_ghost = outer.ghost(float(v[-1]))
     pair = kruzhkov_pair(m, k)
     tilde_l, tilde_r, full_l, full_r, _ = face_reconstruction(state_before, report, mesh, m)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
     gamma_l = 2.0 * tau * a_l / mesh.widths
     gamma_r = 2.0 * tau * a_r / mesh.widths
-    left, right = face_states(v, outer, inner_ghost)
+    left = np.concatenate(([inner], v))
+    right = np.concatenate((v, [outer_ghost]))
     phi_faces = numerical_entropy_flux(nf, m, k, left, right)
     phi_cons = numerical_entropy_flux(nf, m, k, v, v)
     u_before = pair.U(v)
@@ -128,8 +132,9 @@ def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUND
             - float(np.sum(w_face * r_terms)) - tau * float(np.sum((a_r - a_l) * fq)))
     scale = 1.0 + float(np.sum(mesh.widths * np.abs(uq_before))) + dissipation \
         + float(np.sum(w_face * np.abs(r_terms)))
+    closes = outer_ghost == v[-1] and (inner == v[0] or mesh.face_weights[0] == 0.0)
     gap = core + (tau * float(mesh.face_weights[-1]) * float(fq[-1])
-                  - tau * float(mesh.face_weights[0]) * float(fq[0])) if outer.kind == "copy" else float("nan")
+                  - tau * float(mesh.face_weights[0]) * float(fq[0])) if closes else float("nan")
     return per_cell, float(np.max(per_cell)), worst_with_source, gap, dissipation, scale
 
 
@@ -142,8 +147,7 @@ def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer
     tau = 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
     state = StateVector(values=rng.uniform(-1, 1, mesh.n_cells), time=0.0, step_index=0)
     new_state, report = step(state, mesh, burgers, nf, tau, outer=outer)
-    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, DEFAULT_KRUZHKOV_LEVELS,
-                                    outer)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, DEFAULT_KRUZHKOV_LEVELS)
     assert ledger.levels.tolist() == list(DEFAULT_KRUZHKOV_LEVELS)
     for j, k in enumerate(DEFAULT_KRUZHKOV_LEVELS):
         per_cell, worst, worst_src, gap, dissipation, scale = reference_ledger(
@@ -159,15 +163,53 @@ def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer
     defect = float(np.max(np.abs(new_state.values - (full_l + full_r) / 2)))
     assert ledger.decomposition_defect.hex() == defect.hex()
     for flux in (nf, dataclasses.replace(nf, increments=None)):
-        certified = cell_entropy_residuals(state, new_state, report, mesh, burgers, flux, (0.0,), outer)
-        coefficients = convex_coefficients(state, report, mesh, burgers, flux, outer)
+        certified = cell_entropy_residuals(state, new_state, report, mesh, burgers, flux, (0.0,))
+        coefficients = convex_coefficients(report, mesh, burgers, flux)
         assert certified.min_convex_coeff.hex() == float(min(a.min() for a in coefficients)).hex()
+    if outer.kind == "fixed":
+        # v_N equal to the fixed ghost: the outer face reads (v_N, v_N) as
+        # under the copy ghost, so the whole ledger is the copy ghost's
+        values = state.values.copy()
+        values[-1] = outer.value
+        pinned = StateVector(values=values, time=0.0, step_index=0)
+        fixed, copy = (ledger_hex(cell_entropy_residuals(
+            pinned, *step(pinned, mesh, burgers, nf, tau, outer=ghost), mesh, burgers, nf, LEVELS))
+            for ghost in (outer, COPY_BOUNDARY))
+        assert "nan" not in fixed["global_balance_gap"]
+        assert fixed == copy
+
+
+def ledger_hex(ledger):
+    """Every ledger field as float.hex strings, so NaN compares equal to NaN."""
+    return {field.name: [float(x).hex() for x in np.ravel(getattr(ledger, field.name))]
+            for field in dataclasses.fields(ledger)}
+
+
+@pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
+def test_inner_ghost_leaves_the_balance_open_only_off_the_horizon(burgers, rng, kind):
+    nf = numerical_flux(kind, burgers)
+    for mass in (0.0, 1.0):
+        mesh = build_uniform_mesh(Background(mass), 2 * mass + 10.0, 40)
+        tau = 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
+        values = rng.uniform(-1, 1, mesh.n_cells)
+        values[0] = 0.5
+        state = StateVector(values=values, time=0.0, step_index=0)
+        ledgers = [cell_entropy_residuals(state, *step(state, mesh, burgers, nf, tau, inner_ghost=ghost),
+                                          mesh, burgers, nf, LEVELS) for ghost in (None, -0.5)]
+        assert ledgers[1].worst_residuals.max() <= ENTROPY_RESIDUAL_TOL
+        if mass == 0.0:
+            # the inner face's entropy flux is no longer tau a F(v_0)
+            assert np.isnan(ledgers[1].global_balance_gap)
+            assert np.isfinite(ledgers[0].global_balance_gap)
+        else:
+            # the horizon face weight is 0, so the ghost changes nothing
+            assert ledger_hex(ledgers[1]) == ledger_hex(ledgers[0])
 
 
 def test_ledger_rejects_levels_outside_the_state_interval(mesh_m1, burgers):
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", np.zeros(mesh_m1.n_cells))
     with pytest.raises(DomainError):
-        cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0, 1.5), COPY_BOUNDARY)
+        cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0, 1.5))
 
 
 @pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
@@ -175,7 +217,7 @@ def test_residuals_match_brute_force(mesh_m1, burgers, rng, kind):
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
     levels = (-0.25, 0.0, 0.75)
-    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, levels, COPY_BOUNDARY)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, levels)
     for j, k in enumerate(levels):
         expected = brute_force_transport_residuals(values, mesh_m1, burgers, nf,
                                                    report.fluxes, tau, k)
@@ -186,7 +228,7 @@ def test_residuals_match_brute_force(mesh_m1, burgers, rng, kind):
 def test_constant_state_flat_residuals_exact_zero(burgers):
     mesh = build_uniform_mesh(Background(0.0), 10.0, 30)
     state, new_state, report, nf, tau = _one_step(mesh, burgers, "godunov", np.full(30, 0.6))
-    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, (0.25,), COPY_BOUNDARY)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, (0.25,))
     assert np.array_equal(ledger.per_cell_residuals, np.zeros((1, 30)))
     # dissipation and the R bookkeeping cancel exactly in real arithmetic
     assert abs(ledger.global_balance_gap) <= 1e-15 * ledger.balance_scale
@@ -196,7 +238,7 @@ def test_constant_state_flat_residuals_exact_zero(burgers):
 def test_plus_one_state_curved_residuals(mesh_m1, burgers):
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                           np.ones(mesh_m1.n_cells))
-    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,), COPY_BOUNDARY)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,))
     assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-14
     assert abs(ledger.worst_residuals_with_source[0]) <= 1e-14  # source vanishes at the root
     assert abs(ledger.global_balance_gap) <= 1e-14
@@ -208,7 +250,7 @@ def test_riemann_one_step_residuals(burgers, mass):
     mid = 2 * mass + 5.0
     values = np.where(mesh.centers < mid, 0.8, -0.8)
     state, new_state, report, nf, tau = _one_step(mesh, burgers, "godunov", values)
-    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, (0.0,), COPY_BOUNDARY)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, (0.0,))
     assert ledger.worst_residuals[0] <= 1e-14
 
 
@@ -219,7 +261,7 @@ def test_transport_residuals_nonpositive_randomized(mesh_m1, burgers, rng, kind,
         values = rng.uniform(-1, 1, mesh_m1.n_cells)
         state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values,
                                               cfl=float(rng.uniform(0.2, 1.0)))
-        ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (k,), COPY_BOUNDARY)
+        ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (k,))
         assert ledger.worst_residuals[0] <= 1e-13
         assert ledger.dissipation_sum >= 0.0
 
@@ -230,7 +272,7 @@ def test_source_weighted_variant_is_sign_indefinite(mesh_m1, burgers):
     # the transport left side vanishes, so this variant cannot be a bound
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                           np.full(mesh_m1.n_cells, 0.5))
-    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,), COPY_BOUNDARY)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,))
     assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-15
     assert ledger.worst_residuals_with_source[0] > 1e-4
 
@@ -240,8 +282,7 @@ def test_global_balance_nonpositive_randomized(mesh_m1, burgers, rng):
         for _ in range(5):
             values = rng.uniform(-1, 1, mesh_m1.n_cells)
             state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
-            ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,),
-                                            COPY_BOUNDARY)
+            ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,))
             assert ledger.global_balance_gap <= 1e-12 * ledger.balance_scale
 
 
@@ -250,7 +291,7 @@ def test_balance_tracks_quadratic_entropy_decay(mesh_m1, burgers, rng):
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
     quad = quadratic_pair(burgers)
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", values)
-    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,), COPY_BOUNDARY)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,))
     direct = float(np.sum(mesh_m1.widths * (np.asarray(quad.U(new_state.values))
                                             - np.asarray(quad.U(values)))))
     # entropy change decomposes into flux transport, R terms, and dissipation;
@@ -289,10 +330,16 @@ def test_dimension_mismatch_rejected(mesh_m1, burgers):
     short = StateVector(values=np.zeros(mesh_m1.n_cells - 1), time=0.0, step_index=0)
     for before, after in ((short, new_state), (state, short)):
         with pytest.raises(ContractError):
-            cell_entropy_residuals(before, after, report, mesh_m1, burgers, nf, (0.0,), COPY_BOUNDARY)
+            cell_entropy_residuals(before, after, report, mesh_m1, burgers, nf, (0.0,))
     _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
     with pytest.raises(ContractError):
         convex_decomposition_check(short, full_l, full_r)
+    # a report whose face states do not fit the mesh
+    misfit = dataclasses.replace(report, states=report.states[1:])
+    with pytest.raises(ContractError):
+        cell_entropy_residuals(state, new_state, misfit, mesh_m1, burgers, nf, (0.0,))
+    with pytest.raises(ContractError):
+        convex_coefficients(misfit, mesh_m1, burgers, nf)
 
 
 def test_fixed_boundary_balance_reported_nan(mesh_m1, burgers, rng):
@@ -301,6 +348,6 @@ def test_fixed_boundary_balance_reported_nan(mesh_m1, burgers, rng):
     outer = fixed_boundary(0.1)
     state = StateVector(values=rng.uniform(-1, 1, mesh_m1.n_cells), time=0.0, step_index=0)
     new_state, report = step(state, mesh_m1, burgers, nf, tau, outer=outer)
-    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,), outer)
+    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,))
     assert np.isnan(ledger.global_balance_gap)
     assert ledger.worst_residuals[0] <= 1e-13

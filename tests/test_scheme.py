@@ -199,7 +199,7 @@ def test_convex_coefficients_reconstruction(mesh_m1, burgers, rng):
     values = rng.uniform(-1.0, 1.0, mesh_m1.n_cells)
     state = StateVector(values=values, time=0.0, step_index=0)
     _, report = step(state, mesh_m1, burgers, nf, tau)
-    a_center, a_left, a_right = convex_coefficients(state, report, mesh_m1, burgers, nf)
+    a_center, a_left, a_right = convex_coefficients(report, mesh_m1, burgers, nf)
     assert np.max(np.abs(a_center + a_left + a_right - 1.0)) <= 1e-12
     assert min(a_left.min(), a_right.min()) >= 0.0
     assert not np.any(np.signbit(a_left) | np.signbit(a_right))  # a zero coefficient is 0.0, not -0.0
@@ -216,9 +216,8 @@ def test_convex_coefficients_fall_back_to_the_flux_quotients(mesh_m1, burgers, r
         nf = numerical_flux(kind, burgers)
         _, report = step(state, mesh_m1, burgers, nf, max_timestep(mesh_m1, burgers, nf.lipschitz_bound),
                          outer=outer)
-        exact = convex_coefficients(state, report, mesh_m1, burgers, nf, outer=outer)
-        quotient = convex_coefficients(state, report, mesh_m1, burgers,
-                                       dataclasses.replace(nf, increments=None), outer=outer)
+        exact = convex_coefficients(report, mesh_m1, burgers, nf)
+        quotient = convex_coefficients(report, mesh_m1, burgers, dataclasses.replace(nf, increments=None))
         assert np.max(np.abs(np.array(exact) - np.array(quotient))) <= 1e-12
 
 
@@ -282,16 +281,16 @@ def test_inner_ghost_is_inert(mesh_m1, burgers, rng):
 def reference_update(values, mesh, m, nf, tau, outer, inner_ghost=None):
     """The update as a plain transcription: face states by concatenation,
     the flux's own 3-argument evaluate, and the grouped divergence
-    a_R F_R - a_L F_L - f(v)(a_R - a_L); returns (fluxes, new values)."""
+    a_R F_R - a_L F_L - f(v)(a_R - a_L); returns (face states, fluxes,
+    new values)."""
     inner = values[0] if inner_ghost is None else float(inner_ghost)
-    left = np.concatenate(([inner], values))
-    right = np.concatenate((values, [outer.ghost(float(values[-1]))]))
-    fluxes = np.asarray(nf.evaluate(m, left, right), dtype=float)
+    states = np.concatenate(([inner], values, [outer.ghost(float(values[-1]))]))
+    fluxes = np.asarray(nf.evaluate(m, states[:-1], states[1:]), dtype=float)
     fc = np.asarray(m.f(values), dtype=float)
     hc = np.asarray(m.h(values), dtype=float)
     a_l, a_r = mesh.face_weights[:-1], mesh.face_weights[1:]
     flux_term = a_r * fluxes[1:] - a_l * fluxes[:-1] - fc * (a_r - a_l)
-    return fluxes, values - (tau / mesh.widths) * flux_term + tau * mesh.cell_thetas * (fc + hc)
+    return states, fluxes, values - (tau / mesh.widths) * flux_term + tau * mesh.cell_thetas * (fc + hc)
 
 
 def custom_rusanov(m, u, v):  # a 3-argument flux: no increments, no f values taken
@@ -317,19 +316,23 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
                          on_step=lambda before, after, report: seen.append((before, after, report)))
             assert seen[-1][2].tau_used < result.tau_base  # the shortened last step is covered
             for before, after, report in seen:
-                fluxes, expected = reference_update(before.values, mesh, m, nf, report.tau_used, outer)
+                states, fluxes, expected = reference_update(before.values, mesh, m, nf, report.tau_used,
+                                                            outer)
                 assert after.values.tobytes() == expected.tobytes(), (nf.kind, after.step_index)
                 assert report.fluxes.tobytes() == fluxes.tobytes(), (nf.kind, after.step_index)
-            retained = [a for _, after, report in seen for a in (after.values, report.fluxes)]
+                assert report.states.tobytes() == states.tobytes(), (nf.kind, after.step_index)
+                assert not report.states.flags.writeable
+            retained = [a for _, after, report in seen for a in (after.values, report.fluxes, report.states)]
             assert not any(np.shares_memory(a, b) for i, a in enumerate(retained)
                            for b in retained[i + 1:])
             state = seen[0][0]
             tau = seen[0][2].tau_used
             for ghost in (-1.0, 0.73):
                 stepped, report = step(state, mesh, m, nf, tau, outer=outer, inner_ghost=ghost)
-                fluxes, expected = reference_update(state.values, mesh, m, nf, tau, outer, ghost)
+                states, fluxes, expected = reference_update(state.values, mesh, m, nf, tau, outer, ghost)
                 assert stepped.values.tobytes() == expected.tobytes()
                 assert report.fluxes.tobytes() == fluxes.tobytes()
+                assert report.states.tobytes() == states.tobytes()
 
 
 @pytest.mark.parametrize("kind, per_step", [("godunov", 2), ("rusanov", 1), ("eo", 4)])
