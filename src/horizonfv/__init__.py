@@ -42,7 +42,6 @@ from .harness import (
     ConvergenceResult,
     FuzzReport,
     Preset,
-    crossing_time_guard,
     exact_solution_by_shooting,
     fuzz_invariants,
     oracle_compare,

@@ -34,6 +34,7 @@ coordinate stays above 2M.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -279,11 +280,15 @@ def rhs_exterior(m: FluxModel, mass: float, r: float, u: float):
     """Characteristic system in the static slicing: (dt/ds, dr/ds, du/ds)."""
     if not r > 2.0 * mass:
         raise DomainError(f"characteristic left the exterior domain: r={r} <= 2M={2 * mass}")
-    a = 1.0 - 2.0 * mass / r
-    dt = 1.0 / (a * a)
+    return _exterior_rates(m, 2.0 * mass, r, u)
+
+
+def _exterior_rates(m: FluxModel, two_m: float, r: float, u: float):
+    """The formula of rhs_exterior for r > two_m = 2M, with no domain check;
+    trace_exterior calls it directly and checks its own guard."""
+    a = 1.0 - two_m / r
     dr = float(m.df(u)) / a
-    du = (2.0 * mass / (r - 2.0 * mass) ** 2) * (float(m.f(u)) + float(m.h(u)))
-    return dt, dr, du
+    return 1.0 / (a * a), dr, (two_m / (r - two_m) ** 2) * (float(m.f(u)) + float(m.h(u)))
 
 
 def _guard_u(u: float, tol: float = _U_OVERSHOOT_TOL) -> float:
@@ -311,13 +316,7 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
     if not ds > 0.0:
         raise DomainError("ds must be positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
-
-    def rhs(t, r, u):
-        if not r > guard_r:
-            raise _StageHalt
-        return rhs_exterior(m, mass, r, u)
-
-    return _rk4_trace(rhs, start, ds, s_max, guard_r, r_stop)
+    return _rk4_trace(functools.partial(_exterior_rates, m, 2.0 * mass), start, ds, s_max, guard_r, r_stop)
 
 
 def h_prime_interior(mass: float, shift: float, big_r: float) -> float:
@@ -358,9 +357,7 @@ def trace_interior(mass: float, shift: float, start: tuple[float, float, float],
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
     t0, r0, u0 = start
 
-    def rhs(t, r, u):
-        if not r > guard_r:
-            raise _StageHalt
+    def rhs(r, u):
         a = 1.0 - 2.0 * mass / r
         hp = h_prime_interior(mass, shift, r)
         return 1.0 + hp * u * a, a * u, (mass / (r * r)) * (u * u - 1.0)
@@ -368,54 +365,51 @@ def trace_interior(mass: float, shift: float, start: tuple[float, float, float],
     return _rk4_trace(rhs, CharState(s=0.0, t=t0, r=r0, u=u0), ds, s_max, guard_r, r_stop)
 
 
-class _StageHalt(Exception):
-    """Internal: an RK4 stage left the admissible radial domain."""
-
-
 def _rk4_trace(rhs, start: CharState, ds: float, s_max: float, guard_r: float,
                r_stop: float | None) -> CharPath:
-    s_vals = [start.s]
-    t_vals = [start.t]
-    r_vals = [start.r]
-    u_vals = [_guard_u(start.u)]
+    """Fixed-step RK4 of rhs(r, u) -> (dt/ds, dr/ds, du/ds).  A stage radius
+    not above guard_r discards its step and ends the trace at "horizon"; u
+    goes through _guard_u only when it is not in [-1, 1] (NaN included)."""
+    u = _guard_u(start.u)
     if not start.r > guard_r:
         raise DomainError(f"start radius {start.r} is inside the horizon guard {guard_r}")
 
-    s, t, r, u = start.s, start.t, start.r, u_vals[0]
-    reason = "s_max"
-    n_steps = int(round((s_max - start.s) / ds))
-    for _ in range(max(n_steps, 0)):
-        try:
-            k1 = rhs(t, r, u)
-            k2 = rhs(t + 0.5 * ds * k1[0], r + 0.5 * ds * k1[1], u + 0.5 * ds * k1[2])
-            k3 = rhs(t + 0.5 * ds * k2[0], r + 0.5 * ds * k2[1], u + 0.5 * ds * k2[2])
-            k4 = rhs(t + ds * k3[0], r + ds * k3[1], u + ds * k3[2])
-        except _StageHalt:
-            reason = "horizon"
+    s, t, r = start.s, start.t, start.r
+    rows = [(s, t, r, u)]
+    half, sixth = 0.5 * ds, ds / 6.0
+    reason = "horizon"
+    for _ in range(max(int(round((s_max - start.s) / ds)), 0)):
+        k1t, k1r, k1u = rhs(r, u)
+        stage_r = r + half * k1r
+        if not stage_r > guard_r:
             break
-        t += ds / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        r += ds / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        u += ds / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        k2t, k2r, k2u = rhs(stage_r, u + half * k1u)
+        stage_r = r + half * k2r
+        if not stage_r > guard_r:
+            break
+        k3t, k3r, k3u = rhs(stage_r, u + half * k2u)
+        stage_r = r + ds * k3r
+        if not stage_r > guard_r:
+            break
+        k4t, k4r, k4u = rhs(stage_r, u + ds * k3u)
+        t += sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        r += sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        u += sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         s += ds
-        u = _guard_u(u)
+        if not -1.0 <= u <= 1.0:
+            u = _guard_u(u)
         if not r > guard_r:
-            reason = "horizon"
             break
-        s_vals.append(s)
-        t_vals.append(t)
-        r_vals.append(r)
-        u_vals.append(u)
+        rows.append((s, t, r, u))
         if r_stop is not None and r > r_stop:
             reason = "r_stop"
             break
+    else:
+        reason = "s_max"
 
-    path = CharPath(
-        s=np.array(s_vals), t=np.array(t_vals), r=np.array(r_vals), u=np.array(u_vals),
-        stop_reason=reason,
-    )
-    for arr in (path.s, path.t, path.r, path.u):
-        arr.setflags(write=False)
-    return path
+    columns = np.array(rows, dtype=float).T.copy()
+    columns.setflags(write=False)
+    return CharPath(*columns, stop_reason=reason)
 
 
 def exterior_invariant(table: FhatTable, mass: float, path: CharPath) -> np.ndarray:

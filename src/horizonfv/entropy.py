@@ -131,6 +131,8 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
     report.tau_used and the face states in report.states: the per-face
     entropy residuals at every Kruzhkov level in levels, the quadratic
     balance, the smallest convex coefficient and the decomposition defect.
+    The report must be the step's own: ContractError unless the interior of
+    report.states is bitwise state_before.values.
 
     The residual asserted downstream is the transport form (see module
     docstring); the source-weighted variant is carried alongside for
@@ -140,6 +142,8 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
     if not np.all(np.abs(ks) <= 1.0):
         raise DomainError(f"Kruzhkov levels must lie in [-1, 1], got {levels}")
     v = state_before.values
+    if report.states[1:-1].tobytes() != v.tobytes():
+        raise ContractError("the step report does not belong to state_before (states differ bitwise)")
     tau = report.tau_used
     tilde_l, tilde_r, full_l, full_r, source = face_reconstruction(state_before, report, mesh, m)
     coefficients = convex_coefficients(report, mesh, m, nf)

@@ -36,13 +36,14 @@ def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
     It starts from the leading coefficient and adds a lower one only when
     it is nonzero, so s**2/2 - 1/2 costs what 0.5 * s * s - 0.5 costs and
     rounds the same way, sign of zero included.  A constant c is computed
-    as s * 0.0 + c, so it takes the shape of s.
+    as s * 0.0 + c, so it takes the shape of s.  Every branch uses the
+    arithmetic operators, so a Python float in gives a Python float out.
     """
     if len(coeffs) == 1:
         (c0,) = coeffs
 
         def constant(s):
-            zero = np.multiply(s, 0.0)
+            zero = s * 0.0
             return zero + c0 if c0 else zero
 
         return constant
@@ -96,7 +97,8 @@ class FluxModel:
 
     ``f_poly`` and ``h_poly`` are the ascending coefficients of the flux f
     and the source profile h, trailing zeros trimmed; ``f``, ``df``, ``h``
-    and ``dh`` evaluate f, f', h and h'.  ``structure`` is the exact
+    and ``dh`` evaluate f, f', h and h', a Python float to a Python float
+    and an array to an array of its shape.  ``structure`` is the exact
     verdict of ``check_structure``, ``flux_lipschitz`` is sup |f'| and
     ``source_slope`` is sup |f' + h'|, both over [-1, 1].  Build models
     with ``polynomial_model``, which computes all of these once; consumers

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -454,3 +455,161 @@ def test_interior_matches_exterior_curve(burgers):
         u_ext = np.interp(r_q, ext.r, ext.u)
         u_int = np.interp(r_q, intr.r, intr.u)
         assert u_ext == pytest.approx(u_int, abs=1e-6)
+
+
+# --- bitwise replays of the tracers ------------------------------------------------
+
+class _StageHalt(Exception):
+    pass
+
+
+def _reference_rk4(rhs, s, t, r, u, ds, s_max, guard_r, r_stop):
+    """Reference RK4 over rhs(t, r, u): tuple stages, 0.5 * ds * k and
+    ds / 6.0 * (...) written out in every product, _guard_u after every
+    step; a stage below guard_r raises _StageHalt and ends the trace at
+    "horizon"."""
+    out = [[s], [t], [r], [_guard_u(u)]]
+    u = out[3][0]
+    reason = "s_max"
+    for _ in range(max(int(round((s_max - s) / ds)), 0)):
+        try:
+            k1 = rhs(t, r, u)
+            k2 = rhs(t + 0.5 * ds * k1[0], r + 0.5 * ds * k1[1], u + 0.5 * ds * k1[2])
+            k3 = rhs(t + 0.5 * ds * k2[0], r + 0.5 * ds * k2[1], u + 0.5 * ds * k2[2])
+            k4 = rhs(t + ds * k3[0], r + ds * k3[1], u + ds * k3[2])
+        except _StageHalt:
+            reason = "horizon"
+            break
+        t += ds / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        r += ds / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        u += ds / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        s += ds
+        u = _guard_u(u)
+        if not r > guard_r:
+            reason = "horizon"
+            break
+        for column, value in zip(out, (s, t, r, u)):
+            column.append(value)
+        if r_stop is not None and r > r_stop:
+            reason = "r_stop"
+            break
+    return reason, [np.array(column).tobytes() for column in out]
+
+
+def _reference_exterior(m, mass, start, ds, s_max, r_stop=None):
+    guard_r = 2.0 * mass * (1.0 + 1e-6)
+
+    def rhs(t, r, u):
+        if not r > guard_r:
+            raise _StageHalt
+        if not r > 2.0 * mass:
+            raise DomainError("outside")
+        a = 1.0 - 2.0 * mass / r
+        du = (2.0 * mass / (r - 2.0 * mass) ** 2) * (float(m.f(u)) + float(m.h(u)))
+        return 1.0 / (a * a), float(m.df(u)) / a, du
+
+    return _reference_rk4(rhs, start.s, start.t, start.r, start.u, ds, s_max, guard_r, r_stop)
+
+
+def _outcome(trace, *args):
+    try:
+        path = trace(*args)
+    except StepSizeError as exc:
+        return "StepSizeError", str(exc)
+    if isinstance(path, tuple):
+        return path
+    return path.stop_reason, [a.tobytes() for a in (path.s, path.t, path.r, path.u)]
+
+
+# (r0 - 2M, u0, ds, s_max, r_stop - 2M)
+EXTERIOR_STARTS = ((3.0, 0.6, 1e-2, 2.0, None), (3.0, 0.9, 1e-2, 30.0, 6.0),
+                   (0.5, -0.4, 1e-2, 30.0, None), (4.0, -0.5, 1e-2, 8.0, None),
+                   (2.0, -0.0, 1e-2, 1.0, None), (1.0, 1.0, 1e-2, 1.0, None))
+
+
+def test_trace_exterior_replays_the_two_layer_rk4_bitwise(burgers, quartic, shifted):
+    seen = Counter()
+    for m in (burgers, quartic, shifted):
+        for mass in (0.0, 0.5, 1.0):
+            for dr, u0, ds, s_max, stop in EXTERIOR_STARTS:
+                args = (m, mass, CharState(0.0, 0.25, 2.0 * mass + dr, u0), ds, s_max,
+                        None if stop is None else 2.0 * mass + stop)
+                got = _outcome(trace_exterior, *args)
+                assert got == _outcome(_reference_exterior, *args), (m.name, mass, dr, u0)
+                seen[got[0]] += 1
+    assert set(seen) == {"s_max", "horizon", "r_stop", "StepSizeError"}
+
+
+def test_trace_exterior_steps_that_end_early_match_the_reference(burgers):
+    # coarse steps from just above the guard end the trace at the second,
+    # third or fourth stage of a step, or after it; with f + h > 0 inside
+    # (inadmissible) the state rises and overshoots +1
+    rising = polynomial_model("rising", (-0.5, 0.0, 0.5), (1.0, 0.0, -1.0))
+    outcomes = Counter()
+    for m, r_grid, states in ((burgers, np.linspace(2.0005, 2.3, 13), (-0.9, -0.5, -0.1, 0.0)),
+                              (rising, (2.1, 2.5), (0.5, 0.9))):
+        for ds in (0.01, 0.02, 0.05, 0.1):
+            for r0 in r_grid:
+                for u0 in states:
+                    args = (m, 1.0, CharState(0.0, 0.0, float(r0), u0), ds, 2.0)
+                    got = _outcome(trace_exterior, *args)
+                    assert got == _outcome(_reference_exterior, *args), (m.name, ds, r0, u0)
+                    outcomes[got[0], "overshot to u=1." in got[1]] += 1
+    assert outcomes[("horizon", False)] and outcomes[("StepSizeError", True)]
+
+
+def test_trace_exterior_model_sees_python_floats_three_calls_per_stage(burgers, shifted):
+    for m in (burgers, shifted):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(x):
+                assert type(x) is float, (name, type(x))
+                calls[name] += 1
+                return fn(x)
+            return wrapper
+
+        wrapped = dataclasses.replace(m, **{k: counted(k, getattr(m, k)) for k in ("f", "df", "h", "dh")})
+        path = trace_exterior(wrapped, 1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
+        assert path.stop_reason == "s_max" and not path.u.flags.writeable
+        steps = len(path) - 1
+        assert calls == {"f": 4 * steps, "df": 4 * steps, "h": 4 * steps}
+        assert _outcome(lambda *a: path) == _outcome(_reference_exterior, m, 1.0,
+                                                      CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
+
+
+def test_rhs_exterior_is_the_tracer_formula(quartic, shifted):
+    for m in (quartic, shifted):
+        for mass, r, u in ((1.0, 4.0, 0.5), (0.5, 1.0 + 1e-9, -0.7), (0.0, 3.0, -0.0)):
+            got = rhs_exterior(m, mass, r, u)
+            assert all(type(x) is float for x in got)
+            a = 1.0 - 2.0 * mass / r
+            want = (1.0 / (a * a), float(m.df(u)) / a,
+                    (2.0 * mass / (r - 2.0 * mass) ** 2) * (float(m.f(u)) + float(m.h(u))))
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _reference_interior(mass, shift, start, ds, s_max, r_stop=None):
+    guard_r = 2.0 * mass * (1.0 + 1e-6)
+
+    def rhs(t, r, u):
+        if not r > guard_r:
+            raise _StageHalt
+        a = 1.0 - 2.0 * mass / r
+        hp = h_prime_interior(mass, shift, r)
+        return 1.0 + hp * u * a, a * u, (mass / (r * r)) * (u * u - 1.0)
+
+    t0, r0, u0 = start
+    return _reference_rk4(rhs, 0.0, t0, r0, u0, ds, s_max, guard_r, r_stop)
+
+
+@pytest.mark.parametrize("mass, shift, start, ds, s_max, r_stop", [
+    (1.0, 0.5, (0.0, 8.0, 0.6), 1e-2, 5.0, None),
+    (1.0, 0.5, (0.0, 3.0, -0.5), 1e-2, 60.0, None),   # horizon
+    (1.0, 1.0, (0.5, 2.5, -0.99), 0.1, 40.0, None),   # horizon inside a step
+    (1.0, 0.2, (0.0, 6.0, 1.0), 1e-2, 2.0, None),     # pinned state
+    (0.5, 0.25, (0.0, 3.0, 0.9), 1e-2, 40.0, 9.0),    # r_stop
+])
+def test_trace_interior_replays_the_reference_bitwise(mass, shift, start, ds, s_max, r_stop):
+    args = (mass, shift, start, ds, s_max, r_stop)
+    assert _outcome(trace_interior, *args) == _outcome(_reference_interior, *args)

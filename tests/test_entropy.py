@@ -342,6 +342,22 @@ def test_dimension_mismatch_rejected(mesh_m1, burgers):
         convex_coefficients(misfit, mesh_m1, burgers, nf)
 
 
+def test_ledger_refuses_a_report_of_another_step(mesh_m1, burgers, rng):
+    state0, state1, report0, nf, tau = _one_step(mesh_m1, burgers, "godunov",
+                                                 rng.uniform(-1, 1, mesh_m1.n_cells))
+    state2, report1 = step(state1, mesh_m1, burgers, nf, tau)
+    cell_entropy_residuals(state0, state1, report0, mesh_m1, burgers, nf, LEVELS)
+    cell_entropy_residuals(state1, state2, report1, mesh_m1, burgers, nf, LEVELS)
+    with pytest.raises(ContractError, match="does not belong"):
+        cell_entropy_residuals(state0, state1, report1, mesh_m1, burgers, nf, LEVELS)
+    # bitwise: a state that differs from the recorded one only in the sign of a zero
+    zeros = np.zeros(mesh_m1.n_cells)
+    before, after, report, nf, _ = _one_step(mesh_m1, burgers, "godunov", zeros)
+    flipped = StateVector(values=np.where(np.arange(zeros.size) == 7, -0.0, zeros), time=0.0, step_index=0)
+    with pytest.raises(ContractError, match="does not belong"):
+        cell_entropy_residuals(flipped, after, report, mesh_m1, burgers, nf, LEVELS)
+
+
 def test_fixed_boundary_balance_reported_nan(mesh_m1, burgers, rng):
     nf = numerical_flux("godunov", burgers)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)

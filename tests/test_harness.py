@@ -16,7 +16,6 @@ from horizonfv import (
     StateVector,
     UnsupportedModelError,
     burgers_model,
-    crossing_time_guard,
     exact_solution_by_shooting,
     fuzz_invariants,
     max_timestep,
@@ -78,6 +77,20 @@ def test_riemann_self_convergence():
     assert result.observed_order >= 0.5
 
 
+def crossing_time_guard(m, mass, v0, r_lo, r_hi, t_max, n_chars=256, dt=0.002):
+    """Earliest coordinate time at which adjacent characteristics cross,
+    scaled by the 0.9 safety margin; None if no crossing before t_max."""
+    r = np.linspace(r_lo, r_hi, n_chars)
+    u = np.clip(np.asarray(v0(r), dtype=float), -1.0, 1.0)
+    t = 0.0
+    for _ in range(int(math.ceil(t_max / dt))):
+        r, u = harness._integrate_chars(m, mass, r, u, dt, 1)
+        t += dt
+        if np.any(np.diff(r) < 0.0):
+            return 0.9 * t
+    return None
+
+
 def test_smooth_preset_below_crossing_guard(smooth):
     guard = crossing_time_guard(smooth.model, smooth.mass, smooth.v0,
                                 2.0001, smooth.r_max + 2.0, t_max=6.0)
@@ -90,6 +103,39 @@ def test_crossing_guard_detects_compression():
     steep = lambda r: -0.9 * np.tanh(4.0 * (np.asarray(r, dtype=float) - 6.0))
     guard = crossing_time_guard(m, 1.0, steep, 3.0, 11.0, t_max=6.0)
     assert guard is not None and guard < 2.0
+
+
+def _row_reference(m, mass, r, u, t_end, n_steps):
+    """One characteristic of the ensemble by RK4 in coordinate time, in Python floats."""
+    def rhs(r, u):
+        return (1.0 - 2.0 * mass / r) * float(m.df(u)), \
+            (2.0 * mass / (r * r)) * (float(m.f(u)) + float(m.h(u)))
+
+    dt = t_end / n_steps
+    for _ in range(n_steps):
+        k1 = rhs(r, u)
+        k2 = rhs(r + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
+        k3 = rhs(r + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
+        k4 = rhs(r + dt * k3[0], u + dt * k3[1])
+        r = r + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        u = u + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return r, u
+
+
+@pytest.mark.parametrize("n", [1, 7, 400])
+def test_integrate_chars_matches_the_per_row_formula_bitwise(n, rng):
+    models = (burgers_model(), polynomial_model("quartic", [-0.5, 0.0, 0.0, 0.0, 0.5], [0.0]),
+              polynomial_model("shifted", [0.0, 0.0, 0.5], [-0.5]))
+    for m in models:
+        for mass in (0.0, 1.0):
+            r0 = rng.uniform(2.0 * mass + 0.05, 14.0, n)
+            u0 = rng.uniform(-1.0, 1.0, n)
+            u0[:7] = [-0.0, 1.0, 0.0, -1.0, 0.5, -0.75, 0.3][:n]
+            r, u = harness._integrate_chars(m, mass, r0, u0, 0.6, 12)
+            rows = [_row_reference(m, mass, float(a), float(b), 0.6, 12) for a, b in zip(r0, u0)]
+            assert r.shape == u.shape == (n,)
+            assert r.tobytes() == np.array([row[0] for row in rows]).tobytes()
+            assert u.tobytes() == np.array([row[1] for row in rows]).tobytes()
 
 
 def test_oracle_constant_data():

@@ -64,6 +64,26 @@ def test_burgers_evaluators_match_the_old_lambdas(burgers):
                 assert np.float64(new(x)).tobytes() == np.float64(old(x)).tobytes(), (name, x)
 
 
+@pytest.mark.parametrize("c", [0.0, 0.25, -1.75])
+def test_constant_evaluator_keeps_the_type_and_shape_of_its_argument(c):
+    const = polynomial_model("const", (-0.5, 0.0, 0.5), (c,)).h
+
+    def ufunc_form(x):  # the same product through numpy's dispatch
+        zero = np.multiply(x, 0.0)
+        return zero + c if c else zero
+
+    for x in (0.3, -0.5, 1.0, -0.0, 0):
+        y = const(x)
+        assert type(y) is float
+        assert np.float64(y).tobytes() == ufunc_form(x).tobytes()
+    assert math.copysign(1.0, const(-0.5)) == (-1.0 if c == 0.0 else math.copysign(1.0, c))
+    for x in (np.linspace(-1.0, 1.0, 7), np.full((2, 3), -0.5), np.array(0.5), np.array(-0.5)):
+        y = const(x)
+        assert np.shape(y) == x.shape
+        assert np.asarray(y).dtype == np.float64
+        assert np.asarray(y).tobytes() == np.asarray(ufunc_form(x)).tobytes()
+
+
 def test_replace_keeps_the_certificate(burgers):
     # the benchmark's tracer swaps in counting evaluators this way
     counted = dataclasses.replace(burgers, f=abs, df=abs, h=abs, dh=abs)
