@@ -44,8 +44,6 @@ from .harness import (
     Preset,
     exact_solution_by_shooting,
     fuzz_invariants,
-    oracle_compare,
-    oracle_convergence,
     presets,
     self_convergence,
     steady_drift_detail,

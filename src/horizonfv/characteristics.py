@@ -287,8 +287,7 @@ def _exterior_rates(m: FluxModel, two_m: float, r: float, u: float):
     """The formula of rhs_exterior for r > two_m = 2M, with no domain check;
     trace_exterior calls it directly and checks its own guard."""
     a = 1.0 - two_m / r
-    dr = float(m.df(u)) / a
-    return 1.0 / (a * a), dr, (two_m / (r - two_m) ** 2) * (float(m.f(u)) + float(m.h(u)))
+    return 1.0 / (a * a), m.df(u) / a, (two_m / (r - two_m) ** 2) * (m.f(u) + m.h(u))
 
 
 def _guard_u(u: float, tol: float = _U_OVERSHOOT_TOL) -> float:

@@ -51,12 +51,12 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Write rows (an iterable of equal-length numeric rows, or a 2-D array)
-    as "%.17g" fields under header.  One % call formats a block of
+def _write_csv(path: Path, header: str, columns: np.ndarray) -> None:
+    """Write columns (a 2-D array whose rows are the table's columns) as
+    "%.17g" fields under header.  One % call formats a block of
     _CSV_BLOCK_ROWS rows, which keeps the temporaries, and so the peak
     memory, small on long tables."""
-    table = np.array(rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.float64)
+    table = np.asarray(columns, dtype=np.float64).T
     with open(path, "w") as fh:
         fh.write(header + "\n")
         if table.size:
@@ -116,7 +116,7 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
     _write_snapshots(out / "snapshots.csv", result.snapshots, mesh.centers)
     if cfg.entropy_diagnostics:
         _write_csv(out / "entropy_ledger.csv", "step,k,worst_residual,balance_gap,dissipation_sum",
-                   ledger_rows)
+                   np.array(ledger_rows, dtype=float).T)
 
     summary = {
         "t_end": cfg.t_end,
@@ -158,7 +158,7 @@ def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
                               cfg.char_ds, cfg.char_s_max, r_stop=cfg.char_r_stop)
         inv = interior_invariant(cfg.mass, path)
     _write_csv(out / "characteristic.csv", "s,t,r,u,invariant",
-               zip(path.s, path.t, path.r, path.u, inv))
+               np.array((path.s, path.t, path.r, path.u, inv)))
     _write_json(out / "summary.json", {
         "coordinates": cfg.coordinates,
         "samples": len(path),
@@ -173,7 +173,7 @@ def _cmd_steady(cfg: RunConfig, out: Path) -> int:
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     table = build_fhat_table(model)
     profile = steady_profile(table, cfg.mass, cfg.steady_r0, cfg.steady_u0, mesh.centers)
-    _write_csv(out / "steady.csv", "r,u", zip(mesh.centers, profile))
+    _write_csv(out / "steady.csv", "r,u", np.array((mesh.centers, profile)))
     return 0
 
 
@@ -196,7 +196,7 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> int:
     }
     _write_json(out / "convergence.json", payload)
     for cells, centers, values in result.finals:
-        _write_csv(out / f"level_{cells}.csv", "r,v", zip(centers, values))
+        _write_csv(out / f"level_{cells}.csv", "r,v", np.array((centers, values)))
     return 0 if passed else 1
 
 
@@ -207,7 +207,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path) -> int:
                                        mesh.centers)
     error = float(np.sum(mesh.widths * np.abs(result.final.values - exact)))
     _write_csv(out / "oracle_solution.csv", "r,v,v_exact",
-               zip(mesh.centers, result.final.values, exact))
+               np.array((mesh.centers, result.final.values, exact)))
     _write_json(out / "oracle.json", {
         "preset": cfg.oracle_preset,
         "cells": cfg.oracle_cells,
@@ -222,7 +222,7 @@ def _cmd_steady_drift(cfg: RunConfig, out: Path) -> int:
         model, cfg.mass, cfg.steady_r0, cfg.steady_u0, cfg.cells, cfg.t_end,
         r_max=cfg.r_max, flux_kind=cfg.flux, cfl_fraction=cfg.cfl_fraction)
     _write_csv(out / "drift_profile.csv", "r,v_initial,v_final",
-               zip(mesh.centers, profile, final))
+               np.array((mesh.centers, profile, final)))
     _write_json(out / "steady_drift.json", {
         "r0": cfg.steady_r0,
         "u0": cfg.steady_u0,

@@ -8,7 +8,9 @@ nondegenerate slope, f + h is negative inside, and f decreases on (-1, 0)
 and increases on (0, 1).  ``polynomial_model`` decides those conditions
 exactly, once, through ``check_structure``, and stores the verdict on the
 model next to the two constants the stability bounds use: the flux
-Lipschitz bound sup |f'| and the source slope sup |f' + h'| over [-1, 1].
+Lipschitz bound sup |f'| and the source slope sup |f' + h'| over [-1, 1],
+each the least float from its sampled peak up that is certified exactly
+to be no smaller.
 The solver refuses nothing by itself; callers that need the whole class
 (the CLI, the Fhat table) call ``FluxModel.require_admissible``.
 """
@@ -100,7 +102,8 @@ class FluxModel:
     and ``dh`` evaluate f, f', h and h', a Python float to a Python float
     and an array to an array of its shape.  ``structure`` is the exact
     verdict of ``check_structure``, ``flux_lipschitz`` is sup |f'| and
-    ``source_slope`` is sup |f' + h'|, both over [-1, 1].  Build models
+    ``source_slope`` is sup |f' + h'|, both over [-1, 1] and both floats
+    that bound the exact sup from above.  Build models
     with ``polynomial_model``, which computes all of these once; consumers
     read them and never re-derive them, so ``dataclasses.replace`` may swap
     in instrumented evaluators and keep the certificate.
@@ -197,11 +200,15 @@ def _has_repeated_root(p: list[int]) -> bool:
 
 
 def _roots_inside(p: list[int]) -> int:
-    """Distinct real roots in (-1, 1) of a polynomial with p(-1), p(1) != 0.
+    """Distinct real roots in (-1, 1) of a nonzero polynomial.
 
+    Roots at the ends do not count; they are taken out first.  Then
     Sturm's theorem; the sequence members are positive multiples of the
     textbook ones, which leaves every sign unchanged.
     """
+    for t in (1, -1):
+        while _at(p, t) == 0:
+            p = _deflate(p, t)
     seq = [p, _derivative(p)]
     while seq[-1]:
         seq.append([-c for c in _remainder(seq[-2], seq[-1])])
@@ -239,17 +246,27 @@ def check_structure(f_poly: Sequence[float], h_poly: Sequence[float]) -> Structu
     df = _derivative(_integers(f_poly))
     m = next((i for i, c in enumerate(df) if c), 0)
     g = df[m:]
-    shape_ok = m % 2 == 1 and g[0] > 0
-    for t in (1, -1):  # roots at the ends do not count; take them out
-        while shape_ok and _at(g, t) == 0:
-            g = _deflate(g, t)
-    shape_ok = shape_ok and _roots_inside(g) == 0
+    shape_ok = m % 2 == 1 and g[0] > 0 and _roots_inside(g) == 0
     return StructureReport(
         boundary_roots_ok=boundary_roots_ok,
         boundary_nondegenerate_ok=boundary_nondegenerate_ok,
         interior_negative_ok=interior_negative_ok,
         flux_monotone_shape_ok=shape_ok,
     )
+
+
+def _certified_bound(polys: Sequence[Sequence[float]], lam: float) -> float:
+    """The least float from lam upward that bounds |g'| on [-1, 1] exactly,
+    g the sum of polys: lam + g' and lam - g', the derivatives of lam s + g
+    and lam s - g, must each be zero or positive at 0 with no root inside."""
+    def within(lam):
+        sides = (_derivative(_integers((0.0, lam), *([sign * c for c in g] for g in polys)))
+                 for sign in (1.0, -1.0))
+        return all(not p or (p[0] > 0 and not _roots_inside(p)) for p in sides)
+
+    while not within(lam):
+        lam = math.nextafter(lam, math.inf)
+    return lam
 
 
 def _peak_candidates(slope_poly: Sequence[float]) -> np.ndarray:
@@ -275,9 +292,9 @@ def polynomial_model(name: str, f_coeffs: Sequence[float], h_coeffs: Sequence[fl
     df = _evaluator(dfc)
     dh = _evaluator(dhc)
     at = _peak_candidates(_polyder(dfc))
-    flux_lipschitz = float(np.max(np.abs(df(at))))
+    flux_lipschitz = _certified_bound((fc,), float(np.max(np.abs(df(at)))))
     at = _peak_candidates(_polyder([a + b for a, b in zip_longest(dfc, dhc, fillvalue=0.0)]))
-    source_slope = float(np.max(np.abs(df(at) + dh(at))))
+    source_slope = _certified_bound((fc, hc), float(np.max(np.abs(df(at) + dh(at)))))
     return FluxModel(
         name=name,
         f_poly=fc,

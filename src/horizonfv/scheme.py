@@ -118,8 +118,11 @@ def _divided_difference(m: FluxModel, x, y):
 
 
 def _rusanov_increments(m: FluxModel, u, v):
-    dd = _divided_difference(m, u, v)
-    return 0.5 * (m.flux_lipschitz + dd), 0.5 * (m.flux_lipschitz - dd)
+    # the exact dd lies in [-lam, lam] by the mean value theorem, lam being
+    # certified exactly, so the clip removes only the rounding of dd
+    lam = m.flux_lipschitz
+    dd = np.clip(_divided_difference(m, u, v), -lam, lam)
+    return 0.5 * (lam + dd), 0.5 * (lam - dd)
 
 
 def _selected_increments(m: FluxModel, u, v, c_states, d_states):

@@ -41,6 +41,17 @@ def shifted():
 
 
 @pytest.fixture(scope="session")
+def rounding_quartic():
+    # admissible; at the face u = -1, v = -0.9999999999999997 the rounded
+    # divided difference of f lies one rounding below -sup |f'|
+    return polynomial_model(
+        "rounding", (-0.12346290358341949, 0.0, 0.7275546893920734, -0.2057840492951998,
+                     -0.20922369131824364),
+        (-0.44135811764457145, 0.05618056128241955, 0.28916955460848104, 0.14960348801278026,
+         -0.2426795314543198))
+
+
+@pytest.fixture(scope="session")
 def structure_models(burgers, quartic, shifted):
     return [burgers, quartic, shifted]
 

@@ -18,7 +18,6 @@ from horizonfv import (
     interior_invariant,
     max_timestep,
     numerical_flux,
-    oracle_convergence,
     steady_drift_detail,
     step,
     trace_exterior,
@@ -26,6 +25,7 @@ from horizonfv import (
 )
 from horizonfv.cli import main
 from horizonfv.harness import presets
+from oracle_error import oracle_convergence
 
 FUZZ_TRIALS = 100
 FUZZ_SEED = 42

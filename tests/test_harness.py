@@ -19,7 +19,6 @@ from horizonfv import (
     exact_solution_by_shooting,
     fuzz_invariants,
     max_timestep,
-    oracle_compare,
     polynomial_model,
     self_convergence,
     steady_drift_detail,
@@ -28,6 +27,7 @@ from horizonfv import (
 from horizonfv import entropy, harness
 from horizonfv.harness import presets, restrict_halving, run_preset
 from horizonfv.scheme import NumericalFlux, flux_rusanov
+from oracle_error import oracle_compare
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def _row_reference(m, mass, r, u, t_end, n_steps):
     return r, u
 
 
-@pytest.mark.parametrize("n", [1, 7, 400])
+@pytest.mark.parametrize("n", [1, 7, 400, 1600])
 def test_integrate_chars_matches_the_per_row_formula_bitwise(n, rng):
     models = (burgers_model(), polynomial_model("quartic", [-0.5, 0.0, 0.0, 0.0, 0.5], [0.0]),
               polynomial_model("shifted", [0.0, 0.0, 0.5], [-0.5]))
@@ -136,6 +136,22 @@ def test_integrate_chars_matches_the_per_row_formula_bitwise(n, rng):
             assert r.shape == u.shape == (n,)
             assert r.tobytes() == np.array([row[0] for row in rows]).tobytes()
             assert u.tobytes() == np.array([row[1] for row in rows]).tobytes()
+
+
+def test_integrate_chars_calls_each_evaluator_once_per_stage(shifted):
+    counts = Counter()
+
+    def counted(name, fn):
+        def evaluate(x):
+            counts[name] += 1
+            assert x.shape == (5,)
+            return fn(x)
+        return evaluate
+
+    m = dataclasses.replace(shifted, **{name: counted(name, getattr(shifted, name))
+                                        for name in ("f", "df", "h", "dh")})
+    harness._integrate_chars(m, 1.0, np.linspace(3.0, 9.0, 5), np.linspace(-0.8, 0.8, 5), 0.3, 6)
+    assert counts == {"f": 24, "df": 24, "h": 24}
 
 
 def test_oracle_constant_data():

@@ -17,6 +17,7 @@ from horizonfv import (
     polynomial_model,
     quadratic_pair,
 )
+from horizonfv import model
 from horizonfv.cli import main
 
 # The evaluators burgers_model() had before it became a polynomial model;
@@ -177,6 +178,25 @@ def test_sextic_flux_lipschitz_is_the_sup():
     fine = np.abs(m.df(np.linspace(peak - 2e-5, peak + 2e-5, 4001)))
     assert abs(m.flux_lipschitz - fine.max()) <= 1e-14 * fine.max()
     assert m.source_slope == m.flux_lipschitz  # h = 0
+
+
+@pytest.mark.parametrize("name", ["burgers", "quartic", "sextic", "shifted", "rounding_quartic"])
+def test_slope_bounds_are_certified(request, name):
+    # the flux bound is the least float at or above sup |f'|, so the certification
+    # started one ulp below it returns it; the source slope is certified too
+    m = request.getfixturevalue(name)
+    low = math.nextafter(m.flux_lipschitz, -math.inf)
+    assert model._certified_bound((m.f_poly,), low) == m.flux_lipschitz
+    assert model._certified_bound((m.f_poly, m.h_poly), m.source_slope) == m.source_slope
+
+
+def test_slope_bound_steps_over_an_interior_peak():
+    # f' = 1 + 3 ulp (1 - s^2) is 1 at both ends and 1 + 3 ulp at 0, where
+    # lam - f' only touches zero; the bound is certified one ulp past the peak
+    ulp = 2.0 ** -52
+    f = (0.0, 1.0 + 3 * ulp, 0.0, -ulp)
+    assert model._certified_bound((f,), 1.0) == 1.0 + 4 * ulp
+    assert polynomial_model("peak", f, (0.0,)).flux_lipschitz == 1.0 + 4 * ulp
 
 
 def test_sextic_fhat_is_the_log_of_the_flux():

@@ -263,6 +263,15 @@ def test_burgers_increments_are_nonnegative_and_take_their_limits(burgers, kind,
     np.testing.assert_allclose(d, expected[1], rtol=1e-15, atol=5e-324)
 
 
+def test_rusanov_increments_hold_where_the_divided_difference_rounds_past_the_bound(rounding_quartic):
+    m = rounding_quartic
+    u, v = np.array([-1.0]), np.array([-0.9999999999999997])
+    assert m.structure.all_ok
+    assert scheme._divided_difference(m, u, v)[0] < -m.flux_lipschitz
+    c, d = numerical_flux("rusanov", m).increments(m, u, v)
+    assert c[0] >= 0.0 and d[0] >= 0.0
+
+
 # --- the horizon face -------------------------------------------------------
 
 def test_inner_ghost_is_inert(mesh_m1, burgers, rng):
