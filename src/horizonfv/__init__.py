@@ -5,10 +5,8 @@ and discrete entropy / maximum-principle diagnostics."""
 from .characteristics import (
     CharPath,
     CharState,
-    Fate,
     FhatTable,
     build_fhat_table,
-    classify_fate,
     escape_velocity,
     exterior_invariant,
     fhat_inverse,
@@ -50,14 +48,11 @@ from .harness import (
 )
 from .model import (
     DEFAULT_KRUZHKOV_LEVELS,
-    EntropyPair,
     FluxModel,
     StructureReport,
     burgers_model,
     check_structure,
-    kruzhkov_pair,
     polynomial_model,
-    quadratic_pair,
 )
 from .scheme import (
     COPY_BOUNDARY,

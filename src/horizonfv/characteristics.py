@@ -78,15 +78,6 @@ class CharPath:
         return self.s.size
 
 
-@dataclass(frozen=True)
-class Fate:
-    """Late-time classification of a characteristic."""
-
-    kind: str  # "falls_in" | "escapes" | "marginal"
-    u_limit: float
-    r_limit_finite: bool
-
-
 class FhatTable:
     """Fhat of one admissible model in closed form, with monotone branch samples.
 
@@ -223,19 +214,6 @@ def escape_velocity(table: FhatTable, mass: float, r0):
     if not np.all(r0 > 2.0 * mass):
         raise DomainError(f"r0={r0} must exceed the horizon radius {2 * mass}")
     return fhat_inverse(table, "plus", np.log(1.0 - 2.0 * mass / r0))
-
-
-def classify_fate(table: FhatTable, mass: float, r0: float, u0: float) -> Fate:
-    """Late-time trichotomy for the characteristic through (r0, u0)."""
-    if not abs(u0) < 1.0:
-        raise DomainError("classification needs |u0| < 1")
-    u_escape = escape_velocity(table, mass, r0)
-    if abs(u0 - u_escape) <= 1e-12:
-        return Fate(kind="marginal", u_limit=0.0, r_limit_finite=False)
-    if u0 > u_escape:
-        f_u0, f_escape = table.value(np.array([u0, u_escape]))
-        return Fate(kind="escapes", u_limit=fhat_inverse(table, "plus", f_u0 - f_escape), r_limit_finite=False)
-    return Fate(kind="falls_in", u_limit=-1.0, r_limit_finite=True)
 
 
 def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) -> np.ndarray:

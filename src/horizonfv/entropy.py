@@ -15,11 +15,11 @@ exactly in real arithmetic.  That quantity is what ``per_cell_residuals``
 holds, one row per level (broadcast as a column, so each row is bitwise
 a one-level evaluation), and what the tests and the campaign assert.
 
-A second, source-weighted variant subtracts tau theta (f + h)(v_K) U'(v_K)
-from the same left side.  It is reported (``worst_residuals_with_source``)
-but never asserted: the subtracted term has the sign of -U'(v_K), so the
-variant is provably sign-indefinite; for instance any constant state
-c in (0, 1) with M > 0 and k < c makes it positive.
+No source term is certified per face.  Subtracting the source's share
+tau theta (f + h)(v_K) U'(v_K) from the same left side would give a
+sign-indefinite quantity, since that term has the sign of -U'(v_K): for
+any constant state c in (0, 1) with M > 0 and a level k < c the transport
+part is 0 and the difference is positive.
 
 The asserted global balance uses the quadratic entropy (alpha = inf U'' = 1):
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .geometry import RadialMesh
-from .model import FluxModel, quadratic_pair
+from .model import FluxModel, _evaluator, _polyder, _polyint
 from .scheme import NumericalFlux, StateVector, StepReport, convex_coefficients
 
 
@@ -68,7 +68,6 @@ class EntropyLedger:
     levels: np.ndarray
     per_cell_residuals: np.ndarray
     worst_residuals: np.ndarray
-    worst_residuals_with_source: np.ndarray
     global_balance_gap: float
     dissipation_sum: float
     balance_scale: float
@@ -84,11 +83,18 @@ def numerical_entropy_flux(nf: NumericalFlux, m: FluxModel, k: float, u, v):
     return upper - lower
 
 
+def _quadratic_flux(m: FluxModel):
+    """The flux F(v) = int_0^v w f'(w) dw of the quadratic entropy
+    U(v) = v**2/2, evaluated as the exact antiderivative of w f'(w)."""
+    return _evaluator(_polyint((0.0,) + _polyder(m.f_poly)))
+
+
 def face_reconstruction(state_before: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel):
     """Intermediate per-face states of the convex decomposition at tau_used.
 
-    Returns (tilde_left, tilde_right, full_left, full_right, source) where
-    the tilde states carry only the face's own flux difference and the full
+    Returns (tilde_left, tilde_right, full_left, full_right, gamma_left,
+    gamma_right) where the tilde states carry only the face's own flux
+    difference, times gamma = 2 tau a / |K| of that face, and the full
     states add the weight-correction shifts and the source shift
     tau theta (f + h)(v), so that the cell update equals the mean of its
     two full face states.  Ghost values enter only through the face fluxes
@@ -114,7 +120,7 @@ def face_reconstruction(state_before: StateVector, report: StepReport, mesh: Rad
     source = tau * mesh.cell_thetas * (fc + hc)
     full_r = tilde_r + spread + source
     full_l = tilde_l - spread + source
-    return tilde_l, tilde_r, full_l, full_r, source
+    return tilde_l, tilde_r, full_l, full_r, gamma_l, gamma_r
 
 
 def convex_decomposition_check(state_after: StateVector, full_l, full_r) -> float:
@@ -134,9 +140,9 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
     The report must be the step's own: ContractError unless the interior of
     report.states is bitwise state_before.values.
 
-    The residual asserted downstream is the transport form (see module
-    docstring); the source-weighted variant is carried alongside for
-    reporting.  The quadratic balance uses alpha = inf U'' = 1.
+    The residual is the transport form (see module docstring).  The
+    quadratic balance uses U(v) = v**2/2, its flux from
+    ``_quadratic_flux`` and alpha = inf U'' = 1.
     """
     ks = np.asarray(levels, dtype=float).reshape(-1, 1)
     if not np.all(np.abs(ks) <= 1.0):
@@ -145,12 +151,10 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
     if report.states[1:-1].tobytes() != v.tobytes():
         raise ContractError("the step report does not belong to state_before (states differ bitwise)")
     tau = report.tau_used
-    tilde_l, tilde_r, full_l, full_r, source = face_reconstruction(state_before, report, mesh, m)
+    tilde_l, tilde_r, full_l, full_r, gamma_l, gamma_r = face_reconstruction(state_before, report, mesh, m)
     coefficients = convex_coefficients(report, mesh, m, nf)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
-    gamma_l = 2.0 * tau * a_l / mesh.widths
-    gamma_r = 2.0 * tau * a_r / mesh.widths
 
     # Kruzhkov entropies U = |w - k| - |k|, one row per level
     states = report.states
@@ -163,23 +167,19 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
     res_l = (np.abs(tilde_l - ks) - abs_k) - u_before - gamma_l * (phi_faces[:, :-1] - phi_cons)
     per_cell = np.maximum(res_l, res_r)
 
-    src = source * np.sign(v - ks)
-    worst_with_source = np.maximum(res_l - src, res_r - src).max(axis=1)
-
-    # quadratic balance, alpha = inf U'' = 1
-    quad = quadratic_pair(m)
+    # quadratic balance, U(v) = v**2/2 and alpha = inf U'' = 1
     w_face = 0.5 * mesh.widths
-    uq_before = np.asarray(quad.U(v), dtype=float)
+    uq_before = 0.5 * np.square(v)
     v_next = 0.5 * (full_r + full_l)
     dev_sq = np.square(full_r - v_next) + np.square(full_l - v_next)
     dissipation = float(0.5 * np.sum(w_face * dev_sq))
-    r_terms = np.asarray(quad.U(full_r), dtype=float) - np.asarray(quad.U(tilde_r), dtype=float) \
-        + np.asarray(quad.U(full_l), dtype=float) - np.asarray(quad.U(tilde_l), dtype=float)
-    fq = np.asarray(quad.F(v), dtype=float)
+    r_terms = 0.5 * np.square(full_r) - 0.5 * np.square(tilde_r) \
+        + 0.5 * np.square(full_l) - 0.5 * np.square(tilde_l)
+    fq = _quadratic_flux(m)(v)
     interior_flux = tau * float(np.sum((a_r - a_l) * fq))
 
     balance_core = (
-        float(np.sum(mesh.widths * (np.asarray(quad.U(v_next), dtype=float) - uq_before)))
+        float(np.sum(mesh.widths * (0.5 * np.square(v_next) - uq_before)))
         + dissipation
         - float(np.sum(w_face * r_terms))
         - interior_flux
@@ -197,7 +197,6 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
         levels=ks[:, 0],
         per_cell_residuals=per_cell,
         worst_residuals=per_cell.max(axis=1),
-        worst_residuals_with_source=worst_with_source,
         global_balance_gap=gap,
         dissipation_sum=dissipation,
         balance_scale=scale,

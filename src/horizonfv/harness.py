@@ -267,7 +267,6 @@ class FuzzReport:
     total_steps: int = 0
     worst_abs_state: float = 0.0
     worst_entropy_residual: float = -math.inf
-    worst_entropy_residual_with_source: float = -math.inf
     worst_balance_gap_rel: float = -math.inf
     worst_decomposition_defect: float = 0.0
     min_convex_coeff: float = math.inf
@@ -318,8 +317,6 @@ def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: Flux
 
         worst_per_level = ledger.worst_residuals.tolist()
         report.worst_entropy_residual = max([report.worst_entropy_residual, *worst_per_level])
-        report.worst_entropy_residual_with_source = max(
-            [report.worst_entropy_residual_with_source, *ledger.worst_residuals_with_source.tolist()])
         for k, worst in zip(kruzhkov_levels, worst_per_level):
             if worst > ENTROPY_RESIDUAL_TOL:
                 report.violations.append({"config": config, "kind": "entropy_residual",

@@ -1,5 +1,5 @@
-"""Balance-law instances: the polynomial flux/source pair, its exact
-structural certificate, and entropy pairs.
+"""Balance-law instances: the polynomial flux/source pair and its exact
+structural certificate.
 
 A model is a pair of polynomials (f, h) on [-1, 1], given by ascending
 coefficients.  The admissible class is pinned down by structural
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,21 +130,6 @@ class FluxModel:
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class EntropyPair:
-    """Convex entropy U with compatible flux F, normalized so U(0) = 0.
-
-    ``kind`` is "kruzhkov" (with the level in ``k``) or "quadratic".
-    Compatibility means F'(v) = f'(v) U'(v) wherever U is differentiable.
-    """
-
-    U: ArrayLike
-    dU: ArrayLike
-    F: ArrayLike
-    kind: str
-    k: Optional[float] = None
-
-
 # Exact arithmetic on polynomials with integer coefficients, ascending,
 # no trailing zeros; [] is the zero polynomial.
 
@@ -220,6 +205,14 @@ def _roots_inside(p: list[int]) -> int:
     return sign_changes(-1) - sign_changes(1)
 
 
+def _to_float(n: int, what: str) -> float:
+    """n / _SCALE correctly rounded, or DomainError naming what overflows."""
+    try:
+        return n / _SCALE
+    except OverflowError:
+        raise DomainError(f"{what} overflows a float") from None
+
+
 def check_structure(f_poly: Sequence[float], h_poly: Sequence[float]) -> StructureReport:
     """Decide the structural conditions exactly from the coefficients.
 
@@ -236,9 +229,10 @@ def check_structure(f_poly: Sequence[float], h_poly: Sequence[float]) -> Structu
     such as that of f' = 2 s**3 at 0 is no harder than a simple one.
     """
     fh = _integers(f_poly, h_poly)
-    at_ends = [_at(fh, s) / _SCALE for s in (-1, 1)]  # int / int rounds correctly
+    at_ends = [_to_float(_at(fh, s), f"f + h at s = {s}") for s in (-1, 1)]
     boundary_roots_ok = all(abs(v) <= 1e-12 for v in at_ends)
-    boundary_nondegenerate_ok = all(abs(_at(_derivative(fh), s)) / _SCALE > 1e-12 for s in (-1, 1))
+    boundary_nondegenerate_ok = all(abs(_to_float(_at(_derivative(fh), s), f"(f + h)' at s = {s}")) > 1e-12
+                                    for s in (-1, 1))
     q = _deflate(_deflate(fh, 1), -1)
     interior_negative_ok = all(v <= 1e-12 for v in at_ends) \
         and _at(q, -1) > 0 < _at(q, 1) and _roots_inside(q) == 0
@@ -258,43 +252,66 @@ def check_structure(f_poly: Sequence[float], h_poly: Sequence[float]) -> Structu
 def _certified_bound(polys: Sequence[Sequence[float]], lam: float) -> float:
     """The least float from lam upward that bounds |g'| on [-1, 1] exactly,
     g the sum of polys: lam + g' and lam - g', the derivatives of lam s + g
-    and lam s - g, must each be zero or positive at 0 with no root inside."""
+    and lam s - g, must each be zero or positive at 0 with no root inside.
+    A lam that is not finite, or no finite float that bounds, gives inf or nan."""
     def within(lam):
         sides = (_derivative(_integers((0.0, lam), *([sign * c for c in g] for g in polys)))
                  for sign in (1.0, -1.0))
         return all(not p or (p[0] > 0 and not _roots_inside(p)) for p in sides)
 
-    while not within(lam):
+    while math.isfinite(lam) and not within(lam):
         lam = math.nextafter(lam, math.inf)
     return lam
 
 
-def _peak_candidates(slope_poly: Sequence[float]) -> np.ndarray:
-    """-1, 1 and the real parts of the roots of slope_poly inside [-1, 1].
+def _finite(coeffs: Sequence[float], what: str) -> Sequence[float]:
+    """coeffs, the coefficients of what, or DomainError if one overflowed."""
+    if not all(math.isfinite(c) for c in coeffs):
+        raise DomainError(f"a coefficient of {what} overflows a float")
+    return coeffs
+
+
+def _peak_candidates(slope_poly: Sequence[float], what: str) -> np.ndarray:
+    """-1, 1 and the real parts of the roots of slope_poly inside [-1, 1],
+    or DomainError naming slope_poly as what if a coefficient or a root of
+    it overflows a float.
 
     slope_poly is the derivative of a polynomial g, so |g| peaks on [-1, 1]
     at one of these points.  Complex roots contribute their real parts
     too: a multiple real root may come back from rounding as a conjugate
     pair, and an extra point of [-1, 1] cannot lift the max above the sup.
     """
-    centers = np.roots(slope_poly[::-1]).real
+    ascending = _finite(slope_poly, what)
+    try:
+        centers = np.roots(ascending[::-1]).real
+    except np.linalg.LinAlgError:
+        raise DomainError(f"a root of {what} overflows a float") from None
     return np.concatenate(([-1.0, 1.0], centers[np.abs(centers) <= 1.0]))
 
 
 def polynomial_model(name: str, f_coeffs: Sequence[float], h_coeffs: Sequence[float]) -> FluxModel:
-    """Build and certify a model from ascending polynomial coefficients (degree <= 8)."""
+    """Build and certify a model from ascending polynomial coefficients (degree <= 8).
+
+    DomainError if the coefficients are not finite or a quantity the
+    certificate needs overflows a float; the message names that quantity.
+    """
     if len(f_coeffs) > 9 or len(h_coeffs) > 9:
         raise DomainError("polynomial models support degree <= 8")
     fc = _trimmed(f_coeffs)
     hc = _trimmed(h_coeffs)
-    dfc = _polyder(fc)
+    dfc = _finite(_polyder(fc), "f'")
     dhc = _polyder(hc)
+    dsc = _finite([a + b for a, b in zip_longest(dfc, dhc, fillvalue=0.0)], "f' + h'")
     df = _evaluator(dfc)
     dh = _evaluator(dhc)
-    at = _peak_candidates(_polyder(dfc))
-    flux_lipschitz = _certified_bound((fc,), float(np.max(np.abs(df(at)))))
-    at = _peak_candidates(_polyder([a + b for a, b in zip_longest(dfc, dhc, fillvalue=0.0)]))
-    source_slope = _certified_bound((fc, hc), float(np.max(np.abs(df(at) + dh(at)))))
+    with np.errstate(all="ignore"):  # an overflow is refused by name
+        at = _peak_candidates(_polyder(dfc), "f''")
+        flux_lipschitz = _certified_bound((fc,), float(np.max(np.abs(df(at)))))
+        at = _peak_candidates(_polyder(dsc), "f'' + h''")
+        source_slope = _certified_bound((fc, hc), float(np.max(np.abs(df(at) + dh(at)))))
+    for what, bound in (("sup |f'|", flux_lipschitz), ("sup |f' + h'|", source_slope)):
+        if not math.isfinite(bound):
+            raise DomainError(f"{what} over [-1, 1] overflows a float")
     return FluxModel(
         name=name,
         f_poly=fc,
@@ -312,32 +329,3 @@ def polynomial_model(name: str, f_coeffs: Sequence[float], h_coeffs: Sequence[fl
 def burgers_model() -> FluxModel:
     """The built-in model f(s) = s**2/2 - 1/2, h = 0."""
     return polynomial_model("burgers", (-0.5, 0.0, 0.5), (0.0,))
-
-
-def kruzhkov_pair(m: FluxModel, k: float) -> EntropyPair:
-    """Kruzhkov entropy at level k: U(v) = |v - k| - |k|, F(v) = sign(v-k)(f(v) - f(k)).
-
-    The constant shift -|k| gives U(0) = 0; every inequality downstream is
-    invariant under it because entropies only enter through differences.
-    """
-    if not -1.0 <= k <= 1.0:
-        raise DomainError(f"Kruzhkov level k={k} outside [-1, 1]")
-    fk = float(m.f(k))
-    return EntropyPair(
-        U=lambda v: np.abs(v - k) - abs(k),
-        dU=lambda v: np.sign(v - k),
-        F=lambda v: np.sign(v - k) * (m.f(v) - fk),
-        kind="kruzhkov",
-        k=float(k),
-    )
-
-
-def quadratic_pair(m: FluxModel) -> EntropyPair:
-    """Smooth strictly convex entropy U(v) = v**2/2 with F(v) = int_0^v w f'(w) dw,
-    the exact antiderivative of the polynomial w f'(w)."""
-    return EntropyPair(
-        U=lambda v: 0.5 * np.square(v),
-        dU=lambda v: np.multiply(v, 1.0),
-        F=_evaluator(_polyint((0.0,) + _polyder(m.f_poly))),
-        kind="quadratic",
-    )

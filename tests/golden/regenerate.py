@@ -10,6 +10,9 @@ A change that moves output on purpose rewrites the manifest, so its diff
 names exactly the artifacts that moved:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+Before it writes, the script prints one line per artifact whose digest was
+added, removed or changed against the manifest it replaces.
 """
 
 from __future__ import annotations
@@ -83,6 +86,20 @@ def digests() -> dict[str, str]:
     return out
 
 
+def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """"added", "removed" or "changed" and the artifact name, for every
+    artifact whose digest differs between two digest maps, sorted by name."""
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            out.append(f"added {name}")
+        elif name not in new:
+            out.append(f"removed {name}")
+        elif old[name] != new[name]:
+            out.append(f"changed {name}")
+    return out
+
+
 def main() -> None:
     here = Path.cwd()
     with tempfile.TemporaryDirectory() as work:
@@ -91,6 +108,8 @@ def main() -> None:
             artifacts = digests()
         finally:
             os.chdir(here)
+    for line in moved(json.loads(MANIFEST.read_text())["artifacts"] if MANIFEST.exists() else {}, artifacts):
+        sys.stdout.write(line + "\n")
     MANIFEST.write_text(json.dumps({"numpy": np.__version__, "artifacts": artifacts}, indent=2) + "\n")
     sys.stdout.write(f"wrote {len(artifacts)} digests to {MANIFEST}\n")
 

@@ -15,7 +15,6 @@ from horizonfv import (
     UnsupportedModelError,
     build_fhat_table,
     build_uniform_mesh,
-    classify_fate,
     escape_velocity,
     exterior_invariant,
     fhat_inverse,
@@ -29,6 +28,7 @@ from horizonfv import (
 )
 from horizonfv.characteristics import _guard_u
 from horizonfv.cli import main
+from fate import classify_fate
 
 # f = (s^2 - 1)/4, h = 7(s^2 - 1)/4: admissible, with Fhat(u) = log(1 - u^2)/8,
 # so (1 - u^2) / a^8 is conserved and the plus branch bottoms out near -2.5

@@ -254,6 +254,20 @@ def test_cli_check_model_reports_flags(tmp_path, capsys):
     assert _run_cli(tmp_path, broken, "check-model", "broken.ini") == 1
 
 
+@pytest.mark.parametrize("f_coeffs, h_coeffs", (("0, 1e308, 1e308", "0"), ("-0.5, 0, 0.5", "1e308, 1e308")),
+                         ids=("flux", "source"))
+def test_cli_check_model_refuses_overflowing_coefficients(tmp_path, capsys, f_coeffs, h_coeffs):
+    out = tmp_path / "out"
+    body = MINIMAL.replace("model = burgers", f"model = custom\nf_coeffs = {f_coeffs}\nh_coeffs = {h_coeffs}") \
+        + f"\n[run]\noutput_dir = {out}\n"
+    assert _run_cli(tmp_path, body, "check-model") == 1
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "DomainError"
+    assert "overflows a float" in report["detail"]
+    assert capsys.readouterr().err == f"error: {report['detail']}\n"
+    assert not (out / "structure_report.json").exists()
+
+
 def test_cli_run_artifacts(tmp_path):
     out = tmp_path / "artifacts"
     body = MINIMAL.replace("cells = 200", "cells = 60") + f"""

@@ -13,16 +13,15 @@ from horizonfv import (
     cell_entropy_residuals,
     convex_decomposition_check,
     fixed_boundary,
-    kruzhkov_pair,
     max_timestep,
     numerical_entropy_flux,
     numerical_flux,
-    quadratic_pair,
     step,
 )
-from horizonfv.entropy import face_reconstruction
+from horizonfv.entropy import _quadratic_flux, face_reconstruction
 from horizonfv.harness import ENTROPY_RESIDUAL_TOL
 from horizonfv.scheme import COPY_BOUNDARY, convex_coefficients
+from kruzhkov import kruzhkov_pair
 
 LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
 
@@ -93,15 +92,15 @@ def brute_force_transport_residuals(values, mesh, m, nf, fluxes, tau, k):
 
 
 def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUNDARY, inner_ghost=None):
-    """One Kruzhkov level at a time, written out with the entropy pairs: the
-    reference the all-levels ledger must reproduce bit for bit.  Returns
-    (per-cell residuals, worst, worst with source, balance gap,
-    dissipation, balance scale)."""
+    """One Kruzhkov level at a time, written out with the Kruzhkov pair and
+    U = v**2/2: the reference the all-levels ledger must reproduce bit for
+    bit.  Returns (per-cell residuals, worst, balance gap, dissipation,
+    balance scale)."""
     v = state_before.values
     inner = v[0] if inner_ghost is None else inner_ghost
     outer_ghost = outer.ghost(float(v[-1]))
     pair = kruzhkov_pair(m, k)
-    tilde_l, tilde_r, full_l, full_r, _ = face_reconstruction(state_before, report, mesh, m)
+    tilde_l, tilde_r, full_l, full_r, _, _ = face_reconstruction(state_before, report, mesh, m)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
     gamma_l = 2.0 * tau * a_l / mesh.widths
@@ -114,28 +113,25 @@ def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUND
     res_r = pair.U(tilde_r) - u_before + gamma_r * (phi_faces[1:] - phi_cons)
     res_l = pair.U(tilde_l) - u_before - gamma_l * (phi_faces[:-1] - phi_cons)
     per_cell = np.maximum(res_l, res_r)
-    fc = np.asarray(m.f(v), dtype=float)
-    hc = np.asarray(m.h(v), dtype=float)
-    src = tau * mesh.cell_thetas * (fc + hc) * pair.dU(v)
-    worst_with_source = float(np.max(np.maximum(res_l - src, res_r - src)))
 
-    quad = quadratic_pair(m)
+    def quad_u(w):
+        return 0.5 * np.square(w)
+
     w_face = 0.5 * mesh.widths
-    uq_before = np.asarray(quad.U(v), dtype=float)
+    uq_before = quad_u(v)
     v_next = 0.5 * (full_r + full_l)
     dev_sq = np.square(full_r - v_next) + np.square(full_l - v_next)
     dissipation = float(0.5 * 1.0 * np.sum(w_face * dev_sq))
-    r_terms = np.asarray(quad.U(full_r)) - np.asarray(quad.U(tilde_r)) \
-        + np.asarray(quad.U(full_l)) - np.asarray(quad.U(tilde_l))
-    fq = np.asarray(quad.F(v), dtype=float)
-    core = (float(np.sum(mesh.widths * (np.asarray(quad.U(v_next)) - uq_before))) + dissipation
+    r_terms = quad_u(full_r) - quad_u(tilde_r) + quad_u(full_l) - quad_u(tilde_l)
+    fq = _quadratic_flux(m)(v)
+    core = (float(np.sum(mesh.widths * (quad_u(v_next) - uq_before))) + dissipation
             - float(np.sum(w_face * r_terms)) - tau * float(np.sum((a_r - a_l) * fq)))
     scale = 1.0 + float(np.sum(mesh.widths * np.abs(uq_before))) + dissipation \
         + float(np.sum(w_face * np.abs(r_terms)))
     closes = outer_ghost == v[-1] and (inner == v[0] or mesh.face_weights[0] == 0.0)
     gap = core + (tau * float(mesh.face_weights[-1]) * float(fq[-1])
                   - tau * float(mesh.face_weights[0]) * float(fq[0])) if closes else float("nan")
-    return per_cell, float(np.max(per_cell)), worst_with_source, gap, dissipation, scale
+    return per_cell, float(np.max(per_cell)), gap, dissipation, scale
 
 
 @pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
@@ -150,16 +146,15 @@ def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer
     ledger = cell_entropy_residuals(state, new_state, report, mesh, burgers, nf, DEFAULT_KRUZHKOV_LEVELS)
     assert ledger.levels.tolist() == list(DEFAULT_KRUZHKOV_LEVELS)
     for j, k in enumerate(DEFAULT_KRUZHKOV_LEVELS):
-        per_cell, worst, worst_src, gap, dissipation, scale = reference_ledger(
+        per_cell, worst, gap, dissipation, scale = reference_ledger(
             state, report, mesh, burgers, nf, k, tau, outer=outer)
         assert np.array_equal(ledger.per_cell_residuals[j], per_cell)
         assert ledger.worst_residuals[j] == worst
-        assert ledger.worst_residuals_with_source[j] == worst_src
         assert np.array_equal([ledger.global_balance_gap, ledger.dissipation_sum, ledger.balance_scale],
                               [gap, dissipation, scale], equal_nan=True)
     # the certificate's convex decomposition: its coefficients, exact or
     # from the flux quotients, and its defect, bit for bit
-    _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh, burgers)
+    _, _, full_l, full_r, _, _ = face_reconstruction(state, report, mesh, burgers)
     defect = float(np.max(np.abs(new_state.values - (full_l + full_r) / 2)))
     assert ledger.decomposition_defect.hex() == defect.hex()
     for flux in (nf, dataclasses.replace(nf, increments=None)):
@@ -240,7 +235,6 @@ def test_plus_one_state_curved_residuals(mesh_m1, burgers):
                                           np.ones(mesh_m1.n_cells))
     ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,))
     assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-14
-    assert abs(ledger.worst_residuals_with_source[0]) <= 1e-14  # source vanishes at the root
     assert abs(ledger.global_balance_gap) <= 1e-14
 
 
@@ -266,17 +260,6 @@ def test_transport_residuals_nonpositive_randomized(mesh_m1, burgers, rng, kind,
         assert ledger.dissipation_sum >= 0.0
 
 
-def test_source_weighted_variant_is_sign_indefinite(mesh_m1, burgers):
-    # reported for reference only: for a constant positive state on a curved
-    # background the source-weighted right side is strictly negative while
-    # the transport left side vanishes, so this variant cannot be a bound
-    state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
-                                          np.full(mesh_m1.n_cells, 0.5))
-    ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,))
-    assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-15
-    assert ledger.worst_residuals_with_source[0] > 1e-4
-
-
 def test_global_balance_nonpositive_randomized(mesh_m1, burgers, rng):
     for kind in ("godunov", "eo", "rusanov"):
         for _ in range(5):
@@ -289,21 +272,18 @@ def test_global_balance_nonpositive_randomized(mesh_m1, burgers, rng):
 def test_balance_tracks_quadratic_entropy_decay(mesh_m1, burgers, rng):
     # total quadratic entropy (plus dissipation and R bookkeeping) never grows
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
-    quad = quadratic_pair(burgers)
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", values)
     ledger = cell_entropy_residuals(state, new_state, report, mesh_m1, burgers, nf, (0.0,))
-    direct = float(np.sum(mesh_m1.widths * (np.asarray(quad.U(new_state.values))
-                                            - np.asarray(quad.U(values)))))
+    direct = float(np.sum(mesh_m1.widths * 0.5 * (new_state.values ** 2 - values ** 2)))
     # entropy change decomposes into flux transport, R terms, and dissipation;
     # the assembled gap must match the direct evaluation to round-off
-    fq = np.asarray(quad.F(values))
+    fq = values ** 3 / 3.0  # the quadratic entropy flux of Burgers
     a = mesh_m1.face_weights
     flux_sum = tau * float(np.sum((a[1:] - a[:-1]) * fq))
     boundary = tau * float(a[-1] * fq[-1] - a[0] * fq[0])
     w_face = 0.5 * mesh_m1.widths
-    tilde_l, tilde_r, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
-    r_terms = (np.asarray(quad.U(full_r)) - np.asarray(quad.U(tilde_r))
-               + np.asarray(quad.U(full_l)) - np.asarray(quad.U(tilde_l)))
+    tilde_l, tilde_r, full_l, full_r, _, _ = face_reconstruction(state, report, mesh_m1, burgers)
+    r_terms = 0.5 * (full_r ** 2 - tilde_r ** 2 + full_l ** 2 - tilde_l ** 2)
     gap_direct = direct + ledger.dissipation_sum - float(np.sum(w_face * r_terms)) - flux_sum + boundary
     assert gap_direct == pytest.approx(ledger.global_balance_gap, abs=1e-12)
 
@@ -312,7 +292,7 @@ def test_decomposition_identity(mesh_m1, burgers, rng):
     for kind in ("godunov", "eo", "rusanov"):
         values = rng.uniform(-1, 1, mesh_m1.n_cells)
         state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
-        _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
+        _, _, full_l, full_r, _, _ = face_reconstruction(state, report, mesh_m1, burgers)
         assert convex_decomposition_check(new_state, full_l, full_r) <= 1e-13
 
 
@@ -320,7 +300,7 @@ def test_decomposition_exact_for_uniform_states(mesh_m1, burgers):
     for value in (1.0, -1.0, 0.2):
         state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                                       np.full(mesh_m1.n_cells, value))
-        _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
+        _, _, full_l, full_r, _, _ = face_reconstruction(state, report, mesh_m1, burgers)
         assert convex_decomposition_check(new_state, full_l, full_r) <= 1e-16
 
 
@@ -331,7 +311,7 @@ def test_dimension_mismatch_rejected(mesh_m1, burgers):
     for before, after in ((short, new_state), (state, short)):
         with pytest.raises(ContractError):
             cell_entropy_residuals(before, after, report, mesh_m1, burgers, nf, (0.0,))
-    _, _, full_l, full_r, _ = face_reconstruction(state, report, mesh_m1, burgers)
+    _, _, full_l, full_r, _, _ = face_reconstruction(state, report, mesh_m1, burgers)
     with pytest.raises(ContractError):
         convex_decomposition_check(short, full_l, full_r)
     # a report whose face states do not fit the mesh

@@ -12,13 +12,13 @@ from horizonfv import (
     build_fhat_table,
     build_uniform_mesh,
     check_structure,
-    kruzhkov_pair,
     max_timestep,
     polynomial_model,
-    quadratic_pair,
 )
 from horizonfv import model
 from horizonfv.cli import main
+from horizonfv.entropy import _quadratic_flux
+from kruzhkov import kruzhkov_pair
 
 # The evaluators burgers_model() had before it became a polynomial model;
 # perfbench and every Burgers artifact rely on the new ones rounding alike.
@@ -288,26 +288,39 @@ def test_kruzhkov_level_domain(burgers):
     kruzhkov_pair(burgers, -1.0)
 
 
-def test_quadratic_pair_values(burgers):
-    pair = quadratic_pair(burgers)
-    assert pair.F(0.0) == 0.0
-    assert pair.U(-1.0) == 0.5
-    assert pair.F(0.6) == pytest.approx(0.072, abs=1e-10)
+# F(v) = int_0^v w f'(w) dw of the quadratic entropy, in closed form
+QUADRATIC_FLUX = {
+    "burgers": lambda v: v ** 3 / 3.0,
+    "quartic": lambda v: 0.4 * v ** 5,
+    "shifted": lambda v: v ** 3 / 3.0,
+}
+
+
+def test_quadratic_entropy_flux_values(structure_models):
     v = np.linspace(-1, 1, 21)
-    assert np.allclose(pair.F(v), v ** 3 / 3.0, atol=1e-10)
+    for m in structure_models:
+        flux = _quadratic_flux(m)
+        assert flux(0.0) == 0.0
+        assert np.allclose(flux(v), QUADRATIC_FLUX[m.name](v), atol=1e-15)
+    assert _quadratic_flux(structure_models[0])(0.6) == pytest.approx(0.072, abs=1e-15)
 
 
 @pytest.mark.parametrize("k", [None, -0.75, -0.25, 0.0, 0.25, 0.75])
 def test_entropy_flux_compatibility(structure_models, k):
-    # F'(v) = f'(v) U'(v) by centered differences, away from the kink
+    # F'(v) = f'(v) U'(v) by centered differences, away from the kink; k None
+    # is the quadratic entropy U = v**2/2 with the certificate's own F
     step = 1e-5
     for m in structure_models:
-        pair = quadratic_pair(m) if k is None else kruzhkov_pair(m, k)
+        if k is None:
+            F, dU = _quadratic_flux(m), lambda v: v
+        else:
+            pair = kruzhkov_pair(m, k)
+            F, dU = pair.F, pair.dU
         v = np.linspace(-0.99, 0.99, 199)
         if k is not None:
             v = v[np.abs(v - k) > 1e-3]
-        approx = (np.asarray(pair.F(v + step)) - np.asarray(pair.F(v - step))) / (2 * step)
-        exact = np.asarray(m.df(v), dtype=float) * np.asarray(pair.dU(v), dtype=float)
+        approx = (np.asarray(F(v + step)) - np.asarray(F(v - step))) / (2 * step)
+        exact = np.asarray(m.df(v), dtype=float) * np.asarray(dU(v), dtype=float)
         assert np.max(np.abs(approx - exact) / (1.0 + np.abs(m.df(v)))) <= 1e-6
 
 
@@ -316,6 +329,23 @@ def test_polynomial_degree_cap():
         polynomial_model("toolong", list(range(10)), [0.0])
     with pytest.raises(DomainError):
         polynomial_model("nan", [-0.5, float("nan"), 0.5], [0.0])
+
+
+# huge coefficients: f' = 1e308 + 2e308 s overflows, and so does f + h = 2e308 at s = 1
+OVERFLOWING_FLUX = ((0.0, 1e308, 1e308), (0.0,))
+OVERFLOWING_SOURCE = ((-0.5, 0.0, 0.5), (1e308, 1e308))
+
+
+def test_overflowing_flux_slope_is_refused_by_name():
+    with pytest.raises(DomainError, match="a coefficient of f' overflows a float"):
+        polynomial_model("big", *OVERFLOWING_FLUX)
+
+
+def test_overflowing_boundary_value_is_refused_by_name():
+    with pytest.raises(DomainError, match=r"f \+ h at s = 1 overflows a float"):
+        polynomial_model("big", *OVERFLOWING_SOURCE)
+    with pytest.raises(DomainError, match=r"f \+ h at s = 1 overflows a float"):
+        check_structure(*OVERFLOWING_SOURCE)
 
 
 def test_polynomial_model_shifted_structure(shifted):
