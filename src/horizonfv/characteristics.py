@@ -34,7 +34,6 @@ coordinate stays above 2M.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -116,7 +115,7 @@ class FhatTable:
         self._series_radius = 0.25 * float(np.min(np.abs(roots), initial=1.0))
 
         def integrand(w):
-            return float(m.df(w)) / (float(m.f(w)) + float(m.h(w)))
+            return m.df(w) / (m.f(w) + m.h(w))
 
         for u in (0.5, -0.5):
             # the relative goal absorbs the cancellation noise of f + h
@@ -255,17 +254,26 @@ def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) 
 
 
 def rhs_exterior(m: FluxModel, mass: float, r: float, u: float):
-    """Characteristic system in the static slicing: (dt/ds, dr/ds, du/ds)."""
+    """Characteristic system in the static slicing: (dt/ds, dr/ds, du/ds).
+
+    DomainError unless r > 2M; the formula is the one trace_exterior
+    steps with, bound by _exterior_rhs."""
     if not r > 2.0 * mass:
         raise DomainError(f"characteristic left the exterior domain: r={r} <= 2M={2 * mass}")
-    return _exterior_rates(m, 2.0 * mass, r, u)
+    return _exterior_rhs(m, 2.0 * mass)(r, u)
 
 
-def _exterior_rates(m: FluxModel, two_m: float, r: float, u: float):
-    """The formula of rhs_exterior for r > two_m = 2M, with no domain check;
-    trace_exterior calls it directly and checks its own guard."""
-    a = 1.0 - two_m / r
-    return 1.0 / (a * a), m.df(u) / a, (two_m / (r - two_m) ** 2) * (m.f(u) + m.h(u))
+def _exterior_rhs(m: FluxModel, two_m: float):
+    """rhs(r, u) of the exterior system for r > two_m = 2M, with no domain
+    check, and with m.f, m.df, m.h and two_m bound once: a stage makes one
+    call here and one per evaluator."""
+    f, df, h = m.f, m.df, m.h
+
+    def rhs(r, u):
+        a = 1.0 - two_m / r
+        return 1.0 / (a * a), df(u) / a, (two_m / (r - two_m) ** 2) * (f(u) + h(u))
+
+    return rhs
 
 
 def _guard_u(u: float, tol: float = _U_OVERSHOOT_TOL) -> float:
@@ -288,12 +296,13 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
 
     Halts early once the radius drops below 2M (1 + 1e-6) or exceeds
     r_stop; a step whose internal stages would leave the exterior domain is
-    discarded and counts as horizon arrival.
+    discarded and counts as horizon arrival.  The right-hand side is the
+    formula of rhs_exterior, bound to the model once per trace.
     """
     if not ds > 0.0:
         raise DomainError("ds must be positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
-    return _rk4_trace(functools.partial(_exterior_rates, m, 2.0 * mass), start, ds, s_max, guard_r, r_stop)
+    return _rk4_trace(_exterior_rhs(m, 2.0 * mass), start, ds, s_max, guard_r, r_stop)
 
 
 def h_prime_interior(mass: float, shift: float, big_r: float) -> float:

@@ -275,10 +275,8 @@ def main(argv=None) -> int:
         prog="horizonfv",
         description="Finite volume solver and diagnostics for scalar balance laws on a black hole exterior",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("config", help="path to the configuration file")
+    parser.add_argument("command", choices=_COMMANDS, help="the subcommand to run")
+    parser.add_argument("config", help="path to the configuration file")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)

@@ -17,6 +17,7 @@ The solver refuses nothing by itself; callers that need the whole class
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -32,14 +33,23 @@ ArrayLike = Callable[[np.ndarray], np.ndarray]
 DEFAULT_KRUZHKOV_LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
 
 
+@functools.lru_cache(maxsize=256)
 def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
     """Horner evaluation of trimmed ascending coefficients c0 + c1 s + ...
 
-    It starts from the leading coefficient and adds a lower one only when
-    it is nonzero, so s**2/2 - 1/2 costs what 0.5 * s * s - 0.5 costs and
-    rounds the same way, sign of zero included.  A constant c is computed
-    as s * 0.0 + c, so it takes the shape of s.  Every branch uses the
-    arithmetic operators, so a Python float in gives a Python float out.
+    It starts from the leading coefficient, s * lead, and adds a lower one
+    only when it is nonzero, so s**2/2 - 1/2 costs what 0.5 * s * s - 0.5
+    costs and rounds the same way, sign of zero included.  A constant c is
+    computed as s * 0.0 + c, so it takes the shape of s.  Every branch uses
+    the arithmetic operators, so a Python float in gives a Python float out.
+
+    Each tuple is compiled once into one straight-line expression, such as
+    (s * lead + c1) * s for (0.0, c1, lead): the code reads the
+    coefficients from closure cells, so no value is ever written into
+    source text, and a call makes no loop and no other call.  Equal tuples
+    share one function, which is exact: such tuples differ at most in the
+    sign of a zero, and a zero is read only as a lead, which a trimmed
+    tuple's is not.
     """
     if len(coeffs) == 1:
         (c0,) = coeffs
@@ -49,16 +59,16 @@ def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
             return zero + c0 if c0 else zero
 
         return constant
-    c0, *middle, lead = coeffs
-    middle.reverse()
-
-    def poly(s):
-        acc = s * lead
-        for c in middle:
-            acc = (acc + c if c else acc) * s
-        return acc + c0 if c0 else acc
-
-    return poly
+    *lower, lead = coeffs
+    expr = "s * lead"
+    for i in range(len(lower) - 1, 0, -1):
+        expr = f"({expr} + c{i}) * s" if lower[i] else f"{expr} * s"
+    if lower[0]:
+        expr += " + c0"
+    names = ", ".join(f"c{i}" for i in range(len(lower)))
+    namespace = {}
+    exec(f"def bind(lead, {names}):\n    def poly(s):\n        return {expr}\n    return poly", namespace)
+    return namespace["bind"](lead, *lower)
 
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -100,7 +110,9 @@ class FluxModel:
     ``f_poly`` and ``h_poly`` are the ascending coefficients of the flux f
     and the source profile h, trailing zeros trimmed; ``f``, ``df``, ``h``
     and ``dh`` evaluate f, f', h and h', a Python float to a Python float
-    and an array to an array of its shape.  ``structure`` is the exact
+    and an array to an array of its shape; each is one straight-line
+    Horner expression, compiled once per coefficient tuple and shared by
+    every model with that tuple.  ``structure`` is the exact
     verdict of ``check_structure``, ``flux_lipschitz`` is sup |f'| and
     ``source_slope`` is sup |f' + h'|, both over [-1, 1] and both floats
     that bound the exact sup from above.  Build models
@@ -280,12 +292,21 @@ def _peak_candidates(slope_poly: Sequence[float], what: str) -> np.ndarray:
     at one of these points.  Complex roots contribute their real parts
     too: a multiple real root may come back from rounding as a conjugate
     pair, and an extra point of [-1, 1] cannot lift the max above the sup.
+    np.roots divides by the leading coefficient, so a tiny one overflows
+    it; a leading coefficient below one ulp of every remaining one is
+    dropped and the roots are taken again.  The points only seed
+    _certified_bound, which certifies the full polynomial exactly.
     """
-    ascending = _finite(slope_poly, what)
-    try:
-        centers = np.roots(ascending[::-1]).real
-    except np.linalg.LinAlgError:
-        raise DomainError(f"a root of {what} overflows a float") from None
+    ascending = list(_finite(slope_poly, what))
+    while True:
+        try:
+            centers = np.roots(ascending[::-1]).real
+            break
+        except np.linalg.LinAlgError:
+            *rest, lead = ascending
+            if not (rest and abs(lead) < math.ulp(max(map(abs, rest)))):
+                raise DomainError(f"a root of {what} overflows a float") from None
+            ascending = rest
     return np.concatenate(([-1.0, 1.0], centers[np.abs(centers) <= 1.0]))
 
 

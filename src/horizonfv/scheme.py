@@ -206,10 +206,11 @@ class StateVector:
             vals = np.array(vals, dtype=float)  # own copy, frozen below
         if vals.ndim != 1 or vals.size == 0:
             raise ContractError("state values must be a nonempty 1D array")
-        peak = float(np.max(np.abs(vals)))  # NaN if any value is NaN
-        if not peak <= 1.0:
-            if math.isnan(peak):
+        top, bottom = float(vals.max()), float(vals.min())  # both NaN if any value is NaN
+        if not (top <= 1.0 and bottom >= -1.0):
+            if math.isnan(top):
                 raise NumericsError("NaN in state values")
+            peak = max(top, -bottom)
             raise NumericsError(
                 f"state leaves [-1, 1]: max |v| = {peak:.17g} (discrete maximum principle violated)"
             )

@@ -185,26 +185,6 @@ def test_fate_worked_examples(fhat_table):
     assert marginal.kind == "marginal" and marginal.u_limit == 0.0
 
 
-def test_fate_trichotomy_against_closed_form(fhat_table):
-    # 20-point grid; the conserved combination (1 - u^2)/a decides the fate:
-    # escape iff u0 > sqrt(2M/r0)
-    points = [(r0, u0) for r0 in (3.0, 5.0, 8.0, 16.0)
-              for u0 in (-0.6, 0.2, 0.5, 0.7, 0.95)]
-    assert len(points) == 20
-    for r0, u0 in points:
-        u_escape = math.sqrt(2.0 / r0)
-        fate = classify_fate(fhat_table, 1.0, r0, u0)
-        if abs(u0 - u_escape) <= 1e-12:
-            assert fate.kind == "marginal"
-        elif u0 > u_escape:
-            assert fate.kind == "escapes"
-            expected = math.sqrt((u0 * u0 - u_escape ** 2) / (1.0 - u_escape ** 2))
-            assert fate.u_limit == pytest.approx(expected, abs=1e-9)
-        else:
-            assert fate.kind == "falls_in"
-            assert fate.u_limit == -1.0
-
-
 def test_escape_velocity_of_a_shallow_model(shallow_table):
     # u_esc = sqrt(1 - a^8); at r = 2.1 that needs Fhat = log(a) < -3, below the branch
     assert escape_velocity(shallow_table, 1.0, 4.0) == math.sqrt(1.0 - 2.0 ** -8)

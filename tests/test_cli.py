@@ -242,6 +242,24 @@ def test_cli_exit_codes(tmp_path):
     assert _run_cli(tmp_path, bad, "check-model", "bad.ini") == 2
 
 
+def test_cli_usage_errors_exit_2_and_help_lists_every_subcommand(tmp_path, capsys):
+    body = MINIMAL + f"\n[run]\noutput_dir = {tmp_path/'out'}\n"
+    path = write_config(tmp_path, body)
+    for argv in (["bogus", str(path)], ["run"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    for name in ("run", "check-model", "characteristics", "steady", "converge", "oracle",
+                 "steady-drift", "fuzz"):
+        assert name in usage.split("{")[1].split("}")[0].split(","), name
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_check_model_reports_flags(tmp_path, capsys):
     body = MINIMAL + f"\n[run]\noutput_dir = {tmp_path/'out'}\n"
     assert _run_cli(tmp_path, body, "check-model") == 0

@@ -15,7 +15,7 @@ from horizonfv import (
     max_timestep,
     polynomial_model,
 )
-from horizonfv import model
+from horizonfv import characteristics, model
 from horizonfv.cli import main
 from horizonfv.entropy import _quadratic_flux
 from kruzhkov import kruzhkov_pair
@@ -83,6 +83,67 @@ def test_constant_evaluator_keeps_the_type_and_shape_of_its_argument(c):
         assert np.shape(y) == x.shape
         assert np.asarray(y).dtype == np.float64
         assert np.asarray(y).tobytes() == np.asarray(ufunc_form(x)).tobytes()
+
+
+def _horner(coeffs, s):
+    """The written-out Horner order the compiled evaluators must keep."""
+    c0, *middle, lead = coeffs
+    acc = s * lead
+    for c in reversed(middle):
+        if c:
+            acc = acc + c
+        acc = acc * s
+    return acc + c0 if c0 else acc
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-170, 0.3, -0.7,
+               1.0, -1.0, 1.5, 1e154, -1e300, 1e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+def test_compiled_evaluators_match_the_written_out_horner_bitwise(monkeypatch, burgers, quartic, sextic,
+                                                                 shifted, rounding_quartic):
+    cases = [(f"{m.name}.{name}", poly) for m in (burgers, quartic, sextic, shifted, rounding_quartic)
+             for name, poly in (("f", m.f_poly), ("df", model._polyder(m.f_poly)), ("h", m.h_poly),
+                                ("dh", model._polyder(m.h_poly)))]
+    seen = []  # the tuples a Fhat table compiles, its Taylor series included
+    monkeypatch.setattr(characteristics, "_evaluator", lambda c: seen.append(c) or model._evaluator(c))
+    build_fhat_table(burgers)
+    cases += [(f"fhat[{i}]", coeffs) for i, coeffs in enumerate(seen)]
+    assert max(len(c) for _, c in cases) == 31
+    arrays = (np.array(EDGE_FLOATS), np.linspace(-1.0, 1.0, 2001), np.array(0.3), np.array(-0.0),
+              np.array([0.3 + 0.4j, -1.0 - 0.0j, 1e-170j, 2.0 + 1e308j]))
+    with np.errstate(all="ignore"):
+        for label, coeffs in cases:
+            fn = model._evaluator(coeffs)
+            if len(coeffs) == 1:
+                continue  # the constant branch has its own test
+            for x in EDGE_FLOATS:
+                got, want = fn(x), _horner(coeffs, x)
+                assert type(got) is float, label
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (label, x)
+            for x in arrays:
+                got, want = fn(x), _horner(coeffs, x)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want), (label, x)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (label, x)
+
+
+def test_evaluator_cache_returns_one_function_per_tuple_and_stays_bounded():
+    coeffs = (-0.5, 0.0, 0.5)
+    assert model._evaluator(coeffs) is model._evaluator(tuple(list(coeffs)))
+    assert model._evaluator(coeffs) is not model._evaluator((-0.5, 0.0, 0.25))
+    maxsize = model._evaluator.cache_info().maxsize
+    assert maxsize is not None
+    fns = {model._evaluator((1.0, float(k))) for k in range(1, maxsize + 11)}
+    assert len(fns) == maxsize + 10
+    assert model._evaluator.cache_info().currsize <= maxsize
+    # a fresh compile of an evicted tuple computes the same bits
+    assert model._evaluator((1.0, 1.0))(0.3) == 1.0 * 0.3 + 1.0 == _horner((1.0, 1.0), 0.3)
+
+
+def test_evaluator_source_holds_no_coefficient_text():
+    fn = model._evaluator((0.125, 0.0, -3.75, 2.5))
+    assert sorted(cell.cell_contents for cell in fn.__closure__) == [-3.75, 0.125, 2.5]
+    assert not {0.125, -3.75, 2.5} & set(fn.__code__.co_consts)
 
 
 def test_replace_keeps_the_certificate(burgers):
@@ -346,6 +407,15 @@ def test_overflowing_boundary_value_is_refused_by_name():
         polynomial_model("big", *OVERFLOWING_SOURCE)
     with pytest.raises(DomainError, match=r"f \+ h at s = 1 overflows a float"):
         check_structure(*OVERFLOWING_SOURCE)
+
+
+def test_tiny_leading_coefficient_is_dropped_from_the_peak_search():
+    # f = s**2 + 1e-320 s**3: np.roots of f'' = 2 + 6e-320 s overflows its
+    # companion matrix; the bound is certified on the full polynomial
+    m = polynomial_model("tiny", (0.0, 0.0, 1.0, 1e-320), (0.0,))
+    assert m.f_poly == (0.0, 0.0, 1.0, 1e-320)
+    assert 2.0 <= m.flux_lipschitz <= 2.0 + 4 * math.ulp(2.0)
+    assert 2.0 <= m.source_slope <= 2.0 + 4 * math.ulp(2.0)
 
 
 def test_polynomial_model_shifted_structure(shifted):

@@ -171,6 +171,16 @@ def test_state_vector_messages_under_one_reduction(values, message):
         StateVector(values=np.array(values), time=0.0, step_index=0)
 
 
+@pytest.mark.parametrize("values", [[-1.5, 0.2], [0.3, 1.25, -1.125], [-1.0 - 2 ** -52, 1.0],
+                                    [np.inf, -2.0], [-np.inf, 0.5]])
+def test_state_vector_message_names_the_largest_magnitude(values):
+    peak = float(np.max(np.abs(values)))
+    with pytest.raises(NumericsError) as exc:
+        StateVector(values=np.array(values), time=0.0, step_index=0)
+    assert str(exc.value) == (f"state leaves [-1, 1]: max |v| = {peak:.17g} "
+                              "(discrete maximum principle violated)")
+
+
 def test_state_vector_accepts_the_closed_interval():
     edge = np.array([-1.0, 1.0, -0.0, 5e-324, -5e-324])
     state = StateVector(values=edge, time=0.0, step_index=0)
