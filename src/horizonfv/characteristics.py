@@ -30,19 +30,29 @@ quadratic model; both tracers conserve (1 - u^2) / a and describe the same
 tracer meaningfully probes below r = 2M in the original radius is a matter
 of interpretation, not asserted by any check here; its own radial
 coordinate stays above 2M.
+
+Both tracers run one RK4 loop in Python floats, compiled from one source
+template with the stage right-hand side written into it as text.  In the
+exterior system the model's f, f' and h are written in as Horner text
+when each is the model's own compiled evaluator of its coefficient tuple
+(the coefficients are read from closure cells); any other callable, such
+as a counting wrapper, is called at every stage.  Kernels are compiled
+once per set of tuples, in a bounded cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
 from .errors import DomainError, NumericsError, RangeError, StepSizeError, UnsupportedModelError
-from .model import (_SCALE, FluxModel, _deflate, _evaluator, _has_repeated_root, _integers, _polyder,
-                    _polyint, _trimmed)
+from .model import (_SCALE, FluxModel, _closure, _deflate, _evaluator, _has_repeated_root, _horner, _integers,
+                    _polyder, _polyint, _trimmed)
 from .quadrature import adaptive_simpson
 
 _HORIZON_GUARD = 1e-6  # halt tracing once r < 2M (1 + guard)
@@ -256,24 +266,11 @@ def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) 
 def rhs_exterior(m: FluxModel, mass: float, r: float, u: float):
     """Characteristic system in the static slicing: (dt/ds, dr/ds, du/ds).
 
-    DomainError unless r > 2M; the formula is the one trace_exterior
-    steps with, bound by _exterior_rhs."""
+    DomainError unless r > 2M; the formula is the stage trace_exterior
+    steps with, compiled from the same text."""
     if not r > 2.0 * mass:
         raise DomainError(f"characteristic left the exterior domain: r={r} <= 2M={2 * mass}")
-    return _exterior_rhs(m, 2.0 * mass)(r, u)
-
-
-def _exterior_rhs(m: FluxModel, two_m: float):
-    """rhs(r, u) of the exterior system for r > two_m = 2M, with no domain
-    check, and with m.f, m.df, m.h and two_m bound once: a stage makes one
-    call here and one per evaluator."""
-    f, df, h = m.f, m.df, m.h
-
-    def rhs(r, u):
-        a = 1.0 - two_m / r
-        return 1.0 / (a * a), df(u) / a, (two_m / (r - two_m) ** 2) * (f(u) + h(u))
-
-    return rhs
+    return _exterior_kernels(*_inlined(m))[0](m.f, m.df, m.h, 2.0 * mass, r, u)
 
 
 def _guard_u(u: float, tol: float = _U_OVERSHOOT_TOL) -> float:
@@ -297,12 +294,13 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
     Halts early once the radius drops below 2M (1 + 1e-6) or exceeds
     r_stop; a step whose internal stages would leave the exterior domain is
     discarded and counts as horizon arrival.  The right-hand side is the
-    formula of rhs_exterior, bound to the model once per trace.
+    formula of rhs_exterior, written into the loop (see _rk4_source).
     """
     if not ds > 0.0:
         raise DomainError("ds must be positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
-    return _rk4_trace(_exterior_rhs(m, 2.0 * mass), start, ds, s_max, guard_r, r_stop)
+    kernel = _exterior_kernels(*_inlined(m))[1]
+    return _rk4_trace(kernel, (m.f, m.df, m.h, 2.0 * mass), start, ds, s_max, guard_r, r_stop)
 
 
 def h_prime_interior(mass: float, shift: float, big_r: float) -> float:
@@ -342,42 +340,41 @@ def trace_interior(mass: float, shift: float, start: tuple[float, float, float],
         raise DomainError("ds must be positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
     t0, r0, u0 = start
-
-    def rhs(r, u):
-        a = 1.0 - 2.0 * mass / r
-        hp = h_prime_interior(mass, shift, r)
-        return 1.0 + hp * u * a, a * u, (mass / (r * r)) * (u * u - 1.0)
-
-    return _rk4_trace(rhs, CharState(s=0.0, t=t0, r=r0, u=u0), ds, s_max, guard_r, r_stop)
+    return _rk4_trace(_interior_kernel(), (mass, shift), CharState(s=0.0, t=t0, r=r0, u=u0), ds, s_max,
+                      guard_r, r_stop)
 
 
-def _rk4_trace(rhs, start: CharState, ds: float, s_max: float, guard_r: float,
-               r_stop: float | None) -> CharPath:
-    """Fixed-step RK4 of rhs(r, u) -> (dt/ds, dr/ds, du/ds).  A stage radius
-    not above guard_r discards its step and ends the trace at "horizon"; u
-    goes through _guard_u only when it is not in [-1, 1] (NaN included)."""
-    u = _guard_u(start.u)
-    if not start.r > guard_r:
-        raise DomainError(f"start radius {start.r} is inside the horizon guard {guard_r}")
+# The RK4 loop of both tracers.  {rhs} and {k1} to {k4} stand for the
+# source lines of one stage of the system: from a radius and a state they
+# compute the three rates k<i>t, k<i>r, k<i>u.  A stage radius not above
+# guard_r discards its step and ends the trace at "horizon"; u goes
+# through _guard_u only when it is not in [-1, 1] (NaN included).
+_RK4_LOOP = """\
+def rhs({params}, r, u):
+{rhs}
+    return kt, kr, ku
 
-    s, t, r = start.s, start.t, start.r
-    rows = [(s, t, r, u)]
+def kernel({params}, s, t, r, u, ds, steps, guard_r, r_stop):
+    rows = [s, t, r, u]
     half, sixth = 0.5 * ds, ds / 6.0
     reason = "horizon"
-    for _ in range(max(int(round((s_max - start.s) / ds)), 0)):
-        k1t, k1r, k1u = rhs(r, u)
+    for _ in range(steps):
+{k1}
         stage_r = r + half * k1r
         if not stage_r > guard_r:
             break
-        k2t, k2r, k2u = rhs(stage_r, u + half * k1u)
+        stage_u = u + half * k1u
+{k2}
         stage_r = r + half * k2r
         if not stage_r > guard_r:
             break
-        k3t, k3r, k3u = rhs(stage_r, u + half * k2u)
+        stage_u = u + half * k2u
+{k3}
         stage_r = r + ds * k3r
         if not stage_r > guard_r:
             break
-        k4t, k4r, k4u = rhs(stage_r, u + ds * k3u)
+        stage_u = u + ds * k3u
+{k4}
         t += sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         r += sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         u += sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
@@ -386,14 +383,85 @@ def _rk4_trace(rhs, start: CharState, ds: float, s_max: float, guard_r: float,
             u = _guard_u(u)
         if not r > guard_r:
             break
-        rows.append((s, t, r, u))
+        rows += s, t, r, u
         if r_stop is not None and r > r_stop:
             reason = "r_stop"
             break
     else:
         reason = "s_max"
+    return rows, reason
 
-    columns = np.array(rows, dtype=float).T.copy()
+return rhs, kernel
+"""
+
+
+def _rk4_source(params: str, stage) -> str:
+    """_RK4_LOOP with stage(k, r, u), the lines that set k + "t", k + "r"
+    and k + "u" from the radius and state named r and u, written in."""
+    def lines(k, r, u, indent):
+        return textwrap.indent(stage(k, r, u), indent)
+
+    return _RK4_LOOP.format(params=params, rhs=lines("k", "r", "u", " " * 4),
+                            k1=lines("k1", "r", "u", " " * 8),
+                            **{f"k{i}": lines(f"k{i}", "stage_r", "stage_u", " " * 8) for i in (2, 3, 4)})
+
+
+def _inlined(m: FluxModel):
+    """The coefficient tuples of f, f' and h, each None unless the
+    evaluator is the model's own compiled Horner of it (_evaluator's)."""
+    return tuple(poly if fn is _evaluator(poly) else None
+                 for fn, poly in ((m.f, m.f_poly), (m.df, _polyder(m.f_poly)), (m.h, m.h_poly)))
+
+
+@functools.lru_cache(maxsize=64)
+def _exterior_kernels(*polys):
+    """(rhs, kernel) of the exterior system for r > two_m = 2M, with no
+    domain check, taking (f, df, h, two_m) first.  polys are _inlined's:
+    a tuple's Horner text is written into the stage, read from closure
+    cells, and an evaluator given as None is called."""
+    cells = {}
+
+    def value(name, poly, u):
+        if poly is None:
+            return f"{name}({u})"
+        expr, named = _horner(poly, u, name + "_")
+        cells.update(named)
+        return f"({expr})"
+
+    def stage(k, r, u):
+        f, df, h = (value(name, poly, u) for name, poly in zip(("f", "df", "h"), polys))
+        return (f"a = 1.0 - two_m / {r}\n"
+                f"{k}t, {k}r, {k}u = 1.0 / (a * a), {df} / a, (two_m / ({r} - two_m) ** 2) * ({f} + {h})")
+
+    source = _rk4_source("f, df, h, two_m", stage)
+    return _closure(source, cells, {"_guard_u": _guard_u})
+
+
+@functools.lru_cache(maxsize=1)
+def _interior_kernel():
+    """The RK4 kernel of the shifted slicing, taking (mass, shift) first."""
+    def stage(k, r, u):
+        return (f"a = 1.0 - 2.0 * mass / {r}\n"
+                f"hp = h_prime_interior(mass, shift, {r})\n"
+                f"{k}t, {k}r, {k}u = 1.0 + hp * {u} * a, a * {u}, (mass / ({r} * {r})) * ({u} * {u} - 1.0)")
+
+    return _closure(_rk4_source("mass, shift", stage), {}, {"_guard_u": _guard_u,
+                                                             "h_prime_interior": h_prime_interior})[1]
+
+
+def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float, guard_r: float,
+               r_stop: float | None) -> CharPath:
+    """Run kernel(*params, ...) from start: the checks of the start and the
+    step count, and the rows turned into a read-only CharPath."""
+    u = _guard_u(start.u)
+    if not start.r > guard_r:
+        raise DomainError(f"start radius {start.r} is inside the horizon guard {guard_r}")
+    steps = (s_max - start.s) / ds
+    if not math.isfinite(steps):
+        raise DomainError(f"step count (s_max - s0) / ds = ({s_max} - {start.s}) / {ds} is not finite")
+    rows, reason = kernel(*params, start.s, start.t, start.r, u, ds, max(int(round(steps)), 0), guard_r,
+                          r_stop)
+    columns = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
     columns.setflags(write=False)
     return CharPath(*columns, stop_reason=reason)
 

@@ -7,14 +7,16 @@ that names its section (and its key, where that differs from the field
 name); the field's annotation picks the parser and its default fills a
 key left out.  Unknown sections or keys are rejected by name, with the
 line number inside their own section when it can be located; type errors
-and constraint violations name the offending key, and the fully resolved
-configuration (defaults applied, in field order) is echoed into the
-output directory for provenance.
+(a number that is not finite among them) and constraint violations name
+the offending key, and the fully resolved configuration (defaults
+applied, in field order) is echoed into the output directory for
+provenance.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field, fields
 from itertools import groupby
@@ -121,13 +123,20 @@ def _find_line(text: str, section: str, key: str | None = None) -> int | None:
     return None
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _convert(raw: str, kind: str, where: str):
     raw = raw.strip()
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "int":
-            value = float(raw)
+            value = _finite(raw)
             if value != int(value):
                 raise ValueError("not an integer")
             return int(value)
@@ -142,7 +151,7 @@ def _convert(raw: str, kind: str, where: str):
             parts = [p for p in raw.replace(",", " ").split() if p]
             if not parts:
                 raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({exc})") from None

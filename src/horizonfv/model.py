@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Sequence
@@ -33,42 +34,48 @@ ArrayLike = Callable[[np.ndarray], np.ndarray]
 DEFAULT_KRUZHKOV_LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
 
 
-@functools.lru_cache(maxsize=256)
-def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
-    """Horner evaluation of trimmed ascending coefficients c0 + c1 s + ...
+def _horner(coeffs: tuple[float, ...], var: str, prefix: str) -> tuple[str, dict[str, float]]:
+    """Horner text of trimmed ascending coefficients c0 + c1 s + ... in the
+    variable named var, and the values of the names it reads.
 
-    It starts from the leading coefficient, s * lead, and adds a lower one
+    It starts from the leading coefficient, var * lead, and adds a lower one
     only when it is nonzero, so s**2/2 - 1/2 costs what 0.5 * s * s - 0.5
     costs and rounds the same way, sign of zero included.  A constant c is
-    computed as s * 0.0 + c, so it takes the shape of s.  Every branch uses
-    the arithmetic operators, so a Python float in gives a Python float out.
-
-    Each tuple is compiled once into one straight-line expression, such as
-    (s * lead + c1) * s for (0.0, c1, lead): the code reads the
-    coefficients from closure cells, so no value is ever written into
-    source text, and a call makes no loop and no other call.  Equal tuples
-    share one function, which is exact: such tuples differ at most in the
-    sign of a zero, and a zero is read only as a lead, which a trimmed
-    tuple's is not.
+    var * 0.0 + c (var * 0.0 when c is zero), so it takes the shape of var.
+    Every term uses the arithmetic operators, so a Python float in gives a
+    Python float out.  Coefficient i is read as the name prefix + str(i),
+    and only the names the text reads are returned: no value is ever
+    written into the text.
     """
-    if len(coeffs) == 1:
-        (c0,) = coeffs
+    n = len(coeffs) - 1
+    expr = f"{var} * {prefix}{n}" if n else f"{var} * 0.0"
+    for i in range(n - 1, 0, -1):
+        expr = f"({expr} + {prefix}{i}) * {var}" if coeffs[i] else f"{expr} * {var}"
+    if coeffs[0]:
+        expr += f" + {prefix}0"
+    return expr, {f"{prefix}{i}": c for i, c in enumerate(coeffs) if c or i == n > 0}
 
-        def constant(s):
-            zero = s * 0.0
-            return zero + c0 if c0 else zero
 
-        return constant
-    *lower, lead = coeffs
-    expr = "s * lead"
-    for i in range(len(lower) - 1, 0, -1):
-        expr = f"({expr} + c{i}) * s" if lower[i] else f"{expr} * s"
-    if lower[0]:
-        expr += " + c0"
-    names = ", ".join(f"c{i}" for i in range(len(lower)))
-    namespace = {}
-    exec(f"def bind(lead, {names}):\n    def poly(s):\n        return {expr}\n    return poly", namespace)
-    return namespace["bind"](lead, *lower)
+def _closure(body: str, cells: dict[str, float], names: dict | None = None):
+    """Run body, source text ending in a return, as the body of a function
+    whose parameters are the keys of cells, called with their values.
+    Functions body defines read those values from closure cells; names are
+    the globals the text sees."""
+    namespace = dict(names or {})
+    exec(f"def bind({', '.join(cells)}):\n" + textwrap.indent(body, "    "), namespace)
+    return namespace["bind"](**cells)
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
+    """The Horner text of coeffs (see _horner) compiled into one function
+    of s: a call makes no loop and no other call.  Each tuple is compiled
+    once.  Equal tuples share one function, which is exact: such tuples
+    differ at most in the sign of a zero, and a zero is read only as a
+    lead, which a trimmed tuple's is not.
+    """
+    expr, cells = _horner(coeffs, "s", "c")
+    return _closure(f"def poly(s):\n    return {expr}\nreturn poly", cells)
 
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -118,7 +125,10 @@ class FluxModel:
     that bound the exact sup from above.  Build models
     with ``polynomial_model``, which computes all of these once; consumers
     read them and never re-derive them, so ``dataclasses.replace`` may swap
-    in instrumented evaluators and keep the certificate.
+    in instrumented evaluators and keep the certificate.  The characteristic
+    tracers write f, f' and h into their loop as Horner text only while
+    each is the compiled evaluator of its own tuple; a swapped-in evaluator
+    is called at every stage, so instrumentation sees every call.
 
     Immutable after construction and safe to share across threads.
     """

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from horizonfv import characteristics
+from horizonfv import characteristics, model
 from horizonfv import (
     Background,
     CharState,
@@ -593,3 +594,123 @@ def _reference_interior(mass, shift, start, ds, s_max, r_stop=None):
 def test_trace_interior_replays_the_reference_bitwise(mass, shift, start, ds, s_max, r_stop):
     args = (mass, shift, start, ds, s_max, r_stop)
     assert _outcome(trace_interior, *args) == _outcome(_reference_interior, *args)
+
+
+# (r0, u0, ds, s_max, r_stop) of the steady benchmark workload's characteristic
+STEADY_START = (8.0, 0.6, 1e-3, 5.0, 120.0)
+
+
+def test_trace_exterior_replays_the_reference_on_every_model(burgers, quartic, sextic, shifted,
+                                                             rounding_quartic):
+    seen = Counter()
+    for m in (sextic, rounding_quartic):
+        for mass in (0.0, 0.5, 1.0):
+            for dr, u0, ds, s_max, stop in EXTERIOR_STARTS:
+                args = (m, mass, CharState(0.0, 0.25, 2.0 * mass + dr, u0), ds, s_max,
+                        None if stop is None else 2.0 * mass + stop)
+                got = _outcome(trace_exterior, *args)
+                assert got == _outcome(_reference_exterior, *args), (m.name, mass, dr, u0)
+                seen[got[0]] += 1
+    assert set(seen) == {"s_max", "horizon", "r_stop"}
+    r0, u0, ds, s_max, r_stop = STEADY_START
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        args = (m, 1.0, CharState(0.0, 0.0, r0, u0), ds, s_max, r_stop)
+        got = _outcome(trace_exterior, *args)
+        assert got == _outcome(_reference_exterior, *args), m.name
+        assert got[0] == "s_max" and len(got[1][0]) == 8 * 5001, m.name
+
+
+def test_trace_interior_replays_the_reference_from_the_steady_start():
+    r0, u0, ds, s_max, r_stop = STEADY_START
+    args = (1.0, 0.5, (0.0, r0, u0), ds, s_max, r_stop)
+    got = _outcome(trace_interior, *args)
+    assert got == _outcome(_reference_interior, *args)
+    assert got[0] == "s_max" and len(got[1][0]) == 8 * 5001
+
+
+def test_trace_refuses_a_step_count_that_is_not_finite(burgers):
+    for s_max, ds in ((1e300, 1e-300), (math.inf, 1e-2), (math.nan, 1e-2)):
+        with pytest.raises(DomainError, match="is not finite"):
+            trace_exterior(burgers, 1.0, CharState(0.0, 0.0, 5.0, 0.6), ds, s_max)
+        with pytest.raises(DomainError, match="is not finite"):
+            trace_interior(1.0, 0.5, (0.0, 5.0, 0.6), ds, s_max)
+
+
+# --- the compiled RK4 kernel ---------------------------------------------------------
+
+def _coefficients(polys):
+    return sorted(c for poly in polys if poly is not None for c in poly if c)
+
+
+def test_trace_kernel_writes_a_models_own_evaluators_inline(burgers, sextic, rounding_quartic):
+    for fixture in (burgers, sextic, rounding_quartic):
+        # built here, so that its evaluators are the ones _evaluator holds now
+        m = polynomial_model(fixture.name, fixture.f_poly, fixture.h_poly)
+        polys = characteristics._inlined(m)
+        assert polys == (m.f_poly, model._polyder(m.f_poly), m.h_poly)
+        for fn in characteristics._exterior_kernels(*polys):
+            assert sorted(cell.cell_contents for cell in fn.__closure__) == _coefficients(polys)
+        evaluators, calls = {m.f.__code__, m.df.__code__, m.h.__code__}, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in evaluators:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            path = trace_exterior(m, 1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
+            rhs_exterior(m, 1.0, 5.0, 0.6)
+        finally:
+            sys.setprofile(None)
+        assert calls == [] and len(path) == 201
+
+
+def test_trace_kernel_calls_each_evaluator_that_is_not_the_models_own(sextic):
+    m = polynomial_model(sextic.name, sextic.f_poly, sextic.h_poly)
+    calls = Counter()
+
+    def counted(x):
+        calls["h"] += 1
+        return m.h(x)
+
+    swapped = dataclasses.replace(m, h=counted)
+    polys = characteristics._inlined(swapped)
+    assert polys == (m.f_poly, model._polyder(m.f_poly), None)
+    kernel = characteristics._exterior_kernels(*polys)[1]
+    assert sorted(cell.cell_contents for cell in kernel.__closure__) == _coefficients(polys)
+    args = (1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
+    path = trace_exterior(swapped, *args)
+    assert calls == {"h": 4 * (len(path) - 1)}
+    assert _outcome(lambda *a: path) == _outcome(trace_exterior, m, *args)
+
+
+def test_trace_kernel_source_holds_no_coefficient_text(monkeypatch, rounding_quartic):
+    sources = []
+    monkeypatch.setattr(characteristics, "_closure",
+                        lambda source, *args: sources.append(source) or model._closure(source, *args))
+    polys = (rounding_quartic.f_poly, model._polyder(rounding_quartic.f_poly), rounding_quartic.h_poly)
+    compiled = characteristics._exterior_kernels.__wrapped__(*polys)
+    (source,) = sources
+    values = _coefficients(polys)
+    assert len(values) == 12
+    for c in values:
+        assert repr(c) not in source and repr(abs(c)) not in source, c
+    for fn in compiled:
+        assert not set(values) & set(fn.__code__.co_consts)
+
+
+def test_trace_kernel_cache_returns_one_kernel_per_tuple_set_and_stays_bounded(burgers, quartic):
+    cache = characteristics._exterior_kernels
+    polys = (burgers.f_poly, model._polyder(burgers.f_poly), burgers.h_poly)
+    assert cache(*polys) is cache(*(tuple(list(p)) for p in polys))
+    assert cache(*polys) is not cache(quartic.f_poly, model._polyder(quartic.f_poly), quartic.h_poly)
+    assert cache(*polys) is not cache(burgers.f_poly, None, burgers.h_poly)
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    kernels = {cache((1.0, float(k)), None, None) for k in range(1, maxsize + 11)}
+    assert len(kernels) == maxsize + 10
+    assert cache.cache_info().currsize <= maxsize
+    # a fresh compile of an evicted tuple set steps the same bits
+    m = polynomial_model("burgers", burgers.f_poly, burgers.h_poly)
+    args = (1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
+    assert _outcome(trace_exterior, m, *args) == _outcome(_reference_exterior, m, *args)

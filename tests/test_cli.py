@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from itertools import groupby
 from pathlib import Path
@@ -240,6 +241,35 @@ def test_cli_exit_codes(tmp_path):
     assert _run_cli(tmp_path, body, "check-model") == 0
     bad = body.replace("cells = 200", "cells = 1")
     assert _run_cli(tmp_path, bad, "check-model", "bad.ini") == 2
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("run", "geometry", "cells", "inf"),
+    ("run", "evolution", "t_end", "inf"),
+    ("run", "geometry", "r_max", "inf"),
+    ("characteristics", "characteristics", "s_max", "inf"),
+    ("characteristics", "characteristics", "ds", "inf"),
+    ("characteristics", "characteristics", "r0", "inf"),
+    ("characteristics", "characteristics", "r_stop", "nan"),
+])
+def test_cli_refuses_a_number_that_is_not_finite(tmp_path, capsys, command, section, key, value):
+    out = tmp_path / "out"
+    body, replaced = re.subn(rf"^{key} = .*$", f"{key} = {value}", MINIMAL, flags=re.M)
+    if not replaced:
+        body += f"\n[{section}]\n{key} = {value}\n"
+    assert _run_cli(tmp_path, body + f"\n[run]\noutput_dir = {out}\n", command) == 2
+    assert capsys.readouterr().err == f"config error: {section}.{key}: cannot parse {value!r} as " \
+        f"{'int' if key == 'cells' else 'float'} (not finite)\n"
+    assert not out.exists()
+
+
+def test_cli_characteristics_step_count_overflow_is_a_failure(tmp_path):
+    out = tmp_path / "overflow"
+    body = MINIMAL + f"\n[characteristics]\nds = 1e-300\ns_max = 1e300\n\n[run]\noutput_dir = {out}\n"
+    assert _run_cli(tmp_path, body, "characteristics") == 1
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "DomainError" and report["detail"].endswith("is not finite")
+    assert not (out / "characteristic.csv").exists()
 
 
 def test_cli_usage_errors_exit_2_and_help_lists_every_subcommand(tmp_path, capsys):
