@@ -7,12 +7,10 @@ from .characteristics import (
     CharState,
     FhatTable,
     build_fhat_table,
-    escape_velocity,
     exterior_invariant,
     fhat_inverse,
     h_prime_interior,
     interior_invariant,
-    rhs_exterior,
     steady_profile,
     trace_exterior,
     trace_interior,
@@ -35,7 +33,7 @@ from .errors import (
     StepSizeError,
     UnsupportedModelError,
 )
-from .geometry import Background, RadialMesh, build_uniform_mesh, lapse, max_timestep
+from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
 from .harness import (
     ConvergenceResult,
     FuzzReport,

@@ -33,11 +33,11 @@ coordinate stays above 2M.
 
 Both tracers run one RK4 loop in Python floats, compiled from one source
 template with the stage right-hand side written into it as text.  In the
-exterior system the model's f, f' and h are written in as Horner text
-when each is the model's own compiled evaluator of its coefficient tuple
-(the coefficients are read from closure cells); any other callable, such
-as a counting wrapper, is called at every stage.  Kernels are compiled
-once per set of tuples, in a bounded cache.
+exterior system each of the model's f, f' and h that is an evaluator
+``model._evaluator`` compiled is written in as the Horner text of its
+tuple (the coefficients are read from closure cells); any other callable,
+such as a counting wrapper, is called at every stage.  Kernels are
+compiled once per set of tuples, in a bounded cache.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import DomainError, NumericsError, RangeError, StepSizeError, UnsupportedModelError
-from .model import (_SCALE, FluxModel, _closure, _deflate, _evaluator, _has_repeated_root, _horner, _integers,
-                    _polyder, _polyint, _trimmed)
+from .model import (_COMPILED, _SCALE, FluxModel, _closure, _deflate, _evaluator, _has_repeated_root, _horner,
+                    _integers, _polyder, _polyint, _trimmed)
 from .quadrature import adaptive_simpson
 
 _HORIZON_GUARD = 1e-6  # halt tracing once r < 2M (1 + guard)
@@ -217,14 +217,6 @@ def fhat_inverse(table: FhatTable, branch: str, y):
     return float(u) if u.ndim == 0 else u
 
 
-def escape_velocity(table: FhatTable, mass: float, r0):
-    """Threshold state at radius r0 (scalar or array) separating infall from escape."""
-    r0 = np.asarray(r0, dtype=float)
-    if not np.all(r0 > 2.0 * mass):
-        raise DomainError(f"r0={r0} must exceed the horizon radius {2 * mass}")
-    return fhat_inverse(table, "plus", np.log(1.0 - 2.0 * mass / r0))
-
-
 def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) -> np.ndarray:
     """Steady-state profile through (r0, u0) on its Fhat branch.
 
@@ -263,25 +255,15 @@ def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) 
     return out
 
 
-def rhs_exterior(m: FluxModel, mass: float, r: float, u: float):
-    """Characteristic system in the static slicing: (dt/ds, dr/ds, du/ds).
-
-    DomainError unless r > 2M; the formula is the stage trace_exterior
-    steps with, compiled from the same text."""
-    if not r > 2.0 * mass:
-        raise DomainError(f"characteristic left the exterior domain: r={r} <= 2M={2 * mass}")
-    return _exterior_kernels(*_inlined(m))[0](m.f, m.df, m.h, 2.0 * mass, r, u)
-
-
-def _guard_u(u: float, tol: float = _U_OVERSHOOT_TOL) -> float:
+def _guard_u(u: float) -> float:
     """Clamp tiny excursions of the traced state beyond [-1, 1]; larger
     excursions mean the step size is too coarse for the current dynamics."""
     if u > 1.0:
-        if u - 1.0 > tol:
+        if u - 1.0 > _U_OVERSHOOT_TOL:
             raise StepSizeError(f"traced state overshot to u={u:.17g}; shrink ds")
         return 1.0
     if u < -1.0:
-        if -1.0 - u > tol:
+        if -1.0 - u > _U_OVERSHOOT_TOL:
             raise StepSizeError(f"traced state overshot to u={u:.17g}; shrink ds")
         return -1.0
     return u
@@ -293,13 +275,14 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
 
     Halts early once the radius drops below 2M (1 + 1e-6) or exceeds
     r_stop; a step whose internal stages would leave the exterior domain is
-    discarded and counts as horizon arrival.  The right-hand side is the
-    formula of rhs_exterior, written into the loop (see _rk4_source).
+    discarded and counts as horizon arrival.  The right-hand side
+    (dt/ds, dr/ds, du/ds) = (1/a^2, f'(u)/a, 2M (f(u) + h(u)) / (r - 2M)^2),
+    with a = 1 - 2M/r, is written into the loop (see _exterior_kernel).
     """
     if not ds > 0.0:
         raise DomainError("ds must be positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
-    kernel = _exterior_kernels(*_inlined(m))[1]
+    kernel = _exterior_kernel(*_inlined(m))
     return _rk4_trace(kernel, (m.f, m.df, m.h, 2.0 * mass), start, ds, s_max, guard_r, r_stop)
 
 
@@ -344,16 +327,12 @@ def trace_interior(mass: float, shift: float, start: tuple[float, float, float],
                       guard_r, r_stop)
 
 
-# The RK4 loop of both tracers.  {rhs} and {k1} to {k4} stand for the
-# source lines of one stage of the system: from a radius and a state they
-# compute the three rates k<i>t, k<i>r, k<i>u.  A stage radius not above
-# guard_r discards its step and ends the trace at "horizon"; u goes
-# through _guard_u only when it is not in [-1, 1] (NaN included).
+# The RK4 loop of both tracers.  {k1} to {k4} stand for the source lines
+# of one stage of the system: from a radius and a state they compute the
+# three rates k<i>t, k<i>r, k<i>u.  A stage radius not above guard_r
+# discards its step and ends the trace at "horizon"; u goes through
+# _guard_u only when it is not in [-1, 1] (NaN included).
 _RK4_LOOP = """\
-def rhs({params}, r, u):
-{rhs}
-    return kt, kr, ku
-
 def kernel({params}, s, t, r, u, ds, steps, guard_r, r_stop):
     rows = [s, t, r, u]
     half, sixth = 0.5 * ds, ds / 6.0
@@ -391,34 +370,32 @@ def kernel({params}, s, t, r, u, ds, steps, guard_r, r_stop):
         reason = "s_max"
     return rows, reason
 
-return rhs, kernel
+return kernel
 """
 
 
 def _rk4_source(params: str, stage) -> str:
     """_RK4_LOOP with stage(k, r, u), the lines that set k + "t", k + "r"
     and k + "u" from the radius and state named r and u, written in."""
-    def lines(k, r, u, indent):
-        return textwrap.indent(stage(k, r, u), indent)
+    def lines(k, r, u):
+        return textwrap.indent(stage(k, r, u), " " * 8)
 
-    return _RK4_LOOP.format(params=params, rhs=lines("k", "r", "u", " " * 4),
-                            k1=lines("k1", "r", "u", " " * 8),
-                            **{f"k{i}": lines(f"k{i}", "stage_r", "stage_u", " " * 8) for i in (2, 3, 4)})
+    return _RK4_LOOP.format(params=params, k1=lines("k1", "r", "u"),
+                            **{f"k{i}": lines(f"k{i}", "stage_r", "stage_u") for i in (2, 3, 4)})
 
 
 def _inlined(m: FluxModel):
-    """The coefficient tuples of f, f' and h, each None unless the
-    evaluator is the model's own compiled Horner of it (_evaluator's)."""
-    return tuple(poly if fn is _evaluator(poly) else None
-                 for fn, poly in ((m.f, m.f_poly), (m.df, _polyder(m.f_poly)), (m.h, m.h_poly)))
+    """The coefficient tuples of f, f' and h as _evaluator compiled them,
+    each None when that evaluator is not one _evaluator compiled."""
+    return tuple(_COMPILED[fn] if fn in _COMPILED else None for fn in (m.f, m.df, m.h))
 
 
 @functools.lru_cache(maxsize=64)
-def _exterior_kernels(*polys):
-    """(rhs, kernel) of the exterior system for r > two_m = 2M, with no
-    domain check, taking (f, df, h, two_m) first.  polys are _inlined's:
-    a tuple's Horner text is written into the stage, read from closure
-    cells, and an evaluator given as None is called."""
+def _exterior_kernel(*polys):
+    """The RK4 kernel of the exterior system for r > two_m = 2M, taking
+    (f, df, h, two_m) first.  polys are _inlined's: a tuple's Horner text
+    is written into the stage, read from closure cells, and an evaluator
+    given as None is called."""
     cells = {}
 
     def value(name, poly, u):
@@ -446,13 +423,15 @@ def _interior_kernel():
                 f"{k}t, {k}r, {k}u = 1.0 + hp * {u} * a, a * {u}, (mass / ({r} * {r})) * ({u} * {u} - 1.0)")
 
     return _closure(_rk4_source("mass, shift", stage), {}, {"_guard_u": _guard_u,
-                                                             "h_prime_interior": h_prime_interior})[1]
+                                                             "h_prime_interior": h_prime_interior})
 
 
 def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float, guard_r: float,
                r_stop: float | None) -> CharPath:
     """Run kernel(*params, ...) from start: the checks of the start and the
     step count, and the rows turned into a read-only CharPath."""
+    if not (abs(start.u) - 1.0 <= _U_OVERSHOOT_TOL and math.isfinite(start.t) and math.isfinite(start.r)):
+        raise DomainError(f"start state t={start.t}, r={start.r}, u={start.u} needs finite t and r, and |u| <= 1")
     u = _guard_u(start.u)
     if not start.r > guard_r:
         raise DomainError(f"start radius {start.r} is inside the horizon guard {guard_r}")

@@ -39,15 +39,6 @@ class Background:
         return 2.0 * self.mass
 
 
-def lapse(bg: Background, r):
-    """Lapse weight a(r) = 1 - 2M/r; requires r > 0."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise DomainError("lapse requires r > 0")
-    out = 1.0 - 2.0 * bg.mass / r_arr
-    return out if np.ndim(r) else float(out)
-
-
 @dataclass(frozen=True, eq=False)
 class RadialMesh:
     """Uniform 1D cell decomposition of (2M, r_max] with geometric weights.
@@ -58,7 +49,6 @@ class RadialMesh:
     construction.
     """
 
-    mass: float
     faces: np.ndarray
     centers: np.ndarray
     widths: np.ndarray
@@ -68,10 +58,6 @@ class RadialMesh:
     @property
     def n_cells(self) -> int:
         return self.centers.size
-
-    @property
-    def r_max(self) -> float:
-        return float(self.faces[-1])
 
 
 def build_uniform_mesh(bg: Background, r_max: float, cells: int) -> RadialMesh:
@@ -92,7 +78,6 @@ def build_uniform_mesh(bg: Background, r_max: float, cells: int) -> RadialMesh:
     for arr in (faces, centers, widths, face_weights, cell_thetas):
         arr.setflags(write=False)
     return RadialMesh(
-        mass=bg.mass,
         faces=faces,
         centers=centers,
         widths=widths,

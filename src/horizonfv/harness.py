@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import entropy as entropy_mod
-from .characteristics import FhatTable, build_fhat_table, steady_profile
+from .characteristics import build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model
@@ -237,7 +237,7 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
 
 def steady_drift_detail(m: FluxModel, mass: float, r0: float, u0: float, cells: int,
                         t_end: float, r_max: float = 12.0, flux_kind: str = "godunov",
-                        cfl_fraction: float = 0.9, table: Optional[FhatTable] = None):
+                        cfl_fraction: float = 0.9):
     """Evolve a steady profile exactly t_end in time; return (L1 drift, mesh,
     profile, final values).
 
@@ -245,8 +245,7 @@ def steady_drift_detail(m: FluxModel, mass: float, r0: float, u0: float, cells: 
     truncation diagnostic: it should shrink like the cell width.
     """
     mesh = build_uniform_mesh(Background(mass), r_max, cells)
-    if table is None:
-        table = build_fhat_table(m)
+    table = build_fhat_table(m)
     if mass > 0.0:
         profile = steady_profile(table, mass, r0, u0, mesh.centers)
     else:

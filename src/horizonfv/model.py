@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import textwrap
+import weakref
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Sequence
@@ -66,16 +67,23 @@ def _closure(body: str, cells: dict[str, float], names: dict | None = None):
     return namespace["bind"](**cells)
 
 
+#: every function _evaluator compiled, mapped to its tuple for as long as
+#: the function lives, so that it is known after the cache evicts it
+_COMPILED = weakref.WeakKeyDictionary()
+
+
 @functools.lru_cache(maxsize=256)
 def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
     """The Horner text of coeffs (see _horner) compiled into one function
     of s: a call makes no loop and no other call.  Each tuple is compiled
-    once.  Equal tuples share one function, which is exact: such tuples
-    differ at most in the sign of a zero, and a zero is read only as a
-    lead, which a trimmed tuple's is not.
+    once while it stays in the cache.  Equal tuples share one function,
+    which is exact: such tuples differ at most in the sign of a zero, and
+    a zero is read only as a lead, which a trimmed tuple's is not.
     """
     expr, cells = _horner(coeffs, "s", "c")
-    return _closure(f"def poly(s):\n    return {expr}\nreturn poly", cells)
+    poly = _closure(f"def poly(s):\n    return {expr}\nreturn poly", cells)
+    _COMPILED[poly] = coeffs
+    return poly
 
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -126,8 +134,8 @@ class FluxModel:
     with ``polynomial_model``, which computes all of these once; consumers
     read them and never re-derive them, so ``dataclasses.replace`` may swap
     in instrumented evaluators and keep the certificate.  The characteristic
-    tracers write f, f' and h into their loop as Horner text only while
-    each is the compiled evaluator of its own tuple; a swapped-in evaluator
+    tracers write each of f, f' and h into their loop as Horner text only
+    when it is an evaluator ``_evaluator`` compiled; any other evaluator
     is called at every stage, so instrumentation sees every call.
 
     Immutable after construction and safe to share across threads.

@@ -2,11 +2,12 @@
 the acceptance and characteristics tests check it against the closed
 forms of the built-in model."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from horizonfv import DomainError, FhatTable, escape_velocity, fhat_inverse
+from horizonfv import DomainError, FhatTable, fhat_inverse
 
 
 @dataclass(frozen=True)
@@ -16,6 +17,11 @@ class Fate:
     kind: str  # "falls_in" | "escapes" | "marginal"
     u_limit: float
     r_limit_finite: bool
+
+
+def escape_velocity(table: FhatTable, mass: float, r0: float) -> float:
+    """Threshold state at radius r0 > 2M separating infall from escape."""
+    return fhat_inverse(table, "plus", math.log(1.0 - 2.0 * mass / r0))
 
 
 def classify_fate(table: FhatTable, mass: float, r0: float, u0: float) -> Fate:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import sys
 from collections import Counter
@@ -16,20 +17,18 @@ from horizonfv import (
     UnsupportedModelError,
     build_fhat_table,
     build_uniform_mesh,
-    escape_velocity,
     exterior_invariant,
     fhat_inverse,
     h_prime_interior,
     interior_invariant,
     polynomial_model,
-    rhs_exterior,
     steady_profile,
     trace_exterior,
     trace_interior,
 )
 from horizonfv.characteristics import _guard_u
 from horizonfv.cli import main
-from fate import classify_fate
+from fate import classify_fate, escape_velocity
 
 # f = (s^2 - 1)/4, h = 7(s^2 - 1)/4: admissible, with Fhat(u) = log(1 - u^2)/8,
 # so (1 - u^2) / a^8 is conserved and the plus branch bottoms out near -2.5
@@ -43,29 +42,31 @@ def shallow_table():
     return build_fhat_table(polynomial_model("shallow", SHALLOW_F, SHALLOW_H))
 
 
-# --- right-hand sides --------------------------------------------------------
+# --- the exterior right-hand side by hand ---------------------------------------
+
+def _rhs_exterior(m, mass, r, u):
+    """(dt/ds, dr/ds, du/ds) of the exterior characteristic system, the
+    reference right-hand side the tracer replays are checked against."""
+    if not r > 2.0 * mass:
+        raise DomainError("outside")
+    a = 1.0 - 2.0 * mass / r
+    du = (2.0 * mass / (r - 2.0 * mass) ** 2) * (float(m.f(u)) + float(m.h(u)))
+    return 1.0 / (a * a), float(m.df(u)) / a, du
+
 
 def test_rhs_exterior_worked_example(burgers):
-    dt, dr, du = rhs_exterior(burgers, 1.0, r=4.0, u=0.5)
-    assert dt == 4.0                       # a = 1/2
-    assert dr == 1.0                       # f'(0.5)/a
-    assert du == pytest.approx((2.0 / 4.0) * (0.125 - 0.5), abs=1e-15)
+    # a = 1/2, f'(0.5) / a = 1, (2 / 4) (f + h)(0.5) = -3/16
+    assert _rhs_exterior(burgers, 1.0, 4.0, 0.5) == (4.0, 1.0, -0.1875)
 
 
 def test_rhs_exterior_roots_are_stationary_in_u(burgers):
     for u in (1.0, -1.0):
-        _, _, du = rhs_exterior(burgers, 1.0, 5.0, u)
+        _, _, du = _rhs_exterior(burgers, 1.0, 5.0, u)
         assert du == 0.0
 
 
 def test_rhs_exterior_flat_space(burgers):
-    dt, dr, du = rhs_exterior(burgers, 0.0, 5.0, 0.3)
-    assert (dt, dr, du) == (1.0, 0.3, 0.0)
-
-
-def test_rhs_exterior_domain(burgers):
-    with pytest.raises(DomainError):
-        rhs_exterior(burgers, 1.0, 2.0, 0.1)
+    assert _rhs_exterior(burgers, 0.0, 5.0, 0.3) == (1.0, 0.3, 0.0)
 
 
 # --- Fhat and its inverses ----------------------------------------------------
@@ -483,11 +484,7 @@ def _reference_exterior(m, mass, start, ds, s_max, r_stop=None):
     def rhs(t, r, u):
         if not r > guard_r:
             raise _StageHalt
-        if not r > 2.0 * mass:
-            raise DomainError("outside")
-        a = 1.0 - 2.0 * mass / r
-        du = (2.0 * mass / (r - 2.0 * mass) ** 2) * (float(m.f(u)) + float(m.h(u)))
-        return 1.0 / (a * a), float(m.df(u)) / a, du
+        return _rhs_exterior(m, mass, r, u)
 
     return _reference_rk4(rhs, start.s, start.t, start.r, start.u, ds, s_max, guard_r, r_stop)
 
@@ -559,17 +556,6 @@ def test_trace_exterior_model_sees_python_floats_three_calls_per_stage(burgers, 
                                                       CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
 
 
-def test_rhs_exterior_is_the_tracer_formula(quartic, shifted):
-    for m in (quartic, shifted):
-        for mass, r, u in ((1.0, 4.0, 0.5), (0.5, 1.0 + 1e-9, -0.7), (0.0, 3.0, -0.0)):
-            got = rhs_exterior(m, mass, r, u)
-            assert all(type(x) is float for x in got)
-            a = 1.0 - 2.0 * mass / r
-            want = (1.0 / (a * a), float(m.df(u)) / a,
-                    (2.0 * mass / (r - 2.0 * mass) ** 2) * (float(m.f(u)) + float(m.h(u))))
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-
-
 def _reference_interior(mass, shift, start, ds, s_max, r_stop=None):
     guard_r = 2.0 * mass * (1.0 + 1e-6)
 
@@ -636,6 +622,19 @@ def test_trace_refuses_a_step_count_that_is_not_finite(burgers):
             trace_interior(1.0, 0.5, (0.0, 5.0, 0.6), ds, s_max)
 
 
+def test_trace_refuses_a_start_state_outside_the_domain(burgers):
+    for t0, r0, u0 in ((0.0, 5.0, 1.5), (0.0, 5.0, -1.5), (0.0, 5.0, math.nan), (math.inf, 5.0, 0.6),
+                       (math.nan, 5.0, 0.6), (0.0, math.inf, 0.6)):
+        with pytest.raises(DomainError, match="start state"):
+            trace_exterior(burgers, 1.0, CharState(0.0, t0, r0, u0), 1e-2, 1.0)
+        with pytest.raises(DomainError, match="start state"):
+            trace_interior(1.0, 0.5, (t0, r0, u0), 1e-2, 1.0)
+    # a tiny overshoot is rounding, and is clamped
+    for u0 in (1.0 + 5e-10, -1.0 - 5e-10):
+        assert trace_exterior(burgers, 1.0, CharState(0.0, 0.0, 5.0, u0), 1e-2, 1.0).u[0] == round(u0)
+        assert trace_interior(1.0, 0.5, (0.0, 5.0, u0), 1e-2, 1.0).u[0] == round(u0)
+
+
 # --- the compiled RK4 kernel ---------------------------------------------------------
 
 def _coefficients(polys):
@@ -643,13 +642,11 @@ def _coefficients(polys):
 
 
 def test_trace_kernel_writes_a_models_own_evaluators_inline(burgers, sextic, rounding_quartic):
-    for fixture in (burgers, sextic, rounding_quartic):
-        # built here, so that its evaluators are the ones _evaluator holds now
-        m = polynomial_model(fixture.name, fixture.f_poly, fixture.h_poly)
+    for m in (burgers, sextic, rounding_quartic):
         polys = characteristics._inlined(m)
         assert polys == (m.f_poly, model._polyder(m.f_poly), m.h_poly)
-        for fn in characteristics._exterior_kernels(*polys):
-            assert sorted(cell.cell_contents for cell in fn.__closure__) == _coefficients(polys)
+        kernel = characteristics._exterior_kernel(*polys)
+        assert sorted(cell.cell_contents for cell in kernel.__closure__) == _coefficients(polys)
         evaluators, calls = {m.f.__code__, m.df.__code__, m.h.__code__}, []
 
         def profile(frame, event, arg):
@@ -659,7 +656,6 @@ def test_trace_kernel_writes_a_models_own_evaluators_inline(burgers, sextic, rou
         sys.setprofile(profile)
         try:
             path = trace_exterior(m, 1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
-            rhs_exterior(m, 1.0, 5.0, 0.6)
         finally:
             sys.setprofile(None)
         assert calls == [] and len(path) == 201
@@ -676,7 +672,7 @@ def test_trace_kernel_calls_each_evaluator_that_is_not_the_models_own(sextic):
     swapped = dataclasses.replace(m, h=counted)
     polys = characteristics._inlined(swapped)
     assert polys == (m.f_poly, model._polyder(m.f_poly), None)
-    kernel = characteristics._exterior_kernels(*polys)[1]
+    kernel = characteristics._exterior_kernel(*polys)
     assert sorted(cell.cell_contents for cell in kernel.__closure__) == _coefficients(polys)
     args = (1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
     path = trace_exterior(swapped, *args)
@@ -689,18 +685,17 @@ def test_trace_kernel_source_holds_no_coefficient_text(monkeypatch, rounding_qua
     monkeypatch.setattr(characteristics, "_closure",
                         lambda source, *args: sources.append(source) or model._closure(source, *args))
     polys = (rounding_quartic.f_poly, model._polyder(rounding_quartic.f_poly), rounding_quartic.h_poly)
-    compiled = characteristics._exterior_kernels.__wrapped__(*polys)
+    kernel = characteristics._exterior_kernel.__wrapped__(*polys)
     (source,) = sources
     values = _coefficients(polys)
     assert len(values) == 12
     for c in values:
         assert repr(c) not in source and repr(abs(c)) not in source, c
-    for fn in compiled:
-        assert not set(values) & set(fn.__code__.co_consts)
+    assert not set(values) & set(kernel.__code__.co_consts)
 
 
 def test_trace_kernel_cache_returns_one_kernel_per_tuple_set_and_stays_bounded(burgers, quartic):
-    cache = characteristics._exterior_kernels
+    cache = characteristics._exterior_kernel
     polys = (burgers.f_poly, model._polyder(burgers.f_poly), burgers.h_poly)
     assert cache(*polys) is cache(*(tuple(list(p)) for p in polys))
     assert cache(*polys) is not cache(quartic.f_poly, model._polyder(quartic.f_poly), quartic.h_poly)
@@ -714,3 +709,17 @@ def test_trace_kernel_cache_returns_one_kernel_per_tuple_set_and_stays_bounded(b
     m = polynomial_model("burgers", burgers.f_poly, burgers.h_poly)
     args = (1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
     assert _outcome(trace_exterior, m, *args) == _outcome(_reference_exterior, m, *args)
+
+
+def test_trace_kernel_inlines_a_models_evaluators_after_the_cache_evicts_them(sextic):
+    m = polynomial_model(sextic.name, sextic.f_poly, sextic.h_poly)
+    args = (1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
+    before = _outcome(trace_exterior, m, *args)
+    for k in range(model._evaluator.cache_info().maxsize):
+        model._evaluator((0.125, float(k + 1)))
+    assert m.f is not model._evaluator(m.f_poly)  # evicted, so compiled anew
+    assert characteristics._inlined(m) == (m.f_poly, model._polyder(m.f_poly), m.h_poly)
+    assert _outcome(trace_exterior, m, *args) == before
+    # a wrapper copies the attributes of what it wraps, and is still called
+    wrapped = dataclasses.replace(m, h=functools.wraps(m.h)(lambda x: m.h(x)))
+    assert characteristics._inlined(wrapped) == (m.f_poly, model._polyder(m.f_poly), None)

@@ -5,30 +5,9 @@ from horizonfv import (
     Background,
     DomainError,
     build_uniform_mesh,
-    lapse,
     max_timestep,
     numerical_flux,
 )
-
-
-def test_lapse_values():
-    assert lapse(Background(1.0), 2.0) == 0.0
-    assert lapse(Background(1.0), 4.0) == 0.5
-    assert lapse(Background(0.0), 7.3) == 1.0
-
-
-def test_lapse_domain():
-    with pytest.raises(DomainError):
-        lapse(Background(1.0), 0.0)
-    with pytest.raises(DomainError):
-        lapse(Background(1.0), -3.0)
-
-
-def test_lapse_open_unit_interval():
-    bg = Background(1.0)
-    r = np.linspace(2.0 + 1e-9, 500.0, 100)
-    a = lapse(bg, r)
-    assert np.all(a > 0.0) and np.all(a < 1.0)
 
 
 def test_negative_mass_rejected():
