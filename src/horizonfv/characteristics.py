@@ -32,12 +32,12 @@ of interpretation, not asserted by any check here; its own radial
 coordinate stays above 2M.
 
 Both tracers run one RK4 loop in Python floats, compiled from one source
-template with the stage right-hand side written into it as text.  In the
-exterior system each of the model's f, f' and h that is an evaluator
-``model._evaluator`` compiled is written in as the Horner text of its
-tuple (the coefficients are read from closure cells); any other callable,
-such as a counting wrapper, is called at every stage.  Kernels are
-compiled once per set of tuples, in a bounded cache.
+template with the stage right-hand side written into it as text, and the
+shooting oracle's RK4 on arrays (``harness._chars_kernel``) is compiled
+alike, as in-place ufuncs.  Each of f, f' and h that ``model._evaluator``
+compiled is written in as its tuple's Horner text, which reads the
+coefficients from closure cells; any other callable, such as a counting
+wrapper, is called at every stage.  Kernels are cached per set of tuples.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
     (dt/ds, dr/ds, du/ds) = (1/a^2, f'(u)/a, 2M (f(u) + h(u)) / (r - 2M)^2),
     with a = 1 - 2M/r, is written into the loop (see _exterior_kernel).
     """
-    if not ds > 0.0:
-        raise DomainError("ds must be positive")
+    if not 0.0 < ds < math.inf:
+        raise DomainError(f"ds = {ds} must be finite and positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
     kernel = _exterior_kernel(*_inlined(m))
     return _rk4_trace(kernel, (m.f, m.df, m.h, 2.0 * mass), start, ds, s_max, guard_r, r_stop)
@@ -319,8 +319,8 @@ def trace_interior(mass: float, shift: float, start: tuple[float, float, float],
     equation du/ds = (M/R^2)(u^2 - 1) is horizon-regular, so these traces
     approach R = 2M without the stiffness of the static slicing.
     """
-    if not ds > 0.0:
-        raise DomainError("ds must be positive")
+    if not 0.0 < ds < math.inf:
+        raise DomainError(f"ds = {ds} must be finite and positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
     t0, r0, u0 = start
     return _rk4_trace(_interior_kernel(), (mass, shift), CharState(s=0.0, t=t0, r=r0, u=u0), ds, s_max,

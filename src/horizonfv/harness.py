@@ -12,6 +12,8 @@ identical seeds give identical reports byte for byte.
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -19,10 +21,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import entropy as entropy_mod
-from .characteristics import build_fhat_table, steady_profile
+from .characteristics import _inlined, build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
-from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model
+from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _horner, burgers_model
 from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
                      numerical_flux, run, step_data)
 
@@ -136,45 +138,74 @@ def self_convergence(preset: Preset, levels: int = 4) -> ConvergenceResult:
                              finals=list(zip(cell_counts, centers, finals)))
 
 
-def _integrate_chars(m: FluxModel, mass: float, r0, u0, t_end: float, n_steps: int):
-    """RK4 in coordinate time of the ensemble (r0, u0) over t_end in n_steps;
-    returns (r, u).  dr/dt = (1 - 2M/r) f'(u) and du/dt = (f + h)(u) 2M/r^2
-    are regular at the horizon.  The (2, n) state and every stage live in
-    buffers allocated once and reached through row views bound once; the
-    step is ((k1 + 2 k2) + 2 k3) + k4, so each row rounds as the per-row RK4
-    in Python floats does.  A stage calls m.df, m.f and m.h once each."""
+def _in_place(expr: str, out: str) -> list[str]:
+    """expr, a _horner text, as statements that apply its operations in its order,
+    one ufunc (add or mul) each writing the array out; 0.0 is read as the name zero."""
+    node, steps = ast.parse(expr, mode="eval").body, []
+    while isinstance(node, ast.BinOp):
+        steps.insert(0, (("add", "mul")[isinstance(node.op, ast.Mult)], getattr(node.right, "id", "zero")))
+        node = node.left
+    return [f"{ufunc}({arg}, {operand}, {out})" for arg, (ufunc, operand) in zip([node.id] + [out] * len(steps), steps)]
+
+
+# RK4 on the (2, n) ensemble y = (r, u).  {stages} stands for the four stages;
+# stage i writes dr/dt and du/dt into the rows of k<i>, and y + c k<i> into stage.
+_CHARS_LOOP = """\
+def kernel(f, df, h, y, n_steps, two_m, dt, half, sixth):
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    f, df, h = m.f, m.df, m.h
-    y = np.array((r0, u0), dtype=float)
-    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
-    lapse, pull = np.empty_like(y)  # 1 - 2M/r and 2M/r^2, each built in place
-    two_m, dt = 2.0 * mass, t_end / n_steps
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    def rates(r, u, dr, du):
-        div(two_m, r, lapse)
-        sub(1.0, lapse, lapse)
-        mul(lapse, df(u), dr)
-        mul(r, r, pull)
-        div(two_m, pull, pull)
-        add(f(u), h(u), du)
-        mul(du, pull, du)
-
-    (r, u), (sr, su) = y, stage
-    (k1r, k1u), (k2r, k2u), (k3r, k3u), (k4r, k4u) = k1, k2, k3, k4
+    k1, k2, k3, k4, stage, (scale, h_u) = (np.empty_like(y) for _ in range(6))
+    (r, u), (sr, su), (k1r, k1u), (k2r, k2u), (k3r, k3u), (k4r, k4u) = y, stage, k1, k2, k3, k4
     for _ in range(n_steps):
-        rates(r, u, k1r, k1u)
-        add(y, mul(half, k1, stage), stage)
-        rates(sr, su, k2r, k2u)
-        add(y, mul(half, k2, stage), stage)
-        rates(sr, su, k3r, k3u)
-        add(y, mul(dt, k3, stage), stage)
-        rates(sr, su, k4r, k4u)
-        add(k1, mul(2.0, k2, stage), stage)
-        add(stage, mul(2.0, k3, k3), stage)
+{stages}
+        add(k1, mul(two, k2, stage), stage)
+        add(stage, mul(two, k3, k3), stage)
         add(stage, k4, stage)
         add(y, mul(sixth, stage, stage), y)
     return y[0], y[1]
+
+return kernel
+"""
+
+
+@functools.lru_cache(maxsize=64)
+def _chars_kernel(*polys):
+    """The shooting kernel for _inlined's polys: each tuple of f, f' and h is
+    written into the stage as _in_place Horner statements on coefficients in
+    closure cells, and an evaluator given as None is called once per stage.
+    Every scalar is a 0-d array, which a ufunc takes faster than a float."""
+    cells = {"zero": 0.0, "one": 1.0, "two": 2.0}
+
+    def value(name, poly, u, out):
+        if poly is None:
+            return [], f"{name}({u})"
+        expr, named = _horner(poly, u, name + "_")
+        cells.update(named)
+        return _in_place(expr, out), out
+
+    def rates(k, r, u):
+        (f_lines, f), (df_lines, df), (h_lines, h) = (
+            value(name, poly, u, out) for name, poly, out in zip(("f", "df", "h"), polys, (k + "u", k + "r", "h_u")))
+        return [*df_lines, f"div(two_m, {r}, scale)", "sub(one, scale, scale)", f"mul(scale, {df}, {k}r)",
+                f"mul({r}, {r}, scale)", "div(two_m, scale, scale)", *f_lines, *h_lines, f"add({f}, {h}, {k}u)",
+                f"mul({k}u, scale, {k}u)"]
+
+    lines = [*rates("k1", "r", "u"), "add(y, mul(half, k1, stage), stage)", *rates("k2", "sr", "su"),
+             "add(y, mul(half, k2, stage), stage)", *rates("k3", "sr", "su"), "add(y, mul(dt, k3, stage), stage)",
+             *rates("k4", "sr", "su")]
+    source = _CHARS_LOOP.format(stages="\n".join(" " * 8 + line for line in lines))
+    return _closure(source, {name: np.array(c) for name, c in cells.items()}, {"np": np})
+
+
+def _integrate_chars(m: FluxModel, mass: float, r0, u0, t_end: float, n_steps: int):
+    """RK4 in coordinate time of the ensemble (r0, u0) over t_end in n_steps;
+    returns (r, u).  dr/dt = (1 - 2M/r) f'(u) and du/dt = (f + h)(u) 2M/r^2
+    are regular at the horizon.  The steps run in _chars_kernel, compiled
+    once per set of f, f' and h tuples, as ufuncs on buffers allocated once
+    per call; the step is ((k1 + 2 k2) + 2 k3) + k4, so each row rounds as
+    the per-row RK4 in Python floats does."""
+    dt = t_end / n_steps
+    return _chars_kernel(*_inlined(m))(m.f, m.df, m.h, np.array((r0, u0), dtype=float), n_steps,
+                                       *(np.array(x) for x in (2.0 * mass, dt, 0.5 * dt, dt / 6.0)))
 
 
 def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: float,
@@ -189,8 +220,17 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
     bracket is as narrow as 48 bisections of the probe span would leave it,
     or its residual is within that width times the bracket's secant slope
     (at most 48 passes); it returns the state its last shot transported.
+    DomainError before any shot unless the targets are a non-empty, finite,
+    strictly increasing 1-d array, t_end >= 0 and dt_target > 0, both finite.
     """
     targets = np.asarray(targets, dtype=float)
+    problem = ("targets are not a non-empty 1-d array" if targets.ndim != 1 or targets.size == 0 else
+               "a target is not finite" if not np.all(np.isfinite(targets)) else
+               "targets are not strictly increasing" if np.any(np.diff(targets) <= 0.0) else
+               f"t_end = {t_end} is not finite and >= 0" if not 0.0 <= t_end < math.inf else
+               f"dt_target = {dt_target} is not finite and > 0" if not 0.0 < dt_target < math.inf else None)
+    if problem:
+        raise DomainError(f"shooting refused: {problem}")
     n_steps = max(64, int(math.ceil(t_end / dt_target)))
 
     if mass > 0.0:

@@ -133,9 +133,9 @@ class FluxModel:
     that bound the exact sup from above.  Build models
     with ``polynomial_model``, which computes all of these once; consumers
     read them and never re-derive them, so ``dataclasses.replace`` may swap
-    in instrumented evaluators and keep the certificate.  The characteristic
-    tracers write each of f, f' and h into their loop as Horner text only
-    when it is an evaluator ``_evaluator`` compiled; any other evaluator
+    in instrumented evaluators and keep the certificate.  The RK4 loops of
+    the tracers and the shooting oracle write each of f, f' and h in as
+    Horner text only when ``_evaluator`` compiled it; any other evaluator
     is called at every stage, so instrumentation sees every call.
 
     Immutable after construction and safe to share across threads.

@@ -368,6 +368,14 @@ def test_trace_rejects_bad_start(burgers):
         trace_exterior(burgers, 1.0, CharState(0.0, 0.0, 1.5, 0.5), 1e-3, 1.0)
 
 
+def test_trace_refuses_a_step_that_is_not_finite_and_positive(burgers):
+    for ds in (math.inf, math.nan, 0.0, -1e-3, -math.inf):
+        with pytest.raises(DomainError, match=r"ds = .* must be finite and positive"):
+            trace_exterior(burgers, 1.0, CharState(0.0, 0.0, 5.0, 0.6), ds, 1.0)
+        with pytest.raises(DomainError, match=r"ds = .* must be finite and positive"):
+            trace_interior(1.0, 0.5, (0.0, 5.0, 0.6), ds, 1.0)
+
+
 # --- the shifted slicing -----------------------------------------------------------
 
 def test_h_prime_zero_shift_formula():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,7 @@ from horizonfv import (
     steady_drift_detail,
     step,
 )
-from horizonfv import entropy, harness
+from horizonfv import characteristics, entropy, harness, model
 from horizonfv.harness import presets, restrict_halving, run_preset
 from horizonfv.scheme import NumericalFlux, flux_rusanov
 from oracle_error import oracle_compare
@@ -122,12 +123,23 @@ def _row_reference(m, mass, r, u, t_end, n_steps):
     return r, u
 
 
+def _counted(fn, counts, name):
+    def evaluate(x):
+        counts[name] += 1
+        return fn(x)
+    return evaluate
+
+
 @pytest.mark.parametrize("n", [1, 7, 400, 1600])
-def test_integrate_chars_matches_the_per_row_formula_bitwise(n, rng):
+def test_integrate_chars_matches_the_per_row_formula_bitwise(n, rng, sextic, rounding_quartic):
+    counts = Counter()
+    # the sextic; f with an odd coefficient and h of degree 4; f and h
+    # compiled beside a counting f'
+    mixed = dataclasses.replace(rounding_quartic, df=_counted(rounding_quartic.df, counts, "df"))
     models = (burgers_model(), polynomial_model("quartic", [-0.5, 0.0, 0.0, 0.0, 0.5], [0.0]),
-              polynomial_model("shifted", [0.0, 0.0, 0.5], [-0.5]))
+              polynomial_model("shifted", [0.0, 0.0, 0.5], [-0.5]), sextic, rounding_quartic, mixed)
     for m in models:
-        for mass in (0.0, 1.0):
+        for mass in (0.0, 1.0, 2.0):
             r0 = rng.uniform(2.0 * mass + 0.05, 14.0, n)
             u0 = rng.uniform(-1.0, 1.0, n)
             u0[:7] = [-0.0, 1.0, 0.0, -1.0, 0.5, -0.75, 0.3][:n]
@@ -136,6 +148,8 @@ def test_integrate_chars_matches_the_per_row_formula_bitwise(n, rng):
             assert r.shape == u.shape == (n,)
             assert r.tobytes() == np.array([row[0] for row in rows]).tobytes()
             assert u.tobytes() == np.array([row[1] for row in rows]).tobytes()
+    # 3 masses, 12 steps of 4 stages: one kernel call each, then one call per row each
+    assert counts == {"df": 3 * 48 * (1 + n)}
 
 
 def test_integrate_chars_calls_each_evaluator_once_per_stage(shifted):
@@ -152,6 +166,105 @@ def test_integrate_chars_calls_each_evaluator_once_per_stage(shifted):
                                         for name in ("f", "df", "h", "dh")})
     harness._integrate_chars(m, 1.0, np.linspace(3.0, 9.0, 5), np.linspace(-0.8, 0.8, 5), 0.3, 6)
     assert counts == {"f": 24, "df": 24, "h": 24}
+
+
+def _evaluator_calls(m, run):
+    """run() under a profiler; the names of m's f, f' and h that it called."""
+    evaluators, calls = {m.f.__code__, m.df.__code__, m.h.__code__}, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in evaluators:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return calls, out
+
+
+def test_shooting_kernel_writes_a_models_own_evaluators_inline(burgers, quartic, sextic, shifted,
+                                                                 rounding_quartic):
+    r0, u0 = np.linspace(3.0, 9.0, 5), np.linspace(-0.8, 0.8, 5)
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        polys = characteristics._inlined(m)
+        assert polys == (m.f_poly, model._polyder(m.f_poly), m.h_poly)
+        kernel = harness._chars_kernel(*polys)
+        cells = dict(zip(kernel.__code__.co_freevars, (cell.cell_contents for cell in kernel.__closure__)))
+        assert all(isinstance(c, np.ndarray) and c.shape == () and c.dtype == np.float64 for c in cells.values())
+        assert sorted(float(cells.pop(name)) for name in ("one", "two")) == [1.0, 2.0]
+        assert sorted(float(c) for name, c in cells.items() if name != "zero") == \
+            sorted(c for poly in polys for c in poly if c)
+        calls, _ = _evaluator_calls(m, lambda: harness._integrate_chars(m, 1.0, r0, u0, 0.3, 6))
+        assert calls == []
+
+
+def test_shooting_kernel_inlines_a_models_evaluators_after_the_cache_evicts_them(sextic):
+    m = polynomial_model(sextic.name, sextic.f_poly, sextic.h_poly)
+    args = (m, 1.0, np.linspace(3.0, 9.0, 5), np.linspace(-0.8, 0.8, 5), 0.3, 6)
+    before = [a.tobytes() for a in harness._integrate_chars(*args)]
+    for k in range(300):
+        model._evaluator((0.375, float(k + 1)))
+    assert m.f is not model._evaluator(m.f_poly)  # evicted, so compiled anew
+    calls, after = _evaluator_calls(m, lambda: harness._integrate_chars(*args))
+    assert calls == []
+    assert [a.tobytes() for a in after] == before
+
+
+def test_in_place_horner_statements_equal_the_horner_expression_bitwise(burgers, quartic, sextic, shifted,
+                                                                         rounding_quartic):
+    tiny = 5e-324
+    grid = [0.0, -0.0, 1.0, -1.0, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), tiny, -tiny, 0.3, -0.7, 0.5]
+    u = np.array(grid)
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        for poly in (m.f_poly, model._polyder(m.f_poly), m.h_poly):
+            expr, names = model._horner(poly, "u", "c_")
+            out = np.full_like(u, np.nan)
+            scope = {"u": u, "out": out, "zero": np.array(0.0), **{k: np.array(v) for k, v in names.items()}}
+            exec("\n".join(harness._in_place(expr, "out")), {"add": np.add, "mul": np.multiply}, scope)
+            expected = np.array([eval(expr, {}, {"u": x, **names}) for x in grid])
+            assert out.tobytes() == expected.tobytes(), (m.name, poly)
+            assert out.tobytes() == model._evaluator(poly)(u).tobytes()
+
+
+def test_shooting_kernel_source_holds_no_coefficient_text(monkeypatch, burgers, quartic, sextic, shifted,
+                                                          rounding_quartic):
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        sources = []
+        monkeypatch.setattr(harness, "_closure",
+                            lambda source, *args: sources.append(source) or model._closure(source, *args))
+        polys = characteristics._inlined(m)
+        kernel = harness._chars_kernel.__wrapped__(*polys)
+        (source,) = sources
+        values = [c for poly in polys for c in poly if c]
+        for c in values:
+            assert repr(c) not in source and repr(abs(c)) not in source, (m.name, c)
+        assert not [c for c in kernel.__code__.co_consts if isinstance(c, float)]
+
+
+@pytest.mark.parametrize("targets, t_end, dt_target, match", [
+    ([9.0, 4.0], 1.2, 0.002, "not strictly increasing"),
+    ([4.0, 4.0, 9.0], 1.2, 0.002, "not strictly increasing"),
+    ([4.0, math.nan, 9.0], 1.2, 0.002, "a target is not finite"),
+    ([4.0, math.inf], 1.2, 0.002, "a target is not finite"),
+    ([], 1.2, 0.002, "non-empty 1-d"),
+    (4.0, 1.2, 0.002, "non-empty 1-d"),
+    ([4.0, 9.0], math.inf, 0.002, "t_end = inf"),
+    ([4.0, 9.0], math.nan, 0.002, "t_end = nan"),
+    ([4.0, 9.0], -0.5, 0.002, "t_end = -0.5"),
+    ([4.0, 9.0], 1.2, 0.0, "dt_target = 0.0"),
+    ([4.0, 9.0], 1.2, -0.002, "dt_target = -0.002"),
+    ([4.0, 9.0], 1.2, math.inf, "dt_target = inf"),
+    ([4.0, 9.0], 1.2, math.nan, "dt_target = nan"),
+])
+def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, targets, t_end, dt_target, match):
+    def no_shot(*args):
+        raise AssertionError("shot fired")
+
+    monkeypatch.setattr(harness, "_integrate_chars", no_shot)
+    with pytest.raises(DomainError, match=match):
+        exact_solution_by_shooting(smooth.model, smooth.mass, smooth.v0, t_end, targets, dt_target)
 
 
 def test_oracle_constant_data():
