@@ -6,13 +6,17 @@ the resolved configuration) into the configured output directory, and
 exits 0 on success, 1 on an invariant violation (with a failure report
 written), 2 on a configuration error.  Numeric CSV output carries 17
 significant digits so doubles round-trip losslessly; identical configs and
-seeds reproduce identical bytes.
+seeds reproduce identical bytes.  Each number is written exactly as
+Python's "%.17g" writes it: one with 1e-4 <= |x| < 1e17 by an exact
+vectorised formatter over whole columns (_format_g17), every other one by
+Python's % itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,10 +45,161 @@ from .harness import (
 )
 from .scheme import numerical_flux, run
 
-_FMT = "%.17g"
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 1024
 
 _CONVERGE_THRESHOLDS = {"smooth": 0.8, "riemann": 0.5, "flat": None}
+
+# _format_g17 writes an x with 1e-4 <= |x| < 1e17 as %.17g does, in fixed
+# notation: the 17 digits of D = round(|x| * 10**(16 - k)), k = floor(log10 |x|)
+# in [-4, 16], with the point after digit k + 1.  D is a first digit d0 and a
+# tail of four 4-digit groups.  The text of a value is three little-endian
+# uint64 words, laid out from tables indexed by c = 2 * (k + 4) + (x < 0).
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _veltkamp_split(a):
+    """a as high + low, each with at most 26 significant bits (Dekker 1971)."""
+    c = _VELTKAMP * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_SCALE = np.array([float(10 ** p) for p in range(20, -1, -1)])  # 10**(16 - k) at k + 4, exact as p <= 22
+_SCALE_HIGH, _SCALE_LOW = _veltkamp_split(_SCALE)
+
+
+def _exponent_tables():
+    """k + 4 is _K_GUESS[e] + (|x| >= _K_NEXT[e]) for the biased binary
+    exponent e of an x with 1e-4 <= |x| < 1e17, or one off where a power of
+    ten is not a double; _format_g17 tests it exactly."""
+    ks = [min(max(math.floor((e - 1023) * math.log10(2.0)), -4), 16) for e in range(1009, 1080)]
+    guess, above = np.zeros(2048, np.intp), np.full(2048, np.inf)
+    guess[1009:1080] = [k + 4 for k in ks]  # the binades that meet [1e-4, 1e17)
+    above[1009:1080] = [10.0 ** (k + 1) for k in ks]
+    return guess, above
+
+
+_K_GUESS, _K_NEXT = _exponent_tables()
+
+
+def _group_tables():
+    """For the 4-digit groups 0000 to 9999: the ASCII text in the low four
+    bytes of a word, first digit lowest; and for each of the four group
+    slots of the tail, the 1-based position in the tail of the group's last
+    nonzero digit (0 for 0000)."""
+    text = np.zeros((10, 10, 10, 10, 8), np.uint8)
+    last = np.zeros((4, 10, 10, 10, 10), np.uint8)
+    for i in range(4):  # digit i of a group; later digits overwrite the positions of earlier ones
+        text[..., i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
+        nonzero = (slice(None),) * (i + 1) + (slice(1, None),)
+        last[nonzero] = np.arange(i + 1, 17, 4, dtype=np.uint8).reshape(4, 1, 1, 1, 1)
+    return text.view("<u8").astype(np.uint64).ravel(), last.ravel()
+
+
+_GROUP_TEXT, _GROUP_LAST = _group_tables()
+_GROUP_SLOT = np.arange(0, 40000, 10000)[:, None]
+_DIGIT_TEXT = np.arange(48, 59, dtype=np.uint64)  # d0 in ASCII; 10 is the d0 of a D that the exact test refuses
+
+
+def _layouts():
+    """Per layout c: the fixed bytes (sign, the "0." and zeros before d0
+    of a k < 0, the point of a k >= 0) as three words, the two words that
+    mask the tail digits before the point, the shifts in bits of d0, of the
+    tail part before the point, of the part after it and their complements
+    to 64, and the text length for each 1-based position of the tail's last
+    nonzero digit."""
+    fixed, masks, shifts, lengths = b"", b"", [], []
+    for k in range(-4, 17):
+        for sign in (b"", b"-"):
+            head = sign + (b"0." + b"0" * (-1 - k) if k < 0 else b"") + b"\0"  # d0 last
+            fixed += (head + b"\0" * k + b"." if k >= 0 else head).ljust(24, b"\0")
+            h, before, point = len(head), max(k, 0), int(k >= 0)  # tail digits before the point; point in tail
+            masks += (b"\xff" * before).ljust(16, b"\0")
+            shifts.append((8 * h - 8, 8 * h, 8 * (h + point), 64 - 8 * h, 64 - 8 * (h + point)))
+            lengths += [h + before] * (before + 1) + list(range(h + before + 1 + point, h + 17 + point))
+    return (np.frombuffer(fixed, "<u8").reshape(42, 3).T.astype(np.uint64),
+            np.frombuffer(masks, "<u8").reshape(42, 2).T.astype(np.uint64),
+            np.array(shifts, dtype=np.uint64).T.copy(), np.array(lengths))
+
+
+_FIXED, _BEFORE_POINT, _SHIFTS, _LENGTH = _layouts()
+_LENGTH_MASK = np.frombuffer(b"".join([(b"\xff" * n).ljust(24, b"\0") for n in range(25)]), "<u8").reshape(25, 3)
+_LENGTH_MASK = _LENGTH_MASK.astype(np.uint64)
+
+
+def _format_g17(values: np.ndarray) -> np.ndarray:
+    """The bytes of b"%.17g" % x for each x of values, as an "S24" array.
+
+    For 1e-4 <= |x| < 1e17 the text is computed on the whole array:
+    y = |x| * 10**(16 - k) is formed exactly as hi + lo by Dekker's
+    TwoProduct (Ogita, Rump and Oishi 2005), D = hi + rint(lo) rounds it
+    half to even (hi > 2**53 is an even integer), and the digits of D come
+    from a table of 4-digit groups.  Python's % formats every other value
+    (0, NaN, inf, subnormals, other magnitudes) and the few whose k is off
+    by one or whose D would carry to 10**17."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    mag = np.abs(x)
+    fast = (mag >= 1e-4) & (mag < 1e17)
+    negative = x < 0.0
+    if not fast.all():
+        mag, negative = mag[fast], negative[fast]
+    k, digits, sure = _decimal_digits(mag)
+    d0, tail_1, tail_2, last = _digit_words(digits)
+
+    c = 2 * k + negative
+    before_1, before_2 = tail_1 & _BEFORE_POINT[0].take(c), tail_2 & _BEFORE_POINT[1].take(c)
+    after_1, after_2 = tail_1 ^ before_1, tail_2 ^ before_2
+    sd, sb, sa, cb, ca = (shift.take(c) for shift in _SHIFTS)  # a shift by 64 gives 0
+    words = np.empty((digits.size, 3), np.uint64)
+    words[:, 0] = _FIXED[0].take(c) | _DIGIT_TEXT.take(d0) << sd | before_1 << sb | after_1 << sa
+    words[:, 1] = _FIXED[1].take(c) | before_2 << sb | before_1 >> cb | after_2 << sa | after_1 >> ca
+    words[:, 2] = _FIXED[2].take(c) | before_2 >> cb | after_2 >> ca
+    words &= _LENGTH_MASK.take(_LENGTH.take(17 * c + last), axis=0)
+    text = words.astype("<u8", copy=False).view("S24").ravel()
+
+    slow = ~fast
+    if not sure.all():
+        slow[np.flatnonzero(fast)[~sure]] = True
+    if not slow.any():
+        return text
+    out = np.empty(x.size, "S24")
+    out[fast] = text
+    out[slow] = [b"%.17g" % v for v in x[slow].tolist()]
+    return out
+
+
+def _decimal_digits(mag: np.ndarray):
+    """k + 4, D = round(mag * 10**(16 - k)) half to even, and where both
+    are right: the exact product mag * 10**(16 - k) = hi + lo lies in
+    [1e16, 10**17) and D cannot carry to 10**17."""
+    e = mag.view(np.uint64) >> 52
+    k = _K_GUESS.take(e) + (mag >= _K_NEXT.take(e))
+    hi = mag * _SCALE.take(k)
+    mag_high, mag_low = _veltkamp_split(mag)
+    scale_high, scale_low = _SCALE_HIGH.take(k), _SCALE_LOW.take(k)
+    lo = mag_low * scale_low - (((hi - mag_high * scale_high) - mag_low * scale_high) - mag_high * scale_low)
+    # exact tests: hi + lo >= 1e16, so k is not too big; hi < 10**17 - 16, so D <= 10**17 - 24
+    sure = ((hi - 1e16) + lo >= 0.0) & (hi < 99999999999999984.0)
+    return k, hi.astype(np.int64) + np.rint(lo).astype(np.int64), sure
+
+
+def _digit_words(digits: np.ndarray):
+    """The first digit d0 of each 17-digit D, its 16-digit tail as two
+    words of ASCII (first digit lowest), and the 1-based position in the
+    tail of its last nonzero digit."""
+    d0 = digits // 10 ** 16
+    n = digits.size
+    halves = np.empty((2, n), np.int64)
+    tail = digits - d0 * 10 ** 16
+    halves[0] = tail // 10 ** 8
+    halves[1] = tail - halves[0] * 10 ** 8
+    groups = np.empty((2, 2, n), np.int64)
+    groups[:, 0] = halves // 10000
+    groups[:, 1] = halves - groups[:, 0] * 10000
+    groups = groups.reshape(4, n)
+    text = _GROUP_TEXT.take(groups)
+    last = np.maximum.reduce(_GROUP_LAST.take(groups + _GROUP_SLOT))
+    return d0, text[0] | text[1] << 32, text[2] | text[3] << 32, last
 
 
 def _write_json(path: Path, payload) -> None:
@@ -52,39 +207,40 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_csv(path: Path, header: str, columns: np.ndarray) -> None:
-    """Write columns (a 2-D array whose rows are the table's columns) as
-    "%.17g" fields under header.  One % call formats a block of
-    _CSV_BLOCK_ROWS rows, which keeps the temporaries, and so the peak
-    memory, small on long tables."""
-    table = np.asarray(columns, dtype=np.float64).T
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        if table.size:
-            line = ",".join([_FMT] * table.shape[1]) + "\n"
-            for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-                block = table[start:start + _CSV_BLOCK_ROWS]
-                fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    """Write columns (a 2-D array whose rows are the table's columns) under
+    header, each number as b"%.17g" % x writes it, from _format_g17.  A
+    block of _CSV_BLOCK_ROWS rows is formatted and written at a time, which
+    keeps the temporaries, and so the peak memory, small on long tables."""
+    columns = np.asarray(columns, dtype=np.float64)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        if columns.size:
+            line = b",".join([b"%s"] * columns.shape[0]) + b"\n"
+            for start in range(0, columns.shape[1], _CSV_BLOCK_ROWS):
+                block = columns[:, start:start + _CSV_BLOCK_ROWS]
+                fields = [b""] * block.size
+                for j, column in enumerate(block):
+                    fields[j::block.shape[0]] = _format_g17(column).tolist()
+                fh.write((line * block.shape[1]) % tuple(fields))
 
 
 def _write_snapshots(path: Path, snapshots, centers: np.ndarray) -> None:
     """snapshots.csv: a (t, r, v) row per snapshot and cell, as _write_csv
-    writes them.  The radii are formatted once and each time once per
-    snapshot, so a row formats only v; a block of _CSV_BLOCK_ROWS rows is
-    formatted and written at a time."""
-    radii = centers.tolist()
+    writes them.  The radii are formatted once and the times once, so a row
+    formats only v; a block of _CSV_BLOCK_ROWS rows is formatted and written
+    at a time."""
     blocks = []  # (first row, template of its rows with the time and v left open)
-    for start in range(0, len(radii), _CSV_BLOCK_ROWS):
-        rows = ["%s," + _FMT % r + "," + _FMT + "\n" for r in radii[start:start + _CSV_BLOCK_ROWS]]
-        blocks.append((start, "".join(rows)))
-    with open(path, "w") as fh:
-        fh.write("t,r,v\n")
-        for snap in snapshots:
-            time_text = _FMT % snap.time
-            values = snap.values.tolist()
+    for start in range(0, centers.size, _CSV_BLOCK_ROWS):
+        radii = _format_g17(centers[start:start + _CSV_BLOCK_ROWS]).tolist()
+        blocks.append((start, b"".join([b"%s," + r + b",%s\n" for r in radii])))
+    times = _format_g17(np.array([snap.time for snap in snapshots])).tolist()
+    with open(path, "wb") as fh:
+        fh.write(b"t,r,v\n")
+        for snap, time_text in zip(snapshots, times):
             for start, template in blocks:
-                block = values[start:start + _CSV_BLOCK_ROWS]
-                fields = [time_text] * (2 * len(block))
-                fields[1::2] = block
+                values = _format_g17(snap.values[start:start + _CSV_BLOCK_ROWS]).tolist()
+                fields = [time_text] * (2 * len(values))
+                fields[1::2] = values
                 fh.write(template % tuple(fields))
 
 

@@ -221,14 +221,16 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
     or its residual is within that width times the bracket's secant slope
     (at most 48 passes); it returns the state its last shot transported.
     DomainError before any shot unless the targets are a non-empty, finite,
-    strictly increasing 1-d array, t_end >= 0 and dt_target > 0, both finite.
+    strictly increasing 1-d array, t_end >= 0, dt_target > 0 and mass >= 0,
+    all finite.
     """
     targets = np.asarray(targets, dtype=float)
     problem = ("targets are not a non-empty 1-d array" if targets.ndim != 1 or targets.size == 0 else
                "a target is not finite" if not np.all(np.isfinite(targets)) else
                "targets are not strictly increasing" if np.any(np.diff(targets) <= 0.0) else
                f"t_end = {t_end} is not finite and >= 0" if not 0.0 <= t_end < math.inf else
-               f"dt_target = {dt_target} is not finite and > 0" if not 0.0 < dt_target < math.inf else None)
+               f"dt_target = {dt_target} is not finite and > 0" if not 0.0 < dt_target < math.inf else
+               f"mass = {mass} is not finite and >= 0" if not 0.0 <= mass < math.inf else None)
     if problem:
         raise DomainError(f"shooting refused: {problem}")
     n_steps = max(64, int(math.ceil(t_end / dt_target)))

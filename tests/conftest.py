@@ -1,5 +1,10 @@
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from horizonfv import (
     Background,
@@ -8,6 +13,12 @@ from horizonfv import (
     burgers_model,
     polynomial_model,
 )
+
+# The same examples on every run, no example database, and Hypothesis's other
+# files (its cache of the constants in the source) outside the repository.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", str(Path(tempfile.gettempdir()) / "horizonfv-hypothesis"))
 
 
 @pytest.fixture(scope="session")

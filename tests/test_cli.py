@@ -10,6 +10,7 @@ import pytest
 from horizonfv import Background, ConfigError, StateVector, build_uniform_mesh, numerical_flux, run
 from horizonfv.cli import _CSV_BLOCK_ROWS, _write_csv, _write_snapshots, main
 from horizonfv.config import RunConfig, parse_config, resolved_config_text
+from csv_reference import reference_write_csv, reference_write_snapshots
 
 MINIMAL = """
 [model]
@@ -408,6 +409,46 @@ def test_write_csv_matches_per_value_writer(tmp_path, rows):
     path = tmp_path / "table.csv"
     _write_csv(path, header, np.array(rows, dtype=float).T)
     assert path.read_text() == reference_csv(header, rows)
+
+
+# -0.0, +-1, subnormals, the smallest normal, values just outside the vectorised range, ties and NaN/inf
+EDGE_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, -1e-5, 1e-4,
+                        1e16 + 2, 99999999999999984.0, 1e17, 1e15 + 0.25, np.nan, np.inf, -np.inf])
+
+
+def _mixed_columns(n_columns, n_rows, seed=7):
+    rng = np.random.default_rng(seed)
+    columns = rng.uniform(-1.0, 1.0, (n_columns, n_rows)) * 10.0 ** rng.integers(-6, 18, (n_columns, n_rows))
+    columns.ravel()[::97] = np.resize(EDGE_VALUES, columns.ravel()[::97].size)
+    return columns
+
+
+@pytest.mark.parametrize("columns", [
+    _mixed_columns(5, 2 * _CSV_BLOCK_ROWS + 3),  # three blocks
+    _mixed_columns(1, _CSV_BLOCK_ROWS + 1),  # one column, two blocks
+    _mixed_columns(3, _CSV_BLOCK_ROWS),  # exactly one block
+    np.array([EDGE_VALUES]),
+    EDGE_VALUES[:, None],  # one row
+    np.array([]).T,  # the ledger of a run with no steps: header only
+    np.empty((3, 0)),
+], ids=["three-blocks", "one-column", "one-block", "edge-values", "one-row", "empty-1d", "empty-2d"])
+def test_write_csv_matches_reference_writer(tmp_path, columns):
+    _write_csv(tmp_path / "new.csv", "a,b", columns)
+    reference_write_csv(tmp_path / "old.csv", "a,b", columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cells", [2, 3, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 1])
+def test_snapshot_writer_matches_reference_writer(tmp_path, cells):
+    mesh = build_uniform_mesh(Background(1.0), 12.0, cells)
+    values = np.clip(np.nan_to_num(_mixed_columns(3, cells, seed=cells), nan=-0.0), -1.0, 1.0)  # states
+    snapshots = [StateVector(values=v, time=t, step_index=i)
+                 for i, (v, t) in enumerate(zip(values, (0.0, 1.0 / 3.0, 1e-5)))]
+    snapshots.append(StateVector(values=np.resize(EDGE_VALUES[np.abs(EDGE_VALUES) <= 1.0], cells), time=0.5,
+                                 step_index=9))
+    _write_snapshots(tmp_path / "new.csv", snapshots, mesh.centers)
+    reference_write_snapshots(tmp_path / "old.csv", snapshots, mesh.centers)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_cli_run_determinism(tmp_path):

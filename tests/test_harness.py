@@ -257,14 +257,21 @@ def test_shooting_kernel_source_holds_no_coefficient_text(monkeypatch, burgers, 
     ([4.0, 9.0], 1.2, -0.002, "dt_target = -0.002"),
     ([4.0, 9.0], 1.2, math.inf, "dt_target = inf"),
     ([4.0, 9.0], 1.2, math.nan, "dt_target = nan"),
+    ([4.0, 9.0], 1.2, 0.002, ("mass = nan", math.nan)),
+    ([4.0, 9.0], 1.2, 0.002, ("mass = inf", math.inf)),
+    ([4.0, 9.0], 1.2, 0.002, ("mass = -inf", -math.inf)),
+    ([4.0, 9.0], 1.2, 0.002, (r"mass = -0\.5", -0.5)),
 ])
 def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, targets, t_end, dt_target, match):
+    """match is the pattern of the refusal, or (pattern, mass) where the case varies the mass."""
+    match, mass = match if isinstance(match, tuple) else (match, smooth.mass)
+
     def no_shot(*args):
         raise AssertionError("shot fired")
 
     monkeypatch.setattr(harness, "_integrate_chars", no_shot)
     with pytest.raises(DomainError, match=match):
-        exact_solution_by_shooting(smooth.model, smooth.mass, smooth.v0, t_end, targets, dt_target)
+        exact_solution_by_shooting(smooth.model, mass, smooth.v0, t_end, targets, dt_target)
 
 
 def test_oracle_constant_data():
