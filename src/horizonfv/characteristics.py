@@ -34,10 +34,10 @@ coordinate stays above 2M.
 Both tracers run one RK4 loop in Python floats, compiled from one source
 template with the stage right-hand side written into it as text, and the
 shooting oracle's RK4 on arrays (``harness._chars_kernel``) is compiled
-alike, as in-place ufuncs.  Each of f, f' and h that ``model._evaluator``
-compiled is written in as its tuple's Horner text, which reads the
-coefficients from closure cells; any other callable, such as a counting
-wrapper, is called at every stage.  Kernels are cached per set of tuples.
+alike, as in-place ufuncs.  f, f' and h are written in as the Horner text
+of the model's coefficient tuples, which reads the coefficients from
+closure cells; the kernels call none of the model's evaluators.  Kernels
+are cached per set of tuples.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import DomainError, NumericsError, RangeError, StepSizeError, UnsupportedModelError
-from .model import (_COMPILED, _SCALE, FluxModel, _closure, _deflate, _evaluator, _has_repeated_root, _horner,
+from .model import (_SCALE, FluxModel, _closure, _deflate, _evaluator, _has_repeated_root, _horner,
                     _integers, _polyder, _polyint, _trimmed)
 from .quadrature import adaptive_simpson
 
@@ -180,9 +180,12 @@ def fhat_inverse(table: FhatTable, branch: str, y):
     Each target is bracketed between two branch samples and solved by
     Newton's method from the secant guess, falling back to bisection
     whenever a step leaves the bracket or fails to halve, until the step or
-    the bracket is below 1e-14.  A scalar target returns a float.
+    the bracket is below 1e-14.  A scalar target returns a float; a NaN
+    target raises DomainError.
     """
     target = np.asarray(y, dtype=float)
+    if np.any(np.isnan(target)):
+        raise DomainError("Fhat inverse target is NaN")
     if np.any(target > 0.0):
         raise RangeError(f"Fhat only takes values <= 0, got target {float(np.max(target))}")
     us, fs = table.branch(branch)
@@ -222,16 +225,21 @@ def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) 
 
     Solves Fhat(u(r)) = Fhat(u0) + log(a(r)/a(r0)) at every radius with
     one inverse.  u0 = 0 is rejected (the profile ODE is singular at the
-    sonic value); radii whose implicit value leaves the branch range raise
-    RangeError with the admissible interval in the message.
+    sonic value), and so is a radius that is not finite; radii whose
+    implicit value leaves the branch range raise RangeError with the
+    admissible interval in the message.
     """
     if u0 == 0.0:
         raise DomainError("steady profiles need u0 != 0 (f'(0) = 0 makes the profile ODE singular)")
     if not abs(u0) <= 1.0 - table.epsilon:
         raise DomainError("u0 too close to the state boundary")
+    if not math.isfinite(r0):
+        raise DomainError(f"anchor radius r0={r0} is not finite")
     if not r0 > 2.0 * mass:
         raise DomainError(f"anchor radius r0={r0} must exceed the horizon radius {2 * mass}")
     grid = np.asarray(r_grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise DomainError(f"steady profile radius {grid[~np.isfinite(grid)].flat[0]} is not finite")
     if np.any(grid <= 2.0 * mass):
         raise DomainError("steady profile radii must exceed the horizon radius")
 
@@ -282,8 +290,8 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
     if not 0.0 < ds < math.inf:
         raise DomainError(f"ds = {ds} must be finite and positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
-    kernel = _exterior_kernel(*_inlined(m))
-    return _rk4_trace(kernel, (m.f, m.df, m.h, 2.0 * mass), start, ds, s_max, guard_r, r_stop)
+    kernel = _exterior_kernel(m.f_poly, _polyder(m.f_poly), m.h_poly)
+    return _rk4_trace(kernel, (2.0 * mass,), start, ds, s_max, guard_r, r_stop)
 
 
 def h_prime_interior(mass: float, shift: float, big_r: float) -> float:
@@ -384,23 +392,14 @@ def _rk4_source(params: str, stage) -> str:
                             **{f"k{i}": lines(f"k{i}", "stage_r", "stage_u") for i in (2, 3, 4)})
 
 
-def _inlined(m: FluxModel):
-    """The coefficient tuples of f, f' and h as _evaluator compiled them,
-    each None when that evaluator is not one _evaluator compiled."""
-    return tuple(_COMPILED[fn] if fn in _COMPILED else None for fn in (m.f, m.df, m.h))
-
-
 @functools.lru_cache(maxsize=64)
 def _exterior_kernel(*polys):
     """The RK4 kernel of the exterior system for r > two_m = 2M, taking
-    (f, df, h, two_m) first.  polys are _inlined's: a tuple's Horner text
-    is written into the stage, read from closure cells, and an evaluator
-    given as None is called."""
+    two_m first.  polys are the coefficient tuples of f, f' and h; each
+    one's Horner text is written into the stage, read from closure cells."""
     cells = {}
 
     def value(name, poly, u):
-        if poly is None:
-            return f"{name}({u})"
         expr, named = _horner(poly, u, name + "_")
         cells.update(named)
         return f"({expr})"
@@ -410,7 +409,7 @@ def _exterior_kernel(*polys):
         return (f"a = 1.0 - two_m / {r}\n"
                 f"{k}t, {k}r, {k}u = 1.0 / (a * a), {df} / a, (two_m / ({r} - two_m) ** 2) * ({f} + {h})")
 
-    source = _rk4_source("f, df, h, two_m", stage)
+    source = _rk4_source("two_m", stage)
     return _closure(source, cells, {"_guard_u": _guard_u})
 
 

@@ -13,6 +13,7 @@ unit, state dimensionless in [-1, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,13 @@ SOURCE_STRICTNESS = 1e-6
 
 @dataclass(frozen=True)
 class Background:
-    """A black hole exterior of mass M >= 0; M = 0 is flat space."""
+    """A black hole exterior of finite mass M >= 0; M = 0 is flat space."""
 
     mass: float
 
     def __post_init__(self):
-        if not self.mass >= 0.0:
-            raise DomainError(f"mass must be >= 0, got {self.mass}")
+        if not 0.0 <= self.mass < math.inf:
+            raise DomainError(f"mass must be finite and >= 0, got {self.mass}")
 
     @property
     def horizon(self) -> float:
@@ -61,9 +62,11 @@ class RadialMesh:
 
 
 def build_uniform_mesh(bg: Background, r_max: float, cells: int) -> RadialMesh:
-    """Equispaced faces from the horizon (or r = 0 when M = 0) to r_max."""
+    """Equispaced faces from the horizon (or r = 0 when M = 0) to a finite r_max."""
     if cells < 2:
         raise DomainError(f"need cells >= 2, got {cells}")
+    if not math.isfinite(r_max):
+        raise DomainError(f"r_max={r_max} is not finite")
     if not r_max > bg.horizon:
         raise DomainError(f"r_max={r_max} must exceed the horizon radius {bg.horizon}")
     faces = np.linspace(bg.horizon, r_max, cells + 1)

@@ -21,10 +21,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import entropy as entropy_mod
-from .characteristics import _inlined, build_fhat_table, steady_profile
+from .characteristics import build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
-from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _horner, burgers_model
+from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _horner, _polyder, burgers_model
 from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
                      numerical_flux, run, step_data)
 
@@ -151,7 +151,7 @@ def _in_place(expr: str, out: str) -> list[str]:
 # RK4 on the (2, n) ensemble y = (r, u).  {stages} stands for the four stages;
 # stage i writes dr/dt and du/dt into the rows of k<i>, and y + c k<i> into stage.
 _CHARS_LOOP = """\
-def kernel(f, df, h, y, n_steps, two_m, dt, half, sixth):
+def kernel(y, n_steps, two_m, dt, half, sixth):
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     k1, k2, k3, k4, stage, (scale, h_u) = (np.empty_like(y) for _ in range(6))
     (r, u), (sr, su), (k1r, k1u), (k2r, k2u), (k3r, k3u), (k4r, k4u) = y, stage, k1, k2, k3, k4
@@ -169,24 +169,22 @@ return kernel
 
 @functools.lru_cache(maxsize=64)
 def _chars_kernel(*polys):
-    """The shooting kernel for _inlined's polys: each tuple of f, f' and h is
-    written into the stage as _in_place Horner statements on coefficients in
-    closure cells, and an evaluator given as None is called once per stage.
-    Every scalar is a 0-d array, which a ufunc takes faster than a float."""
+    """The shooting kernel for the coefficient tuples of f, f' and h: each
+    is written into the stage as _in_place Horner statements on
+    coefficients in closure cells.  Every scalar is a 0-d array, which a
+    ufunc takes faster than a float."""
     cells = {"zero": 0.0, "one": 1.0, "two": 2.0}
 
     def value(name, poly, u, out):
-        if poly is None:
-            return [], f"{name}({u})"
         expr, named = _horner(poly, u, name + "_")
         cells.update(named)
-        return _in_place(expr, out), out
+        return _in_place(expr, out)
 
     def rates(k, r, u):
-        (f_lines, f), (df_lines, df), (h_lines, h) = (
-            value(name, poly, u, out) for name, poly, out in zip(("f", "df", "h"), polys, (k + "u", k + "r", "h_u")))
-        return [*df_lines, f"div(two_m, {r}, scale)", "sub(one, scale, scale)", f"mul(scale, {df}, {k}r)",
-                f"mul({r}, {r}, scale)", "div(two_m, scale, scale)", *f_lines, *h_lines, f"add({f}, {h}, {k}u)",
+        f, df, h = (value(name, poly, u, out)
+                    for name, poly, out in zip(("f", "df", "h"), polys, (k + "u", k + "r", "h_u")))
+        return [*df, f"div(two_m, {r}, scale)", "sub(one, scale, scale)", f"mul(scale, {k}r, {k}r)",
+                f"mul({r}, {r}, scale)", "div(two_m, scale, scale)", *f, *h, f"add({k}u, h_u, {k}u)",
                 f"mul({k}u, scale, {k}u)"]
 
     lines = [*rates("k1", "r", "u"), "add(y, mul(half, k1, stage), stage)", *rates("k2", "sr", "su"),
@@ -204,8 +202,9 @@ def _integrate_chars(m: FluxModel, mass: float, r0, u0, t_end: float, n_steps: i
     per call; the step is ((k1 + 2 k2) + 2 k3) + k4, so each row rounds as
     the per-row RK4 in Python floats does."""
     dt = t_end / n_steps
-    return _chars_kernel(*_inlined(m))(m.f, m.df, m.h, np.array((r0, u0), dtype=float), n_steps,
-                                       *(np.array(x) for x in (2.0 * mass, dt, 0.5 * dt, dt / 6.0)))
+    kernel = _chars_kernel(m.f_poly, _polyder(m.f_poly), m.h_poly)
+    return kernel(np.array((r0, u0), dtype=float), n_steps,
+                  *(np.array(x) for x in (2.0 * mass, dt, 0.5 * dt, dt / 6.0)))
 
 
 def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: float,

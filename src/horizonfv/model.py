@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import textwrap
-import weakref
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Sequence
@@ -67,11 +66,6 @@ def _closure(body: str, cells: dict[str, float], names: dict | None = None):
     return namespace["bind"](**cells)
 
 
-#: every function _evaluator compiled, mapped to its tuple for as long as
-#: the function lives, so that it is known after the cache evicts it
-_COMPILED = weakref.WeakKeyDictionary()
-
-
 @functools.lru_cache(maxsize=256)
 def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
     """The Horner text of coeffs (see _horner) compiled into one function
@@ -81,9 +75,7 @@ def _evaluator(coeffs: tuple[float, ...]) -> ArrayLike:
     a zero is read only as a lead, which a trimmed tuple's is not.
     """
     expr, cells = _horner(coeffs, "s", "c")
-    poly = _closure(f"def poly(s):\n    return {expr}\nreturn poly", cells)
-    _COMPILED[poly] = coeffs
-    return poly
+    return _closure(f"def poly(s):\n    return {expr}\nreturn poly", cells)
 
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -134,9 +126,9 @@ class FluxModel:
     with ``polynomial_model``, which computes all of these once; consumers
     read them and never re-derive them, so ``dataclasses.replace`` may swap
     in instrumented evaluators and keep the certificate.  The RK4 loops of
-    the tracers and the shooting oracle write each of f, f' and h in as
-    Horner text only when ``_evaluator`` compiled it; any other evaluator
-    is called at every stage, so instrumentation sees every call.
+    the exterior tracer and the shooting oracle read only ``f_poly`` and
+    ``h_poly``: they write f, f' and h in as Horner text and call none of
+    the four evaluators.
 
     Immutable after construction and safe to share across threads.
     """

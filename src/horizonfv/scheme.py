@@ -385,8 +385,9 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
 
     The package's one time loop.  The last step is shortened to land exactly
     on t_end.  Snapshots are the initial state, every snapshot_every-th
-    step, and the final state.  A cfl_fraction outside (0, 1] raises
-    CflError (a DomainError) before the first step; a NaN or a state
+    step, and the final state.  A t_end that is not positive and finite
+    raises DomainError, and a cfl_fraction outside (0, 1] CflError (a
+    DomainError), before the first step; a NaN or a state
     leaving [-1, 1] raises NumericsError.
 
     on_step(state_before, state_after, report), if given, sees every
@@ -397,8 +398,8 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     max_timestep is computed once, and the step factors, which check tau
     against it, once for tau_base; the shortened last step builds its own.
     """
-    if not t_end > 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be positive and finite, got {t_end}")
     if snapshot_every < 1:
         raise DomainError("snapshot_every must be >= 1")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,12 @@ from horizonfv import (
 def test_negative_mass_rejected():
     with pytest.raises(DomainError):
         Background(-0.5)
+
+
+def test_mass_that_is_not_finite_rejected():
+    for mass in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"mass must be finite and >= 0, got {mass}"):
+            Background(mass)
 
 
 def test_two_cell_mesh_example():
@@ -52,6 +60,9 @@ def test_mesh_preconditions():
         build_uniform_mesh(Background(1.0), 12.0, 1)
     with pytest.raises(DomainError):
         build_uniform_mesh(Background(1.0), 1.9, 10)
+    for r_max in (math.inf, math.nan, -math.inf):
+        with pytest.raises(DomainError, match=f"r_max={r_max} is not finite"):
+            build_uniform_mesh(Background(1.0), r_max, 10)
 
 
 def test_mesh_immutable():

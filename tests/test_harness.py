@@ -10,6 +10,7 @@ import pytest
 from horizonfv import (
     DEFAULT_KRUZHKOV_LEVELS,
     CflError,
+    CharState,
     DomainError,
     NumericsError,
     Preset,
@@ -24,10 +25,11 @@ from horizonfv import (
     self_convergence,
     steady_drift_detail,
     step,
+    trace_exterior,
 )
-from horizonfv import characteristics, entropy, harness, model
+from horizonfv import entropy, harness, model
 from horizonfv.harness import presets, restrict_halving, run_preset
-from horizonfv.scheme import NumericalFlux, flux_rusanov
+from horizonfv.scheme import NumericalFlux, bump_data, flux_rusanov
 from oracle_error import oracle_compare
 
 
@@ -132,12 +134,9 @@ def _counted(fn, counts, name):
 
 @pytest.mark.parametrize("n", [1, 7, 400, 1600])
 def test_integrate_chars_matches_the_per_row_formula_bitwise(n, rng, sextic, rounding_quartic):
-    counts = Counter()
-    # the sextic; f with an odd coefficient and h of degree 4; f and h
-    # compiled beside a counting f'
-    mixed = dataclasses.replace(rounding_quartic, df=_counted(rounding_quartic.df, counts, "df"))
+    # the sextic; f with an odd coefficient and h of degree 4
     models = (burgers_model(), polynomial_model("quartic", [-0.5, 0.0, 0.0, 0.0, 0.5], [0.0]),
-              polynomial_model("shifted", [0.0, 0.0, 0.5], [-0.5]), sextic, rounding_quartic, mixed)
+              polynomial_model("shifted", [0.0, 0.0, 0.5], [-0.5]), sextic, rounding_quartic)
     for m in models:
         for mass in (0.0, 1.0, 2.0):
             r0 = rng.uniform(2.0 * mass + 0.05, 14.0, n)
@@ -148,24 +147,6 @@ def test_integrate_chars_matches_the_per_row_formula_bitwise(n, rng, sextic, rou
             assert r.shape == u.shape == (n,)
             assert r.tobytes() == np.array([row[0] for row in rows]).tobytes()
             assert u.tobytes() == np.array([row[1] for row in rows]).tobytes()
-    # 3 masses, 12 steps of 4 stages: one kernel call each, then one call per row each
-    assert counts == {"df": 3 * 48 * (1 + n)}
-
-
-def test_integrate_chars_calls_each_evaluator_once_per_stage(shifted):
-    counts = Counter()
-
-    def counted(name, fn):
-        def evaluate(x):
-            counts[name] += 1
-            assert x.shape == (5,)
-            return fn(x)
-        return evaluate
-
-    m = dataclasses.replace(shifted, **{name: counted(name, getattr(shifted, name))
-                                        for name in ("f", "df", "h", "dh")})
-    harness._integrate_chars(m, 1.0, np.linspace(3.0, 9.0, 5), np.linspace(-0.8, 0.8, 5), 0.3, 6)
-    assert counts == {"f": 24, "df": 24, "h": 24}
 
 
 def _evaluator_calls(m, run):
@@ -188,8 +169,7 @@ def test_shooting_kernel_writes_a_models_own_evaluators_inline(burgers, quartic,
                                                                  rounding_quartic):
     r0, u0 = np.linspace(3.0, 9.0, 5), np.linspace(-0.8, 0.8, 5)
     for m in (burgers, quartic, sextic, shifted, rounding_quartic):
-        polys = characteristics._inlined(m)
-        assert polys == (m.f_poly, model._polyder(m.f_poly), m.h_poly)
+        polys = (m.f_poly, model._polyder(m.f_poly), m.h_poly)
         kernel = harness._chars_kernel(*polys)
         cells = dict(zip(kernel.__code__.co_freevars, (cell.cell_contents for cell in kernel.__closure__)))
         assert all(isinstance(c, np.ndarray) and c.shape == () and c.dtype == np.float64 for c in cells.values())
@@ -200,16 +180,23 @@ def test_shooting_kernel_writes_a_models_own_evaluators_inline(burgers, quartic,
         assert calls == []
 
 
-def test_shooting_kernel_inlines_a_models_evaluators_after_the_cache_evicts_them(sextic):
-    m = polynomial_model(sextic.name, sextic.f_poly, sextic.h_poly)
-    args = (m, 1.0, np.linspace(3.0, 9.0, 5), np.linspace(-0.8, 0.8, 5), 0.3, 6)
-    before = [a.tobytes() for a in harness._integrate_chars(*args)]
-    for k in range(300):
-        model._evaluator((0.375, float(k + 1)))
-    assert m.f is not model._evaluator(m.f_poly)  # evicted, so compiled anew
-    calls, after = _evaluator_calls(m, lambda: harness._integrate_chars(*args))
-    assert calls == []
-    assert [a.tobytes() for a in after] == before
+def test_kernels_never_call_a_models_evaluators_when_they_are_swapped(burgers, quartic, sextic, shifted,
+                                                                      rounding_quartic):
+    # the four evaluators replaced by counting wrappers, as the benchmark's tracer replaces them
+    def trace(m):
+        path = trace_exterior(m, 1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
+        return path.stop_reason, [a.tobytes() for a in (path.s, path.t, path.r, path.u)]
+
+    def shoot(m):
+        return exact_solution_by_shooting(m, 1.0, bump_data(0.5, 6.0, 1.0), 0.3, np.linspace(3.0, 9.0, 7)).tobytes()
+
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        counts = Counter()
+        swapped = dataclasses.replace(m, **{name: _counted(getattr(m, name), counts, name)
+                                            for name in ("f", "df", "h", "dh")})
+        assert trace(swapped) == trace(m), m.name
+        assert shoot(swapped) == shoot(m), m.name
+        assert counts == {}, m.name
 
 
 def test_in_place_horner_statements_equal_the_horner_expression_bitwise(burgers, quartic, sextic, shifted,
@@ -234,7 +221,7 @@ def test_shooting_kernel_source_holds_no_coefficient_text(monkeypatch, burgers, 
         sources = []
         monkeypatch.setattr(harness, "_closure",
                             lambda source, *args: sources.append(source) or model._closure(source, *args))
-        polys = characteristics._inlined(m)
+        polys = (m.f_poly, model._polyder(m.f_poly), m.h_poly)
         kernel = harness._chars_kernel.__wrapped__(*polys)
         (source,) = sources
         values = [c for poly in polys for c in poly if c]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -508,6 +509,24 @@ def test_run_parameter_validation(mesh_m1, burgers):
         run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=0.0)
     with pytest.raises(DomainError):
         run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=1.0, cfl_fraction=1.5)
+
+
+def test_run_refuses_a_t_end_that_is_not_finite(mesh_m1, burgers, monkeypatch):
+    # a loop that got past the check would step without end; one step is allowed
+    calls = []
+
+    def one_step(*args, **kwargs):
+        if calls:
+            raise AssertionError("run stepped towards a t_end that is not finite")
+        calls.append(args)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "step", one_step)
+    nf = numerical_flux("godunov", burgers)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"t_end must be positive and finite, got {t_end}"):
+            run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=t_end)
+    assert not calls
 
 
 def test_projection_averages_within_bounds(mesh_m1, rng):
