@@ -51,6 +51,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import DomainError, NumericsError, RangeError, StepSizeError, UnsupportedModelError
+from .geometry import Background
 from .model import (_SCALE, FluxModel, _closure, _deflate, _evaluator, _has_repeated_root, _horner,
                     _integers, _polyder, _polyint, _trimmed)
 from .quadrature import adaptive_simpson
@@ -227,12 +228,13 @@ def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) 
     one inverse.  u0 = 0 is rejected (the profile ODE is singular at the
     sonic value), and so is a radius that is not finite; radii whose
     implicit value leaves the branch range raise RangeError with the
-    admissible interval in the message.
+    admissible interval in the message.  A mass below 0 or not finite is refused first.
     """
+    Background(mass)
     if u0 == 0.0:
         raise DomainError("steady profiles need u0 != 0 (f'(0) = 0 makes the profile ODE singular)")
     if not abs(u0) <= 1.0 - table.epsilon:
-        raise DomainError("u0 too close to the state boundary")
+        raise DomainError(f"u0={u0} must satisfy |u0| <= 1 - {table.epsilon}")
     if not math.isfinite(r0):
         raise DomainError(f"anchor radius r0={r0} is not finite")
     if not r0 > 2.0 * mass:
@@ -287,6 +289,7 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
     (dt/ds, dr/ds, du/ds) = (1/a^2, f'(u)/a, 2M (f(u) + h(u)) / (r - 2M)^2),
     with a = 1 - 2M/r, is written into the loop (see _exterior_kernel).
     """
+    Background(mass)
     if not 0.0 < ds < math.inf:
         raise DomainError(f"ds = {ds} must be finite and positive")
     guard_r = 2.0 * mass * (1.0 + _HORIZON_GUARD)
@@ -446,6 +449,7 @@ def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float,
 
 def exterior_invariant(table: FhatTable, mass: float, path: CharPath) -> np.ndarray:
     """Fhat(u) - log a(r) along a path; constant on exact characteristics."""
+    Background(mass)
     u = np.clip(path.u, -1.0 + table.epsilon, 1.0 - table.epsilon)
     return table.value(u) - np.log(1.0 - 2.0 * mass / path.r)
 

@@ -12,7 +12,6 @@ identical seeds give identical reports byte for byte.
 
 from __future__ import annotations
 
-import ast
 import functools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from . import entropy as entropy_mod
 from .characteristics import build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
-from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _horner, _polyder, burgers_model
+from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _in_place, _polyder, burgers_model
 from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
                      numerical_flux, run, step_data)
 
@@ -138,16 +137,6 @@ def self_convergence(preset: Preset, levels: int = 4) -> ConvergenceResult:
                              finals=list(zip(cell_counts, centers, finals)))
 
 
-def _in_place(expr: str, out: str) -> list[str]:
-    """expr, a _horner text, as statements that apply its operations in its order,
-    one ufunc (add or mul) each writing the array out; 0.0 is read as the name zero."""
-    node, steps = ast.parse(expr, mode="eval").body, []
-    while isinstance(node, ast.BinOp):
-        steps.insert(0, (("add", "mul")[isinstance(node.op, ast.Mult)], getattr(node.right, "id", "zero")))
-        node = node.left
-    return [f"{ufunc}({arg}, {operand}, {out})" for arg, (ufunc, operand) in zip([node.id] + [out] * len(steps), steps)]
-
-
 # RK4 on the (2, n) ensemble y = (r, u).  {stages} stands for the four stages;
 # stage i writes dr/dt and du/dt into the rows of k<i>, and y + c k<i> into stage.
 _CHARS_LOOP = """\
@@ -175,13 +164,8 @@ def _chars_kernel(*polys):
     ufunc takes faster than a float."""
     cells = {"zero": 0.0, "one": 1.0, "two": 2.0}
 
-    def value(name, poly, u, out):
-        expr, named = _horner(poly, u, name + "_")
-        cells.update(named)
-        return _in_place(expr, out)
-
     def rates(k, r, u):
-        f, df, h = (value(name, poly, u, out)
+        f, df, h = (_in_place(poly, u, name + "_", out, cells)
                     for name, poly, out in zip(("f", "df", "h"), polys, (k + "u", k + "r", "h_u")))
         return [*df, f"div(two_m, {r}, scale)", "sub(one, scale, scale)", f"mul(scale, {k}r, {k}r)",
                 f"mul({r}, {r}, scale)", "div(two_m, scale, scale)", *f, *h, f"add({k}u, h_u, {k}u)",

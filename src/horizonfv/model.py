@@ -17,6 +17,7 @@ The solver refuses nothing by itself; callers that need the whole class
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import textwrap
@@ -54,6 +55,19 @@ def _horner(coeffs: tuple[float, ...], var: str, prefix: str) -> tuple[str, dict
     if coeffs[0]:
         expr += f" + {prefix}0"
     return expr, {f"{prefix}{i}": c for i, c in enumerate(coeffs) if c or i == n > 0}
+
+
+def _in_place(coeffs: tuple[float, ...], var: str, prefix: str, out: str, cells: dict) -> list[str]:
+    """The _horner text of coeffs as statements that apply its operations in its order,
+    one ufunc (add or mul) each writing the array out; 0.0 is read as the name zero.
+    The values of the names the text reads are added to cells."""
+    expr, names = _horner(coeffs, var, prefix)
+    cells.update(names)
+    node, steps = ast.parse(expr, mode="eval").body, []
+    while isinstance(node, ast.BinOp):
+        steps.insert(0, (("add", "mul")[isinstance(node.op, ast.Mult)], getattr(node.right, "id", "zero")))
+        node = node.left
+    return [f"{ufunc}({arg}, {operand}, {out})" for arg, (ufunc, operand) in zip([node.id] + [out] * len(steps), steps)]
 
 
 def _closure(body: str, cells: dict[str, float], names: dict | None = None):
@@ -125,10 +139,11 @@ class FluxModel:
     that bound the exact sup from above.  Build models
     with ``polynomial_model``, which computes all of these once; consumers
     read them and never re-derive them, so ``dataclasses.replace`` may swap
-    in instrumented evaluators and keep the certificate.  The RK4 loops of
-    the exterior tracer and the shooting oracle read only ``f_poly`` and
-    ``h_poly``: they write f, f' and h in as Horner text and call none of
-    the four evaluators.
+    in instrumented evaluators and keep the certificate.  The finite volume
+    step and the RK4 loops of the exterior tracer and the shooting oracle
+    read only ``f_poly`` and ``h_poly``: they write f, f' and h in as
+    Horner text and call none of the four evaluators (a step calls only a
+    flux that is not bundled, as evaluate(m, u, v)).
 
     Immutable after construction and safe to share across threads.
     """

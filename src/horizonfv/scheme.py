@@ -21,11 +21,16 @@ left neighbor; the left state there defaults to the cell's own value to
 keep array access total (any other value gives bitwise identical results).
 The outer face uses a configurable ghost: zero-gradient copy by default,
 or a fixed state.
+
+``step`` reads only the model's coefficient tuples: f, h and a bundled flux
+run as in-place ufuncs in one compiled kernel, bitwise equal to the formulas;
+any other flux's evaluate is called from it with three arguments.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import CflError, ContractError, DomainError, NumericsError, UnsupportedModelError
 from .geometry import RadialMesh, max_timestep
-from .model import FluxModel
+from .model import FluxModel, _closure, _evaluator, _in_place
 
 _GAUSS3_OFFSET = math.sqrt(0.6)  # 3-point Gauss-Legendre nodes at center +/- offset*dr/2
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
@@ -60,8 +65,8 @@ def fixed_boundary(value: float) -> OuterBoundary:
     return OuterBoundary("fixed", float(value))
 
 
-def _require_shape(m: FluxModel, kind: str) -> None:
-    if not m.structure.flux_monotone_shape_ok:
+def _require_shape(m: FluxModel, kind: Optional[str]) -> None:
+    if kind and not m.structure.flux_monotone_shape_ok:
         raise UnsupportedModelError(
             f"{kind} flux needs f' < 0 on (-1, 0) and f' > 0 on (0, 1); model '{m.name}' fails that shape"
         )
@@ -71,28 +76,22 @@ def _scalarize(x, *args):
     return float(x) if all(np.ndim(a) == 0 for a in args) else x
 
 
-def flux_rusanov(m: FluxModel, u, v, fu=None, fv=None):
-    """(f(u) + f(v))/2 - (lam/2)(v - u) with the global bound lam = max |f'|.
-    fu and fv, if given, are f(u) and f(v), which are then not evaluated again."""
+def flux_rusanov(m: FluxModel, u, v):
+    """(f(u) + f(v))/2 - (lam/2)(v - u) with the global bound lam = max |f'|."""
     lam = m.flux_lipschitz
-    fu = m.f(u) if fu is None else fu
-    fv = m.f(v) if fv is None else fv
-    out = 0.5 * (fu + fv) - 0.5 * lam * (np.asarray(v, dtype=float) - u)
+    out = 0.5 * (m.f(u) + m.f(v)) - 0.5 * lam * (np.asarray(v, dtype=float) - u)
     return _scalarize(out, u, v)
 
 
-def flux_godunov(m: FluxModel, u, v, fu=None, fv=None):
+def flux_godunov(m: FluxModel, u, v):
     """Exact Riemann flux for the unimodal shape: min of f over [u, v] if
     u <= v (attained at the interval point closest to the minimum at 0),
-    else max of f over [v, u] (attained at an endpoint).  fu and fv, if
-    given, are f(u) and f(v), which are then not evaluated again."""
+    else max of f over [v, u] (attained at an endpoint)."""
     _require_shape(m, "godunov")
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
-    fu = m.f(u_arr) if fu is None else fu
-    fv = m.f(v_arr) if fv is None else fv
     inside = np.minimum(np.maximum(u_arr, 0.0), v_arr)
-    out = np.where(u_arr <= v_arr, m.f(inside), np.maximum(fu, fv))
+    out = np.where(u_arr <= v_arr, m.f(inside), np.maximum(m.f(u_arr), m.f(v_arr)))
     return _scalarize(out, u, v)
 
 
@@ -157,21 +156,20 @@ class NumericalFlux:
     """A two-point monotone flux ``evaluate(m, u, v)`` with its Lipschitz
     bound for the CFL rule and, optionally, ``increments(m, u, v)``:
     Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and
-    nf(u, v) - f(u) = -D (v - u).  If ``takes_f_values``, evaluate also
-    takes f(u) and f(v) as two further arguments, which step passes from
-    its one evaluation of f per step."""
+    nf(u, v) - f(u) = -D (v - u).  ``step`` writes a bundled ``evaluate``
+    into its kernel as formula text, and calls any other with the three
+    arguments (m, left states, right states)."""
 
     kind: str
     lipschitz_bound: float
     evaluate: Callable
     increments: Optional[Callable] = None
-    takes_f_values: bool = False
 
 
 _FLUXES = {
-    "godunov": (flux_godunov, _godunov_increments, True),
-    "eo": (flux_engquist_osher, _engquist_osher_increments, False),
-    "rusanov": (flux_rusanov, _rusanov_increments, True),
+    "godunov": (flux_godunov, _godunov_increments),
+    "eo": (flux_engquist_osher, _engquist_osher_increments),
+    "rusanov": (flux_rusanov, _rusanov_increments),
 }
 FLUX_KINDS = tuple(_FLUXES)
 
@@ -275,6 +273,60 @@ def _step_factors(mesh: RadialMesh, tau: float, tau_bound: float) -> _StepFactor
                         tau * mesh.cell_thetas)
 
 
+# The update on the face states s = [inner ghost, v, outer ghost]: {f} writes f(s) into f_s,
+# {flux} the face fluxes into fluxes and {h} h(v) into src; a and b are scratch over the faces.
+# a F is formed once over all faces, then a_R F_R - a_L F_L - f (a_R - a_L) in that order.
+_STEP = """\
+def kernel(m, evaluate, s, weights, weight_jump, tau_per_width, tau_theta):
+    add, sub, mul, maximum, minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
+    left, right, v = s[:-1], s[1:], s[1:-1]
+    f_s, a, b, v_new = np.empty(s.size), np.empty(left.size), np.empty(left.size), np.empty(v.size)
+{f}
+    f_left, f_right, f_v = f_s[:-1], f_s[1:], f_s[1:-1]
+{flux}
+    term, src = b[:-1], a[:-1]
+    mul(weights, fluxes, a)
+    sub(a[1:], a[:-1], term)
+    mul(f_v, weight_jump, src)
+    sub(term, src, term)
+    mul(term, tau_per_width, term)
+{h}
+    add(f_v, src, src)
+    mul(src, tau_theta, src)
+    sub(v, term, v_new)
+    add(v_new, src, v_new)
+    return fluxes, v_new
+
+return kernel
+"""
+# each bundled flux's {flux} statements, found by the identity of its evaluate, and the kind
+# named if the model lacks the shape it needs; (x, out) writes f(x) into out
+_FORMULAS = {
+    flux_godunov: ("godunov", ("maximum(left, zero, out=a)", "minimum(a, right, out=a)", ("a", "b"),
+                               "maximum(f_left, f_right, out=a)", "fluxes = np.where(left <= right, b, a)")),
+    flux_engquist_osher: ("eo", ("fluxes = np.empty(a.size)", "maximum(left, zero, out=a)", ("a", "fluxes"),
+                                 "minimum(right, zero, out=a)", ("a", "b"), "add(fluxes, b, fluxes)",
+                                 "sub(fluxes, f_zero, fluxes)")),
+    flux_rusanov: (None, ("fluxes = np.empty(a.size)", "add(f_left, f_right, fluxes)", "mul(half, fluxes, fluxes)",
+                          "sub(right, left, a)", "mul(half_lam, a, a)", "sub(fluxes, a, fluxes)")),
+}
+_CALL = ("fluxes = np.asarray(evaluate(m, left, right), dtype=float)",)
+
+
+@functools.lru_cache(maxsize=64)
+def _step_kernel(f_poly, h_poly, formula, lam):
+    """_STEP for the tuples of f and h and a flux formula (_CALL for a flux that is not
+    bundled; lam = sup |f'| for Rusanov), f and h written in as _in_place statements.  Every
+    coefficient and scalar is a 0-d array in a closure cell, which a ufunc takes faster than a float."""
+    cells = {"zero": 0.0, "half": 0.5, "half_lam": 0.5 * lam, "f_zero": _evaluator(f_poly)(0.0)}
+    flux = [line for item in formula
+            for line in ([item] if isinstance(item, str) else _in_place(f_poly, item[0], "f_", item[1], cells))]
+    parts = {"f": _in_place(f_poly, "s", "f_", "f_s", cells), "flux": flux,
+             "h": _in_place(h_poly, "v", "h_", "src", cells)}
+    source = _STEP.format(**{k: "\n".join(" " * 4 + line for line in lines) for k, lines in parts.items()})
+    return _closure(source, {name: np.array(c) for name, c in cells.items()}, {"np": np})
+
+
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
          outer: OuterBoundary = COPY_BOUNDARY, inner_ghost: Optional[float] = None,
          factors: Optional[_StepFactors] = None) -> tuple[StateVector, StepReport]:
@@ -288,12 +340,11 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
         factors: the per-cell factors for this mesh and tau, as run builds
             them; built here, tau checked against max_timestep, if not given.
 
-    f is evaluated once, on the face states [inner ghost, v, outer ghost]:
-    its middle feeds the cell term, and its face slices feed a flux that
-    ``takes_f_values``.  Returns the advanced state and a StepReport
-    holding the face fluxes, those face states and the time step.  A NaN in
-    the update raises NumericsError ("NaN in state values") when the new
-    StateVector is built.
+    The update runs in _step_kernel.  Returns the advanced state and a
+    StepReport holding the face fluxes, the face states [inner ghost, v,
+    outer ghost] and the time step, each array fresh.  A NaN in the update
+    raises NumericsError ("NaN in state values") when the new StateVector
+    is built.
     """
     v = state.values
     if v.size != mesh.n_cells:
@@ -302,30 +353,16 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
         factors = _step_factors(mesh, tau, max_timestep(mesh, m, nf.lipschitz_bound))
     elif factors.tau != tau:
         raise ContractError(f"step factors are for tau={factors.tau:.17g}, not {tau:.17g}")
+    shape_kind, formula = _FORMULAS.get(nf.evaluate, (None, _CALL))
+    _require_shape(m, shape_kind)
 
     states = np.empty(v.size + 2)
     states[0] = v[0] if inner_ghost is None else float(inner_ghost)
     states[1:-1] = v
     states[-1] = outer.ghost(float(v[-1]))
     states.setflags(write=False)
-    f_states = np.asarray(m.f(states), dtype=float)
-    if nf.takes_f_values:
-        fluxes = nf.evaluate(m, states[:-1], states[1:], f_states[:-1], f_states[1:])
-    else:
-        fluxes = nf.evaluate(m, states[:-1], states[1:])
-    fluxes = np.asarray(fluxes, dtype=float)
-
-    fc = f_states[1:-1]
-    hc = np.asarray(m.h(v), dtype=float)
-    # a_R F_R - a_L F_L - f (a_R - a_L), then scaled, in place on fresh arrays
-    flux_term = mesh.face_weights[1:] * fluxes[1:]
-    flux_term -= mesh.face_weights[:-1] * fluxes[:-1]
-    flux_term -= fc * factors.weight_jump
-    flux_term *= factors.tau_per_width
-    source = fc + hc
-    source *= factors.tau_theta
-    v_new = v - flux_term
-    v_new += source
+    fluxes, v_new = _step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)(
+        m, nf.evaluate, states, mesh.face_weights, factors.weight_jump, factors.tau_per_width, factors.tau_theta)
     v_new.setflags(write=False)  # handed over to StateVector without a copy
 
     new_state = StateVector(values=v_new, time=state.time + tau, step_index=state.step_index + 1)

@@ -295,6 +295,9 @@ def test_steady_profile_work_is_one_vectorised_inverse(monkeypatch, burgers):
 def test_steady_profile_sonic_anchor_rejected(fhat_table):
     with pytest.raises(DomainError):
         steady_profile(fhat_table, 1.0, 4.0, 0.0, np.array([4.0]))
+    for bad in (math.nan, 1.0, -1.0):  # the message names the refused state
+        with pytest.raises(DomainError, match=rf"^u0={bad} must satisfy \|u0\| <= 1 - 1e-09$"):
+            steady_profile(fhat_table, 1.0, 4.0, bad, np.array([4.0]))
 
 
 def test_steady_profile_refuses_a_radius_that_is_not_finite(fhat_table):
@@ -325,6 +328,24 @@ def test_trace_exterior_invariant_via_table(burgers, fhat_table):
     path = trace_exterior(burgers, 1.0, CharState(0.0, 0.0, 8.0, 0.6), 1e-3, 2.0)
     inv = exterior_invariant(fhat_table, 1.0, path)
     assert np.max(np.abs(inv - inv[0])) <= 1e-8
+
+
+@pytest.mark.parametrize("call", ["steady_profile", "trace_exterior", "exterior_invariant"])
+@pytest.mark.parametrize("mass", [-1.0, math.nan, math.inf, -math.inf])
+def test_characteristics_refuse_a_bad_mass_by_name_before_any_work(monkeypatch, burgers, fhat_table, call, mass):
+    path = trace_exterior(burgers, 1.0, CharState(0.0, 0.0, 5.0, 0.6), 0.01, 0.05)
+
+    def no_work(*args):
+        raise AssertionError("work done")
+
+    for name in ("fhat_inverse", "_rk4_trace"):
+        monkeypatch.setattr(characteristics, name, no_work)
+    monkeypatch.setattr(characteristics.FhatTable, "value", no_work)
+    calls = {"steady_profile": lambda: steady_profile(fhat_table, mass, 4.0, 0.5, [4.0, 6.0]),
+             "trace_exterior": lambda: trace_exterior(burgers, mass, CharState(0.0, 0.0, 5.0, 0.6), 0.01, 0.05),
+             "exterior_invariant": lambda: exterior_invariant(fhat_table, mass, path)}
+    with pytest.raises(DomainError, match=f"^mass must be finite and >= 0, got {mass}$"):
+        calls[call]()
 
 
 def test_trace_exterior_fourth_order_in_ds(burgers):

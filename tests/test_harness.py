@@ -9,6 +9,7 @@ import pytest
 
 from horizonfv import (
     DEFAULT_KRUZHKOV_LEVELS,
+    Background,
     CflError,
     CharState,
     DomainError,
@@ -17,11 +18,14 @@ from horizonfv import (
     PresetError,
     StateVector,
     UnsupportedModelError,
+    build_uniform_mesh,
     burgers_model,
     exact_solution_by_shooting,
     fuzz_invariants,
     max_timestep,
+    numerical_flux,
     polynomial_model,
+    run,
     self_convergence,
     steady_drift_detail,
     step,
@@ -29,7 +33,7 @@ from horizonfv import (
 )
 from horizonfv import entropy, harness, model
 from horizonfv.harness import presets, restrict_halving, run_preset
-from horizonfv.scheme import NumericalFlux, bump_data, flux_rusanov
+from horizonfv.scheme import FLUX_KINDS, NumericalFlux, bump_data, flux_rusanov
 from oracle_error import oracle_compare
 
 
@@ -190,12 +194,19 @@ def test_kernels_never_call_a_models_evaluators_when_they_are_swapped(burgers, q
     def shoot(m):
         return exact_solution_by_shooting(m, 1.0, bump_data(0.5, 6.0, 1.0), 0.3, np.linspace(3.0, 9.0, 7)).tobytes()
 
+    def evolve(m):  # the finite volume step under each bundled flux, with and without a horizon
+        values = np.linspace(-0.9, 0.9, 40)
+        return [run(build_uniform_mesh(Background(mass), 2.0 * mass + 10.0, 40), m, numerical_flux(kind, m),
+                    initial_values=values, t_end=0.2).final.values.tobytes()
+                for kind in FLUX_KINDS for mass in (0.0, 1.0)]
+
     for m in (burgers, quartic, sextic, shifted, rounding_quartic):
         counts = Counter()
         swapped = dataclasses.replace(m, **{name: _counted(getattr(m, name), counts, name)
                                             for name in ("f", "df", "h", "dh")})
         assert trace(swapped) == trace(m), m.name
         assert shoot(swapped) == shoot(m), m.name
+        assert evolve(swapped) == evolve(m), m.name
         assert counts == {}, m.name
 
 
@@ -207,9 +218,12 @@ def test_in_place_horner_statements_equal_the_horner_expression_bitwise(burgers,
     for m in (burgers, quartic, sextic, shifted, rounding_quartic):
         for poly in (m.f_poly, model._polyder(m.f_poly), m.h_poly):
             expr, names = model._horner(poly, "u", "c_")
+            cells = {}
+            statements = model._in_place(poly, "u", "c_", "out", cells)
+            assert cells == names
             out = np.full_like(u, np.nan)
             scope = {"u": u, "out": out, "zero": np.array(0.0), **{k: np.array(v) for k, v in names.items()}}
-            exec("\n".join(harness._in_place(expr, "out")), {"add": np.add, "mul": np.multiply}, scope)
+            exec("\n".join(statements), {"add": np.add, "mul": np.multiply}, scope)
             expected = np.array([eval(expr, {}, {"u": x, **names}) for x in grid])
             assert out.tobytes() == expected.tobytes(), (m.name, poly)
             assert out.tobytes() == model._evaluator(poly)(u).tobytes()

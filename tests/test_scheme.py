@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from horizonfv import scheme
+from horizonfv import model, scheme
 from horizonfv import (
     Background,
     CflError,
@@ -147,12 +147,17 @@ def test_cfl_guard(mesh_m1, burgers):
 
 
 def test_nan_detection(mesh_m1, burgers):
-    poisoned = dataclasses.replace(
-        burgers, name="poisoned", f=lambda s: np.where(np.abs(s) < 0.05, np.nan, 0.5 * s * s - 0.5))
-    nf = numerical_flux("rusanov", poisoned)
+    # the step reads the model's coefficients, not its f, so the NaN comes
+    # in through a custom flux, which it calls with three arguments
+    def poisoned(m, u, v):
+        out = flux_rusanov(m, u, v)
+        out[5] = np.nan
+        return out
+
+    nf = scheme.NumericalFlux("poisoned", burgers.flux_lipschitz, poisoned)
     state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
-    with pytest.raises(NumericsError):
-        step(state, mesh_m1, poisoned, nf, 1e-3)
+    with pytest.raises(NumericsError, match="NaN in state values"):
+        step(state, mesh_m1, burgers, nf, 1e-3)
 
 
 def test_state_vector_rejects_out_of_range():
@@ -355,26 +360,6 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
                 assert report.states.tobytes() == states.tobytes()
 
 
-@pytest.mark.parametrize("kind, per_step", [("godunov", 2), ("rusanov", 1), ("eo", 4)])
-def test_step_evaluates_f_once_on_the_ghosted_states(mesh_m1, burgers, kind, per_step):
-    # f once on [inner ghost, v, outer ghost]; Godunov adds f at its interval
-    # points and EO its three closed-form terms (4, 3 and 4 calls before)
-    calls = []
-
-    def counted(s):
-        calls.append(np.size(s))
-        return burgers.f(s)
-
-    m = dataclasses.replace(burgers, f=counted)
-    nf = numerical_flux(kind, m)
-    state = StateVector(values=np.linspace(-0.9, 0.9, mesh_m1.n_cells), time=0.0, step_index=0)
-    step(state, mesh_m1, m, nf, 0.5 * max_timestep(mesh_m1, m, nf.lipschitz_bound))
-    assert len(calls) == per_step
-    calls.clear()
-    result = run(mesh_m1, m, nf, initial_values=state.values, t_end=0.2)
-    assert len(calls) == per_step * result.steps
-
-
 def test_step_refuses_factors_for_another_tau(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
@@ -382,6 +367,70 @@ def test_step_refuses_factors_for_another_tau(mesh_m1, burgers):
     with pytest.raises(ContractError):
         step(state, mesh_m1, burgers, nf, tau,
              factors=scheme._step_factors(mesh_m1, 0.5 * tau, 2.0 * tau))
+
+
+def test_step_refuses_the_bundled_shape_fluxes_for_a_model_without_the_shape(mesh_flat):
+    # the formula is found by the identity of evaluate, whatever the kind says
+    linear = polynomial_model("linear", [0.0, 1.0], [0.0])
+    state = StateVector(values=np.zeros(mesh_flat.n_cells), time=0.0, step_index=0)
+    for evaluate, kind in ((flux_godunov, "godunov"), (flux_engquist_osher, "eo")):
+        nf = scheme.NumericalFlux("custom", linear.flux_lipschitz, evaluate)
+        with pytest.raises(UnsupportedModelError, match=f"^{kind} flux needs"):
+            step(state, mesh_flat, linear, nf, 0.01)
+
+
+GODUNOV, RUSANOV = (scheme._FORMULAS[flux][1] for flux in (flux_godunov, flux_rusanov))
+STEP_FORMULAS = (*(formula for _, formula in scheme._FORMULAS.values()), scheme._CALL)
+
+
+def _nonzero_coefficients(m):
+    return sorted(c for poly in (m.f_poly, m.h_poly) for c in poly if c)
+
+
+def test_step_kernel_binds_coefficients_and_scalars_as_0d_cells(burgers, quartic, sextic, shifted,
+                                                                rounding_quartic):
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        for formula in STEP_FORMULAS:
+            kernel = scheme._step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
+            cells = dict(zip(kernel.__code__.co_freevars, (cell.cell_contents for cell in kernel.__closure__)))
+            assert all(isinstance(c, np.ndarray) and c.shape == () and c.dtype == np.float64
+                       for c in cells.values())
+            scalars = {"zero": 0.0, "half": 0.5, "half_lam": 0.5 * m.flux_lipschitz, "f_zero": m.f(0.0)}
+            assert all(float(cells.pop(name)) == value for name, value in scalars.items() if name in cells)
+            assert sorted(float(c) for c in cells.values()) == _nonzero_coefficients(m), (m.name, formula)
+
+
+def test_step_kernel_source_holds_no_coefficient_text(monkeypatch, burgers, quartic, sextic, shifted,
+                                                      rounding_quartic):
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        for formula in STEP_FORMULAS:
+            sources = []
+            monkeypatch.setattr(scheme, "_closure",
+                                lambda source, *args: sources.append(source) or model._closure(source, *args))
+            kernel = scheme._step_kernel.__wrapped__(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
+            (source,) = sources
+            for c in _nonzero_coefficients(m) + [0.5 * m.flux_lipschitz, m.f(0.0)]:
+                assert repr(c) not in source and repr(abs(c)) not in source, (m.name, c)
+            assert not [c for c in kernel.__code__.co_consts if isinstance(c, float)]
+
+
+def test_step_kernel_cache_returns_one_kernel_per_key_and_stays_bounded(mesh_m1, burgers, quartic):
+    cache = scheme._step_kernel
+    key = (burgers.f_poly, burgers.h_poly, GODUNOV, burgers.flux_lipschitz)
+    assert cache(*key) is cache(tuple(list(burgers.f_poly)), tuple(list(burgers.h_poly)), GODUNOV, 1.0)
+    assert cache(*key) is not cache(quartic.f_poly, quartic.h_poly, GODUNOV, quartic.flux_lipschitz)
+    assert cache(*key) is not cache(burgers.f_poly, burgers.h_poly, RUSANOV, burgers.flux_lipschitz)
+    nf = numerical_flux("godunov", burgers)
+    state = StateVector(values=np.linspace(-0.9, 0.9, mesh_m1.n_cells), time=0.0, step_index=0)
+    tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
+    before = step(state, mesh_m1, burgers, nf, tau)[0].values.tobytes()
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    kernels = {cache((-0.5, 0.0, float(k)), (0.0,), RUSANOV, float(k)) for k in range(1, maxsize + 11)}
+    assert len(kernels) == maxsize + 10
+    assert cache.cache_info().currsize <= maxsize
+    # a step through a fresh compile of the evicted key gives the same bits
+    assert step(state, mesh_m1, burgers, nf, tau)[0].values.tobytes() == before
 
 
 # --- time loops --------------------------------------------------------------
