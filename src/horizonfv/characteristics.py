@@ -32,12 +32,12 @@ of interpretation, not asserted by any check here; its own radial
 coordinate stays above 2M.
 
 Both tracers run one RK4 loop in Python floats, compiled from one source
-template with the stage right-hand side written into it as text, and the
-shooting oracle's RK4 on arrays (``harness._chars_kernel``) is compiled
-alike, as in-place ufuncs.  f, f' and h are written in as the Horner text
-of the model's coefficient tuples, which reads the coefficients from
-closure cells; the kernels call none of the model's evaluators.  Kernels
-are cached per set of tuples.
+template with the stage right-hand side written into it as text; the
+shooting oracle's RK4 on arrays (``harness._chars_kernel``) is its numpy
+formulas lowered to in-place ufuncs by ``model._lower``.  f, f' and h are
+written in as the Horner text of the model's coefficient tuples, read from
+closure cells; no kernel calls the model's evaluators.  Kernels are cached
+per set of tuples.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from . import entropy as entropy_mod
 from .characteristics import build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
-from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _in_place, _polyder, burgers_model
+from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _lower, _polyder, burgers_model
 from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
                      numerical_flux, run, step_data)
 
@@ -137,54 +137,42 @@ def self_convergence(preset: Preset, levels: int = 4) -> ConvergenceResult:
                              finals=list(zip(cell_counts, centers, finals)))
 
 
-# RK4 on the (2, n) ensemble y = (r, u).  {stages} stands for the four stages;
-# stage i writes dr/dt and du/dt into the rows of k<i>, and y + c k<i> into stage.
+# RK4 on the (2, n) ensemble y = (r, u): stage i writes the rates into k<i> (scratch: row), then
+# y + c k<i> into stage; the step goes into stage (scratch: spare), then y, as _lower writes them.
 _CHARS_LOOP = """\
-def kernel(y, n_steps, two_m, dt, half, sixth):
-    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    k1, k2, k3, k4, stage, (scale, h_u) = (np.empty_like(y) for _ in range(6))
-    (r, u), (sr, su), (k1r, k1u), (k2r, k2u), (k3r, k3u), (k4r, k4u) = y, stage, k1, k2, k3, k4
+def kernel(y, n_steps, two_m, dt, half_dt, sixth_dt):
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    k1, k2, k3, k4, stage, spare = (np.empty_like(y) for _ in range(6))
+    (r, u), (sr, su), (k1r, k1u), (k2r, k2u), (k3r, k3u), (k4r, k4u), row = y, stage, k1, k2, k3, k4, spare[0]
     for _ in range(n_steps):
-{stages}
-        add(k1, mul(two, k2, stage), stage)
-        add(stage, mul(two, k3, k3), stage)
-        add(stage, k4, stage)
-        add(y, mul(sixth, stage, stage), y)
+{body}
     return y[0], y[1]
 
 return kernel
 """
+_RATES = "{k}r[...] = (1.0 - two_m / {r}) * df({u})\n{k}u[...] = (f({u}) + h({u})) * (two_m / ({r} * {r}))\n"
+_STAGES = (_RATES.format(k="k1", r="r", u="u") + "stage[...] = y + half_dt * k1\n"
+           + _RATES.format(k="k2", r="sr", u="su") + "stage[...] = y + half_dt * k2\n"
+           + _RATES.format(k="k3", r="sr", u="su") + "stage[...] = y + dt * k3\n"
+           + _RATES.format(k="k4", r="sr", u="su"))
+_RK4_STEP = "stage[...] = sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)\ny[...] = y + stage"
 
 
 @functools.lru_cache(maxsize=64)
 def _chars_kernel(*polys):
-    """The shooting kernel for the coefficient tuples of f, f' and h: each
-    is written into the stage as _in_place Horner statements on
-    coefficients in closure cells.  Every scalar is a 0-d array, which a
-    ufunc takes faster than a float."""
-    cells = {"zero": 0.0, "one": 1.0, "two": 2.0}
-
-    def rates(k, r, u):
-        f, df, h = (_in_place(poly, u, name + "_", out, cells)
-                    for name, poly, out in zip(("f", "df", "h"), polys, (k + "u", k + "r", "h_u")))
-        return [*df, f"div(two_m, {r}, scale)", "sub(one, scale, scale)", f"mul(scale, {k}r, {k}r)",
-                f"mul({r}, {r}, scale)", "div(two_m, scale, scale)", *f, *h, f"add({k}u, h_u, {k}u)",
-                f"mul({k}u, scale, {k}u)"]
-
-    lines = [*rates("k1", "r", "u"), "add(y, mul(half, k1, stage), stage)", *rates("k2", "sr", "su"),
-             "add(y, mul(half, k2, stage), stage)", *rates("k3", "sr", "su"), "add(y, mul(dt, k3, stage), stage)",
-             *rates("k4", "sr", "su")]
-    source = _CHARS_LOOP.format(stages="\n".join(" " * 8 + line for line in lines))
+    """The shooting kernel for the coefficient tuples of f, f' and h.  Every coefficient and
+    scalar is a 0-d array in a closure cell, which a ufunc takes faster than a float."""
+    cells, polys = {}, dict(zip(("f", "df", "h"), polys))
+    lines = _lower(_STAGES, polys, cells, ["row"]) + _lower(_RK4_STEP, polys, cells, ["spare"])
+    source = _CHARS_LOOP.format(body="\n".join(" " * 8 + line for line in lines))
     return _closure(source, {name: np.array(c) for name, c in cells.items()}, {"np": np})
 
 
 def _integrate_chars(m: FluxModel, mass: float, r0, u0, t_end: float, n_steps: int):
     """RK4 in coordinate time of the ensemble (r0, u0) over t_end in n_steps;
     returns (r, u).  dr/dt = (1 - 2M/r) f'(u) and du/dt = (f + h)(u) 2M/r^2
-    are regular at the horizon.  The steps run in _chars_kernel, compiled
-    once per set of f, f' and h tuples, as ufuncs on buffers allocated once
-    per call; the step is ((k1 + 2 k2) + 2 k3) + k4, so each row rounds as
-    the per-row RK4 in Python floats does."""
+    are regular at the horizon.  The steps run in _chars_kernel on buffers
+    allocated once per call, each row rounding as RK4 in Python floats does."""
     dt = t_end / n_steps
     kernel = _chars_kernel(m.f_poly, _polyder(m.f_poly), m.h_poly)
     return kernel(np.array((r0, u0), dtype=float), n_steps,

@@ -57,17 +57,48 @@ def _horner(coeffs: tuple[float, ...], var: str, prefix: str) -> tuple[str, dict
     return expr, {f"{prefix}{i}": c for i, c in enumerate(coeffs) if c or i == n > 0}
 
 
-def _in_place(coeffs: tuple[float, ...], var: str, prefix: str, out: str, cells: dict) -> list[str]:
-    """The _horner text of coeffs as statements that apply its operations in its order,
-    one ufunc (add or mul) each writing the array out; 0.0 is read as the name zero.
-    The values of the names the text reads are added to cells."""
-    expr, names = _horner(coeffs, var, prefix)
-    cells.update(names)
-    node, steps = ast.parse(expr, mode="eval").body, []
-    while isinstance(node, ast.BinOp):
-        steps.insert(0, (("add", "mul")[isinstance(node.op, ast.Mult)], getattr(node.right, "id", "zero")))
-        node = node.left
-    return [f"{ufunc}({arg}, {operand}, {out})" for arg, (ufunc, operand) in zip([node.id] + [out] * len(steps), steps)]
+_CONSTANTS = {0.0: "zero", 0.5: "half", 1.0: "one", 2.0: "two"}  # the cell each literal is read from
+_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "divide"}
+_parse = functools.lru_cache(maxsize=256)(ast.parse)  # _lower reads the trees and never changes them
+
+
+def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> list[str]:
+    """The assignments of source, numpy text, as one ufunc statement per operation in syntax-tree
+    order, so each result is bitwise numpy's.  x[...] = e writes into x; x = e binds x anew.  Values
+    between operations go into x, which e may read only in its last one, or into free scratch names
+    of x's shape.  Supported: + - * /, names, basic slices, literals of _CONSTANTS, maximum, minimum,
+    where(a <= b, c, d) as the value of x = ..., and p(x) for p in polys, written in as the _horner
+    text of polys[p] with coefficient cells p_i.  The values of the cells read are added to cells."""
+    lines = []
+
+    def emit(node, dest):  # the name holding node's value: dest, if given
+        if isinstance(node, (ast.Name, ast.Subscript, ast.Compare)):
+            return getattr(node, "id", None) or ast.unparse(node)
+        if isinstance(node, ast.Constant):
+            cells[_CONSTANTS[node.value]] = float(node.value)
+            return _CONSTANTS[node.value]
+        name = node.func.id if isinstance(node, ast.Call) else _UFUNCS[type(node.op)]
+        if name in polys:  # the argument's scratch is freed by the first Horner operation
+            expr, names = _horner(polys[name], emit(node.args[0], None), name + "_")
+            cells.update(names)
+            return emit(_parse(expr, mode="eval").body, dest or next(s for s in scratch if s not in busy))
+        args = [node.left, node.right] if isinstance(node, ast.BinOp) else node.args
+        ops = [arg for arg in args if isinstance(arg, (ast.BinOp, ast.Call)) and name != "where"]  # where has no out
+        args = [emit(arg, dest if ops and arg is ops[0] else None) for arg in args]  # ops[0] is computed into dest
+        out = dest or next((arg for arg in args if arg in busy), None) or next(s for s in scratch if s not in busy)
+        busy.difference_update(args)
+        busy.add(out)
+        lines.append(f"{out} = {name}({', '.join(args)})" if out in unbound else
+                     f"{name}({', '.join(args)}, {'out=' * isinstance(node, ast.Call)}{out})")
+        unbound.discard(out)
+        return out
+
+    for statement in _parse(source).body:
+        (target,), value, busy = statement.targets, statement.value, set()
+        dest = getattr(target, "value", target).id
+        unbound = {dest} if isinstance(target, ast.Name) else set()
+        emit(value, dest)
+    return lines
 
 
 def _closure(body: str, cells: dict[str, float], names: dict | None = None):
@@ -141,9 +172,9 @@ class FluxModel:
     read them and never re-derive them, so ``dataclasses.replace`` may swap
     in instrumented evaluators and keep the certificate.  The finite volume
     step and the RK4 loops of the exterior tracer and the shooting oracle
-    read only ``f_poly`` and ``h_poly``: they write f, f' and h in as
-    Horner text and call none of the four evaluators (a step calls only a
-    flux that is not bundled, as evaluate(m, u, v)).
+    read only ``f_poly`` and ``h_poly``, written in as Horner text (by
+    ``_lower`` for the step and the oracle); they call none of the four
+    evaluators (a step calls only a flux that is not bundled).
 
     Immutable after construction and safe to share across threads.
     """

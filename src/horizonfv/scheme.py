@@ -22,9 +22,10 @@ keep array access total (any other value gives bitwise identical results).
 The outer face uses a configurable ghost: zero-gradient copy by default,
 or a fixed state.
 
-``step`` reads only the model's coefficient tuples: f, h and a bundled flux
-run as in-place ufuncs in one compiled kernel, bitwise equal to the formulas;
-any other flux's evaluate is called from it with three arguments.
+``step`` reads only the model's coefficient tuples: the update and a bundled
+flux are numpy formulas (``_UPDATE``, ``_FORMULAS``) that ``model._lower``
+writes into one kernel as in-place ufuncs; any other flux's evaluate is
+called from it with three arguments.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import CflError, ContractError, DomainError, NumericsError, UnsupportedModelError
 from .geometry import RadialMesh, max_timestep
-from .model import FluxModel, _closure, _evaluator, _in_place
+from .model import FluxModel, _closure, _evaluator, _lower
 
 _GAUSS3_OFFSET = math.sqrt(0.6)  # 3-point Gauss-Legendre nodes at center +/- offset*dr/2
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
@@ -273,58 +274,45 @@ def _step_factors(mesh: RadialMesh, tau: float, tau_bound: float) -> _StepFactor
                         tau * mesh.cell_thetas)
 
 
-# The update on the face states s = [inner ghost, v, outer ghost]: {f} writes f(s) into f_s,
-# {flux} the face fluxes into fluxes and {h} h(v) into src; a and b are scratch over the faces.
-# a F is formed once over all faces, then a_R F_R - a_L F_L - f (a_R - a_L) in that order.
+# The update on the face states s = [inner ghost, v, outer ghost]: f(s), the flux over the faces
+# with scratch a and b, then _UPDATE with scratch b_cells, as _lower writes them.
 _STEP = """\
 def kernel(m, evaluate, s, weights, weight_jump, tau_per_width, tau_theta):
-    add, sub, mul, maximum, minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
+    add, subtract, multiply, maximum, minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
     left, right, v = s[:-1], s[1:], s[1:-1]
-    f_s, a, b, v_new = np.empty(s.size), np.empty(left.size), np.empty(left.size), np.empty(v.size)
-{f}
-    f_left, f_right, f_v = f_s[:-1], f_s[1:], f_s[1:-1]
-{flux}
-    term, src = b[:-1], a[:-1]
-    mul(weights, fluxes, a)
-    sub(a[1:], a[:-1], term)
-    mul(f_v, weight_jump, src)
-    sub(term, src, term)
-    mul(term, tau_per_width, term)
-{h}
-    add(f_v, src, src)
-    mul(src, tau_theta, src)
-    sub(v, term, v_new)
-    add(v_new, src, v_new)
+    f_s, a, b = np.empty(s.size), np.empty(left.size), np.empty(left.size)
+    f_left, f_right, f_v, b_cells = f_s[:-1], f_s[1:], f_s[1:-1], b[:-1]
+{body}
     return fluxes, v_new
 
 return kernel
 """
-# each bundled flux's {flux} statements, found by the identity of its evaluate, and the kind
-# named if the model lacks the shape it needs; (x, out) writes f(x) into out
+_UPDATE = ("a[...] = weights * fluxes\n"
+           "v_new = v - (a[1:] - a[:-1] - f_v * weight_jump) * tau_per_width + (f_v + h(v)) * tau_theta")
+# each bundled flux's formula, found by the identity of its evaluate, and the kind it needs
 _FORMULAS = {
-    flux_godunov: ("godunov", ("maximum(left, zero, out=a)", "minimum(a, right, out=a)", ("a", "b"),
-                               "maximum(f_left, f_right, out=a)", "fluxes = np.where(left <= right, b, a)")),
-    flux_engquist_osher: ("eo", ("fluxes = np.empty(a.size)", "maximum(left, zero, out=a)", ("a", "fluxes"),
-                                 "minimum(right, zero, out=a)", ("a", "b"), "add(fluxes, b, fluxes)",
-                                 "sub(fluxes, f_zero, fluxes)")),
-    flux_rusanov: (None, ("fluxes = np.empty(a.size)", "add(f_left, f_right, fluxes)", "mul(half, fluxes, fluxes)",
-                          "sub(right, left, a)", "mul(half_lam, a, a)", "sub(fluxes, a, fluxes)")),
+    flux_godunov: ("godunov", "fluxes = where(left <= right, f(minimum(maximum(left, 0.0), right)), "
+                              "maximum(f_left, f_right))"),
+    flux_engquist_osher: ("eo", "fluxes = f(maximum(left, 0.0)) + f(minimum(right, 0.0)) - f_zero"),
+    flux_rusanov: (None, "fluxes = 0.5 * (f_left + f_right) - half_lam * (right - left)"),
 }
-_CALL = ("fluxes = np.asarray(evaluate(m, left, right), dtype=float)",)
+_CALL = """\
+fluxes = np.asarray(evaluate(m, left, right), dtype=float)
+if fluxes.shape != left.shape:
+    raise ContractError(f"flux evaluate returned shape {fluxes.shape}, not one float per face {left.shape}")"""
 
 
 @functools.lru_cache(maxsize=64)
 def _step_kernel(f_poly, h_poly, formula, lam):
-    """_STEP for the tuples of f and h and a flux formula (_CALL for a flux that is not
-    bundled; lam = sup |f'| for Rusanov), f and h written in as _in_place statements.  Every
+    """_STEP for the tuples of f and h, a flux formula (or _CALL) and lam = sup |f'|.  Every
     coefficient and scalar is a 0-d array in a closure cell, which a ufunc takes faster than a float."""
-    cells = {"zero": 0.0, "half": 0.5, "half_lam": 0.5 * lam, "f_zero": _evaluator(f_poly)(0.0)}
-    flux = [line for item in formula
-            for line in ([item] if isinstance(item, str) else _in_place(f_poly, item[0], "f_", item[1], cells))]
-    parts = {"f": _in_place(f_poly, "s", "f_", "f_s", cells), "flux": flux,
-             "h": _in_place(h_poly, "v", "h_", "src", cells)}
-    source = _STEP.format(**{k: "\n".join(" " * 4 + line for line in lines) for k, lines in parts.items()})
-    return _closure(source, {name: np.array(c) for name, c in cells.items()}, {"np": np})
+    cells, polys = {"half_lam": 0.5 * lam, "f_zero": _evaluator(f_poly)(0.0)}, {"f": f_poly, "h": h_poly}
+    lines = _lower("f_s[...] = f(s)", polys, cells, [])
+    lines += _CALL.splitlines() if formula == _CALL else _lower(formula, polys, cells, ["a", "b"])
+    lines += _lower(_UPDATE, polys, cells, ["b_cells"])
+    source = _STEP.format(body="\n".join(" " * 4 + line for line in lines))
+    return _closure(source, {name: np.array(c) for name, c in cells.items()},
+                    {"np": np, "where": np.where, "ContractError": ContractError})
 
 
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
@@ -334,9 +322,9 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
 
     Args:
         tau: time step; must not exceed the stability bound.
-        inner_ghost: value read across the horizon face (multiplied by the
-            exact-zero weight there, so it cannot influence the result for
-            M > 0; exposed to let tests demonstrate exactly that).
+        inner_ghost: value in [-1, 1], else DomainError, read across the
+            horizon face (multiplied by the exact-zero weight there, so it
+            cannot influence the result for M > 0; exposed for tests).
         factors: the per-cell factors for this mesh and tau, as run builds
             them; built here, tau checked against max_timestep, if not given.
 
@@ -347,6 +335,8 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     is built.
     """
     v = state.values
+    if inner_ghost is not None and not -1.0 <= inner_ghost <= 1.0:
+        raise DomainError(f"inner_ghost {inner_ghost} outside [-1, 1]")
     if v.size != mesh.n_cells:
         raise ContractError(f"state has {v.size} cells, mesh has {mesh.n_cells}")
     if factors is None:

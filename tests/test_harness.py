@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -34,6 +35,7 @@ from horizonfv import (
 from horizonfv import entropy, harness, model
 from horizonfv.harness import presets, restrict_halving, run_preset
 from horizonfv.scheme import FLUX_KINDS, NumericalFlux, bump_data, flux_rusanov
+from allocations import allocations
 from oracle_error import oracle_compare
 
 
@@ -219,14 +221,49 @@ def test_in_place_horner_statements_equal_the_horner_expression_bitwise(burgers,
         for poly in (m.f_poly, model._polyder(m.f_poly), m.h_poly):
             expr, names = model._horner(poly, "u", "c_")
             cells = {}
-            statements = model._in_place(poly, "u", "c_", "out", cells)
-            assert cells == names
+            statements = model._lower("out[...] = c(u)", {"c": poly}, cells, [])
+            assert cells == {**names, **({"zero": 0.0} if "0.0" in expr else {})}
             out = np.full_like(u, np.nan)
-            scope = {"u": u, "out": out, "zero": np.array(0.0), **{k: np.array(v) for k, v in names.items()}}
-            exec("\n".join(statements), {"add": np.add, "mul": np.multiply}, scope)
+            scope = {"u": u, "out": out, **{k: np.array(v) for k, v in cells.items()}}
+            exec("\n".join(statements), {"add": np.add, "multiply": np.multiply}, scope)
             expected = np.array([eval(expr, {}, {"u": x, **names}) for x in grid])
             assert out.tobytes() == expected.tobytes(), (m.name, poly)
             assert out.tobytes() == model._evaluator(poly)(u).tobytes()
+
+
+def _chars_kernel_from_text(*polys):
+    """_CHARS_LOOP with its formulas run as plain numpy text, f, f' and h as evaluators."""
+    body = "\n".join(" " * 8 + line for line in (harness._STAGES + harness._RK4_STEP).splitlines())
+    names = {"np": np, **{name: model._evaluator(poly) for name, poly in zip(("f", "df", "h"), polys)}}
+    return model._closure(harness._CHARS_LOOP.format(body=body), {}, names)
+
+
+def test_lowered_shooting_kernel_equals_its_formulas_run_in_numpy_bitwise(burgers, quartic, sextic, shifted,
+                                                                         rounding_quartic):
+    grid = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 0.3, -0.7]
+    u0 = np.array(grid * len(grid))
+    r0 = np.repeat(np.linspace(2.5, 9.0, len(grid)), len(grid))
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        polys = (m.f_poly, model._polyder(m.f_poly), m.h_poly)
+        for two_m in (0.0, 2.0):
+            scalars = [np.array(x) for x in (two_m, 0.05, 0.025, 0.05 / 6.0)]
+            lowered = harness._chars_kernel(*polys)(np.array((r0, u0)), 3, *scalars)
+            plain = _chars_kernel_from_text(*polys)(np.array((r0, u0)), 3, *scalars)
+            assert np.concatenate(lowered).tobytes() == np.concatenate(plain).tobytes(), (m.name, two_m)
+
+
+def test_shooting_kernel_allocates_nothing_in_its_loop(monkeypatch, burgers, shifted):
+    for m in (burgers, shifted):
+        sources = []
+        monkeypatch.setattr(harness, "_closure",
+                            lambda source, *args: sources.append(source) or model._closure(source, *args))
+        harness._chars_kernel.__wrapped__(m.f_poly, model._polyder(m.f_poly), m.h_poly)
+        (source,) = sources
+        tree = ast.parse(source)
+        (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+        assert all(allocations(statement) == ([], 0) for statement in loop.body)
+        names, masks = allocations(tree)
+        assert masks == 0 and len(names) <= 7  # six (2, n) buffers before the lowering, one more at most
 
 
 def test_shooting_kernel_source_holds_no_coefficient_text(monkeypatch, burgers, quartic, sextic, shifted,

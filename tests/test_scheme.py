@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from horizonfv import (
     run,
     step,
 )
+from allocations import allocations
 
 ALL_FLUXES = ("godunov", "eo", "rusanov")
 
@@ -431,6 +434,90 @@ def test_step_kernel_cache_returns_one_kernel_per_key_and_stays_bounded(mesh_m1,
     assert cache.cache_info().currsize <= maxsize
     # a step through a fresh compile of the evicted key gives the same bits
     assert step(state, mesh_m1, burgers, nf, tau)[0].values.tobytes() == before
+
+
+EDGE_GRID = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 0.3, -0.7]
+# every ordered pair of the grid appears as a face (state, next state) of this sequence
+EDGE_STATES = np.array([x for u in EDGE_GRID for v in EDGE_GRID for x in (u, v)])
+
+
+def _kernel_from_text(m, formula, lam):
+    """_STEP with its formulas run as plain numpy text, f and h the model's evaluators."""
+    body = "\n".join(" " * 4 + line for line in f"f_s[...] = f(s)\n{formula}\n{scheme._UPDATE}".splitlines())
+    names = {"np": np, "where": np.where, "f": model._evaluator(m.f_poly), "h": model._evaluator(m.h_poly),
+             "half_lam": 0.5 * lam, "f_zero": model._evaluator(m.f_poly)(0.0)}
+    return model._closure(scheme._STEP.format(body=body), {}, names)
+
+
+def test_lowered_step_equals_its_formulas_run_in_numpy_bitwise(burgers, quartic, sextic, shifted,
+                                                               rounding_quartic, rng):
+    s = EDGE_STATES
+    n = s.size - 2
+    factors = [rng.uniform(0.0, 2.0, size) for size in (n + 1, n, n, n)]
+    factors[1][::7] = 0.0
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        for flux, (_, formula) in scheme._FORMULAS.items():
+            lowered = scheme._step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)(m, flux, s, *factors)
+            plain = _kernel_from_text(m, formula, m.flux_lipschitz)(m, flux, s, *factors)
+            for got, expected in zip(lowered, plain):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (m.name, formula)
+
+
+def test_step_face_fluxes_equal_the_bundled_fluxes_at_edge_values(burgers, quartic, sextic, shifted,
+                                                                  rounding_quartic):
+    # +/-0.0, +/-1, the smallest subnormal and the floats next to +/-1 as the left and right state of a
+    # face, so a slip in the sign of a zero or in a 0-d constant shows in the bits
+    for mass in (0.0, 1.0):
+        mesh = build_uniform_mesh(Background(mass), 2.0 * mass + 10.0, EDGE_STATES.size)
+        state = StateVector(values=EDGE_STATES, time=0.0, step_index=0)
+        for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+            for kind in ALL_FLUXES:
+                nf = numerical_flux(kind, m)
+                tau = 0.5 * max_timestep(mesh, m, nf.lipschitz_bound)
+                for ghost in EDGE_GRID:
+                    after, report = step(state, mesh, m, nf, tau, inner_ghost=ghost)
+                    states, fluxes, expected = reference_update(EDGE_STATES, mesh, m, nf, tau, scheme.COPY_BOUNDARY,
+                                                                ghost)
+                    left, right = report.states[:-1], report.states[1:]
+                    assert report.fluxes.tobytes() == np.asarray(nf.evaluate(m, left, right)).tobytes(), (m.name, kind)
+                    assert after.values.tobytes() == expected.tobytes(), (m.name, kind, ghost)
+
+
+def test_step_kernel_allocates_only_its_buffers_and_fluxes(monkeypatch, burgers, shifted):
+    # f_s, the face scratch a and b, v_new and the fluxes; for Godunov the fluxes are where's result
+    # and its mask, and a flux that is not bundled returns its own
+    for m in (burgers, shifted):
+        for formula in STEP_FORMULAS:
+            sources = []
+            monkeypatch.setattr(scheme, "_closure",
+                                lambda source, *args: sources.append(source) or model._closure(source, *args))
+            scheme._step_kernel.__wrapped__(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
+            (source,) = sources
+            names, masks = allocations(ast.parse(source))
+            bundled = formula != scheme._CALL
+            assert names == ["a", "b", "f_s"] + ["fluxes"] * bundled + ["v_new"], (m.name, formula)
+            assert masks == (formula == GODUNOV), (m.name, formula)
+
+
+@pytest.mark.parametrize("ghost", [math.nan, math.inf, -math.inf, 5.0, -1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52])
+def test_step_refuses_an_inner_ghost_outside_the_state_interval(mesh_m1, mesh_flat, burgers, ghost):
+    nf = numerical_flux("godunov", burgers)
+    for mesh in (mesh_m1, mesh_flat):
+        state = StateVector(values=np.linspace(-0.5, 0.5, mesh.n_cells), time=0.0, step_index=0)
+        tau = 0.5 * max_timestep(mesh, burgers, nf.lipschitz_bound)
+        with pytest.raises(DomainError, match="^inner_ghost"):
+            step(state, mesh, burgers, nf, tau, inner_ghost=ghost)
+        with pytest.raises(DomainError, match="^inner_ghost"):  # before any other check
+            step(state, mesh, burgers, nf, -tau, inner_ghost=ghost)
+
+
+@pytest.mark.parametrize("result", [-0.5, np.full(1, -0.5), np.zeros((51, 1)), np.zeros(50)])
+def test_step_refuses_a_flux_result_that_is_not_one_float_per_face(mesh_m1, burgers, result):
+    nf = scheme.NumericalFlux("custom", burgers.flux_lipschitz, lambda m, u, v: result)
+    state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
+    shape = re.escape(str(np.shape(result)))
+    with pytest.raises(ContractError, match=f"shape {shape}, not one float per face \\(51,\\)"):
+        step(state, mesh_m1, burgers, nf, 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound))
 
 
 # --- time loops --------------------------------------------------------------
