@@ -22,15 +22,15 @@ keep array access total (any other value gives bitwise identical results).
 The outer face uses a configurable ghost: zero-gradient copy by default,
 or a fixed state.
 
-``step`` reads only the model's coefficient tuples: the update and a bundled
-flux are numpy formulas (``_UPDATE``, ``_FORMULAS``) that ``model._lower``
-writes into one kernel as in-place ufuncs; any other flux's evaluate is
-called from it with three arguments.
+``run`` and ``step`` share ``_stepper``.  It reads only the model's
+coefficient tuples: the update and a bundled flux are numpy formulas
+(``_UPDATE``, ``_FORMULAS``) that ``model._lower`` writes into one kernel
+as in-place ufuncs, from one of two swapped state buffers into the other;
+any other flux's evaluate is called from it with three arguments.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -53,6 +53,12 @@ class OuterBoundary:
     kind: str  # "copy" | "fixed"
     value: float = math.nan
 
+    def __post_init__(self):
+        if self.kind not in ("copy", "fixed"):
+            raise DomainError(f"OuterBoundary kind {self.kind!r} is not 'copy' or 'fixed'")
+        if self.kind == "fixed" and not -1.0 <= self.value <= 1.0:
+            raise DomainError(f"fixed boundary state {self.value} outside [-1, 1]")
+
     def ghost(self, outermost: float) -> float:
         return outermost if self.kind == "copy" else self.value
 
@@ -61,8 +67,6 @@ COPY_BOUNDARY = OuterBoundary("copy")
 
 
 def fixed_boundary(value: float) -> OuterBoundary:
-    if not -1.0 <= value <= 1.0:
-        raise DomainError(f"fixed boundary state {value} outside [-1, 1]")
     return OuterBoundary("fixed", float(value))
 
 
@@ -159,7 +163,9 @@ class NumericalFlux:
     Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and
     nf(u, v) - f(u) = -D (v - u).  ``step`` writes a bundled ``evaluate``
     into its kernel as formula text, and calls any other with the three
-    arguments (m, left states, right states)."""
+    arguments (m, left states, right states): read-only views of the time
+    loop's buffers, which the next step overwrites, so such an ``evaluate``
+    must copy anything it keeps."""
 
     kind: str
     lipschitz_bound: float
@@ -192,29 +198,31 @@ def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Cell averages at one time level; values must lie in [-1, 1].  They are
-    copied and frozen unless already a read-only float array owning its data."""
+    copied and frozen."""
 
     values: np.ndarray
     time: float
     step_index: int
 
     def __post_init__(self):
-        vals = self.values
-        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
-                and vals.flags.owndata and not vals.flags.writeable):
-            vals = np.array(vals, dtype=float)  # own copy, frozen below
+        vals = np.array(self.values, dtype=float)  # own copy, frozen below
         if vals.ndim != 1 or vals.size == 0:
             raise ContractError("state values must be a nonempty 1D array")
-        top, bottom = float(vals.max()), float(vals.min())  # both NaN if any value is NaN
-        if not (top <= 1.0 and bottom >= -1.0):
-            if math.isnan(top):
-                raise NumericsError("NaN in state values")
-            peak = max(top, -bottom)
-            raise NumericsError(
-                f"state leaves [-1, 1]: max |v| = {peak:.17g} (discrete maximum principle violated)"
-            )
+        _require_in_range(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+def _require_in_range(vals: np.ndarray, step_index: Optional[int] = None, time: float = 0.0) -> None:
+    """The exact maximum-principle check; with step_index, its NumericsError names the step, time and cell."""
+    top, bottom = float(vals.max()), float(vals.min())  # both NaN if any value is NaN
+    if top <= 1.0 and bottom >= -1.0:
+        return
+    message = "NaN in state values" if math.isnan(top) else (
+        f"state leaves [-1, 1]: max |v| = {max(top, -bottom):.17g} (discrete maximum principle violated)")
+    cell = int(np.argmin(np.abs(vals) <= 1.0))  # the first False: NaN compares False
+    where = f" at step {step_index}, t = {time:.17g}, cell {cell} (v = {vals[cell]:.17g})"
+    raise NumericsError(message if step_index is None else message + where)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,39 +264,27 @@ def convex_coefficients(report: StepReport, mesh: RadialMesh, m: FluxModel, nf: 
     return 1.0 - a_left - a_right, a_left, a_right
 
 
-@dataclass(frozen=True, eq=False)
-class _StepFactors:
-    """The update's per-cell factors fixed by the mesh and a tau checked
-    against the stability bound: a_R - a_L, tau/|K| and tau theta."""
-
-    tau: float
-    weight_jump: np.ndarray
-    tau_per_width: np.ndarray
-    tau_theta: np.ndarray
-
-
-def _step_factors(mesh: RadialMesh, tau: float, tau_bound: float) -> _StepFactors:
+def _step_factors(mesh: RadialMesh, tau: float, tau_bound: float) -> tuple[np.ndarray, ...]:
+    """The update's per-cell factors a_R - a_L, tau/|K| and tau theta, for a tau within its bound."""
     if not 0.0 < tau <= tau_bound:
         raise CflError(f"tau={tau:.17g} violates the stability bound {tau_bound:.17g}")
-    return _StepFactors(tau, mesh.face_weights[1:] - mesh.face_weights[:-1], tau / mesh.widths,
-                        tau * mesh.cell_thetas)
+    return mesh.face_weights[1:] - mesh.face_weights[:-1], tau / mesh.widths, tau * mesh.cell_thetas
 
 
-# The update on the face states s = [inner ghost, v, outer ghost]: f(s), the flux over the faces
-# with scratch a and b, then _UPDATE with scratch b_cells, as _lower writes them.
+# The update on the face states s = [inner ghost, v, outer ghost]: f(s) into f_s, the flux over the
+# faces with scratch a and b, then _UPDATE into v_new with scratch b_cells, as _lower writes them.
 _STEP = """\
-def kernel(m, evaluate, s, weights, weight_jump, tau_per_width, tau_theta):
+def kernel(m, evaluate, s, v_new, f_s, a, b, weights, weight_jump, tau_per_width, tau_theta):
     add, subtract, multiply, maximum, minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
     left, right, v = s[:-1], s[1:], s[1:-1]
-    f_s, a, b = np.empty(s.size), np.empty(left.size), np.empty(left.size)
     f_left, f_right, f_v, b_cells = f_s[:-1], f_s[1:], f_s[1:-1], b[:-1]
 {body}
-    return fluxes, v_new
+    return fluxes
 
 return kernel
 """
 _UPDATE = ("a[...] = weights * fluxes\n"
-           "v_new = v - (a[1:] - a[:-1] - f_v * weight_jump) * tau_per_width + (f_v + h(v)) * tau_theta")
+           "v_new[...] = v - (a[1:] - a[:-1] - f_v * weight_jump) * tau_per_width + (f_v + h(v)) * tau_theta")
 # each bundled flux's formula, found by the identity of its evaluate, and the kind it needs
 _FORMULAS = {
     flux_godunov: ("godunov", "fluxes = where(left <= right, f(minimum(maximum(left, 0.0), right)), "
@@ -297,6 +293,7 @@ _FORMULAS = {
     flux_rusanov: (None, "fluxes = 0.5 * (f_left + f_right) - half_lam * (right - left)"),
 }
 _CALL = """\
+left.flags.writeable = right.flags.writeable = False
 fluxes = np.asarray(evaluate(m, left, right), dtype=float)
 if fluxes.shape != left.shape:
     raise ContractError(f"flux evaluate returned shape {fluxes.shape}, not one float per face {left.shape}")"""
@@ -315,49 +312,63 @@ def _step_kernel(f_poly, h_poly, formula, lam):
                     {"np": np, "where": np.where, "ContractError": ContractError})
 
 
+def _stepper(values, mesh, m, nf, outer, inner_ghost=None):
+    """The step of step and run from values: advance(factors, step_index, time) fills the ghosts of
+    one of two buffers [inner ghost, v, outer ghost], writes the update into the other's interior,
+    checks its range and returns (states read, states written, fluxes), which the next overwrites."""
+    shape_kind, formula = _FORMULAS.get(nf.evaluate, (None, _CALL))
+    _require_shape(m, shape_kind)
+    kernel = _step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
+    s, s_next = np.empty((2, values.size + 2))
+    s[1:-1] = values
+    f_s, a, b = np.empty(values.size + 2), np.empty(values.size + 1), np.empty(values.size + 1)
+
+    def advance(factors, step_index, time):
+        nonlocal s, s_next
+        s[0] = s[1] if inner_ghost is None else inner_ghost
+        s[-1] = outer.ghost(s[-2])
+        v_new = s_next[1:-1]
+        fluxes = kernel(m, nf.evaluate, s, v_new, f_s, a, b, mesh.face_weights, *factors)
+        _require_in_range(v_new, step_index, time)
+        s, s_next = s_next, s
+        return s_next, s, fluxes
+
+    return advance
+
+
+def _observed(states, written, fluxes, tau, time, step_index) -> tuple[StateVector, StepReport]:
+    """The state after a step and its report, from advance's views, as owned read-only copies."""
+    states, fluxes = np.array(states), np.array(fluxes, dtype=float)
+    states.setflags(write=False)
+    fluxes.setflags(write=False)
+    report = StepReport(fluxes=fluxes, tau_used=float(tau), states=states)
+    return StateVector(values=written[1:-1], time=time, step_index=step_index), report
+
+
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
-         outer: OuterBoundary = COPY_BOUNDARY, inner_ghost: Optional[float] = None,
-         factors: Optional[_StepFactors] = None) -> tuple[StateVector, StepReport]:
-    """One explicit update, with no diagnostics on the path.
+         outer: OuterBoundary = COPY_BOUNDARY,
+         inner_ghost: Optional[float] = None) -> tuple[StateVector, StepReport]:
+    """One explicit update, with no diagnostics on the path: run's step, on buffers of its own.
 
     Args:
-        tau: time step; must not exceed the stability bound.
+        tau: time step; checked against max_timestep.
         inner_ghost: value in [-1, 1], else DomainError, read across the
             horizon face (multiplied by the exact-zero weight there, so it
             cannot influence the result for M > 0; exposed for tests).
-        factors: the per-cell factors for this mesh and tau, as run builds
-            them; built here, tau checked against max_timestep, if not given.
 
-    The update runs in _step_kernel.  Returns the advanced state and a
-    StepReport holding the face fluxes, the face states [inner ghost, v,
-    outer ghost] and the time step, each array fresh.  A NaN in the update
-    raises NumericsError ("NaN in state values") when the new StateVector
-    is built.
+    Returns the advanced state and a StepReport holding the face fluxes,
+    the face states [inner ghost, v, outer ghost] and the time step, each
+    array fresh.  A NaN or a value outside [-1, 1] in the update raises
+    NumericsError, naming the step, its time and the first such cell.
     """
     v = state.values
     if inner_ghost is not None and not -1.0 <= inner_ghost <= 1.0:
         raise DomainError(f"inner_ghost {inner_ghost} outside [-1, 1]")
     if v.size != mesh.n_cells:
         raise ContractError(f"state has {v.size} cells, mesh has {mesh.n_cells}")
-    if factors is None:
-        factors = _step_factors(mesh, tau, max_timestep(mesh, m, nf.lipschitz_bound))
-    elif factors.tau != tau:
-        raise ContractError(f"step factors are for tau={factors.tau:.17g}, not {tau:.17g}")
-    shape_kind, formula = _FORMULAS.get(nf.evaluate, (None, _CALL))
-    _require_shape(m, shape_kind)
-
-    states = np.empty(v.size + 2)
-    states[0] = v[0] if inner_ghost is None else float(inner_ghost)
-    states[1:-1] = v
-    states[-1] = outer.ghost(float(v[-1]))
-    states.setflags(write=False)
-    fluxes, v_new = _step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)(
-        m, nf.evaluate, states, mesh.face_weights, factors.weight_jump, factors.tau_per_width, factors.tau_theta)
-    v_new.setflags(write=False)  # handed over to StateVector without a copy
-
-    new_state = StateVector(values=v_new, time=state.time + tau, step_index=state.step_index + 1)
-    fluxes.setflags(write=False)
-    return new_state, StepReport(fluxes=fluxes, tau_used=float(tau), states=states)
+    factors = _step_factors(mesh, tau, max_timestep(mesh, m, nf.lipschitz_bound))
+    index, time = state.step_index + 1, state.time + tau
+    return _observed(*_stepper(v, mesh, m, nf, outer, inner_ghost)(factors, index, time), tau, time, index)
 
 
 def constant_data(value: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -412,10 +423,10 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
 
     The package's one time loop.  The last step is shortened to land exactly
     on t_end.  Snapshots are the initial state, every snapshot_every-th
-    step, and the final state.  A t_end that is not positive and finite
-    raises DomainError, and a cfl_fraction outside (0, 1] CflError (a
-    DomainError), before the first step; a NaN or a state
-    leaving [-1, 1] raises NumericsError.
+    step, and the final state.  Before the first step, DomainError refuses a t_end that is not
+    positive and finite, a snapshot_every that is not an integer >= 1, initial_values outside
+    [-1, 1] (ContractError if of the wrong shape) and, as CflError, a cfl_fraction outside (0, 1].
+    A NaN or a state leaving [-1, 1] raises NumericsError naming the step, time and first cell.
 
     on_step(state_before, state_after, report), if given, sees every
     completed step before the snapshot and t_end bookkeeping;
@@ -424,15 +435,20 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
 
     max_timestep is computed once, and the step factors, which check tau
     against it, once for tau_base; the shortened last step builds its own.
+    A StateVector, an owned read-only copy, is built only for a snapshot, the
+    final state and, with on_step, each state_after (the next state_before).
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end}")
-    if snapshot_every < 1:
-        raise DomainError("snapshot_every must be >= 1")
+    if not (isinstance(snapshot_every, (int, np.integer)) and snapshot_every >= 1):
+        raise DomainError(f"snapshot_every must be an integer >= 1, got {snapshot_every!r}")
 
     if initial_values is not None:
-        values = np.asarray(initial_values, dtype=float)
-        clamped = 0
+        values, clamped = np.asarray(initial_values, dtype=float), 0
+        if values.shape != (mesh.n_cells,):
+            raise ContractError(f"initial_values has shape {values.shape}, mesh has {mesh.n_cells} cells")
+        if not np.all(np.abs(values) <= 1.0):
+            raise DomainError("initial_values outside [-1, 1]")
     elif v0 is not None:
         values, clamped = project_initial(mesh, v0)
     else:
@@ -442,22 +458,26 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
     tau_base = cfl_fraction * tau_bound
     base_factors = _step_factors(mesh, tau_base, tau_bound)
+    advance = _stepper(state.values, mesh, m, nf, outer)
 
-    snapshots = [state]
-    while state.time < t_end:
-        remaining = t_end - state.time
+    snapshots, time, index = [state], 0.0, 0
+    while time < t_end:
+        remaining = t_end - time
         tau = min(tau_base, remaining)
         factors = base_factors if tau == tau_base else _step_factors(mesh, tau, tau_bound)
-        new_state, report = step(state, mesh, m, nf, tau, outer=outer, factors=factors)
+        index, time = index + 1, time + tau
+        states, written, fluxes = advance(factors, index, time)
         if on_step is not None:
-            on_step(state, new_state, report)
-        state = new_state
+            before, (state, report) = state, _observed(states, written, fluxes, tau, time, index)
+            on_step(before, state, report)
         if remaining <= tau_base:
-            state = dataclasses.replace(state, time=t_end)
+            time = t_end
             break
-        if state.step_index % snapshot_every == 0:
+        if index % snapshot_every == 0:
+            if state.step_index != index:
+                state = StateVector(values=written[1:-1], time=time, step_index=index)
             snapshots.append(state)
-    if snapshots[-1] is not state:
-        snapshots.append(state)
-    return RunResult(snapshots=snapshots, final=state, clamped_cells=clamped, steps=state.step_index,
+    if snapshots[-1].step_index != index:
+        snapshots.append(StateVector(values=written[1:-1], time=time, step_index=index))
+    return RunResult(snapshots=snapshots, final=snapshots[-1], clamped_cells=clamped, steps=index,
                      tau_base=tau_base)

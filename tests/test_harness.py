@@ -32,11 +32,12 @@ from horizonfv import (
     step,
     trace_exterior,
 )
-from horizonfv import entropy, harness, model
+from horizonfv import entropy, harness, model, scheme
 from horizonfv.harness import presets, restrict_halving, run_preset
 from horizonfv.scheme import FLUX_KINDS, NumericalFlux, bump_data, flux_rusanov
 from allocations import allocations
 from oracle_error import oracle_compare
+from test_scheme import reference_update
 
 
 @pytest.fixture(scope="module")
@@ -501,6 +502,23 @@ def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
         step(afters[-1], mesh, m, nf, tau)
     for config, (*_, afters) in zip(rep.trial_configs[1:], trials[1:]):
         assert afters[-1].time == pytest.approx(config["t_end"], abs=1e-15)
+
+
+def test_run_names_the_step_time_and_first_cell_of_a_state_breach(mesh_m1, burgers):
+    # the anti-diffusive flux takes Riemann data out of [-1, 1] within a few steps; the message is
+    # the StateVector text followed by the breaching step, its time and its first cell outside
+    nf = NumericalFlux("anti", numerical_flux("rusanov", burgers).lipschitz_bound, anti_diffusive)
+    afters, messages = [], []
+    for on_step in (lambda before, after, report: afters.append(after), None):
+        with pytest.raises(NumericsError) as exc:
+            run(mesh_m1, burgers, nf, v0=scheme.step_data(0.8, -0.4, 7.0), t_end=1.0, on_step=on_step)
+        messages.append(str(exc.value))
+    tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
+    *_, values = reference_update(afters[-1].values, mesh_m1, burgers, nf, tau, scheme.COPY_BOUNDARY)
+    cell = int(np.flatnonzero(np.abs(values) > 1.0)[0])
+    assert messages[0] == messages[1] == (
+        f"state leaves [-1, 1]: max |v| = {np.max(np.abs(values)):.17g} (discrete maximum principle violated) "
+        f"at step {len(afters) + 1}, t = {afters[-1].time + tau:.17g}, cell {cell} (v = {values[cell]:.17g})")
 
 
 def test_one_campaign_step_is_one_certificate_from_one_reconstruction(mesh_m1, burgers, rng,

@@ -205,11 +205,13 @@ def test_state_vector_owns_its_values(mesh_m1, burgers):
     view = np.linspace(-0.5, 0.5, 8)[::2]  # a view owns no data, so it is copied too
     view.setflags(write=False)
     assert StateVector(values=view, time=0.0, step_index=0).values is not view
-    # step hands over its fresh read-only array as is
+    # so is another state's read-only array: no two states share values
     nf = numerical_flux("godunov", burgers)
     new_state, _ = step(StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0),
                         mesh_m1, burgers, nf, 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound))
-    assert StateVector(values=new_state.values, time=0.0, step_index=0).values is new_state.values
+    again = StateVector(values=new_state.values, time=0.0, step_index=0).values
+    assert again.flags.owndata and not np.shares_memory(again, new_state.values)
+    assert again.tobytes() == new_state.values.tobytes()
 
 
 def test_convex_coefficients_reconstruction(mesh_m1, burgers, rng):
@@ -363,15 +365,6 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
                 assert report.states.tobytes() == states.tobytes()
 
 
-def test_step_refuses_factors_for_another_tau(mesh_m1, burgers):
-    nf = numerical_flux("godunov", burgers)
-    tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
-    state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
-    with pytest.raises(ContractError):
-        step(state, mesh_m1, burgers, nf, tau,
-             factors=scheme._step_factors(mesh_m1, 0.5 * tau, 2.0 * tau))
-
-
 def test_step_refuses_the_bundled_shape_fluxes_for_a_model_without_the_shape(mesh_flat):
     # the formula is found by the identity of evaluate, whatever the kind says
     linear = polynomial_model("linear", [0.0, 1.0], [0.0])
@@ -457,8 +450,12 @@ def test_lowered_step_equals_its_formulas_run_in_numpy_bitwise(burgers, quartic,
     factors[1][::7] = 0.0
     for m in (burgers, quartic, sextic, shifted, rounding_quartic):
         for flux, (_, formula) in scheme._FORMULAS.items():
-            lowered = scheme._step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)(m, flux, s, *factors)
-            plain = _kernel_from_text(m, formula, m.flux_lipschitz)(m, flux, s, *factors)
+            results = []
+            for kernel in (scheme._step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz),
+                           _kernel_from_text(m, formula, m.flux_lipschitz)):
+                v_new, f_s, a, b = (np.full(size, np.nan) for size in (n, n + 2, n + 1, n + 1))
+                results.append((kernel(m, flux, s, v_new, f_s, a, b, *factors), v_new))
+            lowered, plain = results
             for got, expected in zip(lowered, plain):
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (m.name, formula)
 
@@ -484,8 +481,8 @@ def test_step_face_fluxes_equal_the_bundled_fluxes_at_edge_values(burgers, quart
 
 
 def test_step_kernel_allocates_only_its_buffers_and_fluxes(monkeypatch, burgers, shifted):
-    # f_s, the face scratch a and b, v_new and the fluxes; for Godunov the fluxes are where's result
-    # and its mask, and a flux that is not bundled returns its own
+    # f_s, the face scratch a and b and v_new are the caller's buffers; for Godunov the fluxes are
+    # where's result and its mask, and a flux that is not bundled returns its own
     for m in (burgers, shifted):
         for formula in STEP_FORMULAS:
             sources = []
@@ -495,7 +492,7 @@ def test_step_kernel_allocates_only_its_buffers_and_fluxes(monkeypatch, burgers,
             (source,) = sources
             names, masks = allocations(ast.parse(source))
             bundled = formula != scheme._CALL
-            assert names == ["a", "b", "f_s"] + ["fluxes"] * bundled + ["v_new"], (m.name, formula)
+            assert names == ["fluxes"] * bundled, (m.name, formula)
             assert masks == (formula == GODUNOV), (m.name, formula)
 
 
@@ -602,6 +599,71 @@ def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
     assert np.array_equal(seen[-1][4].values, result.final.values)
 
 
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("outer", [scheme.COPY_BOUNDARY, fixed_boundary(-0.3)], ids=["copy", "fixed"])
+@pytest.mark.parametrize("snapshot_every", [1, 10 ** 6])
+def test_run_equals_its_observed_self_and_chained_steps_bitwise(burgers, mass, outer, snapshot_every):
+    # the three bundled fluxes and a custom one; t_end is not a whole number of base steps, so the
+    # last step is shortened
+    mesh = build_uniform_mesh(Background(mass), 2.0 * mass + 10.0, 40)
+    v0 = lambda r: 0.7 * np.sin(r)
+    for nf in replay_fluxes(burgers):
+        t_end = 7.3 * 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
+        plain = run(mesh, burgers, nf, v0=v0, t_end=t_end, snapshot_every=snapshot_every, outer=outer)
+        observed = run(mesh, burgers, nf, v0=v0, t_end=t_end, snapshot_every=snapshot_every, outer=outer,
+                       on_step=lambda *args: None)
+        chained, taus = [plain.snapshots[0]], []
+        while len(chained) <= plain.steps:
+            taus.append(min(plain.tau_base, t_end - chained[-1].time))
+            chained.append(step(chained[-1], mesh, burgers, nf, taus[-1], outer=outer)[0])
+        assert plain.steps == 8 and 0.0 < taus[-1] < plain.tau_base, nf.kind
+        indices = [0, *range(snapshot_every, plain.steps, snapshot_every), plain.steps]
+        for result in (plain, observed):
+            assert result.steps == plain.steps and result.final is result.snapshots[-1]
+            assert [snap.step_index for snap in result.snapshots] == indices
+            for snap in result.snapshots:
+                assert snap.values.tobytes() == chained[snap.step_index].values.tobytes(), nf.kind
+                assert snap.time == (t_end if snap is result.final else chained[snap.step_index].time)
+
+
+def test_run_snapshots_are_owned_read_only_and_share_no_memory(mesh_m1, burgers):
+    nf = numerical_flux("godunov", burgers)
+    for on_step in (None, lambda *args: None):
+        first = run(mesh_m1, burgers, nf, v0=lambda r: 0.5 * np.cos(r), t_end=0.3, snapshot_every=1,
+                    on_step=on_step)
+        arrays = [snap.values for snap in first.snapshots]
+        assert len(arrays) == first.steps + 1 and first.final is first.snapshots[-1]
+        assert all(a.flags.owndata and not a.flags.writeable for a in arrays)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        kept = [a.tobytes() for a in arrays]
+        run(mesh_m1, burgers, nf, v0=lambda r: -0.5 * np.cos(r), t_end=0.3, snapshot_every=1, on_step=on_step)
+        assert [snap.values.tobytes() for snap in first.snapshots] == kept
+
+
+@pytest.mark.parametrize("inputs, error, name", [
+    ({"initial_values": np.full(50, 1.5)}, DomainError, "initial_values"),
+    ({"initial_values": np.full(50, np.nan)}, DomainError, "initial_values"),
+    ({"initial_values": np.zeros(49)}, ContractError, "initial_values"),
+    ({"initial_values": np.zeros((50, 1))}, ContractError, "initial_values"),
+    ({"v0": np.cos, "snapshot_every": 2.5}, DomainError, "snapshot_every"),
+    ({"v0": np.cos, "snapshot_every": 0}, DomainError, "snapshot_every"),
+])
+def test_run_refuses_bad_inputs_before_the_first_step(mesh_m1, burgers, inputs, error, name):
+    observed = []
+    with pytest.raises(error, match=f"^{name}"):
+        run(mesh_m1, burgers, numerical_flux("godunov", burgers), t_end=0.1,
+            on_step=lambda *args: observed.append(args), **inputs)
+    assert not observed
+
+
+@pytest.mark.parametrize("kind, value", [("bogus", math.nan), ("Copy", 0.0), ("fixed", 5.0), ("fixed", -1.5),
+                                         ("fixed", math.nan), ("fixed", math.inf)])
+def test_outer_boundary_refuses_a_kind_or_a_fixed_value_outside_its_domain(kind, value):
+    message = f"OuterBoundary kind {kind!r} is not" if kind != "fixed" else f"fixed boundary state {value} outside"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        scheme.OuterBoundary(kind, value)
+
+
 def test_run_snapshot_cadence(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
     result = run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=1.0,
@@ -610,6 +672,8 @@ def test_run_snapshot_cadence(mesh_m1, burgers):
     assert indices[0] == 0
     assert all(i % 3 == 0 for i in indices[1:-1])
     assert indices[-1] == result.steps
+    numpy_int = run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=1.0, snapshot_every=np.int64(3))
+    assert [s.step_index for s in numpy_int.snapshots] == indices  # a numpy integer is an integer
 
 
 def test_run_clamps_overshooting_data(mesh_m1, burgers):
@@ -635,8 +699,9 @@ def test_fixed_outer_boundary(mesh_m1, burgers):
     outer = fixed_boundary(0.25)
     result = run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=0.3, outer=outer)
     assert np.max(np.abs(result.final.values)) <= 1.0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^fixed boundary state 1.5 outside \[-1, 1\]$"):
         fixed_boundary(1.5)
+    assert scheme.OuterBoundary("fixed", -1.0).ghost(0.5) == -1.0 and scheme.OuterBoundary("copy").ghost(0.5) == 0.5
 
 
 def test_run_parameter_validation(mesh_m1, burgers):
