@@ -22,11 +22,11 @@ keep array access total (any other value gives bitwise identical results).
 The outer face uses a configurable ghost: zero-gradient copy by default,
 or a fixed state.
 
-``run`` and ``step`` share ``_stepper``.  It reads only the model's
-coefficient tuples: the update and a bundled flux are numpy formulas
-(``_UPDATE``, ``_FORMULAS``) that ``model._lower`` writes into one kernel
-as in-place ufuncs, from one of two swapped state buffers into the other;
-any other flux's evaluate is called from it with three arguments.
+``step`` reads only the model's coefficient tuples: the update and a bundled
+flux are numpy formulas (``_UPDATE``, ``_FORMULAS``) that ``model._lower``
+writes into one kernel as in-place ufuncs, from one of two swapped state
+buffers (``_Buffers``) into the other; any other flux's evaluate is called
+from it with three arguments.
 """
 
 from __future__ import annotations
@@ -312,43 +312,58 @@ def _step_kernel(f_poly, h_poly, formula, lam):
                     {"np": np, "where": np.where, "ContractError": ContractError})
 
 
-def _stepper(values, mesh, m, nf, outer, inner_ghost=None):
-    """The step of step and run from values: advance(factors, step_index, time) fills the ghosts of
-    one of two buffers [inner ghost, v, outer ghost], writes the update into the other's interior,
-    checks its range and returns (states read, states written, fluxes), which the next overwrites."""
-    shape_kind, formula = _FORMULAS.get(nf.evaluate, (None, _CALL))
-    _require_shape(m, shape_kind)
-    kernel = _step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
-    s, s_next = np.empty((2, values.size + 2))
-    s[1:-1] = values
-    f_s, a, b = np.empty(values.size + 2), np.empty(values.size + 1), np.empty(values.size + 1)
+class _Buffers:
+    """A state stepped in place: two ghosted buffers [inner ghost, v, outer ghost] that the kernel
+    writes into by turns, and its scratch f_s, a and b.  values is the interior holding the state;
+    the per-cell factors are built for tau, checking it, and rebuilt only for a step of another length."""
 
-    def advance(factors, step_index, time):
-        nonlocal s, s_next
-        s[0] = s[1] if inner_ghost is None else inner_ghost
-        s[-1] = outer.ghost(s[-2])
+    def __init__(self, state, mesh, m, nf, outer, inner_ghost, tau, tau_bound):
+        shape_kind, formula = _FORMULAS.get(nf.evaluate, (None, _CALL))
+        _require_shape(m, shape_kind)
+        self.kernel = _step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
+        self.s, self.s_next = np.empty((2, mesh.n_cells + 2))
+        self.s[1:-1] = state.values
+        self.scratch = np.empty(mesh.n_cells + 2), np.empty(mesh.n_cells + 1), np.empty(mesh.n_cells + 1)
+        self.mesh, self.m, self.nf, self.outer, self.inner_ghost = mesh, m, nf, outer, inner_ghost
+        self.tau, self.tau_bound, self.factors = tau, tau_bound, _step_factors(mesh, tau, tau_bound)
+        self.time, self.step_index, self.copy_fluxes = state.time, state.step_index, formula == _CALL
+
+    values = property(lambda self: self.s[1:-1])
+
+    def advance(self, tau: float) -> np.ndarray:
+        """Fill the ghosts, write the update into the other buffer, check its range and swap; returns
+        the fluxes.  The states read stay in s_next until the next step overwrites them."""
+        s, s_next = self.s, self.s_next
+        s[0] = s[1] if self.inner_ghost is None else self.inner_ghost
+        s[-1] = self.outer.ghost(s[-2])
+        factors = self.factors if tau == self.tau else _step_factors(self.mesh, tau, self.tau_bound)
         v_new = s_next[1:-1]
-        fluxes = kernel(m, nf.evaluate, s, v_new, f_s, a, b, mesh.face_weights, *factors)
-        _require_in_range(v_new, step_index, time)
-        s, s_next = s_next, s
-        return s_next, s, fluxes
+        fluxes = self.kernel(self.m, self.nf.evaluate, s, v_new, *self.scratch, self.mesh.face_weights, *factors)
+        self.step_index, self.time = self.step_index + 1, self.time + tau
+        _require_in_range(v_new, self.step_index, self.time)
+        self.s, self.s_next = s_next, s
+        return fluxes
 
-    return advance
+    def state(self) -> StateVector:
+        """The state held, as an owned read-only copy; its values are not checked again: advance did."""
+        state = object.__new__(StateVector)
+        state.__dict__.update(values=self.s[1:-1].copy(), time=self.time, step_index=self.step_index)
+        state.values.setflags(write=False)
+        return state
 
-
-def _observed(states, written, fluxes, tau, time, step_index) -> tuple[StateVector, StepReport]:
-    """The state after a step and its report, from advance's views, as owned read-only copies."""
-    states, fluxes = np.array(states), np.array(fluxes, dtype=float)
-    states.setflags(write=False)
-    fluxes.setflags(write=False)
-    report = StepReport(fluxes=fluxes, tau_used=float(tau), states=states)
-    return StateVector(values=written[1:-1], time=time, step_index=step_index), report
+    def observed(self, fluxes: np.ndarray, tau: float) -> tuple[StateVector, StepReport]:
+        """The state after the last step and its report, with owned read-only arrays.  The kernel
+        returns a bundled flux's fluxes fresh; a custom evaluate's may be views of the buffers."""
+        states, fluxes = self.s_next.copy(), np.array(fluxes) if self.copy_fluxes else fluxes
+        states.setflags(write=False)
+        fluxes.setflags(write=False)
+        return self.state(), StepReport(fluxes=fluxes, tau_used=float(tau), states=states)
 
 
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
          outer: OuterBoundary = COPY_BOUNDARY,
          inner_ghost: Optional[float] = None) -> tuple[StateVector, StepReport]:
-    """One explicit update, with no diagnostics on the path: run's step, on buffers of its own.
+    """One explicit update, with no diagnostics on the path.
 
     Args:
         tau: time step; checked against max_timestep.
@@ -360,15 +375,18 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     the face states [inner ghost, v, outer ghost] and the time step, each
     array fresh.  A NaN or a value outside [-1, 1] in the update raises
     NumericsError, naming the step, its time and the first such cell.
+    run takes every step through this name, so a wrapper on it sees each
+    one: given run's _Buffers as state, it steps them in place and returns
+    them and the fluxes, which the next step overwrites.
     """
-    v = state.values
+    if isinstance(state, _Buffers):
+        return state, state.advance(tau)
     if inner_ghost is not None and not -1.0 <= inner_ghost <= 1.0:
         raise DomainError(f"inner_ghost {inner_ghost} outside [-1, 1]")
-    if v.size != mesh.n_cells:
-        raise ContractError(f"state has {v.size} cells, mesh has {mesh.n_cells}")
-    factors = _step_factors(mesh, tau, max_timestep(mesh, m, nf.lipschitz_bound))
-    index, time = state.step_index + 1, state.time + tau
-    return _observed(*_stepper(v, mesh, m, nf, outer, inner_ghost)(factors, index, time), tau, time, index)
+    if state.values.size != mesh.n_cells:
+        raise ContractError(f"state has {state.values.size} cells, mesh has {mesh.n_cells}")
+    live = _Buffers(state, mesh, m, nf, outer, inner_ghost, tau, max_timestep(mesh, m, nf.lipschitz_bound))
+    return live.observed(live.advance(tau), tau)
 
 
 def constant_data(value: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -435,8 +453,7 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
 
     max_timestep is computed once, and the step factors, which check tau
     against it, once for tau_base; the shortened last step builds its own.
-    A StateVector, an owned read-only copy, is built only for a snapshot, the
-    final state and, with on_step, each state_after (the next state_before).
+    Each step is taken in place; a StateVector is built only where one is read.
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end}")
@@ -457,27 +474,22 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     state = StateVector(values=values, time=0.0, step_index=0)
     tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
     tau_base = cfl_fraction * tau_bound
-    base_factors = _step_factors(mesh, tau_base, tau_bound)
-    advance = _stepper(state.values, mesh, m, nf, outer)
+    live = _Buffers(state, mesh, m, nf, outer, None, tau_base, tau_bound)
 
-    snapshots, time, index = [state], 0.0, 0
-    while time < t_end:
-        remaining = t_end - time
+    snapshots = [state]
+    while live.time < t_end:
+        remaining = t_end - live.time
         tau = min(tau_base, remaining)
-        factors = base_factors if tau == tau_base else _step_factors(mesh, tau, tau_bound)
-        index, time = index + 1, time + tau
-        states, written, fluxes = advance(factors, index, time)
+        _, fluxes = step(live, mesh, m, nf, tau, outer)
         if on_step is not None:
-            before, (state, report) = state, _observed(states, written, fluxes, tau, time, index)
+            before, (state, report) = state, live.observed(fluxes, tau)
             on_step(before, state, report)
         if remaining <= tau_base:
-            time = t_end
+            live.time = t_end
             break
-        if index % snapshot_every == 0:
-            if state.step_index != index:
-                state = StateVector(values=written[1:-1], time=time, step_index=index)
-            snapshots.append(state)
-    if snapshots[-1].step_index != index:
-        snapshots.append(StateVector(values=written[1:-1], time=time, step_index=index))
-    return RunResult(snapshots=snapshots, final=snapshots[-1], clamped_cells=clamped, steps=index,
+        if live.step_index % snapshot_every == 0:
+            snapshots.append(state if state.step_index == live.step_index else live.state())
+    if snapshots[-1].step_index != live.step_index:
+        snapshots.append(live.state())
+    return RunResult(snapshots=snapshots, final=snapshots[-1], clamped_cells=clamped, steps=live.step_index,
                      tau_base=tau_base)

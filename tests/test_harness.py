@@ -37,7 +37,7 @@ from horizonfv.harness import presets, restrict_halving, run_preset
 from horizonfv.scheme import FLUX_KINDS, NumericalFlux, bump_data, flux_rusanov
 from allocations import allocations
 from oracle_error import oracle_compare
-from test_scheme import reference_update
+from reference_update import reference_update
 
 
 @pytest.fixture(scope="module")

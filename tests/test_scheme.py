@@ -29,6 +29,7 @@ from horizonfv import (
     step,
 )
 from allocations import allocations
+from reference_update import reference_update
 
 ALL_FLUXES = ("godunov", "eo", "rusanov")
 
@@ -307,21 +308,6 @@ def test_inner_ghost_is_inert(mesh_m1, burgers, rng):
 
 
 # --- bitwise replay of the update -------------------------------------------
-
-def reference_update(values, mesh, m, nf, tau, outer, inner_ghost=None):
-    """The update as a plain transcription: face states by concatenation,
-    the flux's own 3-argument evaluate, and the grouped divergence
-    a_R F_R - a_L F_L - f(v)(a_R - a_L); returns (face states, fluxes,
-    new values)."""
-    inner = values[0] if inner_ghost is None else float(inner_ghost)
-    states = np.concatenate(([inner], values, [outer.ghost(float(values[-1]))]))
-    fluxes = np.asarray(nf.evaluate(m, states[:-1], states[1:]), dtype=float)
-    fc = np.asarray(m.f(values), dtype=float)
-    hc = np.asarray(m.h(values), dtype=float)
-    a_l, a_r = mesh.face_weights[:-1], mesh.face_weights[1:]
-    flux_term = a_r * fluxes[1:] - a_l * fluxes[:-1] - fc * (a_r - a_l)
-    return states, fluxes, values - (tau / mesh.widths) * flux_term + tau * mesh.cell_thetas * (fc + hc)
-
 
 def custom_rusanov(m, u, v):  # a 3-argument flux: no increments, no f values taken
     return flux_rusanov(m, u, v)
@@ -638,6 +624,36 @@ def test_run_snapshots_are_owned_read_only_and_share_no_memory(mesh_m1, burgers)
         kept = [a.tobytes() for a in arrays]
         run(mesh_m1, burgers, nf, v0=lambda r: -0.5 * np.cos(r), t_end=0.3, snapshot_every=1, on_step=on_step)
         assert [snap.values.tobytes() for snap in first.snapshots] == kept
+
+
+def test_run_takes_each_step_through_the_step_binding(monkeypatch, mesh_m1, burgers):
+    # the benchmark's tracer spans scheme.step through this module binding and counts the cells of
+    # the state it is given, so run's loop must call it once per step with the mesh's cells
+    cells, take = [], scheme.step
+
+    def counted(state, *args, **kwargs):
+        cells.append(state.values.size)
+        return take(state, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "step", counted)
+    for on_step in (None, lambda *args: None):
+        cells.clear()
+        result = run(mesh_m1, burgers, numerical_flux("godunov", burgers), v0=lambda r: 0.5 * np.cos(r),
+                     t_end=0.3, on_step=on_step)
+        assert cells == [mesh_m1.n_cells] * result.steps
+
+
+def test_run_reports_own_a_custom_fluxs_values(mesh_m1, burgers):
+    # this evaluate returns the left states themselves, a view of the loop's buffer, which the next
+    # step overwrites: each report keeps its own copy
+    nf = scheme.NumericalFlux("left", burgers.flux_lipschitz, lambda m, u, v: u)
+    reports = []
+    run(mesh_m1, burgers, nf, v0=lambda r: 0.3 * np.cos(r), t_end=0.3,
+        on_step=lambda before, after, report: reports.append(report))
+    assert len(reports) > 2 and reports[0].fluxes.tobytes() != reports[-1].fluxes.tobytes()
+    for report in reports:
+        assert report.fluxes.flags.owndata and not report.fluxes.flags.writeable
+        assert report.fluxes.tobytes() == report.states[:-1].tobytes()
 
 
 @pytest.mark.parametrize("inputs, error, name", [
