@@ -23,7 +23,7 @@ from itertools import groupby
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, burgers_model, polynomial_model
+from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _trimmed, burgers_model, polynomial_model
 from .scheme import (COPY_BOUNDARY, FLUX_KINDS, OuterBoundary, bump_data, constant_data, fixed_boundary,
                      step_data)
 
@@ -136,7 +136,7 @@ def _convert(raw: str, kind: str, where: str):
         if kind == "float":
             return _finite(raw)
         if kind == "int":
-            value = _finite(raw)
+            value = int(raw) if re.fullmatch(r"[+-]?\d+", raw) else _finite(raw)  # exact, not through a float
             if value != int(value):
                 raise ValueError("not an integer")
             return int(value)
@@ -163,8 +163,9 @@ def _validate(cfg: RunConfig) -> None:
 
     if cfg.model not in ("burgers", "custom"):
         fail("model.model", f"must be 'burgers' or 'custom', got {cfg.model!r}")
-    if len(cfg.f_coeffs) > 9 or len(cfg.h_coeffs) > 9:
-        fail("model.f_coeffs", "polynomial degree must be <= 8")
+    for key in ("f_coeffs", "h_coeffs"):
+        if len(_trimmed(getattr(cfg, key))) > 9:  # trailing zeros do not count
+            fail(f"model.{key}", "polynomial degree must be <= 8")
     if not cfg.mass >= 0.0:
         fail("geometry.mass", f"mass >= 0 required, got {cfg.mass}")
     if not cfg.r_max > 2.0 * cfg.mass:
@@ -218,6 +219,8 @@ def _validate(cfg: RunConfig) -> None:
         fail("oracle.preset", f"must be one of {_PRESET_NAMES}, got {cfg.oracle_preset!r}")
     if cfg.oracle_cells < 2:
         fail("oracle.cells", "cells >= 2 required")
+    if cfg.seed < 0:
+        fail("run.seed", f"seed >= 0 required, got {cfg.seed}")
     if cfg.fuzz_trials < 1:
         fail("fuzz.trials", "trials >= 1 required")
     if not 0.0 < cfg.fuzz_tau_scale <= 1.0:

@@ -360,8 +360,8 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
     ``tau_scale`` != 1 replaces the drawn fraction; above 1 it deliberately
     breaks the CFL precondition and the CflError propagates (a meta-test hook).
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    if trials < 1 or seed < 0:
+        raise DomainError(f"need at least one trial and a seed >= 0, got {trials} trials and seed {seed}")
     rng = np.random.default_rng(seed)
     model = burgers_model()
     report = FuzzReport(trials=trials, seed=seed)

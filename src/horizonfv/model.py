@@ -372,10 +372,9 @@ def polynomial_model(name: str, f_coeffs: Sequence[float], h_coeffs: Sequence[fl
     DomainError if the coefficients are not finite or a quantity the
     certificate needs overflows a float; the message names that quantity.
     """
-    if len(f_coeffs) > 9 or len(h_coeffs) > 9:
-        raise DomainError("polynomial models support degree <= 8")
-    fc = _trimmed(f_coeffs)
-    hc = _trimmed(h_coeffs)
+    fc, hc = _trimmed(f_coeffs), _trimmed(h_coeffs)
+    if len(fc) > 9 or len(hc) > 9:
+        raise DomainError(f"polynomial models support degree <= 8, got {len(fc) - 1} for f and {len(hc) - 1} for h")
     dfc = _finite(_polyder(fc), "f'")
     dhc = _polyder(hc)
     dsc = _finite([a + b for a, b in zip_longest(dfc, dhc, fillvalue=0.0)], "f' + h'")

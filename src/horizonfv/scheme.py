@@ -23,14 +23,16 @@ The outer face uses a configurable ghost: zero-gradient copy by default,
 or a fixed state.
 
 ``step`` reads only the model's coefficient tuples: the update and a bundled
-flux are numpy formulas (``_UPDATE``, ``_FORMULAS``) that ``model._lower``
+flux are numpy formulas (``_UPDATE``, ``_FLUXES``) that ``model._lower``
 writes into one kernel as in-place ufuncs, from one of two swapped state
 buffers (``_Buffers``) into the other; any other flux's evaluate is called
-from it with three arguments.
+from it with three arguments.  A bundled flux's public function runs the
+same text in plain numpy, so the text is the flux's one definition.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 from dataclasses import dataclass
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import CflError, ContractError, DomainError, NumericsError, UnsupportedModelError
 from .geometry import RadialMesh, max_timestep
-from .model import FluxModel, _closure, _evaluator, _lower
+from .model import FluxModel, _closure, _evaluator, _lower, _parse
 
 _GAUSS3_OFFSET = math.sqrt(0.6)  # 3-point Gauss-Legendre nodes at center +/- offset*dr/2
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
@@ -71,42 +73,10 @@ def fixed_boundary(value: float) -> OuterBoundary:
 
 
 def _require_shape(m: FluxModel, kind: Optional[str]) -> None:
-    if kind and not m.structure.flux_monotone_shape_ok:
+    if kind in ("godunov", "eo") and not m.structure.flux_monotone_shape_ok:
         raise UnsupportedModelError(
             f"{kind} flux needs f' < 0 on (-1, 0) and f' > 0 on (0, 1); model '{m.name}' fails that shape"
         )
-
-
-def _scalarize(x, *args):
-    return float(x) if all(np.ndim(a) == 0 for a in args) else x
-
-
-def flux_rusanov(m: FluxModel, u, v):
-    """(f(u) + f(v))/2 - (lam/2)(v - u) with the global bound lam = max |f'|."""
-    lam = m.flux_lipschitz
-    out = 0.5 * (m.f(u) + m.f(v)) - 0.5 * lam * (np.asarray(v, dtype=float) - u)
-    return _scalarize(out, u, v)
-
-
-def flux_godunov(m: FluxModel, u, v):
-    """Exact Riemann flux for the unimodal shape: min of f over [u, v] if
-    u <= v (attained at the interval point closest to the minimum at 0),
-    else max of f over [v, u] (attained at an endpoint)."""
-    _require_shape(m, "godunov")
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    inside = np.minimum(np.maximum(u_arr, 0.0), v_arr)
-    out = np.where(u_arr <= v_arr, m.f(inside), np.maximum(m.f(u_arr), m.f(v_arr)))
-    return _scalarize(out, u, v)
-
-
-def flux_engquist_osher(m: FluxModel, u, v):
-    """f(max(u, 0)) + f(min(v, 0)) - f(0): the split-derivative flux in
-    closed form for the unimodal shape."""
-    _require_shape(m, "eo")
-    f0 = float(m.f(0.0))
-    out = m.f(np.maximum(u, 0.0)) + m.f(np.minimum(v, 0.0)) - f0
-    return _scalarize(out, u, v)
 
 
 def _divided_difference(m: FluxModel, x, y):
@@ -161,8 +131,9 @@ class NumericalFlux:
     """A two-point monotone flux ``evaluate(m, u, v)`` with its Lipschitz
     bound for the CFL rule and, optionally, ``increments(m, u, v)``:
     Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and
-    nf(u, v) - f(u) = -D (v - u).  ``step`` writes a bundled ``evaluate``
-    into its kernel as formula text, and calls any other with the three
+    nf(u, v) - f(u) = -D (v - u).  A bundled ``evaluate`` is its formula
+    text in ``_FLUXES`` run in numpy; ``step``, which knows it by its
+    identity, writes that text into its kernel, and calls any other with the three
     arguments (m, left states, right states): read-only views of the time
     loop's buffers, which the next step overwrites, so such an ``evaluate``
     must copy anything it keeps."""
@@ -173,12 +144,40 @@ class NumericalFlux:
     increments: Optional[Callable] = None
 
 
+# kind: (the flux as numpy text, its increments): Godunov's exact Riemann flux for the unimodal shape,
+# the split-derivative EO flux in closed form, and Rusanov's, with lam the global bound max |f'|
 _FLUXES = {
-    "godunov": (flux_godunov, _godunov_increments),
-    "eo": (flux_engquist_osher, _engquist_osher_increments),
-    "rusanov": (flux_rusanov, _rusanov_increments),
+    "godunov": ("fluxes = where(left <= right, f(minimum(maximum(left, 0.0), right)), maximum(f_left, f_right))",
+                _godunov_increments),
+    "eo": ("fluxes = f(maximum(left, 0.0)) + f(minimum(right, 0.0)) - f_zero", _engquist_osher_increments),
+    "rusanov": ("fluxes = 0.5 * (f_left + f_right) - half_lam * (right - left)", _rusanov_increments),
 }
 FLUX_KINDS = tuple(_FLUXES)
+# a flux's function: its formula in numpy after the _READS names it reads, so f runs only where it must
+_FLUX = '''\
+def flux_{kind}(m, left, right):
+    """{formula}: the {kind} flux of m at the face states; a pair of scalars gives a float."""
+    _require_shape(m, kind)
+{reads}    {formula}
+    return float(fluxes) if np.ndim(left) == np.ndim(right) == 0 else fluxes
+return flux_{kind}
+'''
+_READS = {"f": "f = m.f", "f_left": "f_left = m.f(left)", "f_right": "f_right = m.f(right)",
+          "half_lam": "half_lam = 0.5 * m.flux_lipschitz", "f_zero": "f_zero = m.f(0.0)"}
+_FLUX_NAMES = {"np": np, "where": np.where, "maximum": np.maximum, "minimum": np.minimum,
+               "_require_shape": _require_shape}
+
+
+def _numpy_flux(kind: str, formula: str) -> Callable:
+    names = {node.id for node in ast.walk(_parse(formula)) if isinstance(node, ast.Name)}
+    reads = "".join(f"    {line}\n" for name, line in _READS.items() if name in names)
+    return _closure(_FLUX.format(kind=kind, formula=formula, reads=reads), {"kind": kind}, _FLUX_NAMES)
+
+
+_EVALUATE = {kind: _numpy_flux(kind, formula) for kind, (formula, _) in _FLUXES.items()}
+flux_godunov, flux_engquist_osher, flux_rusanov = _EVALUATE.values()
+# the kernel finds a bundled flux's formula, and its kind, by the identity of its evaluate
+_FORMULA_OF = {_EVALUATE[kind]: (kind, formula) for kind, (formula, _) in _FLUXES.items()}
 
 
 def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
@@ -190,9 +189,8 @@ def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
     """
     if kind not in _FLUXES:
         raise DomainError(f"unknown flux kind '{kind}' (godunov | eo | rusanov)")
-    if kind != "rusanov":
-        _require_shape(m, kind)
-    return NumericalFlux(kind, m.flux_lipschitz, *_FLUXES[kind])
+    _require_shape(m, kind)
+    return NumericalFlux(kind, m.flux_lipschitz, _EVALUATE[kind], _FLUXES[kind][1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,13 +283,6 @@ return kernel
 """
 _UPDATE = ("a[...] = weights * fluxes\n"
            "v_new[...] = v - (a[1:] - a[:-1] - f_v * weight_jump) * tau_per_width + (f_v + h(v)) * tau_theta")
-# each bundled flux's formula, found by the identity of its evaluate, and the kind it needs
-_FORMULAS = {
-    flux_godunov: ("godunov", "fluxes = where(left <= right, f(minimum(maximum(left, 0.0), right)), "
-                              "maximum(f_left, f_right))"),
-    flux_engquist_osher: ("eo", "fluxes = f(maximum(left, 0.0)) + f(minimum(right, 0.0)) - f_zero"),
-    flux_rusanov: (None, "fluxes = 0.5 * (f_left + f_right) - half_lam * (right - left)"),
-}
 _CALL = """\
 left.flags.writeable = right.flags.writeable = False
 fluxes = np.asarray(evaluate(m, left, right), dtype=float)
@@ -318,7 +309,7 @@ class _Buffers:
     the per-cell factors are built for tau, checking it, and rebuilt only for a step of another length."""
 
     def __init__(self, state, mesh, m, nf, outer, inner_ghost, tau, tau_bound):
-        shape_kind, formula = _FORMULAS.get(nf.evaluate, (None, _CALL))
+        shape_kind, formula = _FORMULA_OF.get(nf.evaluate, (None, _CALL))
         _require_shape(m, shape_kind)
         self.kernel = _step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
         self.s, self.s_next = np.empty((2, mesh.n_cells + 2))

@@ -584,6 +584,31 @@ output_dir = {out}
     assert payload["trials"] == 2
 
 
+def test_cli_fuzz_refuses_a_negative_seed_as_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    body = MINIMAL + f"\n[fuzz]\ntrials = 1\n\n[run]\nseed = -1\noutput_dir = {out}\n"
+    assert _run_cli(tmp_path, body, "fuzz") == 2
+    assert capsys.readouterr().err == "config error: run.seed: seed >= 0 required, got -1\n"
+    assert not out.exists()
+
+
+def test_integer_keys_parse_exactly(tmp_path):
+    body = MINIMAL + "\n[run]\nseed = 9007199254740993\n[fuzz]\ntrials = 1e3\n"
+    cfg = parse_config(write_config(tmp_path, body))
+    assert cfg.seed == 2 ** 53 + 1 and cfg.fuzz_trials == 1000
+    assert "seed = 9007199254740993\n" in resolved_config_text(cfg)
+    with pytest.raises(ConfigError, match=r"^run\.seed: cannot parse '2\.5' as int \(not an integer\)$"):
+        parse_config(write_config(tmp_path, MINIMAL + "\n[run]\nseed = 2.5\n"))
+
+
+def test_config_degree_cap_counts_the_degree_after_trimming_and_names_the_key(tmp_path):
+    custom = MINIMAL.replace("model = burgers", "model = custom\nf_coeffs = -0.5, 0, 0.5, 0, 0, 0, 0, 0, 0, 0")
+    assert parse_config(write_config(tmp_path, custom)).build_model().f_poly == (-0.5, 0.0, 0.5)
+    long_h = custom.replace("model = custom", "model = custom\nh_coeffs = 0, 0, 0, 0, 0, 0, 0, 0, 0, 1")
+    with pytest.raises(ConfigError, match=r"^model\.h_coeffs: polynomial degree must be <= 8$"):
+        parse_config(write_config(tmp_path, long_h))
+
+
 def test_cli_fuzz_tau_override_is_config_error(tmp_path):
     body = MINIMAL + "\n[fuzz]\ntrials = 1\ntau_scale = 2.0\n"
     assert _run_cli(tmp_path, body, "fuzz") == 2

@@ -1,0 +1,84 @@
+"""Each bundled flux is defined once, as formula text in ``scheme._FLUXES``;
+its public function runs that text in numpy.  These tests hold the
+functions bitwise to the hand-written references in ``reference_update``."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from horizonfv import UnsupportedModelError, polynomial_model, scheme
+from horizonfv.model import DEFAULT_KRUZHKOV_LEVELS
+from reference_update import REFERENCE_FLUXES
+
+EDGE = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 0.3, -0.7, 0.5, -0.5)
+PAIRS = [(u, v) for u in EDGE for v in EDGE]
+
+
+@pytest.fixture
+def models(burgers, quartic, sextic, shifted, rounding_quartic):
+    return burgers, quartic, sextic, shifted, rounding_quartic
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_the_public_fluxes_are_the_table_run_in_numpy():
+    assert scheme.FLUX_KINDS == ("godunov", "eo", "rusanov")
+    assert list(REFERENCE_FLUXES) == [scheme.flux_godunov, scheme.flux_engquist_osher, scheme.flux_rusanov]
+    for evaluate, (kind, formula) in scheme._FORMULA_OF.items():
+        assert scheme._FLUXES[kind][0] == formula and scheme._EVALUATE[kind] is evaluate
+        assert evaluate.__doc__.startswith(formula)
+
+
+def test_generated_fluxes_equal_their_references_on_scalar_edge_pairs(models):
+    for m in models:
+        for evaluate, reference in REFERENCE_FLUXES.items():
+            for u, v in PAIRS:
+                for wrap in (float, np.float64, np.asarray):
+                    got, expected = evaluate(m, wrap(u), wrap(v)), reference(m, wrap(u), wrap(v))
+                    assert type(got) is type(expected) is float, (m.name, evaluate.__name__, u, v)
+                    assert _bits(got) == _bits(expected), (m.name, evaluate.__name__, u, v)
+
+
+def test_generated_fluxes_equal_their_references_on_arrays_and_level_broadcasts(models, rng):
+    u, v = (np.array(side) for side in zip(*PAIRS))
+    u, v = np.concatenate((u, rng.uniform(-1.0, 1.0, 5000))), np.concatenate((v, rng.uniform(-1.0, 1.0, 5000)))
+    levels = np.array(DEFAULT_KRUZHKOV_LEVELS)[:, None]
+    # the certificate's (levels, faces) arguments, and the consistent value at (v, v)
+    cases = [(u, v), (np.maximum(u, levels), np.maximum(v, levels)), (np.minimum(u, levels), np.minimum(v, levels)),
+             (np.maximum(v, levels), v), (u[None, :], np.minimum(v, levels))]
+    for m in models:
+        for evaluate, reference in REFERENCE_FLUXES.items():
+            for left, right in cases:
+                got, expected = evaluate(m, left, right), reference(m, left, right)
+                assert got.shape == expected.shape == np.broadcast(left, right).shape
+                assert got.tobytes() == expected.tobytes(), (m.name, evaluate.__name__)
+
+
+def test_generated_fluxes_evaluate_f_at_the_points_their_references_do(models):
+    u, v = np.linspace(-1.0, 1.0, 7), np.linspace(1.0, -1.0, 7)
+    for m in models:
+        for evaluate, reference in REFERENCE_FLUXES.items():
+            sizes = []
+            for flux in (evaluate, reference):
+                calls = []
+                counted = dataclasses.replace(m, f=lambda s: calls.append(np.size(s)) or m.f(s))
+                assert _bits(flux(counted, u, v)) == _bits(flux(m, u, v))
+                sizes.append(sorted(calls))
+            assert sizes[0] == sizes[1], (m.name, evaluate.__name__)
+
+
+def test_shape_fluxes_refuse_a_model_without_the_shape_on_every_call():
+    linear = polynomial_model("linear", [0.0, 1.0], [0.0])
+    for evaluate, reference in REFERENCE_FLUXES.items():
+        if evaluate is scheme.flux_rusanov:
+            assert evaluate(linear, 0.25, -0.5) == reference(linear, 0.25, -0.5)
+            continue
+        for _ in range(2):
+            with pytest.raises(UnsupportedModelError) as got:
+                evaluate(linear, 0.25, -0.5)
+            with pytest.raises(UnsupportedModelError) as expected:
+                reference(linear, 0.25, -0.5)
+            assert str(got.value) == str(expected.value)

@@ -425,6 +425,12 @@ def test_fuzz_clean_and_deterministic():
     assert json.dumps(rep1.to_dict(), sort_keys=True) == json.dumps(rep2.to_dict(), sort_keys=True)
 
 
+def test_fuzz_refuses_a_negative_seed_before_the_first_trial(monkeypatch):
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs: pytest.fail("a trial ran"))
+    with pytest.raises(DomainError, match="seed -1"):
+        fuzz_invariants(1, -1)
+
+
 def test_fuzz_different_seeds_differ():
     rep1 = fuzz_invariants(3, 1)
     rep2 = fuzz_invariants(3, 2)

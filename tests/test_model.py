@@ -392,6 +392,13 @@ def test_polynomial_degree_cap():
         polynomial_model("nan", [-0.5, float("nan"), 0.5], [0.0])
 
 
+def test_polynomial_degree_cap_counts_the_degree_after_trimming():
+    m = polynomial_model("quadratic", (-0.5, 0.0, 0.5) + (0.0,) * 7, (0.0,) * 12)
+    assert m.f_poly == (-0.5, 0.0, 0.5) and m.h_poly == (0.0,)
+    with pytest.raises(DomainError, match="<= 8, got 2 for f and 9 for h$"):
+        polynomial_model("long h", (-0.5, 0.0, 0.5), (0.0,) * 9 + (1.0,))
+
+
 # huge coefficients: f' = 1e308 + 2e308 s overflows, and so does f + h = 2e308 at s = 1
 OVERFLOWING_FLUX = ((0.0, 1e308, 1e308), (0.0,))
 OVERFLOWING_SOURCE = ((-0.5, 0.0, 0.5), (1e308, 1e308))

@@ -361,8 +361,8 @@ def test_step_refuses_the_bundled_shape_fluxes_for_a_model_without_the_shape(mes
             step(state, mesh_flat, linear, nf, 0.01)
 
 
-GODUNOV, RUSANOV = (scheme._FORMULAS[flux][1] for flux in (flux_godunov, flux_rusanov))
-STEP_FORMULAS = (*(formula for _, formula in scheme._FORMULAS.values()), scheme._CALL)
+GODUNOV, RUSANOV = (scheme._FLUXES[kind][0] for kind in ("godunov", "rusanov"))
+STEP_FORMULAS = (*(formula for formula, _ in scheme._FLUXES.values()), scheme._CALL)
 
 
 def _nonzero_coefficients(m):
@@ -435,7 +435,7 @@ def test_lowered_step_equals_its_formulas_run_in_numpy_bitwise(burgers, quartic,
     factors = [rng.uniform(0.0, 2.0, size) for size in (n + 1, n, n, n)]
     factors[1][::7] = 0.0
     for m in (burgers, quartic, sextic, shifted, rounding_quartic):
-        for flux, (_, formula) in scheme._FORMULAS.items():
+        for flux, (_, formula) in scheme._FORMULA_OF.items():
             results = []
             for kernel in (scheme._step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz),
                            _kernel_from_text(m, formula, m.flux_lipschitz)):
