@@ -60,7 +60,6 @@ from .scheme import (
     StateVector,
     StepReport,
     convex_coefficients,
-    fixed_boundary,
     flux_engquist_osher,
     flux_godunov,
     flux_rusanov,

@@ -246,8 +246,11 @@ def _write_snapshots(path: Path, snapshots, centers: np.ndarray) -> None:
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.ini").write_text(resolved_config_text(cfg))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "resolved_config.ini").write_text(resolved_config_text(cfg))
+    except OSError as exc:
+        raise ConfigError(f"run.output_dir: cannot write into {out}: {exc}") from None
     return out
 
 
@@ -258,9 +261,8 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
 
     ledger_rows = []
 
-    def ledger(state_before, state_after, report):
-        entry = entropy_mod.cell_entropy_residuals(state_before, state_after, report, mesh, model, nf,
-                                                   cfg.kruzhkov_levels)
+    def ledger(state_after, report):
+        entry = entropy_mod.cell_entropy_residuals(state_after, report, mesh, model, nf, cfg.kruzhkov_levels)
         for k, worst in zip(cfg.kruzhkov_levels, entry.worst_residuals.tolist()):
             ledger_rows.append((state_after.step_index, k, worst, entry.global_balance_gap,
                                 entry.dissipation_sum))

@@ -24,10 +24,10 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _trimmed, burgers_model, polynomial_model
-from .scheme import (COPY_BOUNDARY, FLUX_KINDS, OuterBoundary, bump_data, constant_data, fixed_boundary,
-                     step_data)
+from .scheme import COPY_BOUNDARY, FLUX_KINDS, OuterBoundary, bump_data, constant_data, step_data
 
 _PRESET_NAMES = ("smooth", "riemann", "flat")
+_MAX_CELLS, _MAX_CONVERGE_LEVELS = 10 ** 7, 17  # a preset's 100 cells doubled 16 times are 6 553 600
 
 
 def _ini(section: str, default, key: str | None = None):
@@ -86,7 +86,7 @@ class RunConfig:
     def build_outer_boundary(self) -> OuterBoundary:
         if self.outer_boundary == "copy":
             return COPY_BOUNDARY
-        return fixed_boundary(float(self.outer_boundary.split(":", 1)[1]))
+        return OuterBoundary("fixed", float(self.outer_boundary.split(":", 1)[1]))
 
     def build_v0(self):
         if self.initial_kind == "constant":
@@ -172,6 +172,8 @@ def _validate(cfg: RunConfig) -> None:
         fail("geometry.r_max", f"r_max must exceed 2*mass = {2 * cfg.mass}")
     if cfg.cells < 2:
         fail("geometry.cells", f"cells >= 2 required, got {cfg.cells}")
+    if cfg.cells > _MAX_CELLS:
+        fail("geometry.cells", f"cells <= {_MAX_CELLS} required, got {cfg.cells}")
     if cfg.outer_boundary != "copy":
         parts = cfg.outer_boundary.split(":", 1)
         if len(parts) != 2 or parts[0] != "fixed":
@@ -215,10 +217,14 @@ def _validate(cfg: RunConfig) -> None:
         fail("converge.preset", f"must be one of {_PRESET_NAMES}, got {cfg.converge_preset!r}")
     if cfg.converge_levels < 3:
         fail("converge.levels", "levels >= 3 required")
+    if cfg.converge_levels > _MAX_CONVERGE_LEVELS:
+        fail("converge.levels", f"levels <= {_MAX_CONVERGE_LEVELS} required, got {cfg.converge_levels}")
     if cfg.oracle_preset not in _PRESET_NAMES:
         fail("oracle.preset", f"must be one of {_PRESET_NAMES}, got {cfg.oracle_preset!r}")
     if cfg.oracle_cells < 2:
         fail("oracle.cells", "cells >= 2 required")
+    if cfg.oracle_cells > _MAX_CELLS:
+        fail("oracle.cells", f"cells <= {_MAX_CELLS} required, got {cfg.oracle_cells}")
     if cfg.seed < 0:
         fail("run.seed", f"seed >= 0 required, got {cfg.seed}")
     if cfg.fuzz_trials < 1:

@@ -89,7 +89,7 @@ def _quadratic_flux(m: FluxModel):
     return _evaluator(_polyint((0.0,) + _polyder(m.f_poly)))
 
 
-def face_reconstruction(state_before: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel):
+def face_reconstruction(report: StepReport, mesh: RadialMesh, m: FluxModel):
     """Intermediate per-face states of the convex decomposition at tau_used.
 
     Returns (tilde_left, tilde_right, full_left, full_right, gamma_left,
@@ -97,14 +97,14 @@ def face_reconstruction(state_before: StateVector, report: StepReport, mesh: Rad
     difference, times gamma = 2 tau a / |K| of that face, and the full
     states add the weight-correction shifts and the source shift
     tau theta (f + h)(v), so that the cell update equals the mean of its
-    two full face states.  Ghost values enter only through the face fluxes
-    already recorded in the report.
+    two full face states.  The pre-step values v are report.states[1:-1];
+    ghost values enter only through the face fluxes recorded in the report.
     """
-    v = state_before.values
-    if v.size != mesh.n_cells:
-        raise ContractError("state length does not match mesh cell count")
+    if report.states.size != mesh.n_cells + 2:
+        raise ContractError("report states do not match mesh cell count")
     if report.fluxes.size != mesh.faces.size:
         raise ContractError("report fluxes do not match mesh faces")
+    v = report.states[1:-1]
     tau = report.tau_used
     fc = np.asarray(m.f(v), dtype=float)
     hc = np.asarray(m.h(v), dtype=float)
@@ -130,15 +130,13 @@ def convex_decomposition_check(state_after: StateVector, full_l, full_r) -> floa
     return float(np.max(np.abs(state_after.values - 0.5 * (full_r + full_l))))
 
 
-def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, report: StepReport,
-                           mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
-                           levels: Sequence[float]) -> EntropyLedger:
+def cell_entropy_residuals(state_after: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel,
+                           nf: NumericalFlux, levels: Sequence[float]) -> EntropyLedger:
     """Certify one finished step from one face reconstruction at
-    report.tau_used and the face states in report.states: the per-face
-    entropy residuals at every Kruzhkov level in levels, the quadratic
-    balance, the smallest convex coefficient and the decomposition defect.
-    The report must be the step's own: ContractError unless the interior of
-    report.states is bitwise state_before.values.
+    report.tau_used and the face states in report.states, the pre-step
+    values among them: the per-face entropy residuals at every Kruzhkov
+    level in levels, the quadratic balance, the smallest convex coefficient
+    and the decomposition defect against state_after.
 
     The residual is the transport form (see module docstring).  The
     quadratic balance uses U(v) = v**2/2, its flux from
@@ -147,17 +145,15 @@ def cell_entropy_residuals(state_before: StateVector, state_after: StateVector, 
     ks = np.asarray(levels, dtype=float).reshape(-1, 1)
     if not np.all(np.abs(ks) <= 1.0):
         raise DomainError(f"Kruzhkov levels must lie in [-1, 1], got {levels}")
-    v = state_before.values
-    if report.states[1:-1].tobytes() != v.tobytes():
-        raise ContractError("the step report does not belong to state_before (states differ bitwise)")
     tau = report.tau_used
-    tilde_l, tilde_r, full_l, full_r, gamma_l, gamma_r = face_reconstruction(state_before, report, mesh, m)
+    tilde_l, tilde_r, full_l, full_r, gamma_l, gamma_r = face_reconstruction(report, mesh, m)
     coefficients = convex_coefficients(report, mesh, m, nf)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
 
     # Kruzhkov entropies U = |w - k| - |k|, one row per level
     states = report.states
+    v = states[1:-1]
     phi_faces = numerical_entropy_flux(nf, m, ks, states[:-1], states[1:])
     phi_cons = numerical_entropy_flux(nf, m, ks, v, v)  # consistent value F(v_K)
 

@@ -296,6 +296,8 @@ class FuzzReport:
 ENTROPY_RESIDUAL_TOL = 1e-13
 DECOMPOSITION_TOL = 1e-13
 BALANCE_REL_TOL = 1e-12
+# every trial's cells, radial span beyond the horizon, end time and step budget
+FUZZ_CELLS, FUZZ_SPAN, FUZZ_T_END, FUZZ_MAX_STEPS = 200, 10.0, 0.4, 2000
 
 
 def _piecewise_from_breaks(breaks: np.ndarray, values: np.ndarray) -> Callable:
@@ -307,14 +309,13 @@ def _piecewise_from_breaks(breaks: np.ndarray, values: np.ndarray) -> Callable:
 
 
 def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: FluxModel,
-                 nf: NumericalFlux, kruzhkov_levels: Sequence[float]) -> Callable:
+                 nf: NumericalFlux) -> Callable:
     """One certificate per step against the campaign's tolerances, as an on_step observer."""
 
-    def check(before: StateVector, after: StateVector, step_report: StepReport) -> None:
+    def check(after: StateVector, step_report: StepReport) -> None:
         report.total_steps += 1
         report.worst_abs_state = max(report.worst_abs_state, float(np.max(np.abs(after.values))))
-        ledger = entropy_mod.cell_entropy_residuals(before, after, step_report, mesh, model, nf,
-                                                    kruzhkov_levels)
+        ledger = entropy_mod.cell_entropy_residuals(after, step_report, mesh, model, nf, DEFAULT_KRUZHKOV_LEVELS)
 
         report.min_convex_coeff = min(report.min_convex_coeff, ledger.min_convex_coeff)
         if ledger.min_convex_coeff < 0.0:
@@ -329,7 +330,7 @@ def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: Flux
 
         worst_per_level = ledger.worst_residuals.tolist()
         report.worst_entropy_residual = max([report.worst_entropy_residual, *worst_per_level])
-        for k, worst in zip(kruzhkov_levels, worst_per_level):
+        for k, worst in zip(DEFAULT_KRUZHKOV_LEVELS, worst_per_level):
             if worst > ENTROPY_RESIDUAL_TOL:
                 report.violations.append({"config": config, "kind": "entropy_residual",
                                           "k": k, "detail": worst})
@@ -341,19 +342,18 @@ def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: Flux
     return check
 
 
-def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4,
-                    max_steps: int = 2000, kruzhkov_levels: Sequence[float] = DEFAULT_KRUZHKOV_LEVELS,
-                    tau_scale: float = 1.0, span: float = 10.0) -> FuzzReport:
+def fuzz_invariants(trials: int, seed: int, tau_scale: float = 1.0) -> FuzzReport:
     """Seeded random campaign over data, mass, flux, and CFL fraction.
 
     Each trial draws piecewise-constant data in [-1, 1], a mass in [0, 2],
-    one of the three fluxes, and a CFL fraction in (0, 1], evolves it with
-    ``run`` and checks every step from one certificate
-    (``entropy.cell_entropy_residuals``): the convex coefficients, exact
-    from the flux's increments, against 0.0 with no tolerance
-    (``min_convex_coeff`` records the smallest, a zero as 0.0), the
-    convex-decomposition identity, the transport entropy residual at every
-    requested Kruzhkov level and the quadratic balance gap.  A
+    one of the three fluxes, and a CFL fraction in (0, 1], on FUZZ_CELLS
+    cells over FUZZ_SPAN beyond the horizon, evolves it with ``run`` to
+    FUZZ_T_END or, if earlier, the end of 0.8 * FUZZ_MAX_STEPS steps, and
+    checks every step from one certificate (``entropy.cell_entropy_residuals``):
+    the convex coefficients, exact from the flux's increments, against 0.0
+    with no tolerance (``min_convex_coeff`` records the smallest, a zero as
+    0.0), the convex-decomposition identity, the transport entropy residual
+    at each of DEFAULT_KRUZHKOV_LEVELS and the quadratic balance gap.  A
     NumericsError out of ``run`` (a NaN or a breach of the maximum
     principle) ends the trial as a ``state_invariant`` violation.
     Any violation is recorded with the trial's full reproduction data.
@@ -368,7 +368,7 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
 
     for trial in range(trials):
         mass = float(rng.uniform(0.0, 2.0))
-        r_max = 2.0 * mass + span
+        r_max = 2.0 * mass + FUZZ_SPAN
         n_pieces = int(rng.integers(1, 9))
         breaks = np.sort(rng.uniform(2.0 * mass, r_max, size=n_pieces - 1))
         values = rng.uniform(-1.0, 1.0, size=n_pieces)
@@ -377,15 +377,15 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
         flux_kind = str(rng.choice(FLUX_KINDS))
         cfl = float(1.0 - rng.uniform(0.0, 1.0) * (1.0 - 1e-6))  # in (0, 1]
 
-        mesh = build_uniform_mesh(Background(mass), r_max, cells)
+        mesh = build_uniform_mesh(Background(mass), r_max, FUZZ_CELLS)
         nf = numerical_flux(flux_kind, model)
         fraction = cfl if tau_scale == 1.0 else tau_scale
-        t_this = min(t_end, 0.8 * max_steps * (fraction * max_timestep(mesh, model, nf.lipschitz_bound)))
+        t_this = min(FUZZ_T_END, 0.8 * FUZZ_MAX_STEPS * (fraction * max_timestep(mesh, model, nf.lipschitz_bound)))
 
         config = {
             "trial": trial,
             "mass": mass,
-            "cells": cells,
+            "cells": FUZZ_CELLS,
             "r_max": r_max,
             "breaks": breaks.tolist(),
             "values": values.tolist(),
@@ -397,7 +397,7 @@ def fuzz_invariants(trials: int, seed: int, cells: int = 200, t_end: float = 0.4
         try:
             run(mesh, model, nf, v0=_piecewise_from_breaks(breaks, values), t_end=t_this,
                 cfl_fraction=fraction, snapshot_every=10 ** 9,
-                on_step=_step_checks(report, config, mesh, model, nf, kruzhkov_levels))
+                on_step=_step_checks(report, config, mesh, model, nf))
         except NumericsError as exc:
             report.violations.append({"config": config, "kind": "state_invariant", "detail": str(exc)})
     return report

@@ -68,10 +68,6 @@ class OuterBoundary:
 COPY_BOUNDARY = OuterBoundary("copy")
 
 
-def fixed_boundary(value: float) -> OuterBoundary:
-    return OuterBoundary("fixed", float(value))
-
-
 def _require_shape(m: FluxModel, kind: Optional[str]) -> None:
     if kind in ("godunov", "eo") and not m.structure.flux_monotone_shape_ok:
         raise UnsupportedModelError(
@@ -226,14 +222,14 @@ def _require_in_range(vals: np.ndarray, step_index: Optional[int] = None, time: 
 @dataclass(frozen=True, eq=False)
 class StepReport:
     """What one update used: the face fluxes, the face states and the time
-    step.  states is [inner ghost, v, outer ghost], so face i reads states[i]
-    and states[i + 1]; both arrays are read-only.
+    step.  states is [inner ghost, v, outer ghost] with v the state before
+    the step, so face i reads states[i] and states[i + 1]; both read-only.
 
-    Every diagnostic is rebuilt from these and the states before and after
-    the step, at tau_used, with the step's own ghosts: the step's
-    certificate by entropy.cell_entropy_residuals, whose convex
-    coefficients come from convex_coefficients (from the flux's
-    increments; the face fluxes only for a flux without them)."""
+    Every diagnostic is rebuilt from these and the state after the step, at
+    tau_used, with the step's own ghosts: the step's certificate by
+    entropy.cell_entropy_residuals, whose convex coefficients come from
+    convex_coefficients (from the flux's increments; the face fluxes only
+    for a flux without them)."""
 
     fluxes: np.ndarray
     tau_used: float
@@ -427,7 +423,7 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         v0: Optional[Callable] = None, t_end: float = 1.0, cfl_fraction: float = 0.9,
         snapshot_every: int = 10, outer: OuterBoundary = COPY_BOUNDARY,
         initial_values: Optional[np.ndarray] = None,
-        on_step: Optional[Callable[[StateVector, StateVector, StepReport], None]] = None) -> RunResult:
+        on_step: Optional[Callable[[StateVector, StepReport], None]] = None) -> RunResult:
     """Evolve initial data to t_end with tau = cfl_fraction * max_timestep.
 
     The package's one time loop.  The last step is shortened to land exactly
@@ -437,10 +433,10 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     [-1, 1] (ContractError if of the wrong shape) and, as CflError, a cfl_fraction outside (0, 1].
     A NaN or a state leaving [-1, 1] raises NumericsError naming the step, time and first cell.
 
-    on_step(state_before, state_after, report), if given, sees every
-    completed step before the snapshot and t_end bookkeeping;
-    state_after.step_index counts it from 1 and report.tau_used is the
-    step taken, the shortened last one included.
+    on_step(state_after, report), if given, sees every completed step
+    before the snapshot and t_end bookkeeping; state_after.step_index
+    counts it from 1, report.states holds the state before it and
+    report.tau_used is the step taken, the shortened last one included.
 
     max_timestep is computed once, and the step factors, which check tau
     against it, once for tau_base; the shortened last step builds its own.
@@ -473,8 +469,8 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
         tau = min(tau_base, remaining)
         _, fluxes = step(live, mesh, m, nf, tau, outer)
         if on_step is not None:
-            before, (state, report) = state, live.observed(fluxes, tau)
-            on_step(before, state, report)
+            state, report = live.observed(fluxes, tau)
+            on_step(state, report)
         if remaining <= tau_base:
             live.time = t_end
             break

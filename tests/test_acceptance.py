@@ -34,7 +34,7 @@ FUZZ_SEED = 42
 def campaign():
     """The shared 100-trial campaign behind criteria 1 and 2."""
     start = time.monotonic()
-    report = fuzz_invariants(FUZZ_TRIALS, FUZZ_SEED, cells=200, max_steps=2000)
+    report = fuzz_invariants(FUZZ_TRIALS, FUZZ_SEED)
     elapsed = time.monotonic() - start
     return report, elapsed
 

@@ -665,3 +665,86 @@ output_dir = {out}
     new_files = after - before
     assert new_files
     assert all(out in p.parents for p in new_files)
+
+
+def config_with(settings: dict) -> str:
+    """MINIMAL with each "section.key" of settings set to its value, in its section."""
+    sections = {"model": {"model": "burgers"}, "geometry": {"mass": "1.0", "r_max": "12.0", "cells": "200"},
+                "evolution": {"t_end": "1.0"}}
+    for name, value in settings.items():
+        section, key = name.split(".")
+        sections.setdefault(section, {})[key] = value
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+                   for section, keys in sections.items())
+
+
+@pytest.mark.parametrize("command, settings, key, message", [
+    ("check-model", {"model.model": "cubic"}, "model.model", "must be 'burgers' or 'custom'"),
+    ("check-model", {"geometry.mass": "-1"}, "geometry.mass", "mass >= 0 required"),
+    ("check-model", {"geometry.r_max": "2"}, "geometry.r_max", "r_max must exceed 2*mass"),
+    ("check-model", {"geometry.outer_boundary": "open"}, "geometry.outer_boundary", "must be 'copy' or"),
+    ("check-model", {"geometry.outer_boundary": "fixed:low"}, "geometry.outer_boundary", "is not a number"),
+    ("check-model", {"evolution.flux": "upwind"}, "evolution.flux", "must be one of"),
+    ("check-model", {"evolution.cfl_fraction": "1.5"}, "evolution.cfl_fraction", "must lie in (0, 1]"),
+    ("check-model", {"evolution.t_end": "0"}, "evolution.t_end", "t_end > 0 required"),
+    ("check-model", {"evolution.snapshot_every": "0"}, "evolution.snapshot_every", "snapshot_every >= 1"),
+    ("check-model", {"initial.kind": "sine"}, "initial.kind", "must be 'constant', 'riemann' or 'bump'"),
+    ("check-model", {"initial.constant": "1.5"}, "initial.constant", "state value 1.5 outside [-1, 1]"),
+    ("check-model", {"initial.width": "0"}, "initial.width", "width > 0 required"),
+    ("check-model", {"diagnostics.kruzhkov_levels": "0, 2"}, "diagnostics.kruzhkov_levels", "level 2.0 outside"),
+    ("check-model", {"diagnostics.kruzhkov_levels": ","}, "diagnostics.kruzhkov_levels", "(empty list)"),
+    ("check-model", {"diagnostics.entropy_diagnostics": "maybe"}, "diagnostics.entropy_diagnostics",
+     "(not a boolean)"),
+    ("check-model", {"characteristics.ds": "0"}, "characteristics.ds", "ds > 0 required"),
+    ("check-model", {"characteristics.s_max": "-1"}, "characteristics.s_max", "s_max > 0 required"),
+    ("check-model", {"characteristics.coordinates": "polar"}, "characteristics.coordinates",
+     "must be 'exterior' or 'interior'"),
+    ("check-model", {"characteristics.u0": "1.5"}, "characteristics.u0", "|u0| <= 1 required"),
+    ("check-model", {"steady.u0": "0"}, "steady.u0", "u0 must be nonzero"),
+    ("check-model", {"converge.preset": "shock"}, "converge.preset", "must be one of"),
+    ("check-model", {"converge.levels": "2"}, "converge.levels", "levels >= 3 required"),
+    ("check-model", {"oracle.preset": "shock"}, "oracle.preset", "must be one of"),
+    ("check-model", {"oracle.cells": "1"}, "oracle.cells", "cells >= 2 required"),
+    ("check-model", {"fuzz.trials": "0"}, "fuzz.trials", "trials >= 1 required"),
+    ("characteristics", {"model.model": "custom", "characteristics.coordinates": "interior"},
+     "characteristics.coordinates", "=interior supports only the burgers model"),
+    ("characteristics", {"characteristics.coordinates": "interior", "characteristics.interior_shift": "2"},
+     "characteristics.interior_shift", "must lie in (0, mass]"),
+])
+def test_cli_refuses_each_bad_key_as_a_config_error(tmp_path, capsys, command, settings, key, message):
+    body = config_with({**settings, "run.output_dir": str(tmp_path / "out")})
+    assert _run_cli(tmp_path, body, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}") and message in err, err
+
+
+def test_cli_refuses_an_unreadable_or_malformed_config_file(tmp_path, capsys):
+    assert main(["check-model", str(tmp_path)]) == 2  # a directory cannot be read as a file
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {tmp_path}: ")
+    assert _run_cli(tmp_path, "cells = 200\n" + MINIMAL, "check-model") == 2  # a key before any section
+    assert capsys.readouterr().err.startswith("config error: malformed config: ")
+
+
+@pytest.mark.parametrize("key, value, limit", [
+    ("geometry.cells", "100000000000000000000", "cells <= 10000000"),
+    ("oracle.cells", "100000000000000000000", "cells <= 10000000"),
+    ("oracle.cells", "10000001", "cells <= 10000000"),
+    ("converge.levels", "18", "levels <= 17"),
+])
+def test_config_caps_the_mesh_sizes_it_accepts(tmp_path, key, value, limit):
+    # the largest accepted values parse; one beyond them is refused by name
+    largest = config_with({"geometry.cells": "10000000", "oracle.cells": "10000000", "converge.levels": "17"})
+    largest = parse_config(write_config(tmp_path, largest))
+    assert (largest.cells, largest.oracle_cells, largest.converge_levels) == (10 ** 7, 10 ** 7, 17)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: {re.escape(limit)} required, got {value}$"):
+        parse_config(write_config(tmp_path, config_with({key: value})))
+
+
+@pytest.mark.parametrize("make", ["under a file", "a file"])
+def test_cli_refuses_an_output_dir_it_cannot_create_as_a_config_error(tmp_path, capsys, make):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if make == "under a file" else blocker
+    assert _run_cli(tmp_path, config_with({"run.output_dir": str(out)}), "check-model") == 2
+    assert capsys.readouterr().err.startswith(f"config error: run.output_dir: cannot write into {out}: ")
+    assert blocker.read_text() == ""

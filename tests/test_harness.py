@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from horizonfv import (
-    DEFAULT_KRUZHKOV_LEVELS,
     Background,
     CflError,
     CharState,
@@ -486,15 +485,16 @@ def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
         afters = []
         trials.append((mesh, m, nf, cfl_fraction, afters))
 
-        def observe(before, after, report):
+        def observe(after, report):
             afters.append(after)
-            on_step(before, after, report)
+            on_step(after, report)
 
         return real_run(mesh, m, nf, on_step=observe, cfl_fraction=cfl_fraction, **kwargs)
 
     monkeypatch.setattr(harness, "numerical_flux", numerical_flux)
     monkeypatch.setattr(harness, "run", recording_run)
-    rep = fuzz_invariants(3, 6, cells=50)
+    monkeypatch.setattr(harness, "FUZZ_CELLS", 50)
+    rep = fuzz_invariants(3, 6)
     breaches = [v for v in rep.violations if v["kind"] == "state_invariant"]
     assert len(breaches) == 1 and breaches[0]["config"]["trial"] == 0
     assert "maximum principle" in breaches[0]["detail"]
@@ -515,7 +515,7 @@ def test_run_names_the_step_time_and_first_cell_of_a_state_breach(mesh_m1, burge
     # the StateVector text followed by the breaching step, its time and its first cell outside
     nf = NumericalFlux("anti", numerical_flux("rusanov", burgers).lipschitz_bound, anti_diffusive)
     afters, messages = [], []
-    for on_step in (lambda before, after, report: afters.append(after), None):
+    for on_step in (lambda after, report: afters.append(after), None):
         with pytest.raises(NumericsError) as exc:
             run(mesh_m1, burgers, nf, v0=scheme.step_data(0.8, -0.4, 7.0), t_end=1.0, on_step=on_step)
         messages.append(str(exc.value))
@@ -561,12 +561,25 @@ def test_one_campaign_step_is_one_certificate_from_one_reconstruction(mesh_m1, b
     new_state, step_report = step(state, mesh_m1, model, nf, tau)
     counts.clear()
     report = harness.FuzzReport(trials=1, seed=0)
-    check = harness._step_checks(report, {}, mesh_m1, model, nf, DEFAULT_KRUZHKOV_LEVELS)
-    check(state, new_state, step_report)
+    check = harness._step_checks(report, {}, mesh_m1, model, nf)
+    check(new_state, step_report)
     assert report.total_steps == 1 and report.ok
     assert counts["cell_entropy_residuals"] == 1 and counts["face_reconstruction"] == 1
     assert counts["f"] == 1 and counts["h"] == 1
     assert counts["numerical_entropy_flux"] == 2
+
+
+def test_fuzz_records_a_decomposition_defect_with_its_trial(monkeypatch):
+    # a defect above the tolerance, reported at every step, is a violation
+    # of each step, recorded with the trial's reproduction data
+    defect = 2.0 * harness.DECOMPOSITION_TOL
+    monkeypatch.setattr(entropy, "convex_decomposition_check", lambda *args: defect)
+    rep = fuzz_invariants(2, 3)
+    found = [v for v in rep.violations if v["kind"] == "convex_decomposition"]
+    assert len(found) == rep.total_steps > 0 and all(v["detail"] == defect for v in found)
+    assert {v["config"]["trial"] for v in found} == {0, 1}
+    assert all(v["config"] is rep.trial_configs[v["config"]["trial"]] for v in found)
+    assert rep.worst_decomposition_defect == defect and not rep.ok
 
 
 def test_fuzz_cfl_injection_meta_test():

@@ -17,7 +17,6 @@ from horizonfv import (
     UnsupportedModelError,
     build_uniform_mesh,
     convex_coefficients,
-    fixed_boundary,
     flux_engquist_osher,
     flux_godunov,
     flux_rusanov,
@@ -232,7 +231,7 @@ def test_convex_coefficients_fall_back_to_the_flux_quotients(mesh_m1, burgers, r
     # without increments the coefficients are the recorded flux differences
     # over the state jumps; with a fixed ghost and random data no jump is
     # zero, so both ways agree up to the quotients' rounding
-    outer = fixed_boundary(0.3)
+    outer = scheme.OuterBoundary("fixed", 0.3)
     state = StateVector(values=rng.uniform(-1.0, 1.0, mesh_m1.n_cells), time=0.0, step_index=0)
     for kind in ALL_FLUXES:
         nf = numerical_flux(kind, burgers)
@@ -326,23 +325,23 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
     values = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.n_cells)
     values[[3, 11, 17]] = (1.0, -1.0, -0.0)
     for nf in replay_fluxes(m):
-        for outer in (scheme.COPY_BOUNDARY, fixed_boundary(-0.3)):
+        for outer in (scheme.COPY_BOUNDARY, scheme.OuterBoundary("fixed", -0.3)):
             seen = []
             result = run(mesh, m, nf, initial_values=values, t_end=0.137, outer=outer,
-                         on_step=lambda before, after, report: seen.append((before, after, report)))
-            assert seen[-1][2].tau_used < result.tau_base  # the shortened last step is covered
-            for before, after, report in seen:
-                states, fluxes, expected = reference_update(before.values, mesh, m, nf, report.tau_used,
-                                                            outer)
+                         on_step=lambda after, report: seen.append((after, report)))
+            assert seen[-1][1].tau_used < result.tau_base  # the shortened last step is covered
+            befores = [values] + [after.values for after, _ in seen[:-1]]
+            for before, (after, report) in zip(befores, seen):
+                states, fluxes, expected = reference_update(before, mesh, m, nf, report.tau_used, outer)
                 assert after.values.tobytes() == expected.tobytes(), (nf.kind, after.step_index)
                 assert report.fluxes.tobytes() == fluxes.tobytes(), (nf.kind, after.step_index)
                 assert report.states.tobytes() == states.tobytes(), (nf.kind, after.step_index)
                 assert not report.states.flags.writeable
-            retained = [a for _, after, report in seen for a in (after.values, report.fluxes, report.states)]
+            retained = [a for after, report in seen for a in (after.values, report.fluxes, report.states)]
             assert not any(np.shares_memory(a, b) for i, a in enumerate(retained)
                            for b in retained[i + 1:])
-            state = seen[0][0]
-            tau = seen[0][2].tau_used
+            state = result.snapshots[0]
+            tau = seen[0][1].tau_used
             for ghost in (-1.0, 0.73):
                 stepped, report = step(state, mesh, m, nf, tau, outer=outer, inner_ghost=ghost)
                 states, fluxes, expected = reference_update(state.values, mesh, m, nf, tau, outer, ghost)
@@ -552,7 +551,7 @@ def test_step_and_run_build_no_convex_coefficients(mesh_m1, burgers, rng, monkey
     assert new_state.step_index == 1
     assert report.tau_used == tau and report.fluxes.size == mesh_m1.n_cells + 1
     result = scheme.run(mesh_m1, burgers, nf, v0=lambda r: np.sin(r), t_end=0.3,
-                        outer=fixed_boundary(-0.2))
+                        outer=scheme.OuterBoundary("fixed", -0.2))
     assert result.final.time == 0.3
 
 
@@ -560,33 +559,33 @@ def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
     nf = numerical_flux("eo", burgers)
     seen = []
 
-    def observe(state_before, state_after, report):
-        seen.append((state_after.step_index, state_before, report, report.tau_used, state_after))
+    def observe(state_after, report):
+        seen.append((state_after.step_index, report, report.tau_used, state_after))
 
     t_end = 0.37
     result = run(mesh_m1, burgers, nf, v0=lambda r: 0.6 * np.cos(r), t_end=t_end,
                  snapshot_every=4, on_step=observe)
     assert [entry[0] for entry in seen] == list(range(1, result.steps + 1))
-    assert seen[0][1] is result.snapshots[0]
-    assert all(entry[2].tau_used == entry[3] for entry in seen)
-    assert all(entry[3] == result.tau_base for entry in seen[:-1])
-    last_tau = seen[-1][3]
+    assert all(entry[1].tau_used == entry[2] for entry in seen)
+    assert all(entry[2] == result.tau_base for entry in seen[:-1])
+    last_tau = seen[-1][2]
     assert 0.0 < last_tau < result.tau_base  # the shortened last step is observed
-    assert seen[-1][1].time + last_tau == pytest.approx(t_end, abs=1e-15)
-    # each observed pre-step state, stepped again by hand, gives the next one
-    for (_, before, report, tau, observed_after), (_, after, _, _, _) in zip(seen, seen[1:]):
+    assert seen[-2][3].time + last_tau == pytest.approx(t_end, abs=1e-15)
+    # each step's report holds the state before it bitwise, and that state,
+    # stepped again by hand, gives the state observed after it
+    befores = [result.snapshots[0]] + [entry[3] for entry in seen[:-1]]
+    for before, (_, report, tau, after) in zip(befores, seen):
+        assert report.states[1:-1].tobytes() == before.values.tobytes()
         replay, replay_report = step(before, mesh_m1, burgers, nf, tau)
         assert np.array_equal(replay.values, after.values)
         assert np.array_equal(replay_report.fluxes, report.fluxes)
         assert after.step_index == before.step_index + 1
-        assert observed_after is after  # the state handed over is the next step's start
-    final_replay, _ = step(seen[-1][1], mesh_m1, burgers, nf, last_tau)
-    assert np.array_equal(final_replay.values, result.final.values)
-    assert np.array_equal(seen[-1][4].values, result.final.values)
+    assert np.array_equal(seen[-1][3].values, result.final.values)
 
 
 @pytest.mark.parametrize("mass", [0.0, 1.0])
-@pytest.mark.parametrize("outer", [scheme.COPY_BOUNDARY, fixed_boundary(-0.3)], ids=["copy", "fixed"])
+@pytest.mark.parametrize("outer", [scheme.COPY_BOUNDARY, scheme.OuterBoundary("fixed", -0.3)],
+                         ids=["copy", "fixed"])
 @pytest.mark.parametrize("snapshot_every", [1, 10 ** 6])
 def test_run_equals_its_observed_self_and_chained_steps_bitwise(burgers, mass, outer, snapshot_every):
     # the three bundled fluxes and a custom one; t_end is not a whole number of base steps, so the
@@ -649,7 +648,7 @@ def test_run_reports_own_a_custom_fluxs_values(mesh_m1, burgers):
     nf = scheme.NumericalFlux("left", burgers.flux_lipschitz, lambda m, u, v: u)
     reports = []
     run(mesh_m1, burgers, nf, v0=lambda r: 0.3 * np.cos(r), t_end=0.3,
-        on_step=lambda before, after, report: reports.append(report))
+        on_step=lambda after, report: reports.append(report))
     assert len(reports) > 2 and reports[0].fluxes.tobytes() != reports[-1].fluxes.tobytes()
     for report in reports:
         assert report.fluxes.flags.owndata and not report.fluxes.flags.writeable
@@ -712,11 +711,11 @@ def test_riemann_stationary_shock_flat(burgers):
 
 def test_fixed_outer_boundary(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
-    outer = fixed_boundary(0.25)
+    outer = scheme.OuterBoundary("fixed", 0.25)
     result = run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=0.3, outer=outer)
     assert np.max(np.abs(result.final.values)) <= 1.0
     with pytest.raises(DomainError, match=r"^fixed boundary state 1.5 outside \[-1, 1\]$"):
-        fixed_boundary(1.5)
+        scheme.OuterBoundary("fixed", 1.5)
     assert scheme.OuterBoundary("fixed", -1.0).ghost(0.5) == -1.0 and scheme.OuterBoundary("copy").ghost(0.5) == 0.5
 
 
