@@ -53,9 +53,7 @@ from .model import (
     polynomial_model,
 )
 from .scheme import (
-    COPY_BOUNDARY,
     NumericalFlux,
-    OuterBoundary,
     RunResult,
     StateVector,
     StepReport,

@@ -431,7 +431,8 @@ def _interior_kernel():
 def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float, guard_r: float,
                r_stop: float | None) -> CharPath:
     """Run kernel(*params, ...) from start: the checks of the start and the
-    step count, and the rows turned into a read-only CharPath."""
+    step count, and the rows turned into a read-only CharPath.  A float
+    overflow in the kernel raises NumericsError naming the start and ds."""
     if not (abs(start.u) - 1.0 <= _U_OVERSHOOT_TOL and math.isfinite(start.t) and math.isfinite(start.r)):
         raise DomainError(f"start state t={start.t}, r={start.r}, u={start.u} needs finite t and r, and |u| <= 1")
     u = _guard_u(start.u)
@@ -440,8 +441,11 @@ def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float,
     steps = (s_max - start.s) / ds
     if not math.isfinite(steps):
         raise DomainError(f"step count (s_max - s0) / ds = ({s_max} - {start.s}) / {ds} is not finite")
-    rows, reason = kernel(*params, start.s, start.t, start.r, u, ds, max(int(round(steps)), 0), guard_r,
-                          r_stop)
+    try:
+        rows, reason = kernel(*params, start.s, start.t, start.r, u, ds, max(int(round(steps)), 0), guard_r,
+                              r_stop)
+    except OverflowError as exc:  # Python float arithmetic, unlike numpy's, raises on overflow
+        raise NumericsError(f"trace from r={start.r}, u={start.u} with ds={ds} overflowed: {exc}") from None
     columns = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
     columns.setflags(write=False)
     return CharPath(*columns, stop_reason=reason)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import entropy as entropy_mod
 from .characteristics import (
+    _HORIZON_GUARD,
     CharState,
     build_fhat_table,
     exterior_invariant,
@@ -43,7 +44,7 @@ from .harness import (
     self_convergence,
     steady_drift_detail,
 )
-from .scheme import numerical_flux, run
+from .scheme import numerical_flux, project_initial, run
 
 _CSV_BLOCK_ROWS = 1024
 
@@ -267,8 +268,9 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
             ledger_rows.append((state_after.step_index, k, worst, entry.global_balance_gap,
                                 entry.dissipation_sum))
 
-    result = run(mesh, model, nf, v0=cfg.build_v0(), t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction,
-                 snapshot_every=cfg.snapshot_every, outer=cfg.build_outer_boundary(),
+    values, clamped = project_initial(mesh, cfg.build_v0())
+    result = run(mesh, model, nf, values, t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction,
+                 snapshot_every=cfg.snapshot_every, outer_ghost=cfg.outer_ghost(),
                  on_step=ledger if cfg.entropy_diagnostics else None)
 
     _write_snapshots(out / "snapshots.csv", result.snapshots, mesh.centers)
@@ -280,7 +282,7 @@ def _cmd_run(cfg: RunConfig, out: Path) -> int:
         "t_end": cfg.t_end,
         "steps": result.steps,
         "tau_base": result.tau_base,
-        "clamped_cells": result.clamped_cells,
+        "clamped_cells": clamped,
         "snapshots": len(result.snapshots),
     }
     if cfg.entropy_diagnostics:
@@ -298,7 +300,13 @@ def _cmd_check_model(cfg: RunConfig, out: Path) -> int:
     return 0 if report.all_ok else 1
 
 
+def _require_outside_horizon(key: str, r0: float, horizon: float) -> None:
+    if not r0 > horizon:
+        raise ConfigError(f"{key}: r0 must exceed {horizon}, got {r0}")
+
+
 def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
+    _require_outside_horizon("characteristics.r0", cfg.char_r0, 2.0 * cfg.mass * (1.0 + _HORIZON_GUARD))
     if cfg.coordinates == "exterior":
         model = cfg.build_model().require_admissible()
         start = CharState(s=0.0, t=0.0, r=cfg.char_r0, u=cfg.char_u0)
@@ -327,6 +335,7 @@ def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> int:
+    _require_outside_horizon("steady.r0", cfg.steady_r0, 2.0 * cfg.mass)
     model = cfg.build_model().require_admissible()
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     table = build_fhat_table(model)
@@ -375,6 +384,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_steady_drift(cfg: RunConfig, out: Path) -> int:
+    _require_outside_horizon("steady.r0", cfg.steady_r0, 2.0 * cfg.mass)
     model = cfg.build_model().require_admissible()
     drift, mesh, profile, final = steady_drift_detail(
         model, cfg.mass, cfg.steady_r0, cfg.steady_u0, cfg.cells, cfg.t_end,

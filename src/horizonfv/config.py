@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
+from .characteristics import FhatTable
 from .errors import ConfigError
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _trimmed, burgers_model, polynomial_model
-from .scheme import COPY_BOUNDARY, FLUX_KINDS, OuterBoundary, bump_data, constant_data, step_data
+from .scheme import FLUX_KINDS, bump_data, constant_data, step_data
 
 _PRESET_NAMES = ("smooth", "riemann", "flat")
 _MAX_CELLS, _MAX_CONVERGE_LEVELS = 10 ** 7, 17  # a preset's 100 cells doubled 16 times are 6 553 600
@@ -83,10 +84,8 @@ class RunConfig:
             return burgers_model()
         return polynomial_model("custom", self.f_coeffs, self.h_coeffs)
 
-    def build_outer_boundary(self) -> OuterBoundary:
-        if self.outer_boundary == "copy":
-            return COPY_BOUNDARY
-        return OuterBoundary("fixed", float(self.outer_boundary.split(":", 1)[1]))
+    def outer_ghost(self) -> float | None:
+        return None if self.outer_boundary == "copy" else float(self.outer_boundary.split(":", 1)[1])
 
     def build_v0(self):
         if self.initial_kind == "constant":
@@ -211,8 +210,8 @@ def _validate(cfg: RunConfig) -> None:
         fail("characteristics.coordinates", f"must be 'exterior' or 'interior', got {cfg.coordinates!r}")
     if not abs(cfg.char_u0) <= 1.0:
         fail("characteristics.u0", f"|u0| <= 1 required, got {cfg.char_u0}")
-    if cfg.steady_u0 == 0.0 or not abs(cfg.steady_u0) < 1.0:
-        fail("steady.u0", f"u0 must be nonzero with |u0| < 1, got {cfg.steady_u0}")
+    if cfg.steady_u0 == 0.0 or not abs(cfg.steady_u0) <= 1.0 - FhatTable.epsilon:
+        fail("steady.u0", f"u0 must be nonzero with |u0| <= 1 - {FhatTable.epsilon}, got {cfg.steady_u0}")
     if cfg.converge_preset not in _PRESET_NAMES:
         fail("converge.preset", f"must be one of {_PRESET_NAMES}, got {cfg.converge_preset!r}")
     if cfg.converge_levels < 3:

@@ -25,7 +25,7 @@ from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
 from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _lower, _polyder, burgers_model
 from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
-                     numerical_flux, run, step_data)
+                     numerical_flux, project_initial, run, step_data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +71,7 @@ def run_preset(preset: Preset, cells: Optional[int] = None):
     """Evolve a preset at an optional overriding resolution."""
     mesh = build_uniform_mesh(Background(preset.mass), preset.r_max, cells or preset.cells)
     nf = numerical_flux(preset.flux_kind, preset.model)
-    result = run(mesh, preset.model, nf, v0=preset.v0, t_end=preset.t_end,
+    result = run(mesh, preset.model, nf, project_initial(mesh, preset.v0)[0], t_end=preset.t_end,
                  cfl_fraction=preset.cfl_fraction, snapshot_every=10 ** 9)
     return mesh, result
 
@@ -137,6 +137,8 @@ def self_convergence(preset: Preset, levels: int = 4) -> ConvergenceResult:
                              finals=list(zip(cell_counts, centers, finals)))
 
 
+SHOOTING_DT = 0.002  # the shooting oracle's largest RK4 step in coordinate time
+
 # RK4 on the (2, n) ensemble y = (r, u): stage i writes the rates into k<i> (scratch: row), then
 # y + c k<i> into stage; the step goes into stage (scratch: spare), then y, as _lower writes them.
 _CHARS_LOOP = """\
@@ -180,7 +182,7 @@ def _integrate_chars(m: FluxModel, mass: float, r0, u0, t_end: float, n_steps: i
 
 
 def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: float,
-                               targets: np.ndarray, dt_target: float = 0.002) -> np.ndarray:
+                               targets: np.ndarray) -> np.ndarray:
     """Point values of the pre-shock solution at the target radii.
 
     A probe table of the arrival map (start radius -> radius at t_end, by
@@ -192,19 +194,18 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
     or its residual is within that width times the bracket's secant slope
     (at most 48 passes); it returns the state its last shot transported.
     DomainError before any shot unless the targets are a non-empty, finite,
-    strictly increasing 1-d array, t_end >= 0, dt_target > 0 and mass >= 0,
-    all finite.
+    strictly increasing 1-d array, t_end >= 0 and mass >= 0, all finite.
+    The RK4 step is at most SHOOTING_DT, with at least 64 steps.
     """
     targets = np.asarray(targets, dtype=float)
     problem = ("targets are not a non-empty 1-d array" if targets.ndim != 1 or targets.size == 0 else
                "a target is not finite" if not np.all(np.isfinite(targets)) else
                "targets are not strictly increasing" if np.any(np.diff(targets) <= 0.0) else
                f"t_end = {t_end} is not finite and >= 0" if not 0.0 <= t_end < math.inf else
-               f"dt_target = {dt_target} is not finite and > 0" if not 0.0 < dt_target < math.inf else
                f"mass = {mass} is not finite and >= 0" if not 0.0 <= mass < math.inf else None)
     if problem:
         raise DomainError(f"shooting refused: {problem}")
-    n_steps = max(64, int(math.ceil(t_end / dt_target)))
+    n_steps = max(64, int(math.ceil(t_end / SHOOTING_DT)))
 
     if mass > 0.0:
         lo_edge = 2.0 * mass * (1.0 + 1e-10)
@@ -264,8 +265,7 @@ def steady_drift_detail(m: FluxModel, mass: float, r0: float, u0: float, cells: 
     else:
         profile = np.full(mesh.n_cells, u0)
     nf = numerical_flux(flux_kind, m)
-    result = run(mesh, m, nf, t_end=t_end, cfl_fraction=cfl_fraction,
-                 initial_values=profile, snapshot_every=10 ** 9)
+    result = run(mesh, m, nf, profile, t_end=t_end, cfl_fraction=cfl_fraction, snapshot_every=10 ** 9)
     drift = float(np.sum(mesh.widths * np.abs(result.final.values - profile)))
     return drift, mesh, profile, result.final.values
 
@@ -395,7 +395,7 @@ def fuzz_invariants(trials: int, seed: int, tau_scale: float = 1.0) -> FuzzRepor
         }
         report.trial_configs.append(config)
         try:
-            run(mesh, model, nf, v0=_piecewise_from_breaks(breaks, values), t_end=t_this,
+            run(mesh, model, nf, project_initial(mesh, _piecewise_from_breaks(breaks, values))[0], t_end=t_this,
                 cfl_fraction=fraction, snapshot_every=10 ** 9,
                 on_step=_step_checks(report, config, mesh, model, nf))
         except NumericsError as exc:

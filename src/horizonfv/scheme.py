@@ -19,8 +19,8 @@ v - (tau/dr)(F_R - F_L), which the flat-space equivalence tests rely on.
 At the innermost face a_L is exactly 0 for M > 0, so cell 0 never reads a
 left neighbor; the left state there defaults to the cell's own value to
 keep array access total (any other value gives bitwise identical results).
-The outer face uses a configurable ghost: zero-gradient copy by default,
-or a fixed state.
+The outer face reads a ghost too: the outermost cell's value (a
+zero-gradient copy) when it is None, else a fixed state.
 
 ``step`` reads only the model's coefficient tuples: the update and a bundled
 flux are numpy formulas (``_UPDATE``, ``_FLUXES``) that ``model._lower``
@@ -46,26 +46,6 @@ from .model import FluxModel, _closure, _evaluator, _lower, _parse
 
 _GAUSS3_OFFSET = math.sqrt(0.6)  # 3-point Gauss-Legendre nodes at center +/- offset*dr/2
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
-
-
-@dataclass(frozen=True)
-class OuterBoundary:
-    """Ghost policy at the outer mesh face: zero-gradient copy or fixed state."""
-
-    kind: str  # "copy" | "fixed"
-    value: float = math.nan
-
-    def __post_init__(self):
-        if self.kind not in ("copy", "fixed"):
-            raise DomainError(f"OuterBoundary kind {self.kind!r} is not 'copy' or 'fixed'")
-        if self.kind == "fixed" and not -1.0 <= self.value <= 1.0:
-            raise DomainError(f"fixed boundary state {self.value} outside [-1, 1]")
-
-    def ghost(self, outermost: float) -> float:
-        return outermost if self.kind == "copy" else self.value
-
-
-COPY_BOUNDARY = OuterBoundary("copy")
 
 
 def _require_shape(m: FluxModel, kind: Optional[str]) -> None:
@@ -301,28 +281,35 @@ def _step_kernel(f_poly, h_poly, formula, lam):
 
 class _Buffers:
     """A state stepped in place: two ghosted buffers [inner ghost, v, outer ghost] that the kernel
-    writes into by turns, and its scratch f_s, a and b.  values is the interior holding the state;
-    the per-cell factors are built for tau, checking it, and rebuilt only for a step of another length."""
+    writes into by turns, and its scratch f_s, a and b; values is the interior holding the state.  The
+    ghosts are checked first; the factors are built for tau, checking it against tau_bound (by default
+    max_timestep), and rebuilt only for another tau."""
 
-    def __init__(self, state, mesh, m, nf, outer, inner_ghost, tau, tau_bound):
+    def __init__(self, state, mesh, m, nf, outer_ghost, inner_ghost, tau, tau_bound=None):
+        for name, ghost in (("inner_ghost", inner_ghost), ("outer_ghost", outer_ghost)):
+            if ghost is not None and not -1.0 <= ghost <= 1.0:
+                raise DomainError(f"{name} {ghost} outside [-1, 1]")
+        if state.values.size != mesh.n_cells:
+            raise ContractError(f"state has {state.values.size} cells, mesh has {mesh.n_cells}")
         shape_kind, formula = _FORMULA_OF.get(nf.evaluate, (None, _CALL))
         _require_shape(m, shape_kind)
         self.kernel = _step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
         self.s, self.s_next = np.empty((2, mesh.n_cells + 2))
         self.s[1:-1] = state.values
         self.scratch = np.empty(mesh.n_cells + 2), np.empty(mesh.n_cells + 1), np.empty(mesh.n_cells + 1)
-        self.mesh, self.m, self.nf, self.outer, self.inner_ghost = mesh, m, nf, outer, inner_ghost
-        self.tau, self.tau_bound, self.factors = tau, tau_bound, _step_factors(mesh, tau, tau_bound)
-        self.time, self.step_index, self.copy_fluxes = state.time, state.step_index, formula == _CALL
+        self.mesh, self.m, self.nf, self.ghosts = mesh, m, nf, (inner_ghost, outer_ghost)
+        self.tau_bound = max_timestep(mesh, m, nf.lipschitz_bound) if tau_bound is None else tau_bound
+        self.tau, self.factors = tau, _step_factors(mesh, tau, self.tau_bound)
+        self.time, self.step_index = state.time, state.step_index
 
     values = property(lambda self: self.s[1:-1])
 
     def advance(self, tau: float) -> np.ndarray:
         """Fill the ghosts, write the update into the other buffer, check its range and swap; returns
         the fluxes.  The states read stay in s_next until the next step overwrites them."""
-        s, s_next = self.s, self.s_next
-        s[0] = s[1] if self.inner_ghost is None else self.inner_ghost
-        s[-1] = self.outer.ghost(s[-2])
+        (s, s_next), (inner, outer) = (self.s, self.s_next), self.ghosts
+        s[0] = s[1] if inner is None else inner
+        s[-1] = s[-2] if outer is None else outer
         factors = self.factors if tau == self.tau else _step_factors(self.mesh, tau, self.tau_bound)
         v_new = s_next[1:-1]
         fluxes = self.kernel(self.m, self.nf.evaluate, s, v_new, *self.scratch, self.mesh.face_weights, *factors)
@@ -332,31 +319,28 @@ class _Buffers:
         return fluxes
 
     def state(self) -> StateVector:
-        """The state held, as an owned read-only copy; its values are not checked again: advance did."""
-        state = object.__new__(StateVector)
-        state.__dict__.update(values=self.s[1:-1].copy(), time=self.time, step_index=self.step_index)
-        state.values.setflags(write=False)
-        return state
+        """The state held, as a StateVector (an owned read-only copy)."""
+        return StateVector(values=self.s[1:-1], time=self.time, step_index=self.step_index)
 
     def observed(self, fluxes: np.ndarray, tau: float) -> tuple[StateVector, StepReport]:
-        """The state after the last step and its report, with owned read-only arrays.  The kernel
-        returns a bundled flux's fluxes fresh; a custom evaluate's may be views of the buffers."""
-        states, fluxes = self.s_next.copy(), np.array(fluxes) if self.copy_fluxes else fluxes
+        """The state after the last step and its report, with owned read-only copies of the arrays."""
+        states, fluxes = self.s_next.copy(), np.array(fluxes)
         states.setflags(write=False)
         fluxes.setflags(write=False)
         return self.state(), StepReport(fluxes=fluxes, tau_used=float(tau), states=states)
 
 
 def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
-         outer: OuterBoundary = COPY_BOUNDARY,
+         outer_ghost: Optional[float] = None,
          inner_ghost: Optional[float] = None) -> tuple[StateVector, StepReport]:
     """One explicit update, with no diagnostics on the path.
 
     Args:
         tau: time step; checked against max_timestep.
-        inner_ghost: value in [-1, 1], else DomainError, read across the
-            horizon face (multiplied by the exact-zero weight there, so it
-            cannot influence the result for M > 0; exposed for tests).
+        outer_ghost, inner_ghost: the fixed states read across the outer and
+            the horizon face, or None to copy the cell beside it; outside [-1, 1]
+            DomainError, before any other check.  The inner one meets the exact-zero
+            weight, so it cannot influence the result for M > 0 (exposed for tests).
 
     Returns the advanced state and a StepReport holding the face fluxes,
     the face states [inner ghost, v, outer ghost] and the time step, each
@@ -368,11 +352,7 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     """
     if isinstance(state, _Buffers):
         return state, state.advance(tau)
-    if inner_ghost is not None and not -1.0 <= inner_ghost <= 1.0:
-        raise DomainError(f"inner_ghost {inner_ghost} outside [-1, 1]")
-    if state.values.size != mesh.n_cells:
-        raise ContractError(f"state has {state.values.size} cells, mesh has {mesh.n_cells}")
-    live = _Buffers(state, mesh, m, nf, outer, inner_ghost, tau, max_timestep(mesh, m, nf.lipschitz_bound))
+    live = _Buffers(state, mesh, m, nf, outer_ghost, inner_ghost, tau)
     return live.observed(live.advance(tau), tau)
 
 
@@ -410,27 +390,26 @@ def project_initial(mesh: RadialMesh, v0: Callable[[np.ndarray], np.ndarray]) ->
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Snapshots plus bookkeeping from one time evolution."""
+    """Snapshots plus bookkeeping from one time evolution: the step count and the base step."""
 
     snapshots: list
     final: StateVector
-    clamped_cells: int
     steps: int
     tau_base: float
 
 
-def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
-        v0: Optional[Callable] = None, t_end: float = 1.0, cfl_fraction: float = 0.9,
-        snapshot_every: int = 10, outer: OuterBoundary = COPY_BOUNDARY,
-        initial_values: Optional[np.ndarray] = None,
+def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, values: np.ndarray,
+        t_end: float = 1.0, cfl_fraction: float = 0.9, snapshot_every: int = 10,
+        outer_ghost: Optional[float] = None,
         on_step: Optional[Callable[[StateVector, StepReport], None]] = None) -> RunResult:
-    """Evolve initial data to t_end with tau = cfl_fraction * max_timestep.
+    """Evolve the cell averages values (see project_initial) to t_end with tau = cfl_fraction * max_timestep.
 
-    The package's one time loop.  The last step is shortened to land exactly
+    The package's one time loop, with step's outer_ghost.  The last step is shortened to land exactly
     on t_end.  Snapshots are the initial state, every snapshot_every-th
     step, and the final state.  Before the first step, DomainError refuses a t_end that is not
-    positive and finite, a snapshot_every that is not an integer >= 1, initial_values outside
-    [-1, 1] (ContractError if of the wrong shape) and, as CflError, a cfl_fraction outside (0, 1].
+    positive and finite, a snapshot_every that is not an integer >= 1, values outside [-1, 1]
+    (ContractError if not one per cell) or an outer_ghost outside it and, as CflError, a
+    cfl_fraction outside (0, 1].
     A NaN or a state leaving [-1, 1] raises NumericsError naming the step, time and first cell.
 
     on_step(state_after, report), if given, sees every completed step
@@ -447,27 +426,22 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
     if not (isinstance(snapshot_every, (int, np.integer)) and snapshot_every >= 1):
         raise DomainError(f"snapshot_every must be an integer >= 1, got {snapshot_every!r}")
 
-    if initial_values is not None:
-        values, clamped = np.asarray(initial_values, dtype=float), 0
-        if values.shape != (mesh.n_cells,):
-            raise ContractError(f"initial_values has shape {values.shape}, mesh has {mesh.n_cells} cells")
-        if not np.all(np.abs(values) <= 1.0):
-            raise DomainError("initial_values outside [-1, 1]")
-    elif v0 is not None:
-        values, clamped = project_initial(mesh, v0)
-    else:
-        raise ContractError("either v0 or initial_values is required")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.n_cells,):
+        raise ContractError(f"values has shape {values.shape}, mesh has {mesh.n_cells} cells")
+    if not np.all(np.abs(values) <= 1.0):
+        raise DomainError("values outside [-1, 1]")
 
     state = StateVector(values=values, time=0.0, step_index=0)
     tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
     tau_base = cfl_fraction * tau_bound
-    live = _Buffers(state, mesh, m, nf, outer, None, tau_base, tau_bound)
+    live = _Buffers(state, mesh, m, nf, outer_ghost, None, tau_base, tau_bound)
 
     snapshots = [state]
     while live.time < t_end:
         remaining = t_end - live.time
         tau = min(tau_base, remaining)
-        _, fluxes = step(live, mesh, m, nf, tau, outer)
+        _, fluxes = step(live, mesh, m, nf, tau)
         if on_step is not None:
             state, report = live.observed(fluxes, tau)
             on_step(state, report)
@@ -478,5 +452,4 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux,
             snapshots.append(state if state.step_index == live.step_index else live.state())
     if snapshots[-1].step_index != live.step_index:
         snapshots.append(live.state())
-    return RunResult(snapshots=snapshots, final=snapshots[-1], clamped_cells=clamped, steps=live.step_index,
-                     tau_base=tau_base)
+    return RunResult(snapshots=snapshots, final=snapshots[-1], steps=live.step_index, tau_base=tau_base)

@@ -45,13 +45,14 @@ REFERENCE_FLUXES = {scheme.flux_godunov: godunov, scheme.flux_engquist_osher: en
                     scheme.flux_rusanov: rusanov}
 
 
-def reference_update(values, mesh, m, nf, tau, outer, inner_ghost=None):
+def reference_update(values, mesh, m, nf, tau, outer_ghost=None, inner_ghost=None):
     """The update as a plain transcription: face states by concatenation,
     the flux's 3-argument evaluate (its reference above for a bundled one),
     and the grouped divergence a_R F_R - a_L F_L - f(v)(a_R - a_L); returns
     (face states, fluxes, new values)."""
     inner = values[0] if inner_ghost is None else float(inner_ghost)
-    states = np.concatenate(([inner], values, [outer.ghost(float(values[-1]))]))
+    outer = values[-1] if outer_ghost is None else float(outer_ghost)
+    states = np.concatenate(([inner], values, [outer]))
     evaluate = REFERENCE_FLUXES.get(nf.evaluate, nf.evaluate)
     fluxes = np.asarray(evaluate(m, states[:-1], states[1:]), dtype=float)
     fc = np.asarray(m.f(values), dtype=float)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horizonfv import Background, ConfigError, StateVector, build_uniform_mesh, numerical_flux, run
+from horizonfv import Background, ConfigError, StateVector, build_uniform_mesh, numerical_flux, project_initial, run
 from horizonfv.cli import _CSV_BLOCK_ROWS, _write_csv, _write_snapshots, main
 from horizonfv.config import RunConfig, parse_config, resolved_config_text
 from csv_reference import reference_write_csv, reference_write_snapshots
@@ -204,8 +204,7 @@ def test_missing_required_keys(tmp_path):
 def test_fixed_boundary_parse(tmp_path):
     body = MINIMAL.replace("[evolution]", "outer_boundary = fixed:0.25\n\n[evolution]")
     cfg = parse_config(write_config(tmp_path, body))
-    outer = cfg.build_outer_boundary()
-    assert outer.kind == "fixed" and outer.value == 0.25
+    assert cfg.outer_ghost() == 0.25 and RunConfig().outer_ghost() is None
     bad = MINIMAL.replace("[evolution]", "outer_boundary = fixed:2.5\n\n[evolution]")
     with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, bad))
@@ -270,6 +269,17 @@ def test_cli_characteristics_step_count_overflow_is_a_failure(tmp_path):
     assert _run_cli(tmp_path, body, "characteristics") == 1
     report = json.loads((out / "failure_report.json").read_text())
     assert report["error"] == "DomainError" and report["detail"].endswith("is not finite")
+    assert not (out / "characteristic.csv").exists()
+
+
+def test_cli_characteristics_float_overflow_is_a_failure(tmp_path, capsys):
+    # an admissible model whose (r - 2M)**2 term overflows a Python float in the tracer
+    out = tmp_path / "overflow"
+    body = MINIMAL.replace("model = burgers", "model = custom\nf_coeffs = -5e199, 0, 5e199\nh_coeffs = 0")
+    assert _run_cli(tmp_path, body + f"\n[run]\noutput_dir = {out}\n", "characteristics") == 1
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "NumericsError"
+    assert report["detail"].startswith("trace from r=8.0, u=0.6 with ds=0.001 overflowed")
     assert not (out / "characteristic.csv").exists()
 
 
@@ -360,9 +370,9 @@ output_dir = {out}
     cfg = parse_config(write_config(tmp_path, body))
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     model = cfg.build_model()
-    result = run(mesh, model, numerical_flux(cfg.flux, model), v0=cfg.build_v0(), t_end=cfg.t_end,
-                 cfl_fraction=cfg.cfl_fraction, snapshot_every=cfg.snapshot_every,
-                 outer=cfg.build_outer_boundary())
+    result = run(mesh, model, numerical_flux(cfg.flux, model), project_initial(mesh, cfg.build_v0())[0],
+                 t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction, snapshot_every=cfg.snapshot_every,
+                 outer_ghost=cfg.outer_ghost())
     rows = [(snap.time, r, v) for snap in result.snapshots for r, v in zip(mesh.centers, snap.values)]
     assert (out / "snapshots.csv").read_text() == reference_csv("t,r,v", rows)
     ledger = (out / "entropy_ledger.csv").read_text().splitlines()
@@ -710,6 +720,10 @@ def config_with(settings: dict) -> str:
      "characteristics.coordinates", "=interior supports only the burgers model"),
     ("characteristics", {"characteristics.coordinates": "interior", "characteristics.interior_shift": "2"},
      "characteristics.interior_shift", "must lie in (0, mass]"),
+    ("check-model", {"steady.u0": "0.99999999999"}, "steady.u0", "|u0| <= 1 - 1e-09"),
+    ("steady", {"steady.r0": "1.5"}, "steady.r0", "r0 must exceed 2.0, got 1.5"),
+    ("steady-drift", {"steady.r0": "1.5"}, "steady.r0", "r0 must exceed 2.0, got 1.5"),
+    ("characteristics", {"characteristics.r0": "2.0000001"}, "characteristics.r0", "r0 must exceed 2.000002"),
 ])
 def test_cli_refuses_each_bad_key_as_a_config_error(tmp_path, capsys, command, settings, key, message):
     body = config_with({**settings, "run.output_dir": str(tmp_path / "out")})

@@ -19,7 +19,7 @@ from horizonfv import (
 )
 from horizonfv.entropy import _quadratic_flux, face_reconstruction
 from horizonfv.harness import ENTROPY_RESIDUAL_TOL
-from horizonfv.scheme import COPY_BOUNDARY, OuterBoundary, convex_coefficients
+from horizonfv.scheme import convex_coefficients
 from kruzhkov import kruzhkov_pair
 
 LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
@@ -90,14 +90,14 @@ def brute_force_transport_residuals(values, mesh, m, nf, fluxes, tau, k):
     return out.max(axis=1)
 
 
-def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUNDARY, inner_ghost=None):
+def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer_ghost=None, inner_ghost=None):
     """One Kruzhkov level at a time, written out with the Kruzhkov pair and
     U = v**2/2: the reference the all-levels ledger must reproduce bit for
     bit.  Returns (per-cell residuals, worst, balance gap, dissipation,
     balance scale)."""
     v = state_before.values
     inner = v[0] if inner_ghost is None else inner_ghost
-    outer_ghost = outer.ghost(float(v[-1]))
+    outer = v[-1] if outer_ghost is None else outer_ghost
     pair = kruzhkov_pair(m, k)
     tilde_l, tilde_r, full_l, full_r, _, _ = face_reconstruction(report, mesh, m)
     a_l = mesh.face_weights[:-1]
@@ -105,7 +105,7 @@ def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUND
     gamma_l = 2.0 * tau * a_l / mesh.widths
     gamma_r = 2.0 * tau * a_r / mesh.widths
     left = np.concatenate(([inner], v))
-    right = np.concatenate((v, [outer_ghost]))
+    right = np.concatenate((v, [outer]))
     phi_faces = numerical_entropy_flux(nf, m, k, left, right)
     phi_cons = numerical_entropy_flux(nf, m, k, v, v)
     u_before = pair.U(v)
@@ -127,26 +127,26 @@ def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer=COPY_BOUND
             - float(np.sum(w_face * r_terms)) - tau * float(np.sum((a_r - a_l) * fq)))
     scale = 1.0 + float(np.sum(mesh.widths * np.abs(uq_before))) + dissipation \
         + float(np.sum(w_face * np.abs(r_terms)))
-    closes = outer_ghost == v[-1] and (inner == v[0] or mesh.face_weights[0] == 0.0)
+    closes = outer == v[-1] and (inner == v[0] or mesh.face_weights[0] == 0.0)
     gap = core + (tau * float(mesh.face_weights[-1]) * float(fq[-1])
                   - tau * float(mesh.face_weights[0]) * float(fq[0])) if closes else float("nan")
     return per_cell, float(np.max(per_cell)), gap, dissipation, scale
 
 
 @pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
-@pytest.mark.parametrize("outer", (COPY_BOUNDARY, OuterBoundary("fixed", -0.3)), ids=("copy", "fixed"))
+@pytest.mark.parametrize("outer", (None, -0.3), ids=("copy", "fixed"))
 @pytest.mark.parametrize("mass", (0.0, 1.0))
 def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer, mass):
     mesh = build_uniform_mesh(Background(mass), 2 * mass + 10.0, 60)
     nf = numerical_flux(kind, burgers)
     tau = 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
     state = StateVector(values=rng.uniform(-1, 1, mesh.n_cells), time=0.0, step_index=0)
-    new_state, report = step(state, mesh, burgers, nf, tau, outer=outer)
+    new_state, report = step(state, mesh, burgers, nf, tau, outer_ghost=outer)
     ledger = cell_entropy_residuals(new_state, report, mesh, burgers, nf, DEFAULT_KRUZHKOV_LEVELS)
     assert ledger.levels.tolist() == list(DEFAULT_KRUZHKOV_LEVELS)
     for j, k in enumerate(DEFAULT_KRUZHKOV_LEVELS):
         per_cell, worst, gap, dissipation, scale = reference_ledger(
-            state, report, mesh, burgers, nf, k, tau, outer=outer)
+            state, report, mesh, burgers, nf, k, tau, outer_ghost=outer)
         assert np.array_equal(ledger.per_cell_residuals[j], per_cell)
         assert ledger.worst_residuals[j] == worst
         assert np.array_equal([ledger.global_balance_gap, ledger.dissipation_sum, ledger.balance_scale],
@@ -160,15 +160,15 @@ def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer
         certified = cell_entropy_residuals(new_state, report, mesh, burgers, flux, (0.0,))
         coefficients = convex_coefficients(report, mesh, burgers, flux)
         assert certified.min_convex_coeff.hex() == float(min(a.min() for a in coefficients)).hex()
-    if outer.kind == "fixed":
+    if outer is not None:
         # v_N equal to the fixed ghost: the outer face reads (v_N, v_N) as
         # under the copy ghost, so the whole ledger is the copy ghost's
         values = state.values.copy()
-        values[-1] = outer.value
+        values[-1] = outer
         pinned = StateVector(values=values, time=0.0, step_index=0)
         fixed, copy = (ledger_hex(cell_entropy_residuals(
-            *step(pinned, mesh, burgers, nf, tau, outer=ghost), mesh, burgers, nf, LEVELS))
-            for ghost in (outer, COPY_BOUNDARY))
+            *step(pinned, mesh, burgers, nf, tau, outer_ghost=ghost), mesh, burgers, nf, LEVELS))
+            for ghost in (outer, None))
         assert "nan" not in fixed["global_balance_gap"]
         assert fixed == copy
 
@@ -328,9 +328,8 @@ def test_dimension_mismatch_rejected(mesh_m1, burgers):
 def test_fixed_boundary_balance_reported_nan(mesh_m1, burgers, rng):
     nf = numerical_flux("godunov", burgers)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
-    outer = OuterBoundary("fixed", 0.1)
     state = StateVector(values=rng.uniform(-1, 1, mesh_m1.n_cells), time=0.0, step_index=0)
-    new_state, report = step(state, mesh_m1, burgers, nf, tau, outer=outer)
+    new_state, report = step(state, mesh_m1, burgers, nf, tau, outer_ghost=0.1)
     ledger = cell_entropy_residuals(new_state, report, mesh_m1, burgers, nf, (0.0,))
     assert np.isnan(ledger.global_balance_gap)
     assert ledger.worst_residuals[0] <= 1e-13

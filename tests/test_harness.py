@@ -25,6 +25,7 @@ from horizonfv import (
     max_timestep,
     numerical_flux,
     polynomial_model,
+    project_initial,
     run,
     self_convergence,
     steady_drift_detail,
@@ -199,7 +200,7 @@ def test_kernels_never_call_a_models_evaluators_when_they_are_swapped(burgers, q
     def evolve(m):  # the finite volume step under each bundled flux, with and without a horizon
         values = np.linspace(-0.9, 0.9, 40)
         return [run(build_uniform_mesh(Background(mass), 2.0 * mass + 10.0, 40), m, numerical_flux(kind, m),
-                    initial_values=values, t_end=0.2).final.values.tobytes()
+                    values, t_end=0.2).final.values.tobytes()
                 for kind in FLUX_KINDS for mass in (0.0, 1.0)]
 
     for m in (burgers, quartic, sextic, shifted, rounding_quartic):
@@ -281,26 +282,22 @@ def test_shooting_kernel_source_holds_no_coefficient_text(monkeypatch, burgers, 
         assert not [c for c in kernel.__code__.co_consts if isinstance(c, float)]
 
 
-@pytest.mark.parametrize("targets, t_end, dt_target, match", [
-    ([9.0, 4.0], 1.2, 0.002, "not strictly increasing"),
-    ([4.0, 4.0, 9.0], 1.2, 0.002, "not strictly increasing"),
-    ([4.0, math.nan, 9.0], 1.2, 0.002, "a target is not finite"),
-    ([4.0, math.inf], 1.2, 0.002, "a target is not finite"),
-    ([], 1.2, 0.002, "non-empty 1-d"),
-    (4.0, 1.2, 0.002, "non-empty 1-d"),
-    ([4.0, 9.0], math.inf, 0.002, "t_end = inf"),
-    ([4.0, 9.0], math.nan, 0.002, "t_end = nan"),
-    ([4.0, 9.0], -0.5, 0.002, "t_end = -0.5"),
-    ([4.0, 9.0], 1.2, 0.0, "dt_target = 0.0"),
-    ([4.0, 9.0], 1.2, -0.002, "dt_target = -0.002"),
-    ([4.0, 9.0], 1.2, math.inf, "dt_target = inf"),
-    ([4.0, 9.0], 1.2, math.nan, "dt_target = nan"),
-    ([4.0, 9.0], 1.2, 0.002, ("mass = nan", math.nan)),
-    ([4.0, 9.0], 1.2, 0.002, ("mass = inf", math.inf)),
-    ([4.0, 9.0], 1.2, 0.002, ("mass = -inf", -math.inf)),
-    ([4.0, 9.0], 1.2, 0.002, (r"mass = -0\.5", -0.5)),
+@pytest.mark.parametrize("targets, t_end, match", [
+    ([9.0, 4.0], 1.2, "not strictly increasing"),
+    ([4.0, 4.0, 9.0], 1.2, "not strictly increasing"),
+    ([4.0, math.nan, 9.0], 1.2, "a target is not finite"),
+    ([4.0, math.inf], 1.2, "a target is not finite"),
+    ([], 1.2, "non-empty 1-d"),
+    (4.0, 1.2, "non-empty 1-d"),
+    ([4.0, 9.0], math.inf, "t_end = inf"),
+    ([4.0, 9.0], math.nan, "t_end = nan"),
+    ([4.0, 9.0], -0.5, "t_end = -0.5"),
+    ([4.0, 9.0], 1.2, ("mass = nan", math.nan)),
+    ([4.0, 9.0], 1.2, ("mass = inf", math.inf)),
+    ([4.0, 9.0], 1.2, ("mass = -inf", -math.inf)),
+    ([4.0, 9.0], 1.2, (r"mass = -0\.5", -0.5)),
 ])
-def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, targets, t_end, dt_target, match):
+def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, targets, t_end, match):
     """match is the pattern of the refusal, or (pattern, mass) where the case varies the mass."""
     match, mass = match if isinstance(match, tuple) else (match, smooth.mass)
 
@@ -309,7 +306,7 @@ def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, t
 
     monkeypatch.setattr(harness, "_integrate_chars", no_shot)
     with pytest.raises(DomainError, match=match):
-        exact_solution_by_shooting(smooth.model, mass, smooth.v0, t_end, targets, dt_target)
+        exact_solution_by_shooting(smooth.model, mass, smooth.v0, t_end, targets)
 
 
 def test_oracle_constant_data():
@@ -481,7 +478,7 @@ def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
     real_run = harness.run
     trials = []  # per trial: (mesh, model, nf, fraction, observed states after each step)
 
-    def recording_run(mesh, m, nf, *, on_step, cfl_fraction, **kwargs):
+    def recording_run(mesh, m, nf, values, *, on_step, cfl_fraction, **kwargs):
         afters = []
         trials.append((mesh, m, nf, cfl_fraction, afters))
 
@@ -489,7 +486,7 @@ def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
             afters.append(after)
             on_step(after, report)
 
-        return real_run(mesh, m, nf, on_step=observe, cfl_fraction=cfl_fraction, **kwargs)
+        return real_run(mesh, m, nf, values, on_step=observe, cfl_fraction=cfl_fraction, **kwargs)
 
     monkeypatch.setattr(harness, "numerical_flux", numerical_flux)
     monkeypatch.setattr(harness, "run", recording_run)
@@ -517,10 +514,11 @@ def test_run_names_the_step_time_and_first_cell_of_a_state_breach(mesh_m1, burge
     afters, messages = [], []
     for on_step in (lambda after, report: afters.append(after), None):
         with pytest.raises(NumericsError) as exc:
-            run(mesh_m1, burgers, nf, v0=scheme.step_data(0.8, -0.4, 7.0), t_end=1.0, on_step=on_step)
+            run(mesh_m1, burgers, nf, project_initial(mesh_m1, scheme.step_data(0.8, -0.4, 7.0))[0], t_end=1.0,
+                on_step=on_step)
         messages.append(str(exc.value))
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
-    *_, values = reference_update(afters[-1].values, mesh_m1, burgers, nf, tau, scheme.COPY_BOUNDARY)
+    *_, values = reference_update(afters[-1].values, mesh_m1, burgers, nf, tau)
     cell = int(np.flatnonzero(np.abs(values) > 1.0)[0])
     assert messages[0] == messages[1] == (
         f"state leaves [-1, 1]: max |v| = {np.max(np.abs(values)):.17g} (discrete maximum principle violated) "

@@ -33,6 +33,11 @@ from reference_update import reference_update
 ALL_FLUXES = ("godunov", "eo", "rusanov")
 
 
+def averages(mesh, v0):
+    """The cell averages of v0 that run takes."""
+    return project_initial(mesh, v0)[0]
+
+
 # --- two-point flux values -------------------------------------------------
 
 def test_rusanov_values(burgers):
@@ -231,12 +236,12 @@ def test_convex_coefficients_fall_back_to_the_flux_quotients(mesh_m1, burgers, r
     # without increments the coefficients are the recorded flux differences
     # over the state jumps; with a fixed ghost and random data no jump is
     # zero, so both ways agree up to the quotients' rounding
-    outer = scheme.OuterBoundary("fixed", 0.3)
+    outer = 0.3
     state = StateVector(values=rng.uniform(-1.0, 1.0, mesh_m1.n_cells), time=0.0, step_index=0)
     for kind in ALL_FLUXES:
         nf = numerical_flux(kind, burgers)
         _, report = step(state, mesh_m1, burgers, nf, max_timestep(mesh_m1, burgers, nf.lipschitz_bound),
-                         outer=outer)
+                         outer_ghost=outer)
         exact = convex_coefficients(report, mesh_m1, burgers, nf)
         quotient = convex_coefficients(report, mesh_m1, burgers, dataclasses.replace(nf, increments=None))
         assert np.max(np.abs(np.array(exact) - np.array(quotient))) <= 1e-12
@@ -325,9 +330,9 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
     values = np.random.default_rng(7).uniform(-1.0, 1.0, mesh.n_cells)
     values[[3, 11, 17]] = (1.0, -1.0, -0.0)
     for nf in replay_fluxes(m):
-        for outer in (scheme.COPY_BOUNDARY, scheme.OuterBoundary("fixed", -0.3)):
+        for outer in (None, -0.3):
             seen = []
-            result = run(mesh, m, nf, initial_values=values, t_end=0.137, outer=outer,
+            result = run(mesh, m, nf, values, t_end=0.137, outer_ghost=outer,
                          on_step=lambda after, report: seen.append((after, report)))
             assert seen[-1][1].tau_used < result.tau_base  # the shortened last step is covered
             befores = [values] + [after.values for after, _ in seen[:-1]]
@@ -343,7 +348,7 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
             state = result.snapshots[0]
             tau = seen[0][1].tau_used
             for ghost in (-1.0, 0.73):
-                stepped, report = step(state, mesh, m, nf, tau, outer=outer, inner_ghost=ghost)
+                stepped, report = step(state, mesh, m, nf, tau, outer_ghost=outer, inner_ghost=ghost)
                 states, fluxes, expected = reference_update(state.values, mesh, m, nf, tau, outer, ghost)
                 assert stepped.values.tobytes() == expected.tobytes()
                 assert report.fluxes.tobytes() == fluxes.tobytes()
@@ -458,8 +463,7 @@ def test_step_face_fluxes_equal_the_bundled_fluxes_at_edge_values(burgers, quart
                 tau = 0.5 * max_timestep(mesh, m, nf.lipschitz_bound)
                 for ghost in EDGE_GRID:
                     after, report = step(state, mesh, m, nf, tau, inner_ghost=ghost)
-                    states, fluxes, expected = reference_update(EDGE_STATES, mesh, m, nf, tau, scheme.COPY_BOUNDARY,
-                                                                ghost)
+                    states, fluxes, expected = reference_update(EDGE_STATES, mesh, m, nf, tau, inner_ghost=ghost)
                     left, right = report.states[:-1], report.states[1:]
                     assert report.fluxes.tobytes() == np.asarray(nf.evaluate(m, left, right)).tobytes(), (m.name, kind)
                     assert after.values.tobytes() == expected.tobytes(), (m.name, kind, ghost)
@@ -489,8 +493,9 @@ def test_step_refuses_an_inner_ghost_outside_the_state_interval(mesh_m1, mesh_fl
         tau = 0.5 * max_timestep(mesh, burgers, nf.lipschitz_bound)
         with pytest.raises(DomainError, match="^inner_ghost"):
             step(state, mesh, burgers, nf, tau, inner_ghost=ghost)
-        with pytest.raises(DomainError, match="^inner_ghost"):  # before any other check
-            step(state, mesh, burgers, nf, -tau, inner_ghost=ghost)
+        for flux, t in ((nf, -tau), (scheme.NumericalFlux("stalled", 0.0, nf.evaluate), tau)):
+            with pytest.raises(DomainError, match="^inner_ghost"):  # before any other check
+                step(state, mesh, burgers, flux, t, inner_ghost=ghost)
 
 
 @pytest.mark.parametrize("result", [-0.5, np.full(1, -0.5), np.zeros((51, 1)), np.zeros(50)])
@@ -512,12 +517,12 @@ def test_run_checks_every_tau_against_its_one_bound(mesh_m1, burgers, monkeypatc
     calls = []
     monkeypatch.setattr(scheme, "max_timestep", lambda *args: calls.append(args) or bound(*args))
     nf = numerical_flux("godunov", burgers)
-    result = run(mesh_m1, burgers, nf, v0=lambda r: 0.5 * np.cos(r), t_end=0.37)
+    result = run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.5 * np.cos(r)), t_end=0.37)
     assert len(calls) == 1 and result.steps > 1 and result.final.time == 0.37
     tau_bound = bound(mesh_m1, burgers, nf.lipschitz_bound)
     observed = []
     with pytest.raises(CflError):
-        run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=0.5 * tau_bound,
+        run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=0.5 * tau_bound,
             cfl_fraction=1.5, on_step=lambda *args: observed.append(args))
     assert not observed
     with pytest.raises(CflError):
@@ -526,7 +531,7 @@ def test_run_checks_every_tau_against_its_one_bound(mesh_m1, burgers, monkeypatc
 
 def test_run_lands_exactly_and_bounds(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
-    result = run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=0.5)
+    result = run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=0.5)
     assert result.final.time == 0.5
     assert np.max(np.abs(result.final.values)) <= 1.0
     assert result.snapshots[0].time == 0.0
@@ -535,7 +540,7 @@ def test_run_lands_exactly_and_bounds(mesh_m1, burgers):
 
 def test_run_fixed_point(mesh_m1, burgers):
     nf = numerical_flux("eo", burgers)
-    result = run(mesh_m1, burgers, nf, v0=lambda r: np.ones_like(r), t_end=1.0)
+    result = run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: np.ones_like(r)), t_end=1.0)
     assert np.array_equal(result.final.values, np.ones(mesh_m1.n_cells))
 
 
@@ -550,8 +555,8 @@ def test_step_and_run_build_no_convex_coefficients(mesh_m1, burgers, rng, monkey
     new_state, report = step(state, mesh_m1, burgers, nf, tau)
     assert new_state.step_index == 1
     assert report.tau_used == tau and report.fluxes.size == mesh_m1.n_cells + 1
-    result = scheme.run(mesh_m1, burgers, nf, v0=lambda r: np.sin(r), t_end=0.3,
-                        outer=scheme.OuterBoundary("fixed", -0.2))
+    result = scheme.run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: np.sin(r)), t_end=0.3,
+                        outer_ghost=-0.2)
     assert result.final.time == 0.3
 
 
@@ -563,7 +568,7 @@ def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
         seen.append((state_after.step_index, report, report.tau_used, state_after))
 
     t_end = 0.37
-    result = run(mesh_m1, burgers, nf, v0=lambda r: 0.6 * np.cos(r), t_end=t_end,
+    result = run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.6 * np.cos(r)), t_end=t_end,
                  snapshot_every=4, on_step=observe)
     assert [entry[0] for entry in seen] == list(range(1, result.steps + 1))
     assert all(entry[1].tau_used == entry[2] for entry in seen)
@@ -584,8 +589,7 @@ def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
 
 
 @pytest.mark.parametrize("mass", [0.0, 1.0])
-@pytest.mark.parametrize("outer", [scheme.COPY_BOUNDARY, scheme.OuterBoundary("fixed", -0.3)],
-                         ids=["copy", "fixed"])
+@pytest.mark.parametrize("outer", [None, -0.3], ids=["copy", "fixed"])
 @pytest.mark.parametrize("snapshot_every", [1, 10 ** 6])
 def test_run_equals_its_observed_self_and_chained_steps_bitwise(burgers, mass, outer, snapshot_every):
     # the three bundled fluxes and a custom one; t_end is not a whole number of base steps, so the
@@ -594,13 +598,12 @@ def test_run_equals_its_observed_self_and_chained_steps_bitwise(burgers, mass, o
     v0 = lambda r: 0.7 * np.sin(r)
     for nf in replay_fluxes(burgers):
         t_end = 7.3 * 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
-        plain = run(mesh, burgers, nf, v0=v0, t_end=t_end, snapshot_every=snapshot_every, outer=outer)
-        observed = run(mesh, burgers, nf, v0=v0, t_end=t_end, snapshot_every=snapshot_every, outer=outer,
-                       on_step=lambda *args: None)
+        plain, observed = (run(mesh, burgers, nf, averages(mesh, v0), t_end=t_end, snapshot_every=snapshot_every,
+                               outer_ghost=outer, on_step=on_step) for on_step in (None, lambda *args: None))
         chained, taus = [plain.snapshots[0]], []
         while len(chained) <= plain.steps:
             taus.append(min(plain.tau_base, t_end - chained[-1].time))
-            chained.append(step(chained[-1], mesh, burgers, nf, taus[-1], outer=outer)[0])
+            chained.append(step(chained[-1], mesh, burgers, nf, taus[-1], outer_ghost=outer)[0])
         assert plain.steps == 8 and 0.0 < taus[-1] < plain.tau_base, nf.kind
         indices = [0, *range(snapshot_every, plain.steps, snapshot_every), plain.steps]
         for result in (plain, observed):
@@ -614,14 +617,15 @@ def test_run_equals_its_observed_self_and_chained_steps_bitwise(burgers, mass, o
 def test_run_snapshots_are_owned_read_only_and_share_no_memory(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
     for on_step in (None, lambda *args: None):
-        first = run(mesh_m1, burgers, nf, v0=lambda r: 0.5 * np.cos(r), t_end=0.3, snapshot_every=1,
-                    on_step=on_step)
+        first = run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.5 * np.cos(r)), t_end=0.3,
+                    snapshot_every=1, on_step=on_step)
         arrays = [snap.values for snap in first.snapshots]
         assert len(arrays) == first.steps + 1 and first.final is first.snapshots[-1]
         assert all(a.flags.owndata and not a.flags.writeable for a in arrays)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
         kept = [a.tobytes() for a in arrays]
-        run(mesh_m1, burgers, nf, v0=lambda r: -0.5 * np.cos(r), t_end=0.3, snapshot_every=1, on_step=on_step)
+        run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: -0.5 * np.cos(r)), t_end=0.3, snapshot_every=1,
+            on_step=on_step)
         assert [snap.values.tobytes() for snap in first.snapshots] == kept
 
 
@@ -637,8 +641,8 @@ def test_run_takes_each_step_through_the_step_binding(monkeypatch, mesh_m1, burg
     monkeypatch.setattr(scheme, "step", counted)
     for on_step in (None, lambda *args: None):
         cells.clear()
-        result = run(mesh_m1, burgers, numerical_flux("godunov", burgers), v0=lambda r: 0.5 * np.cos(r),
-                     t_end=0.3, on_step=on_step)
+        result = run(mesh_m1, burgers, numerical_flux("godunov", burgers),
+                     averages(mesh_m1, lambda r: 0.5 * np.cos(r)), t_end=0.3, on_step=on_step)
         assert cells == [mesh_m1.n_cells] * result.steps
 
 
@@ -647,7 +651,7 @@ def test_run_reports_own_a_custom_fluxs_values(mesh_m1, burgers):
     # step overwrites: each report keeps its own copy
     nf = scheme.NumericalFlux("left", burgers.flux_lipschitz, lambda m, u, v: u)
     reports = []
-    run(mesh_m1, burgers, nf, v0=lambda r: 0.3 * np.cos(r), t_end=0.3,
+    run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.3 * np.cos(r)), t_end=0.3,
         on_step=lambda after, report: reports.append(report))
     assert len(reports) > 2 and reports[0].fluxes.tobytes() != reports[-1].fluxes.tobytes()
     for report in reports:
@@ -656,12 +660,12 @@ def test_run_reports_own_a_custom_fluxs_values(mesh_m1, burgers):
 
 
 @pytest.mark.parametrize("inputs, error, name", [
-    ({"initial_values": np.full(50, 1.5)}, DomainError, "initial_values"),
-    ({"initial_values": np.full(50, np.nan)}, DomainError, "initial_values"),
-    ({"initial_values": np.zeros(49)}, ContractError, "initial_values"),
-    ({"initial_values": np.zeros((50, 1))}, ContractError, "initial_values"),
-    ({"v0": np.cos, "snapshot_every": 2.5}, DomainError, "snapshot_every"),
-    ({"v0": np.cos, "snapshot_every": 0}, DomainError, "snapshot_every"),
+    ({"values": np.full(50, 1.5)}, DomainError, "values"),
+    ({"values": np.full(50, np.nan)}, DomainError, "values"),
+    ({"values": np.zeros(49)}, ContractError, "values"),
+    ({"values": np.zeros((50, 1))}, ContractError, "values"),
+    ({"values": np.zeros(50), "snapshot_every": 2.5}, DomainError, "snapshot_every"),
+    ({"values": np.zeros(50), "snapshot_every": 0}, DomainError, "snapshot_every"),
 ])
 def test_run_refuses_bad_inputs_before_the_first_step(mesh_m1, burgers, inputs, error, name):
     observed = []
@@ -671,30 +675,39 @@ def test_run_refuses_bad_inputs_before_the_first_step(mesh_m1, burgers, inputs, 
     assert not observed
 
 
-@pytest.mark.parametrize("kind, value", [("bogus", math.nan), ("Copy", 0.0), ("fixed", 5.0), ("fixed", -1.5),
-                                         ("fixed", math.nan), ("fixed", math.inf)])
-def test_outer_boundary_refuses_a_kind_or_a_fixed_value_outside_its_domain(kind, value):
-    message = f"OuterBoundary kind {kind!r} is not" if kind != "fixed" else f"fixed boundary state {value} outside"
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
-        scheme.OuterBoundary(kind, value)
+@pytest.mark.parametrize("ghost", [5.0, -1.5, math.nan, math.inf])
+def test_step_and_run_refuse_an_outer_ghost_outside_the_state_interval(mesh_m1, burgers, ghost):
+    nf = numerical_flux("godunov", burgers)
+    state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
+    tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
+    stalled = scheme.NumericalFlux("stalled", 0.0, nf.evaluate)  # max_timestep refuses its bound
+    for flux, t in ((nf, tau), (nf, -tau), (stalled, tau)):  # the ghost is refused before any other check
+        with pytest.raises(DomainError, match=rf"^outer_ghost {ghost} outside \[-1, 1\]$"):
+            step(state, mesh_m1, burgers, flux, t, outer_ghost=ghost)
+    observed = []
+    with pytest.raises(DomainError, match="^outer_ghost"):
+        run(mesh_m1, burgers, nf, state.values, t_end=0.1, outer_ghost=ghost,
+            on_step=lambda *args: observed.append(args))
+    assert not observed
 
 
 def test_run_snapshot_cadence(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
-    result = run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=1.0,
+    result = run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=1.0,
                  snapshot_every=3)
     indices = [s.step_index for s in result.snapshots]
     assert indices[0] == 0
     assert all(i % 3 == 0 for i in indices[1:-1])
     assert indices[-1] == result.steps
-    numpy_int = run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=1.0, snapshot_every=np.int64(3))
+    numpy_int = run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=1.0, snapshot_every=np.int64(3))
     assert [s.step_index for s in numpy_int.snapshots] == indices  # a numpy integer is an integer
 
 
 def test_run_clamps_overshooting_data(mesh_m1, burgers):
-    result = run(mesh_m1, burgers, numerical_flux("godunov", burgers),
-                 v0=lambda r: 1.2 * np.sin(r), t_end=0.01)
-    assert result.clamped_cells > 0
+    # the clamping is project_initial's; run takes the clamped averages
+    values, clamped = project_initial(mesh_m1, lambda r: 1.2 * np.sin(r))
+    result = run(mesh_m1, burgers, numerical_flux("godunov", burgers), values, t_end=0.01)
+    assert clamped > 0
     assert np.max(np.abs(result.snapshots[0].values)) <= 1.0
 
 
@@ -704,27 +717,28 @@ def test_riemann_stationary_shock_flat(burgers):
     mesh = build_uniform_mesh(Background(0.0), 10.0, 40)
     nf = numerical_flux("godunov", burgers)
     v0 = lambda r: np.where(r < 5.0, 1.0, -1.0)
-    result = run(mesh, burgers, nf, v0=v0, t_end=0.25)
+    result = run(mesh, burgers, nf, averages(mesh, v0), t_end=0.25)
     assert np.array_equal(result.final.values, result.snapshots[0].values)
     assert set(np.unique(result.final.values)) == {-1.0, 1.0}
 
 
 def test_fixed_outer_boundary(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
-    outer = scheme.OuterBoundary("fixed", 0.25)
-    result = run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=0.3, outer=outer)
+    result = run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=0.3, outer_ghost=0.25)
     assert np.max(np.abs(result.final.values)) <= 1.0
-    with pytest.raises(DomainError, match=r"^fixed boundary state 1.5 outside \[-1, 1\]$"):
-        scheme.OuterBoundary("fixed", 1.5)
-    assert scheme.OuterBoundary("fixed", -1.0).ghost(0.5) == -1.0 and scheme.OuterBoundary("copy").ghost(0.5) == 0.5
+    # the face states end in the fixed ghost, or in a copy of the outermost cell for None
+    state = StateVector(values=np.full(mesh_m1.n_cells, 0.5), time=0.0, step_index=0)
+    tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
+    assert [step(state, mesh_m1, burgers, nf, tau, outer_ghost=ghost)[1].states[-1] for ghost in (-1.0, None)] \
+        == [-1.0, 0.5]
 
 
 def test_run_parameter_validation(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
     with pytest.raises(DomainError):
-        run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=0.0)
+        run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=0.0)
     with pytest.raises(DomainError):
-        run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=1.0, cfl_fraction=1.5)
+        run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=1.0, cfl_fraction=1.5)
 
 
 def test_run_refuses_a_t_end_that_is_not_finite(mesh_m1, burgers, monkeypatch):
@@ -741,7 +755,7 @@ def test_run_refuses_a_t_end_that_is_not_finite(mesh_m1, burgers, monkeypatch):
     nf = numerical_flux("godunov", burgers)
     for t_end in (math.inf, math.nan):
         with pytest.raises(DomainError, match=f"t_end must be positive and finite, got {t_end}"):
-            run(mesh_m1, burgers, nf, v0=lambda r: np.zeros_like(r), t_end=t_end)
+            run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=t_end)
     assert not calls
 
 
