@@ -259,10 +259,9 @@ def steady_drift_detail(m: FluxModel, mass: float, r0: float, u0: float, cells: 
     truncation diagnostic: it should shrink like the cell width.
     """
     mesh = build_uniform_mesh(Background(mass), r_max, cells)
-    table = build_fhat_table(m)
     if mass > 0.0:
-        profile = steady_profile(table, mass, r0, u0, mesh.centers)
-    else:
+        profile = steady_profile(build_fhat_table(m), mass, r0, u0, mesh.centers)
+    else:  # u0 throughout, which needs no Fhat table
         profile = np.full(mesh.n_cells, u0)
     nf = numerical_flux(flux_kind, m)
     result = run(mesh, m, nf, profile, t_end=t_end, cfl_fraction=cfl_fraction, snapshot_every=10 ** 9)

@@ -64,7 +64,7 @@ _parse = functools.lru_cache(maxsize=256)(ast.parse)  # _lower reads the trees a
 
 def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> list[str]:
     """The assignments of source, numpy text, as one ufunc statement per operation in syntax-tree
-    order, so each result is bitwise numpy's.  x[...] = e writes into x; x = e binds x anew.  Values
+    order, so each result is bitwise numpy's.  x[...] = e writes into x; x = e binds x anew (x = y to y).  Values
     between operations go into x, which e may read only in its last one, or into free scratch names
     of x's shape.  Supported: + - * /, names, basic slices, literals of _CONSTANTS, maximum, minimum,
     where(a <= b, c, d) as the value of x = ..., and p(x) for p in polys, written in as the _horner
@@ -97,7 +97,8 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         (target,), value, busy = statement.targets, statement.value, set()
         dest = getattr(target, "value", target).id
         unbound = {dest} if isinstance(target, ast.Name) else set()
-        emit(value, dest)
+        if (name := emit(value, dest)) != dest:  # a bare name y: x = y binds it, x[...] = y copies it
+            lines.append(f"{ast.unparse(target)} = {name}")
     return lines
 
 
@@ -173,8 +174,7 @@ class FluxModel:
     in instrumented evaluators and keep the certificate.  The finite volume
     step and the RK4 loops of the exterior tracer and the shooting oracle
     read only ``f_poly`` and ``h_poly``, written in as Horner text (by
-    ``_lower`` for the step and the oracle); they call none of the four
-    evaluators (a step calls only a flux that is not bundled).
+    ``_lower`` for the step and the oracle), and call no evaluator.
 
     Immutable after construction and safe to share across threads.
     """

@@ -22,12 +22,11 @@ keep array access total (any other value gives bitwise identical results).
 The outer face reads a ghost too: the outermost cell's value (a
 zero-gradient copy) when it is None, else a fixed state.
 
-``step`` reads only the model's coefficient tuples: the update and a bundled
-flux are numpy formulas (``_UPDATE``, ``_FLUXES``) that ``model._lower``
-writes into one kernel as in-place ufuncs, from one of two swapped state
-buffers (``_Buffers``) into the other; any other flux's evaluate is called
-from it with three arguments.  A bundled flux's public function runs the
-same text in plain numpy, so the text is the flux's one definition.
+``step`` reads only the model's coefficient tuples: the update and every
+flux are numpy formulas (``_UPDATE``, ``NumericalFlux.formula``) that
+``model._lower`` writes into one kernel as in-place ufuncs, from one of two
+swapped state buffers (``_Buffers``) into the other.  A flux's evaluate runs
+the same text in plain numpy, so the text is the flux's one definition.
 """
 
 from __future__ import annotations
@@ -102,24 +101,6 @@ def _engquist_osher_increments(m: FluxModel, u, v):
                                 (np.minimum(v, 0.0), np.minimum(u, 0.0)))
 
 
-@dataclass(frozen=True, eq=False)
-class NumericalFlux:
-    """A two-point monotone flux ``evaluate(m, u, v)`` with its Lipschitz
-    bound for the CFL rule and, optionally, ``increments(m, u, v)``:
-    Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and
-    nf(u, v) - f(u) = -D (v - u).  A bundled ``evaluate`` is its formula
-    text in ``_FLUXES`` run in numpy; ``step``, which knows it by its
-    identity, writes that text into its kernel, and calls any other with the three
-    arguments (m, left states, right states): read-only views of the time
-    loop's buffers, which the next step overwrites, so such an ``evaluate``
-    must copy anything it keeps."""
-
-    kind: str
-    lipschitz_bound: float
-    evaluate: Callable
-    increments: Optional[Callable] = None
-
-
 # kind: (the flux as numpy text, its increments): Godunov's exact Riemann flux for the unimodal shape,
 # the split-derivative EO flux in closed form, and Rusanov's, with lam the global bound max |f'|
 _FLUXES = {
@@ -144,16 +125,41 @@ _FLUX_NAMES = {"np": np, "where": np.where, "maximum": np.maximum, "minimum": np
                "_require_shape": _require_shape}
 
 
+@functools.cache  # never evicts, so a text keeps one function, which a wrapper names by __wrapped__
 def _numpy_flux(kind: str, formula: str) -> Callable:
     names = {node.id for node in ast.walk(_parse(formula)) if isinstance(node, ast.Name)}
+    # reading a face state, it gives one flux per face; reading no other name, it runs here and in the step
+    if not (kind.isidentifier() and "fluxes" in names and names & {"left", "right", "f_left", "f_right"}
+            and names <= {"fluxes", "left", "right", "where", "maximum", "minimum", *_READS}):
+        raise ContractError(f"flux {kind!r}: the kind must be a name, and {formula!r} must set fluxes from left"
+                            f" and right with where, maximum, minimum, + - * / and {', '.join(_READS)}")
     reads = "".join(f"    {line}\n" for name, line in _READS.items() if name in names)
     return _closure(_FLUX.format(kind=kind, formula=formula, reads=reads), {"kind": kind}, _FLUX_NAMES)
 
 
-_EVALUATE = {kind: _numpy_flux(kind, formula) for kind, (formula, _) in _FLUXES.items()}
-flux_godunov, flux_engquist_osher, flux_rusanov = _EVALUATE.values()
-# the kernel finds a bundled flux's formula, and its kind, by the identity of its evaluate
-_FORMULA_OF = {_EVALUATE[kind]: (kind, formula) for kind, (formula, _) in _FLUXES.items()}
+flux_godunov, flux_engquist_osher, flux_rusanov = (_numpy_flux(kind, text) for kind, (text, _) in _FLUXES.items())
+
+
+@dataclass(frozen=True, eq=False)
+class NumericalFlux:
+    """A two-point monotone flux as its formula, numpy text setting ``fluxes`` from the face states
+    ``left`` and ``right``, which ``step`` writes into its kernel and ``evaluate(m, u, v)`` runs in
+    numpy; with its Lipschitz bound for the CFL rule and, optionally, ``increments(m, u, v)``:
+    Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) =
+    -D (v - u).  ContractError refuses an evaluate other than the formula's or a wrapper of it."""
+
+    kind: str
+    lipschitz_bound: float
+    formula: str
+    increments: Optional[Callable] = None
+    evaluate: Optional[Callable] = None  # an init field only so that dataclasses.replace can wrap it
+
+    def __post_init__(self):
+        built = _numpy_flux(self.kind, self.formula)
+        if self.evaluate is None:
+            object.__setattr__(self, "evaluate", built)
+        elif built is not self.evaluate and built is not getattr(self.evaluate, "__wrapped__", None):
+            raise ContractError(f"flux '{self.kind}': evaluate is not the function of its formula")
 
 
 def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
@@ -166,7 +172,7 @@ def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
     if kind not in _FLUXES:
         raise DomainError(f"unknown flux kind '{kind}' (godunov | eo | rusanov)")
     _require_shape(m, kind)
-    return NumericalFlux(kind, m.flux_lipschitz, _EVALUATE[kind], _FLUXES[kind][1])
+    return NumericalFlux(kind, m.flux_lipschitz, *_FLUXES[kind])
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +254,9 @@ def _step_factors(mesh: RadialMesh, tau: float, tau_bound: float) -> tuple[np.nd
 # The update on the face states s = [inner ghost, v, outer ghost]: f(s) into f_s, the flux over the
 # faces with scratch a and b, then _UPDATE into v_new with scratch b_cells, as _lower writes them.
 _STEP = """\
-def kernel(m, evaluate, s, v_new, f_s, a, b, weights, weight_jump, tau_per_width, tau_theta):
-    add, subtract, multiply, maximum, minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
+def kernel(s, v_new, f_s, a, b, weights, weight_jump, tau_per_width, tau_theta):
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    maximum, minimum = np.maximum, np.minimum
     left, right, v = s[:-1], s[1:], s[1:-1]
     f_left, f_right, f_v, b_cells = f_s[:-1], f_s[1:], f_s[1:-1], b[:-1]
 {body}
@@ -259,24 +266,18 @@ return kernel
 """
 _UPDATE = ("a[...] = weights * fluxes\n"
            "v_new[...] = v - (a[1:] - a[:-1] - f_v * weight_jump) * tau_per_width + (f_v + h(v)) * tau_theta")
-_CALL = """\
-left.flags.writeable = right.flags.writeable = False
-fluxes = np.asarray(evaluate(m, left, right), dtype=float)
-if fluxes.shape != left.shape:
-    raise ContractError(f"flux evaluate returned shape {fluxes.shape}, not one float per face {left.shape}")"""
 
 
 @functools.lru_cache(maxsize=64)
 def _step_kernel(f_poly, h_poly, formula, lam):
-    """_STEP for the tuples of f and h, a flux formula (or _CALL) and lam = sup |f'|.  Every
+    """_STEP for the tuples of f and h, a flux formula and lam = sup |f'|.  Every
     coefficient and scalar is a 0-d array in a closure cell, which a ufunc takes faster than a float."""
     cells, polys = {"half_lam": 0.5 * lam, "f_zero": _evaluator(f_poly)(0.0)}, {"f": f_poly, "h": h_poly}
     lines = _lower("f_s[...] = f(s)", polys, cells, [])
-    lines += _CALL.splitlines() if formula == _CALL else _lower(formula, polys, cells, ["a", "b"])
+    lines += _lower(formula, polys, cells, ["a", "b"])
     lines += _lower(_UPDATE, polys, cells, ["b_cells"])
     source = _STEP.format(body="\n".join(" " * 4 + line for line in lines))
-    return _closure(source, {name: np.array(c) for name, c in cells.items()},
-                    {"np": np, "where": np.where, "ContractError": ContractError})
+    return _closure(source, {name: np.array(c) for name, c in cells.items()}, {"np": np, "where": np.where})
 
 
 class _Buffers:
@@ -291,13 +292,12 @@ class _Buffers:
                 raise DomainError(f"{name} {ghost} outside [-1, 1]")
         if state.values.size != mesh.n_cells:
             raise ContractError(f"state has {state.values.size} cells, mesh has {mesh.n_cells}")
-        shape_kind, formula = _FORMULA_OF.get(nf.evaluate, (None, _CALL))
-        _require_shape(m, shape_kind)
-        self.kernel = _step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
+        _require_shape(m, nf.kind)
+        self.kernel = _step_kernel(m.f_poly, m.h_poly, nf.formula, m.flux_lipschitz)
         self.s, self.s_next = np.empty((2, mesh.n_cells + 2))
         self.s[1:-1] = state.values
         self.scratch = np.empty(mesh.n_cells + 2), np.empty(mesh.n_cells + 1), np.empty(mesh.n_cells + 1)
-        self.mesh, self.m, self.nf, self.ghosts = mesh, m, nf, (inner_ghost, outer_ghost)
+        self.mesh, self.ghosts = mesh, (inner_ghost, outer_ghost)
         self.tau_bound = max_timestep(mesh, m, nf.lipschitz_bound) if tau_bound is None else tau_bound
         self.tau, self.factors = tau, _step_factors(mesh, tau, self.tau_bound)
         self.time, self.step_index = state.time, state.step_index
@@ -312,7 +312,7 @@ class _Buffers:
         s[-1] = s[-2] if outer is None else outer
         factors = self.factors if tau == self.tau else _step_factors(self.mesh, tau, self.tau_bound)
         v_new = s_next[1:-1]
-        fluxes = self.kernel(self.m, self.nf.evaluate, s, v_new, *self.scratch, self.mesh.face_weights, *factors)
+        fluxes = self.kernel(s, v_new, *self.scratch, self.mesh.face_weights, *factors)
         self.step_index, self.time = self.step_index + 1, self.time + tau
         _require_in_range(v_new, self.step_index, self.time)
         self.s, self.s_next = s_next, s

@@ -40,20 +40,19 @@ def engquist_osher(m, u, v):
     return _scalarize(out, u, v)
 
 
-# each bundled evaluate and its hand-written reference
-REFERENCE_FLUXES = {scheme.flux_godunov: godunov, scheme.flux_engquist_osher: engquist_osher,
-                    scheme.flux_rusanov: rusanov}
+# each bundled kind's hand-written reference
+REFERENCE_FLUXES = {"godunov": godunov, "eo": engquist_osher, "rusanov": rusanov}
 
 
 def reference_update(values, mesh, m, nf, tau, outer_ghost=None, inner_ghost=None):
     """The update as a plain transcription: face states by concatenation,
-    the flux's 3-argument evaluate (its reference above for a bundled one),
+    the flux's reference above for a bundled kind (its evaluate for another),
     and the grouped divergence a_R F_R - a_L F_L - f(v)(a_R - a_L); returns
     (face states, fluxes, new values)."""
     inner = values[0] if inner_ghost is None else float(inner_ghost)
     outer = values[-1] if outer_ghost is None else float(outer_ghost)
     states = np.concatenate(([inner], values, [outer]))
-    evaluate = REFERENCE_FLUXES.get(nf.evaluate, nf.evaluate)
+    evaluate = REFERENCE_FLUXES.get(nf.kind, nf.evaluate)
     fluxes = np.asarray(evaluate(m, states[:-1], states[1:]), dtype=float)
     fc = np.asarray(m.f(values), dtype=float)
     hc = np.asarray(m.h(values), dtype=float)

@@ -539,6 +539,21 @@ output_dir = {out}
     assert (out / "drift_profile.csv").read_text().splitlines()[0] == "r,v_initial,v_final"
 
 
+def test_cli_steady_drift_at_mass_zero_builds_no_fhat_table(tmp_path):
+    # q = (f + h) / (s**2 - 1) of this admissible model has a repeated root, which an Fhat table
+    # refuses; at mass 0 the steady profile is u0 throughout and needs no table
+    out = tmp_path / "flat"
+    model = "model = custom\nf_coeffs = -0.5, 0, 0.5\nh_coeffs = -3.5, 4, 2.5, -4, 1"
+    body = MINIMAL.replace("model = burgers", model).replace("mass = 1.0", "mass = 0.0") \
+        .replace("cells = 200", "cells = 50").replace("t_end = 1.0", "t_end = 0.2") \
+        + f"\n[steady]\nr0 = 4.0\nu0 = 0.5\n\n[run]\noutput_dir = {out}\n"
+    for command in ("check-model", "run", "steady-drift"):
+        assert _run_cli(tmp_path, body, command) == 0, command
+    rows = np.loadtxt(out / "drift_profile.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (50, 3) and np.all(rows[:, 1] == 0.5)
+    assert json.loads((out / "steady_drift.json").read_text())["l1_drift"] >= 0.0
+
+
 def test_cli_converge_summary(tmp_path):
     out = tmp_path / "conv"
     body = MINIMAL + f"""

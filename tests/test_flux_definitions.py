@@ -11,6 +11,9 @@ from horizonfv import UnsupportedModelError, polynomial_model, scheme
 from horizonfv.model import DEFAULT_KRUZHKOV_LEVELS
 from reference_update import REFERENCE_FLUXES
 
+# each bundled flux's function, built from its formula, with its hand-written reference
+FUNCTIONS = [(scheme._numpy_flux(kind, formula), REFERENCE_FLUXES[kind])
+             for kind, (formula, _) in scheme._FLUXES.items()]
 EDGE = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 0.3, -0.7, 0.5, -0.5)
 PAIRS = [(u, v) for u in EDGE for v in EDGE]
 
@@ -26,15 +29,17 @@ def _bits(x):
 
 def test_the_public_fluxes_are_the_table_run_in_numpy():
     assert scheme.FLUX_KINDS == ("godunov", "eo", "rusanov")
-    assert list(REFERENCE_FLUXES) == [scheme.flux_godunov, scheme.flux_engquist_osher, scheme.flux_rusanov]
-    for evaluate, (kind, formula) in scheme._FORMULA_OF.items():
-        assert scheme._FLUXES[kind][0] == formula and scheme._EVALUATE[kind] is evaluate
-        assert evaluate.__doc__.startswith(formula)
+    assert tuple(REFERENCE_FLUXES) == scheme.FLUX_KINDS
+    public = [scheme.flux_godunov, scheme.flux_engquist_osher, scheme.flux_rusanov]
+    assert [evaluate for evaluate, _ in FUNCTIONS] == public
+    for kind, (formula, increments) in scheme._FLUXES.items():
+        nf = scheme.NumericalFlux(kind, 1.0, formula, increments)
+        assert nf.evaluate is scheme._numpy_flux(kind, formula) and nf.evaluate.__doc__.startswith(formula)
 
 
 def test_generated_fluxes_equal_their_references_on_scalar_edge_pairs(models):
     for m in models:
-        for evaluate, reference in REFERENCE_FLUXES.items():
+        for evaluate, reference in FUNCTIONS:
             for u, v in PAIRS:
                 for wrap in (float, np.float64, np.asarray):
                     got, expected = evaluate(m, wrap(u), wrap(v)), reference(m, wrap(u), wrap(v))
@@ -50,7 +55,7 @@ def test_generated_fluxes_equal_their_references_on_arrays_and_level_broadcasts(
     cases = [(u, v), (np.maximum(u, levels), np.maximum(v, levels)), (np.minimum(u, levels), np.minimum(v, levels)),
              (np.maximum(v, levels), v), (u[None, :], np.minimum(v, levels))]
     for m in models:
-        for evaluate, reference in REFERENCE_FLUXES.items():
+        for evaluate, reference in FUNCTIONS:
             for left, right in cases:
                 got, expected = evaluate(m, left, right), reference(m, left, right)
                 assert got.shape == expected.shape == np.broadcast(left, right).shape
@@ -60,7 +65,7 @@ def test_generated_fluxes_equal_their_references_on_arrays_and_level_broadcasts(
 def test_generated_fluxes_evaluate_f_at_the_points_their_references_do(models):
     u, v = np.linspace(-1.0, 1.0, 7), np.linspace(1.0, -1.0, 7)
     for m in models:
-        for evaluate, reference in REFERENCE_FLUXES.items():
+        for evaluate, reference in FUNCTIONS:
             sizes = []
             for flux in (evaluate, reference):
                 calls = []
@@ -72,7 +77,7 @@ def test_generated_fluxes_evaluate_f_at_the_points_their_references_do(models):
 
 def test_shape_fluxes_refuse_a_model_without_the_shape_on_every_call():
     linear = polynomial_model("linear", [0.0, 1.0], [0.0])
-    for evaluate, reference in REFERENCE_FLUXES.items():
+    for evaluate, reference in FUNCTIONS:
         if evaluate is scheme.flux_rusanov:
             assert evaluate(linear, 0.25, -0.5) == reference(linear, 0.25, -0.5)
             continue

@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -155,16 +154,11 @@ def test_cfl_guard(mesh_m1, burgers):
 
 
 def test_nan_detection(mesh_m1, burgers):
-    # the step reads the model's coefficients, not its f, so the NaN comes
-    # in through a custom flux, which it calls with three arguments
-    def poisoned(m, u, v):
-        out = flux_rusanov(m, u, v)
-        out[5] = np.nan
-        return out
-
-    nf = scheme.NumericalFlux("poisoned", burgers.flux_lipschitz, poisoned)
+    # the step reads the model's coefficients, not its f, so the NaN comes in through a flux formula:
+    # on a zero state every jump is zero, and zero over zero is NaN
+    nf = scheme.NumericalFlux("poisoned", burgers.flux_lipschitz, "fluxes = (right - left) / (right - left)")
     state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
-    with pytest.raises(NumericsError, match="NaN in state values"):
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="NaN in state values"):
         step(state, mesh_m1, burgers, nf, 1e-3)
 
 
@@ -313,13 +307,13 @@ def test_inner_ghost_is_inert(mesh_m1, burgers, rng):
 
 # --- bitwise replay of the update -------------------------------------------
 
-def custom_rusanov(m, u, v):  # a 3-argument flux: no increments, no f values taken
-    return flux_rusanov(m, u, v)
+# a flux that is not bundled: Rusanov's written with a division, and without increments
+CUSTOM_RUSANOV = "fluxes = (f_left + f_right) / 2.0 - half_lam * (right - left)"
 
 
 def replay_fluxes(m):
     return [numerical_flux(kind, m) for kind in ALL_FLUXES] + \
-        [scheme.NumericalFlux("custom", m.flux_lipschitz, custom_rusanov)]
+        [scheme.NumericalFlux("custom", m.flux_lipschitz, CUSTOM_RUSANOV)]
 
 
 @pytest.mark.parametrize("model_name", ["burgers", "quartic", "sextic"])
@@ -356,17 +350,17 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
 
 
 def test_step_refuses_the_bundled_shape_fluxes_for_a_model_without_the_shape(mesh_flat):
-    # the formula is found by the identity of evaluate, whatever the kind says
+    # the shape is required by the flux's kind, which numerical_flux would have refused already
     linear = polynomial_model("linear", [0.0, 1.0], [0.0])
     state = StateVector(values=np.zeros(mesh_flat.n_cells), time=0.0, step_index=0)
-    for evaluate, kind in ((flux_godunov, "godunov"), (flux_engquist_osher, "eo")):
-        nf = scheme.NumericalFlux("custom", linear.flux_lipschitz, evaluate)
+    for kind in ("godunov", "eo"):
+        nf = scheme.NumericalFlux(kind, linear.flux_lipschitz, *scheme._FLUXES[kind])
         with pytest.raises(UnsupportedModelError, match=f"^{kind} flux needs"):
             step(state, mesh_flat, linear, nf, 0.01)
 
 
 GODUNOV, RUSANOV = (scheme._FLUXES[kind][0] for kind in ("godunov", "rusanov"))
-STEP_FORMULAS = (*(formula for formula, _ in scheme._FLUXES.values()), scheme._CALL)
+STEP_FORMULAS = (*(formula for formula, _ in scheme._FLUXES.values()), CUSTOM_RUSANOV)
 
 
 def _nonzero_coefficients(m):
@@ -381,7 +375,7 @@ def test_step_kernel_binds_coefficients_and_scalars_as_0d_cells(burgers, quartic
             cells = dict(zip(kernel.__code__.co_freevars, (cell.cell_contents for cell in kernel.__closure__)))
             assert all(isinstance(c, np.ndarray) and c.shape == () and c.dtype == np.float64
                        for c in cells.values())
-            scalars = {"zero": 0.0, "half": 0.5, "half_lam": 0.5 * m.flux_lipschitz, "f_zero": m.f(0.0)}
+            scalars = {"zero": 0.0, "half": 0.5, "two": 2.0, "half_lam": 0.5 * m.flux_lipschitz, "f_zero": m.f(0.0)}
             assert all(float(cells.pop(name)) == value for name, value in scalars.items() if name in cells)
             assert sorted(float(c) for c in cells.values()) == _nonzero_coefficients(m), (m.name, formula)
 
@@ -439,12 +433,12 @@ def test_lowered_step_equals_its_formulas_run_in_numpy_bitwise(burgers, quartic,
     factors = [rng.uniform(0.0, 2.0, size) for size in (n + 1, n, n, n)]
     factors[1][::7] = 0.0
     for m in (burgers, quartic, sextic, shifted, rounding_quartic):
-        for flux, (_, formula) in scheme._FORMULA_OF.items():
+        for formula in STEP_FORMULAS:
             results = []
             for kernel in (scheme._step_kernel(m.f_poly, m.h_poly, formula, m.flux_lipschitz),
                            _kernel_from_text(m, formula, m.flux_lipschitz)):
                 v_new, f_s, a, b = (np.full(size, np.nan) for size in (n, n + 2, n + 1, n + 1))
-                results.append((kernel(m, flux, s, v_new, f_s, a, b, *factors), v_new))
+                results.append((kernel(s, v_new, f_s, a, b, *factors), v_new))
             lowered, plain = results
             for got, expected in zip(lowered, plain):
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (m.name, formula)
@@ -471,7 +465,7 @@ def test_step_face_fluxes_equal_the_bundled_fluxes_at_edge_values(burgers, quart
 
 def test_step_kernel_allocates_only_its_buffers_and_fluxes(monkeypatch, burgers, shifted):
     # f_s, the face scratch a and b and v_new are the caller's buffers; for Godunov the fluxes are
-    # where's result and its mask, and a flux that is not bundled returns its own
+    # where's result and its mask
     for m in (burgers, shifted):
         for formula in STEP_FORMULAS:
             sources = []
@@ -480,8 +474,7 @@ def test_step_kernel_allocates_only_its_buffers_and_fluxes(monkeypatch, burgers,
             scheme._step_kernel.__wrapped__(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
             (source,) = sources
             names, masks = allocations(ast.parse(source))
-            bundled = formula != scheme._CALL
-            assert names == ["fluxes"] * bundled, (m.name, formula)
+            assert names == ["fluxes"], (m.name, formula)
             assert masks == (formula == GODUNOV), (m.name, formula)
 
 
@@ -493,18 +486,31 @@ def test_step_refuses_an_inner_ghost_outside_the_state_interval(mesh_m1, mesh_fl
         tau = 0.5 * max_timestep(mesh, burgers, nf.lipschitz_bound)
         with pytest.raises(DomainError, match="^inner_ghost"):
             step(state, mesh, burgers, nf, tau, inner_ghost=ghost)
-        for flux, t in ((nf, -tau), (scheme.NumericalFlux("stalled", 0.0, nf.evaluate), tau)):
+        for flux, t in ((nf, -tau), (dataclasses.replace(nf, lipschitz_bound=0.0), tau)):
             with pytest.raises(DomainError, match="^inner_ghost"):  # before any other check
                 step(state, mesh, burgers, flux, t, inner_ghost=ghost)
 
 
-@pytest.mark.parametrize("result", [-0.5, np.full(1, -0.5), np.zeros((51, 1)), np.zeros(50)])
-def test_step_refuses_a_flux_result_that_is_not_one_float_per_face(mesh_m1, burgers, result):
-    nf = scheme.NumericalFlux("custom", burgers.flux_lipschitz, lambda m, u, v: result)
-    state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
-    shape = re.escape(str(np.shape(result)))
-    with pytest.raises(ContractError, match=f"shape {shape}, not one float per face \\(51,\\)"):
-        step(state, mesh_m1, burgers, nf, 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound))
+@pytest.mark.parametrize("kind, formula", [
+    ("custom", "fluxes = f_zero * half_lam"),  # reads no face state: one float, not one per face
+    ("custom", "fluxes = f_v"),  # a kernel name, one per cell
+    ("custom", "fluxes = np.abs(left)"),
+    ("custom", "flux = left"),
+    ("custom", "half_lam * (right - left)"),
+    ("not a name", CUSTOM_RUSANOV),
+])
+def test_numerical_flux_refuses_a_formula_that_is_not_one_flux_per_face(kind, formula):
+    with pytest.raises(ContractError, match=f"^flux '{kind}': the kind must be a name"):
+        scheme.NumericalFlux(kind, 1.0, formula)
+
+
+def test_numerical_flux_refuses_an_evaluate_that_is_not_its_formulas(burgers):
+    nf = numerical_flux("rusanov", burgers)
+    for evaluate in (flux_godunov, lambda m, u, v: nf.evaluate(m, u, v), scheme._numpy_flux("custom", nf.formula)):
+        with pytest.raises(ContractError, match="^flux 'rusanov': evaluate is not the function of its formula$"):
+            dataclasses.replace(nf, evaluate=evaluate)
+    assert dataclasses.replace(nf, evaluate=flux_rusanov).evaluate is flux_rusanov is nf.evaluate
+    assert dataclasses.replace(nf, increments=None).evaluate is flux_rusanov
 
 
 # --- time loops --------------------------------------------------------------
@@ -647,9 +653,9 @@ def test_run_takes_each_step_through_the_step_binding(monkeypatch, mesh_m1, burg
 
 
 def test_run_reports_own_a_custom_fluxs_values(mesh_m1, burgers):
-    # this evaluate returns the left states themselves, a view of the loop's buffer, which the next
-    # step overwrites: each report keeps its own copy
-    nf = scheme.NumericalFlux("left", burgers.flux_lipschitz, lambda m, u, v: u)
+    # this formula's fluxes are the left states themselves, a view of the loop's buffer, which the
+    # next step overwrites: each report keeps its own copy
+    nf = scheme.NumericalFlux("left", burgers.flux_lipschitz, "fluxes = left")
     reports = []
     run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.3 * np.cos(r)), t_end=0.3,
         on_step=lambda after, report: reports.append(report))
@@ -680,7 +686,7 @@ def test_step_and_run_refuse_an_outer_ghost_outside_the_state_interval(mesh_m1, 
     nf = numerical_flux("godunov", burgers)
     state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
-    stalled = scheme.NumericalFlux("stalled", 0.0, nf.evaluate)  # max_timestep refuses its bound
+    stalled = dataclasses.replace(nf, lipschitz_bound=0.0)  # max_timestep refuses its bound
     for flux, t in ((nf, tau), (nf, -tau), (stalled, tau)):  # the ghost is refused before any other check
         with pytest.raises(DomainError, match=rf"^outer_ghost {ghost} outside \[-1, 1\]$"):
             step(state, mesh_m1, burgers, flux, t, outer_ghost=ghost)
