@@ -44,6 +44,7 @@ from .harness import (
     self_convergence,
     steady_drift_detail,
 )
+from .model import BURGERS_COEFFS, _trimmed
 from .scheme import numerical_flux, project_initial, run
 
 _CSV_BLOCK_ROWS = 1024
@@ -315,7 +316,8 @@ def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
         table = build_fhat_table(model)
         inv = exterior_invariant(table, cfg.mass, path)
     else:
-        if cfg.model != "burgers":
+        # Burgers by the f_poly and h_poly build_model would give, under either model, without certifying one
+        if (_trimmed(cfg.f_coeffs), _trimmed(cfg.h_coeffs)) != BURGERS_COEFFS:
             raise ConfigError("characteristics.coordinates=interior supports only the burgers model")
         if not 0.0 < cfg.interior_shift <= cfg.mass:
             raise ConfigError(

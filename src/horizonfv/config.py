@@ -4,13 +4,13 @@ Everything a run needs lives in one INI-style file; no environment
 variables and no positional tuning flags, so a config plus a seed pins an
 experiment exactly.  Each key is declared once, as a ``RunConfig`` field
 that names its section (and its key, where that differs from the field
-name); the field's annotation picks the parser and its default fills a
-key left out.  Unknown sections or keys are rejected by name, with the
-line number inside their own section when it can be located; type errors
-(a number that is not finite among them) and constraint violations name
-the offending key, and the fully resolved configuration (defaults
-applied, in field order) is echoed into the output directory for
-provenance.
+name); the field's annotation picks the parser, its default fills a key
+left out, and its declared set bounds the values it takes.  Unknown
+sections or keys are rejected by name, with the line number inside their
+own section when it can be located; type errors (a number that is not
+finite among them) and constraint violations name the offending key, and
+the fully resolved configuration (defaults applied, in field order) is
+echoed into the output directory for provenance.
 """
 
 from __future__ import annotations
@@ -24,65 +24,73 @@ from pathlib import Path
 
 from .characteristics import FhatTable
 from .errors import ConfigError
-from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _trimmed, burgers_model, polynomial_model
+from .harness import PRESET_NAMES
+from .model import BURGERS_COEFFS, DEFAULT_KRUZHKOV_LEVELS, MAX_DEGREE, FluxModel, _trimmed, polynomial_model
 from .scheme import FLUX_KINDS, bump_data, constant_data, step_data
 
-_PRESET_NAMES = ("smooth", "riemann", "flat")
-_MAX_CELLS, _MAX_CONVERGE_LEVELS = 10 ** 7, 17  # a preset's 100 cells doubled 16 times are 6 553 600
+_CELLS = "[2, 10000000]"
 
 
-def _ini(section: str, default, key: str | None = None):
-    """A field read from ``key`` (default: the field name) in ``[section]``."""
-    return field(default=default, metadata={"section": section, "key": key})
+def _admits(admits, value) -> bool:
+    """Whether value lies in admits: a tuple of choices, or the text of an interval, such as
+    "(0, 1]" or "[2, inf)", whose square bracket admits its end."""
+    if isinstance(admits, tuple):
+        return value in admits
+    lo, hi = map(float, admits[1:-1].split(", "))
+    return (lo < value or admits[0] == "[" and value == lo) and (value < hi or admits[-1] == "]" and value == hi)
+
+
+def _ini(section: str, default, key: str | None = None, admits=None):
+    """A field read from ``key`` (default: the field name) in ``[section]``.  ``admits``, if given,
+    is the set its value, or each element of a tuple value, must lie in (see ``_admits``)."""
+    return field(default=default, metadata={"section": section, "key": key, "admits": admits})
 
 
 @dataclass
 class RunConfig:
     """Typed, validated run configuration with defaults applied."""
 
-    model: str = _ini("model", "burgers")
-    f_coeffs: tuple = _ini("model", (-0.5, 0.0, 0.5))
-    h_coeffs: tuple = _ini("model", (0.0,))
-    mass: float = _ini("geometry", 1.0)
+    model: str = _ini("model", "burgers", admits=("burgers", "custom"))
+    f_coeffs: tuple = _ini("model", BURGERS_COEFFS[0])
+    h_coeffs: tuple = _ini("model", BURGERS_COEFFS[1])
+    mass: float = _ini("geometry", 1.0, admits="[0, inf)")
     r_max: float = _ini("geometry", 12.0)
-    cells: int = _ini("geometry", 200)
+    cells: int = _ini("geometry", 200, admits=_CELLS)
     outer_boundary: str = _ini("geometry", "copy")
-    flux: str = _ini("evolution", "godunov")
-    cfl_fraction: float = _ini("evolution", 0.9)
-    t_end: float = _ini("evolution", 1.0)
-    snapshot_every: int = _ini("evolution", 10)
-    initial_kind: str = _ini("initial", "bump", "kind")
-    initial_constant: float = _ini("initial", 0.5, "constant")
-    initial_left: float = _ini("initial", 0.8, "left")
-    initial_right: float = _ini("initial", -0.4, "right")
+    flux: str = _ini("evolution", "godunov", admits=FLUX_KINDS)
+    cfl_fraction: float = _ini("evolution", 0.9, admits="(0, 1]")
+    t_end: float = _ini("evolution", 1.0, admits="(0, inf)")
+    snapshot_every: int = _ini("evolution", 10, admits="[1, inf)")
+    initial_kind: str = _ini("initial", "bump", "kind", ("constant", "riemann", "bump"))
+    initial_constant: float = _ini("initial", 0.5, "constant", "[-1, 1]")
+    initial_left: float = _ini("initial", 0.8, "left", "[-1, 1]")
+    initial_right: float = _ini("initial", -0.4, "right", "[-1, 1]")
     initial_jump_r: float = _ini("initial", 7.0, "jump_r")
-    initial_amplitude: float = _ini("initial", 0.5, "amplitude")
+    initial_amplitude: float = _ini("initial", 0.5, "amplitude", "[-1, 1]")
     initial_center: float = _ini("initial", 6.0, "center")
-    initial_width: float = _ini("initial", 1.0, "width")
+    initial_width: float = _ini("initial", 1.0, "width", "(0, inf)")
     entropy_diagnostics: bool = _ini("diagnostics", False)
-    kruzhkov_levels: tuple = _ini("diagnostics", DEFAULT_KRUZHKOV_LEVELS)
-    seed: int = _ini("run", 0)
+    kruzhkov_levels: tuple = _ini("diagnostics", DEFAULT_KRUZHKOV_LEVELS, admits="[-1, 1]")
+    seed: int = _ini("run", 0, admits="[0, inf)")
     output_dir: str = _ini("run", "out")
     char_r0: float = _ini("characteristics", 8.0, "r0")
-    char_u0: float = _ini("characteristics", 0.6, "u0")
-    char_ds: float = _ini("characteristics", 1e-3, "ds")
-    char_s_max: float = _ini("characteristics", 5.0, "s_max")
+    char_u0: float = _ini("characteristics", 0.6, "u0", "[-1, 1]")
+    char_ds: float = _ini("characteristics", 1e-3, "ds", "(0, inf)")
+    char_s_max: float = _ini("characteristics", 5.0, "s_max", "(0, inf)")
     char_r_stop: float = _ini("characteristics", 120.0, "r_stop")
-    coordinates: str = _ini("characteristics", "exterior")
+    coordinates: str = _ini("characteristics", "exterior", admits=("exterior", "interior"))
     interior_shift: float = _ini("characteristics", 0.5)
     steady_r0: float = _ini("steady", 4.0, "r0")
     steady_u0: float = _ini("steady", 0.9, "u0")
-    converge_preset: str = _ini("converge", "smooth", "preset")
-    converge_levels: int = _ini("converge", 4, "levels")
-    oracle_preset: str = _ini("oracle", "smooth", "preset")
-    oracle_cells: int = _ini("oracle", 400, "cells")
-    fuzz_trials: int = _ini("fuzz", 100, "trials")
-    fuzz_tau_scale: float = _ini("fuzz", 1.0, "tau_scale")
+    converge_preset: str = _ini("converge", "smooth", "preset", PRESET_NAMES)
+    converge_levels: int = _ini("converge", 4, "levels", "[3, 17]")  # 100 cells doubled 16 times are 6 553 600
+    oracle_preset: str = _ini("oracle", "smooth", "preset", PRESET_NAMES)
+    oracle_cells: int = _ini("oracle", 400, "cells", _CELLS)
+    fuzz_trials: int = _ini("fuzz", 100, "trials", "[1, inf)")
+    fuzz_tau_scale: float = _ini("fuzz", 1.0, "tau_scale", "(0, 1]")  # a step beyond the stability bound is refused
 
-    def build_model(self) -> FluxModel:
-        if self.model == "burgers":
-            return burgers_model()
-        return polynomial_model("custom", self.f_coeffs, self.h_coeffs)
+    def build_model(self) -> FluxModel:  # under model = burgers, _validate admits only Burgers' coefficients
+        return polynomial_model(self.model, self.f_coeffs, self.h_coeffs)
 
     def outer_ghost(self) -> float | None:
         return None if self.outer_boundary == "copy" else float(self.outer_boundary.split(":", 1)[1])
@@ -95,10 +103,10 @@ class RunConfig:
         return bump_data(self.initial_amplitude, self.initial_center, self.initial_width)
 
 
-# (section, key) -> (attribute, parser kind), in declaration order; the
-# annotations are strings here, and a tuple is a list of floats
+# (section, key) -> (attribute, parser kind, admitted values), in declaration order;
+# the annotations are strings here, and a tuple is a list of floats
 _KEYS = {(f.metadata["section"], f.metadata["key"] or f.name):
-         (f.name, "floats" if f.type == "tuple" else f.type) for f in fields(RunConfig)}
+         (f.name, "floats" if f.type == "tuple" else f.type, f.metadata["admits"]) for f in fields(RunConfig)}
 _SECTIONS = {section for section, _ in _KEYS}
 
 _REQUIRED = (("geometry", "mass"), ("geometry", "r_max"), ("geometry", "cells"),
@@ -157,22 +165,25 @@ def _convert(raw: str, kind: str, where: str):
 
 
 def _validate(cfg: RunConfig) -> None:
+    """Refuse a value outside the set its key admits, in declaration order, then the checks no one
+    key declares: the degree cap, Burgers' own coefficients under model = burgers, r_max > 2*mass,
+    the form of outer_boundary and the nonzero clamp of steady.u0.  ConfigError names the key."""
     def fail(key: str, message: str):
         raise ConfigError(f"{key}: {message}")
 
-    if cfg.model not in ("burgers", "custom"):
-        fail("model.model", f"must be 'burgers' or 'custom', got {cfg.model!r}")
-    for key in ("f_coeffs", "h_coeffs"):
-        if len(_trimmed(getattr(cfg, key))) > 9:  # trailing zeros do not count
-            fail(f"model.{key}", "polynomial degree must be <= 8")
-    if not cfg.mass >= 0.0:
-        fail("geometry.mass", f"mass >= 0 required, got {cfg.mass}")
+    for (section, key), (attr, _, admits) in _KEYS.items():
+        value = getattr(cfg, attr)
+        for v in value if isinstance(value, tuple) else (value,):
+            if admits is not None and not _admits(admits, v):
+                fail(f"{section}.{key}", f"{v!r} is not in {admits}")
+    for key, burgers in zip(("f_coeffs", "h_coeffs"), BURGERS_COEFFS):
+        coeffs = _trimmed(getattr(cfg, key))  # trailing zeros do not count
+        if len(coeffs) > MAX_DEGREE + 1:
+            fail(f"model.{key}", f"polynomial degree must be <= {MAX_DEGREE}")
+        if cfg.model == "burgers" and coeffs != burgers:
+            fail(f"model.{key}", f"{getattr(cfg, key)} is not Burgers' {burgers}; set model = custom to use it")
     if not cfg.r_max > 2.0 * cfg.mass:
         fail("geometry.r_max", f"r_max must exceed 2*mass = {2 * cfg.mass}")
-    if cfg.cells < 2:
-        fail("geometry.cells", f"cells >= 2 required, got {cfg.cells}")
-    if cfg.cells > _MAX_CELLS:
-        fail("geometry.cells", f"cells <= {_MAX_CELLS} required, got {cfg.cells}")
     if cfg.outer_boundary != "copy":
         parts = cfg.outer_boundary.split(":", 1)
         if len(parts) != 2 or parts[0] != "fixed":
@@ -183,53 +194,8 @@ def _validate(cfg: RunConfig) -> None:
             fail("geometry.outer_boundary", f"fixed value {parts[1]!r} is not a number")
         if not -1.0 <= value <= 1.0:
             fail("geometry.outer_boundary", f"fixed value {value} outside [-1, 1]")
-    if cfg.flux not in FLUX_KINDS:
-        fail("evolution.flux", f"must be one of {FLUX_KINDS}, got {cfg.flux!r}")
-    if not 0.0 < cfg.cfl_fraction <= 1.0:
-        fail("evolution.cfl_fraction", f"must lie in (0, 1], got {cfg.cfl_fraction}")
-    if not cfg.t_end > 0.0:
-        fail("evolution.t_end", f"t_end > 0 required, got {cfg.t_end}")
-    if cfg.snapshot_every < 1:
-        fail("evolution.snapshot_every", "snapshot_every >= 1 required")
-    if cfg.initial_kind not in ("constant", "riemann", "bump"):
-        fail("initial.kind", f"must be 'constant', 'riemann' or 'bump', got {cfg.initial_kind!r}")
-    for key, val in (("initial.constant", cfg.initial_constant), ("initial.left", cfg.initial_left),
-                     ("initial.right", cfg.initial_right), ("initial.amplitude", cfg.initial_amplitude)):
-        if not -1.0 <= val <= 1.0:
-            fail(key, f"state value {val} outside [-1, 1]")
-    if not cfg.initial_width > 0.0:
-        fail("initial.width", "width > 0 required")
-    for k in cfg.kruzhkov_levels:
-        if not -1.0 <= k <= 1.0:
-            fail("diagnostics.kruzhkov_levels", f"level {k} outside [-1, 1]")
-    if not cfg.char_ds > 0.0:
-        fail("characteristics.ds", "ds > 0 required")
-    if not cfg.char_s_max > 0.0:
-        fail("characteristics.s_max", "s_max > 0 required")
-    if cfg.coordinates not in ("exterior", "interior"):
-        fail("characteristics.coordinates", f"must be 'exterior' or 'interior', got {cfg.coordinates!r}")
-    if not abs(cfg.char_u0) <= 1.0:
-        fail("characteristics.u0", f"|u0| <= 1 required, got {cfg.char_u0}")
     if cfg.steady_u0 == 0.0 or not abs(cfg.steady_u0) <= 1.0 - FhatTable.epsilon:
         fail("steady.u0", f"u0 must be nonzero with |u0| <= 1 - {FhatTable.epsilon}, got {cfg.steady_u0}")
-    if cfg.converge_preset not in _PRESET_NAMES:
-        fail("converge.preset", f"must be one of {_PRESET_NAMES}, got {cfg.converge_preset!r}")
-    if cfg.converge_levels < 3:
-        fail("converge.levels", "levels >= 3 required")
-    if cfg.converge_levels > _MAX_CONVERGE_LEVELS:
-        fail("converge.levels", f"levels <= {_MAX_CONVERGE_LEVELS} required, got {cfg.converge_levels}")
-    if cfg.oracle_preset not in _PRESET_NAMES:
-        fail("oracle.preset", f"must be one of {_PRESET_NAMES}, got {cfg.oracle_preset!r}")
-    if cfg.oracle_cells < 2:
-        fail("oracle.cells", "cells >= 2 required")
-    if cfg.oracle_cells > _MAX_CELLS:
-        fail("oracle.cells", f"cells <= {_MAX_CELLS} required, got {cfg.oracle_cells}")
-    if cfg.seed < 0:
-        fail("run.seed", f"seed >= 0 required, got {cfg.seed}")
-    if cfg.fuzz_trials < 1:
-        fail("fuzz.trials", "trials >= 1 required")
-    if not 0.0 < cfg.fuzz_tau_scale <= 1.0:
-        fail("fuzz.tau_scale", "tau_scale must lie in (0, 1]; steps beyond the stability bound are rejected")
 
 
 def parse_config(path) -> RunConfig:
@@ -261,7 +227,7 @@ def parse_config(path) -> RunConfig:
                 line = _find_line(text, section, key)
                 at = f" (line {line})" if line else ""
                 raise ConfigError(f"unknown key '{key}' in section [{section}]{at}")
-            attr, kind = _KEYS[section, key]
+            attr, kind, _ = _KEYS[section, key]
             setattr(cfg, attr, _convert(raw, kind, f"{section}.{key}"))
             seen.add((section, key))
 
@@ -287,6 +253,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
     lines = []
     for section, entries in groupby(_KEYS.items(), key=lambda entry: entry[0][0]):
         lines.append(f"[{section}]")
-        lines += [f"{key} = {_format_value(getattr(cfg, attr))}" for (_, key), (attr, _) in entries]
+        lines += [f"{key} = {_format_value(getattr(cfg, attr))}" for (_, key), (attr, _, _) in entries]
         lines.append("")
     return "\n".join(lines)

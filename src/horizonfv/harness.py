@@ -44,27 +44,24 @@ class Preset:
     description: str = ""
 
 
+#: The names of the bundled presets, in the order ``presets()`` lists them.
+PRESET_NAMES = ("smooth", "riemann", "flat")
+
+
 def presets() -> dict[str, Preset]:
-    """The bundled experiment presets."""
+    """The bundled experiment presets: Burgers with the Godunov flux at CFL 0.9 on 100 cells."""
+    specs = (
+        dict(mass=1.0, r_max=12.0, t_end=1.2, v0=bump_data(0.5, 6.0, 1.0),
+             description="pre-shock Gaussian bump on a mass-1 background; "
+                         "t_end sits below the crossing guard with >10% margin"),
+        dict(mass=1.0, r_max=12.0, t_end=0.8, v0=step_data(0.8, -0.4, 7.0),
+             description="single right-moving shock from step data (0.8, -0.4) at r = 7"),
+        dict(mass=0.0, r_max=10.0, t_end=0.5, v0=constant_data(-0.3),
+             description="flat-space constant state; exact fixed point of the scheme"),
+    )
     b = burgers_model()
-    return {
-        "smooth": Preset(
-            name="smooth", model=b, mass=1.0, r_max=12.0, cells=100, t_end=1.2,
-            flux_kind="godunov", cfl_fraction=0.9, v0=bump_data(0.5, 6.0, 1.0),
-            description="pre-shock Gaussian bump on a mass-1 background; "
-                        "t_end sits below the crossing guard with >10% margin",
-        ),
-        "riemann": Preset(
-            name="riemann", model=b, mass=1.0, r_max=12.0, cells=100, t_end=0.8,
-            flux_kind="godunov", cfl_fraction=0.9, v0=step_data(0.8, -0.4, 7.0),
-            description="single right-moving shock from step data (0.8, -0.4) at r = 7",
-        ),
-        "flat": Preset(
-            name="flat", model=b, mass=0.0, r_max=10.0, cells=100, t_end=0.5,
-            flux_kind="godunov", cfl_fraction=0.9, v0=constant_data(-0.3),
-            description="flat-space constant state; exact fixed point of the scheme",
-        ),
-    }
+    return {name: Preset(name=name, model=b, cells=100, flux_kind="godunov", cfl_fraction=0.9, **spec)
+            for name, spec in zip(PRESET_NAMES, specs, strict=True)}
 
 
 def run_preset(preset: Preset, cells: Optional[int] = None):

@@ -27,12 +27,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedModelError
+from .errors import ContractError, DomainError, UnsupportedModelError
 
 ArrayLike = Callable[[np.ndarray], np.ndarray]
 
 #: Kruzhkov levels exercised by the bundled diagnostics.
 DEFAULT_KRUZHKOV_LEVELS = (-0.75, -0.25, 0.0, 0.25, 0.75)
+#: The largest degree of f or h that ``polynomial_model`` builds, after trailing zeros are dropped.
+MAX_DEGREE = 8
+#: Burgers' ascending coefficients of f and h: f(s) = s**2/2 - 1/2, h = 0.
+BURGERS_COEFFS = ((-0.5, 0.0, 0.5), (0.0,))
 
 
 def _horner(coeffs: tuple[float, ...], var: str, prefix: str) -> tuple[str, dict[str, float]]:
@@ -68,24 +72,36 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
     between operations go into x, which e may read only in its last one, or into free scratch names
     of x's shape.  Supported: + - * /, names, basic slices, literals of _CONSTANTS, maximum, minimum,
     where(a <= b, c, d) as the value of x = ..., and p(x) for p in polys, written in as the _horner
-    text of polys[p] with coefficient cells p_i.  The values of the cells read are added to cells."""
+    text of polys[p] with coefficient cells p_i.  The values of the cells read are added to cells.
+    ContractError names the first construct it cannot write."""
     lines = []
+
+    def refuse(node, why):
+        raise ContractError(f"cannot write {ast.unparse(node)!r}: {why}")
+
+    def free(node):  # a scratch name no value in flight holds
+        return next((s for s in scratch if s not in busy), None) or refuse(node, f"it needs more than {scratch}")
 
     def emit(node, dest):  # the name holding node's value: dest, if given
         if isinstance(node, (ast.Name, ast.Subscript, ast.Compare)):
             return getattr(node, "id", None) or ast.unparse(node)
-        if isinstance(node, ast.Constant):
+        if isinstance(node, ast.Constant) and node.value in _CONSTANTS:
             cells[_CONSTANTS[node.value]] = float(node.value)
             return _CONSTANTS[node.value]
-        name = node.func.id if isinstance(node, ast.Call) else _UFUNCS[type(node.op)]
+        name = (getattr(node.func, "id", None) if isinstance(node, ast.Call)
+                else _UFUNCS.get(type(getattr(node, "op", None))))
+        if name not in {*_UFUNCS.values(), "maximum", "minimum", "where", *polys}:
+            refuse(node, f"not + - * /, maximum, minimum, where, {', '.join(polys)} or {tuple(_CONSTANTS)}")
         if name in polys:  # the argument's scratch is freed by the first Horner operation
             expr, names = _horner(polys[name], emit(node.args[0], None), name + "_")
             cells.update(names)
-            return emit(_parse(expr, mode="eval").body, dest or next(s for s in scratch if s not in busy))
+            return emit(_parse(expr, mode="eval").body, dest or free(node))
         args = [node.left, node.right] if isinstance(node, ast.BinOp) else node.args
         ops = [arg for arg in args if isinstance(arg, (ast.BinOp, ast.Call)) and name != "where"]  # where has no out
         args = [emit(arg, dest if ops and arg is ops[0] else None) for arg in args]  # ops[0] is computed into dest
-        out = dest or next((arg for arg in args if arg in busy), None) or next(s for s in scratch if s not in busy)
+        out = dest or next((arg for arg in args if arg in busy), None) or free(node)
+        if name == "where" and out not in unbound:
+            refuse(node, "where is only the value of x = ...")
         busy.difference_update(args)
         busy.add(out)
         lines.append(f"{out} = {name}({', '.join(args)})" if out in unbound else
@@ -94,6 +110,8 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         return out
 
     for statement in _parse(source).body:
+        if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1):
+            refuse(statement, "a statement is one x = e or x[...] = e")
         (target,), value, busy = statement.targets, statement.value, set()
         dest = getattr(target, "value", target).id
         unbound = {dest} if isinstance(target, ast.Name) else set()
@@ -367,14 +385,15 @@ def _peak_candidates(slope_poly: Sequence[float], what: str) -> np.ndarray:
 
 
 def polynomial_model(name: str, f_coeffs: Sequence[float], h_coeffs: Sequence[float]) -> FluxModel:
-    """Build and certify a model from ascending polynomial coefficients (degree <= 8).
+    """Build and certify a model from ascending polynomial coefficients (degree <= MAX_DEGREE).
 
     DomainError if the coefficients are not finite or a quantity the
     certificate needs overflows a float; the message names that quantity.
     """
     fc, hc = _trimmed(f_coeffs), _trimmed(h_coeffs)
-    if len(fc) > 9 or len(hc) > 9:
-        raise DomainError(f"polynomial models support degree <= 8, got {len(fc) - 1} for f and {len(hc) - 1} for h")
+    if max(len(fc), len(hc)) > MAX_DEGREE + 1:
+        raise DomainError(f"polynomial models support degree <= {MAX_DEGREE}, "
+                          f"got {len(fc) - 1} for f and {len(hc) - 1} for h")
     dfc = _finite(_polyder(fc), "f'")
     dhc = _polyder(hc)
     dsc = _finite([a + b for a, b in zip_longest(dfc, dhc, fillvalue=0.0)], "f' + h'")
@@ -404,4 +423,4 @@ def polynomial_model(name: str, f_coeffs: Sequence[float], h_coeffs: Sequence[fl
 
 def burgers_model() -> FluxModel:
     """The built-in model f(s) = s**2/2 - 1/2, h = 0."""
-    return polynomial_model("burgers", (-0.5, 0.0, 0.5), (0.0,))
+    return polynomial_model("burgers", *BURGERS_COEFFS)

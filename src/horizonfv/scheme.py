@@ -133,6 +133,10 @@ def _numpy_flux(kind: str, formula: str) -> Callable:
             and names <= {"fluxes", "left", "right", "where", "maximum", "minimum", *_READS}):
         raise ContractError(f"flux {kind!r}: the kind must be a name, and {formula!r} must set fluxes from left"
                             f" and right with where, maximum, minimum, + - * / and {', '.join(_READS)}")
+    try:  # as _step_kernel writes it, into its scratch a and b
+        _lower(formula, {"f": (0.0,)}, {}, ["a", "b"])
+    except ContractError as exc:
+        raise ContractError(f"flux {kind!r}: {exc}") from None
     reads = "".join(f"    {line}\n" for name, line in _READS.items() if name in names)
     return _closure(_FLUX.format(kind=kind, formula=formula, reads=reads), {"kind": kind}, _FLUX_NAMES)
 
@@ -146,7 +150,8 @@ class NumericalFlux:
     ``left`` and ``right``, which ``step`` writes into its kernel and ``evaluate(m, u, v)`` runs in
     numpy; with its Lipschitz bound for the CFL rule and, optionally, ``increments(m, u, v)``:
     Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) =
-    -D (v - u).  ContractError refuses an evaluate other than the formula's or a wrapper of it."""
+    -D (v - u).  ContractError refuses a formula the step cannot write and an evaluate other than
+    the formula's or a wrapper of it."""
 
     kind: str
     lipschitz_bound: float

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields
 from itertools import groupby
@@ -9,7 +10,7 @@ import pytest
 
 from horizonfv import Background, ConfigError, StateVector, build_uniform_mesh, numerical_flux, project_initial, run
 from horizonfv.cli import _CSV_BLOCK_ROWS, _write_csv, _write_snapshots, main
-from horizonfv.config import RunConfig, parse_config, resolved_config_text
+from horizonfv.config import _KEYS, RunConfig, parse_config, resolved_config_text
 from csv_reference import reference_write_csv, reference_write_snapshots
 
 MINIMAL = """
@@ -130,8 +131,7 @@ def test_cells_constraint_names_key(tmp_path):
     body = MINIMAL.replace("cells = 200", "cells = 1")
     with pytest.raises(ConfigError) as err:
         parse_config(write_config(tmp_path, body))
-    assert "cells" in str(err.value)
-    assert ">= 2" in str(err.value)
+    assert str(err.value) == "geometry.cells: 1 is not in [2, 10000000]"
 
 
 def test_unknown_key_named_with_line(tmp_path):
@@ -517,6 +517,19 @@ output_dir = {out}
     assert summary["invariant_drift"] <= 1e-8
 
 
+def test_cli_characteristics_interior_decides_burgers_by_its_coefficients(tmp_path):
+    # model = burgers and custom with Burgers' coefficients, trailing zeros and all, trace the same
+    traces = []
+    for model in ({}, {"model.f_coeffs": "-0.5, -0, 0.5, 0", "model.h_coeffs": "0, 0"},
+                  {"model.model": "custom", "model.f_coeffs": "-0.5, 0, 0.5, 0", "model.h_coeffs": "0, 0"}):
+        out = tmp_path / f"out{len(traces)}"
+        body = config_with({**model, "characteristics.s_max": "1.0", "characteristics.coordinates": "interior",
+                            "run.output_dir": str(out)})
+        assert _run_cli(tmp_path, body, "characteristics") == 0
+        traces.append([(out / name).read_bytes() for name in ("characteristic.csv", "summary.json")])
+    assert traces[0] == traces[1] == traces[2]
+
+
 def test_cli_steady_and_drift(tmp_path):
     out = tmp_path / "steady"
     body = MINIMAL.replace("cells = 200", "cells = 50").replace("t_end = 1.0", "t_end = 0.5") + f"""
@@ -613,7 +626,7 @@ def test_cli_fuzz_refuses_a_negative_seed_as_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     body = MINIMAL + f"\n[fuzz]\ntrials = 1\n\n[run]\nseed = -1\noutput_dir = {out}\n"
     assert _run_cli(tmp_path, body, "fuzz") == 2
-    assert capsys.readouterr().err == "config error: run.seed: seed >= 0 required, got -1\n"
+    assert capsys.readouterr().err == "config error: run.seed: -1 is not in [0, inf)\n"
     assert not out.exists()
 
 
@@ -704,34 +717,39 @@ def config_with(settings: dict) -> str:
 
 
 @pytest.mark.parametrize("command, settings, key, message", [
-    ("check-model", {"model.model": "cubic"}, "model.model", "must be 'burgers' or 'custom'"),
-    ("check-model", {"geometry.mass": "-1"}, "geometry.mass", "mass >= 0 required"),
+    ("check-model", {"model.model": "cubic"}, "model.model", "'cubic' is not in ('burgers', 'custom')"),
+    ("check-model", {"geometry.mass": "-1"}, "geometry.mass", "-1.0 is not in [0, inf)"),
     ("check-model", {"geometry.r_max": "2"}, "geometry.r_max", "r_max must exceed 2*mass"),
     ("check-model", {"geometry.outer_boundary": "open"}, "geometry.outer_boundary", "must be 'copy' or"),
     ("check-model", {"geometry.outer_boundary": "fixed:low"}, "geometry.outer_boundary", "is not a number"),
-    ("check-model", {"evolution.flux": "upwind"}, "evolution.flux", "must be one of"),
-    ("check-model", {"evolution.cfl_fraction": "1.5"}, "evolution.cfl_fraction", "must lie in (0, 1]"),
-    ("check-model", {"evolution.t_end": "0"}, "evolution.t_end", "t_end > 0 required"),
-    ("check-model", {"evolution.snapshot_every": "0"}, "evolution.snapshot_every", "snapshot_every >= 1"),
-    ("check-model", {"initial.kind": "sine"}, "initial.kind", "must be 'constant', 'riemann' or 'bump'"),
-    ("check-model", {"initial.constant": "1.5"}, "initial.constant", "state value 1.5 outside [-1, 1]"),
-    ("check-model", {"initial.width": "0"}, "initial.width", "width > 0 required"),
-    ("check-model", {"diagnostics.kruzhkov_levels": "0, 2"}, "diagnostics.kruzhkov_levels", "level 2.0 outside"),
+    ("check-model", {"evolution.flux": "upwind"}, "evolution.flux", "'upwind' is not in ('godunov', 'eo', 'rusanov')"),
+    ("check-model", {"evolution.cfl_fraction": "1.5"}, "evolution.cfl_fraction", "1.5 is not in (0, 1]"),
+    ("check-model", {"evolution.t_end": "0"}, "evolution.t_end", "0.0 is not in (0, inf)"),
+    ("check-model", {"evolution.snapshot_every": "0"}, "evolution.snapshot_every", "0 is not in [1, inf)"),
+    ("check-model", {"initial.kind": "sine"}, "initial.kind",
+     "'sine' is not in ('constant', 'riemann', 'bump')"),
+    ("check-model", {"initial.constant": "1.5"}, "initial.constant", "1.5 is not in [-1, 1]"),
+    ("check-model", {"initial.width": "0"}, "initial.width", "0.0 is not in (0, inf)"),
+    ("check-model", {"diagnostics.kruzhkov_levels": "0, 2"}, "diagnostics.kruzhkov_levels",
+     "2.0 is not in [-1, 1]"),
     ("check-model", {"diagnostics.kruzhkov_levels": ","}, "diagnostics.kruzhkov_levels", "(empty list)"),
     ("check-model", {"diagnostics.entropy_diagnostics": "maybe"}, "diagnostics.entropy_diagnostics",
      "(not a boolean)"),
-    ("check-model", {"characteristics.ds": "0"}, "characteristics.ds", "ds > 0 required"),
-    ("check-model", {"characteristics.s_max": "-1"}, "characteristics.s_max", "s_max > 0 required"),
+    ("check-model", {"characteristics.ds": "0"}, "characteristics.ds", "0.0 is not in (0, inf)"),
+    ("check-model", {"characteristics.s_max": "-1"}, "characteristics.s_max", "-1.0 is not in (0, inf)"),
     ("check-model", {"characteristics.coordinates": "polar"}, "characteristics.coordinates",
-     "must be 'exterior' or 'interior'"),
-    ("check-model", {"characteristics.u0": "1.5"}, "characteristics.u0", "|u0| <= 1 required"),
+     "'polar' is not in ('exterior', 'interior')"),
+    ("check-model", {"characteristics.u0": "1.5"}, "characteristics.u0", "1.5 is not in [-1, 1]"),
     ("check-model", {"steady.u0": "0"}, "steady.u0", "u0 must be nonzero"),
-    ("check-model", {"converge.preset": "shock"}, "converge.preset", "must be one of"),
-    ("check-model", {"converge.levels": "2"}, "converge.levels", "levels >= 3 required"),
-    ("check-model", {"oracle.preset": "shock"}, "oracle.preset", "must be one of"),
-    ("check-model", {"oracle.cells": "1"}, "oracle.cells", "cells >= 2 required"),
-    ("check-model", {"fuzz.trials": "0"}, "fuzz.trials", "trials >= 1 required"),
-    ("characteristics", {"model.model": "custom", "characteristics.coordinates": "interior"},
+    ("check-model", {"converge.preset": "shock"}, "converge.preset",
+     "'shock' is not in ('smooth', 'riemann', 'flat')"),
+    ("check-model", {"converge.levels": "2"}, "converge.levels", "2 is not in [3, 17]"),
+    ("check-model", {"oracle.preset": "shock"}, "oracle.preset",
+     "'shock' is not in ('smooth', 'riemann', 'flat')"),
+    ("check-model", {"oracle.cells": "1"}, "oracle.cells", "1 is not in [2, 10000000]"),
+    ("check-model", {"fuzz.trials": "0"}, "fuzz.trials", "0 is not in [1, inf)"),
+    ("characteristics", {"model.model": "custom", "model.f_coeffs": "-1, 0, 1",
+                         "characteristics.coordinates": "interior"},
      "characteristics.coordinates", "=interior supports only the burgers model"),
     ("characteristics", {"characteristics.coordinates": "interior", "characteristics.interior_shift": "2"},
      "characteristics.interior_shift", "must lie in (0, mass]"),
@@ -739,6 +757,9 @@ def config_with(settings: dict) -> str:
     ("steady", {"steady.r0": "1.5"}, "steady.r0", "r0 must exceed 2.0, got 1.5"),
     ("steady-drift", {"steady.r0": "1.5"}, "steady.r0", "r0 must exceed 2.0, got 1.5"),
     ("characteristics", {"characteristics.r0": "2.0000001"}, "characteristics.r0", "r0 must exceed 2.000002"),
+    ("check-model", {"model.f_coeffs": "-1, 0, 1"}, "model.f_coeffs",
+     "(-1.0, 0.0, 1.0) is not Burgers' (-0.5, 0.0, 0.5); set model = custom to use it"),
+    ("run", {"model.h_coeffs": "0, 0.5"}, "model.h_coeffs", "(0.0, 0.5) is not Burgers' (0.0,)"),
 ])
 def test_cli_refuses_each_bad_key_as_a_config_error(tmp_path, capsys, command, settings, key, message):
     body = config_with({**settings, "run.output_dir": str(tmp_path / "out")})
@@ -761,12 +782,69 @@ def test_cli_refuses_an_unreadable_or_malformed_config_file(tmp_path, capsys):
     ("converge.levels", "18", "levels <= 17"),
 ])
 def test_config_caps_the_mesh_sizes_it_accepts(tmp_path, key, value, limit):
-    # the largest accepted values parse; one beyond them is refused by name
+    # the largest accepted values parse; one beyond them is refused by name, with the cap as the set's upper end
     largest = config_with({"geometry.cells": "10000000", "oracle.cells": "10000000", "converge.levels": "17"})
     largest = parse_config(write_config(tmp_path, largest))
     assert (largest.cells, largest.oracle_cells, largest.converge_levels) == (10 ** 7, 10 ** 7, 17)
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: {re.escape(limit)} required, got {value}$"):
+    low, cap = {"geometry.cells": 2, "oracle.cells": 2, "converge.levels": 3}[key], limit.split(" <= ")[1]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: {value} is not in \[{low}, {cap}\]$"):
         parse_config(write_config(tmp_path, config_with({key: value})))
+
+
+def _declared_sets():
+    for f in fields(RunConfig):
+        if f.metadata["admits"] is not None:
+            yield pytest.param(f, id=f"{f.metadata['section']}.{f.metadata['key'] or f.name}")
+
+
+def _ends(f):
+    """The values of f's kind at the ends of its declared set that it admits, and those just
+    outside it: each choice and an unlisted one; each closed end and the next value beyond it
+    (nextafter for floats, +-1 for ints), and each open end itself."""
+    admits = f.metadata["admits"]
+    if isinstance(admits, tuple):
+        return list(admits), ["unlisted"]
+    inside, outside = [], []
+    ends = map(float, admits[1:-1].split(", "))
+    for end, closed, outward in zip(ends, (admits[0] == "[", admits[-1] == "]"), (-1, 1)):
+        if math.isinf(end):
+            continue
+        if f.type == "int":
+            end, beyond = int(end), int(end) + outward
+        else:
+            beyond = math.nextafter(end, outward * math.inf)
+        (inside if closed else outside).append(end)
+        if closed:
+            outside.append(beyond)
+    return inside, outside
+
+
+@pytest.mark.parametrize("f", _declared_sets())
+def test_each_declared_set_admits_its_closed_ends_and_refuses_just_beyond(tmp_path, f):
+    key = f"{f.metadata['section']}.{f.metadata['key'] or f.name}"
+    inside, outside = _ends(f)
+    assert outside
+    for value in inside:
+        cfg = parse_config(write_config(tmp_path, config_with({key: str(value)})))
+        assert getattr(cfg, f.name) in (value, (value,))
+    for value in outside:
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, config_with({key: repr(value) if f.type != "str" else value})))
+        assert str(err.value) == f"{key}: {value!r} is not in {f.metadata['admits']}"
+
+
+def test_readme_config_table_lists_every_key_with_its_default_and_declared_set():
+    def shown(value):
+        return (str(value).lower() if isinstance(value, bool) else
+                ", ".join(map(str, value)) if isinstance(value, tuple) else str(value))
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config format\n")[1].split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in section.splitlines()
+            if line.startswith("| `")]
+    declared = [[f"`{section}.{key}`", f"`{shown(RunConfig.__dataclass_fields__[attr].default)}`",
+                 "" if admits is None else f"`{admits}`"] for (section, key), (attr, _, admits) in _KEYS.items()]
+    assert rows == declared
 
 
 @pytest.mark.parametrize("make", ["under a file", "a file"])

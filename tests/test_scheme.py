@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -502,6 +503,26 @@ def test_step_refuses_an_inner_ghost_outside_the_state_interval(mesh_m1, mesh_fl
 def test_numerical_flux_refuses_a_formula_that_is_not_one_flux_per_face(kind, formula):
     with pytest.raises(ContractError, match=f"^flux '{kind}': the kind must be a name"):
         scheme.NumericalFlux(kind, 1.0, formula)
+
+
+UNWRITTEN = "not + - * /, maximum, minimum, where, f or (0.0, 0.5, 1.0, 2.0)"
+
+
+@pytest.mark.parametrize("formula, construct, why", [
+    ("fluxes = -left * half_lam", "-left", UNWRITTEN),
+    ("fluxes = left ** 2", "left ** 2", UNWRITTEN),
+    ("fluxes = 0.3 * (f_left + f_right)", "0.3", UNWRITTEN),
+    ("fluxes = (left + right) * where(left <= right, left, right)", "where(left <= right, left, right)",
+     "where is only the value of x = ..."),
+    ("fluxes = (left - right) * ((left - right) * ((left - right) * (right - left)))", "right - left",
+     "it needs more than ['a', 'b']"),
+    ("fluxes = left\nfluxes += right", "fluxes += right", "a statement is one x = e"),
+])
+def test_numerical_flux_refuses_a_formula_the_step_cannot_write(formula, construct, why):
+    # each reads only admitted names, so it is the lowering that names what it cannot write
+    with pytest.raises(ContractError, match=f"^flux 'custom': cannot write {re.escape(repr(construct))}: "
+                                            f"{re.escape(why)}"):
+        scheme.NumericalFlux("custom", 1.0, formula)
 
 
 def test_numerical_flux_refuses_an_evaluate_that_is_not_its_formulas(burgers):
