@@ -23,7 +23,8 @@ from . import entropy as entropy_mod
 from .characteristics import build_fhat_table, steady_profile
 from .errors import DomainError, NumericsError, PresetError
 from .geometry import Background, RadialMesh, build_uniform_mesh, max_timestep
-from .model import DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _lower, _polyder, burgers_model
+from .model import (DEFAULT_KRUZHKOV_LEVELS, FluxModel, _closure, _lower, _polyder, _with_source,
+                    burgers_model)
 from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_data, constant_data,
                      numerical_flux, project_initial, run, step_data)
 
@@ -135,9 +136,11 @@ def self_convergence(preset: Preset, levels: int = 4) -> ConvergenceResult:
 
 
 SHOOTING_DT = 0.002  # the shooting oracle's largest RK4 step in coordinate time
+RK4_STABLE = 2.785  # RK4 is stable for a real eigenvalue lam < 0 only where |lam| dt <= this
 
 # RK4 on the (2, n) ensemble y = (r, u): stage i writes the rates into k<i> (scratch: row), then
 # y + c k<i> into stage; the step goes into stage (scratch: spare), then y, as _lower writes them.
+# _STAGES' fields h_u and h_su are filled by _with_source.
 _CHARS_LOOP = """\
 def kernel(y, n_steps, two_m, dt, half_dt, sixth_dt):
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
@@ -149,7 +152,7 @@ def kernel(y, n_steps, two_m, dt, half_dt, sixth_dt):
 
 return kernel
 """
-_RATES = "{k}r[...] = (1.0 - two_m / {r}) * df({u})\n{k}u[...] = (f({u}) + h({u})) * (two_m / ({r} * {r}))\n"
+_RATES = "{k}r[...] = (1.0 - two_m / {r}) * df({u})\n{k}u[...] = (f({u}){{h_{u}}}) * (two_m / ({r} * {r}))\n"
 _STAGES = (_RATES.format(k="k1", r="r", u="u") + "stage[...] = y + half_dt * k1\n"
            + _RATES.format(k="k2", r="sr", u="su") + "stage[...] = y + half_dt * k2\n"
            + _RATES.format(k="k3", r="sr", u="su") + "stage[...] = y + dt * k3\n"
@@ -162,7 +165,8 @@ def _chars_kernel(*polys):
     """The shooting kernel for the coefficient tuples of f, f' and h.  Every coefficient and
     scalar is a 0-d array in a closure cell, which a ufunc takes faster than a float."""
     cells, polys = {}, dict(zip(("f", "df", "h"), polys))
-    lines = _lower(_STAGES, polys, cells, ["row"]) + _lower(_RK4_STEP, polys, cells, ["spare"])
+    stages = _with_source(_STAGES, polys["f"], polys["h"], "u", "su")
+    lines = _lower(stages, polys, cells, ["row"]) + _lower(_RK4_STEP, polys, cells, ["spare"])
     source = _CHARS_LOOP.format(body="\n".join(" " * 8 + line for line in lines))
     return _closure(source, {name: np.array(c) for name, c in cells.items()}, {"np": np})
 
@@ -192,7 +196,13 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
     (at most 48 passes); it returns the state its last shot transported.
     DomainError before any shot unless the targets are a non-empty, finite,
     strictly increasing 1-d array, t_end >= 0 and mass >= 0, all finite.
-    The RK4 step is at most SHOOTING_DT, with at least 64 steps.
+    The RK4 step dt is at most SHOOTING_DT, with at least 64 steps.  At
+    r = 2M the system's Jacobian is triangular with eigenvalues f'(u)/(2M)
+    and (f' + h')(u)/(2M), so a mass M > 0 below the least stable one,
+    dt max(sup |f'|, sup |f' + h'|) / (2 RK4_STABLE), is refused with
+    DomainError naming it, before any shot too.  NumericsError names the
+    start radius of the first characteristic of a shot, the probe's
+    included, whose arrival or transported state is not finite.
     """
     targets = np.asarray(targets, dtype=float)
     problem = ("targets are not a non-empty 1-d array" if targets.ndim != 1 or targets.size == 0 else
@@ -203,6 +213,10 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
     if problem:
         raise DomainError(f"shooting refused: {problem}")
     n_steps = max(64, int(math.ceil(t_end / SHOOTING_DT)))
+    least_mass = t_end / n_steps * max(m.flux_lipschitz, m.source_slope) / (2.0 * RK4_STABLE)
+    if 0.0 < mass < least_mass:
+        raise DomainError(f"shooting refused: mass = {mass} is below {least_mass:.17g}, the least at which"
+                          f" its RK4 step {t_end / n_steps:.17g} is stable at the horizon")
 
     if mass > 0.0:
         lo_edge = 2.0 * mass * (1.0 + 1e-10)
@@ -212,7 +226,13 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
 
     def shoot(r0):
         u0 = np.clip(np.asarray(v0(r0), dtype=float), -1.0, 1.0)
-        return _integrate_chars(m, mass, r0, u0, t_end, n_steps)
+        r, u = _integrate_chars(m, mass, r0, u0, t_end, n_steps)
+        finite = np.isfinite(r) & np.isfinite(u)
+        if not finite.all():
+            i = int(np.argmin(finite))  # the first False
+            raise NumericsError(f"shooting: the characteristic from r0 = {r0[i]:.17g} is not finite at"
+                                f" t_end = {t_end}: (r, u) = ({r[i]}, {u[i]})")
+        return r, u
 
     probe = np.linspace(lo_edge, hi_edge, max(4 * targets.size, 64))
     probe_arrival, _ = shoot(probe)

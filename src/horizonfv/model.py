@@ -72,9 +72,18 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
     between operations go into x, which e may read only in its last one, or into free scratch names
     of x's shape.  Supported: + - * /, names, basic slices, literals of _CONSTANTS, maximum, minimum,
     where(a <= b, c, d) as the value of x = ..., and p(x) for p in polys, written in as the _horner
-    text of polys[p] with coefficient cells p_i.  The values of the cells read are added to cells.
-    ContractError names the first construct it cannot write."""
-    lines = []
+    text of polys[p] with coefficient cells p_i.  The values of the cells of that text and of the
+    literals read are added to cells.  ContractError names the first construct it cannot write.
+
+    Two operations whose result is always bitwise one of their operands are left out.  A product
+    with a coefficient cell of exactly 1.0 is its other factor, as x * 1.0 is x for every double, so
+    Burgers' f'(u) is u; the cell stays in cells, unread.  And the builders fill their templates
+    through _with_source, which leaves the source term out of f(x) + h(x) where h is zero and
+    f(0) != 0: f's Horner text then ends in + f_0, so f(x) is never -0.0, and y + x * 0.0 is y for
+    every y but -0.0 and every finite x.  The step's states are finite by its range check and the
+    shooting's by its refusal of a shot that is not, whose row a stage outside the finite numbers
+    leaves non-finite in either text, as r and u change only by addition."""
+    lines, units = [], set()  # units: the coefficient cells that hold 1.0
 
     def refuse(node, why):
         raise ContractError(f"cannot write {ast.unparse(node)!r}: {why}")
@@ -95,8 +104,11 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         if name in polys:  # the argument's scratch is freed by the first Horner operation
             expr, names = _horner(polys[name], emit(node.args[0], None), name + "_")
             cells.update(names)
+            units.update(cell for cell, c in names.items() if c == 1.0)
             return emit(_parse(expr, mode="eval").body, dest or free(node))
         args = [node.left, node.right] if isinstance(node, ast.BinOp) else node.args
+        if name == "multiply" and getattr(args[1], "id", None) in units:  # Horner's var * lead, lead 1.0
+            return emit(args[0], dest)
         ops = [arg for arg in args if isinstance(arg, (ast.BinOp, ast.Call)) and name != "where"]  # where has no out
         args = [emit(arg, dest if ops and arg is ops[0] else None) for arg in args]  # ops[0] is computed into dest
         out = dest or next((arg for arg in args if arg in busy), None) or free(node)
@@ -118,6 +130,13 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         if (name := emit(value, dest)) != dest:  # a bare name y: x = y binds it, x[...] = y copies it
             lines.append(f"{ast.unparse(target)} = {name}")
     return lines
+
+
+def _with_source(template: str, f_poly: tuple[float, ...], h_poly: tuple[float, ...], *states: str) -> str:
+    """template with its field h_x filled, for each state name x, with the source term " + h(x)", or
+    with nothing where h is zero and f(0) != 0, which leaves f(x) + h(x) bitwise unchanged (see _lower)."""
+    vanishes = h_poly == (0.0,) and f_poly[0] != 0.0
+    return template.format(**{f"h_{x}": "" if vanishes else f" + h({x})" for x in states})
 
 
 def _closure(body: str, cells: dict[str, float], names: dict | None = None):

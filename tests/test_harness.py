@@ -181,8 +181,9 @@ def test_shooting_kernel_writes_a_models_own_evaluators_inline(burgers, quartic,
         cells = dict(zip(kernel.__code__.co_freevars, (cell.cell_contents for cell in kernel.__closure__)))
         assert all(isinstance(c, np.ndarray) and c.shape == () and c.dtype == np.float64 for c in cells.values())
         assert sorted(float(cells.pop(name)) for name in ("one", "two")) == [1.0, 2.0]
+        # a lead of 1.0 is a factor of 1.0, which the lowering leaves out with its cell
         assert sorted(float(c) for name, c in cells.items() if name != "zero") == \
-            sorted(c for poly in polys for c in poly if c)
+            sorted(c for poly in polys for i, c in enumerate(poly) if c and not (c == 1.0 and 0 < i == len(poly) - 1))
         calls, _ = _evaluator_calls(m, lambda: harness._integrate_chars(m, 1.0, r0, u0, 0.3, 6))
         assert calls == []
 
@@ -233,8 +234,9 @@ def test_in_place_horner_statements_equal_the_horner_expression_bitwise(burgers,
 
 
 def _chars_kernel_from_text(*polys):
-    """_CHARS_LOOP with its formulas run as plain numpy text, f, f' and h as evaluators."""
-    body = "\n".join(" " * 8 + line for line in (harness._STAGES + harness._RK4_STEP).splitlines())
+    """_CHARS_LOOP with its formulas, f + h unfolded, run as plain numpy text, f, f' and h as evaluators."""
+    stages = harness._STAGES.format(h_u=" + h(u)", h_su=" + h(su)")
+    body = "\n".join(" " * 8 + line for line in (stages + harness._RK4_STEP).splitlines())
     names = {"np": np, **{name: model._evaluator(poly) for name, poly in zip(("f", "df", "h"), polys)}}
     return model._closure(harness._CHARS_LOOP.format(body=body), {}, names)
 
@@ -296,6 +298,8 @@ def test_shooting_kernel_source_holds_no_coefficient_text(monkeypatch, burgers, 
     ([4.0, 9.0], 1.2, ("mass = inf", math.inf)),
     ([4.0, 9.0], 1.2, ("mass = -inf", -math.inf)),
     ([4.0, 9.0], 1.2, (r"mass = -0\.5", -0.5)),
+    # dt = 0.002 puts f'(u)/(2M) dt = -3.33 at u = -1 and r = 2M, outside RK4's real interval [-2.785, 0]
+    ([4.0, 9.0], 1.2, (r"mass = 0\.0003 is below 0\.000359066", 3e-4)),
 ])
 def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, targets, t_end, match):
     """match is the pattern of the refusal, or (pattern, mass) where the case varies the mass."""
@@ -307,6 +311,51 @@ def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, t
     monkeypatch.setattr(harness, "_integrate_chars", no_shot)
     with pytest.raises(DomainError, match=match):
         exact_solution_by_shooting(smooth.model, mass, smooth.v0, t_end, targets)
+
+
+@pytest.mark.parametrize("shot, row, bad", [(0, 0, math.nan), (0, 1, math.inf), (1, 0, -math.inf), (1, 1, math.nan)])
+def test_shooting_refuses_a_shot_that_is_not_finite(monkeypatch, smooth, shot, row, bad):
+    """shot 0 is the probe, shot 1 the first pass of the root finder; row 0 the arrival, row 1 the state."""
+    integrate, starts = harness._integrate_chars, []
+
+    def poisoned(m, mass, r0, u0, t_end, n_steps):
+        arrival = integrate(m, mass, r0, u0, t_end, n_steps)
+        if len(starts) == shot:
+            arrival[row][3] = bad
+        starts.append(r0[3])
+        return arrival
+
+    monkeypatch.setattr(harness, "_integrate_chars", poisoned)
+    with pytest.raises(NumericsError, match="is not finite") as exc:
+        exact_solution_by_shooting(smooth.model, smooth.mass, smooth.v0, smooth.t_end, np.linspace(3.0, 9.0, 7))
+    assert len(starts) == shot + 1
+    assert f"from r0 = {starts[shot]:.17g} is not finite" in str(exc.value)
+
+
+def _multiplied_cells(monkeypatch, module, build, *key):
+    """The values of the closure cells that the multiplies of the kernel build(*key) read."""
+    sources = []
+    monkeypatch.setattr(module, "_closure",
+                        lambda source, *args: sources.append(source) or model._closure(source, *args))
+    kernel = build.__wrapped__(*key)
+    cells = dict(zip(kernel.__code__.co_freevars, (cell.cell_contents for cell in kernel.__closure__)))
+    (source,) = sources
+    return [float(cells[arg.id]) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "multiply"
+            for arg in node.args if isinstance(arg, ast.Name) and arg.id in cells]
+
+
+def test_kernels_leave_out_unit_factors_and_a_zero_source_where_f_of_zero_is_not_zero(monkeypatch, burgers):
+    # h = 0 is x * 0.0; with f(0) = 0, f(x) may be -0.0, which adding h can turn into 0.0, so h stays
+    kept = polynomial_model("kept", (0.0, 0.0, 0.5), (0.0,))
+    assert kept.structure.flux_monotone_shape_ok
+    for m, source_kept in ((burgers, False), (kept, True)):
+        for module, build, key in ((scheme, scheme._step_kernel,
+                                    (m.f_poly, m.h_poly, scheme._FLUXES["godunov"][0], m.flux_lipschitz)),
+                                   (harness, harness._chars_kernel, (m.f_poly, model._polyder(m.f_poly), m.h_poly))):
+            factors = _multiplied_cells(monkeypatch, module, build, *key)
+            assert 1.0 not in factors, (m.name, module.__name__)
+            assert (0.0 in factors) == source_kept, (m.name, module.__name__)
 
 
 def test_oracle_constant_data():

@@ -196,6 +196,44 @@ def test_state_vector_accepts_the_closed_interval():
     assert state.values.tobytes() == edge.tobytes()  # -0.0 and subnormals kept as they are
 
 
+def _max_and_min_check(vals, step_index, time):
+    """The step's range check as a max and a min over the state, the reference for its one pass:
+    None where vals passes, else the text of its NumericsError."""
+    top, bottom = float(vals.max()), float(vals.min())
+    if top <= 1.0 and bottom >= -1.0:
+        return None
+    message = "NaN in state values" if math.isnan(top) else (
+        f"state leaves [-1, 1]: max |v| = {max(top, -bottom):.17g} (discrete maximum principle violated)")
+    cell = int(np.argmin(np.abs(vals) <= 1.0))
+    return message + f" at step {step_index}, t = {time:.17g}, cell {cell} (v = {vals[cell]:.17g})"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.0 + 2.0 ** -52, -1.0 - 2.0 ** -52,
+                                   -0.0, 1.0, -1.0])
+def test_step_range_check_gives_the_outcome_and_text_of_a_max_and_a_min(monkeypatch, mesh_m1, burgers, value):
+    real, written = scheme._step_kernel, []
+
+    def poisoned(*key):  # the step kernel, then value written into cell 5 of the update
+        def kernel(s, v_new, *rest):
+            fluxes = real(*key)(s, v_new, *rest)
+            v_new[5] = value
+            written.append(v_new.copy())
+            return fluxes
+        return kernel
+
+    monkeypatch.setattr(scheme, "_step_kernel", poisoned)
+    nf = numerical_flux("godunov", burgers)
+    state = StateVector(values=np.linspace(-0.9, 0.9, mesh_m1.n_cells), time=0.25, step_index=3)
+    tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
+    try:
+        after, _ = step(state, mesh_m1, burgers, nf, tau)
+    except NumericsError as exc:
+        assert str(exc) == _max_and_min_check(written[0], 4, 0.25 + tau)
+    else:
+        assert _max_and_min_check(written[0], 4, 0.25 + tau) is None
+        assert after.values.tobytes() == written[0].tobytes()
+
+
 def test_state_vector_owns_its_values(mesh_m1, burgers):
     arr = np.linspace(-0.5, 0.5, 8)
     state = StateVector(values=arr, time=0.0, step_index=0)
@@ -420,8 +458,9 @@ EDGE_STATES = np.array([x for u in EDGE_GRID for v in EDGE_GRID for x in (u, v)]
 
 
 def _kernel_from_text(m, formula, lam):
-    """_STEP with its formulas run as plain numpy text, f and h the model's evaluators."""
-    body = "\n".join(" " * 4 + line for line in f"f_s[...] = f(s)\n{formula}\n{scheme._UPDATE}".splitlines())
+    """_STEP with its formulas, f + h unfolded, run as plain numpy text, f and h the model's evaluators."""
+    update = scheme._UPDATE.format(h_v=" + h(v)")
+    body = "\n".join(" " * 4 + line for line in f"f_s[...] = f(s)\n{formula}\n{update}".splitlines())
     names = {"np": np, "where": np.where, "f": model._evaluator(m.f_poly), "h": model._evaluator(m.h_poly),
              "half_lam": 0.5 * lam, "f_zero": model._evaluator(m.f_poly)(0.0)}
     return model._closure(scheme._STEP.format(body=body), {}, names)
