@@ -58,9 +58,6 @@ from .scheme import (
     StateVector,
     StepReport,
     convex_coefficients,
-    flux_engquist_osher,
-    flux_godunov,
-    flux_rusanov,
     numerical_flux,
     project_initial,
     run,

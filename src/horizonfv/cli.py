@@ -347,9 +347,8 @@ def _cmd_steady(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_converge(cfg: RunConfig, out: Path) -> int:
-    cfg.build_model().require_admissible()  # the config is refused as a whole, though converge evolves a preset
-    preset = presets()[cfg.converge_preset]
-    result = self_convergence(preset, cfg.converge_levels)
+    model = cfg.build_model().require_admissible()
+    result = self_convergence(presets()[cfg.converge_preset], model, cfg.converge_levels)
     threshold = _CONVERGE_THRESHOLDS[cfg.converge_preset]
     if threshold is None:
         passed = all(rec.l1_diff <= 1e-13 for rec in result.levels)
@@ -370,10 +369,10 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, out: Path) -> int:
+    model = cfg.build_model().require_admissible()
     preset = presets()[cfg.oracle_preset]
-    mesh, result = run_preset(preset, cfg.oracle_cells)
-    exact = exact_solution_by_shooting(preset.model, preset.mass, preset.v0, preset.t_end,
-                                       mesh.centers)
+    mesh, result = run_preset(preset, model, cfg.oracle_cells)
+    exact = exact_solution_by_shooting(model, preset.mass, preset.v0, preset.t_end, mesh.centers)
     error = float(np.sum(mesh.widths * np.abs(result.final.values - exact)))
     _write_csv(out / "oracle_solution.csv", "r,v,v_exact",
                np.array((mesh.centers, result.final.values, exact)))
@@ -404,7 +403,8 @@ def _cmd_steady_drift(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_fuzz(cfg: RunConfig, out: Path) -> int:
-    report = fuzz_invariants(cfg.fuzz_trials, cfg.seed, tau_scale=cfg.fuzz_tau_scale)
+    model = cfg.build_model().require_admissible()
+    report = fuzz_invariants(cfg.fuzz_trials, cfg.seed, tau_scale=cfg.fuzz_tau_scale, m=model)
     _write_json(out / "fuzz_report.json", report.to_dict())
     return 0 if report.ok else 1
 

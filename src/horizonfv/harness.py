@@ -1,5 +1,5 @@
-"""Experiment orchestration: convergence studies, the characteristic
-shooting oracle, steady-state drift, and seeded invariant campaigns.
+"""Experiment orchestration for the model a caller gives: convergence studies,
+the characteristic shooting oracle, steady-state drift, and seeded invariant campaigns.
 
 Quantitative thresholds used by the bundled presets (observed orders,
 drift ratios) are property-based expectations for a first-order monotone
@@ -31,10 +31,9 @@ from .scheme import (FLUX_KINDS, NumericalFlux, StateVector, StepReport, bump_da
 
 @dataclass(frozen=True, eq=False)
 class Preset:
-    """A named, reproducible experiment configuration."""
+    """A named, reproducible experiment: its data, mesh, flux and end time, for any model."""
 
     name: str
-    model: FluxModel
     mass: float
     r_max: float
     cells: int
@@ -50,26 +49,25 @@ PRESET_NAMES = ("smooth", "riemann", "flat")
 
 
 def presets() -> dict[str, Preset]:
-    """The bundled experiment presets: Burgers with the Godunov flux at CFL 0.9 on 100 cells."""
+    """The bundled experiment presets: the Godunov flux at CFL 0.9 on 100 cells."""
     specs = (
         dict(mass=1.0, r_max=12.0, t_end=1.2, v0=bump_data(0.5, 6.0, 1.0),
              description="pre-shock Gaussian bump on a mass-1 background; "
-                         "t_end sits below the crossing guard with >10% margin"),
+                         "for Burgers, t_end sits below the crossing guard with >10% margin"),
         dict(mass=1.0, r_max=12.0, t_end=0.8, v0=step_data(0.8, -0.4, 7.0),
              description="single right-moving shock from step data (0.8, -0.4) at r = 7"),
         dict(mass=0.0, r_max=10.0, t_end=0.5, v0=constant_data(-0.3),
              description="flat-space constant state; exact fixed point of the scheme"),
     )
-    b = burgers_model()
-    return {name: Preset(name=name, model=b, cells=100, flux_kind="godunov", cfl_fraction=0.9, **spec)
+    return {name: Preset(name=name, cells=100, flux_kind="godunov", cfl_fraction=0.9, **spec)
             for name, spec in zip(PRESET_NAMES, specs, strict=True)}
 
 
-def run_preset(preset: Preset, cells: Optional[int] = None):
-    """Evolve a preset at an optional overriding resolution."""
+def run_preset(preset: Preset, m: FluxModel, cells: Optional[int] = None):
+    """Evolve a preset under the model m at an optional overriding resolution."""
     mesh = build_uniform_mesh(Background(preset.mass), preset.r_max, cells or preset.cells)
-    nf = numerical_flux(preset.flux_kind, preset.model)
-    result = run(mesh, preset.model, nf, project_initial(mesh, preset.v0)[0], t_end=preset.t_end,
+    nf = numerical_flux(preset.flux_kind, m)
+    result = run(mesh, m, nf, project_initial(mesh, preset.v0)[0], t_end=preset.t_end,
                  cfl_fraction=preset.cfl_fraction, snapshot_every=10 ** 9)
     return mesh, result
 
@@ -102,8 +100,8 @@ def _fit_order(widths: Sequence[float], errors: Sequence[float]) -> float:
     return float(np.polyfit(np.log(widths), np.log(errs), 1)[0])
 
 
-def self_convergence(preset: Preset, levels: int = 4) -> ConvergenceResult:
-    """L1 self-differences under mesh doubling, with a least-squares order.
+def self_convergence(preset: Preset, m: FluxModel, levels: int = 4) -> ConvergenceResult:
+    """L1 self-differences of the model m under mesh doubling, with a least-squares order.
 
     Each record pairs a resolution with the L1 distance between its
     solution and the conservative restriction of the next finer one; the
@@ -117,7 +115,7 @@ def self_convergence(preset: Preset, levels: int = 4) -> ConvergenceResult:
     taus = []
     cell_counts = [preset.cells * (1 << j) for j in range(levels)]
     for cells in cell_counts:
-        mesh, result = run_preset(preset, cells)
+        mesh, result = run_preset(preset, m, cells)
         finals.append(result.final.values)
         centers.append(mesh.centers)
         taus.append(result.tau_base)
@@ -136,7 +134,7 @@ def self_convergence(preset: Preset, levels: int = 4) -> ConvergenceResult:
 
 
 SHOOTING_DT = 0.002  # the shooting oracle's largest RK4 step in coordinate time
-RK4_STABLE = 2.785  # RK4 is stable for a real eigenvalue lam < 0 only where |lam| dt <= this
+RK4_ACCURATE = 2.0  # RK4 keeps its accuracy for a real eigenvalue lam < 0 where |lam| dt <= this (stable to 2.785)
 
 # RK4 on the (2, n) ensemble y = (r, u): stage i writes the rates into k<i> (scratch: row), then
 # y + c k<i> into stage; the step goes into stage (scratch: spare), then y, as _lower writes them.
@@ -198,8 +196,8 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
     strictly increasing 1-d array, t_end >= 0 and mass >= 0, all finite.
     The RK4 step dt is at most SHOOTING_DT, with at least 64 steps.  At
     r = 2M the system's Jacobian is triangular with eigenvalues f'(u)/(2M)
-    and (f' + h')(u)/(2M), so a mass M > 0 below the least stable one,
-    dt max(sup |f'|, sup |f' + h'|) / (2 RK4_STABLE), is refused with
+    and (f' + h')(u)/(2M), so a mass M > 0 below the least accurate one,
+    dt max(sup |f'|, sup |f' + h'|) / (2 RK4_ACCURATE), is refused with
     DomainError naming it, before any shot too.  NumericsError names the
     start radius of the first characteristic of a shot, the probe's
     included, whose arrival or transported state is not finite.
@@ -213,10 +211,10 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
     if problem:
         raise DomainError(f"shooting refused: {problem}")
     n_steps = max(64, int(math.ceil(t_end / SHOOTING_DT)))
-    least_mass = t_end / n_steps * max(m.flux_lipschitz, m.source_slope) / (2.0 * RK4_STABLE)
+    least_mass = t_end / n_steps * max(m.flux_lipschitz, m.source_slope) / (2.0 * RK4_ACCURATE)
     if 0.0 < mass < least_mass:
         raise DomainError(f"shooting refused: mass = {mass} is below {least_mass:.17g}, the least at which"
-                          f" its RK4 step {t_end / n_steps:.17g} is stable at the horizon")
+                          f" its RK4 step {t_end / n_steps:.17g} is accurate at the horizon")
 
     if mass > 0.0:
         lo_edge = 2.0 * mass * (1.0 + 1e-10)
@@ -358,8 +356,8 @@ def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: Flux
     return check
 
 
-def fuzz_invariants(trials: int, seed: int, tau_scale: float = 1.0) -> FuzzReport:
-    """Seeded random campaign over data, mass, flux, and CFL fraction.
+def fuzz_invariants(trials: int, seed: int, tau_scale: float = 1.0, m: Optional[FluxModel] = None) -> FuzzReport:
+    """Seeded random campaign of the model m (Burgers if None) over data, mass, flux, and CFL fraction.
 
     Each trial draws piecewise-constant data in [-1, 1], a mass in [0, 2],
     one of the three fluxes, and a CFL fraction in (0, 1], on FUZZ_CELLS
@@ -379,7 +377,7 @@ def fuzz_invariants(trials: int, seed: int, tau_scale: float = 1.0) -> FuzzRepor
     if trials < 1 or seed < 0:
         raise DomainError(f"need at least one trial and a seed >= 0, got {trials} trials and seed {seed}")
     rng = np.random.default_rng(seed)
-    model = burgers_model()
+    model = burgers_model() if m is None else m
     report = FuzzReport(trials=trials, seed=seed)
 
     for trial in range(trials):

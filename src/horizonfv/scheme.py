@@ -141,9 +141,6 @@ def _numpy_flux(kind: str, formula: str) -> Callable:
     return _closure(_FLUX.format(kind=kind, formula=formula, reads=reads), {"kind": kind}, _FLUX_NAMES)
 
 
-flux_godunov, flux_engquist_osher, flux_rusanov = (_numpy_flux(kind, text) for kind, (text, _) in _FLUXES.items())
-
-
 @dataclass(frozen=True, eq=False)
 class NumericalFlux:
     """A two-point monotone flux as its formula, numpy text setting ``fluxes`` from the face states

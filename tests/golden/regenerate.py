@@ -62,9 +62,14 @@ def _runs() -> dict[str, tuple[str, str]]:
             name = f"{command}-{model}"
             runs[name] = (command, _config(name, model=keys, characteristics={"s_max": "1.0"}))
     runs["oracle-smooth"] = ("oracle", _config("oracle-smooth", oracle={"preset": "smooth", "cells": "100"}))
+    runs["oracle-quartic"] = ("oracle", _config("oracle-quartic", model=_QUARTIC,
+                                                oracle={"preset": "smooth", "cells": "100"}))
     runs["converge-smooth"] = ("converge", _config("converge-smooth",
                                                    converge={"preset": "smooth", "levels": "3"}))
+    runs["converge-quartic"] = ("converge", _config("converge-quartic", model=_QUARTIC,
+                                                    converge={"preset": "smooth", "levels": "3"}))
     runs["fuzz-seed42"] = ("fuzz", _config("fuzz-seed42", fuzz={"trials": "8"}, run={"seed": "42"}))
+    runs["fuzz-quartic"] = ("fuzz", _config("fuzz-quartic", model=_QUARTIC, fuzz={"trials": "3"}, run={"seed": "42"}))
     runs["check-model-inadmissible"] = ("check-model",
                                         _config("check-model-inadmissible", model=_INADMISSIBLE))
     return runs

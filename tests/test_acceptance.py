@@ -141,9 +141,9 @@ def test_acceptance_05_burgers_closed_forms(burgers, fhat_table):
           f"fate grid 20/20]")
 
 
-def test_acceptance_06_oracle_convergence():
+def test_acceptance_06_oracle_convergence(burgers):
     start = time.monotonic()
-    result = oracle_convergence(presets()["smooth"], [100, 200, 400, 800])
+    result = oracle_convergence(presets()["smooth"], burgers, [100, 200, 400, 800])
     elapsed = time.monotonic() - start
     assert all(e > 0 for e in result.errors)
     assert all(a > b for a, b in zip(result.errors, result.errors[1:]))

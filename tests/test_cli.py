@@ -622,6 +622,64 @@ output_dir = {out}
     assert payload["trials"] == 2
 
 
+# custom models in [model] text: f and h as ascending coefficients
+CUSTOM_MODELS = {
+    "quartic": "model = custom\nf_coeffs = -0.5, 0, 0, 0, 0.5\nh_coeffs = 0",
+    "sextic": f"model = custom\nf_coeffs = {-13 / 6!r}, 0, 5.5, 0, -5, 0, {5 / 3!r}\nh_coeffs = 0",
+    "shifted": "model = custom\nf_coeffs = 0, 0, 0.5\nh_coeffs = -0.5",
+}
+
+
+def _model_run(tmp_path, model, command, section):
+    """Run command on MINIMAL under model (a CUSTOM_MODELS key or "burgers") with the given
+    subcommand section; returns the exit status and the output directory."""
+    out = tmp_path / f"{command}-{model}"
+    body = MINIMAL.replace("model = burgers", CUSTOM_MODELS.get(model, "model = burgers")) \
+        + f"\n{section}\n[run]\nseed = 42\noutput_dir = {out}\n"
+    return _run_cli(tmp_path, body, command, f"{command}-{model}.ini"), out
+
+
+def test_cli_oracle_evolves_and_shoots_the_configured_model(tmp_path):
+    errors = {}
+    for model in ("burgers", "quartic"):
+        status, out = _model_run(tmp_path, model, "oracle", "[oracle]\npreset = smooth\ncells = 60")
+        assert status == 0, model
+        errors[model] = json.loads((out / "oracle.json").read_text())["l1_error"]
+    assert 0.0 < errors["quartic"] != errors["burgers"] > 0.0
+
+
+def test_cli_oracle_refuses_a_model_whose_characteristics_cross_before_t_end(tmp_path):
+    status, out = _model_run(tmp_path, "sextic", "oracle", "[oracle]\npreset = smooth\ncells = 60")
+    assert status == 1
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "PresetError"
+    assert "characteristic crossing detected before t_end" in report["detail"]
+    assert not (out / "oracle.json").exists()
+
+
+@pytest.mark.parametrize("model", ["quartic", "sextic", "shifted"])
+def test_cli_converge_refines_the_configured_model(tmp_path, model):
+    # riemann: Kuznetsov's rate 1/2 for a monotone scheme; smooth: the CLI's own threshold
+    for preset, threshold in (("smooth", 0.8), ("riemann", 0.5)):
+        payloads = []
+        for name in (model, "burgers"):
+            status, out = _model_run(tmp_path, name, "converge", f"[converge]\npreset = {preset}\nlevels = 3")
+            assert status == 0, (name, preset)
+            payloads.append(json.loads((out / "convergence.json").read_text()))
+        assert payloads[0]["pass"] is True and payloads[0]["observed_order"] >= threshold, (model, preset)
+        assert payloads[0]["levels"] != payloads[1]["levels"], (model, preset)
+
+
+def test_cli_fuzz_runs_the_configured_model(tmp_path):
+    reports = {}
+    for model in ("burgers", "quartic"):
+        status, out = _model_run(tmp_path, model, "fuzz", "[fuzz]\ntrials = 3")
+        assert status == 0, model
+        reports[model] = json.loads((out / "fuzz_report.json").read_text())
+    assert reports["quartic"]["ok"] is True and not reports["quartic"]["violations"]
+    assert reports["quartic"]["total_steps"] != reports["burgers"]["total_steps"]
+
+
 def test_cli_fuzz_refuses_a_negative_seed_as_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     body = MINIMAL + f"\n[fuzz]\ntrials = 1\n\n[run]\nseed = -1\noutput_dir = {out}\n"
@@ -657,7 +715,7 @@ def test_cli_refuses_inadmissible_model_before_stepping(tmp_path):
     # f = s^2/2, h = 0: f + h vanishes at 0 and is positive elsewhere
     body = MINIMAL.replace("model = burgers", "model = custom\nf_coeffs = 0, 0, 0.5\nh_coeffs = 0") \
         .replace("t_end = 1.0", "t_end = 3\nflux = rusanov") + f"\n[run]\noutput_dir = {out}\n"
-    for command in ("run", "converge", "steady-drift", "steady"):
+    for command in ("run", "converge", "oracle", "fuzz", "steady-drift", "steady"):
         assert _run_cli(tmp_path, body, command) == 1
         report = json.loads((out / "failure_report.json").read_text())
         assert report["error"] == "UnsupportedModelError"

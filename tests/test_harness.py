@@ -36,7 +36,7 @@ from horizonfv import entropy, harness, model, scheme
 from horizonfv.harness import presets, restrict_halving, run_preset
 from horizonfv.scheme import FLUX_KINDS, NumericalFlux, bump_data
 from allocations import allocations
-from oracle_error import oracle_compare
+from oracle_error import oracle_compare, oracle_convergence
 from reference_update import reference_update
 
 
@@ -61,27 +61,27 @@ def test_preset_catalog():
         assert p.t_end > 0 and p.cells >= 2
 
 
-def test_flat_preset_is_exact_fixed_point():
-    result = self_convergence(presets()["flat"], levels=3)
+def test_flat_preset_is_exact_fixed_point(burgers):
+    result = self_convergence(presets()["flat"], burgers, levels=3)
     assert all(rec.l1_diff == 0.0 for rec in result.levels)
     assert np.isnan(result.observed_order)
 
 
-def test_levels_guard(smooth):
+def test_levels_guard(smooth, burgers):
     with pytest.raises(DomainError):
-        self_convergence(smooth, levels=2)
+        self_convergence(smooth, burgers, levels=2)
 
 
-def test_smooth_self_convergence_first_order(smooth):
-    result = self_convergence(smooth, levels=3)
+def test_smooth_self_convergence_first_order(smooth, burgers):
+    result = self_convergence(smooth, burgers, levels=3)
     diffs = [rec.l1_diff for rec in result.levels]
     assert all(d > 0 for d in diffs)
     assert all(a > b for a, b in zip(diffs, diffs[1:]))
     assert result.observed_order >= 0.8
 
 
-def test_riemann_self_convergence():
-    result = self_convergence(presets()["riemann"], levels=3)
+def test_riemann_self_convergence(burgers):
+    result = self_convergence(presets()["riemann"], burgers, levels=3)
     diffs = [rec.l1_diff for rec in result.levels]
     assert all(d > 0 for d in diffs)
     assert result.observed_order >= 0.5
@@ -101,8 +101,8 @@ def crossing_time_guard(m, mass, v0, r_lo, r_hi, t_max, n_chars=256, dt=0.002):
     return None
 
 
-def test_smooth_preset_below_crossing_guard(smooth):
-    guard = crossing_time_guard(smooth.model, smooth.mass, smooth.v0,
+def test_smooth_preset_below_crossing_guard(smooth, burgers):
+    guard = crossing_time_guard(burgers, smooth.mass, smooth.v0,
                                 2.0001, smooth.r_max + 2.0, t_max=6.0)
     assert guard is not None
     assert smooth.t_end <= guard
@@ -298,10 +298,10 @@ def test_shooting_kernel_source_holds_no_coefficient_text(monkeypatch, burgers, 
     ([4.0, 9.0], 1.2, ("mass = inf", math.inf)),
     ([4.0, 9.0], 1.2, ("mass = -inf", -math.inf)),
     ([4.0, 9.0], 1.2, (r"mass = -0\.5", -0.5)),
-    # dt = 0.002 puts f'(u)/(2M) dt = -3.33 at u = -1 and r = 2M, outside RK4's real interval [-2.785, 0]
-    ([4.0, 9.0], 1.2, (r"mass = 0\.0003 is below 0\.000359066", 3e-4)),
+    # dt = 0.002 puts f'(u)/(2M) dt = -3.33 at u = -1 and r = 2M, past RK4's accurate interval [-2, 0]
+    ([4.0, 9.0], 1.2, (r"mass = 0\.0003 is below 0\.00050000000000000001,", 3e-4)),
 ])
-def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, targets, t_end, match):
+def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, burgers, targets, t_end, match):
     """match is the pattern of the refusal, or (pattern, mass) where the case varies the mass."""
     match, mass = match if isinstance(match, tuple) else (match, smooth.mass)
 
@@ -310,11 +310,19 @@ def test_shooting_refuses_bad_input_before_the_probe_shot(monkeypatch, smooth, t
 
     monkeypatch.setattr(harness, "_integrate_chars", no_shot)
     with pytest.raises(DomainError, match=match):
-        exact_solution_by_shooting(smooth.model, mass, smooth.v0, t_end, targets)
+        exact_solution_by_shooting(burgers, mass, smooth.v0, t_end, targets)
+
+
+def test_shooting_accepts_the_least_accurate_mass_and_refuses_below_it(burgers):
+    # dt = 0.3 / 150 = 0.002 and sup |f'| = 1 put the least mass at dt / (2 RK4_ACCURATE) = 0.0005
+    targets, v0 = np.linspace(1.0, 9.0, 9), bump_data(0.5, 6.0, 1.0)
+    assert np.all(np.isfinite(exact_solution_by_shooting(burgers, 0.0005, v0, 0.3, targets)))
+    with pytest.raises(DomainError, match=r"mass = 0\.000499 is below 0\.0005"):
+        exact_solution_by_shooting(burgers, 0.000499, v0, 0.3, targets)
 
 
 @pytest.mark.parametrize("shot, row, bad", [(0, 0, math.nan), (0, 1, math.inf), (1, 0, -math.inf), (1, 1, math.nan)])
-def test_shooting_refuses_a_shot_that_is_not_finite(monkeypatch, smooth, shot, row, bad):
+def test_shooting_refuses_a_shot_that_is_not_finite(monkeypatch, smooth, burgers, shot, row, bad):
     """shot 0 is the probe, shot 1 the first pass of the root finder; row 0 the arrival, row 1 the state."""
     integrate, starts = harness._integrate_chars, []
 
@@ -327,7 +335,7 @@ def test_shooting_refuses_a_shot_that_is_not_finite(monkeypatch, smooth, shot, r
 
     monkeypatch.setattr(harness, "_integrate_chars", poisoned)
     with pytest.raises(NumericsError, match="is not finite") as exc:
-        exact_solution_by_shooting(smooth.model, smooth.mass, smooth.v0, smooth.t_end, np.linspace(3.0, 9.0, 7))
+        exact_solution_by_shooting(burgers, smooth.mass, smooth.v0, smooth.t_end, np.linspace(3.0, 9.0, 7))
     assert len(starts) == shot + 1
     assert f"from r0 = {starts[shot]:.17g} is not finite" in str(exc.value)
 
@@ -360,25 +368,33 @@ def test_kernels_leave_out_unit_factors_and_a_zero_source_where_f_of_zero_is_not
 
 def test_oracle_constant_data():
     m = burgers_model()
-    flatc = Preset(name="flatc", model=m, mass=0.0, r_max=10.0, cells=64, t_end=0.5,
+    flatc = Preset(name="flatc", mass=0.0, r_max=10.0, cells=64, t_end=0.5,
                    flux_kind="godunov", cfl_fraction=0.9,
                    v0=lambda r: np.full_like(np.asarray(r, dtype=float), -0.3))
-    assert oracle_compare(flatc, 64) <= 1e-13
+    assert oracle_compare(flatc, m, 64) <= 1e-13
 
 
 def test_oracle_fixed_point_data():
     m = burgers_model()
-    ones = Preset(name="ones", model=m, mass=1.0, r_max=12.0, cells=64, t_end=0.5,
+    ones = Preset(name="ones", mass=1.0, r_max=12.0, cells=64, t_end=0.5,
                   flux_kind="godunov", cfl_fraction=0.9,
                   v0=lambda r: np.ones_like(np.asarray(r, dtype=float)))
-    assert oracle_compare(ones, 64) <= 1e-13
+    assert oracle_compare(ones, m, 64) <= 1e-13
 
 
-def test_oracle_error_halves(smooth):
-    e100 = oracle_compare(smooth, 100)
-    e200 = oracle_compare(smooth, 200)
+def test_oracle_error_halves(smooth, burgers):
+    e100 = oracle_compare(smooth, burgers, 100)
+    e200 = oracle_compare(smooth, burgers, 200)
     assert e100 > 0 and e200 > 0
     assert e100 / e200 >= 1.5
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("name", ["quartic", "shifted"])
+def test_oracle_convergence_is_first_order_for_other_models(request, smooth, name, mass):
+    result = oracle_convergence(dataclasses.replace(smooth, mass=mass), request.getfixturevalue(name), [100, 200, 400])
+    assert all(a > b > 0.0 for a, b in zip(result.errors, result.errors[1:]))
+    assert result.observed_order >= 0.9
 
 
 def test_shooting_rejects_crossed_characteristics():
@@ -409,9 +425,9 @@ def _bisection_reference(m, mass, v0, t_end, targets, dt_target=0.002):
 
 
 @pytest.mark.parametrize("cells", [100, 400])
-def test_shooting_matches_bisection_reference(smooth, cells):
-    mesh, _ = run_preset(smooth, cells)
-    args = (smooth.model, smooth.mass, smooth.v0, smooth.t_end, mesh.centers)
+def test_shooting_matches_bisection_reference(smooth, burgers, cells):
+    mesh, _ = run_preset(smooth, burgers, cells)
+    args = (burgers, smooth.mass, smooth.v0, smooth.t_end, mesh.centers)
     exact = exact_solution_by_shooting(*args)
     assert np.max(np.abs(exact - _bisection_reference(*args))) <= 1e-12
 
@@ -474,6 +490,15 @@ def test_fuzz_refuses_a_negative_seed_before_the_first_trial(monkeypatch):
     monkeypatch.setattr(harness, "run", lambda *args, **kwargs: pytest.fail("a trial ran"))
     with pytest.raises(DomainError, match="seed -1"):
         fuzz_invariants(1, -1)
+
+
+def test_fuzz_runs_the_model_it_is_given(burgers, sextic):
+    default, given, other = (fuzz_invariants(2, 3, m=m).to_dict() for m in (None, burgers, sextic))
+    assert json.dumps(default, sort_keys=True) == json.dumps(given, sort_keys=True)
+    assert other["ok"] and other["total_steps"] > default["total_steps"]
+    # the same draws; the end time follows the model's step bound through the step budget
+    drawn = lambda report: [{k: v for k, v in c.items() if k != "t_end"} for c in report["trial_configs"]]
+    assert drawn(other) == drawn(default)
 
 
 def test_fuzz_different_seeds_differ():
@@ -639,7 +664,7 @@ def test_fuzz_trials_guard():
         fuzz_invariants(0, 1)
 
 
-def test_run_preset_resolution_override(smooth):
-    mesh, result = run_preset(smooth, cells=40)
+def test_run_preset_resolution_override(smooth, burgers):
+    mesh, result = run_preset(smooth, burgers, cells=40)
     assert mesh.n_cells == 40
     assert result.final.time == smooth.t_end

@@ -17,9 +17,6 @@ from horizonfv import (
     UnsupportedModelError,
     build_uniform_mesh,
     convex_coefficients,
-    flux_engquist_osher,
-    flux_godunov,
-    flux_rusanov,
     max_timestep,
     numerical_flux,
     polynomial_model,
@@ -41,18 +38,21 @@ def averages(mesh, v0):
 # --- two-point flux values -------------------------------------------------
 
 def test_rusanov_values(burgers):
+    flux_rusanov = numerical_flux("rusanov", burgers).evaluate
     assert flux_rusanov(burgers, 0.5, 0.5) == -0.375
     assert flux_rusanov(burgers, 1.0, -1.0) == 1.0
     assert flux_rusanov(burgers, -1.0, 1.0) == -1.0
 
 
 def test_godunov_values(burgers):
+    flux_godunov = numerical_flux("godunov", burgers).evaluate
     assert flux_godunov(burgers, -1.0, 1.0) == -0.5   # min through the sonic point
     assert flux_godunov(burgers, 1.0, -1.0) == 0.0    # max at the interval ends
     assert flux_godunov(burgers, 0.3, 0.3) == pytest.approx(-0.455, abs=1e-15)
 
 
 def test_engquist_osher_values(burgers):
+    flux_engquist_osher = numerical_flux("eo", burgers).evaluate
     assert flux_engquist_osher(burgers, 0.5, -0.5) == -0.25
     assert flux_engquist_osher(burgers, 0.7, 0.7) == burgers.f(0.7)
     assert flux_engquist_osher(burgers, -0.2, 0.9) == -0.5  # both arguments clip to 0
@@ -78,8 +78,8 @@ def test_monotonicity_sampled(burgers, kind):
 
 def test_godunov_requires_unimodal_shape():
     linear = polynomial_model("linear", [0.0, 1.0], [0.0])
-    with pytest.raises(UnsupportedModelError):
-        flux_godunov(linear, 0.1, 0.2)
+    with pytest.raises(UnsupportedModelError):  # the function numerical_flux("godunov", m).evaluate is
+        scheme._numpy_flux("godunov", scheme._FLUXES["godunov"][0])(linear, 0.1, 0.2)
     with pytest.raises(UnsupportedModelError):
         numerical_flux("eo", linear)
 
@@ -565,8 +565,8 @@ def test_numerical_flux_refuses_a_formula_the_step_cannot_write(formula, constru
 
 
 def test_numerical_flux_refuses_an_evaluate_that_is_not_its_formulas(burgers):
-    nf = numerical_flux("rusanov", burgers)
-    for evaluate in (flux_godunov, lambda m, u, v: nf.evaluate(m, u, v), scheme._numpy_flux("custom", nf.formula)):
+    nf, flux_rusanov = numerical_flux("rusanov", burgers), scheme._numpy_flux("rusanov", scheme._FLUXES["rusanov"][0])
+    for evaluate in (numerical_flux("godunov", burgers).evaluate, lambda m, u, v: nf.evaluate(m, u, v), scheme._numpy_flux("custom", nf.formula)):
         with pytest.raises(ContractError, match="^flux 'rusanov': evaluate is not the function of its formula$"):
             dataclasses.replace(nf, evaluate=evaluate)
     assert dataclasses.replace(nf, evaluate=flux_rusanov).evaluate is flux_rusanov is nf.evaluate
