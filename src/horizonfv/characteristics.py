@@ -61,6 +61,7 @@ _U_OVERSHOOT_TOL = 1e-9
 
 _NEWTON_TOL = 1e-14  # |du| at which an inverse counts as converged
 _NEWTON_MAX_ITER = 100
+_MAX_TRACE_STEPS = 10 ** 6  # 200 times the default 5000 steps; about 190 MB of rows
 _SERIES_TERMS = 30
 
 
@@ -431,8 +432,9 @@ def _interior_kernel():
 def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float, guard_r: float,
                r_stop: float | None) -> CharPath:
     """Run kernel(*params, ...) from start: the checks of the start and the
-    step count, and the rows turned into a read-only CharPath.  A float
-    overflow in the kernel raises NumericsError naming the start and ds."""
+    step count, at most _MAX_TRACE_STEPS, and the rows turned into a read-only
+    CharPath.  A float overflow in the kernel raises NumericsError naming the
+    start and ds."""
     if not (abs(start.u) - 1.0 <= _U_OVERSHOOT_TOL and math.isfinite(start.t) and math.isfinite(start.r)):
         raise DomainError(f"start state t={start.t}, r={start.r}, u={start.u} needs finite t and r, and |u| <= 1")
     u = _guard_u(start.u)
@@ -441,6 +443,8 @@ def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float,
     steps = (s_max - start.s) / ds
     if not math.isfinite(steps):
         raise DomainError(f"step count (s_max - s0) / ds = ({s_max} - {start.s}) / {ds} is not finite")
+    if round(steps) > _MAX_TRACE_STEPS:
+        raise DomainError(f"step count (s_max - s0) / ds = {steps:.17g} exceeds the cap of {_MAX_TRACE_STEPS} steps")
     try:
         rows, reason = kernel(*params, start.s, start.t, start.r, u, ds, max(int(round(steps)), 0), guard_r,
                               r_stop)

@@ -257,20 +257,19 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
 
 
 def _cmd_run(cfg: RunConfig, out: Path) -> int:
-    model = cfg.build_model().require_admissible()
+    nf = numerical_flux(cfg.flux, cfg.build_model().require_admissible())
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
-    nf = numerical_flux(cfg.flux, model)
 
     ledger_rows = []
 
     def ledger(state_after, report):
-        entry = entropy_mod.cell_entropy_residuals(state_after, report, mesh, model, nf, cfg.kruzhkov_levels)
+        entry = entropy_mod.cell_entropy_residuals(state_after, report, mesh, nf, cfg.kruzhkov_levels)
         for k, worst in zip(cfg.kruzhkov_levels, entry.worst_residuals.tolist()):
             ledger_rows.append((state_after.step_index, k, worst, entry.global_balance_gap,
                                 entry.dissipation_sum))
 
     values, clamped = project_initial(mesh, cfg.build_v0())
-    result = run(mesh, model, nf, values, t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction,
+    result = run(mesh, nf, values, t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction,
                  snapshot_every=cfg.snapshot_every, outer_ghost=cfg.outer_ghost(),
                  on_step=ledger if cfg.entropy_diagnostics else None)
 

@@ -75,11 +75,11 @@ class EntropyLedger:
     decomposition_defect: float
 
 
-def numerical_entropy_flux(nf: NumericalFlux, m: FluxModel, k: float, u, v):
-    """Crandall-Majda discrete entropy flux for the Kruzhkov entropy at k;
+def numerical_entropy_flux(nf: NumericalFlux, k: float, u, v):
+    """Crandall-Majda discrete entropy flux of nf's model for the Kruzhkov entropy at k;
     a column of levels k broadcasts against the face states u, v."""
-    upper = nf.evaluate(m, np.maximum(u, k), np.maximum(v, k))
-    lower = nf.evaluate(m, np.minimum(u, k), np.minimum(v, k))
+    upper = nf.evaluate(nf.model, np.maximum(u, k), np.maximum(v, k))
+    lower = nf.evaluate(nf.model, np.minimum(u, k), np.minimum(v, k))
     return upper - lower
 
 
@@ -130,9 +130,9 @@ def convex_decomposition_check(state_after: StateVector, full_l, full_r) -> floa
     return float(np.max(np.abs(state_after.values - 0.5 * (full_r + full_l))))
 
 
-def cell_entropy_residuals(state_after: StateVector, report: StepReport, mesh: RadialMesh, m: FluxModel,
-                           nf: NumericalFlux, levels: Sequence[float]) -> EntropyLedger:
-    """Certify one finished step from one face reconstruction at
+def cell_entropy_residuals(state_after: StateVector, report: StepReport, mesh: RadialMesh, nf: NumericalFlux,
+                           levels: Sequence[float]) -> EntropyLedger:
+    """Certify one finished step of nf's model from one face reconstruction at
     report.tau_used and the face states in report.states, the pre-step
     values among them: the per-face entropy residuals at every Kruzhkov
     level in levels, the quadratic balance, the smallest convex coefficient
@@ -145,17 +145,17 @@ def cell_entropy_residuals(state_after: StateVector, report: StepReport, mesh: R
     ks = np.asarray(levels, dtype=float).reshape(-1, 1)
     if not np.all(np.abs(ks) <= 1.0):
         raise DomainError(f"Kruzhkov levels must lie in [-1, 1], got {levels}")
-    tau = report.tau_used
+    tau, m = report.tau_used, nf.model
     tilde_l, tilde_r, full_l, full_r, gamma_l, gamma_r = face_reconstruction(report, mesh, m)
-    coefficients = convex_coefficients(report, mesh, m, nf)
+    coefficients = convex_coefficients(report, mesh, nf)
     a_l = mesh.face_weights[:-1]
     a_r = mesh.face_weights[1:]
 
     # Kruzhkov entropies U = |w - k| - |k|, one row per level
     states = report.states
     v = states[1:-1]
-    phi_faces = numerical_entropy_flux(nf, m, ks, states[:-1], states[1:])
-    phi_cons = numerical_entropy_flux(nf, m, ks, v, v)  # consistent value F(v_K)
+    phi_faces = numerical_entropy_flux(nf, ks, states[:-1], states[1:])
+    phi_cons = numerical_entropy_flux(nf, ks, v, v)  # consistent value F(v_K)
 
     abs_k = np.abs(ks)
     u_before = np.abs(v - ks) - abs_k

@@ -41,7 +41,6 @@ class Preset:
     flux_kind: str
     cfl_fraction: float
     v0: Callable
-    description: str = ""
 
 
 #: The names of the bundled presets, in the order ``presets()`` lists them.
@@ -51,13 +50,10 @@ PRESET_NAMES = ("smooth", "riemann", "flat")
 def presets() -> dict[str, Preset]:
     """The bundled experiment presets: the Godunov flux at CFL 0.9 on 100 cells."""
     specs = (
-        dict(mass=1.0, r_max=12.0, t_end=1.2, v0=bump_data(0.5, 6.0, 1.0),
-             description="pre-shock Gaussian bump on a mass-1 background; "
-                         "for Burgers, t_end sits below the crossing guard with >10% margin"),
-        dict(mass=1.0, r_max=12.0, t_end=0.8, v0=step_data(0.8, -0.4, 7.0),
-             description="single right-moving shock from step data (0.8, -0.4) at r = 7"),
-        dict(mass=0.0, r_max=10.0, t_end=0.5, v0=constant_data(-0.3),
-             description="flat-space constant state; exact fixed point of the scheme"),
+        # a pre-shock bump: for Burgers, t_end sits below the crossing guard with >10% margin
+        dict(mass=1.0, r_max=12.0, t_end=1.2, v0=bump_data(0.5, 6.0, 1.0)),
+        dict(mass=1.0, r_max=12.0, t_end=0.8, v0=step_data(0.8, -0.4, 7.0)),
+        dict(mass=0.0, r_max=10.0, t_end=0.5, v0=constant_data(-0.3)),
     )
     return {name: Preset(name=name, cells=100, flux_kind="godunov", cfl_fraction=0.9, **spec)
             for name, spec in zip(PRESET_NAMES, specs, strict=True)}
@@ -67,7 +63,7 @@ def run_preset(preset: Preset, m: FluxModel, cells: Optional[int] = None):
     """Evolve a preset under the model m at an optional overriding resolution."""
     mesh = build_uniform_mesh(Background(preset.mass), preset.r_max, cells or preset.cells)
     nf = numerical_flux(preset.flux_kind, m)
-    result = run(mesh, m, nf, project_initial(mesh, preset.v0)[0], t_end=preset.t_end,
+    result = run(mesh, nf, project_initial(mesh, preset.v0)[0], t_end=preset.t_end,
                  cfl_fraction=preset.cfl_fraction, snapshot_every=10 ** 9)
     return mesh, result
 
@@ -278,8 +274,8 @@ def steady_drift_detail(m: FluxModel, mass: float, r0: float, u0: float, cells: 
         profile = steady_profile(build_fhat_table(m), mass, r0, u0, mesh.centers)
     else:  # u0 throughout, which needs no Fhat table
         profile = np.full(mesh.n_cells, u0)
-    nf = numerical_flux(flux_kind, m)
-    result = run(mesh, m, nf, profile, t_end=t_end, cfl_fraction=cfl_fraction, snapshot_every=10 ** 9)
+    result = run(mesh, numerical_flux(flux_kind, m), profile, t_end=t_end, cfl_fraction=cfl_fraction,
+                 snapshot_every=10 ** 9)
     drift = float(np.sum(mesh.widths * np.abs(result.final.values - profile)))
     return drift, mesh, profile, result.final.values
 
@@ -322,14 +318,13 @@ def _piecewise_from_breaks(breaks: np.ndarray, values: np.ndarray) -> Callable:
     return v0
 
 
-def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, model: FluxModel,
-                 nf: NumericalFlux) -> Callable:
+def _step_checks(report: FuzzReport, config: dict, mesh: RadialMesh, nf: NumericalFlux) -> Callable:
     """One certificate per step against the campaign's tolerances, as an on_step observer."""
 
     def check(after: StateVector, step_report: StepReport) -> None:
         report.total_steps += 1
         report.worst_abs_state = max(report.worst_abs_state, float(np.max(np.abs(after.values))))
-        ledger = entropy_mod.cell_entropy_residuals(after, step_report, mesh, model, nf, DEFAULT_KRUZHKOV_LEVELS)
+        ledger = entropy_mod.cell_entropy_residuals(after, step_report, mesh, nf, DEFAULT_KRUZHKOV_LEVELS)
 
         report.min_convex_coeff = min(report.min_convex_coeff, ledger.min_convex_coeff)
         if ledger.min_convex_coeff < 0.0:
@@ -409,9 +404,8 @@ def fuzz_invariants(trials: int, seed: int, tau_scale: float = 1.0, m: Optional[
         }
         report.trial_configs.append(config)
         try:
-            run(mesh, model, nf, project_initial(mesh, _piecewise_from_breaks(breaks, values))[0], t_end=t_this,
-                cfl_fraction=fraction, snapshot_every=10 ** 9,
-                on_step=_step_checks(report, config, mesh, model, nf))
+            run(mesh, nf, project_initial(mesh, _piecewise_from_breaks(breaks, values))[0], t_end=t_this,
+                cfl_fraction=fraction, snapshot_every=10 ** 9, on_step=_step_checks(report, config, mesh, nf))
         except NumericsError as exc:
             report.violations.append({"config": config, "kind": "state_invariant", "detail": str(exc)})
     return report

@@ -22,7 +22,7 @@ keep array access total (any other value gives bitwise identical results).
 The outer face reads a ghost too: the outermost cell's value (a
 zero-gradient copy) when it is None, else a fixed state.
 
-``step`` reads only the model's coefficient tuples: the update and every
+``step`` reads only the coefficient tuples of nf.model: the update and every
 flux are numpy formulas (``_UPDATE``, ``NumericalFlux.formula``) that
 ``model._lower`` writes into one kernel as in-place ufuncs, from one of two
 swapped state buffers (``_Buffers``) into the other.  A flux's evaluate runs
@@ -143,20 +143,23 @@ def _numpy_flux(kind: str, formula: str) -> Callable:
 
 @dataclass(frozen=True, eq=False)
 class NumericalFlux:
-    """A two-point monotone flux as its formula, numpy text setting ``fluxes`` from the face states
-    ``left`` and ``right``, which ``step`` writes into its kernel and ``evaluate(m, u, v)`` runs in
-    numpy; with its Lipschitz bound for the CFL rule and, optionally, ``increments(m, u, v)``:
-    Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) =
-    -D (v - u).  ContractError refuses a formula the step cannot write and an evaluate other than
-    the formula's or a wrapper of it."""
+    """A two-point monotone flux of one model as its formula, numpy text setting ``fluxes`` from
+    the face states ``left`` and ``right``, which ``step`` writes into its kernel and
+    ``evaluate(m, u, v)`` runs in numpy; with, optionally, ``increments(m, u, v)``: Harten's
+    coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) = -D (v - u).
+    Its Lipschitz bound for the CFL rule is the model's ``flux_lipschitz``.  UnsupportedModelError
+    refuses a Godunov or EO flux for a model without their shape, and ContractError a formula the
+    step cannot write and an evaluate other than the formula's or a wrapper of it."""
 
     kind: str
-    lipschitz_bound: float
+    model: FluxModel
     formula: str
     increments: Optional[Callable] = None
     evaluate: Optional[Callable] = None  # an init field only so that dataclasses.replace can wrap it
+    lipschitz_bound = property(lambda self: self.model.flux_lipschitz)
 
     def __post_init__(self):
+        _require_shape(self.model, self.kind)
         built = _numpy_flux(self.kind, self.formula)
         if self.evaluate is None:
             object.__setattr__(self, "evaluate", built)
@@ -165,7 +168,7 @@ class NumericalFlux:
 
 
 def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
-    """Bind a named flux to a model with its Lipschitz bound and increments.
+    """Bind a named flux to a model with its increments.
 
     For all three bundled fluxes the bound in either argument is max |f'|,
     the model's certified ``flux_lipschitz`` (for Rusanov that equals the
@@ -173,8 +176,7 @@ def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
     """
     if kind not in _FLUXES:
         raise DomainError(f"unknown flux kind '{kind}' (godunov | eo | rusanov)")
-    _require_shape(m, kind)
-    return NumericalFlux(kind, m.flux_lipschitz, *_FLUXES[kind])
+    return NumericalFlux(kind, m, *_FLUXES[kind])
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +228,7 @@ class StepReport:
     states: np.ndarray
 
 
-def convex_coefficients(report: StepReport, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux):
+def convex_coefficients(report: StepReport, mesh: RadialMesh, nf: NumericalFlux):
     """Convex-decomposition coefficients (A_center, A_left, A_right) per cell
     of a finished step: tau a_L C / |K| across the left face, tau a_R D / |K|
     across the right face, and 1 minus both, with nf's increments C and D
@@ -237,10 +239,10 @@ def convex_coefficients(report: StepReport, mesh: RadialMesh, m: FluxModel, nf: 
         raise ContractError("report states do not match mesh cell count")
     left, right = report.states[:-1], report.states[1:]
     if nf.increments is not None:
-        c, d = nf.increments(m, left, right)
+        c, d = nf.increments(nf.model, left, right)
     else:
         jump = np.where(left == right, np.inf, left - right)
-        c, d = (report.fluxes - m.f(right)) / jump, (report.fluxes - m.f(left)) / jump
+        c, d = (report.fluxes - nf.model.f(right)) / jump, (report.fluxes - nf.model.f(left)) / jump
     scale = report.tau_used / mesh.widths
     # adding 0.0 clears the sign of a zero, so a zero coefficient reads 0.0
     a_left = scale * mesh.face_weights[:-1] * c[:-1] + 0.0
@@ -305,13 +307,13 @@ class _Buffers:
     factors are built for tau, checking it against tau_bound (by default max_timestep), and built
     apart, each step, only for another tau."""
 
-    def __init__(self, state, mesh, m, nf, outer_ghost, inner_ghost, tau, tau_bound=None):
+    def __init__(self, state, mesh, nf, outer_ghost, inner_ghost, tau, tau_bound=None):
         for name, ghost in (("inner_ghost", inner_ghost), ("outer_ghost", outer_ghost)):
             if ghost is not None and not -1.0 <= ghost <= 1.0:
                 raise DomainError(f"{name} {ghost} outside [-1, 1]")
         if state.values.size != mesh.n_cells:
             raise ContractError(f"state has {state.values.size} cells, mesh has {mesh.n_cells}")
-        _require_shape(m, nf.kind)
+        m = nf.model
         self.kernel = _step_kernel(m.f_poly, m.h_poly, nf.formula, m.flux_lipschitz)
         n = mesh.n_cells
         self.s, self.s_next, f_s, a, b, self.weights, *self.factors = _carve((n + 2,) * 3 + (n + 1,) * 3 + (n,) * 3)
@@ -352,10 +354,10 @@ class _Buffers:
         return self.state(), StepReport(fluxes=fluxes, tau_used=float(tau), states=states)
 
 
-def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, tau: float,
+def step(state: StateVector, mesh: RadialMesh, nf: NumericalFlux, tau: float,
          outer_ghost: Optional[float] = None,
          inner_ghost: Optional[float] = None) -> tuple[StateVector, StepReport]:
-    """One explicit update, with no diagnostics on the path.
+    """One explicit update of nf's model, with no diagnostics on the path.
 
     Args:
         tau: time step; checked against max_timestep.
@@ -374,7 +376,7 @@ def step(state: StateVector, mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, 
     """
     if isinstance(state, _Buffers):
         return state, state.advance(tau)
-    live = _Buffers(state, mesh, m, nf, outer_ghost, inner_ghost, tau)
+    live = _Buffers(state, mesh, nf, outer_ghost, inner_ghost, tau)
     return live.observed(live.advance(tau), tau)
 
 
@@ -420,11 +422,11 @@ class RunResult:
     tau_base: float
 
 
-def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, values: np.ndarray,
+def run(mesh: RadialMesh, nf: NumericalFlux, values: np.ndarray,
         t_end: float = 1.0, cfl_fraction: float = 0.9, snapshot_every: int = 10,
         outer_ghost: Optional[float] = None,
         on_step: Optional[Callable[[StateVector, StepReport], None]] = None) -> RunResult:
-    """Evolve the cell averages values (see project_initial) to t_end with tau = cfl_fraction * max_timestep.
+    """Evolve the cell averages values (see project_initial) of nf's model to t_end, tau = cfl_fraction * max_timestep.
 
     The package's one time loop, with step's outer_ghost.  The last step is shortened to land exactly
     on t_end.  Snapshots are the initial state, every snapshot_every-th
@@ -455,15 +457,15 @@ def run(mesh: RadialMesh, m: FluxModel, nf: NumericalFlux, values: np.ndarray,
         raise DomainError("values outside [-1, 1]")
 
     state = StateVector(values=values, time=0.0, step_index=0)
-    tau_bound = max_timestep(mesh, m, nf.lipschitz_bound)
+    tau_bound = max_timestep(mesh, nf.model, nf.lipschitz_bound)
     tau_base = cfl_fraction * tau_bound
-    live = _Buffers(state, mesh, m, nf, outer_ghost, None, tau_base, tau_bound)
+    live = _Buffers(state, mesh, nf, outer_ghost, None, tau_base, tau_bound)
 
     snapshots = [state]
     while live.time < t_end:
         remaining = t_end - live.time
         tau = min(tau_base, remaining)
-        _, fluxes = step(live, mesh, m, nf, tau)
+        _, fluxes = step(live, mesh, nf, tau)
         if on_step is not None:
             state, report = live.observed(fluxes, tau)
             on_step(state, report)

@@ -79,7 +79,7 @@ def test_acceptance_03_boundary_states_are_exact_fixed_points(structure_models):
                 target = np.full(mesh.n_cells, value)
                 state = StateVector(values=target, time=0.0, step_index=0)
                 for _ in range(1000):
-                    state, _ = step(state, mesh, m, nf, tau)
+                    state, _ = step(state, mesh, nf, tau)
                 drift = float(np.max(np.abs(state.values - target)))
                 worst = max(worst, drift)
                 assert drift == 0.0
@@ -164,7 +164,7 @@ def test_acceptance_07_flat_space_reduction(burgers, rng):
         state = StateVector(values=values, time=0.0, step_index=0)
         mirror = values.copy()
         for _ in range(500):
-            state, _ = step(state, mesh, burgers, nf, tau)
+            state, _ = step(state, mesh, nf, tau)
             left = np.concatenate(([mirror[0]], mirror))
             right = np.concatenate((mirror, [mirror[-1]]))
             fluxes = nf.evaluate(burgers, left, right)
@@ -200,7 +200,7 @@ def test_acceptance_09_horizon_boundary_freedom(burgers, rng):
         state = StateVector(values=values, time=0.0, step_index=0)
         states = []
         for _ in range(100):
-            state, _ = step(state, mesh, burgers, nf, tau, inner_ghost=ghost)
+            state, _ = step(state, mesh, nf, tau, inner_ghost=ghost)
             states.append(state.values)
         trajectories.append(np.vstack(states))
     for other in trajectories[1:]:

@@ -53,14 +53,14 @@ def test_a_traced_flux_runs_the_compiled_step_and_traces_the_certificate(tracing
     for kind in ("godunov", "eo", "rusanov"):
         nf = numerical_flux(kind, burgers)
         traced = dataclasses.replace(nf, evaluate=tracer.wrap("scheme.flux", nf.evaluate, tracing._faces))
-        plain, seen = run(mesh, burgers, nf, values, t_end=0.5, snapshot_every=3), []
-        result = run(mesh, burgers, traced, values, t_end=0.5, snapshot_every=3,
+        plain, seen = run(mesh, nf, values, t_end=0.5, snapshot_every=3), []
+        result = run(mesh, traced, values, t_end=0.5, snapshot_every=3,
                      on_step=lambda after, report: seen.append((after, report)))
         assert [s.values.tobytes() for s in result.snapshots] == [s.values.tobytes() for s in plain.snapshots]
-        step(result.snapshots[0], mesh, burgers, traced, seen[0][1].tau_used)
+        step(result.snapshots[0], mesh, traced, seen[0][1].tau_used)
         assert not [span for span in tracer.spans if span[0] == "scheme.flux"], kind
 
-        cell_entropy_residuals(*seen[0], mesh, burgers, traced, DEFAULT_KRUZHKOV_LEVELS)
+        cell_entropy_residuals(*seen[0], mesh, traced, DEFAULT_KRUZHKOV_LEVELS)
         spans = [span for span in tracer.spans if span[0] == "scheme.flux"]
         assert spans and all(span[5] > 0 for span in spans), kind
         tracer.spans.clear()

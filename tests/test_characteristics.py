@@ -644,6 +644,20 @@ def test_trace_refuses_a_step_count_that_is_not_finite(burgers):
             trace_interior(1.0, 0.5, (0.0, 5.0, 0.6), ds, s_max)
 
 
+def test_trace_refuses_a_step_count_above_the_cap_before_its_first_step(burgers):
+    # 10**6 steps hold about 190 MB of rows; a refused count is checked before the loop starts, so
+    # with r_stop close by the admitted count at the cap stops after a few steps
+    start = CharState(0.0, 0.0, 5.0, 0.6)
+    assert trace_exterior(burgers, 1.0, start, 1e-3, 1000.0, 5.01).stop_reason == "r_stop"
+    assert trace_interior(1.0, 0.5, (0.0, 5.0, 0.6), 1e-3, 1000.0, 5.01).stop_reason == "r_stop"
+    for s_max, ds in ((1000.002, 1e-3), (1.0, 1e-7), (1e10, 1.0)):
+        message = f"step count \\(s_max - s0\\) / ds = {s_max / ds:.17g} exceeds the cap of 1000000 steps"
+        with pytest.raises(DomainError, match=message):
+            trace_exterior(burgers, 1.0, start, ds, s_max, 5.01)
+        with pytest.raises(DomainError, match=message):
+            trace_interior(1.0, 0.5, (0.0, 5.0, 0.6), ds, s_max, 5.01)
+
+
 def test_trace_refuses_a_start_state_outside_the_domain(burgers):
     for t0, r0, u0 in ((0.0, 5.0, 1.5), (0.0, 5.0, -1.5), (0.0, 5.0, math.nan), (math.inf, 5.0, 0.6),
                        (math.nan, 5.0, 0.6), (0.0, math.inf, 0.6)):

@@ -272,6 +272,17 @@ def test_cli_characteristics_step_count_overflow_is_a_failure(tmp_path):
     assert not (out / "characteristic.csv").exists()
 
 
+def test_cli_characteristics_step_count_above_the_cap_is_a_failure(tmp_path):
+    # 10**7 steps would hold about 1.9 GB of rows; the refusal comes before the first step
+    out = tmp_path / "capped"
+    body = MINIMAL + f"\n[characteristics]\nds = 1e-7\ns_max = 1\n\n[run]\noutput_dir = {out}\n"
+    assert _run_cli(tmp_path, body, "characteristics") == 1
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "DomainError"
+    assert report["detail"] == "step count (s_max - s0) / ds = 10000000 exceeds the cap of 1000000 steps"
+    assert not (out / "characteristic.csv").exists()
+
+
 def test_cli_characteristics_float_overflow_is_a_failure(tmp_path, capsys):
     # an admissible model whose (r - 2M)**2 term overflows a Python float in the tracer
     out = tmp_path / "overflow"
@@ -370,7 +381,7 @@ output_dir = {out}
     cfg = parse_config(write_config(tmp_path, body))
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
     model = cfg.build_model()
-    result = run(mesh, model, numerical_flux(cfg.flux, model), project_initial(mesh, cfg.build_v0())[0],
+    result = run(mesh, numerical_flux(cfg.flux, model), project_initial(mesh, cfg.build_v0())[0],
                  t_end=cfg.t_end, cfl_fraction=cfg.cfl_fraction, snapshot_every=cfg.snapshot_every,
                  outer_ghost=cfg.outer_ghost())
     rows = [(snap.time, r, v) for snap in result.snapshots for r, v in zip(mesh.centers, snap.values)]

@@ -30,10 +30,10 @@ def test_numerical_entropy_flux_consistency(burgers):
     for k in LEVELS:
         pair = kruzhkov_pair(burgers, k)
         for w in (-0.9, -0.3, 0.0, 0.5, 0.8):
-            got = numerical_entropy_flux(nf, burgers, k, w, w)
+            got = numerical_entropy_flux(nf, k, w, w)
             assert got == pytest.approx(pair.F(w), abs=1e-14)
     # the worked value: w=0.5, k=0 gives f(0.5) - f(0) = 0.125
-    assert numerical_entropy_flux(nf, burgers, 0.0, 0.5, 0.5) == pytest.approx(0.125, abs=1e-15)
+    assert numerical_entropy_flux(nf, 0.0, 0.5, 0.5) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_numerical_entropy_flux_degenerate_levels(burgers, rng):
@@ -41,8 +41,8 @@ def test_numerical_entropy_flux_degenerate_levels(burgers, rng):
     u = rng.uniform(-1, 1, 20)
     v = rng.uniform(-1, 1, 20)
     plain = nf.evaluate(burgers, u, v)
-    low = numerical_entropy_flux(nf, burgers, -1.0, u, v)
-    high = numerical_entropy_flux(nf, burgers, 1.0, u, v)
+    low = numerical_entropy_flux(nf, -1.0, u, v)
+    high = numerical_entropy_flux(nf, 1.0, u, v)
     assert np.allclose(low, plain - burgers.f(-1.0), atol=1e-15)
     assert np.allclose(high, burgers.f(1.0) - plain, atol=1e-15)
 
@@ -52,15 +52,15 @@ def test_numerical_entropy_flux_single_valued_per_face(burgers, rng):
     # a cell sees at its right face equals what the neighbor sees at its left
     nf = numerical_flux("godunov", burgers)
     u, v = rng.uniform(-1, 1, 2)
-    assert numerical_entropy_flux(nf, burgers, 0.25, u, v) == numerical_entropy_flux(
-        nf, burgers, 0.25, u, v)
+    assert numerical_entropy_flux(nf, 0.25, u, v) == numerical_entropy_flux(
+        nf, 0.25, u, v)
 
 
 def _one_step(mesh, m, kind, values, cfl=0.9):
     nf = numerical_flux(kind, m)
     tau = cfl * max_timestep(mesh, m, nf.lipschitz_bound)
     state = StateVector(values=values, time=0.0, step_index=0)
-    new_state, report = step(state, mesh, m, nf, tau)
+    new_state, report = step(state, mesh, nf, tau)
     return state, new_state, report, nf, tau
 
 
@@ -106,8 +106,8 @@ def reference_ledger(state_before, report, mesh, m, nf, k, tau, outer_ghost=None
     gamma_r = 2.0 * tau * a_r / mesh.widths
     left = np.concatenate(([inner], v))
     right = np.concatenate((v, [outer]))
-    phi_faces = numerical_entropy_flux(nf, m, k, left, right)
-    phi_cons = numerical_entropy_flux(nf, m, k, v, v)
+    phi_faces = numerical_entropy_flux(nf, k, left, right)
+    phi_cons = numerical_entropy_flux(nf, k, v, v)
     u_before = pair.U(v)
     res_r = pair.U(tilde_r) - u_before + gamma_r * (phi_faces[1:] - phi_cons)
     res_l = pair.U(tilde_l) - u_before - gamma_l * (phi_faces[:-1] - phi_cons)
@@ -141,8 +141,8 @@ def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer
     nf = numerical_flux(kind, burgers)
     tau = 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
     state = StateVector(values=rng.uniform(-1, 1, mesh.n_cells), time=0.0, step_index=0)
-    new_state, report = step(state, mesh, burgers, nf, tau, outer_ghost=outer)
-    ledger = cell_entropy_residuals(new_state, report, mesh, burgers, nf, DEFAULT_KRUZHKOV_LEVELS)
+    new_state, report = step(state, mesh, nf, tau, outer_ghost=outer)
+    ledger = cell_entropy_residuals(new_state, report, mesh, nf, DEFAULT_KRUZHKOV_LEVELS)
     assert ledger.levels.tolist() == list(DEFAULT_KRUZHKOV_LEVELS)
     for j, k in enumerate(DEFAULT_KRUZHKOV_LEVELS):
         per_cell, worst, gap, dissipation, scale = reference_ledger(
@@ -157,8 +157,8 @@ def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer
     defect = float(np.max(np.abs(new_state.values - (full_l + full_r) / 2)))
     assert ledger.decomposition_defect.hex() == defect.hex()
     for flux in (nf, dataclasses.replace(nf, increments=None)):
-        certified = cell_entropy_residuals(new_state, report, mesh, burgers, flux, (0.0,))
-        coefficients = convex_coefficients(report, mesh, burgers, flux)
+        certified = cell_entropy_residuals(new_state, report, mesh, flux, (0.0,))
+        coefficients = convex_coefficients(report, mesh, flux)
         assert certified.min_convex_coeff.hex() == float(min(a.min() for a in coefficients)).hex()
     if outer is not None:
         # v_N equal to the fixed ghost: the outer face reads (v_N, v_N) as
@@ -167,7 +167,7 @@ def test_all_levels_ledger_matches_per_level_reference(burgers, rng, kind, outer
         values[-1] = outer
         pinned = StateVector(values=values, time=0.0, step_index=0)
         fixed, copy = (ledger_hex(cell_entropy_residuals(
-            *step(pinned, mesh, burgers, nf, tau, outer_ghost=ghost), mesh, burgers, nf, LEVELS))
+            *step(pinned, mesh, nf, tau, outer_ghost=ghost), mesh, nf, LEVELS))
             for ghost in (outer, None))
         assert "nan" not in fixed["global_balance_gap"]
         assert fixed == copy
@@ -188,8 +188,8 @@ def test_inner_ghost_leaves_the_balance_open_only_off_the_horizon(burgers, rng, 
         values = rng.uniform(-1, 1, mesh.n_cells)
         values[0] = 0.5
         state = StateVector(values=values, time=0.0, step_index=0)
-        ledgers = [cell_entropy_residuals(*step(state, mesh, burgers, nf, tau, inner_ghost=ghost),
-                                          mesh, burgers, nf, LEVELS) for ghost in (None, -0.5)]
+        ledgers = [cell_entropy_residuals(*step(state, mesh, nf, tau, inner_ghost=ghost),
+                                          mesh, nf, LEVELS) for ghost in (None, -0.5)]
         assert ledgers[1].worst_residuals.max() <= ENTROPY_RESIDUAL_TOL
         if mass == 0.0:
             # the inner face's entropy flux is no longer tau a F(v_0)
@@ -203,7 +203,7 @@ def test_inner_ghost_leaves_the_balance_open_only_off_the_horizon(burgers, rng, 
 def test_ledger_rejects_levels_outside_the_state_interval(mesh_m1, burgers):
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", np.zeros(mesh_m1.n_cells))
     with pytest.raises(DomainError):
-        cell_entropy_residuals(new_state, report, mesh_m1, burgers, nf, (0.0, 1.5))
+        cell_entropy_residuals(new_state, report, mesh_m1, nf, (0.0, 1.5))
 
 
 @pytest.mark.parametrize("kind", ("godunov", "eo", "rusanov"))
@@ -211,7 +211,7 @@ def test_residuals_match_brute_force(mesh_m1, burgers, rng, kind):
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
     levels = (-0.25, 0.0, 0.75)
-    ledger = cell_entropy_residuals(new_state, report, mesh_m1, burgers, nf, levels)
+    ledger = cell_entropy_residuals(new_state, report, mesh_m1, nf, levels)
     for j, k in enumerate(levels):
         expected = brute_force_transport_residuals(values, mesh_m1, burgers, nf,
                                                    report.fluxes, tau, k)
@@ -222,7 +222,7 @@ def test_residuals_match_brute_force(mesh_m1, burgers, rng, kind):
 def test_constant_state_flat_residuals_exact_zero(burgers):
     mesh = build_uniform_mesh(Background(0.0), 10.0, 30)
     state, new_state, report, nf, tau = _one_step(mesh, burgers, "godunov", np.full(30, 0.6))
-    ledger = cell_entropy_residuals(new_state, report, mesh, burgers, nf, (0.25,))
+    ledger = cell_entropy_residuals(new_state, report, mesh, nf, (0.25,))
     assert np.array_equal(ledger.per_cell_residuals, np.zeros((1, 30)))
     # dissipation and the R bookkeeping cancel exactly in real arithmetic
     assert abs(ledger.global_balance_gap) <= 1e-15 * ledger.balance_scale
@@ -232,7 +232,7 @@ def test_constant_state_flat_residuals_exact_zero(burgers):
 def test_plus_one_state_curved_residuals(mesh_m1, burgers):
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov",
                                           np.ones(mesh_m1.n_cells))
-    ledger = cell_entropy_residuals(new_state, report, mesh_m1, burgers, nf, (0.0,))
+    ledger = cell_entropy_residuals(new_state, report, mesh_m1, nf, (0.0,))
     assert np.max(np.abs(ledger.per_cell_residuals)) <= 1e-14
     assert abs(ledger.global_balance_gap) <= 1e-14
 
@@ -243,7 +243,7 @@ def test_riemann_one_step_residuals(burgers, mass):
     mid = 2 * mass + 5.0
     values = np.where(mesh.centers < mid, 0.8, -0.8)
     state, new_state, report, nf, tau = _one_step(mesh, burgers, "godunov", values)
-    ledger = cell_entropy_residuals(new_state, report, mesh, burgers, nf, (0.0,))
+    ledger = cell_entropy_residuals(new_state, report, mesh, nf, (0.0,))
     assert ledger.worst_residuals[0] <= 1e-14
 
 
@@ -254,7 +254,7 @@ def test_transport_residuals_nonpositive_randomized(mesh_m1, burgers, rng, kind,
         values = rng.uniform(-1, 1, mesh_m1.n_cells)
         state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values,
                                               cfl=float(rng.uniform(0.2, 1.0)))
-        ledger = cell_entropy_residuals(new_state, report, mesh_m1, burgers, nf, (k,))
+        ledger = cell_entropy_residuals(new_state, report, mesh_m1, nf, (k,))
         assert ledger.worst_residuals[0] <= 1e-13
         assert ledger.dissipation_sum >= 0.0
 
@@ -264,7 +264,7 @@ def test_global_balance_nonpositive_randomized(mesh_m1, burgers, rng):
         for _ in range(5):
             values = rng.uniform(-1, 1, mesh_m1.n_cells)
             state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, kind, values)
-            ledger = cell_entropy_residuals(new_state, report, mesh_m1, burgers, nf, (0.0,))
+            ledger = cell_entropy_residuals(new_state, report, mesh_m1, nf, (0.0,))
             assert ledger.global_balance_gap <= 1e-12 * ledger.balance_scale
 
 
@@ -272,7 +272,7 @@ def test_balance_tracks_quadratic_entropy_decay(mesh_m1, burgers, rng):
     # total quadratic entropy (plus dissipation and R bookkeeping) never grows
     values = rng.uniform(-1, 1, mesh_m1.n_cells)
     state, new_state, report, nf, tau = _one_step(mesh_m1, burgers, "godunov", values)
-    ledger = cell_entropy_residuals(new_state, report, mesh_m1, burgers, nf, (0.0,))
+    ledger = cell_entropy_residuals(new_state, report, mesh_m1, nf, (0.0,))
     direct = float(np.sum(mesh_m1.widths * 0.5 * (new_state.values ** 2 - values ** 2)))
     # entropy change decomposes into flux transport, R terms, and dissipation;
     # the assembled gap must match the direct evaluation to round-off
@@ -308,28 +308,28 @@ def test_dimension_mismatch_rejected(mesh_m1, burgers):
                                                   np.zeros(mesh_m1.n_cells))
     short = StateVector(values=np.zeros(mesh_m1.n_cells - 1), time=0.0, step_index=0)
     with pytest.raises(ContractError):
-        cell_entropy_residuals(short, report, mesh_m1, burgers, nf, (0.0,))
+        cell_entropy_residuals(short, report, mesh_m1, nf, (0.0,))
     _, _, full_l, full_r, _, _ = face_reconstruction(report, mesh_m1, burgers)
     with pytest.raises(ContractError):
         convex_decomposition_check(short, full_l, full_r)
     # a report whose face states, or face fluxes, do not fit the mesh
     misfit = dataclasses.replace(report, states=report.states[1:])
     with pytest.raises(ContractError, match="report states"):
-        cell_entropy_residuals(new_state, misfit, mesh_m1, burgers, nf, (0.0,))
+        cell_entropy_residuals(new_state, misfit, mesh_m1, nf, (0.0,))
     with pytest.raises(ContractError, match="report states"):
         face_reconstruction(misfit, mesh_m1, burgers)
     with pytest.raises(ContractError):
-        convex_coefficients(misfit, mesh_m1, burgers, nf)
+        convex_coefficients(misfit, mesh_m1, nf)
     with pytest.raises(ContractError, match="report fluxes"):
-        cell_entropy_residuals(new_state, dataclasses.replace(report, fluxes=report.fluxes[1:]), mesh_m1, burgers,
-                               nf, (0.0,))
+        cell_entropy_residuals(new_state, dataclasses.replace(report, fluxes=report.fluxes[1:]), mesh_m1, nf,
+                               (0.0,))
 
 
 def test_fixed_boundary_balance_reported_nan(mesh_m1, burgers, rng):
     nf = numerical_flux("godunov", burgers)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     state = StateVector(values=rng.uniform(-1, 1, mesh_m1.n_cells), time=0.0, step_index=0)
-    new_state, report = step(state, mesh_m1, burgers, nf, tau, outer_ghost=0.1)
-    ledger = cell_entropy_residuals(new_state, report, mesh_m1, burgers, nf, (0.0,))
+    new_state, report = step(state, mesh_m1, nf, tau, outer_ghost=0.1)
+    ledger = cell_entropy_residuals(new_state, report, mesh_m1, nf, (0.0,))
     assert np.isnan(ledger.global_balance_gap)
     assert ledger.worst_residuals[0] <= 1e-13

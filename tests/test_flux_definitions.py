@@ -34,7 +34,7 @@ def test_the_bound_fluxes_are_the_table_run_in_numpy(burgers):
     bound = [scheme.numerical_flux(kind, burgers).evaluate for kind in scheme.FLUX_KINDS]
     assert [evaluate for evaluate, _ in FUNCTIONS] == bound
     for kind, (formula, increments) in scheme._FLUXES.items():
-        nf = scheme.NumericalFlux(kind, 1.0, formula, increments)
+        nf = scheme.NumericalFlux(kind, burgers, formula, increments)
         assert nf.evaluate is scheme._numpy_flux(kind, formula) and nf.evaluate.__doc__.startswith(formula)
 
 

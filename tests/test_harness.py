@@ -200,7 +200,7 @@ def test_kernels_never_call_a_models_evaluators_when_they_are_swapped(burgers, q
 
     def evolve(m):  # the finite volume step under each bundled flux, with and without a horizon
         values = np.linspace(-0.9, 0.9, 40)
-        return [run(build_uniform_mesh(Background(mass), 2.0 * mass + 10.0, 40), m, numerical_flux(kind, m),
+        return [run(build_uniform_mesh(Background(mass), 2.0 * mass + 10.0, 40), numerical_flux(kind, m),
                     values, t_end=0.2).final.values.tobytes()
                 for kind in FLUX_KINDS for mass in (0.0, 1.0)]
 
@@ -531,10 +531,8 @@ ANTI_DIFFUSIVE = "fluxes = f_left + f_right - (0.5 * (f_left + f_right) - half_l
 
 
 def test_fuzz_flags_non_monotone_flux(monkeypatch):
-    monotone = harness.numerical_flux
-
     def numerical_flux(kind, m):
-        return NumericalFlux("anti", monotone(kind, m).lipschitz_bound, ANTI_DIFFUSIVE)
+        return NumericalFlux("anti", m, ANTI_DIFFUSIVE)
 
     monkeypatch.setattr(harness, "numerical_flux", numerical_flux)
     rep = fuzz_invariants(3, 7)
@@ -544,23 +542,21 @@ def test_fuzz_flags_non_monotone_flux(monkeypatch):
 def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
     # with the anti-diffusive flux, trial 0 of seed 6 leaves [-1, 1] in its
     # third step; trials 1 and 2 stay inside and reach their t_end
-    monotone = harness.numerical_flux
-
     def numerical_flux(kind, m):
-        return NumericalFlux("anti", monotone(kind, m).lipschitz_bound, ANTI_DIFFUSIVE)
+        return NumericalFlux("anti", m, ANTI_DIFFUSIVE)
 
     real_run = harness.run
-    trials = []  # per trial: (mesh, model, nf, fraction, observed states after each step)
+    trials = []  # per trial: (mesh, nf, fraction, observed states after each step)
 
-    def recording_run(mesh, m, nf, values, *, on_step, cfl_fraction, **kwargs):
+    def recording_run(mesh, nf, values, *, on_step, cfl_fraction, **kwargs):
         afters = []
-        trials.append((mesh, m, nf, cfl_fraction, afters))
+        trials.append((mesh, nf, cfl_fraction, afters))
 
         def observe(after, report):
             afters.append(after)
             on_step(after, report)
 
-        return real_run(mesh, m, nf, values, on_step=observe, cfl_fraction=cfl_fraction, **kwargs)
+        return real_run(mesh, nf, values, on_step=observe, cfl_fraction=cfl_fraction, **kwargs)
 
     monkeypatch.setattr(harness, "numerical_flux", numerical_flux)
     monkeypatch.setattr(harness, "run", recording_run)
@@ -570,13 +566,13 @@ def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
     assert len(breaches) == 1 and breaches[0]["config"]["trial"] == 0
     assert "maximum principle" in breaches[0]["detail"]
     assert len(rep.trial_configs) == 3 and len(trials) == 3
-    assert [after.step_index for after in trials[0][4]] == [1, 2]
+    assert [after.step_index for after in trials[0][3]] == [1, 2]
     assert rep.total_steps == sum(len(afters) for *_, afters in trials)
     # the breaching step is the next one, and it is not counted
-    mesh, m, nf, fraction, afters = trials[0]
-    tau = fraction * max_timestep(mesh, m, nf.lipschitz_bound)
+    mesh, nf, fraction, afters = trials[0]
+    tau = fraction * max_timestep(mesh, nf.model, nf.lipschitz_bound)
     with pytest.raises(NumericsError):
-        step(afters[-1], mesh, m, nf, tau)
+        step(afters[-1], mesh, nf, tau)
     for config, (*_, afters) in zip(rep.trial_configs[1:], trials[1:]):
         assert afters[-1].time == pytest.approx(config["t_end"], abs=1e-15)
 
@@ -584,11 +580,11 @@ def test_fuzz_records_a_state_breach_and_runs_on(monkeypatch):
 def test_run_names_the_step_time_and_first_cell_of_a_state_breach(mesh_m1, burgers):
     # the anti-diffusive flux takes Riemann data out of [-1, 1] within a few steps; the message is
     # the StateVector text followed by the breaching step, its time and its first cell outside
-    nf = NumericalFlux("anti", numerical_flux("rusanov", burgers).lipschitz_bound, ANTI_DIFFUSIVE)
+    nf = NumericalFlux("anti", burgers, ANTI_DIFFUSIVE)
     afters, messages = [], []
     for on_step in (lambda after, report: afters.append(after), None):
         with pytest.raises(NumericsError) as exc:
-            run(mesh_m1, burgers, nf, project_initial(mesh_m1, scheme.step_data(0.8, -0.4, 7.0))[0], t_end=1.0,
+            run(mesh_m1, nf, project_initial(mesh_m1, scheme.step_data(0.8, -0.4, 7.0))[0], t_end=1.0,
                 on_step=on_step)
         messages.append(str(exc.value))
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
@@ -630,10 +626,10 @@ def test_one_campaign_step_is_one_certificate_from_one_reconstruction(mesh_m1, b
     nf = harness.numerical_flux("godunov", model)
     state = StateVector(values=rng.uniform(-1.0, 1.0, mesh_m1.n_cells), time=0.0, step_index=0)
     tau = 0.9 * max_timestep(mesh_m1, model, nf.lipschitz_bound)
-    new_state, step_report = step(state, mesh_m1, model, nf, tau)
+    new_state, step_report = step(state, mesh_m1, nf, tau)
     counts.clear()
     report = harness.FuzzReport(trials=1, seed=0)
-    check = harness._step_checks(report, {}, mesh_m1, model, nf)
+    check = harness._step_checks(report, {}, mesh_m1, nf)
     check(new_state, step_report)
     assert report.total_steps == 1 and report.ok
     assert counts["cell_entropy_residuals"] == 1 and counts["face_reconstruction"] == 1

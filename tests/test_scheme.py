@@ -1,17 +1,21 @@
 import ast
 import dataclasses
+import inspect
 import math
 import re
+import typing
 
 import numpy as np
 import pytest
 
-from horizonfv import model, scheme
+import horizonfv
+from horizonfv import entropy, model, scheme
 from horizonfv import (
     Background,
     CflError,
     ContractError,
     DomainError,
+    FluxModel,
     NumericsError,
     StateVector,
     UnsupportedModelError,
@@ -116,7 +120,7 @@ def test_step_matches_brute_force(mesh_m1, burgers, rng, kind):
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     values = rng.uniform(-1.0, 1.0, mesh_m1.n_cells)
     state = StateVector(values=values, time=0.0, step_index=0)
-    new_state, report = step(state, mesh_m1, burgers, nf, tau)
+    new_state, report = step(state, mesh_m1, nf, tau)
     expected = brute_force_step(values, mesh_m1, burgers, nf, tau, ghost=values[-1])
     assert np.max(np.abs(new_state.values - expected)) <= 1e-14
     assert new_state.time == tau
@@ -129,7 +133,7 @@ def test_constant_state_fixed_flat(mesh_flat, burgers):
     for kind in ALL_FLUXES:
         nf = numerical_flux(kind, burgers)
         state = StateVector(values=np.full(mesh_flat.n_cells, 0.37), time=0.0, step_index=0)
-        new_state, _ = step(state, mesh_flat, burgers, nf, 0.02)
+        new_state, _ = step(state, mesh_flat, nf, 0.02)
         assert np.array_equal(new_state.values, state.values)
 
 
@@ -140,7 +144,7 @@ def test_boundary_states_fixed_curved(mesh_m1, structure_models, value):
             nf = numerical_flux(kind, m)
             tau = 0.9 * max_timestep(mesh_m1, m, nf.lipschitz_bound)
             state = StateVector(values=np.full(mesh_m1.n_cells, value), time=0.0, step_index=0)
-            new_state, _ = step(state, mesh_m1, m, nf, tau)
+            new_state, _ = step(state, mesh_m1, nf, tau)
             assert np.array_equal(new_state.values, state.values)
 
 
@@ -149,18 +153,18 @@ def test_cfl_guard(mesh_m1, burgers):
     bound = max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
     with pytest.raises(CflError):
-        step(state, mesh_m1, burgers, nf, 2.0 * bound)
+        step(state, mesh_m1, nf, 2.0 * bound)
     with pytest.raises(CflError):
-        step(state, mesh_m1, burgers, nf, 0.0)
+        step(state, mesh_m1, nf, 0.0)
 
 
 def test_nan_detection(mesh_m1, burgers):
     # the step reads the model's coefficients, not its f, so the NaN comes in through a flux formula:
     # on a zero state every jump is zero, and zero over zero is NaN
-    nf = scheme.NumericalFlux("poisoned", burgers.flux_lipschitz, "fluxes = (right - left) / (right - left)")
+    nf = scheme.NumericalFlux("poisoned", burgers, "fluxes = (right - left) / (right - left)")
     state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="NaN in state values"):
-        step(state, mesh_m1, burgers, nf, 1e-3)
+        step(state, mesh_m1, nf, 1e-3)
 
 
 def test_state_vector_rejects_out_of_range():
@@ -226,7 +230,7 @@ def test_step_range_check_gives_the_outcome_and_text_of_a_max_and_a_min(monkeypa
     state = StateVector(values=np.linspace(-0.9, 0.9, mesh_m1.n_cells), time=0.25, step_index=3)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     try:
-        after, _ = step(state, mesh_m1, burgers, nf, tau)
+        after, _ = step(state, mesh_m1, nf, tau)
     except NumericsError as exc:
         assert str(exc) == _max_and_min_check(written[0], 4, 0.25 + tau)
     else:
@@ -246,7 +250,7 @@ def test_state_vector_owns_its_values(mesh_m1, burgers):
     # so is another state's read-only array: no two states share values
     nf = numerical_flux("godunov", burgers)
     new_state, _ = step(StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0),
-                        mesh_m1, burgers, nf, 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound))
+                        mesh_m1, nf, 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound))
     again = StateVector(values=new_state.values, time=0.0, step_index=0).values
     assert again.flags.owndata and not np.shares_memory(again, new_state.values)
     assert again.tobytes() == new_state.values.tobytes()
@@ -257,8 +261,8 @@ def test_convex_coefficients_reconstruction(mesh_m1, burgers, rng):
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     values = rng.uniform(-1.0, 1.0, mesh_m1.n_cells)
     state = StateVector(values=values, time=0.0, step_index=0)
-    _, report = step(state, mesh_m1, burgers, nf, tau)
-    a_center, a_left, a_right = convex_coefficients(report, mesh_m1, burgers, nf)
+    _, report = step(state, mesh_m1, nf, tau)
+    a_center, a_left, a_right = convex_coefficients(report, mesh_m1, nf)
     assert np.max(np.abs(a_center + a_left + a_right - 1.0)) <= 1e-12
     assert min(a_left.min(), a_right.min()) >= 0.0
     assert not np.any(np.signbit(a_left) | np.signbit(a_right))  # a zero coefficient is 0.0, not -0.0
@@ -273,10 +277,10 @@ def test_convex_coefficients_fall_back_to_the_flux_quotients(mesh_m1, burgers, r
     state = StateVector(values=rng.uniform(-1.0, 1.0, mesh_m1.n_cells), time=0.0, step_index=0)
     for kind in ALL_FLUXES:
         nf = numerical_flux(kind, burgers)
-        _, report = step(state, mesh_m1, burgers, nf, max_timestep(mesh_m1, burgers, nf.lipschitz_bound),
+        _, report = step(state, mesh_m1, nf, max_timestep(mesh_m1, burgers, nf.lipschitz_bound),
                          outer_ghost=outer)
-        exact = convex_coefficients(report, mesh_m1, burgers, nf)
-        quotient = convex_coefficients(report, mesh_m1, burgers, dataclasses.replace(nf, increments=None))
+        exact = convex_coefficients(report, mesh_m1, nf)
+        quotient = convex_coefficients(report, mesh_m1, dataclasses.replace(nf, increments=None))
         assert np.max(np.abs(np.array(exact) - np.array(quotient))) <= 1e-12
 
 
@@ -338,9 +342,9 @@ def test_inner_ghost_is_inert(mesh_m1, burgers, rng):
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     values = rng.uniform(-1.0, 1.0, mesh_m1.n_cells)
     state = StateVector(values=values, time=0.0, step_index=0)
-    baseline, _ = step(state, mesh_m1, burgers, nf, tau)
+    baseline, _ = step(state, mesh_m1, nf, tau)
     for ghost in (-1.0, 0.73, 1.0):
-        altered, _ = step(state, mesh_m1, burgers, nf, tau, inner_ghost=ghost)
+        altered, _ = step(state, mesh_m1, nf, tau, inner_ghost=ghost)
         assert np.array_equal(baseline.values, altered.values)
 
 
@@ -352,7 +356,7 @@ CUSTOM_RUSANOV = "fluxes = (f_left + f_right) / 2.0 - half_lam * (right - left)"
 
 def replay_fluxes(m):
     return [numerical_flux(kind, m) for kind in ALL_FLUXES] + \
-        [scheme.NumericalFlux("custom", m.flux_lipschitz, CUSTOM_RUSANOV)]
+        [scheme.NumericalFlux("custom", m, CUSTOM_RUSANOV)]
 
 
 @pytest.mark.parametrize("model_name", ["burgers", "quartic", "sextic"])
@@ -365,7 +369,7 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
     for nf in replay_fluxes(m):
         for outer in (None, -0.3):
             seen = []
-            result = run(mesh, m, nf, values, t_end=0.137, outer_ghost=outer,
+            result = run(mesh, nf, values, t_end=0.137, outer_ghost=outer,
                          on_step=lambda after, report: seen.append((after, report)))
             assert seen[-1][1].tau_used < result.tau_base  # the shortened last step is covered
             befores = [values] + [after.values for after, _ in seen[:-1]]
@@ -381,21 +385,22 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
             state = result.snapshots[0]
             tau = seen[0][1].tau_used
             for ghost in (-1.0, 0.73):
-                stepped, report = step(state, mesh, m, nf, tau, outer_ghost=outer, inner_ghost=ghost)
+                stepped, report = step(state, mesh, nf, tau, outer_ghost=outer, inner_ghost=ghost)
                 states, fluxes, expected = reference_update(state.values, mesh, m, nf, tau, outer, ghost)
                 assert stepped.values.tobytes() == expected.tobytes()
                 assert report.fluxes.tobytes() == fluxes.tobytes()
                 assert report.states.tobytes() == states.tobytes()
 
 
-def test_step_refuses_the_bundled_shape_fluxes_for_a_model_without_the_shape(mesh_flat):
-    # the shape is required by the flux's kind, which numerical_flux would have refused already
+def test_step_refuses_the_bundled_shape_fluxes_for_a_model_without_the_shape():
+    # the shape is required by the flux's kind, so binding the flux to the model refuses it, before
+    # any step: built directly or by numerical_flux
     linear = polynomial_model("linear", [0.0, 1.0], [0.0])
-    state = StateVector(values=np.zeros(mesh_flat.n_cells), time=0.0, step_index=0)
     for kind in ("godunov", "eo"):
-        nf = scheme.NumericalFlux(kind, linear.flux_lipschitz, *scheme._FLUXES[kind])
-        with pytest.raises(UnsupportedModelError, match=f"^{kind} flux needs"):
-            step(state, mesh_flat, linear, nf, 0.01)
+        for bind in (lambda: scheme.NumericalFlux(kind, linear, *scheme._FLUXES[kind]),
+                     lambda: numerical_flux(kind, linear)):
+            with pytest.raises(UnsupportedModelError, match=f"^{kind} flux needs"):
+                bind()
 
 
 GODUNOV, RUSANOV = (scheme._FLUXES[kind][0] for kind in ("godunov", "rusanov"))
@@ -442,14 +447,14 @@ def test_step_kernel_cache_returns_one_kernel_per_key_and_stays_bounded(mesh_m1,
     nf = numerical_flux("godunov", burgers)
     state = StateVector(values=np.linspace(-0.9, 0.9, mesh_m1.n_cells), time=0.0, step_index=0)
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
-    before = step(state, mesh_m1, burgers, nf, tau)[0].values.tobytes()
+    before = step(state, mesh_m1, nf, tau)[0].values.tobytes()
     maxsize = cache.cache_info().maxsize
     assert maxsize is not None
     kernels = {cache((-0.5, 0.0, float(k)), (0.0,), RUSANOV, float(k)) for k in range(1, maxsize + 11)}
     assert len(kernels) == maxsize + 10
     assert cache.cache_info().currsize <= maxsize
     # a step through a fresh compile of the evicted key gives the same bits
-    assert step(state, mesh_m1, burgers, nf, tau)[0].values.tobytes() == before
+    assert step(state, mesh_m1, nf, tau)[0].values.tobytes() == before
 
 
 EDGE_GRID = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 0.3, -0.7]
@@ -496,7 +501,7 @@ def test_step_face_fluxes_equal_the_bundled_fluxes_at_edge_values(burgers, quart
                 nf = numerical_flux(kind, m)
                 tau = 0.5 * max_timestep(mesh, m, nf.lipschitz_bound)
                 for ghost in EDGE_GRID:
-                    after, report = step(state, mesh, m, nf, tau, inner_ghost=ghost)
+                    after, report = step(state, mesh, nf, tau, inner_ghost=ghost)
                     states, fluxes, expected = reference_update(EDGE_STATES, mesh, m, nf, tau, inner_ghost=ghost)
                     left, right = report.states[:-1], report.states[1:]
                     assert report.fluxes.tobytes() == np.asarray(nf.evaluate(m, left, right)).tobytes(), (m.name, kind)
@@ -525,10 +530,11 @@ def test_step_refuses_an_inner_ghost_outside_the_state_interval(mesh_m1, mesh_fl
         state = StateVector(values=np.linspace(-0.5, 0.5, mesh.n_cells), time=0.0, step_index=0)
         tau = 0.5 * max_timestep(mesh, burgers, nf.lipschitz_bound)
         with pytest.raises(DomainError, match="^inner_ghost"):
-            step(state, mesh, burgers, nf, tau, inner_ghost=ghost)
-        for flux, t in ((nf, -tau), (dataclasses.replace(nf, lipschitz_bound=0.0), tau)):
+            step(state, mesh, nf, tau, inner_ghost=ghost)
+        stalled = dataclasses.replace(nf, model=dataclasses.replace(burgers, flux_lipschitz=0.0))
+        for flux, t in ((nf, -tau), (stalled, tau)):
             with pytest.raises(DomainError, match="^inner_ghost"):  # before any other check
-                step(state, mesh, burgers, flux, t, inner_ghost=ghost)
+                step(state, mesh, flux, t, inner_ghost=ghost)
 
 
 @pytest.mark.parametrize("kind, formula", [
@@ -539,9 +545,9 @@ def test_step_refuses_an_inner_ghost_outside_the_state_interval(mesh_m1, mesh_fl
     ("custom", "half_lam * (right - left)"),
     ("not a name", CUSTOM_RUSANOV),
 ])
-def test_numerical_flux_refuses_a_formula_that_is_not_one_flux_per_face(kind, formula):
+def test_numerical_flux_refuses_a_formula_that_is_not_one_flux_per_face(burgers, kind, formula):
     with pytest.raises(ContractError, match=f"^flux '{kind}': the kind must be a name"):
-        scheme.NumericalFlux(kind, 1.0, formula)
+        scheme.NumericalFlux(kind, burgers, formula)
 
 
 UNWRITTEN = "not + - * /, maximum, minimum, where, f or (0.0, 0.5, 1.0, 2.0)"
@@ -557,11 +563,11 @@ UNWRITTEN = "not + - * /, maximum, minimum, where, f or (0.0, 0.5, 1.0, 2.0)"
      "it needs more than ['a', 'b']"),
     ("fluxes = left\nfluxes += right", "fluxes += right", "a statement is one x = e"),
 ])
-def test_numerical_flux_refuses_a_formula_the_step_cannot_write(formula, construct, why):
+def test_numerical_flux_refuses_a_formula_the_step_cannot_write(burgers, formula, construct, why):
     # each reads only admitted names, so it is the lowering that names what it cannot write
     with pytest.raises(ContractError, match=f"^flux 'custom': cannot write {re.escape(repr(construct))}: "
                                             f"{re.escape(why)}"):
-        scheme.NumericalFlux("custom", 1.0, formula)
+        scheme.NumericalFlux("custom", burgers, formula)
 
 
 def test_numerical_flux_refuses_an_evaluate_that_is_not_its_formulas(burgers):
@@ -583,12 +589,12 @@ def test_run_checks_every_tau_against_its_one_bound(mesh_m1, burgers, monkeypatc
     calls = []
     monkeypatch.setattr(scheme, "max_timestep", lambda *args: calls.append(args) or bound(*args))
     nf = numerical_flux("godunov", burgers)
-    result = run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.5 * np.cos(r)), t_end=0.37)
+    result = run(mesh_m1, nf, averages(mesh_m1, lambda r: 0.5 * np.cos(r)), t_end=0.37)
     assert len(calls) == 1 and result.steps > 1 and result.final.time == 0.37
     tau_bound = bound(mesh_m1, burgers, nf.lipschitz_bound)
     observed = []
     with pytest.raises(CflError):
-        run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=0.5 * tau_bound,
+        run(mesh_m1, nf, np.zeros(mesh_m1.n_cells), t_end=0.5 * tau_bound,
             cfl_fraction=1.5, on_step=lambda *args: observed.append(args))
     assert not observed
     with pytest.raises(CflError):
@@ -597,7 +603,7 @@ def test_run_checks_every_tau_against_its_one_bound(mesh_m1, burgers, monkeypatc
 
 def test_run_lands_exactly_and_bounds(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
-    result = run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=0.5)
+    result = run(mesh_m1, nf, np.zeros(mesh_m1.n_cells), t_end=0.5)
     assert result.final.time == 0.5
     assert np.max(np.abs(result.final.values)) <= 1.0
     assert result.snapshots[0].time == 0.0
@@ -606,7 +612,7 @@ def test_run_lands_exactly_and_bounds(mesh_m1, burgers):
 
 def test_run_fixed_point(mesh_m1, burgers):
     nf = numerical_flux("eo", burgers)
-    result = run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: np.ones_like(r)), t_end=1.0)
+    result = run(mesh_m1, nf, averages(mesh_m1, lambda r: np.ones_like(r)), t_end=1.0)
     assert np.array_equal(result.final.values, np.ones(mesh_m1.n_cells))
 
 
@@ -618,10 +624,10 @@ def test_step_and_run_build_no_convex_coefficients(mesh_m1, burgers, rng, monkey
     nf = numerical_flux("godunov", burgers)
     tau = 0.9 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
     state = StateVector(values=rng.uniform(-1.0, 1.0, mesh_m1.n_cells), time=0.0, step_index=0)
-    new_state, report = step(state, mesh_m1, burgers, nf, tau)
+    new_state, report = step(state, mesh_m1, nf, tau)
     assert new_state.step_index == 1
     assert report.tau_used == tau and report.fluxes.size == mesh_m1.n_cells + 1
-    result = scheme.run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: np.sin(r)), t_end=0.3,
+    result = scheme.run(mesh_m1, nf, averages(mesh_m1, lambda r: np.sin(r)), t_end=0.3,
                         outer_ghost=-0.2)
     assert result.final.time == 0.3
 
@@ -634,7 +640,7 @@ def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
         seen.append((state_after.step_index, report, report.tau_used, state_after))
 
     t_end = 0.37
-    result = run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.6 * np.cos(r)), t_end=t_end,
+    result = run(mesh_m1, nf, averages(mesh_m1, lambda r: 0.6 * np.cos(r)), t_end=t_end,
                  snapshot_every=4, on_step=observe)
     assert [entry[0] for entry in seen] == list(range(1, result.steps + 1))
     assert all(entry[1].tau_used == entry[2] for entry in seen)
@@ -647,7 +653,7 @@ def test_run_on_step_sees_every_step_once(mesh_m1, burgers):
     befores = [result.snapshots[0]] + [entry[3] for entry in seen[:-1]]
     for before, (_, report, tau, after) in zip(befores, seen):
         assert report.states[1:-1].tobytes() == before.values.tobytes()
-        replay, replay_report = step(before, mesh_m1, burgers, nf, tau)
+        replay, replay_report = step(before, mesh_m1, nf, tau)
         assert np.array_equal(replay.values, after.values)
         assert np.array_equal(replay_report.fluxes, report.fluxes)
         assert after.step_index == before.step_index + 1
@@ -664,12 +670,12 @@ def test_run_equals_its_observed_self_and_chained_steps_bitwise(burgers, mass, o
     v0 = lambda r: 0.7 * np.sin(r)
     for nf in replay_fluxes(burgers):
         t_end = 7.3 * 0.9 * max_timestep(mesh, burgers, nf.lipschitz_bound)
-        plain, observed = (run(mesh, burgers, nf, averages(mesh, v0), t_end=t_end, snapshot_every=snapshot_every,
+        plain, observed = (run(mesh, nf, averages(mesh, v0), t_end=t_end, snapshot_every=snapshot_every,
                                outer_ghost=outer, on_step=on_step) for on_step in (None, lambda *args: None))
         chained, taus = [plain.snapshots[0]], []
         while len(chained) <= plain.steps:
             taus.append(min(plain.tau_base, t_end - chained[-1].time))
-            chained.append(step(chained[-1], mesh, burgers, nf, taus[-1], outer_ghost=outer)[0])
+            chained.append(step(chained[-1], mesh, nf, taus[-1], outer_ghost=outer)[0])
         assert plain.steps == 8 and 0.0 < taus[-1] < plain.tau_base, nf.kind
         indices = [0, *range(snapshot_every, plain.steps, snapshot_every), plain.steps]
         for result in (plain, observed):
@@ -683,14 +689,14 @@ def test_run_equals_its_observed_self_and_chained_steps_bitwise(burgers, mass, o
 def test_run_snapshots_are_owned_read_only_and_share_no_memory(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
     for on_step in (None, lambda *args: None):
-        first = run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.5 * np.cos(r)), t_end=0.3,
+        first = run(mesh_m1, nf, averages(mesh_m1, lambda r: 0.5 * np.cos(r)), t_end=0.3,
                     snapshot_every=1, on_step=on_step)
         arrays = [snap.values for snap in first.snapshots]
         assert len(arrays) == first.steps + 1 and first.final is first.snapshots[-1]
         assert all(a.flags.owndata and not a.flags.writeable for a in arrays)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
         kept = [a.tobytes() for a in arrays]
-        run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: -0.5 * np.cos(r)), t_end=0.3, snapshot_every=1,
+        run(mesh_m1, nf, averages(mesh_m1, lambda r: -0.5 * np.cos(r)), t_end=0.3, snapshot_every=1,
             on_step=on_step)
         assert [snap.values.tobytes() for snap in first.snapshots] == kept
 
@@ -707,7 +713,7 @@ def test_run_takes_each_step_through_the_step_binding(monkeypatch, mesh_m1, burg
     monkeypatch.setattr(scheme, "step", counted)
     for on_step in (None, lambda *args: None):
         cells.clear()
-        result = run(mesh_m1, burgers, numerical_flux("godunov", burgers),
+        result = run(mesh_m1, numerical_flux("godunov", burgers),
                      averages(mesh_m1, lambda r: 0.5 * np.cos(r)), t_end=0.3, on_step=on_step)
         assert cells == [mesh_m1.n_cells] * result.steps
 
@@ -715,9 +721,9 @@ def test_run_takes_each_step_through_the_step_binding(monkeypatch, mesh_m1, burg
 def test_run_reports_own_a_custom_fluxs_values(mesh_m1, burgers):
     # this formula's fluxes are the left states themselves, a view of the loop's buffer, which the
     # next step overwrites: each report keeps its own copy
-    nf = scheme.NumericalFlux("left", burgers.flux_lipschitz, "fluxes = left")
+    nf = scheme.NumericalFlux("left", burgers, "fluxes = left")
     reports = []
-    run(mesh_m1, burgers, nf, averages(mesh_m1, lambda r: 0.3 * np.cos(r)), t_end=0.3,
+    run(mesh_m1, nf, averages(mesh_m1, lambda r: 0.3 * np.cos(r)), t_end=0.3,
         on_step=lambda after, report: reports.append(report))
     assert len(reports) > 2 and reports[0].fluxes.tobytes() != reports[-1].fluxes.tobytes()
     for report in reports:
@@ -736,7 +742,7 @@ def test_run_reports_own_a_custom_fluxs_values(mesh_m1, burgers):
 def test_run_refuses_bad_inputs_before_the_first_step(mesh_m1, burgers, inputs, error, name):
     observed = []
     with pytest.raises(error, match=f"^{name}"):
-        run(mesh_m1, burgers, numerical_flux("godunov", burgers), t_end=0.1,
+        run(mesh_m1, numerical_flux("godunov", burgers), t_end=0.1,
             on_step=lambda *args: observed.append(args), **inputs)
     assert not observed
 
@@ -746,33 +752,34 @@ def test_step_and_run_refuse_an_outer_ghost_outside_the_state_interval(mesh_m1, 
     nf = numerical_flux("godunov", burgers)
     state = StateVector(values=np.zeros(mesh_m1.n_cells), time=0.0, step_index=0)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
-    stalled = dataclasses.replace(nf, lipschitz_bound=0.0)  # max_timestep refuses its bound
+    # a model whose bound is 0, which max_timestep refuses
+    stalled = dataclasses.replace(nf, model=dataclasses.replace(burgers, flux_lipschitz=0.0))
     for flux, t in ((nf, tau), (nf, -tau), (stalled, tau)):  # the ghost is refused before any other check
         with pytest.raises(DomainError, match=rf"^outer_ghost {ghost} outside \[-1, 1\]$"):
-            step(state, mesh_m1, burgers, flux, t, outer_ghost=ghost)
+            step(state, mesh_m1, flux, t, outer_ghost=ghost)
     observed = []
     with pytest.raises(DomainError, match="^outer_ghost"):
-        run(mesh_m1, burgers, nf, state.values, t_end=0.1, outer_ghost=ghost,
+        run(mesh_m1, nf, state.values, t_end=0.1, outer_ghost=ghost,
             on_step=lambda *args: observed.append(args))
     assert not observed
 
 
 def test_run_snapshot_cadence(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
-    result = run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=1.0,
+    result = run(mesh_m1, nf, np.zeros(mesh_m1.n_cells), t_end=1.0,
                  snapshot_every=3)
     indices = [s.step_index for s in result.snapshots]
     assert indices[0] == 0
     assert all(i % 3 == 0 for i in indices[1:-1])
     assert indices[-1] == result.steps
-    numpy_int = run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=1.0, snapshot_every=np.int64(3))
+    numpy_int = run(mesh_m1, nf, np.zeros(mesh_m1.n_cells), t_end=1.0, snapshot_every=np.int64(3))
     assert [s.step_index for s in numpy_int.snapshots] == indices  # a numpy integer is an integer
 
 
 def test_run_clamps_overshooting_data(mesh_m1, burgers):
     # the clamping is project_initial's; run takes the clamped averages
     values, clamped = project_initial(mesh_m1, lambda r: 1.2 * np.sin(r))
-    result = run(mesh_m1, burgers, numerical_flux("godunov", burgers), values, t_end=0.01)
+    result = run(mesh_m1, numerical_flux("godunov", burgers), values, t_end=0.01)
     assert clamped > 0
     assert np.max(np.abs(result.snapshots[0].values)) <= 1.0
 
@@ -783,28 +790,28 @@ def test_riemann_stationary_shock_flat(burgers):
     mesh = build_uniform_mesh(Background(0.0), 10.0, 40)
     nf = numerical_flux("godunov", burgers)
     v0 = lambda r: np.where(r < 5.0, 1.0, -1.0)
-    result = run(mesh, burgers, nf, averages(mesh, v0), t_end=0.25)
+    result = run(mesh, nf, averages(mesh, v0), t_end=0.25)
     assert np.array_equal(result.final.values, result.snapshots[0].values)
     assert set(np.unique(result.final.values)) == {-1.0, 1.0}
 
 
 def test_fixed_outer_boundary(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
-    result = run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=0.3, outer_ghost=0.25)
+    result = run(mesh_m1, nf, np.zeros(mesh_m1.n_cells), t_end=0.3, outer_ghost=0.25)
     assert np.max(np.abs(result.final.values)) <= 1.0
     # the face states end in the fixed ghost, or in a copy of the outermost cell for None
     state = StateVector(values=np.full(mesh_m1.n_cells, 0.5), time=0.0, step_index=0)
     tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
-    assert [step(state, mesh_m1, burgers, nf, tau, outer_ghost=ghost)[1].states[-1] for ghost in (-1.0, None)] \
+    assert [step(state, mesh_m1, nf, tau, outer_ghost=ghost)[1].states[-1] for ghost in (-1.0, None)] \
         == [-1.0, 0.5]
 
 
 def test_run_parameter_validation(mesh_m1, burgers):
     nf = numerical_flux("godunov", burgers)
     with pytest.raises(DomainError):
-        run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=0.0)
+        run(mesh_m1, nf, np.zeros(mesh_m1.n_cells), t_end=0.0)
     with pytest.raises(DomainError):
-        run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=1.0, cfl_fraction=1.5)
+        run(mesh_m1, nf, np.zeros(mesh_m1.n_cells), t_end=1.0, cfl_fraction=1.5)
 
 
 def test_run_refuses_a_t_end_that_is_not_finite(mesh_m1, burgers, monkeypatch):
@@ -821,7 +828,7 @@ def test_run_refuses_a_t_end_that_is_not_finite(mesh_m1, burgers, monkeypatch):
     nf = numerical_flux("godunov", burgers)
     for t_end in (math.inf, math.nan):
         with pytest.raises(DomainError, match=f"t_end must be positive and finite, got {t_end}"):
-            run(mesh_m1, burgers, nf, np.zeros(mesh_m1.n_cells), t_end=t_end)
+            run(mesh_m1, nf, np.zeros(mesh_m1.n_cells), t_end=t_end)
     assert not calls
 
 
@@ -832,6 +839,51 @@ def test_projection_averages_within_bounds(mesh_m1, rng):
     # quadrature of a constant reproduces it to round-off
     const, _ = project_initial(mesh_m1, lambda r: np.full_like(r, 0.4))
     assert np.max(np.abs(const - 0.4)) <= 1e-15
+
+
+# --- a flux carries its model -------------------------------------------------
+
+def test_run_takes_its_cfl_bound_from_the_model_its_flux_carries():
+    # the sextic f = s**6/2 - 1/2 has sup |f'| = 3, three times Burgers': at Burgers' bound these data
+    # take 25 steps, and Rusanov's flux gives a convex coefficient of -0.107
+    sextic = polynomial_model("sextic", [-0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], [0.0])
+    mesh = build_uniform_mesh(Background(0.0), 10.0, 200)
+    values = np.where(np.arange(mesh.n_cells) % 2 == 0, 0.99, -0.99)
+    for kind in ALL_FLUXES:
+        nf = numerical_flux(kind, sextic)
+        assert nf.model is sextic and nf.lipschitz_bound == sextic.flux_lipschitz == 3.0
+        smallest = []
+
+        def record(after, report):
+            smallest.append(min(a.min() for a in convex_coefficients(report, mesh, nf)))
+
+        result = run(mesh, nf, values, t_end=0.3, cfl_fraction=1.0, on_step=record)
+        assert result.steps == len(smallest) == 73, kind
+        assert min(smallest) >= 0.0, kind
+
+
+def _parameter_types(fn) -> set:
+    """The classes fn's parameters are annotated with, Optional unwrapped; empty for no signature."""
+    try:
+        parameters = inspect.signature(fn, eval_str=True).parameters.values()
+    except ValueError:  # a builtin type such as the package's exceptions
+        return set()
+    return {t for p in parameters for t in (p.annotation, *typing.get_args(p.annotation)) if isinstance(t, type)}
+
+
+def test_no_public_callable_takes_a_model_beside_a_flux():
+    # a flux carries its model, so a second, independently passed model could only disagree with it
+    pair, seen, both = {FluxModel, scheme.NumericalFlux}, set(), []
+    for module in (horizonfv, scheme, entropy):
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", "").startswith("horizonfv"):
+                types = _parameter_types(obj)
+                seen |= types & pair
+                if pair <= types:
+                    both.append(name)
+    assert seen == pair  # the annotations resolve, so the check is live
+    assert both == []
+    assert "lipschitz_bound" not in {field.name for field in dataclasses.fields(scheme.NumericalFlux)}
 
 
 # --- flat-space reduction ----------------------------------------------------
@@ -853,6 +905,6 @@ def test_flat_space_bitwise_equivalence(burgers, rng, kind):
     state = StateVector(values=values, time=0.0, step_index=0)
     mirror = values.copy()
     for _ in range(50):
-        state, _ = step(state, mesh, burgers, nf, tau)
+        state, _ = step(state, mesh, nf, tau)
         mirror = plain_conservative_step(mirror, mesh.widths[0], tau, burgers, nf)
         assert np.array_equal(state.values, mirror)
