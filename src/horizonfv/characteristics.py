@@ -36,8 +36,11 @@ template with the stage right-hand side written into it as text; the
 shooting oracle's RK4 on arrays (``harness._chars_kernel``) is its numpy
 formulas lowered to in-place ufuncs by ``model._lower``.  f, f' and h are
 written in as the Horner text of the model's coefficient tuples, read from
-closure cells; no kernel calls the model's evaluators.  Kernels are cached
-per set of tuples.
+closure cells; no kernel calls the model's evaluators.  The exterior
+tracer's text leaves out what ``_lower`` leaves out: a product with a lead
+of exactly 1.0, and a zero source where f(0) != 0.  Both folds are exact
+while the trace stays finite, and a trace that does not is refused.
+Kernels are cached per set of tuples.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 from .errors import DomainError, NumericsError, RangeError, StepSizeError, UnsupportedModelError
 from .geometry import Background
 from .model import (_SCALE, FluxModel, _closure, _deflate, _evaluator, _has_repeated_root, _horner,
-                    _integers, _polyder, _polyint, _trimmed)
+                    _integers, _polyder, _polyint, _source_vanishes, _trimmed)
 from .quadrature import adaptive_simpson
 
 _HORIZON_GUARD = 1e-6  # halt tracing once r < 2M (1 + guard)
@@ -63,6 +66,7 @@ _NEWTON_TOL = 1e-14  # |du| at which an inverse counts as converged
 _NEWTON_MAX_ITER = 100
 _MAX_TRACE_STEPS = 10 ** 6  # 200 times the default 5000 steps; about 190 MB of rows
 _SERIES_TERMS = 30
+_NOT_FINITE = "the trace left the finite numbers"
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,10 @@ def steady_profile(table: FhatTable, mass: float, r0: float, u0: float, r_grid) 
 
 def _guard_u(u: float) -> float:
     """Clamp tiny excursions of the traced state beyond [-1, 1]; larger
-    excursions mean the step size is too coarse for the current dynamics."""
+    excursions mean the step size is too coarse for the current dynamics.
+    A state that is not finite raises OverflowError (see _RK4_LOOP)."""
+    if not math.isfinite(u):
+        raise OverflowError(_NOT_FINITE)
     if u > 1.0:
         if u - 1.0 > _U_OVERSHOOT_TOL:
             raise StepSizeError(f"traced state overshot to u={u:.17g}; shrink ds")
@@ -286,7 +293,8 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
 
     Halts early once the radius drops below 2M (1 + 1e-6) or exceeds
     r_stop; a step whose internal stages would leave the exterior domain is
-    discarded and counts as horizon arrival.  The right-hand side
+    discarded and counts as horizon arrival.  A trace that leaves the finite
+    numbers raises NumericsError.  The right-hand side
     (dt/ds, dr/ds, du/ds) = (1/a^2, f'(u)/a, 2M (f(u) + h(u)) / (r - 2M)^2),
     with a = 1 - 2M/r, is written into the loop (see _exterior_kernel).
     """
@@ -343,7 +351,14 @@ def trace_interior(mass: float, shift: float, start: tuple[float, float, float],
 # of one stage of the system: from a radius and a state they compute the
 # three rates k<i>t, k<i>r, k<i>u.  A stage radius not above guard_r
 # discards its step and ends the trace at "horizon"; u goes through
-# _guard_u only when it is not in [-1, 1] (NaN included).
+# _guard_u only when it is not in [-1, 1] (NaN included).  A trace that
+# leaves the finite numbers raises OverflowError: _guard_u refuses a state
+# after a step that is not finite, and the loop an end at "horizon" whose
+# radius or last stage radius is not finite.  Once a stage state is not
+# finite, every later stage radius and the step's new state are infinite
+# or NaN, so the step writes no row and ends in that refusal; that the
+# rates of its later stages differ between two texts (_exterior_kernel's
+# folds give +-inf where the unfolded text gives NaN) decides nothing.
 _RK4_LOOP = """\
 def kernel({params}, s, t, r, u, ds, steps, guard_r, r_stop):
     rows = [s, t, r, u]
@@ -380,10 +395,15 @@ def kernel({params}, s, t, r, u, ds, steps, guard_r, r_stop):
             break
     else:
         reason = "s_max"
+    if reason == "horizon" and not isfinite(r + stage_r):
+        raise OverflowError(_NOT_FINITE)
     return rows, reason
 
 return kernel
 """
+
+
+_LOOP_NAMES = {"_guard_u": _guard_u, "isfinite": math.isfinite, "_NOT_FINITE": _NOT_FINITE}
 
 
 def _rk4_source(params: str, stage) -> str:
@@ -397,24 +417,29 @@ def _rk4_source(params: str, stage) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _exterior_kernel(*polys):
+def _exterior_kernel(f_poly, df_poly, h_poly):
     """The RK4 kernel of the exterior system for r > two_m = 2M, taking
-    two_m first.  polys are the coefficient tuples of f, f' and h; each
-    one's Horner text is written into the stage, read from closure cells."""
+    two_m first.  The Horner text of f, f' and h is written into the
+    stage, read from closure cells, with the two folds of _lower: a lead
+    of exactly 1.0 is left out (Burgers' f'(u) is u), and so is h where
+    _source_vanishes.  Both leave every value bitwise unchanged while the
+    stage states are finite, and a trace whose stage state is not finite
+    is refused in either text (see _RK4_LOOP)."""
     cells = {}
 
     def value(name, poly, u):
-        expr, named = _horner(poly, u, name + "_")
+        expr, named = _horner(poly, u, name + "_", unit_lead=True)
         cells.update(named)
         return f"({expr})"
 
     def stage(k, r, u):
-        f, df, h = (value(name, poly, u) for name, poly in zip(("f", "df", "h"), polys))
+        f, df = value("f", f_poly, u), value("df", df_poly, u)
+        fh = f if _source_vanishes(f_poly, h_poly) else f"({f} + {value('h', h_poly, u)})"
         return (f"a = 1.0 - two_m / {r}\n"
-                f"{k}t, {k}r, {k}u = 1.0 / (a * a), {df} / a, (two_m / ({r} - two_m) ** 2) * ({f} + {h})")
+                f"{k}t, {k}r, {k}u = 1.0 / (a * a), {df} / a, (two_m / ({r} - two_m) ** 2) * {fh}")
 
     source = _rk4_source("two_m", stage)
-    return _closure(source, cells, {"_guard_u": _guard_u})
+    return _closure(source, cells, _LOOP_NAMES)
 
 
 @functools.lru_cache(maxsize=1)
@@ -425,16 +450,15 @@ def _interior_kernel():
                 f"hp = h_prime_interior(mass, shift, {r})\n"
                 f"{k}t, {k}r, {k}u = 1.0 + hp * {u} * a, a * {u}, (mass / ({r} * {r})) * ({u} * {u} - 1.0)")
 
-    return _closure(_rk4_source("mass, shift", stage), {}, {"_guard_u": _guard_u,
-                                                             "h_prime_interior": h_prime_interior})
+    return _closure(_rk4_source("mass, shift", stage), {}, {**_LOOP_NAMES, "h_prime_interior": h_prime_interior})
 
 
 def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float, guard_r: float,
                r_stop: float | None) -> CharPath:
     """Run kernel(*params, ...) from start: the checks of the start and the
     step count, at most _MAX_TRACE_STEPS, and the rows turned into a read-only
-    CharPath.  A float overflow in the kernel raises NumericsError naming the
-    start and ds."""
+    CharPath.  A float overflow in the kernel, or a trace that leaves the
+    finite numbers, raises NumericsError naming the start and ds."""
     if not (abs(start.u) - 1.0 <= _U_OVERSHOOT_TOL and math.isfinite(start.t) and math.isfinite(start.r)):
         raise DomainError(f"start state t={start.t}, r={start.r}, u={start.u} needs finite t and r, and |u| <= 1")
     u = _guard_u(start.u)

@@ -8,8 +8,11 @@ written), 2 on a configuration error.  Numeric CSV output carries 17
 significant digits so doubles round-trip losslessly; identical configs and
 seeds reproduce identical bytes.  Each number is written exactly as
 Python's "%.17g" writes it: one with 1e-4 <= |x| < 1e17 by an exact
-vectorised formatter over whole columns (_format_g17), every other one by
-Python's % itself.
+vectorised formatter (_format_g17), every other one by Python's % itself.
+The writers format blocks of whole rows, at most _CSV_BLOCK numbers, in
+one call each; every text, NUL-padded to 24 bytes, goes into a reused
+rows buffer followed by its separator byte, and a block is written with
+the padding deleted.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .harness import (
 from .model import BURGERS_COEFFS, _trimmed
 from .scheme import numerical_flux, project_initial, run
 
-_CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK = 2048  # at most this many numbers in a block of the CSV writers
 
 _CONVERGE_THRESHOLDS = {"smooth": 0.8, "riemann": 0.5, "flat": None}
 
@@ -208,42 +211,64 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _rows_buffer(rows: int, columns: int):
+    """A bytearray of rows lines of columns fields and its (rows, columns, 25) uint8 view: each field
+    is a 24-byte text slot followed by its separator, a comma or, after the last column, a newline.
+    No text holds a NUL, so the lines with their NULs deleted are the fields' texts and separators."""
+    raw = bytearray(rows * columns * 25)
+    fields = np.frombuffer(raw, np.uint8).reshape(rows, columns, 25)
+    fields[:, :, 24] = ord(",")
+    fields[:, -1, 24] = ord("\n")
+    return raw, fields
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """_format_g17 of values as uint8, shaped values.shape + (24,): each text NUL-padded to 24 bytes."""
+    return _format_g17(values).view(np.uint8).reshape(values.shape + (24,))
+
+
 def _write_csv(path: Path, header: str, columns: np.ndarray) -> None:
     """Write columns (a 2-D array whose rows are the table's columns) under
-    header, each number as b"%.17g" % x writes it, from _format_g17.  A
-    block of _CSV_BLOCK_ROWS rows is formatted and written at a time, which
-    keeps the temporaries, and so the peak memory, small on long tables."""
+    header, each number as b"%.17g" % x writes it.  A block of whole rows,
+    at most _CSV_BLOCK numbers (one row if a row is longer), is formatted
+    row by row in one _format_g17 call into one reused rows buffer and
+    written with its padding deleted; bounding the block by numbers keeps
+    the temporaries, and so the peak memory, small on long tables."""
     columns = np.asarray(columns, dtype=np.float64)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         if columns.size:
-            line = b",".join([b"%s"] * columns.shape[0]) + b"\n"
-            for start in range(0, columns.shape[1], _CSV_BLOCK_ROWS):
-                block = columns[:, start:start + _CSV_BLOCK_ROWS]
-                fields = [b""] * block.size
-                for j, column in enumerate(block):
-                    fields[j::block.shape[0]] = _format_g17(column).tolist()
-                fh.write((line * block.shape[1]) % tuple(fields))
+            n_columns, n_rows = columns.shape
+            step = max(_CSV_BLOCK // n_columns, 1)
+            raw, fields = _rows_buffer(min(step, n_rows), n_columns)
+            for start in range(0, n_rows, step):
+                block = columns[:, start:start + step].T
+                fields[:len(block), :, :24] = _texts(block)
+                fh.write(raw[:block.size * 25].translate(None, b"\0"))
 
 
 def _write_snapshots(path: Path, snapshots, centers: np.ndarray) -> None:
     """snapshots.csv: a (t, r, v) row per snapshot and cell, as _write_csv
-    writes them.  The radii are formatted once and the times once, so a row
-    formats only v; a block of _CSV_BLOCK_ROWS rows is formatted and written
-    at a time."""
-    blocks = []  # (first row, template of its rows with the time and v left open)
-    for start in range(0, centers.size, _CSV_BLOCK_ROWS):
-        radii = _format_g17(centers[start:start + _CSV_BLOCK_ROWS]).tolist()
-        blocks.append((start, b"".join([b"%s," + r + b",%s\n" for r in radii])))
-    times = _format_g17(np.array([snap.time for snap in snapshots])).tolist()
+    writes them.  The radii are formatted once per mesh and the times once,
+    so a row formats only v.  A block of _CSV_BLOCK // 2 rows, half of
+    _write_csv's as the radii of the whole mesh are held beside it, is
+    formatted in one call into one reused rows buffer and written with its
+    padding deleted."""
+    n, step = centers.size, _CSV_BLOCK // 2
+    radii = np.empty((n, 24), np.uint8)
+    for start in range(0, n, step):
+        radii[start:start + step] = _texts(centers[start:start + step])
+    times = _texts(np.array([snap.time for snap in snapshots]))
+    raw, fields = _rows_buffer(min(n, step), 3)
     with open(path, "wb") as fh:
         fh.write(b"t,r,v\n")
         for snap, time_text in zip(snapshots, times):
-            for start, template in blocks:
-                values = _format_g17(snap.values[start:start + _CSV_BLOCK_ROWS]).tolist()
-                fields = [time_text] * (2 * len(values))
-                fields[1::2] = values
-                fh.write(template % tuple(fields))
+            fields[:, 0, :24] = time_text
+            for start in range(0, n, step):
+                values = snap.values[start:start + step]
+                fields[:values.size, 1, :24] = radii[start:start + step]
+                fields[:values.size, 2, :24] = _texts(values)
+                fh.write(raw[:values.size * 75].translate(None, b"\0"))
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:

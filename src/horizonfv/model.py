@@ -39,7 +39,8 @@ MAX_DEGREE = 8
 BURGERS_COEFFS = ((-0.5, 0.0, 0.5), (0.0,))
 
 
-def _horner(coeffs: tuple[float, ...], var: str, prefix: str) -> tuple[str, dict[str, float]]:
+def _horner(coeffs: tuple[float, ...], var: str, prefix: str,
+            unit_lead: bool = False) -> tuple[str, dict[str, float]]:
     """Horner text of trimmed ascending coefficients c0 + c1 s + ... in the
     variable named var, and the values of the names it reads.
 
@@ -50,15 +51,18 @@ def _horner(coeffs: tuple[float, ...], var: str, prefix: str) -> tuple[str, dict
     Every term uses the arithmetic operators, so a Python float in gives a
     Python float out.  Coefficient i is read as the name prefix + str(i),
     and only the names the text reads are returned: no value is ever
-    written into the text.
+    written into the text.  With unit_lead, a lead of exactly 1.0 is left
+    out, as var * 1.0 is var for every double (see _lower).  _evaluator
+    does not ask for it: its f(s) = s would return the array it is given.
     """
     n = len(coeffs) - 1
-    expr = f"{var} * {prefix}{n}" if n else f"{var} * 0.0"
+    unit = unit_lead and n and coeffs[n] == 1.0
+    expr = var if unit else f"{var} * {prefix}{n}" if n else f"{var} * 0.0"
     for i in range(n - 1, 0, -1):
         expr = f"({expr} + {prefix}{i}) * {var}" if coeffs[i] else f"{expr} * {var}"
     if coeffs[0]:
         expr += f" + {prefix}0"
-    return expr, {f"{prefix}{i}": c for i, c in enumerate(coeffs) if c or i == n > 0}
+    return expr, {f"{prefix}{i}": c for i, c in enumerate(coeffs) if (c or i == n > 0) and not (unit and i == n)}
 
 
 _CONSTANTS = {0.0: "zero", 0.5: "half", 1.0: "one", 2.0: "two"}  # the cell each literal is read from
@@ -132,10 +136,15 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
     return lines
 
 
+def _source_vanishes(f_poly: tuple[float, ...], h_poly: tuple[float, ...]) -> bool:
+    """Whether h is zero and f(0) != 0, where f(x) + h(x) is f(x) bitwise for every finite x (see _lower)."""
+    return h_poly == (0.0,) and f_poly[0] != 0.0
+
+
 def _with_source(template: str, f_poly: tuple[float, ...], h_poly: tuple[float, ...], *states: str) -> str:
     """template with its field h_x filled, for each state name x, with the source term " + h(x)", or
-    with nothing where h is zero and f(0) != 0, which leaves f(x) + h(x) bitwise unchanged (see _lower)."""
-    vanishes = h_poly == (0.0,) and f_poly[0] != 0.0
+    with nothing where _source_vanishes."""
+    vanishes = _source_vanishes(f_poly, h_poly)
     return template.format(**{f"h_{x}": "" if vanishes else f" + h({x})" for x in states})
 
 

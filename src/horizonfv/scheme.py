@@ -137,6 +137,10 @@ def _numpy_flux(kind: str, formula: str) -> Callable:
         _lower(formula, {"f": (0.0,)}, {}, ["a", "b"])
     except ContractError as exc:
         raise ContractError(f"flux {kind!r}: {exc}") from None
+    (statement, *rest) = _parse(formula).body  # each an assignment with one target, as _lower admits
+    if rest or ast.unparse(statement.targets[0]) != "fluxes" or "fluxes" in {
+            node.id for node in ast.walk(statement.value) if isinstance(node, ast.Name)}:
+        raise ContractError(f"flux {kind!r}: {formula!r} must be one statement fluxes = ... that reads no fluxes")
     reads = "".join(f"    {line}\n" for name, line in _READS.items() if name in names)
     return _closure(_FLUX.format(kind=kind, formula=formula, reads=reads), {"kind": kind}, _FLUX_NAMES)
 

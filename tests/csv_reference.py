@@ -1,6 +1,6 @@
 """CSV writers that format each number with Python's "%.17g", field by field.
 
-horizonfv.cli formats whole columns with its vectorised _format_g17; these
+horizonfv.cli formats blocks of rows with its vectorised _format_g17; these
 writers are the reference its output must match byte for byte.
 """
 

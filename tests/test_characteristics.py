@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from collections import Counter
 
@@ -10,6 +11,7 @@ from horizonfv import (
     Background,
     CharState,
     DomainError,
+    NumericsError,
     RangeError,
     StepSizeError,
     UnsupportedModelError,
@@ -125,6 +127,33 @@ def test_fhat_table_refuses_inadmissible_model():
         build_fhat_table(polynomial_model("linear", (0.0, 1.0), (0.0,)))
 
 
+def test_fhat_table_refuses_a_closed_form_its_quadrature_contradicts(monkeypatch, burgers):
+    # no model is known to reach it; a quadrature off by 1e-8 stands in for a wrong closed form
+    simpson = characteristics.adaptive_simpson
+    monkeypatch.setattr(characteristics, "adaptive_simpson", lambda *args: simpson(*args) + 1e-8)
+    with pytest.raises(DomainError, match=r"^model 'burgers': closed-form Fhat\(0\.5\) = .* disagrees with quadrature"):
+        build_fhat_table(burgers)
+
+
+@pytest.mark.parametrize("sample, message", [
+    (1280 + 600, r"Fhat is not decreasing and negative on \(0, 1\)$"),  # a plus branch sample
+    (600, r"Fhat is not increasing and negative on \(-1, 0\)$"),  # a minus branch sample
+])
+def test_fhat_table_refuses_branch_samples_out_of_order(monkeypatch, burgers, sample, message):
+    # no model is known to reach it; two neighbours among the 2 x 1280 branch samples swapped stand in
+    value = characteristics.FhatTable.value
+
+    def swapped(self, u):
+        out = value(self, u)
+        if np.size(u) == 2560:
+            out[[sample, sample + 1]] = out[[sample + 1, sample]]
+        return out
+
+    monkeypatch.setattr(characteristics.FhatTable, "value", swapped)
+    with pytest.raises(DomainError, match=f"^model 'burgers': {message}"):
+        build_fhat_table(burgers)
+
+
 def test_fhat_domain_clamp(fhat_table):
     with pytest.raises(DomainError):
         fhat_table.value(1.0)
@@ -220,6 +249,23 @@ def test_steady_profile_negative_anchor_increasing(fhat_table):
     assert np.all(np.diff(got) > 0.0)
     expected = -np.sqrt(1.0 - (1.0 - 0.25) * (1.0 - 2.0 / grid) / 0.5)
     assert np.max(np.abs(got - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("u0, order", [(0.9, "decreasing"), (-0.5, "increasing")])
+def test_steady_profile_refuses_an_inverse_out_of_order(monkeypatch, fhat_table, u0, order):
+    # no inverse is known to reach it; two states swapped stand in for one out of order
+    inverse = characteristics.fhat_inverse
+
+    def swapped(*args):
+        out = inverse(*args)
+        out[[3, 4]] = out[[4, 3]]
+        return out
+
+    grid = np.linspace(2.5, 5.5, 7)
+    steady_profile(fhat_table, 1.0, 4.0, u0, grid)
+    monkeypatch.setattr(characteristics, "fhat_inverse", swapped)
+    with pytest.raises(RangeError, match=f"^steady profile failed its monotonicity check \\(expected {order} in r\\)$"):
+        steady_profile(fhat_table, 1.0, 4.0, u0, grid)
 
 
 def test_steady_profile_range_error_reports_interval(fhat_table):
@@ -393,6 +439,24 @@ def test_guard_u_policy():
     assert _guard_u(0.5) == 0.5
     with pytest.raises(StepSizeError):
         _guard_u(1.0 + 5e-9)
+
+
+def test_trace_refuses_a_trace_that_leaves_the_finite_numbers(burgers):
+    # evendf is admissible, with f' of even degree, so a stage state far below -1 moves the radius
+    # out: from u = 0 its steps of 1e5 end with u = -inf, which was a StepSizeError, and those of
+    # 1e15 with u = nan, which wrote the row (r, u) = (inf, nan) and ended at "horizon"; from u = 0
+    # Burgers' step of 1e300 takes a stage radius to -inf, which also ended at "horizon"
+    evendf = polynomial_model("evendf", (-0.5, 0.0, 0.5, -0.01, 0.0, 0.01), (0.0,))
+    assert evendf.structure.all_ok
+    for m, ds in ((evendf, 1e5), (evendf, 1e15), (burgers, 1e300)):
+        with pytest.raises(NumericsError, match=re.escape(f"trace from r=3.0, u=0.0 with ds={ds} overflowed: "
+                                                          "the trace left the finite numbers")):
+            trace_exterior(m, 1.0, CharState(0.0, 0.0, 3.0, 0.0), ds, 3.0 * ds)
+    with pytest.raises(NumericsError, match="the trace left the finite numbers$"):
+        trace_interior(1.0, 0.5, (0.0, 3.0, 0.0), 1e300, 1e300)
+    for u in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OverflowError, match="^the trace left the finite numbers$"):
+            _guard_u(u)
 
 
 def test_trace_rejects_bad_start(burgers):
@@ -681,7 +745,9 @@ def test_trace_kernel_writes_a_models_own_evaluators_inline(burgers, sextic, rou
     for m in (burgers, sextic, rounding_quartic):
         polys = (m.f_poly, model._polyder(m.f_poly), m.h_poly)
         kernel = characteristics._exterior_kernel(*polys)
-        assert sorted(cell.cell_contents for cell in kernel.__closure__) == _coefficients(polys)
+        # a lead of 1.0 is a factor of 1.0, which the text leaves out with its cell
+        assert sorted(cell.cell_contents for cell in kernel.__closure__) == \
+            sorted(c for poly in polys for i, c in enumerate(poly) if c and not (c == 1.0 and 0 < i == len(poly) - 1))
         evaluators, calls = {m.f.__code__, m.df.__code__, m.h.__code__}, []
 
         def profile(frame, event, arg):
@@ -724,3 +790,68 @@ def test_trace_kernel_cache_returns_one_kernel_per_tuple_set_and_stays_bounded(b
     m = polynomial_model("burgers", burgers.f_poly, burgers.h_poly)
     args = (1.0, CharState(0.0, 0.0, 5.0, 0.6), 1e-2, 2.0)
     assert _outcome(trace_exterior, m, *args) == _outcome(_reference_exterior, m, *args)
+
+
+def _unfolded_exterior_kernel(f_poly, df_poly, h_poly):
+    """_exterior_kernel's text without its folds: every lead multiplied in, and h always added."""
+    cells = {}
+
+    def value(name, poly, u):
+        expr, named = model._horner(poly, u, name + "_")
+        cells.update(named)
+        return f"({expr})"
+
+    def stage(k, r, u):
+        return (f"a = 1.0 - two_m / {r}\n"
+                f"{k}t, {k}r, {k}u = 1.0 / (a * a), {value('df', df_poly, u)} / a, "
+                f"(two_m / ({r} - two_m) ** 2) * ({value('f', f_poly, u)} + {value('h', h_poly, u)})")
+
+    return model._closure(characteristics._rk4_source("two_m", stage), cells, characteristics._LOOP_NAMES)
+
+
+def test_folded_trace_kernel_traces_the_unfolded_text_bitwise(burgers, quartic, sextic, shifted, rounding_quartic):
+    # EXTERIOR_STARTS (horizon arrivals, r_stop, s_max) at three masses, the steady workload's start, and
+    # 100 three-step starts with masses down to 1e-150 and steps up to 1e300, most of which overflow
+    rng = np.random.default_rng(36)
+    draws = (10.0 ** rng.uniform(-150.0, 2.0, 100), 10.0 ** rng.uniform(-5.0, 3.0, 100), rng.uniform(-1.0, 1.0, 100),
+             10.0 ** rng.uniform(-3.0, 300.0, 100))
+    extreme = zip(*(draw.tolist() for draw in draws))  # Python floats, as the tracer takes
+    starts = [(mass, CharState(0.0, 0.25, 2.0 * mass + dr, u0), ds, s_max, None if stop is None else 2.0 * mass + stop)
+              for mass in (0.0, 0.5, 1.0) for dr, u0, ds, s_max, stop in EXTERIOR_STARTS]
+    r0, u0, ds, s_max, r_stop = STEADY_START
+    starts.append((1.0, CharState(0.0, 0.0, r0, u0), ds, s_max, r_stop))
+    starts += [(mass, CharState(0.0, 0.0, 2.0 * mass * (1.0 + dr), u0), ds, 3.0 * ds, None)
+               for mass, dr, u0, ds in extreme]
+    seen = Counter()
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        polys = (m.f_poly, model._polyder(m.f_poly), m.h_poly)
+        kernels = (characteristics._exterior_kernel(*polys), _unfolded_exterior_kernel(*polys))
+        for mass, start, ds, s_max, r_stop in starts:
+            outcomes = []
+            for kernel in kernels:  # as trace_exterior runs its kernel
+                try:
+                    path = characteristics._rk4_trace(kernel, (2.0 * mass,), start, ds, s_max,
+                                                      2.0 * mass * (1.0 + characteristics._HORIZON_GUARD), r_stop)
+                    outcomes.append((path.stop_reason, [a.tobytes() for a in (path.s, path.t, path.r, path.u)]))
+                except (StepSizeError, NumericsError) as exc:
+                    outcomes.append((type(exc).__name__, str(exc)))
+            assert outcomes[0] == outcomes[1], (m.name, mass, start, ds)
+            seen[outcomes[0][0]] += 1
+    assert set(seen) == {"s_max", "horizon", "r_stop", "StepSizeError", "NumericsError"}, seen
+
+
+def test_trace_kernel_folds_a_unit_lead_and_a_zero_source(monkeypatch, burgers, quartic, shifted, rounding_quartic):
+    # Burgers' f'(u) is u and its zero h is left out; quartic's f' has lead 2; kept keeps its zero h, as
+    # its f(0) is 0, and shifted and rounding_quartic their nonzero h
+    kept = polynomial_model("kept", (0.0, 0.0, 0.5), (0.0,))
+    sources = []
+    monkeypatch.setattr(characteristics, "_closure",
+                        lambda source, *args: sources.append(source) or model._closure(source, *args))
+    for m in (burgers, quartic, kept, shifted, rounding_quartic):
+        characteristics._exterior_kernel.__wrapped__(m.f_poly, model._polyder(m.f_poly), m.h_poly)
+    burgers_text, quartic_text, kept_text, shifted_text, rounding_text = sources
+    assert "(u) / a" in burgers_text and "df_1" not in burgers_text and "* 0.0" not in burgers_text
+    assert "(u * df_3 * u * u) / a" in quartic_text and "* 0.0" not in quartic_text
+    assert "(u) / a" in kept_text and "* ((u * f_2 * u) + (u * 0.0))" in kept_text
+    assert "(u) / a" in shifted_text and "+ (u * 0.0 + h_0))" in shifted_text
+    assert "+ (" in rounding_text.split("** 2) * ", 1)[1].splitlines()[0]

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from itertools import groupby
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horizonfv import Background, ConfigError, StateVector, build_uniform_mesh, numerical_flux, project_initial, run
-from horizonfv.cli import _CSV_BLOCK_ROWS, _write_csv, _write_snapshots, main
+from horizonfv import (Background, CharState, ConfigError, StateVector, build_fhat_table, build_uniform_mesh,
+                       burgers_model, exterior_invariant, numerical_flux, project_initial, run, trace_exterior)
+from horizonfv.cli import _CSV_BLOCK, _write_csv, _write_snapshots, main
 from horizonfv.config import _KEYS, RunConfig, parse_config, resolved_config_text
 from csv_reference import reference_write_csv, reference_write_snapshots
 
@@ -403,12 +405,16 @@ def reference_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+# the rows of one block of _write_snapshots
+SNAPSHOT_BLOCK = _CSV_BLOCK // 2
+
+
 def test_snapshot_writer_matches_per_value_writer(tmp_path):
     # more cells than one row block, and states at -0.0, +-1 and subnormals
-    mesh = build_uniform_mesh(Background(1.0), 12.0, _CSV_BLOCK_ROWS + 5)
+    mesh = build_uniform_mesh(Background(1.0), 12.0, SNAPSHOT_BLOCK + 5)
     special = np.array([-0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0])
     values = np.resize(special, mesh.n_cells)
-    values[_CSV_BLOCK_ROWS - 2:_CSV_BLOCK_ROWS + 2] = (-1.0, -0.0, 5e-324, 1.0)
+    values[SNAPSHOT_BLOCK - 2:SNAPSHOT_BLOCK + 2] = (-1.0, -0.0, 5e-324, 1.0)
     snapshots = [StateVector(values=values, time=0.0, step_index=0),
                  StateVector(values=-values, time=1.0 / 3.0, step_index=4),
                  StateVector(values=np.full(mesh.n_cells, -0.0), time=0.5, step_index=7)]
@@ -422,7 +428,7 @@ def test_snapshot_writer_matches_per_value_writer(tmp_path):
     [(-0.0, 5e-324, 1.7976931348623157e308), (1.0 / 3.0, float("nan"), float("inf")),
      (-float("inf"), -1.7976931348623157e308, -5e-324)],
     [(1, -0.75, 1e-17, -0.0, 2.5), (2, 0.0, float("nan"), 1e300, 12), (1186, 0.75, -3.0, 7.0, 0.1)],
-    [(0.1 * i, np.float64(i) / 7.0) for i in range(2 * _CSV_BLOCK_ROWS + 3)],
+    [(0.1 * i, np.float64(i) / 7.0) for i in range(_CSV_BLOCK + 3)],  # three blocks of two columns
     [],
 ])
 def test_write_csv_matches_per_value_writer(tmp_path, rows):
@@ -445,9 +451,9 @@ def _mixed_columns(n_columns, n_rows, seed=7):
 
 
 @pytest.mark.parametrize("columns", [
-    _mixed_columns(5, 2 * _CSV_BLOCK_ROWS + 3),  # three blocks
-    _mixed_columns(1, _CSV_BLOCK_ROWS + 1),  # one column, two blocks
-    _mixed_columns(3, _CSV_BLOCK_ROWS),  # exactly one block
+    _mixed_columns(5, 2 * (_CSV_BLOCK // 5) + 3),  # three blocks
+    _mixed_columns(1, _CSV_BLOCK + 1),  # one column, two blocks
+    _mixed_columns(3, _CSV_BLOCK // 3),  # exactly one block
     np.array([EDGE_VALUES]),
     EDGE_VALUES[:, None],  # one row
     np.array([]).T,  # the ledger of a run with no steps: header only
@@ -459,7 +465,7 @@ def test_write_csv_matches_reference_writer(tmp_path, columns):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-@pytest.mark.parametrize("cells", [2, 3, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("cells", [2, 3, SNAPSHOT_BLOCK, SNAPSHOT_BLOCK + 1, 2 * SNAPSHOT_BLOCK + 1])
 def test_snapshot_writer_matches_reference_writer(tmp_path, cells):
     mesh = build_uniform_mesh(Background(1.0), 12.0, cells)
     values = np.clip(np.nan_to_num(_mixed_columns(3, cells, seed=cells), nan=-0.0), -1.0, 1.0)  # states
@@ -470,6 +476,82 @@ def test_snapshot_writer_matches_reference_writer(tmp_path, cells):
     _write_snapshots(tmp_path / "new.csv", snapshots, mesh.centers)
     reference_write_snapshots(tmp_path / "old.csv", snapshots, mesh.centers)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# one field of each length %.17g writes, up to the 24 bytes that fill a slot, and each kind of value
+# _format_g17 hands to %
+SLOT_FIELDS = np.array([-2.2250738585072014e-308, np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324,
+                        -1.7976931348623157e308, -0.00012345678901234567, 1e16 + 2, -1.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("n_columns", [1, 2, 3, 5])
+def test_write_csv_matches_reference_writer_across_number_blocks(tmp_path, n_columns):
+    # a block is the whole rows that hold at most _CSV_BLOCK numbers; the slot fields sit in the
+    # first, a middle and the last column of the last row of each block and the first row of the next
+    assert max(len(b"%.17g" % x) for x in SLOT_FIELDS.tolist()) == 24
+    rows = _CSV_BLOCK // n_columns
+    columns = _mixed_columns(n_columns, 3 * rows + 1, seed=n_columns)
+    fields = iter(np.resize(SLOT_FIELDS, 18))
+    for boundary in (rows, 2 * rows, 3 * rows):
+        for column in sorted({0, n_columns // 2, n_columns - 1}):
+            for row in (boundary - 1, boundary):
+                columns[column, row] = next(fields)
+    _write_csv(tmp_path / "new.csv", "a,b", columns)
+    reference_write_csv(tmp_path / "old.csv", "a,b", columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_text() == reference_csv("a,b", columns.T.tolist())
+
+
+def _peak_bytes(write, *args):
+    """The tracemalloc peak of a second call of write(*args); the first warms the caches."""
+    write(*args)
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_peak_no_higher_than_the_per_column_writers(tmp_path):
+    # the steady workload's characteristic.csv (5001 x 5) and evolve-sized snapshots (7 of 6400
+    # cells); the bounds are the peaks of the writers that formatted 1024 rows per column and joined
+    # the fields with a % template, 482 271 and 442 888 bytes under numpy 2.4 and Python 3.11
+    # (459 962 and 431 825 bytes with the rows buffer)
+    burgers = burgers_model()
+    path = trace_exterior(burgers, 1.0, CharState(0.0, 0.0, 8.0, 0.6), 1e-3, 5.0, 120.0)
+    table = np.array((path.s, path.t, path.r, path.u, exterior_invariant(build_fhat_table(burgers), 1.0, path)))
+    mesh = build_uniform_mesh(Background(1.0), 12.0, 6400)
+    snapshots = [StateVector(values=v, time=i / 7.0, step_index=200 * i)
+                 for i, v in enumerate(np.sin(np.outer(np.arange(1, 8), mesh.centers)))]
+    assert table.shape == (5, 5001)
+    assert _peak_bytes(_write_csv, tmp_path / "table.csv", "s,t,r,u,invariant", table) <= 482_271
+    assert _peak_bytes(_write_snapshots, tmp_path / "snapshots.csv", snapshots, mesh.centers) <= 442_888
+
+
+def test_cli_run_with_constant_initial_data_writes_the_reference_snapshots(tmp_path):
+    # initial.kind = constant, the first branch of RunConfig.build_v0
+    out = tmp_path / "constant"
+    body = MINIMAL.replace("cells = 200", "cells = 30").replace("t_end = 1.0", "t_end = 1.0\nsnapshot_every = 3") \
+        + f"""
+[initial]
+kind = constant
+constant = -0.3
+
+[run]
+output_dir = {out}
+"""
+    assert _run_cli(tmp_path, body, "run") == 0
+    cfg = parse_config(write_config(tmp_path, body))
+    mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
+    values, clamped = project_initial(mesh, cfg.build_v0())
+    assert cfg.initial_kind == "constant" and clamped == 0
+    assert np.allclose(values, -0.3, rtol=0.0, atol=1e-15)
+    result = run(mesh, numerical_flux(cfg.flux, cfg.build_model()), values, t_end=cfg.t_end,
+                 cfl_fraction=cfg.cfl_fraction, snapshot_every=cfg.snapshot_every, outer_ghost=cfg.outer_ghost())
+    assert len(result.snapshots) > 2 and not np.array_equal(result.final.values, values)
+    reference_write_snapshots(tmp_path / "reference.csv", result.snapshots, mesh.centers)
+    assert (out / "snapshots.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_cli_run_determinism(tmp_path):

@@ -570,6 +570,16 @@ def test_numerical_flux_refuses_a_formula_the_step_cannot_write(burgers, formula
         scheme.NumericalFlux("custom", burgers, formula)
 
 
+@pytest.mark.parametrize("kind, formula", [
+    ("two", "fluxes = left\nfluxes = right"),  # a bare IndentationError from the function's text before
+    ("selfread", "fluxes = left + 0.0 * fluxes"),  # accepted before, and evaluate raised UnboundLocalError
+])
+def test_numerical_flux_refuses_a_formula_that_is_not_one_assignment_of_fluxes(burgers, kind, formula):
+    with pytest.raises(ContractError, match=f"^flux '{kind}': {re.escape(repr(formula))} must be one statement "
+                                            "fluxes = ... that reads no fluxes$"):
+        scheme.NumericalFlux(kind, burgers, formula)
+
+
 def test_numerical_flux_refuses_an_evaluate_that_is_not_its_formulas(burgers):
     nf, flux_rusanov = numerical_flux("rusanov", burgers), scheme._numpy_flux("rusanov", scheme._FLUXES["rusanov"][0])
     for evaluate in (numerical_flux("godunov", burgers).evaluate, lambda m, u, v: nf.evaluate(m, u, v), scheme._numpy_flux("custom", nf.formula)):
