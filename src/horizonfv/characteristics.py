@@ -457,8 +457,9 @@ def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float,
                r_stop: float | None) -> CharPath:
     """Run kernel(*params, ...) from start: the checks of the start and the
     step count, at most _MAX_TRACE_STEPS, and the rows turned into a read-only
-    CharPath.  A float overflow in the kernel, or a trace that leaves the
-    finite numbers, raises NumericsError naming the start and ds."""
+    CharPath.  A float overflow in the kernel, a trace that leaves the
+    finite numbers, or a division by a zero that underflowed (where IEEE
+    gives inf or nan) raises NumericsError naming the start and ds."""
     if not (abs(start.u) - 1.0 <= _U_OVERSHOOT_TOL and math.isfinite(start.t) and math.isfinite(start.r)):
         raise DomainError(f"start state t={start.t}, r={start.r}, u={start.u} needs finite t and r, and |u| <= 1")
     u = _guard_u(start.u)
@@ -472,8 +473,9 @@ def _rk4_trace(kernel, params: tuple, start: CharState, ds: float, s_max: float,
     try:
         rows, reason = kernel(*params, start.s, start.t, start.r, u, ds, max(int(round(steps)), 0), guard_r,
                               r_stop)
-    except OverflowError as exc:  # Python float arithmetic, unlike numpy's, raises on overflow
-        raise NumericsError(f"trace from r={start.r}, u={start.u} with ds={ds} overflowed: {exc}") from None
+    except (OverflowError, ZeroDivisionError) as exc:  # Python float arithmetic, unlike numpy's, raises
+        why = _NOT_FINITE if isinstance(exc, ZeroDivisionError) else exc
+        raise NumericsError(f"trace from r={start.r}, u={start.u} with ds={ds} overflowed: {why}") from None
     columns = np.fromiter(rows, float, len(rows)).reshape(-1, 4).T
     columns.setflags(write=False)
     return CharPath(*columns, stop_reason=reason)

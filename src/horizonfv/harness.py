@@ -131,6 +131,7 @@ def self_convergence(preset: Preset, m: FluxModel, levels: int = 4) -> Convergen
 
 SHOOTING_DT = 0.002  # the shooting oracle's largest RK4 step in coordinate time
 RK4_ACCURATE = 2.0  # RK4 keeps its accuracy for a real eigenvalue lam < 0 where |lam| dt <= this (stable to 2.785)
+_OTHERS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]  # for each of a cubic's four nodes, the other three
 
 # RK4 on the (2, n) ensemble y = (r, u): stage i writes the rates into k<i> (scratch: row), then
 # y + c k<i> into stage; the step goes into stage (scratch: spare), then y, as _lower writes them.
@@ -183,11 +184,19 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
     A probe table of the arrival map (start radius -> radius at t_end, by
     vectorized RK4 in coordinate time) brackets each target; a non-monotone
     map means characteristics crossed before t_end and raises PresetError.
-    Illinois regula falsi then shrinks all brackets at once, bisecting when
-    the secant point leaves the open bracket.  A target stops once its
-    bracket is as narrow as 48 bisections of the probe span would leave it,
-    or its residual is within that width times the bracket's secant slope
-    (at most 48 passes); it returns the state its last shot transported.
+    Each target's first shot is P(target), P the inverse cubic through the
+    four probe (arrival, start) pairs nearest it; each later one moves the
+    start x by P's own error, to x + P(target) - P(arrival of x), a step
+    that contracts like h**3 in the probe spacing h.  Where that point is
+    not finite or not strictly inside the bracket, and for good once a
+    correction has not halved the residual (the rounding of many RK4 steps
+    can make the arrival map step by ~1e-13, and there it oscillates),
+    Illinois regula falsi shrinks the bracket instead, bisecting when the
+    secant point leaves it; only its own passes halve its weights.  All
+    targets move at once.  A target stops once its bracket is as narrow as
+    48 bisections of the probe span would leave it, or its residual is
+    within that width times the bracket's secant slope (at most 48
+    passes); it returns the state its last shot transported.
     DomainError before any shot unless the targets are a non-empty, finite,
     strictly increasing 1-d array, t_end >= 0 and mass >= 0, all finite.
     The RK4 step dt is at most SHOOTING_DT, with at least 64 steps.  At
@@ -237,15 +246,27 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
 
     width_tol = (hi_edge - lo_edge) * 2.0 ** -48
     j = np.clip(np.searchsorted(probe_arrival, targets), 1, probe.size - 1)
+    stencil = np.clip(j - 2, 0, probe.size - 4)[:, None] + np.arange(4)
+    nodes = probe_arrival[stencil]  # each target's inverse cubic P: arrival -> start, in Lagrange form
+
+    def cubic(y, nodes, weights):  # under errstate: equal arrivals in a stencil give 0/0, a nan
+        return np.sum(weights * np.prod((y[:, None] - nodes)[:, _OTHERS], axis=2), axis=1)
+
+    with np.errstate(all="ignore"):
+        weights = probe[stencil] / np.prod(nodes[:, :, None] - nodes[:, _OTHERS], axis=2)
+        aim = x = cubic(targets, nodes, weights)  # P(target), shot first
     idx = np.arange(targets.size)  # targets still being refined
     lo, hi = probe[j - 1], probe[j]
     g_lo, g_hi = probe_arrival[j - 1] - targets, probe_arrival[j] - targets  # Illinois-weighted residuals
     kept = np.zeros(targets.size)  # +1 / -1: the hi / lo end survived the last pass
+    last = np.full(targets.size, np.inf)  # |residual| of the last pass; 0 once P is given up
     u_final = np.empty_like(targets)
     for _ in range(48):
         slope = (g_hi - g_lo) / (hi - lo)
-        x = hi - g_hi / slope
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        secant = hi - g_hi / slope
+        inside = (lo < x) & (x < hi)  # P's point, whose pass halves no Illinois weight
+        kept = np.where(inside, 0.0, kept)
+        x = np.where(inside, x, np.where((lo < secant) & (secant < hi), secant, 0.5 * (lo + hi)))
         r_arr, u_final[idx] = shoot(x)
         res = r_arr - targets[idx]
         below = res < 0.0
@@ -256,7 +277,11 @@ def exact_solution_by_shooting(m: FluxModel, mass: float, v0: Callable, t_end: f
         live = (hi - lo > width_tol) & (np.abs(res) > width_tol * slope)
         if not np.any(live):
             break
-        idx, lo, hi, g_lo, g_hi, kept = (a[live] for a in (idx, lo, hi, g_lo, g_hi, kept))
+        with np.errstate(all="ignore"):
+            x = np.where(np.abs(res) < 0.5 * last, x + aim - cubic(r_arr, nodes, weights), np.nan)
+        last = np.where(np.isfinite(x), np.abs(res), 0.0)
+        idx, lo, hi, g_lo, g_hi, kept, x, aim, nodes, weights, last = (
+            a[live] for a in (idx, lo, hi, g_lo, g_hi, kept, x, aim, nodes, weights, last))
     return u_final
 
 

@@ -73,8 +73,9 @@ _parse = functools.lru_cache(maxsize=256)(ast.parse)  # _lower reads the trees a
 def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> list[str]:
     """The assignments of source, numpy text, as one ufunc statement per operation in syntax-tree
     order, so each result is bitwise numpy's.  x[...] = e writes into x; x = e binds x anew (x = y to y).  Values
-    between operations go into x, which e may read only in its last one, or into free scratch names
-    of x's shape.  Supported: + - * /, names, basic slices, literals of _CONSTANTS, maximum, minimum,
+    between operations go into x or into free scratch names of x's shape, so an operation that reads x (by
+    a name, a slice or a comparison) after an earlier one wrote into x is refused.  Supported: + - * /,
+    names, basic slices, literals of _CONSTANTS, maximum, minimum,
     where(a <= b, c, d) as the value of x = ..., and p(x) for p in polys, written in as the _horner
     text of polys[p] with coefficient cells p_i.  The values of the cells of that text and of the
     literals read are added to cells.  ContractError names the first construct it cannot write.
@@ -113,8 +114,12 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         args = [node.left, node.right] if isinstance(node, ast.BinOp) else node.args
         if name == "multiply" and getattr(args[1], "id", None) in units:  # Horner's var * lead, lead 1.0
             return emit(args[0], dest)
+        reads_x = any(getattr(n, "id", None) == x for arg in args  # x's own value, not one put into x
+                      if isinstance(arg, (ast.Name, ast.Subscript, ast.Compare)) for n in ast.walk(arg))
         ops = [arg for arg in args if isinstance(arg, (ast.BinOp, ast.Call)) and name != "where"]  # where has no out
         args = [emit(arg, dest if ops and arg is ops[0] else None) for arg in args]  # ops[0] is computed into dest
+        if reads_x and x in written:
+            refuse(statement, f"it reads {x} after an earlier operation wrote into it")
         out = dest or next((arg for arg in args if arg in busy), None) or free(node)
         if name == "where" and out not in unbound:
             refuse(node, "where is only the value of x = ...")
@@ -123,15 +128,16 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         lines.append(f"{out} = {name}({', '.join(args)})" if out in unbound else
                      f"{name}({', '.join(args)}, {'out=' * isinstance(node, ast.Call)}{out})")
         unbound.discard(out)
+        written.add(out)
         return out
 
     for statement in _parse(source).body:
         if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1):
             refuse(statement, "a statement is one x = e or x[...] = e")
-        (target,), value, busy = statement.targets, statement.value, set()
-        dest = getattr(target, "value", target).id
-        unbound = {dest} if isinstance(target, ast.Name) else set()
-        if (name := emit(value, dest)) != dest:  # a bare name y: x = y binds it, x[...] = y copies it
+        (target,), value, busy, written = statement.targets, statement.value, set(), set()
+        x = getattr(target, "value", target).id
+        unbound = {x} if isinstance(target, ast.Name) else set()
+        if (name := emit(value, x)) != x:  # a bare name y: x = y binds it, x[...] = y copies it
             lines.append(f"{ast.unparse(target)} = {name}")
     return lines
 
@@ -387,16 +393,17 @@ def _finite(coeffs: Sequence[float], what: str) -> Sequence[float]:
 
 def _peak_candidates(slope_poly: Sequence[float], what: str) -> np.ndarray:
     """-1, 1 and the real parts of the roots of slope_poly inside [-1, 1],
-    or DomainError naming slope_poly as what if a coefficient or a root of
-    it overflows a float.
+    or DomainError naming slope_poly as what if a coefficient of it
+    overflows a float.
 
     slope_poly is the derivative of a polynomial g, so |g| peaks on [-1, 1]
     at one of these points.  Complex roots contribute their real parts
     too: a multiple real root may come back from rounding as a conjugate
     pair, and an extra point of [-1, 1] cannot lift the max above the sup.
-    np.roots divides by the leading coefficient, so a tiny one overflows
-    it; a leading coefficient below one ulp of every remaining one is
-    dropped and the roots are taken again.  The points only seed
+    np.roots divides the other coefficients by the leading one, which
+    overflows (LinAlgError) only where the lead is below one ulp of the
+    largest other one, as above it every quotient is below 2**53; such a
+    lead is dropped and the roots are taken again.  The points only seed
     _certified_bound, which certifies the full polynomial exactly.
     """
     ascending = list(_finite(slope_poly, what))
@@ -405,10 +412,7 @@ def _peak_candidates(slope_poly: Sequence[float], what: str) -> np.ndarray:
             centers = np.roots(ascending[::-1]).real
             break
         except np.linalg.LinAlgError:
-            *rest, lead = ascending
-            if not (rest and abs(lead) < math.ulp(max(map(abs, rest)))):
-                raise DomainError(f"a root of {what} overflows a float") from None
-            ascending = rest
+            ascending.pop()
     return np.concatenate(([-1.0, 1.0], centers[np.abs(centers) <= 1.0]))
 
 

@@ -459,6 +459,13 @@ def test_trace_refuses_a_trace_that_leaves_the_finite_numbers(burgers):
             _guard_u(u)
 
 
+
+def test_trace_refuses_a_division_by_a_zero_that_underflowed(burgers):
+    # at M = 1e-200 and r = 1e-199, (r - 2M)**2 underflows to 0.0; IEEE's two_m / 0.0 is inf
+    with pytest.raises(NumericsError, match=re.escape("trace from r=1e-199, u=0.6 with ds=0.001 overflowed: "
+                                                      "the trace left the finite numbers")):
+        trace_exterior(burgers, 1e-200, CharState(0.0, 0.0, 1e-199, 0.6), 1e-3, 5.0)
+
 def test_trace_rejects_bad_start(burgers):
     with pytest.raises(DomainError):
         trace_exterior(burgers, 1.0, CharState(0.0, 0.0, 2.0000001, 0.5), -1e-3, 1.0)

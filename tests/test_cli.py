@@ -296,6 +296,18 @@ def test_cli_characteristics_float_overflow_is_a_failure(tmp_path, capsys):
     assert not (out / "characteristic.csv").exists()
 
 
+
+def test_cli_characteristics_underflow_to_a_zero_divisor_is_a_failure(tmp_path):
+    out = tmp_path / "underflow"
+    body = MINIMAL.replace("mass = 1.0", "mass = 1e-200")
+    assert _run_cli(tmp_path, body + f"\n[characteristics]\nr0 = 1e-199\n\n[run]\noutput_dir = {out}\n",
+                    "characteristics") == 1
+    report = json.loads((out / "failure_report.json").read_text())
+    assert report["error"] == "NumericsError"
+    assert report["detail"] == ("trace from r=1e-199, u=0.6 with ds=0.001 overflowed: "
+                                "the trace left the finite numbers")
+    assert not (out / "characteristic.csv").exists()
+
 def test_cli_usage_errors_exit_2_and_help_lists_every_subcommand(tmp_path, capsys):
     body = MINIMAL + f"\n[run]\noutput_dir = {tmp_path/'out'}\n"
     path = write_config(tmp_path, body)

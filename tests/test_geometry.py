@@ -6,6 +6,7 @@ import pytest
 from horizonfv import (
     Background,
     DomainError,
+    RadialMesh,
     build_uniform_mesh,
     max_timestep,
     numerical_flux,
@@ -91,6 +92,15 @@ def test_max_timestep_source_bound(burgers):
     tau = max_timestep(mesh, burgers, 1e-6)
     assert tau == pytest.approx((1 - 1e-6) / (2 * theta_max), rel=1e-12)
 
+
+
+def test_max_timestep_refuses_a_mesh_without_cells(burgers):
+    # build_uniform_mesh needs two cells, but a RadialMesh built directly may have none
+    none = np.empty(0)
+    mesh = RadialMesh(faces=np.array([2.0]), centers=none, widths=none, face_weights=np.array([0.0]),
+                      cell_thetas=none)
+    with pytest.raises(DomainError, match="^empty mesh$"):
+        max_timestep(mesh, burgers, 1.0)
 
 def test_max_timestep_monotone_in_lipschitz(burgers):
     mesh = build_uniform_mesh(Background(1.0), 12.0, 50)

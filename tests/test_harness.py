@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -424,27 +425,72 @@ def _bisection_reference(m, mass, v0, t_end, targets, dt_target=0.002):
     return shoot(0.5 * (lo + hi))[1]
 
 
-@pytest.mark.parametrize("cells", [100, 400])
-def test_shooting_matches_bisection_reference(smooth, burgers, cells):
-    mesh, _ = run_preset(smooth, burgers, cells)
-    args = (burgers, smooth.mass, smooth.v0, smooth.t_end, mesh.centers)
+@pytest.mark.parametrize("name, mass, cells", [
+    pytest.param("burgers", 1.0, 100, id="100"), pytest.param("burgers", 1.0, 400, id="400")] + [
+    (name, mass, 100) for name in ("burgers", "quartic", "shifted") for mass in (0.5, 1.0, 2.0)
+    if (name, mass) != ("burgers", 1.0)])
+def test_shooting_matches_bisection_reference(request, smooth, name, mass, cells):
+    m, preset = request.getfixturevalue(name), dataclasses.replace(smooth, mass=mass)
+    mesh, _ = run_preset(preset, m, cells)
+    args = (m, mass, preset.v0, preset.t_end, mesh.centers)
     exact = exact_solution_by_shooting(*args)
     assert np.max(np.abs(exact - _bisection_reference(*args))) <= 1e-12
 
 
-def test_shooting_linear_arrival_map_stops_early(monkeypatch):
-    calls = []
-    integrate = harness._integrate_chars
+def _counted_shots(monkeypatch):
+    """The number of starts of each _integrate_chars call, in order."""
+    integrate, sizes = harness._integrate_chars, []
 
-    def counted(*args):
-        calls.append(args)
-        return integrate(*args)
+    def counted(m, mass, r0, *args):
+        sizes.append(r0.size)
+        return integrate(m, mass, r0, *args)
 
     monkeypatch.setattr(harness, "_integrate_chars", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["burgers", "quartic"])
+def test_shooting_smooth_takes_three_integrations_at_400_targets(monkeypatch, request, smooth, name):
+    # the probe, P(target) for every target, and one correction for those still outside the tolerance
+    m = request.getfixturevalue(name)
+    mesh, _ = run_preset(smooth, m, 400)
+    sizes = _counted_shots(monkeypatch)
+    exact_solution_by_shooting(m, smooth.mass, smooth.v0, smooth.t_end, mesh.centers)
+    assert len(sizes) == 3 and sizes[:2] == [1600, 400]
+
+
+def test_shooting_converges_where_a_stencil_holds_equal_probe_arrivals(monkeypatch, smooth, burgers):
+    # the probe's arrival k is set to that of k + 1: the target between arrivals k + 1 and k + 2 has
+    # both in its stencil k .. k + 3, so its cubic is 0/0 and the bracket's regula falsi takes over
+    integrate, targets, shots = harness._integrate_chars, np.array([5.3]), []
+    args = (burgers, smooth.mass, smooth.v0, smooth.t_end, targets)
+
+    def flattened(m, mass, r0, *rest):
+        r, u = integrate(m, mass, r0, *rest)
+        if not shots:  # the probe
+            k = np.searchsorted(r, targets[0]) - 2
+            r[k] = r[k + 1]
+        shots.append((r0, r))
+        return r, u
+
+    monkeypatch.setattr(harness, "_integrate_chars", flattened)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = exact_solution_by_shooting(*args)
+    monkeypatch.undo()
+    assert np.max(np.abs(exact - _bisection_reference(*args))) <= 1e-12
+    (probe, arrival), (first, _) = shots[:2]
+    j = np.searchsorted(arrival, targets[0])
+    lo, hi, g_lo, g_hi = probe[j - 1], probe[j], arrival[j - 1] - targets[0], arrival[j] - targets[0]
+    assert arrival[j - 2] == arrival[j - 1] and first[0] == hi - g_hi / ((g_hi - g_lo) / (hi - lo))
+
+
+def test_shooting_linear_arrival_map_stops_early(monkeypatch):
+    sizes = _counted_shots(monkeypatch)
     targets = (np.arange(64) + 0.5) * (10.0 / 64)
     u = exact_solution_by_shooting(burgers_model(), 0.0, lambda r: np.full_like(r, -0.3), 0.5, targets)
     assert np.all(u == -0.3)
-    assert len(calls) <= 3
+    assert len(sizes) <= 3
 
 
 @pytest.mark.parametrize("mass, level, targets", [

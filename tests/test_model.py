@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from horizonfv import (
     DEFAULT_KRUZHKOV_LEVELS,
     Background,
+    ContractError,
     DomainError,
     build_fhat_table,
     build_uniform_mesh,
@@ -15,7 +18,7 @@ from horizonfv import (
     max_timestep,
     polynomial_model,
 )
-from horizonfv import characteristics, model
+from horizonfv import characteristics, harness, model, scheme
 from horizonfv.cli import main
 from horizonfv.entropy import _quadratic_flux
 from kruzhkov import kruzhkov_pair
@@ -427,3 +430,60 @@ def test_tiny_leading_coefficient_is_dropped_from_the_peak_search():
 
 def test_polynomial_model_shifted_structure(shifted):
     assert shifted.structure.all_ok
+
+
+@pytest.mark.parametrize("source", [
+    "x[...] = a * b + x",  # multiply(a, b, x); add(x, x, x) gave 12 where numpy gives 7
+    "x[...] = x + a * b",
+    "x[...] = (x + a) * x",
+    "x[...] = a * b + x[1:]",
+    "x[...] = f(x)",  # Horner's first product goes into x, its later ones read x
+    "x[...] = a * b * f(x + c)",
+    "x = a * b + x",
+])
+def test_lower_refuses_a_read_of_its_target_after_an_operation_wrote_into_it(source):
+    with pytest.raises(ContractError, match=f"^cannot write {re.escape(repr(source))}: it reads x after an "
+                                            "earlier operation wrote into it$"):
+        model._lower(source, {"f": (0.5, 1.0, 2.0)}, {}, ["t", "u"])
+
+
+@pytest.mark.parametrize("source", [
+    "x[...] = a * x + b",  # x is read by the first operation, before anything is written into it
+    "x[...] = x + a",
+    "x[...] = maximum(x, a) * minimum(b, c)",
+    "x = where(x <= a, b * c, x)",
+])
+def test_lower_writes_a_read_of_its_target_before_any_operation_wrote_into_it(source):
+    grid = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 0.3, -0.7])
+    names = {name: np.roll(grid, k) for k, name in enumerate("abcx")}
+    ufuncs = {"add": np.add, "multiply": np.multiply, "maximum": np.maximum, "minimum": np.minimum, "where": np.where}
+    expected = {name: v.copy() for name, v in names.items()}
+    exec(source, ufuncs, expected)
+    cells, scope = {}, {name: v.copy() for name, v in names.items()}
+    lines = model._lower(source, {}, cells, ["t", "u"])
+    scope.update({"t": np.empty_like(grid), "u": np.empty_like(grid), **{k: np.array(v) for k, v in cells.items()}})
+    exec("\n".join(lines), ufuncs, scope)
+    assert scope["x"].tobytes() == expected["x"].tobytes()
+
+
+def test_generated_kernel_sources_are_unchanged_by_the_target_read_refusal(monkeypatch, burgers, quartic, sextic,
+                                                                           shifted, rounding_quartic):
+    # every generated text: the step under each bundled flux, the shooting and the exterior tracer for
+    # each model, each bundled flux's function and the interior tracer; the digest is of the texts
+    # _lower wrote before it refused a read of a written target
+    sources = []
+    for module in (scheme, harness, characteristics):
+        monkeypatch.setattr(module, "_closure",
+                            lambda source, *args: sources.append(source) or model._closure(source, *args))
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        df_poly = model._polyder(m.f_poly)
+        for formula, _ in scheme._FLUXES.values():
+            scheme._step_kernel.__wrapped__(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
+        harness._chars_kernel.__wrapped__(m.f_poly, df_poly, m.h_poly)
+        characteristics._exterior_kernel.__wrapped__(m.f_poly, df_poly, m.h_poly)
+    for kind, (formula, _) in scheme._FLUXES.items():
+        scheme._numpy_flux.__wrapped__(kind, formula)
+    characteristics._interior_kernel.__wrapped__()
+    assert len(sources) == 29
+    assert (hashlib.sha256("\0".join(sources).encode()).hexdigest()
+            == "2472c3957f248c9a65759fee2fa0b1d918f23f460839d3ad73ead336234efc48")

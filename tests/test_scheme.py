@@ -757,6 +757,13 @@ def test_run_refuses_bad_inputs_before_the_first_step(mesh_m1, burgers, inputs, 
     assert not observed
 
 
+def test_step_refuses_a_state_whose_cell_count_is_not_the_meshs(mesh_m1, burgers):
+    nf = numerical_flux("godunov", burgers)
+    tau = 0.5 * max_timestep(mesh_m1, burgers, nf.lipschitz_bound)
+    for cells in (49, 51):
+        with pytest.raises(ContractError, match=f"^state has {cells} cells, mesh has 50$"):
+            step(StateVector(values=np.zeros(cells), time=0.0, step_index=0), mesh_m1, nf, tau)
+
 @pytest.mark.parametrize("ghost", [5.0, -1.5, math.nan, math.inf])
 def test_step_and_run_refuse_an_outer_ghost_outside_the_state_interval(mesh_m1, burgers, ghost):
     nf = numerical_flux("godunov", burgers)
