@@ -72,6 +72,10 @@ def _runs() -> dict[str, tuple[str, str]]:
     runs["fuzz-quartic"] = ("fuzz", _config("fuzz-quartic", model=_QUARTIC, fuzz={"trials": "3"}, run={"seed": "42"}))
     runs["check-model-inadmissible"] = ("check-model",
                                         _config("check-model-inadmissible", model=_INADMISSIBLE))
+    # refused before the first step and before the trace: a failure report naming the failed flags
+    runs["run-inadmissible"] = ("run", _config("run-inadmissible", model=_INADMISSIBLE))
+    runs["characteristics-inadmissible"] = ("characteristics", _config(
+        "characteristics-inadmissible", model=_INADMISSIBLE, characteristics={"coordinates": "exterior"}))
     return runs
 
 
