@@ -282,7 +282,7 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
 
 
 def _cmd_run(cfg: RunConfig, out: Path) -> int:
-    nf = numerical_flux(cfg.flux, cfg.build_model().require_admissible())
+    nf = numerical_flux(cfg.flux, cfg.build_model())
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
 
     ledger_rows = []
@@ -333,11 +333,10 @@ def _require_outside_horizon(key: str, r0: float, horizon: float) -> None:
 def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
     _require_outside_horizon("characteristics.r0", cfg.char_r0, 2.0 * cfg.mass * (1.0 + _HORIZON_GUARD))
     if cfg.coordinates == "exterior":
-        model = cfg.build_model().require_admissible()
+        table = build_fhat_table(cfg.build_model())  # refuses an inadmissible model before the trace
         start = CharState(s=0.0, t=0.0, r=cfg.char_r0, u=cfg.char_u0)
-        path = trace_exterior(model, cfg.mass, start, cfg.char_ds, cfg.char_s_max,
+        path = trace_exterior(table.model, cfg.mass, start, cfg.char_ds, cfg.char_s_max,
                               r_stop=cfg.char_r_stop)
-        table = build_fhat_table(model)
         inv = exterior_invariant(table, cfg.mass, path)
     else:
         # Burgers by the f_poly and h_poly build_model would give, under either model, without certifying one
@@ -362,17 +361,15 @@ def _cmd_characteristics(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_steady(cfg: RunConfig, out: Path) -> int:
     _require_outside_horizon("steady.r0", cfg.steady_r0, 2.0 * cfg.mass)
-    model = cfg.build_model().require_admissible()
     mesh = build_uniform_mesh(Background(cfg.mass), cfg.r_max, cfg.cells)
-    table = build_fhat_table(model)
+    table = build_fhat_table(cfg.build_model())
     profile = steady_profile(table, cfg.mass, cfg.steady_r0, cfg.steady_u0, mesh.centers)
     _write_csv(out / "steady.csv", "r,u", np.array((mesh.centers, profile)))
     return 0
 
 
 def _cmd_converge(cfg: RunConfig, out: Path) -> int:
-    model = cfg.build_model().require_admissible()
-    result = self_convergence(presets()[cfg.converge_preset], model, cfg.converge_levels)
+    result = self_convergence(presets()[cfg.converge_preset], cfg.build_model(), cfg.converge_levels)
     threshold = _CONVERGE_THRESHOLDS[cfg.converge_preset]
     if threshold is None:
         passed = all(rec.l1_diff <= 1e-13 for rec in result.levels)
@@ -393,7 +390,7 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, out: Path) -> int:
-    model = cfg.build_model().require_admissible()
+    model = cfg.build_model()
     preset = presets()[cfg.oracle_preset]
     mesh, result = run_preset(preset, model, cfg.oracle_cells)
     exact = exact_solution_by_shooting(model, preset.mass, preset.v0, preset.t_end, mesh.centers)
@@ -410,9 +407,8 @@ def _cmd_oracle(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_steady_drift(cfg: RunConfig, out: Path) -> int:
     _require_outside_horizon("steady.r0", cfg.steady_r0, 2.0 * cfg.mass)
-    model = cfg.build_model().require_admissible()
     drift, mesh, profile, final = steady_drift_detail(
-        model, cfg.mass, cfg.steady_r0, cfg.steady_u0, cfg.cells, cfg.t_end,
+        cfg.build_model(), cfg.mass, cfg.steady_r0, cfg.steady_u0, cfg.cells, cfg.t_end,
         r_max=cfg.r_max, flux_kind=cfg.flux, cfl_fraction=cfg.cfl_fraction)
     _write_csv(out / "drift_profile.csv", "r,v_initial,v_final",
                np.array((mesh.centers, profile, final)))
@@ -427,8 +423,7 @@ def _cmd_steady_drift(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_fuzz(cfg: RunConfig, out: Path) -> int:
-    model = cfg.build_model().require_admissible()
-    report = fuzz_invariants(cfg.fuzz_trials, cfg.seed, tau_scale=cfg.fuzz_tau_scale, m=model)
+    report = fuzz_invariants(cfg.fuzz_trials, cfg.seed, tau_scale=cfg.fuzz_tau_scale, m=cfg.build_model())
     _write_json(out / "fuzz_report.json", report.to_dict())
     return 0 if report.ok else 1
 

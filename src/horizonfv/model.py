@@ -11,8 +11,8 @@ model next to the two constants the stability bounds use: the flux
 Lipschitz bound sup |f'| and the source slope sup |f' + h'| over [-1, 1],
 each the least float from its sampled peak up that is certified exactly
 to be no smaller.
-The solver refuses nothing by itself; callers that need the whole class
-(the CLI, the Fhat table) call ``FluxModel.require_admissible``.
+Any model can be built; a numerical flux and an Fhat table, whose
+guarantees need the whole class, call ``FluxModel.require_admissible``.
 """
 
 from __future__ import annotations

@@ -152,8 +152,9 @@ class NumericalFlux:
     ``evaluate(m, u, v)`` runs in numpy; with, optionally, ``increments(m, u, v)``: Harten's
     coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) = -D (v - u).
     Its Lipschitz bound for the CFL rule is the model's ``flux_lipschitz``.  UnsupportedModelError
-    refuses a Godunov or EO flux for a model without their shape, and ContractError a formula the
-    step cannot write and an evaluate other than the formula's or a wrapper of it."""
+    refuses, first and for every kind, a model that fails a structural flag (``model.check_structure``),
+    under ``dataclasses.replace`` too, and ContractError a formula the step cannot write and an evaluate
+    other than the formula's or a wrapper of it."""
 
     kind: str
     model: FluxModel
@@ -163,7 +164,7 @@ class NumericalFlux:
     lipschitz_bound = property(lambda self: self.model.flux_lipschitz)
 
     def __post_init__(self):
-        _require_shape(self.model, self.kind)
+        self.model.require_admissible()
         built = _numpy_flux(self.kind, self.formula)
         if self.evaluate is None:
             object.__setattr__(self, "evaluate", built)

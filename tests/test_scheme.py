@@ -30,6 +30,7 @@ from horizonfv import (
 )
 from allocations import allocations
 from reference_update import reference_update
+from test_model import WIGGLE_F, WIGGLE_H
 
 ALL_FLUXES = ("godunov", "eo", "rusanov")
 
@@ -393,13 +394,14 @@ def test_step_replays_the_reference_update_bitwise(request, model_name, mass):
 
 
 def test_step_refuses_the_bundled_shape_fluxes_for_a_model_without_the_shape():
-    # the shape is required by the flux's kind, so binding the flux to the model refuses it, before
+    # the wiggle fails the shape flag alone; binding any flux to it refuses it by admission, before
     # any step: built directly or by numerical_flux
-    linear = polynomial_model("linear", [0.0, 1.0], [0.0])
-    for kind in ("godunov", "eo"):
-        for bind in (lambda: scheme.NumericalFlux(kind, linear, *scheme._FLUXES[kind]),
-                     lambda: numerical_flux(kind, linear)):
-            with pytest.raises(UnsupportedModelError, match=f"^{kind} flux needs"):
+    wiggle = polynomial_model("wiggle", WIGGLE_F, WIGGLE_H)
+    for kind in ALL_FLUXES:
+        for bind in (lambda: scheme.NumericalFlux(kind, wiggle, *scheme._FLUXES[kind]),
+                     lambda: numerical_flux(kind, wiggle)):
+            with pytest.raises(UnsupportedModelError,
+                               match="^model 'wiggle' is inadmissible: flux_monotone_shape_ok false$"):
                 bind()
 
 
