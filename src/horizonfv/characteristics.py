@@ -309,10 +309,12 @@ def trace_exterior(m: FluxModel, mass: float, start: CharState, ds: float, s_max
 def h_prime_interior(mass: float, shift: float, big_r: float) -> float:
     """Slope dh/dR of the time-shift between the two slicings.
 
-    Requires R > 2M and r = R - shift > 0; the radicand
-    1 - (1 - 2M/R) R^2 / r^2 is nonnegative for every R > 2M whenever
-    shift <= M, and a negative radicand (possible for shift > M) raises
-    with the valid R-range in the message.
+    Requires R > 2M and r = R - shift > 0.  The radicand
+    1 - (1 - 2M/R) R^2 / r^2 is exactly (shift^2 + 2R(M - shift)) / r^2,
+    nonnegative for every R > 2M whenever shift <= M; there a computed
+    radicand below 0 (at large R it is the rounding of 1 - 1) is taken as
+    0.  For shift > M a negative radicand raises with the valid R-range in
+    the message.
     """
     if not big_r > 2.0 * mass:
         raise DomainError(f"R={big_r} must exceed 2M={2 * mass}")
@@ -324,10 +326,8 @@ def h_prime_interior(mass: float, shift: float, big_r: float) -> float:
     if radicand < 0.0:
         if shift > mass:
             r_limit = shift * shift / (2.0 * (shift - mass))
-            hint = f"valid range: 2M < R < {r_limit:.9g}"
-        else:
-            hint = "unexpected for shift <= M"
-        raise DomainError(f"negative radicand at R={big_r} ({hint})")
+            raise DomainError(f"negative radicand at R={big_r} (valid range: 2M < R < {r_limit:.9g})")
+        radicand = 0.0
     return math.sqrt(radicand) / a
 
 

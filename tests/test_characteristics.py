@@ -508,6 +508,16 @@ def test_h_prime_negative_radicand_reports_range():
     h_prime_interior(0.3, 0.5, 0.62)  # inside the admissible window
 
 
+def test_h_prime_takes_a_rounded_negative_radicand_as_zero_for_shift_up_to_mass():
+    # with shift = M the exact radicand is M**2 / (R - M)**2, below the rounding of 1 - 1 at R ~ 1e8
+    assert 1.0 - (1.0 - 2.0 / 78668898.29584378) * (78668898.29584378 / 78668897.29584378) ** 2 < 0.0
+    assert h_prime_interior(1.0, 1.0, 78668898.29584378) == 0.0
+    path = trace_interior(1.0, 1.0, (0.0, 135099352.1198025, 0.6), 1e-3, 0.01, r_stop=1e12)
+    assert path.stop_reason == "s_max" and len(path) == 11
+    for r0 in np.geomspace(1e8, 1e10, 200):
+        assert trace_interior(1.0, 1.0, (0.0, float(r0), 0.6), 1e-3, 0.01, r_stop=1e12).stop_reason == "s_max"
+
+
 def test_h_prime_domain_guards():
     with pytest.raises(DomainError):
         h_prime_interior(1.0, 0.5, 2.0)
