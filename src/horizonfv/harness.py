@@ -391,8 +391,8 @@ def fuzz_invariants(trials: int, seed: int, tau_scale: float = 1.0, m: Optional[
     NumericsError out of ``run`` (a NaN or a breach of the maximum
     principle) ends the trial as a ``state_invariant`` violation.
     Any violation is recorded with the trial's full reproduction data.
-    ``tau_scale`` != 1 replaces the drawn fraction; above 1 it deliberately
-    breaks the CFL precondition and the CflError propagates (a meta-test hook).
+    ``tau_scale`` != 1 replaces the drawn fraction, in the record too; above 1 it
+    deliberately breaks the CFL precondition and the CflError propagates (a meta-test hook).
     """
     if trials < 1 or seed < 0:
         raise DomainError(f"need at least one trial and a seed >= 0, got {trials} trials and seed {seed}")
@@ -424,7 +424,7 @@ def fuzz_invariants(trials: int, seed: int, tau_scale: float = 1.0, m: Optional[
             "breaks": breaks.tolist(),
             "values": values.tolist(),
             "flux": flux_kind,
-            "cfl_fraction": cfl,
+            "cfl_fraction": fraction,
             "t_end": t_this,
         }
         report.trial_configs.append(config)

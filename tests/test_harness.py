@@ -562,6 +562,19 @@ def test_fuzz_reports_reproduction_configs():
         assert 0.0 < cfg["cfl_fraction"] <= 1.0
 
 
+def test_fuzz_trials_replay_from_their_records_with_run():
+    # the recorded CFL fraction is the one the trial ran at, also where tau_scale replaced the draw
+    rep = fuzz_invariants(2, 42, tau_scale=0.5)
+    steps = 0
+    for cfg in rep.trial_configs:
+        mesh = build_uniform_mesh(Background(cfg["mass"]), cfg["r_max"], cfg["cells"])
+        v0 = harness._piecewise_from_breaks(np.array(cfg["breaks"]), np.array(cfg["values"]))
+        steps += run(mesh, numerical_flux(cfg["flux"], burgers_model()), project_initial(mesh, v0)[0],
+                     t_end=cfg["t_end"], cfl_fraction=cfg["cfl_fraction"]).steps
+    assert rep.ok and steps == rep.total_steps
+    assert [cfg["cfl_fraction"] for cfg in rep.trial_configs] == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("seed, trials", [(921988858, 5), (416866623, 25), (431328546, 21)])
 def test_fuzz_coefficient_rounding_is_not_a_violation(seed, trials):
     # the last trial of each is an eo-flux run whose neighbouring cells come
