@@ -70,6 +70,11 @@ _UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "
 _parse = functools.lru_cache(maxsize=256)(ast.parse)  # _lower reads the trees and never changes them
 
 
+def _leaf(node) -> bool:  # a name, a slice of a name or a literal of _CONSTANTS, each written as text
+    return isinstance(node, ast.Name) or isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) or (
+        isinstance(node, ast.Constant) and node.value in _CONSTANTS)
+
+
 def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> list[str]:
     """The assignments of source, numpy text, as one ufunc statement per operation in syntax-tree
     order, so each result is bitwise numpy's.  x[...] = e writes into x; x = e binds x anew (x = y to y).  Values
@@ -78,11 +83,13 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
     names, basic slices, literals of _CONSTANTS, maximum, minimum,
     where(a <= b, c, d) as the value of x = ..., and p(x) for p in polys, written in as the _horner
     text of polys[p] with coefficient cells p_i.  The values of the cells of that text and of the
-    literals read are added to cells.  ContractError names the first construct it cannot write.
+    literals read are added to cells.  ContractError names the first construct it cannot write, and
+    refuses a comparison of anything but two _leaf nodes and an operation on cells alone.
 
     Two operations whose result is always bitwise one of their operands are left out.  A product
     with a coefficient cell of exactly 1.0 is its other factor, as x * 1.0 is x for every double, so
-    Burgers' f'(u) is u; the cell stays in cells, unread.  And the builders fill their templates
+    Burgers' f'(u) is u; the cell stays in cells, unread; x = e whose value no operation wrote into x
+    copies it, as numpy's product would be a new array.  And the builders fill their templates
     through _with_source, which leaves the source term out of f(x) + h(x) where h is zero and
     f(0) != 0: f's Horner text then ends in + f_0, so f(x) is never -0.0, and y + x * 0.0 is y for
     every y but -0.0 and every finite x.  The step's states are finite by its range check and the
@@ -96,8 +103,15 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
     def free(node):  # a scratch name no value in flight holds
         return next((s for s in scratch if s not in busy), None) or refuse(node, f"it needs more than {scratch}")
 
+    def bare(node):  # a call of s -> s, whose products are all left out (see below), is its argument
+        called = getattr(getattr(node, "func", None), "id", None)
+        return bare(node.args[0]) if polys.get(called) == (0.0, 1.0) else node
+
     def emit(node, dest):  # the name holding node's value: dest, if given
-        if isinstance(node, (ast.Name, ast.Subscript, ast.Compare)):
+        if isinstance(node, (ast.Name, ast.Subscript, ast.Compare)):  # written as text, so of _leaf nodes
+            parts = [node.left, *node.comparators] if isinstance(node, ast.Compare) else [node]
+            if not all(map(_leaf, parts)) or len(parts) > 2:
+                refuse(node, "text is only a name, a slice of a name, a literal or a comparison of two")
             return getattr(node, "id", None) or ast.unparse(node)
         if isinstance(node, ast.Constant) and node.value in _CONSTANTS:
             cells[_CONSTANTS[node.value]] = float(node.value)
@@ -114,10 +128,12 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         args = [node.left, node.right] if isinstance(node, ast.BinOp) else node.args
         if name == "multiply" and getattr(args[1], "id", None) in units:  # Horner's var * lead, lead 1.0
             return emit(args[0], dest)
-        reads_x = any(getattr(n, "id", None) == x for arg in args  # x's own value, not one put into x
+        reads_x = any(getattr(n, "id", None) == x for arg in map(bare, args)  # x's own value, not one put into x
                       if isinstance(arg, (ast.Name, ast.Subscript, ast.Compare)) for n in ast.walk(arg))
         ops = [arg for arg in args if isinstance(arg, (ast.BinOp, ast.Call)) and name != "where"]  # where has no out
         args = [emit(arg, dest if ops and arg is ops[0] else None) for arg in args]  # ops[0] is computed into dest
+        if all(arg in cells for arg in args):
+            refuse(node, "it operates on constants alone")
         if reads_x and x in written:
             refuse(statement, f"it reads {x} after an earlier operation wrote into it")
         out = dest or next((arg for arg in args if arg in busy), None) or free(node)
@@ -132,12 +148,16 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         return out
 
     for statement in _parse(source).body:
-        if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1):
+        target = statement.targets[0] if isinstance(statement, ast.Assign) and len(statement.targets) == 1 else None
+        if not (isinstance(target, ast.Name) or _leaf(target) and getattr(target.slice, "value", 0) is Ellipsis):
             refuse(statement, "a statement is one x = e or x[...] = e")
-        (target,), value, busy, written = statement.targets, statement.value, set(), set()
+        value, busy, written = statement.value, set(), set()
         x = getattr(target, "value", target).id
         unbound = {x} if isinstance(target, ast.Name) else set()
-        if (name := emit(value, x)) != x:  # a bare name y: x = y binds it, x[...] = y copies it
+        name = emit(value, x)
+        if unbound and x not in written and not isinstance(value, (ast.Name, ast.Subscript)):
+            name += ".copy()"
+        if name != x:  # a bare name y: x = y binds it, x[...] = y copies it
             lines.append(f"{ast.unparse(target)} = {name}")
     return lines
 
