@@ -27,6 +27,7 @@ from horizonfv import (
     trace_interior,
 )
 from horizonfv.characteristics import _guard_u
+from horizonfv.quadrature import adaptive_simpson
 from horizonfv.cli import main
 from fate import classify_fate, escape_velocity
 
@@ -344,6 +345,28 @@ def test_steady_profile_sonic_anchor_rejected(fhat_table):
     for bad in (math.nan, 1.0, -1.0):  # the message names the refused state
         with pytest.raises(DomainError, match=rf"^u0={bad} must satisfy \|u0\| <= 1 - 1e-09$"):
             steady_profile(fhat_table, 1.0, 4.0, bad, np.array([4.0]))
+
+
+def test_steady_profile_refuses_radii_at_or_inside_the_horizon(fhat_table):
+    for r0 in (2.0, 1.5):
+        with pytest.raises(DomainError, match=f"^anchor radius r0={r0} must exceed the horizon radius 2.0$"):
+            steady_profile(fhat_table, 1.0, r0, 0.5, np.array([4.0]))
+        with pytest.raises(DomainError, match="^steady profile radii must exceed the horizon radius$"):
+            steady_profile(fhat_table, 1.0, 4.0, 0.5, np.array([4.0, r0]))
+
+
+def test_fhat_inverse_refuses_an_iteration_that_does_not_converge(monkeypatch, fhat_table):
+    # a single pass leaves the bracket of -1.0 wider than 1e-14; no target is known to need 100
+    monkeypatch.setattr(characteristics, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericsError, match="^Fhat inverse on the plus branch did not converge$"):
+        fhat_inverse(fhat_table, "plus", -1.0)
+
+
+def test_adaptive_simpson_of_an_empty_or_reversed_interval_and_its_depth_cap():
+    assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
+    assert adaptive_simpson(math.exp, 1.0, 0.0) == -adaptive_simpson(math.exp, 0.0, 1.0)
+    with pytest.raises(NumericsError, match="^adaptive quadrature exceeded depth 60 on "):
+        adaptive_simpson(lambda w: float(w > 1e-200), -1.0, 1.0, tol=0.0)  # a jump the halvings never isolate
 
 
 def test_steady_profile_refuses_a_radius_that_is_not_finite(fhat_table):

@@ -11,7 +11,7 @@ import pytest
 
 from horizonfv import (Background, CharState, ConfigError, StateVector, build_fhat_table, build_uniform_mesh,
                        burgers_model, exterior_invariant, numerical_flux, project_initial, run, trace_exterior)
-from horizonfv.cli import _CSV_BLOCK, _write_csv, _write_snapshots, main
+from horizonfv.cli import _CSV_BLOCK, _write_csv, _write_snapshots, dispatch, main
 from horizonfv.config import _KEYS, RunConfig, parse_config, resolved_config_text
 from csv_reference import reference_write_csv, reference_write_snapshots
 
@@ -170,6 +170,20 @@ r = 8.0
     with pytest.raises(ConfigError) as err:
         parse_config(write_config(tmp_path, body.replace("r = 8.0", "cells = 8")))
     assert str(err.value) == "unknown key 'cells' in section [characteristics] (line 13)"
+
+
+def test_unknown_key_without_a_line_is_named_alone(tmp_path):
+    # configparser reads '[x = 1' as the key '[x'; a line opening with '[' is no key line to the lookup
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_config(tmp_path, MINIMAL + "\n[x = 1\n"))
+    assert str(err.value) == "unknown key '[x' in section [evolution]"
+
+
+def test_dispatch_refuses_an_unknown_subcommand(tmp_path):
+    cfg = parse_config(write_config(tmp_path, MINIMAL + f"\n[run]\noutput_dir = {tmp_path / 'out'}\n"))
+    with pytest.raises(ConfigError, match="^unknown subcommand 'evolve'$"):
+        dispatch("evolve", cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_default_section_rejected_by_name(tmp_path):

@@ -419,6 +419,12 @@ def test_overflowing_boundary_value_is_refused_by_name():
         check_structure(*OVERFLOWING_SOURCE)
 
 
+def test_overflowing_slope_bound_is_refused_by_name():
+    # f' = 1e308 + 1e308 s has finite coefficients, but f'(1) overflows, so no float bounds sup |f'|
+    with pytest.raises(DomainError, match=r"^sup \|f'\| over \[-1, 1\] overflows a float$"):
+        polynomial_model("big", (0.0, 1e308, 5e307), (0.0,))
+
+
 def test_tiny_leading_coefficient_is_dropped_from_the_peak_search():
     # f = s**2 + 1e-320 s**3: np.roots of f'' = 2 + 6e-320 s overflows its
     # companion matrix; the bound is certified on the full polynomial

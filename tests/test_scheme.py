@@ -195,6 +195,12 @@ def test_state_vector_message_names_the_largest_magnitude(values):
                               "(discrete maximum principle violated)")
 
 
+@pytest.mark.parametrize("values", [np.zeros((2, 2)), np.zeros(0), 0.5])
+def test_state_vector_refuses_values_that_are_not_a_nonempty_1d_array(values):
+    with pytest.raises(ContractError, match="^state values must be a nonempty 1D array$"):
+        StateVector(values=values, time=0.0, step_index=0)
+
+
 def test_state_vector_accepts_the_closed_interval():
     edge = np.array([-1.0, 1.0, -0.0, 5e-324, -5e-324])
     state = StateVector(values=edge, time=0.0, step_index=0)
