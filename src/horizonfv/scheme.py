@@ -433,9 +433,9 @@ def run(mesh: RadialMesh, nf: NumericalFlux, values: np.ndarray,
         on_step: Optional[Callable[[StateVector, StepReport], None]] = None) -> RunResult:
     """Evolve the cell averages values (see project_initial) of nf's model to t_end, tau = cfl_fraction * max_timestep.
 
-    The package's one time loop, with step's outer_ghost.  The last step is shortened to land exactly
-    on t_end.  Snapshots are the initial state, every snapshot_every-th
-    step, and the final state.  Before the first step, DomainError refuses a t_end that is not
+    The package's one time loop, with step's outer_ghost.  nf's model is admissible, as NumericalFlux
+    refuses any other when it is built.  The last step is shortened to land exactly on t_end.
+    Snapshots are the initial state, every snapshot_every-th step, and the final state.  Before the first step, DomainError refuses a t_end that is not
     positive and finite, a snapshot_every that is not an integer >= 1, values outside [-1, 1]
     (ContractError if not one per cell) or an outer_ghost outside it and, as CflError, a
     cfl_fraction outside (0, 1].
