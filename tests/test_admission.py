@@ -140,7 +140,7 @@ def test_exempt_callables_accept_an_inadmissible_model():
 
 
 def test_the_run_of_an_inadmissible_linear_model_is_refused_when_its_flux_is_built(nothing_runs):
-    # once, this evolved nine steps and then blamed the scheme's maximum principle
+    # refused by name before a step, not left to breach the maximum principle mid-run
     linear = polynomial_model("linear", [0.0, 1.0], [0.0])
     with pytest.raises(UnsupportedModelError, match="^model 'linear' is inadmissible: "
                        "boundary_roots_ok, interior_negative_ok, flux_monotone_shape_ok false$"):

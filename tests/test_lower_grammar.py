@@ -97,10 +97,10 @@ def test_lowered_programs_equal_numpy_bitwise_or_are_refused():
 
     @settings(max_examples=2000, suppress_health_check=[HealthCheck.too_slow])
     @given(PROGRAMS, st.integers(0, 3))
-    @example("x = q(u)\nx[...] = v", 0)  # x = u bound x to u, so the copy into x wrote into u
-    @example("x = q(u * v)\ny = where(u <= v, w * w, u)", 1)  # x = t0, then w * w went into t0
+    @example("x = q(u)\nx[...] = v", 0)  # x = q(u) is a new array, not u, which x[...] = v would change
+    @example("x = q(u * v)\ny = where(u <= v, w * w, u)", 1)  # nor the scratch array that w * w reuses
     @example("x = u\nx = q(x)\nx[...] = v", 0)
-    @example("y = maximum(k(u), q(y))", 1)  # refused: q(y) is y, read after k(u) was written into y
+    @example("y = maximum(k(u), q(y))", 1)  # q(y) is y, which k(u) overwrites before maximum reads it
     def check(source, n_scratch):
         try:
             expected = _numpy(source)
@@ -129,12 +129,12 @@ def test_lowered_programs_equal_numpy_bitwise_or_are_refused():
 
 
 @pytest.mark.parametrize("source, why", [
-    ("x[1:] = a * b", "a statement is one x = e or x[...] = e"),  # was multiply(a, b, x): all of x
+    ("x[1:] = a * b", "a statement is one x = e or x[...] = e"),  # an out= of x[1:] is not x
     ("x.y = a", "a statement is one x = e or x[...] = e"),
     ("x = where(f(a) <= b, a, b)", "text is only a name, a slice of a name, a literal or a comparison of two"),
     ("x = where(a <= b <= c, a, b)", "text is only a name, a slice of a name, a literal or a comparison of two"),
     ("x[...] = a * (a + b)[1:]", "text is only a name, a slice of a name, a literal or a comparison of two"),
-    ("x = minimum(0.5 + 0.5, a)", "it operates on constants alone"),  # x = add(half, half) bound x to a 0-d array
+    ("x = minimum(0.5 + 0.5, a)", "it operates on constants alone"),  # x = add(half, half) would be 0-d
     ("x = a + f(0.5)", "it operates on constants alone"),
     ("y = maximum(f(a), g(y))", "it reads y after an earlier operation wrote into it"),  # g(y) is y, read late
 ])
