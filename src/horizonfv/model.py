@@ -80,7 +80,7 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
     order, so each result is bitwise numpy's.  x[...] = e writes into x; x = e binds x anew (x = y to y).  Values
     between operations go into x or into free scratch names of x's shape, so an operation that reads x (by
     a name, a slice or a comparison) after an earlier one wrote into x is refused.  Supported: + - * /,
-    names, basic slices, literals of _CONSTANTS, maximum, minimum,
+    names, slices of a name, literals of _CONSTANTS, maximum, minimum,
     where(a <= b, c, d) as the value of x = ..., and p(x) for p in polys, written in as the _horner
     text of polys[p] with coefficient cells p_i.  The values of the cells of that text and of the
     literals read are added to cells.  ContractError names the first construct it cannot write, and
@@ -155,7 +155,7 @@ def _lower(source: str, polys: dict, cells: dict, scratch: Sequence[str]) -> lis
         x = getattr(target, "value", target).id
         unbound = {x} if isinstance(target, ast.Name) else set()
         name = emit(value, x)
-        if unbound and x not in written and not isinstance(value, (ast.Name, ast.Subscript)):
+        if unbound and not isinstance(value, (ast.Name, ast.Subscript)):  # x still unbound: no operation wrote x
             name += ".copy()"
         if name != x:  # a bare name y: x = y binds it, x[...] = y copies it
             lines.append(f"{ast.unparse(target)} = {name}")

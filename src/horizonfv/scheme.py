@@ -435,10 +435,10 @@ def run(mesh: RadialMesh, nf: NumericalFlux, values: np.ndarray,
 
     The package's one time loop, with step's outer_ghost.  nf's model is admissible, as NumericalFlux
     refuses any other when it is built.  The last step is shortened to land exactly on t_end.
-    Snapshots are the initial state, every snapshot_every-th step, and the final state.  Before the first step, DomainError refuses a t_end that is not
-    positive and finite, a snapshot_every that is not an integer >= 1, values outside [-1, 1]
-    (ContractError if not one per cell) or an outer_ghost outside it and, as CflError, a
-    cfl_fraction outside (0, 1].
+    Snapshots are the initial state, every snapshot_every-th step, and the final state.  Before the
+    first step, DomainError refuses a t_end that is not positive and finite, a snapshot_every that is
+    not an integer >= 1, values outside [-1, 1] (ContractError if not one per cell) or an outer_ghost
+    outside it and, as CflError, a cfl_fraction outside (0, 1].
     A NaN or a state leaving [-1, 1] raises NumericsError naming the step, time and first cell.
 
     on_step(state_after, report), if given, sees every completed step
