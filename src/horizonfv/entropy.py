@@ -76,10 +76,10 @@ class EntropyLedger:
 
 
 def numerical_entropy_flux(nf: NumericalFlux, k: float, u, v):
-    """Crandall-Majda discrete entropy flux of nf's model for the Kruzhkov entropy at k;
-    a column of levels k broadcasts against the face states u, v."""
-    upper = nf.evaluate(nf.model, np.maximum(u, k), np.maximum(v, k))
-    lower = nf.evaluate(nf.model, np.minimum(u, k), np.minimum(v, k))
+    """Crandall-Majda discrete entropy flux of nf for the Kruzhkov entropy at k, through nf.evaluate,
+    its formula as the step runs it; a column of levels k broadcasts against the face states u, v."""
+    upper = nf.evaluate(np.maximum(u, k), np.maximum(v, k))
+    lower = nf.evaluate(np.minimum(u, k), np.minimum(v, k))
     return upper - lower
 
 

@@ -25,8 +25,9 @@ zero-gradient copy) when it is None, else a fixed state.
 ``step`` reads only the coefficient tuples of nf.model: the update and every
 flux are numpy formulas (``_UPDATE``, ``NumericalFlux.formula``) that
 ``model._lower`` writes into one kernel as in-place ufuncs, from one of two
-swapped state buffers (``_Buffers``) into the other.  A flux's evaluate runs
-the same text in plain numpy, so the text is the flux's one definition.
+swapped state buffers (``_Buffers``) into the other.  A flux's evaluate is
+its formula lowered the same way on its own buffers, so the text is the
+flux's one definition and has one runner.
 """
 
 from __future__ import annotations
@@ -34,24 +35,17 @@ from __future__ import annotations
 import ast
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CflError, ContractError, DomainError, NumericsError, UnsupportedModelError
+from .errors import CflError, ContractError, DomainError, NumericsError
 from .geometry import RadialMesh, max_timestep
 from .model import FluxModel, _closure, _evaluator, _lower, _parse, _with_source
 
 _GAUSS3_OFFSET = math.sqrt(0.6)  # 3-point Gauss-Legendre nodes at center +/- offset*dr/2
 _GAUSS3_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
-
-
-def _require_shape(m: FluxModel, kind: Optional[str]) -> None:
-    if kind in ("godunov", "eo") and not m.structure.flux_monotone_shape_ok:
-        raise UnsupportedModelError(
-            f"{kind} flux needs f' < 0 on (-1, 0) and f' > 0 on (0, 1); model '{m.name}' fails that shape"
-        )
 
 
 def _divided_difference(m: FluxModel, x, y):
@@ -110,66 +104,74 @@ _FLUXES = {
     "rusanov": ("fluxes = 0.5 * (f_left + f_right) - half_lam * (right - left)", _rusanov_increments),
 }
 FLUX_KINDS = tuple(_FLUXES)
-# a flux's function: its formula in numpy after the _READS names it reads, so f runs only where it must
-_FLUX = '''\
-def flux_{kind}(m, left, right):
-    """{formula}: the {kind} flux of m at the face states; a pair of scalars gives a float."""
-    _require_shape(m, kind)
-{reads}    {formula}
-    return float(fluxes) if np.ndim(left) == np.ndim(right) == 0 else fluxes
-return flux_{kind}
+# evaluate: the formula as _lower writes it, on scratch a and b of the face states' broadcast shape
+_EVALUATE = '''\
+from numpy import add, subtract, multiply, divide, maximum, minimum, where
+def flux(left, right):
+    """{formula}: the flux at the face states, bitwise the step's; a pair of scalars gives a float."""
+    if np.ndim(left) == np.ndim(right) == 0:  # one face
+        return float(flux(np.reshape(left, 1), np.reshape(right, 1))[0])
+    if np.shape(left) != np.shape(right):
+        left, right = np.broadcast_arrays(left, right)
+    a, b = np.empty(np.shape(left)), np.empty(np.shape(left))
+{body}
+    return fluxes
+return flux
 '''
-_READS = {"f": "f = m.f", "f_left": "f_left = m.f(left)", "f_right": "f_right = m.f(right)",
-          "half_lam": "half_lam = 0.5 * m.flux_lipschitz", "f_zero": "f_zero = m.f(0.0)"}
-_FLUX_NAMES = {"np": np, "where": np.where, "maximum": np.maximum, "minimum": np.minimum,
-               "_require_shape": _require_shape}
 
 
-@functools.cache  # never evicts, so a text keeps one function, which a wrapper names by __wrapped__
-def _numpy_flux(kind: str, formula: str) -> Callable:
-    names = {node.id for node in ast.walk(_parse(formula)) if isinstance(node, ast.Name)}
-    # reading a face state, it gives one flux per face; reading no other name, it runs here and in the step
-    if not (kind.isidentifier() and "fluxes" in names and names & {"left", "right", "f_left", "f_right"}
-            and names <= {"fluxes", "left", "right", "where", "maximum", "minimum", *_READS}):
-        raise ContractError(f"flux {kind!r}: the kind must be a name, and {formula!r} must set fluxes from left"
-                            f" and right with where, maximum, minimum, + - * / and {', '.join(_READS)}")
-    try:  # as _step_kernel writes it, into its scratch a and b
-        _lower(formula, {"f": (0.0,)}, {}, ["a", "b"])
-    except ContractError as exc:
-        raise ContractError(f"flux {kind!r}: {exc}") from None
+@functools.cache  # never evicts, so a flux keeps one function, which a wrapper names by __wrapped__
+def _flux_function(f_poly: tuple[float, ...], formula: str, lam: float) -> Callable:
+    """The formula for f and lam = sup |f'| with _step_kernel's cells, lowered as it lowers it, after
+    f_left = f(left) and f_right = f(right) where it reads them; ContractError refuses any other text."""
+    names, reads = {node.id for node in ast.walk(_parse(formula)) if isinstance(node, ast.Name)}, \
+        ("f", "f_left", "f_right", "half_lam", "f_zero")
+    # reading a face state, it gives one flux per face; reading no other name, no other text is written
+    if not ("fluxes" in names and names & {"left", "right", "f_left", "f_right"}
+            and names <= {"fluxes", "left", "right", "where", "maximum", "minimum", *reads}):
+        raise ContractError(f"{formula!r} must set fluxes from left and right with where, maximum, minimum,"
+                            f" + - * / and {', '.join(reads)}")
+    cells, polys = {"half_lam": 0.5 * lam, "f_zero": _evaluator(f_poly)(0.0)}, {"f": f_poly}
+    lines = _lower(formula, polys, cells, ["a", "b"])
     (statement, *rest) = _parse(formula).body  # each an assignment with one target, as _lower admits
     if rest or ast.unparse(statement.targets[0]) != "fluxes" or "fluxes" in {
             node.id for node in ast.walk(statement.value) if isinstance(node, ast.Name)}:
-        raise ContractError(f"flux {kind!r}: {formula!r} must be one statement fluxes = ... that reads no fluxes")
-    reads = "".join(f"    {line}\n" for name, line in _READS.items() if name in names)
-    return _closure(_FLUX.format(kind=kind, formula=formula, reads=reads), {"kind": kind}, _FLUX_NAMES)
+        raise ContractError(f"{formula!r} must be one statement fluxes = ... that reads no fluxes")
+    states = "\n".join(f"f_{side} = f({side})" for side in ("left", "right") if f"f_{side}" in names)
+    body = "\n".join(" " * 4 + line for line in _lower(states, polys, cells, []) + lines)
+    return _closure(_EVALUATE.format(formula=formula, body=body), {n: np.array(c) for n, c in cells.items()},
+                    {"np": np})
 
 
 @dataclass(frozen=True, eq=False)
 class NumericalFlux:
     """A two-point monotone flux of one model as its formula, numpy text setting ``fluxes`` from
     the face states ``left`` and ``right``, which ``step`` writes into its kernel and
-    ``evaluate(m, u, v)`` runs in numpy; with, optionally, ``increments(m, u, v)``: Harten's
-    coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) = -D (v - u).
+    ``evaluate(left, right)`` runs as the same lowered text; with, optionally, ``increments(m, u, v)``:
+    Harten's coefficients (C, D) >= 0 with nf(u, v) - f(v) = C (u - v) and nf(u, v) - f(u) = -D (v - u).
     Its Lipschitz bound for the CFL rule is the model's ``flux_lipschitz``.  UnsupportedModelError
     refuses, first and for every kind, a model that fails a structural flag (``model.check_structure``),
     under ``dataclasses.replace`` too, and ContractError a formula the step cannot write and an evaluate
-    other than the formula's or a wrapper of it."""
+    that is not the formula's function or a wrapper of it, save one for another model, which gives way."""
 
     kind: str
     model: FluxModel
     formula: str
     increments: Optional[Callable] = None
-    evaluate: Optional[Callable] = None  # an init field only so that dataclasses.replace can wrap it
+    evaluate: InitVar[Optional[Callable]] = None  # given only so that dataclasses.replace can wrap it
     lipschitz_bound = property(lambda self: self.model.flux_lipschitz)
 
-    def __post_init__(self):
-        self.model.require_admissible()
-        built = _numpy_flux(self.kind, self.formula)
-        if self.evaluate is None:
-            object.__setattr__(self, "evaluate", built)
-        elif built is not self.evaluate and built is not getattr(self.evaluate, "__wrapped__", None):
+    def __post_init__(self, evaluate):
+        m = self.model.require_admissible()
+        try:
+            built = _flux_function(m.f_poly, self.formula, m.flux_lipschitz)
+        except ContractError as exc:
+            raise ContractError(f"flux {self.kind!r}: {exc}") from None
+        own = getattr(evaluate, "__wrapped__", evaluate)
+        # a function of the formula (its docstring opens with it) for another model gives way to this one's
+        if evaluate is not None and own is not built and getattr(own, "__doc__", None) != built.__doc__:
             raise ContractError(f"flux '{self.kind}': evaluate is not the function of its formula")
+        object.__setattr__(self, "evaluate", evaluate if own is built else built)
 
 
 def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:

@@ -66,6 +66,6 @@ def test_a_traced_flux_runs_the_compiled_step_and_traces_the_certificate(tracing
         tracer.spans.clear()
 
         other = numerical_flux("rusanov" if kind == "godunov" else "godunov", burgers)
-        for foreign in (lambda m, u, v: nf.evaluate(m, u, v), other.evaluate):
+        for foreign in (lambda u, v: nf.evaluate(u, v), other.evaluate):
             with pytest.raises(ContractError, match="evaluate is not the function of its formula"):
                 dataclasses.replace(nf, evaluate=tracer.wrap("scheme.flux", foreign, tracing._faces))

@@ -474,9 +474,9 @@ def test_lower_writes_a_read_of_its_target_before_any_operation_wrote_into_it(so
 
 def test_generated_kernel_sources_are_unchanged_by_the_target_read_refusal(monkeypatch, burgers, quartic, sextic,
                                                                            shifted, rounding_quartic):
-    # every generated text: the step under each bundled flux, the shooting and the exterior tracer for
-    # each model, each bundled flux's function and the interior tracer; the digest is of the texts
-    # _lower wrote before it refused a read of a written target
+    # every kernel text: the step under each bundled flux, the shooting and the exterior tracer for
+    # each model and the interior tracer; the digest is of the texts _lower wrote before it refused a
+    # read of a written target.  A flux's evaluate lowers its formula line as the step does.
     sources = []
     for module in (scheme, harness, characteristics):
         monkeypatch.setattr(module, "_closure",
@@ -487,9 +487,13 @@ def test_generated_kernel_sources_are_unchanged_by_the_target_read_refusal(monke
             scheme._step_kernel.__wrapped__(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
         harness._chars_kernel.__wrapped__(m.f_poly, df_poly, m.h_poly)
         characteristics._exterior_kernel.__wrapped__(m.f_poly, df_poly, m.h_poly)
-    for kind, (formula, _) in scheme._FLUXES.items():
-        scheme._numpy_flux.__wrapped__(kind, formula)
     characteristics._interior_kernel.__wrapped__()
-    assert len(sources) == 29
+    assert len(sources) == 26
     assert (hashlib.sha256("\0".join(sources).encode()).hexdigest()
-            == "2472c3957f248c9a65759fee2fa0b1d918f23f460839d3ad73ead336234efc48")
+            == "c9a6c36685cf03cb3fc956b5032c56f73bd0faf46ee98cae2c272350a999b62a")
+    for m in (burgers, quartic, sextic, shifted, rounding_quartic):
+        for formula, _ in scheme._FLUXES.values():
+            text = "".join(f"\n    {line}" for line in model._lower(formula, {"f": m.f_poly}, {}, ["a", "b"]))
+            scheme._step_kernel.__wrapped__(m.f_poly, m.h_poly, formula, m.flux_lipschitz)
+            scheme._flux_function.__wrapped__(m.f_poly, formula, m.flux_lipschitz)
+            assert text in sources[-2] and text in sources[-1], (m.name, formula)

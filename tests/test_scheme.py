@@ -44,30 +44,30 @@ def averages(mesh, v0):
 
 def test_rusanov_values(burgers):
     flux_rusanov = numerical_flux("rusanov", burgers).evaluate
-    assert flux_rusanov(burgers, 0.5, 0.5) == -0.375
-    assert flux_rusanov(burgers, 1.0, -1.0) == 1.0
-    assert flux_rusanov(burgers, -1.0, 1.0) == -1.0
+    assert flux_rusanov(0.5, 0.5) == -0.375
+    assert flux_rusanov(1.0, -1.0) == 1.0
+    assert flux_rusanov(-1.0, 1.0) == -1.0
 
 
 def test_godunov_values(burgers):
     flux_godunov = numerical_flux("godunov", burgers).evaluate
-    assert flux_godunov(burgers, -1.0, 1.0) == -0.5   # min through the sonic point
-    assert flux_godunov(burgers, 1.0, -1.0) == 0.0    # max at the interval ends
-    assert flux_godunov(burgers, 0.3, 0.3) == pytest.approx(-0.455, abs=1e-15)
+    assert flux_godunov(-1.0, 1.0) == -0.5   # min through the sonic point
+    assert flux_godunov(1.0, -1.0) == 0.0    # max at the interval ends
+    assert flux_godunov(0.3, 0.3) == pytest.approx(-0.455, abs=1e-15)
 
 
 def test_engquist_osher_values(burgers):
     flux_engquist_osher = numerical_flux("eo", burgers).evaluate
-    assert flux_engquist_osher(burgers, 0.5, -0.5) == -0.25
-    assert flux_engquist_osher(burgers, 0.7, 0.7) == burgers.f(0.7)
-    assert flux_engquist_osher(burgers, -0.2, 0.9) == -0.5  # both arguments clip to 0
+    assert flux_engquist_osher(0.5, -0.5) == -0.25
+    assert flux_engquist_osher(0.7, 0.7) == burgers.f(0.7)
+    assert flux_engquist_osher(-0.2, 0.9) == -0.5  # both arguments clip to 0
 
 
 @pytest.mark.parametrize("kind", ALL_FLUXES)
 def test_consistency(burgers, kind):
     nf = numerical_flux(kind, burgers)
     v = np.linspace(-1.0, 1.0, 41)
-    assert np.max(np.abs(nf.evaluate(burgers, v, v) - burgers.f(v))) <= 1e-12
+    assert np.max(np.abs(nf.evaluate(v, v) - burgers.f(v))) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_FLUXES)
@@ -75,7 +75,7 @@ def test_monotonicity_sampled(burgers, kind):
     nf = numerical_flux(kind, burgers)
     grid = np.linspace(-1.0, 1.0, 41)
     u, v = np.meshgrid(grid, grid, indexing="ij")
-    table = nf.evaluate(burgers, u, v)
+    table = nf.evaluate(u, v)
     # nondecreasing in the inside argument, nonincreasing in the outside one
     assert np.all(np.diff(table, axis=0) >= -1e-14)
     assert np.all(np.diff(table, axis=1) <= 1e-14)
@@ -83,10 +83,9 @@ def test_monotonicity_sampled(burgers, kind):
 
 def test_godunov_requires_unimodal_shape():
     linear = polynomial_model("linear", [0.0, 1.0], [0.0])
-    with pytest.raises(UnsupportedModelError):  # the function numerical_flux("godunov", m).evaluate is
-        scheme._numpy_flux("godunov", scheme._FLUXES["godunov"][0])(linear, 0.1, 0.2)
-    with pytest.raises(UnsupportedModelError):
-        numerical_flux("eo", linear)
+    for kind in ("godunov", "eo"):
+        with pytest.raises(UnsupportedModelError):
+            numerical_flux(kind, linear)
 
 
 def test_unknown_flux_kind(burgers):
@@ -105,8 +104,8 @@ def brute_force_step(values, mesh, m, nf, tau, ghost):
         v = values[i]
         left_state = values[i - 1] if i > 0 else values[0]
         right_state = values[i + 1] if i < n - 1 else ghost
-        f_left = nf.evaluate(m, left_state, v)
-        f_right = nf.evaluate(m, v, right_state)
+        f_left = nf.evaluate(left_state, v)
+        f_right = nf.evaluate(v, right_state)
         a_left = mesh.face_weights[i]
         a_right = mesh.face_weights[i + 1]
         dr = mesh.widths[i]
@@ -307,7 +306,7 @@ def test_increments_match_the_flux_quotients(request, model, kind, rng):
     keep = np.abs(u - v) > 1e-6
     u, v = u[keep], v[keep]
     c, d = nf.increments(m, u, v)
-    flux = nf.evaluate(m, u, v)
+    flux = nf.evaluate(u, v)
     unit = np.finfo(float).eps * np.max(np.abs(m.f(np.linspace(-1.0, 1.0, 2001)))) / np.abs(u - v)
     assert np.all(np.abs(c - (flux - m.f(v)) / (u - v)) <= 8.0 * unit)
     assert np.all(np.abs(d - (flux - m.f(u)) / (u - v)) <= 8.0 * unit)
@@ -512,7 +511,7 @@ def test_step_face_fluxes_equal_the_bundled_fluxes_at_edge_values(burgers, quart
                     after, report = step(state, mesh, nf, tau, inner_ghost=ghost)
                     states, fluxes, expected = reference_update(EDGE_STATES, mesh, m, nf, tau, inner_ghost=ghost)
                     left, right = report.states[:-1], report.states[1:]
-                    assert report.fluxes.tobytes() == np.asarray(nf.evaluate(m, left, right)).tobytes(), (m.name, kind)
+                    assert report.fluxes.tobytes() == nf.evaluate(left, right).tobytes(), (m.name, kind)
                     assert after.values.tobytes() == expected.tobytes(), (m.name, kind, ghost)
 
 
@@ -551,11 +550,17 @@ def test_step_refuses_an_inner_ghost_outside_the_state_interval(mesh_m1, mesh_fl
     ("custom", "fluxes = np.abs(left)"),
     ("custom", "flux = left"),
     ("custom", "half_lam * (right - left)"),
-    ("not a name", CUSTOM_RUSANOV),
 ])
 def test_numerical_flux_refuses_a_formula_that_is_not_one_flux_per_face(burgers, kind, formula):
-    with pytest.raises(ContractError, match=f"^flux '{kind}': the kind must be a name"):
+    with pytest.raises(ContractError, match=f"^flux '{kind}': {re.escape(repr(formula))} must set fluxes from left"
+                                            " and right with where, maximum, minimum, "):
         scheme.NumericalFlux(kind, burgers, formula)
+
+
+def test_numerical_flux_takes_any_kind_as_its_name(burgers):
+    # the kind enters no generated text, so it need not be a Python name
+    nf = scheme.NumericalFlux("not a name", burgers, CUSTOM_RUSANOV)
+    assert nf.evaluate(0.5, -0.5) == numerical_flux("rusanov", burgers).evaluate(0.5, -0.5)
 
 
 UNWRITTEN = "not + - * /, maximum, minimum, where, f or (0.0, 0.5, 1.0, 2.0)"
@@ -588,13 +593,16 @@ def test_numerical_flux_refuses_a_formula_that_is_not_one_assignment_of_fluxes(b
         scheme.NumericalFlux(kind, burgers, formula)
 
 
-def test_numerical_flux_refuses_an_evaluate_that_is_not_its_formulas(burgers):
-    nf, flux_rusanov = numerical_flux("rusanov", burgers), scheme._numpy_flux("rusanov", scheme._FLUXES["rusanov"][0])
-    for evaluate in (numerical_flux("godunov", burgers).evaluate, lambda m, u, v: nf.evaluate(m, u, v), scheme._numpy_flux("custom", nf.formula)):
+def test_numerical_flux_refuses_an_evaluate_that_is_not_its_formulas(burgers, quartic):
+    nf = numerical_flux("rusanov", burgers)
+    flux_rusanov = scheme._flux_function(burgers.f_poly, nf.formula, burgers.flux_lipschitz)
+    for evaluate in (numerical_flux("godunov", burgers).evaluate, lambda u, v: nf.evaluate(u, v)):
         with pytest.raises(ContractError, match="^flux 'rusanov': evaluate is not the function of its formula$"):
             dataclasses.replace(nf, evaluate=evaluate)
     assert dataclasses.replace(nf, evaluate=flux_rusanov).evaluate is flux_rusanov is nf.evaluate
     assert dataclasses.replace(nf, increments=None).evaluate is flux_rusanov
+    # the formula's function for another model, as replace(nf, model=...) carries it over, gives way
+    assert dataclasses.replace(nf, evaluate=numerical_flux("rusanov", quartic).evaluate).evaluate is flux_rusanov
 
 
 # --- time loops --------------------------------------------------------------
@@ -917,7 +925,7 @@ def plain_conservative_step(values, dr, tau, m, nf):
     """Textbook scheme v - (tau/dr)(F_right - F_left) with copy ghosts."""
     left = np.concatenate(([values[0]], values))
     right = np.concatenate((values, [values[-1]]))
-    fluxes = nf.evaluate(m, left, right)
+    fluxes = nf.evaluate(left, right)
     return values - (tau / dr) * (fluxes[1:] - fluxes[:-1])
 
 
