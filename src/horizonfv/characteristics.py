@@ -310,25 +310,21 @@ def h_prime_interior(mass: float, shift: float, big_r: float) -> float:
     """Slope dh/dR of the time-shift between the two slicings.
 
     Requires R > 2M and r = R - shift > 0.  The radicand
-    1 - (1 - 2M/R) R^2 / r^2 is exactly (shift^2 + 2R(M - shift)) / r^2,
-    nonnegative for every R > 2M whenever shift <= M; there a computed
-    radicand below 0 (at large R it is the rounding of 1 - 1) is taken as
-    0.  For shift > M a negative radicand raises with the valid R-range in
-    the message.
+    1 - (1 - 2M/R) R^2 / r^2 is computed as (shift^2 + 2R(M - shift)) / r^2,
+    which it is exactly: no 1 - 1 cancels its digits at large R, and for
+    shift <= M it is a sum of terms >= 0.  For shift > M a negative radicand
+    raises with the valid R-range in the message.
     """
     if not big_r > 2.0 * mass:
         raise DomainError(f"R={big_r} must exceed 2M={2 * mass}")
     small_r = big_r - shift
     if not small_r > 0.0:
         raise DomainError(f"R - shift must be positive, got {small_r}")
-    a = 1.0 - 2.0 * mass / big_r
-    radicand = 1.0 - a * (big_r / small_r) ** 2
+    radicand = (shift * shift + 2.0 * big_r * (mass - shift)) / (small_r * small_r)
     if radicand < 0.0:
-        if shift > mass:
-            r_limit = shift * shift / (2.0 * (shift - mass))
-            raise DomainError(f"negative radicand at R={big_r} (valid range: 2M < R < {r_limit:.9g})")
-        radicand = 0.0
-    return math.sqrt(radicand) / a
+        r_limit = shift * shift / (2.0 * (shift - mass))
+        raise DomainError(f"negative radicand at R={big_r} (valid range: 2M < R < {r_limit:.9g})")
+    return math.sqrt(radicand) * big_r / (big_r - 2.0 * mass)
 
 
 def trace_interior(mass: float, shift: float, start: tuple[float, float, float], ds: float,

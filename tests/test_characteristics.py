@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -531,14 +532,33 @@ def test_h_prime_negative_radicand_reports_range():
     h_prime_interior(0.3, 0.5, 0.62)  # inside the admissible window
 
 
-def test_h_prime_takes_a_rounded_negative_radicand_as_zero_for_shift_up_to_mass():
-    # with shift = M the exact radicand is M**2 / (R - M)**2, below the rounding of 1 - 1 at R ~ 1e8
-    assert 1.0 - (1.0 - 2.0 / 78668898.29584378) * (78668898.29584378 / 78668897.29584378) ** 2 < 0.0
-    assert h_prime_interior(1.0, 1.0, 78668898.29584378) == 0.0
+def _exact_h_prime(mass, shift, big_r):
+    """sqrt(1 - a R**2 / r**2) / a with a = 1 - 2M/R and r = R - shift, exact in fractions up to the
+    rounding of the radicand and of a to floats."""
+    m, s, big = Fraction(mass), Fraction(shift), Fraction(big_r)
+    a = 1 - 2 * m / big
+    return math.sqrt(1 - a * (big / (big - s)) ** 2) / float(a)
+
+
+def test_h_prime_keeps_its_digits_at_large_radius_for_shift_up_to_mass():
+    # with shift = M the exact radicand is M**2 / (R - M)**2; 1 - a (R/r)**2 lost it to the rounding of
+    # 1 - 1, giving 9.94e-8 for 1.0000003e-7 at R = 1e7 and 0.0 from R ~ 7.9e7 on
+    for big_r in (1e7, 3e7, 7.9e7, 1e9, 78668898.29584378):
+        exact = _exact_h_prime(1.0, 1.0, big_r)
+        assert exact > 0.0 and abs(h_prime_interior(1.0, 1.0, big_r) - exact) <= 1e-13 * exact, big_r
     path = trace_interior(1.0, 1.0, (0.0, 135099352.1198025, 0.6), 1e-3, 0.01, r_stop=1e12)
     assert path.stop_reason == "s_max" and len(path) == 11
     for r0 in np.geomspace(1e8, 1e10, 200):
         assert trace_interior(1.0, 1.0, (0.0, float(r0), 0.6), 1e-3, 0.01, r_stop=1e12).stop_reason == "s_max"
+
+
+def test_h_prime_is_within_1e_13_of_the_exact_value_for_shift_up_to_mass(rng):
+    for _ in range(20000):
+        mass = float(10.0 ** rng.uniform(-2.0, 2.0))
+        shift = mass if rng.uniform() < 0.25 else float(mass * rng.uniform(-1.0, 1.0))
+        big_r = float(2.0 * mass * (1.0 + 1e-3) * 10.0 ** rng.uniform(0.0, 9.0))
+        exact = _exact_h_prime(mass, shift, big_r)
+        assert abs(h_prime_interior(mass, shift, big_r) - exact) <= 1e-13 * exact, (mass, shift, big_r)
 
 
 def test_h_prime_domain_guards():
