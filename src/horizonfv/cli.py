@@ -47,7 +47,7 @@ from .harness import (
     self_convergence,
     steady_drift_detail,
 )
-from .model import BURGERS_COEFFS, _trimmed
+from .model import BURGERS_COEFFS, FluxModel, _trimmed
 from .scheme import numerical_flux, project_initial, run
 
 _CSV_BLOCK = 2048  # at most this many numbers in a block of the CSV writers
@@ -211,6 +211,11 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _model_record(m: FluxModel) -> dict:
+    """The model a run built, as its outputs name it: what polynomial_model rebuilds it from."""
+    return {"name": m.name, "f_coeffs": list(m.f_poly), "h_coeffs": list(m.h_poly)}
+
+
 def _rows_buffer(rows: int, columns: int):
     """A bytearray of rows lines of columns fields and its (rows, columns, 25) uint8 view: each field
     is a 24-byte text slot followed by its separator, a comma or, after the last column, a newline.
@@ -369,7 +374,8 @@ def _cmd_steady(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_converge(cfg: RunConfig, out: Path) -> int:
-    result = self_convergence(presets()[cfg.converge_preset], cfg.build_model(), cfg.converge_levels)
+    model = cfg.build_model()
+    result = self_convergence(presets()[cfg.converge_preset], model, cfg.converge_levels)
     threshold = _CONVERGE_THRESHOLDS[cfg.converge_preset]
     if threshold is None:
         passed = all(rec.l1_diff <= 1e-13 for rec in result.levels)
@@ -377,6 +383,7 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> int:
         passed = bool(result.observed_order >= threshold)
     payload = {
         "preset": cfg.converge_preset,
+        "model": _model_record(model),
         "levels": [{"cells": rec.cells, "tau": rec.tau, "l1_diff": rec.l1_diff}
                    for rec in result.levels],
         "observed_order": None if np.isnan(result.observed_order) else result.observed_order,
@@ -399,6 +406,7 @@ def _cmd_oracle(cfg: RunConfig, out: Path) -> int:
                np.array((mesh.centers, result.final.values, exact)))
     _write_json(out / "oracle.json", {
         "preset": cfg.oracle_preset,
+        "model": _model_record(model),
         "cells": cfg.oracle_cells,
         "l1_error": error,
     })
@@ -423,8 +431,9 @@ def _cmd_steady_drift(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_fuzz(cfg: RunConfig, out: Path) -> int:
-    report = fuzz_invariants(cfg.fuzz_trials, cfg.seed, tau_scale=cfg.fuzz_tau_scale, m=cfg.build_model())
-    _write_json(out / "fuzz_report.json", report.to_dict())
+    model = cfg.build_model()
+    report = fuzz_invariants(cfg.fuzz_trials, cfg.seed, tau_scale=cfg.fuzz_tau_scale, m=model)
+    _write_json(out / "fuzz_report.json", {**report.to_dict(), "model": _model_record(model)})
     return 0 if report.ok else 1
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from horizonfv import (Background, CharState, ConfigError, StateVector, build_fhat_table, build_uniform_mesh,
-                       burgers_model, exterior_invariant, numerical_flux, project_initial, run, trace_exterior)
+                       burgers_model, exterior_invariant, numerical_flux, polynomial_model, project_initial, run,
+                       trace_exterior)
 from horizonfv.cli import _CSV_BLOCK, _write_csv, _write_snapshots, dispatch, main
 from horizonfv.config import _KEYS, RunConfig, parse_config, resolved_config_text
 from csv_reference import reference_write_csv, reference_write_snapshots
@@ -797,6 +798,20 @@ def test_cli_fuzz_runs_the_configured_model(tmp_path):
         reports[model] = json.loads((out / "fuzz_report.json").read_text())
     assert reports["quartic"]["ok"] is True and not reports["quartic"]["violations"]
     assert reports["quartic"]["total_steps"] != reports["burgers"]["total_steps"]
+
+
+def test_cli_outputs_name_the_model_they_ran(tmp_path, burgers, quartic, shifted):
+    # each record rebuilds, by polynomial_model, the model whose f_poly and h_poly the run used
+    runs = (("oracle", "[oracle]\npreset = smooth\ncells = 20", "oracle.json"),
+            ("converge", "[converge]\npreset = smooth\nlevels = 3", "convergence.json"),
+            ("fuzz", "[fuzz]\ntrials = 1", "fuzz_report.json"))
+    for m, name in ((burgers, "burgers"), (quartic, "custom"), (shifted, "custom")):
+        for command, section, artifact in runs:
+            status, out = _model_run(tmp_path, m.name, command, section)
+            assert status == 0, (m.name, command)
+            record = json.loads((out / artifact).read_text())["model"]
+            rebuilt = polynomial_model(record["name"], record["f_coeffs"], record["h_coeffs"])
+            assert (rebuilt.name, rebuilt.f_poly, rebuilt.h_poly) == (name, m.f_poly, m.h_poly), (m.name, command)
 
 
 def test_cli_fuzz_refuses_a_negative_seed_as_a_config_error(tmp_path, capsys):
