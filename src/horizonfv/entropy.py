@@ -108,8 +108,7 @@ def face_reconstruction(report: StepReport, mesh: RadialMesh, m: FluxModel):
     tau = report.tau_used
     fc = np.asarray(m.f(v), dtype=float)
     hc = np.asarray(m.h(v), dtype=float)
-    a_l = mesh.face_weights[:-1]
-    a_r = mesh.face_weights[1:]
+    a_l, a_r = mesh.face_weights[:-1], mesh.face_weights[1:]
     gamma_l = 2.0 * tau * a_l / mesh.widths
     gamma_r = 2.0 * tau * a_r / mesh.widths
 
@@ -148,8 +147,7 @@ def cell_entropy_residuals(state_after: StateVector, report: StepReport, mesh: R
     tau, m = report.tau_used, nf.model
     tilde_l, tilde_r, full_l, full_r, gamma_l, gamma_r = face_reconstruction(report, mesh, m)
     coefficients = convex_coefficients(report, mesh, nf)
-    a_l = mesh.face_weights[:-1]
-    a_r = mesh.face_weights[1:]
+    a_l, a_r = mesh.face_weights[:-1], mesh.face_weights[1:]
 
     # Kruzhkov entropies U = |w - k| - |k|, one row per level
     states = report.states

@@ -109,13 +109,13 @@ _EVALUATE = '''\
 from numpy import add, subtract, multiply, divide, maximum, minimum, where
 def flux(left, right):
     """{formula}: the flux at the face states, bitwise the step's; a pair of scalars gives a float."""
-    if np.ndim(left) == np.ndim(right) == 0:  # one face
-        return float(flux(np.reshape(left, 1), np.reshape(right, 1))[0])
-    if np.shape(left) != np.shape(right):
-        left, right = np.broadcast_arrays(left, right)
+    shape = np.shape(left)
+    if shape != np.shape(right) or not shape:  # a scalar as one face, so that every out= is an array
+        shape = shape or np.shape(right)  # () for a pair of scalars only
+        left, right = np.broadcast_arrays(np.atleast_1d(left), right)
     a, b = np.empty(np.shape(left)), np.empty(np.shape(left))
 {body}
-    return fluxes
+    return fluxes if shape else float(fluxes[0])
 return flux
 '''
 
@@ -124,13 +124,12 @@ return flux
 def _flux_function(f_poly: tuple[float, ...], formula: str, lam: float) -> Callable:
     """The formula for f and lam = sup |f'| with _step_kernel's cells, lowered as it lowers it, after
     f_left = f(left) and f_right = f(right) where it reads them; ContractError refuses any other text."""
-    names, reads = {node.id for node in ast.walk(_parse(formula)) if isinstance(node, ast.Name)}, \
-        ("f", "f_left", "f_right", "half_lam", "f_zero")
+    names = {node.id for node in ast.walk(_parse(formula)) if isinstance(node, ast.Name)}
     # reading a face state, it gives one flux per face; reading no other name, no other text is written
-    if not ("fluxes" in names and names & {"left", "right", "f_left", "f_right"}
-            and names <= {"fluxes", "left", "right", "where", "maximum", "minimum", *reads}):
+    if not ("fluxes" in names and names & {"left", "right", "f_left", "f_right"} and names <= {
+            "fluxes", "left", "right", "where", "maximum", "minimum", "f", "f_left", "f_right", "half_lam", "f_zero"}):
         raise ContractError(f"{formula!r} must set fluxes from left and right with where, maximum, minimum,"
-                            f" + - * / and {', '.join(reads)}")
+                            " + - * / and f, f_left, f_right, half_lam, f_zero")
     cells, polys = {"half_lam": 0.5 * lam, "f_zero": _evaluator(f_poly)(0.0)}, {"f": f_poly}
     lines = _lower(formula, polys, cells, ["a", "b"])
     (statement, *rest) = _parse(formula).body  # each an assignment with one target, as _lower admits
@@ -139,8 +138,7 @@ def _flux_function(f_poly: tuple[float, ...], formula: str, lam: float) -> Calla
         raise ContractError(f"{formula!r} must be one statement fluxes = ... that reads no fluxes")
     states = "\n".join(f"f_{side} = f({side})" for side in ("left", "right") if f"f_{side}" in names)
     body = "\n".join(" " * 4 + line for line in _lower(states, polys, cells, []) + lines)
-    return _closure(_EVALUATE.format(formula=formula, body=body), {n: np.array(c) for n, c in cells.items()},
-                    {"np": np})
+    return _closure(_EVALUATE.format(formula=formula, body=body), {n: np.array(cells[n]) for n in cells}, {"np": np})
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,12 +173,8 @@ class NumericalFlux:
 
 
 def numerical_flux(kind: str, m: FluxModel) -> NumericalFlux:
-    """Bind a named flux to a model with its increments.
-
-    For all three bundled fluxes the bound in either argument is max |f'|,
-    the model's certified ``flux_lipschitz`` (for Rusanov that equals the
-    dissipation coefficient lam).
-    """
+    """Bind a named flux to a model with its increments.  For all three bundled fluxes the bound in
+    either argument is max |f'|, the model's certified ``flux_lipschitz`` (Rusanov's lam)."""
     if kind not in _FLUXES:
         raise DomainError(f"unknown flux kind '{kind}' (godunov | eo | rusanov)")
     return NumericalFlux(kind, m, *_FLUXES[kind])
