@@ -78,9 +78,7 @@ class EntropyLedger:
 def numerical_entropy_flux(nf: NumericalFlux, k: float, u, v):
     """Crandall-Majda discrete entropy flux of nf for the Kruzhkov entropy at k, through nf.evaluate,
     its formula as the step runs it; a column of levels k broadcasts against the face states u, v."""
-    upper = nf.evaluate(np.maximum(u, k), np.maximum(v, k))
-    lower = nf.evaluate(np.minimum(u, k), np.minimum(v, k))
-    return upper - lower
+    return nf.evaluate(np.maximum(u, k), np.maximum(v, k)) - nf.evaluate(np.minimum(u, k), np.minimum(v, k))
 
 
 def _quadratic_flux(m: FluxModel):
@@ -108,7 +106,8 @@ def face_reconstruction(report: StepReport, mesh: RadialMesh, m: FluxModel):
     tau = report.tau_used
     fc = np.asarray(m.f(v), dtype=float)
     hc = np.asarray(m.h(v), dtype=float)
-    a_l, a_r = mesh.face_weights[:-1], mesh.face_weights[1:]
+    a_l = mesh.face_weights[:-1]
+    a_r = mesh.face_weights[1:]
     gamma_l = 2.0 * tau * a_l / mesh.widths
     gamma_r = 2.0 * tau * a_r / mesh.widths
 
@@ -147,7 +146,8 @@ def cell_entropy_residuals(state_after: StateVector, report: StepReport, mesh: R
     tau, m = report.tau_used, nf.model
     tilde_l, tilde_r, full_l, full_r, gamma_l, gamma_r = face_reconstruction(report, mesh, m)
     coefficients = convex_coefficients(report, mesh, nf)
-    a_l, a_r = mesh.face_weights[:-1], mesh.face_weights[1:]
+    a_l = mesh.face_weights[:-1]
+    a_r = mesh.face_weights[1:]
 
     # Kruzhkov entropies U = |w - k| - |k|, one row per level
     states = report.states
